@@ -12,7 +12,7 @@
 
 use eag_bench::fmt::size_label;
 use eag_bench::{simulate, SimConfig};
-use eag_core::Algorithm;
+use eag_core::{Algorithm, Collective};
 use eag_netsim::Mapping;
 
 fn cfg(mapping: Mapping, contention: bool) -> SimConfig {
@@ -32,8 +32,8 @@ fn compare(title: &str, cfg: &SimConfig, a: Algorithm, b: Algorithm, sizes: &[us
     println!("\n== {title} ==");
     println!("{:>8} {:>12} {:>12}  winner", "size", a.name(), b.name());
     for &m in sizes {
-        let ta = simulate(cfg, a, m).mean;
-        let tb = simulate(cfg, b, m).mean;
+        let ta = simulate(cfg, Collective::Allgather(a), m).mean;
+        let tb = simulate(cfg, Collective::Allgather(b), m).mean;
         println!(
             "{:>8} {:>10.2}us {:>10.2}us  {}",
             size_label(m),

@@ -8,7 +8,7 @@
 //! loop inside one world, so thread spawn/join cost stays out of the number.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use eag_core::{allgather, Algorithm};
+use eag_core::{Algorithm, Collective};
 use eag_netsim::{profile, Mapping, Topology};
 use eag_runtime::{run, DataMode, WorldSpec};
 use std::hint::black_box;
@@ -29,11 +29,11 @@ fn osu_loop(algo: Algorithm, m: usize, iters: u64) -> Duration {
     let report = run(&spec, move |ctx| {
         // Warmup.
         for _ in 0..2 {
-            black_box(allgather(ctx, algo, m).is_complete());
+            black_box(Collective::Allgather(algo).run(ctx, m).is_complete());
         }
         let start = Instant::now();
         for _ in 0..iters {
-            black_box(allgather(ctx, algo, m).is_complete());
+            black_box(Collective::Allgather(algo).run(ctx, m).is_complete());
         }
         start.elapsed()
     });

@@ -13,13 +13,14 @@
 //!                [--threshold 10] [--confidence 0.95]
 //! eag recommend  --p 128 --nodes 8 --size 64KB [--profile noleland]
 //! eag audit      --p 12 --nodes 3 [--size 256B]
+//! eag paper      table1|…|table6|fig1|fig5|…|fig8|scaling|shape-check|all
 //! eag list
 //! ```
 
 use eag_bench::fmt::{parse_size, size_label};
 use eag_bench::tables::{best_scheme_table, render_best_scheme_table};
 use eag_bench::SimConfig;
-use eag_core::{allgather, Algorithm, Collective, Operation};
+use eag_core::{Algorithm, Collective, Operation};
 use eag_netsim::{profile, Crash, FaultPlan, Mapping, Topology};
 use eag_runtime::{
     pattern_block, run, run_crashable, CipherSuite, DataMode, RetryPolicy, WorldSpec,
@@ -34,23 +35,20 @@ fn main() -> ExitCode {
         eprintln!("{USAGE}");
         return ExitCode::FAILURE;
     };
-    let opts = match Options::parse(&args[1..]) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("error: {e}\n\n{USAGE}");
-            return ExitCode::FAILURE;
-        }
-    };
     let result = match command.as_str() {
-        "run" => cmd_run(&opts),
-        "sweep" => cmd_sweep(&opts),
-        "bench" => cmd_bench(&opts),
-        "regress" => cmd_regress(&opts),
-        "recommend" => cmd_recommend(&opts),
-        "audit" => cmd_audit(&opts),
-        "calibrate" => cmd_calibrate(&opts),
-        "list" => cmd_list(),
-        other => Err(format!("unknown command {other:?}")),
+        // The one command that takes a positional argument, not flags.
+        "paper" => cmd_paper(args.get(1)),
+        _ => Options::parse(&args[1..]).and_then(|opts| match command.as_str() {
+            "run" => cmd_run(&opts),
+            "sweep" => cmd_sweep(&opts),
+            "bench" => cmd_bench(&opts),
+            "regress" => cmd_regress(&opts),
+            "recommend" => cmd_recommend(&opts),
+            "audit" => cmd_audit(&opts),
+            "calibrate" => cmd_calibrate(&opts),
+            "list" => cmd_list(),
+            other => Err(format!("unknown command {other:?}")),
+        }),
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,
@@ -99,6 +97,10 @@ commands:
              backend, fit per-suite Hockney constants, and compare
              algorithms under each fitted profile (optional --base
              noleland|bridges2, --p, --nodes)
+  paper      regenerate one table or figure of the paper's evaluation
+             (table1..table6, fig1, fig5..fig8), the node-count scaling
+             study (scaling), the qualitative-claims check (shape-check,
+             exits nonzero on a failed claim), or everything (all)
   list       list all algorithms";
 
 struct Options {
@@ -659,7 +661,7 @@ fn cmd_audit(opts: &Options) -> Result<(), String> {
             );
             spec.capture_wire = true;
             let report = run(&spec, move |ctx| {
-                allgather(ctx, algo, m).verify(seed);
+                Collective::Allgather(algo).run(ctx, m).verify(seed);
             });
             let mut leaked = report.wiretap.saw_plaintext_frame();
             for rank in 0..p {
@@ -768,7 +770,7 @@ algorithm comparison under {} (p={p}, N={nodes}):",
                     DataMode::Phantom,
                 );
                 run(&spec, move |ctx| {
-                    allgather(ctx, algo, m).verify(0);
+                    Collective::Allgather(algo).run(ctx, m).verify(0);
                 })
                 .latency_us
             };
@@ -789,6 +791,15 @@ algorithm comparison under {} (p={p}, N={nodes}):",
                 best
             );
         }
+    }
+    Ok(())
+}
+
+fn cmd_paper(id: Option<&String>) -> Result<(), String> {
+    let id = id.ok_or("paper needs an experiment id")?;
+    if !eag_bench::paper::print_experiment(id)? {
+        // The experiment reported its own failure: not a usage error.
+        std::process::exit(1);
     }
     Ok(())
 }

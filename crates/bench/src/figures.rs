@@ -2,7 +2,7 @@
 
 use crate::fmt::{parse_size, size_label};
 use crate::harness::{simulate, SimConfig};
-use eag_core::Algorithm;
+use eag_core::{Algorithm, Collective};
 use eag_crypto::{AesGcm128, Key, Nonce};
 use eag_netsim::profile;
 
@@ -32,7 +32,7 @@ pub fn panel(cfg: &SimConfig, title: &str, algos: &[Algorithm], sizes: &[usize])
             label: a.name().to_string(),
             points: sizes
                 .iter()
-                .map(|&m| (m, simulate(cfg, a, m).mean))
+                .map(|&m| (m, simulate(cfg, Collective::Allgather(a), m).mean))
                 .collect(),
         })
         .collect();

@@ -1,8 +1,8 @@
-//! The simulation driver: runs an algorithm in a phantom-payload world on a
+//! The simulation driver: runs a collective in a phantom-payload world on a
 //! calibrated cluster profile and reports the virtual latency.
 
 use crate::stats::Stats;
-use eag_core::{Algorithm, Collective};
+use eag_core::Collective;
 use eag_netsim::{profile, ClusterProfile, Crash, FaultPlan, Mapping, Topology};
 use eag_runtime::{run, run_crashable, CipherSuite, DataMode, RetryPolicy, WorldSpec};
 use std::time::Duration;
@@ -102,45 +102,20 @@ impl SimConfig {
     }
 }
 
-/// Simulates `algo` gathering `m`-byte blocks under `cfg`; returns latency
-/// statistics over `cfg.reps` runs. Every run also checks the all-gather
-/// postcondition via origin tracking.
-pub fn simulate(cfg: &SimConfig, algo: Algorithm, m: usize) -> Stats {
-    simulate_collective(cfg, Collective::Allgather(algo), m)
+/// Simulates the collective `c` with nominal block size `m` under `cfg`;
+/// returns latency statistics over `cfg.reps` runs. Every run also checks
+/// the operation's postcondition via origin tracking.
+pub fn simulate(cfg: &SimConfig, c: Collective, m: usize) -> Stats {
+    Stats::of(&simulate_samples(cfg, c, m).0)
 }
 
-/// Operation-generic version of [`simulate`]: runs any [`Collective`]
-/// (broadcast, gather/scatter, all-to-all, the all-gathers) under `cfg`.
-pub fn simulate_collective(cfg: &SimConfig, c: Collective, m: usize) -> Stats {
-    let spec = cfg.world_spec();
-    let samples: Vec<f64> = (0..cfg.reps.max(1))
-        .map(|_| {
-            let report = run(&spec, move |ctx| {
-                let out = c.run(ctx, m);
-                debug_assert!(out.is_complete());
-            });
-            report.latency_us
-        })
-        .collect();
-    Stats::of(&samples)
-}
-
-/// Simulates `algo` under `cfg` and returns the raw per-rep latency samples
+/// Simulates `c` under `cfg` and returns the raw per-rep latency samples
 /// (µs, in run order) together with the critical-path [`Metrics`] of the
 /// first run. The machine-readable report pipeline uses this so the JSON can
 /// carry both the summary statistics *and* the samples they came from.
 ///
 /// [`Metrics`]: eag_runtime::Metrics
 pub fn simulate_samples(
-    cfg: &SimConfig,
-    algo: Algorithm,
-    m: usize,
-) -> (Vec<f64>, eag_runtime::Metrics) {
-    simulate_collective_samples(cfg, Collective::Allgather(algo), m)
-}
-
-/// Operation-generic version of [`simulate_samples`].
-pub fn simulate_collective_samples(
     cfg: &SimConfig,
     c: Collective,
     m: usize,
@@ -211,25 +186,14 @@ fn recovery_spec(cfg: &SimConfig, crashes: Vec<Crash>) -> WorldSpec {
     spec
 }
 
-/// Measures `algo` surviving the planned crash *schedule* — up to
-/// `crashes.len()` ranks dying at their armed epochs and send steps —
-/// against a fault-free reference of the same crash-tolerant collective.
-/// Panics if no planned crash fires at all (the sample would silently
-/// measure a clean run) or if any survivor's degraded output fails
-/// verification.
+/// Measures the collective `c` surviving the planned crash *schedule* — up
+/// to `crashes.len()` ranks dying at their armed epochs and send steps —
+/// against a fault-free reference of the same crash-tolerant collective,
+/// verified per-role (the rooted and personalized operations have
+/// rank-dependent outputs). Panics if no planned crash fires at all (the
+/// sample would silently measure a clean run) or if any survivor's degraded
+/// output fails verification.
 pub fn simulate_recovery_schedule(
-    cfg: &SimConfig,
-    algo: Algorithm,
-    m: usize,
-    crashes: &[Crash],
-) -> RecoverySample {
-    simulate_collective_recovery_schedule(cfg, Collective::Allgather(algo), m, crashes)
-}
-
-/// Operation-generic version of [`simulate_recovery_schedule`]: any
-/// [`Collective`] under a planned crash schedule, verified per-role (the
-/// rooted and personalized operations have rank-dependent outputs).
-pub fn simulate_collective_recovery_schedule(
     cfg: &SimConfig,
     c: Collective,
     m: usize,
@@ -261,44 +225,14 @@ pub fn simulate_collective_recovery_schedule(
     }
 }
 
-/// Single-crash convenience wrapper: `crash_rank` dies just before its send
-/// step `crash_step`. See [`simulate_recovery_schedule`].
-pub fn simulate_recovery(
-    cfg: &SimConfig,
-    algo: Algorithm,
-    m: usize,
-    crash_rank: usize,
-    crash_step: u64,
-) -> RecoverySample {
-    simulate_recovery_schedule(cfg, algo, m, &[Crash::before(crash_rank, crash_step)])
-}
-
-/// Simulates and also returns the critical-path metrics (single run).
-pub fn simulate_with_metrics(
-    cfg: &SimConfig,
-    algo: Algorithm,
-    m: usize,
-) -> (f64, eag_runtime::Metrics) {
-    simulate_collective_with_metrics(cfg, Collective::Allgather(algo), m)
-}
-
-/// Operation-generic version of [`simulate_with_metrics`].
-pub fn simulate_collective_with_metrics(
-    cfg: &SimConfig,
-    c: Collective,
-    m: usize,
-) -> (f64, eag_runtime::Metrics) {
-    let spec = cfg.world_spec();
-    let report = run(&spec, move |ctx| {
-        let out = c.run(ctx, m);
-        debug_assert!(out.is_complete());
-    });
-    (report.latency_us, report.max_metrics())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use eag_core::Algorithm;
+
+    fn ag(algo: Algorithm) -> Collective {
+        Collective::Allgather(algo)
+    }
 
     fn tiny(mapping: Mapping) -> SimConfig {
         SimConfig {
@@ -315,7 +249,7 @@ mod tests {
 
     #[test]
     fn simulate_produces_positive_latency() {
-        let s = simulate(&tiny(Mapping::Block), Algorithm::Hs2, 1024);
+        let s = simulate(&tiny(Mapping::Block), ag(Algorithm::Hs2), 1024);
         assert!(s.mean > 0.0);
         assert_eq!(s.n, 2);
     }
@@ -324,7 +258,7 @@ mod tests {
     fn all_algorithms_simulate_on_small_worlds() {
         let cfg = tiny(Mapping::Block);
         for &algo in Algorithm::all() {
-            let s = simulate(&cfg, algo, 64);
+            let s = simulate(&cfg, ag(algo), 64);
             assert!(s.mean > 0.0, "{algo}");
         }
     }
@@ -332,8 +266,8 @@ mod tests {
     #[test]
     fn latency_grows_with_message_size() {
         let cfg = tiny(Mapping::Block);
-        let small = simulate(&cfg, Algorithm::CRing, 64);
-        let large = simulate(&cfg, Algorithm::CRing, 256 * 1024);
+        let small = simulate(&cfg, ag(Algorithm::CRing), 64);
+        let large = simulate(&cfg, ag(Algorithm::CRing), 256 * 1024);
         assert!(large.mean > small.mean * 10.0);
     }
 
@@ -341,8 +275,10 @@ mod tests {
     fn recovery_costs_more_than_clean_and_reproduces_exactly() {
         let mut cfg = tiny(Mapping::Block);
         cfg.nic_contention = false;
-        let a = simulate_recovery(&cfg, Algorithm::ORing, 1024, 0, 0);
-        let b = simulate_recovery(&cfg, Algorithm::ORing, 1024, 0, 0);
+        let a =
+            simulate_recovery_schedule(&cfg, ag(Algorithm::ORing), 1024, &[Crash::before(0, 0)]);
+        let b =
+            simulate_recovery_schedule(&cfg, ag(Algorithm::ORing), 1024, &[Crash::before(0, 0)]);
         // Bit-deterministic: the exact-compare regress gate depends on it.
         assert_eq!(a.clean_latency_us, b.clean_latency_us);
         assert_eq!(a.recovery_latency_us, b.recovery_latency_us);
@@ -361,8 +297,8 @@ mod tests {
             Crash::before(5, 1),
             Crash::before(9, 0).at_epoch(1),
         ];
-        let a = simulate_recovery_schedule(&cfg, Algorithm::OBruck, 1024, &crashes);
-        let b = simulate_recovery_schedule(&cfg, Algorithm::OBruck, 1024, &crashes);
+        let a = simulate_recovery_schedule(&cfg, ag(Algorithm::OBruck), 1024, &crashes);
+        let b = simulate_recovery_schedule(&cfg, ag(Algorithm::OBruck), 1024, &crashes);
         assert_eq!(a.clean_latency_us, b.clean_latency_us);
         assert_eq!(a.recovery_latency_us, b.recovery_latency_us);
         assert_eq!(a.survivors, b.survivors);
@@ -375,7 +311,7 @@ mod tests {
         let mut cfg = tiny(Mapping::Block);
         cfg.nic_contention = false;
         cfg.reps = 3;
-        let s = simulate(&cfg, Algorithm::ORd, 4096);
+        let s = simulate(&cfg, ag(Algorithm::ORd), 4096);
         assert_eq!(s.std_dev, 0.0);
         assert_eq!(s.min, s.max);
     }

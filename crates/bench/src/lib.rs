@@ -2,9 +2,10 @@
 //!
 //! Regenerates every table and figure of the paper's evaluation (Section V)
 //! on the virtual-time simulator, using the same algorithm implementations
-//! the correctness tests exercise. One binary per table/figure:
+//! the correctness tests exercise. One `eag paper <id>` per table/figure
+//! ([`paper::print_experiment`]):
 //!
-//! | binary | reproduces |
+//! | id | reproduces |
 //! |---|---|
 //! | `table1` | Table I (lower bounds) |
 //! | `table2` | Table II (per-algorithm metrics, predicted vs measured) |
@@ -14,7 +15,8 @@
 //! | `table6` | Table VI (Bridges-2, p=1024, N=16) |
 //! | `fig1`   | Figure 1 (encryption vs ping-pong throughput) |
 //! | `fig5`–`fig8` | Figures 5–8 (latency curves) |
-//! | `all_experiments` | everything above, as Markdown |
+//! | `scaling`, `shape-check` | node-count scaling study; the paper's qualitative claims as PASS/FAIL |
+//! | `all` | everything above but the last row, as Markdown |
 //!
 //! The wall-clock Criterion benches (`benches/`) measure the *real*
 //! byte-moving, AES-encrypting runtime at laptop scale.

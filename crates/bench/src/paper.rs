@@ -1,8 +1,20 @@
-//! The paper's published numbers (Tables III–VI), embedded for side-by-side
-//! comparison. Values are transcribed from the IPDPS 2021 paper; latencies
-//! in µs, overheads in percent, winner names as printed.
+//! The paper's evaluation: the published numbers (Tables III–VI, embedded
+//! for side-by-side comparison; transcribed from the IPDPS 2021 paper,
+//! latencies in µs, overheads in percent, winner names as printed) and the
+//! `eag paper <id>` reproductions of every table and figure
+//! ([`print_experiment`]).
 
-use crate::fmt::parse_size;
+use crate::figures::{
+    fig1_points, fig_encrypted, fig_unencrypted, render_ascii_chart, render_fig1, render_panels,
+};
+use crate::fmt::{parse_size, size_label, table3_sizes, table4_sizes, table5_sizes, table6_sizes};
+use crate::harness::{simulate, SimConfig};
+use crate::tables::{
+    best_scheme_table, candidate_schemes, render_best_scheme_table, render_table1, render_table2,
+    table2_rows,
+};
+use eag_core::{Algorithm, Collective, Operation};
+use eag_netsim::Mapping;
 
 /// One published row of a best-scheme table.
 #[derive(Debug, Clone)]
@@ -105,7 +117,7 @@ pub fn render_side_by_side(
     measured: &[crate::tables::BestSchemeRow],
     published: &[PaperRow],
 ) -> String {
-    use crate::fmt::{latency_label, size_label};
+    use crate::fmt::latency_label;
     let mut out = format!("### {title} — measured vs paper\n\n");
     out.push_str(
         "| Size | MPI (ours) | MPI (paper) | Naive % (ours/paper) | Best % (ours/paper) | Best (ours/paper) |\n\
@@ -137,6 +149,361 @@ pub fn render_side_by_side(
         }
     }
     out
+}
+
+/// Figures 5–8: the unencrypted (5, 6) and encrypted (7, 8) latency
+/// panels on Noleland under block (5, 7) and cyclic (6, 8) mapping.
+const FIGURES: [(&str, bool, Mapping); 4] = [
+    ("fig5", false, Mapping::Block),
+    ("fig6", false, Mapping::Cyclic),
+    ("fig7", true, Mapping::Block),
+    ("fig8", true, Mapping::Cyclic),
+];
+
+/// One best-scheme table of the paper (III–VI) and how to regenerate it.
+struct BestSchemeTable {
+    id: &'static str,
+    name: &'static str,
+    /// Setup as the table's own caption words it.
+    setup: &'static str,
+    /// Setup as the full-suite report words it.
+    suite_setup: &'static str,
+    cfg: fn() -> SimConfig,
+    sizes: fn() -> Vec<usize>,
+    published: fn() -> Vec<PaperRow>,
+}
+
+const BEST_SCHEME_TABLES: [BestSchemeTable; 4] = [
+    BestSchemeTable {
+        id: "table3",
+        name: "Table III",
+        setup: "Noleland, p = 128, N = 8, block-order mapping",
+        suite_setup: "Noleland, p = 128, N = 8, block",
+        cfg: || SimConfig::noleland(Mapping::Block),
+        sizes: table3_sizes,
+        published: table3,
+    },
+    BestSchemeTable {
+        id: "table4",
+        name: "Table IV",
+        setup: "Noleland, p = 128, N = 8, cyclic-order mapping",
+        suite_setup: "Noleland, p = 128, N = 8, cyclic",
+        cfg: || SimConfig::noleland(Mapping::Cyclic),
+        sizes: table4_sizes,
+        published: table4,
+    },
+    BestSchemeTable {
+        id: "table5",
+        name: "Table V",
+        setup: "Noleland, p = 91, N = 7, block-order mapping",
+        suite_setup: "Noleland, p = 91, N = 7, block",
+        cfg: || SimConfig::noleland_general(Mapping::Block),
+        sizes: table5_sizes,
+        published: table5,
+    },
+    BestSchemeTable {
+        id: "table6",
+        name: "Table VI",
+        setup: "Bridges-2, p = 1024, N = 16",
+        suite_setup: "Bridges-2, p = 1024, N = 16",
+        cfg: SimConfig::bridges2,
+        sizes: table6_sizes,
+        published: table6,
+    },
+];
+
+/// Every id [`print_experiment`] accepts.
+const EXPERIMENT_IDS: &str = "table1..table6, fig1, fig5..fig8, scaling, shape-check, all";
+
+fn figure_panels(encrypted: bool, mapping: Mapping) -> Vec<crate::figures::Panel> {
+    let cfg = SimConfig::noleland(mapping);
+    if encrypted {
+        fig_encrypted(&cfg)
+    } else {
+        fig_unencrypted(&cfg)
+    }
+}
+
+fn figure_kind(encrypted: bool) -> &'static str {
+    if encrypted {
+        "encrypted"
+    } else {
+        "unencrypted"
+    }
+}
+
+/// Regenerates one experiment of the paper's evaluation on stdout — the
+/// body of `eag paper <id>`. `Ok(false)` means the experiment ran but its
+/// check failed (`shape-check` with a claim that does not hold).
+pub fn print_experiment(id: &str) -> Result<bool, String> {
+    if let Some(&(_, encrypted, mapping)) = FIGURES.iter().find(|f| f.0 == id) {
+        let panels = figure_panels(encrypted, mapping);
+        for panel in &panels {
+            println!("{}", render_ascii_chart(panel, 72, 16));
+        }
+        let title = format!(
+            "Figure {} — {} algorithms, {mapping} mapping (latency µs)",
+            &id[3..],
+            figure_kind(encrypted)
+        );
+        print!("{}", render_panels(&title, &panels));
+        return Ok(true);
+    }
+    if let Some(t) = BEST_SCHEME_TABLES.iter().find(|t| t.id == id) {
+        let rows = best_scheme_table(&(t.cfg)(), &(t.sizes)());
+        print!("{}", render_side_by_side(t.name, &rows, &(t.published)()));
+        println!();
+        let title = format!("{} — {}", t.name, t.setup);
+        print!("{}", render_best_scheme_table(&title, &rows));
+        return Ok(true);
+    }
+    match id {
+        "table1" => {
+            // The paper's two evaluation configurations.
+            print!("{}", render_table1(128, 8, 1024));
+            println!();
+            print!("{}", render_table1(1024, 16, 1024));
+        }
+        "table2" => {
+            for (p, nodes) in [(128usize, 8usize), (1024, 16)] {
+                let m = 1024;
+                let rows = table2_rows(p, nodes, m);
+                print!("{}", render_table2(p, nodes, m, &rows));
+                println!();
+                let mismatches = rows.iter().filter(|r| r.predicted != r.measured).count();
+                println!(
+                    "{mismatches} metric mismatches out of {} algorithms\n",
+                    rows.len()
+                );
+            }
+        }
+        "fig1" => print!("{}", render_fig1(&fig1_points())),
+        "scaling" => print_scaling(),
+        "shape-check" => return Ok(print_shape_check()),
+        "all" => print_all(),
+        other => {
+            return Err(format!(
+                "unknown experiment {other:?} (use {EXPERIMENT_IDS})"
+            ))
+        }
+    }
+    Ok(true)
+}
+
+/// The entire evaluation — every table and figure — as one Markdown
+/// report (the source of EXPERIMENTS.md's measured columns).
+fn print_all() {
+    println!("# Encrypted All-gather — full experiment suite\n");
+
+    println!("{}", render_table1(128, 8, 1024));
+    println!("{}", render_table1(1024, 16, 1024));
+
+    let rows = table2_rows(128, 8, 1024);
+    println!("{}", render_table2(128, 8, 1024, &rows));
+
+    println!("{}", render_fig1(&fig1_points()));
+
+    for (id, encrypted, mapping) in FIGURES {
+        let title = format!(
+            "Figure {} — {}, {mapping} (latency µs)",
+            &id[3..],
+            figure_kind(encrypted)
+        );
+        println!(
+            "{}",
+            render_panels(&title, &figure_panels(encrypted, mapping))
+        );
+    }
+    for t in &BEST_SCHEME_TABLES {
+        println!(
+            "{}",
+            render_side_by_side(
+                &format!("{} ({})", t.name, t.suite_setup),
+                &best_scheme_table(&(t.cfg)(), &(t.sizes)()),
+                &(t.published)()
+            )
+        );
+    }
+}
+
+/// Scaling study (not in the paper, implied by its analysis): how the
+/// encryption overhead scales with node count N at fixed ℓ and fixed m.
+///
+/// The paper's Table II predicts Naive's decrypted volume grows as (p−1)m
+/// = (Nℓ−1)m while the bound-meeting algorithms decrypt only (N−1)m — so
+/// Naive's *relative* overhead should stay roughly constant with N while
+/// the best schemes' overhead stays near zero. This measures both.
+fn print_scaling() {
+    let ell = 8usize;
+    let m = 64 * 1024;
+    println!(
+        "### Scaling with node count (ℓ = {ell} fixed, m = {}, Noleland model)\n",
+        size_label(m)
+    );
+    println!("| N | p | MPI (µs) | Naive | O-RD | C-Ring | HS2 |");
+    println!("|---|---|---|---|---|---|---|");
+    for nodes in [2usize, 4, 8, 16, 32] {
+        let cfg = SimConfig {
+            p: nodes * ell,
+            nodes,
+            reps: 2,
+            ..SimConfig::noleland(Mapping::Block)
+        };
+        let mpi = simulate(&cfg, Collective::Allgather(Algorithm::Mvapich), m);
+        let pct = |algo| {
+            let s = simulate(&cfg, Collective::Allgather(algo), m);
+            format!("{:+.1}%", s.overhead_pct(&mpi))
+        };
+        println!(
+            "| {nodes} | {} | {:.1} | {} | {} | {} | {} |",
+            cfg.p,
+            mpi.mean,
+            pct(Algorithm::Naive),
+            pct(Algorithm::ORd),
+            pct(Algorithm::CRing),
+            pct(Algorithm::Hs2),
+        );
+    }
+}
+
+/// Shape regression suite: checks the *qualitative* claims of the paper's
+/// evaluation against the simulator, one PASS/FAIL line per claim. This is
+/// the reproduction contract of EXPERIMENTS.md in executable form — run it
+/// after touching the algorithms or the cost model. Returns whether every
+/// claim held.
+fn print_shape_check() -> bool {
+    let (mut checks, mut failures) = (0usize, 0usize);
+    let mut claim = |name: &str, ok: bool, detail: String| {
+        checks += 1;
+        if ok {
+            println!("PASS  {name}  ({detail})");
+        } else {
+            failures += 1;
+            println!("FAIL  {name}  ({detail})");
+        }
+    };
+    let block = SimConfig::noleland(Mapping::Block);
+    let cyclic = SimConfig::noleland(Mapping::Cyclic);
+    let mean = |cfg: &SimConfig, algo, m| simulate(cfg, Collective::Allgather(algo), m).mean;
+
+    // --- Table III claims (block mapping) ---------------------------------
+    let sizes: Vec<usize> = ["1B", "64B", "2KB", "32KB", "2MB"]
+        .iter()
+        .map(|s| parse_size(s).unwrap())
+        .collect();
+    let rows = best_scheme_table(&block, &sizes);
+
+    claim(
+        "T3: Naive overhead is large at every size",
+        rows.iter().all(|r| r.naive_overhead_pct > 10.0),
+        format!(
+            "min Naive overhead {:.1}%",
+            rows.iter()
+                .map(|r| r.naive_overhead_pct)
+                .fold(f64::INFINITY, f64::min)
+        ),
+    );
+    claim(
+        "T3: best scheme always beats Naive",
+        rows.iter()
+            .all(|r| r.best_overhead_pct < r.naive_overhead_pct),
+        "pairwise comparison over all sizes".into(),
+    );
+    claim(
+        "T3: best scheme goes negative (beats unencrypted MPI) for large sizes",
+        rows.last().unwrap().best_overhead_pct < 0.0,
+        format!(
+            "2MB best overhead {:+.1}%",
+            rows.last().unwrap().best_overhead_pct
+        ),
+    );
+    claim(
+        "T3: small-message winner is a round-efficient scheme",
+        matches!(
+            rows[0].best,
+            Algorithm::ORd | Algorithm::ORd2 | Algorithm::Hs1 | Algorithm::CRd
+        ),
+        format!("1B winner {}", rows[0].best),
+    );
+    claim(
+        "T3: large-message winner is a bound-meeting scheme",
+        matches!(
+            rows.last().unwrap().best,
+            Algorithm::Hs2 | Algorithm::Hs1 | Algorithm::CRing | Algorithm::CRd
+        ),
+        format!("2MB winner {}", rows.last().unwrap().best),
+    );
+
+    // --- Table IV claims (cyclic mapping) ---------------------------------
+    let big = parse_size("2MB").unwrap();
+    let degradation =
+        mean(&cyclic, Algorithm::Mvapich, big) / mean(&block, Algorithm::Mvapich, big);
+    claim(
+        "T4: MVAPICH degrades ~2-4x under cyclic mapping at 2MB (paper: 2.5x)",
+        (1.8..5.0).contains(&degradation),
+        format!("degradation {degradation:.2}x"),
+    );
+    let cring_block = mean(&block, Algorithm::CRing, big);
+    let cring_cyclic = mean(&cyclic, Algorithm::CRing, big);
+    claim(
+        "T4: C-Ring is mapping-oblivious at 2MB",
+        ((cring_block - cring_cyclic).abs() / cring_block) < 0.10,
+        format!("block {cring_block:.0}µs vs cyclic {cring_cyclic:.0}µs"),
+    );
+
+    // --- Table II / bounds claims ------------------------------------------
+    let lb = Operation::Allgather
+        .lower_bounds(128, 8, 1024)
+        .expect("the paper's Noleland shape");
+    let mut all_match = true;
+    for &algo in Algorithm::encrypted_all() {
+        if let Some(pred) = Collective::Allgather(algo).predict(128, 8, 1024) {
+            all_match &= pred.sd >= lb.sd && pred.se >= lb.se;
+        }
+    }
+    claim(
+        "T2: every prediction respects the Table I bounds",
+        all_match,
+        "se/sd vs lower bounds at p=128 N=8".into(),
+    );
+
+    // --- Figure 7 claims ----------------------------------------------------
+    let m_small = 4usize;
+    let ord2 = mean(&block, Algorithm::ORd2, m_small);
+    let oring = mean(&block, Algorithm::ORing, m_small);
+    claim(
+        "F7a: O-RD2 beats O-Ring for tiny messages",
+        ord2 < oring,
+        format!("{ord2:.1}µs vs {oring:.1}µs at 4B"),
+    );
+    let m_large = parse_size("1MB").unwrap();
+    let hs2 = mean(&block, Algorithm::Hs2, m_large);
+    let naive = mean(&block, Algorithm::Naive, m_large);
+    claim(
+        "F7c: HS2 beats Naive by a wide margin at 1MB",
+        hs2 < 0.5 * naive,
+        format!("{hs2:.0}µs vs Naive {naive:.0}µs"),
+    );
+
+    // --- Crossover claims ----------------------------------------------------
+    let ord_small = mean(&block, Algorithm::ORd, m_small);
+    let ord2_large = mean(&block, Algorithm::ORd2, m_large);
+    let ord_large = mean(&block, Algorithm::ORd, m_large);
+    claim(
+        "IV-B: O-RD2 better small, O-RD better large",
+        ord2 <= ord_small && ord_large < ord2_large,
+        format!("small {ord2:.1} vs {ord_small:.1}; large {ord_large:.0} vs {ord2_large:.0}"),
+    );
+
+    // --- Candidate sanity ----------------------------------------------------
+    claim(
+        "best-scheme candidates are the paper's seven new algorithms",
+        candidate_schemes().len() == 7 && !candidate_schemes().contains(&Algorithm::Naive),
+        format!("{} candidates", candidate_schemes().len()),
+    );
+
+    println!("\n{}/{} shape claims hold", checks - failures, checks);
+    failures == 0
 }
 
 #[cfg(test)]

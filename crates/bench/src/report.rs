@@ -15,9 +15,7 @@
 //! via [`BenchReport::with_crypto`] when measuring, and never commit them
 //! into a gating baseline.
 
-use crate::harness::{
-    simulate_collective_recovery_schedule, simulate_collective_samples, SimConfig,
-};
+use crate::harness::{simulate_recovery_schedule, simulate_samples, SimConfig};
 use crate::sessions::{run_session_case, smoke_session_suite, SessionCase, SessionEntry};
 use crate::stats::Stats;
 use eag_core::{Algorithm, AlltoallAlgo, BcastAlgo, Collective};
@@ -521,12 +519,8 @@ pub fn smoke_recovery_suite() -> Vec<RecoveryCase> {
 
 /// Runs one crash-recovery case and serializes the result.
 pub fn run_recovery_case(case: &RecoveryCase) -> RecoveryEntry {
-    let sample = simulate_collective_recovery_schedule(
-        &case.cfg,
-        case.collective,
-        case.msg_bytes,
-        &case.crashes,
-    );
+    let sample =
+        simulate_recovery_schedule(&case.cfg, case.collective, case.msg_bytes, &case.crashes);
     RecoveryEntry {
         operation: case.collective.operation().name().to_string(),
         algorithm: case.collective.variant_name().to_string(),
@@ -543,7 +537,7 @@ pub fn run_recovery_case(case: &RecoveryCase) -> RecoveryEntry {
 
 /// Runs one case and serializes the result.
 pub fn run_case(case: &SuiteCase) -> BenchEntry {
-    let (samples, metrics) = simulate_collective_samples(&case.cfg, case.collective, case.msg_bytes);
+    let (samples, metrics) = simulate_samples(&case.cfg, case.collective, case.msg_bytes);
     let stats = Stats::of(&samples);
     BenchEntry {
         operation: case.collective.operation().name().to_string(),

@@ -26,7 +26,7 @@
 
 use crate::report::LatencyStats;
 use crate::stats::Stats;
-use eag_core::{allgather, Algorithm};
+use eag_core::{Algorithm, Collective};
 use eag_netsim::nic::NodeNic;
 use eag_netsim::{profile, Mapping, Topology};
 use eag_runtime::{run, DataMode, WorldSpec};
@@ -119,7 +119,7 @@ pub fn run_session_case(case: &SessionCase) -> SessionEntry {
     spec.nic_contention = false;
     let (algo, m) = (case.algo, case.msg_bytes);
     let report = run(&spec, move |ctx| {
-        let out = allgather(ctx, algo, m);
+        let out = Collective::Allgather(algo).run(ctx, m);
         debug_assert!(out.is_complete());
     });
     let standalone = report.latency_us;

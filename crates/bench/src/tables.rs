@@ -1,8 +1,8 @@
 //! Generators for the paper's Tables I–VI.
 
 use crate::fmt::{latency_label, size_label};
-use crate::harness::{simulate, simulate_with_metrics, SimConfig};
-use eag_core::{bounds, Algorithm};
+use crate::harness::{simulate, simulate_samples, SimConfig};
+use eag_core::{Algorithm, Collective, MetricSet, Operation};
 use eag_netsim::Mapping;
 
 /// The candidate set for "best scheme": the paper's seven new algorithms
@@ -32,11 +32,11 @@ pub fn best_scheme_table(cfg: &SimConfig, sizes: &[usize]) -> Vec<BestSchemeRow>
     sizes
         .iter()
         .map(|&m| {
-            let mpi = simulate(cfg, Algorithm::Mvapich, m);
-            let naive = simulate(cfg, Algorithm::Naive, m);
+            let mpi = simulate(cfg, Collective::Allgather(Algorithm::Mvapich), m);
+            let naive = simulate(cfg, Collective::Allgather(Algorithm::Naive), m);
             let (best, best_stats) = candidate_schemes()
                 .iter()
-                .map(|&a| (a, simulate(cfg, a, m)))
+                .map(|&a| (a, simulate(cfg, Collective::Allgather(a), m)))
                 .min_by(|a, b| a.1.mean.total_cmp(&b.1.mean))
                 .expect("non-empty candidate set");
             BestSchemeRow {
@@ -84,9 +84,12 @@ pub fn render_best_scheme_csv(rows: &[BestSchemeRow]) -> String {
     out
 }
 
-/// Renders Table I (the lower bounds) for a given configuration.
+/// Renders Table I (the lower bounds) for a given configuration (`p` a
+/// positive multiple of `nodes`).
 pub fn render_table1(p: usize, nodes: usize, m: usize) -> String {
-    let b = bounds::lower_bounds(p, nodes, m);
+    let b = Operation::Allgather
+        .lower_bounds(p, nodes, m)
+        .unwrap_or_else(|e| panic!("Table I: {e}"));
     let ell = p / nodes;
     let mut out = String::new();
     out.push_str(&format!(
@@ -107,9 +110,9 @@ pub struct MetricsRow {
     /// Algorithm.
     pub algo: Algorithm,
     /// The paper's closed-form prediction.
-    pub predicted: bounds::MetricSet,
+    pub predicted: MetricSet,
     /// Metrics measured by the runtime (critical-path maxima).
-    pub measured: bounds::MetricSet,
+    pub measured: MetricSet,
 }
 
 /// Measures every encrypted algorithm and compares with Table II.
@@ -130,9 +133,10 @@ pub fn table2_rows(p: usize, nodes: usize, m: usize) -> Vec<MetricsRow> {
         .filter_map(|&algo| {
             // Algorithms without a Table II closed form (the O-Bruck
             // extension) are skipped.
-            let predicted = bounds::predict(algo, p, nodes, m)?;
-            let (_, mx) = simulate_with_metrics(&cfg, algo, m);
-            let measured = bounds::MetricSet {
+            let c = Collective::Allgather(algo);
+            let predicted = c.predict(p, nodes, m)?;
+            let (_, mx) = simulate_samples(&cfg, c, m);
+            let measured = MetricSet {
                 rc: mx.comm_rounds,
                 sc: mx.sc_payload(),
                 re: mx.enc_rounds,

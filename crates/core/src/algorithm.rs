@@ -1,9 +1,24 @@
-//! The algorithm registry: every all-gather variant the paper evaluates,
-//! dispatchable by name.
+//! The algorithm registry — every all-gather variant the paper evaluates,
+//! dispatchable by name — and the one kernel that runs them.
+//!
+//! The paper's algorithms are a *family* that differs only in who seals,
+//! who forwards and who opens (Section IV), so there is a single dispatch,
+//! `allgather_over`, parameterised by `(members, lens)`: the world is the
+//! member list `0..p`, a fixed-length all-gather is the uniform-`lens`
+//! case of the varying one (as Träff treats regular collectives). It is
+//! reached only through [`crate::Collective::run_with`], which checks the
+//! capability predicates below once.
 
+use crate::collective::{bruck_allgather_items, rd_allgather_items, ring_allgather_items};
+use crate::encrypted::{
+    concurrent, hs_over, naive_over, o_bruck_over, o_rd_over, o_ring_over, HsVariant, OrdVariant,
+    SubPattern,
+};
 use crate::output::GatherOutput;
-use crate::{encrypted, unencrypted};
-use eag_runtime::ProcCtx;
+use crate::tags::PHASE_MAIN;
+use crate::unencrypted::{hierarchical, mvapich_allgather_items, neighbor_exchange};
+use eag_netsim::Rank;
+use eag_runtime::{Item, ProcCtx};
 
 /// Every all-gather algorithm in this library.
 ///
@@ -158,6 +173,30 @@ impl Algorithm {
         p >= 1 && nodes >= 1 && p.is_multiple_of(nodes)
     }
 
+    /// True when this algorithm can run over an arbitrary rank subset.
+    /// The shared-memory algorithms (HS1/HS2 and counterparts) assume whole
+    /// nodes participate; the Concurrent family assumes the full ℓ-group
+    /// structure; the remaining algorithms only need the member list.
+    pub fn supports_groups(&self) -> bool {
+        use Algorithm::*;
+        matches!(
+            self,
+            Ring | RingRanked | Rd | Bruck | Naive | ORing | ORd | ORd2 | OBruck
+        )
+    }
+
+    /// True when this algorithm supports variable per-rank block lengths
+    /// (all-gather-v): the algorithms that move blocks as indivisible
+    /// single-origin items. The merged-ciphertext algorithms (O-RD, O-RD2,
+    /// HS1) rely on equal-stride node buffers and do not.
+    pub fn supports_varying(&self) -> bool {
+        use Algorithm::*;
+        matches!(
+            self,
+            Ring | RingRanked | Bruck | Naive | ORing | OBruck | CRing | Hs2
+        )
+    }
+
     /// The algorithm a degraded re-run uses over the survivor group: the
     /// algorithm itself when it runs over arbitrary rank subsets, otherwise
     /// O-Ring. The shared-memory (HS) and Concurrent families assume whole
@@ -178,38 +217,72 @@ impl std::fmt::Display for Algorithm {
     }
 }
 
-/// Runs `algo` as an all-gather of `m`-byte blocks and returns the
-/// assembled, verified-complete output.
-pub fn allgather(ctx: &mut ProcCtx, algo: Algorithm, m: usize) -> GatherOutput {
-    ctx.begin_collective();
-    // Structured failures raised inside the collective (timeouts, dead
-    // peers, authentication failures) carry the algorithm's name as their
-    // phase.
-    ctx.set_phase(algo.name());
+/// The all-gather kernel: runs `algo` among `members` (every member calls
+/// with the identical list), member `r` contributing `out.len_of(r)` bytes,
+/// and fills `out`. World-only algorithms ignore `members` — the seam has
+/// already vetted that it is the whole world.
+pub(crate) fn allgather_over(
+    ctx: &mut ProcCtx,
+    algo: Algorithm,
+    members: &[Rank],
+    out: &mut GatherOutput,
+) {
+    let mine = ctx.my_block(out.len_of(ctx.rank()));
     use Algorithm::*;
-    let out = match algo {
-        Ring => unencrypted::ring(ctx, m),
-        RingRanked => unencrypted::ring_ranked(ctx, m),
-        Rd => unencrypted::rd(ctx, m),
-        Bruck => unencrypted::bruck(ctx, m),
-        NeighborExchange => unencrypted::neighbor_exchange(ctx, m),
-        Hierarchical => unencrypted::hierarchical(ctx, m),
-        Mvapich => unencrypted::mvapich(ctx, m),
-        CRingPlain => encrypted::c_ring_plain(ctx, m),
-        CRdPlain => encrypted::c_rd_plain(ctx, m),
-        HsPlain => encrypted::hs_plain(ctx, m),
-        Naive => encrypted::naive(ctx, m),
-        ORing => encrypted::o_ring(ctx, m),
-        ORd => encrypted::o_rd(ctx, m),
-        ORd2 => encrypted::o_rd2(ctx, m),
-        CRing => encrypted::c_ring(ctx, m),
-        CRd => encrypted::c_rd(ctx, m),
-        Hs1 => encrypted::hs1(ctx, m),
-        Hs2 => encrypted::hs2(ctx, m),
-        OBruck => encrypted::o_bruck(ctx, m),
-    };
-    assert!(out.is_complete(), "{algo} left the output incomplete");
-    out
+    match algo {
+        // Neighbor Exchange is defined for even process counts only.
+        NeighborExchange if members.len().is_multiple_of(2) => neighbor_exchange(ctx, mine, out),
+        Ring | NeighborExchange => {
+            let items = ring_allgather_items(ctx, members, vec![Item::Plain(mine)], PHASE_MAIN);
+            out.place_items(items);
+        }
+        RingRanked => {
+            // Same-node members consecutive (Kandalla et al.): the ring
+            // stays mapping-oblivious.
+            let ordered = ctx.topology().ring_order(members);
+            let items = ring_allgather_items(ctx, &ordered, vec![Item::Plain(mine)], PHASE_MAIN);
+            out.place_items(items);
+        }
+        Rd => {
+            let items = rd_allgather_items(ctx, members, vec![Item::Plain(mine)], PHASE_MAIN);
+            out.place_items(items);
+        }
+        Bruck => {
+            let items = bruck_allgather_items(ctx, members, Item::Plain(mine), PHASE_MAIN);
+            out.place_items(items);
+        }
+        Hierarchical => hierarchical(ctx, mine, out),
+        Mvapich => {
+            let items = mvapich_allgather_items(ctx, members, Item::Plain(mine), out, PHASE_MAIN);
+            out.place_items(items);
+        }
+        CRingPlain => concurrent(ctx, mine, out, SubPattern::Ring, false),
+        CRdPlain => concurrent(ctx, mine, out, SubPattern::Rd, false),
+        HsPlain => hs_over(ctx, mine, out, HsVariant::Plain),
+        Naive => naive_over(ctx, members, mine, out),
+        ORing => o_ring_over(ctx, members, mine, out, PHASE_MAIN),
+        ORd => o_rd_over(
+            ctx,
+            members,
+            mine,
+            out,
+            OrdVariant::ForwardSealed,
+            PHASE_MAIN,
+        ),
+        ORd2 => o_rd_over(
+            ctx,
+            members,
+            mine,
+            out,
+            OrdVariant::MergeRecrypt,
+            PHASE_MAIN,
+        ),
+        CRing => concurrent(ctx, mine, out, SubPattern::Ring, true),
+        CRd => concurrent(ctx, mine, out, SubPattern::Rd, true),
+        Hs1 => hs_over(ctx, mine, out, HsVariant::Hs1),
+        Hs2 => hs_over(ctx, mine, out, HsVariant::Hs2),
+        OBruck => o_bruck_over(ctx, members, mine, out, PHASE_MAIN),
+    }
 }
 
 #[cfg(test)]

@@ -3,7 +3,9 @@
 
 use crate::algorithm::Algorithm;
 use crate::collective::ceil_log2;
-use crate::operation::Operation;
+use crate::encrypted::bcast_segments;
+use crate::operation::{AlltoallAlgo, BcastAlgo, Collective, Operation, RootedAlgo};
+use crate::unencrypted::MVAPICH_SWITCH_BYTES;
 use std::fmt;
 
 /// The six metrics of Section IV-A, as closed-form values.
@@ -50,222 +52,255 @@ impl fmt::Display for BoundsError {
 
 impl std::error::Error for BoundsError {}
 
-fn check_shape(p: usize, nodes: usize) -> Result<usize, BoundsError> {
-    if p == 0 || nodes == 0 {
-        return Err(BoundsError::EmptyWorld);
+impl Operation {
+    /// Per-operation Table-I-style lower bounds for `m`-byte blocks on `p`
+    /// processes over `nodes` nodes (ℓ = p/nodes, N = nodes). A world
+    /// with no defined ℓ is a typed [`BoundsError`], never a panic; a
+    /// single-node world gets degenerate bounds (communication terms
+    /// unchanged, crypto terms zero — nothing crosses a node boundary), so
+    /// bench sweeps and `recommend` can probe arbitrary configurations.
+    ///
+    /// The communication terms follow the classic collective arguments; the
+    /// crypto terms use the paper's channel model (every byte crossing a
+    /// node boundary is sealed exactly where it exits and opened where it
+    /// is consumed):
+    ///
+    /// - **all-gather** (the paper's Table I): `rd >= ⌈lg N / lg(ℓ+1)⌉` —
+    ///   each decryption round can at most multiply the number of nodes
+    ///   with known data by (ℓ+1) — and `sd >= (N−1)m`.
+    /// - **broadcast**: every non-root must receive the root's m bytes
+    ///   (`sc >= m`); the block crosses at least one node boundary, so some
+    ///   rank seals >= m and some rank opens >= m.
+    /// - **gather**: the root receives (p−1) blocks (`sc >= (p-1)m`) and
+    ///   must end with the p−ℓ remote blocks in plaintext
+    ///   (`sd >= (p-ℓ)m`); at least one full block is sealed somewhere.
+    /// - **scatter**: the root is the sole data holder, so every
+    ///   remote-bound byte is sealed by it (`se >= (p-ℓ)m`); each remote
+    ///   rank opens its own m bytes.
+    /// - **all-to-all**: data from p distinct sources must reach every
+    ///   rank, and each receive at most doubles the known-source count
+    ///   (`rc >= ⌈lg p⌉`); p·(p−ℓ) pair-blocks cross node boundaries, so by
+    ///   averaging some rank seals >= (p−ℓ)m and some rank opens >= (p−ℓ)m.
+    ///
+    /// The irregular (v) operations share their base operation's bounds
+    /// with `m` read as the uniform per-rank block size.
+    pub fn lower_bounds(&self, p: usize, nodes: usize, m: usize) -> Result<MetricSet, BoundsError> {
+        if p == 0 || nodes == 0 {
+            return Err(BoundsError::EmptyWorld);
+        }
+        if !p.is_multiple_of(nodes) {
+            return Err(BoundsError::IndivisibleShape { p, nodes });
+        }
+        let ell = p / nodes;
+        let mb = m as u64;
+        let remote = ((p - ell) * m) as u64;
+        // Crypto terms vanish on a single node: nothing crosses a boundary.
+        let one = u64::from(nodes >= 2);
+        Ok(match self {
+            Operation::Allgather | Operation::Allgatherv => MetricSet {
+                rc: ceil_log2(p) as u64,
+                sc: ((p - 1) * m) as u64,
+                re: one,
+                se: one * mb,
+                rd: ((nodes as f64).log2() / ((ell + 1) as f64).log2()).ceil() as u64,
+                sd: ((nodes - 1) * m) as u64,
+            },
+            Operation::Broadcast => MetricSet {
+                rc: u64::from(p > 1),
+                sc: if p > 1 { mb } else { 0 },
+                re: one,
+                se: one * mb,
+                rd: one,
+                sd: one * mb,
+            },
+            Operation::Gather | Operation::Gatherv => MetricSet {
+                rc: u64::from(p > 1),
+                sc: ((p - 1) * m) as u64,
+                re: one,
+                se: one * mb,
+                rd: one,
+                sd: remote,
+            },
+            Operation::Scatter | Operation::Scatterv => MetricSet {
+                rc: u64::from(p > 1),
+                sc: ((p - 1) * m) as u64,
+                re: one,
+                se: remote,
+                rd: one,
+                sd: one * mb,
+            },
+            Operation::Alltoall => MetricSet {
+                rc: ceil_log2(p) as u64,
+                sc: ((p - 1) * m) as u64,
+                re: one,
+                se: remote,
+                rd: one,
+                sd: remote,
+            },
+        })
     }
-    if !p.is_multiple_of(nodes) {
-        return Err(BoundsError::IndivisibleShape { p, nodes });
-    }
-    Ok(p / nodes)
 }
 
-/// Table I: lower bounds for encrypted all-gather of `m`-byte blocks on `p`
-/// processes over `nodes` nodes (ℓ = p/nodes). Unlike the original
-/// all-gather-only formulation, a single-node world is answered with
-/// degenerate bounds (communication terms unchanged, crypto terms zero —
-/// nothing crosses a node boundary) instead of asserting, so bench sweeps
-/// and `recommend` can probe arbitrary configurations.
-pub fn try_lower_bounds(p: usize, nodes: usize, m: usize) -> Result<MetricSet, BoundsError> {
-    let ell = check_shape(p, nodes)?;
-    if nodes == 1 {
-        return Ok(MetricSet {
-            rc: ceil_log2(p) as u64,
-            sc: ((p - 1) * m) as u64,
-            re: 0,
-            se: 0,
-            rd: 0,
-            sd: 0,
-        });
+impl Collective {
+    /// The closed-form metric prediction for this collective, assuming `p`
+    /// and `nodes` are powers of two (N ≥ 2), block-order mapping and
+    /// uniform blocks: the paper's Table II for the encrypted all-gathers,
+    /// Table-I-style forms for the other operations. `None` where no closed
+    /// form is registered — the unencrypted baselines and O-Bruck, the
+    /// `v`-operations (the length prologue pollutes the per-rank maxima)
+    /// and the Bruck all-to-all (shape-dependent forwarding maxima).
+    ///
+    /// Two deliberate deviations from the printed Table II, both documented
+    /// in DESIGN.md:
+    /// - O-RD's decryption rounds: the table prints `p−ℓ`, but the paper's
+    ///   own Section IV-B derivation ("each process only decrypts the
+    ///   encrypted copy of data of every other node, and thus rd = N−1")
+    ///   matches the merged-ciphertext implementation that also gives the
+    ///   table's `re = 1`; we implement and predict `rd = N−1`.
+    /// - HS1's `rd`: the table's `⌈N/ℓ⌉` simplification assumes N, ℓ powers
+    ///   of two; the exact count is `⌈(N−1)/ℓ⌉`, which we predict (they
+    ///   agree for the power-of-two inputs this function requires, except
+    ///   when ℓ ∤ N−1 — e.g. N = ℓ where both give 1).
+    ///
+    /// Naive rides the modeled MVAPICH default, so its round count follows
+    /// that selection: `lg p` (RD) below [`MVAPICH_SWITCH_BYTES`], `p − 1`
+    /// (Ring) at or above it.
+    pub fn predict(&self, p: usize, nodes: usize, m: usize) -> Option<MetricSet> {
+        if !p.is_power_of_two() || !nodes.is_power_of_two() || !p.is_multiple_of(nodes) || nodes < 2
+        {
+            return None;
+        }
+        let ell = (p / nodes) as u64;
+        let n = nodes as u64;
+        let pq = p as u64;
+        let mb = m as u64;
+        let lg = |x: u64| x.trailing_zeros() as u64;
+        let remote = (pq - ell) * mb;
+
+        use Algorithm::*;
+        Some(match self {
+            Collective::Allgather(Naive) => MetricSet {
+                rc: if m < MVAPICH_SWITCH_BYTES {
+                    lg(pq)
+                } else {
+                    pq - 1
+                },
+                sc: (pq - 1) * mb,
+                re: 1,
+                se: mb,
+                rd: pq - 1,
+                sd: (pq - 1) * mb,
+            },
+            Collective::Allgather(ORing) => MetricSet {
+                rc: pq - 1,
+                sc: (pq - 1) * mb,
+                re: pq - 1,
+                se: (pq - 1) * mb,
+                rd: pq - 1,
+                sd: (pq - 1) * mb,
+            },
+            Collective::Allgather(ORd) => MetricSet {
+                rc: lg(pq),
+                sc: (pq - 1) * mb,
+                re: 1,
+                se: ell * mb,
+                rd: n - 1,
+                sd: remote,
+            },
+            Collective::Allgather(ORd2) => MetricSet {
+                rc: lg(pq),
+                sc: (pq - 1) * mb,
+                re: lg(n),
+                se: remote,
+                rd: lg(n),
+                sd: remote,
+            },
+            Collective::Allgather(CRing) => MetricSet {
+                rc: n + ell - 2,
+                sc: (pq - 1) * mb,
+                re: 1,
+                se: mb,
+                rd: n - 1,
+                sd: (n - 1) * mb,
+            },
+            Collective::Allgather(CRd) => MetricSet {
+                rc: lg(pq),
+                sc: (pq - 1) * mb,
+                re: 1,
+                se: mb,
+                rd: n - 1,
+                sd: (n - 1) * mb,
+            },
+            Collective::Allgather(Hs1) => MetricSet {
+                rc: lg(n),
+                sc: remote,
+                re: 1,
+                se: ell * mb,
+                rd: (n - 1).div_ceil(ell),
+                sd: (n - 1).div_ceil(ell) * ell * mb,
+            },
+            Collective::Allgather(Hs2) => MetricSet {
+                rc: lg(n),
+                sc: remote,
+                re: 1,
+                se: mb,
+                rd: n - 1,
+                sd: (n - 1) * mb,
+            },
+            Collective::Broadcast(BcastAlgo::Binomial) => MetricSet {
+                rc: 1,
+                sc: lg(pq) * mb,
+                re: 1,
+                se: mb,
+                rd: 1,
+                sd: mb,
+            },
+            Collective::Broadcast(BcastAlgo::Pipelined) => {
+                let s = bcast_segments(m) as u64;
+                MetricSet {
+                    rc: s,
+                    sc: mb,
+                    re: s,
+                    se: mb,
+                    rd: s,
+                    sd: mb,
+                }
+            }
+            Collective::Gather(RootedAlgo::Linear) => MetricSet {
+                rc: pq - 1,
+                sc: (pq - 1) * mb,
+                re: 1,
+                se: mb,
+                rd: pq - ell,
+                sd: remote,
+            },
+            Collective::Gather(RootedAlgo::Binomial) => MetricSet {
+                rc: lg(pq),
+                sc: (pq - 1) * mb,
+                re: ell,
+                se: ell * mb,
+                rd: pq - ell,
+                sd: remote,
+            },
+            Collective::Scatter(_) => MetricSet {
+                rc: 1,
+                sc: (pq - 1) * mb,
+                re: pq - ell,
+                se: remote,
+                rd: 1,
+                sd: mb,
+            },
+            Collective::Alltoall(AlltoallAlgo::Pairwise) => MetricSet {
+                rc: pq - 1,
+                sc: (pq - 1) * mb,
+                re: pq - ell,
+                se: remote,
+                rd: pq - ell,
+                sd: remote,
+            },
+            _ => return None,
+        })
     }
-    // rd >= ceil( lg N / lg(ℓ+1) ): each decryption round can at most
-    // multiply the number of nodes with known data by (ℓ+1).
-    let rd = {
-        let lg_n = (nodes as f64).log2();
-        let lg_l1 = ((ell + 1) as f64).log2();
-        (lg_n / lg_l1).ceil() as u64
-    };
-    Ok(MetricSet {
-        rc: ceil_log2(p) as u64,
-        sc: ((p - 1) * m) as u64,
-        re: 1,
-        se: m as u64,
-        rd,
-        sd: ((nodes - 1) * m) as u64,
-    })
-}
-
-/// Panicking convenience over [`try_lower_bounds`]: still total for any
-/// `nodes >= 1` (single-node worlds get the degenerate zero-crypto bounds),
-/// panicking only on shapes with no defined ℓ.
-pub fn lower_bounds(p: usize, nodes: usize, m: usize) -> MetricSet {
-    try_lower_bounds(p, nodes, m).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Per-operation Table-I-style lower bounds (ℓ = p/nodes, N = nodes).
-///
-/// The communication terms follow the classic collective arguments; the
-/// crypto terms use the paper's channel model (every byte crossing a node
-/// boundary is sealed exactly where it exits and opened where it is
-/// consumed):
-///
-/// - **broadcast**: every non-root must receive the root's m bytes
-///   (`sc >= m`); the block crosses at least one node boundary, so some
-///   rank seals >= m and some rank opens >= m.
-/// - **gather**: the root receives (p−1) blocks (`sc >= (p-1)m`) and must
-///   end with the p−ℓ remote blocks in plaintext (`sd >= (p-ℓ)m`); at
-///   least one full block is sealed somewhere.
-/// - **scatter**: the root is the sole data holder, so every remote-bound
-///   byte is sealed by it (`se >= (p-ℓ)m`); each remote rank opens its own
-///   m bytes.
-/// - **all-to-all**: data from p distinct sources must reach every rank, and
-///   each receive at most doubles the known-source count (`rc >= ⌈lg p⌉`);
-///   p·(p−ℓ) pair-blocks cross node boundaries, so by averaging some rank
-///   seals >= (p−ℓ)m and some rank opens >= (p−ℓ)m.
-///
-/// The irregular (v) operations share their base operation's bounds with
-/// `m` read as the uniform per-rank block size.
-pub fn lower_bounds_op(
-    op: Operation,
-    p: usize,
-    nodes: usize,
-    m: usize,
-) -> Result<MetricSet, BoundsError> {
-    let ell = check_shape(p, nodes)?;
-    let mb = m as u64;
-    let remote = ((p - ell) * m) as u64;
-    // Crypto terms vanish on a single node: nothing crosses a boundary.
-    let one = u64::from(nodes >= 2);
-    Ok(match op {
-        Operation::Allgather | Operation::Allgatherv => try_lower_bounds(p, nodes, m)?,
-        Operation::Broadcast => MetricSet {
-            rc: u64::from(p > 1),
-            sc: if p > 1 { mb } else { 0 },
-            re: one,
-            se: one * mb,
-            rd: one,
-            sd: one * mb,
-        },
-        Operation::Gather | Operation::Gatherv => MetricSet {
-            rc: u64::from(p > 1),
-            sc: ((p - 1) * m) as u64,
-            re: one,
-            se: one * mb,
-            rd: one,
-            sd: remote,
-        },
-        Operation::Scatter | Operation::Scatterv => MetricSet {
-            rc: u64::from(p > 1),
-            sc: ((p - 1) * m) as u64,
-            re: one,
-            se: remote,
-            rd: one,
-            sd: one * mb,
-        },
-        Operation::Alltoall => MetricSet {
-            rc: ceil_log2(p) as u64,
-            sc: ((p - 1) * m) as u64,
-            re: one,
-            se: remote,
-            rd: one,
-            sd: remote,
-        },
-    })
-}
-
-/// Table II: the paper's closed-form metrics for each encrypted algorithm,
-/// assuming `p` and `nodes` are powers of two and block-order mapping.
-///
-/// Two deliberate deviations from the printed table, both documented in
-/// DESIGN.md:
-/// - O-RD's decryption rounds: the table prints `p−ℓ`, but the paper's own
-///   Section IV-B derivation ("each process only decrypts the encrypted copy
-///   of data of every other node, and thus rd = N−1") matches the
-///   merged-ciphertext implementation that also gives the table's `re = 1`;
-///   we implement and predict `rd = N−1`.
-/// - HS1's `rd`: the table's `⌈N/ℓ⌉` simplification assumes N, ℓ powers of
-///   two; the exact count is `⌈(N−1)/ℓ⌉`, which we predict (they agree for
-///   the power-of-two inputs this function requires, except when ℓ ∤ N−1 —
-///   e.g. N = ℓ where both give 1).
-pub fn predict(algo: Algorithm, p: usize, nodes: usize, m: usize) -> Option<MetricSet> {
-    if !p.is_power_of_two() || !nodes.is_power_of_two() || !p.is_multiple_of(nodes) || nodes < 2 {
-        return None;
-    }
-    let ell = (p / nodes) as u64;
-    let n = nodes as u64;
-    let pq = p as u64;
-    let mb = m as u64;
-    let lg = |x: u64| x.trailing_zeros() as u64;
-
-    use Algorithm::*;
-    let set = match algo {
-        Naive => MetricSet {
-            rc: lg(pq),
-            sc: (pq - 1) * mb,
-            re: 1,
-            se: mb,
-            rd: pq - 1,
-            sd: (pq - 1) * mb,
-        },
-        ORing => MetricSet {
-            rc: pq - 1,
-            sc: (pq - 1) * mb,
-            re: pq - 1,
-            se: (pq - 1) * mb,
-            rd: pq - 1,
-            sd: (pq - 1) * mb,
-        },
-        ORd => MetricSet {
-            rc: lg(pq),
-            sc: (pq - 1) * mb,
-            re: 1,
-            se: ell * mb,
-            rd: n - 1,
-            sd: (pq - ell) * mb,
-        },
-        ORd2 => MetricSet {
-            rc: lg(pq),
-            sc: (pq - 1) * mb,
-            re: lg(n),
-            se: (pq - ell) * mb,
-            rd: lg(n),
-            sd: (pq - ell) * mb,
-        },
-        CRing => MetricSet {
-            rc: n + ell - 2,
-            sc: (pq - 1) * mb,
-            re: 1,
-            se: mb,
-            rd: n - 1,
-            sd: (n - 1) * mb,
-        },
-        CRd => MetricSet {
-            rc: lg(pq),
-            sc: (pq - 1) * mb,
-            re: 1,
-            se: mb,
-            rd: n - 1,
-            sd: (n - 1) * mb,
-        },
-        Hs1 => MetricSet {
-            rc: lg(n),
-            sc: (pq - ell) * mb,
-            re: 1,
-            se: ell * mb,
-            rd: (n - 1).div_ceil(ell),
-            sd: (n - 1).div_ceil(ell) * ell * mb,
-        },
-        Hs2 => MetricSet {
-            rc: lg(n),
-            sc: (pq - ell) * mb,
-            re: 1,
-            se: mb,
-            rd: n - 1,
-            sd: (n - 1) * mb,
-        },
-        _ => return None,
-    };
-    Some(set)
 }
 
 /// Analytic latency estimate for an encrypted algorithm:
@@ -273,7 +308,7 @@ pub fn predict(algo: Algorithm, p: usize, nodes: usize, m: usize) -> Option<Metr
 /// the paper's Section IV-A upper-bound composition, priced with the
 /// inter-node link (communication is dominated by the network).
 ///
-/// Requires powers of two (it builds on [`predict`]). This is a *model*
+/// Requires powers of two (it builds on [`Collective::predict`]). This is a *model*
 /// estimate — coarser than the virtual-time simulator (no overlap, no NIC
 /// contention, no shared-memory costs) — but cheap enough to drive online
 /// algorithm selection.
@@ -284,7 +319,7 @@ pub fn predict_latency_us(
     m: usize,
     model: &eag_netsim::CostModel,
 ) -> Option<f64> {
-    let ms = predict(algo, p, nodes, m)?;
+    let ms = Collective::Allgather(algo).predict(p, nodes, m)?;
     let tc = ms.rc as f64 * model.inter.alpha_us + ms.sc as f64 / model.inter.bandwidth;
     let te = ms.re as f64 * model.crypto.enc_alpha_us + ms.se as f64 / model.crypto.enc_bandwidth;
     let td = ms.rd as f64 * model.crypto.dec_alpha_us + ms.sd as f64 / model.crypto.dec_bandwidth;
@@ -310,6 +345,14 @@ pub fn recommend(p: usize, nodes: usize, m: usize, model: &eag_netsim::CostModel
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn lower_bounds(p: usize, nodes: usize, m: usize) -> MetricSet {
+        Operation::Allgather.lower_bounds(p, nodes, m).unwrap()
+    }
+
+    fn predict(algo: Algorithm, p: usize, nodes: usize, m: usize) -> Option<MetricSet> {
+        Collective::Allgather(algo).predict(p, nodes, m)
+    }
 
     #[test]
     fn lower_bounds_match_table_1() {

@@ -12,11 +12,12 @@
 //! for as long as crashes keep landing — including inside its own
 //! agreement rounds and degraded re-runs — re-detects, re-agrees, and
 //! re-runs over ever-smaller survivor groups until an agreement instance
-//! confirms a completed output. [`recover_allgather`] is the all-gather
+//! confirms a completed output. [`crate::Collective::recover`] is the
 //! entry point built on it (see the function docs for the protocol).
 
-use crate::algorithm::{allgather, Algorithm};
-use crate::group::{allgather_group, Group};
+use crate::algorithm::Algorithm;
+use crate::group::Group;
+use crate::operation::Collective;
 use crate::output::{DegradedOutput, GatherOutput};
 use crate::tags;
 use eag_netsim::Rank;
@@ -482,7 +483,6 @@ where
         // global rank identities, so node placement (and the
         // opportunistic encryption rule) stays correct.
         let survivors = Group::world(ctx.p()).shrink(&decided);
-        ctx.set_phase("recovery-rerun");
         match run_attempt(ctx, &mut failed, |ctx| rerun(ctx, survivors.members())) {
             Some(out) => {
                 ctx.note_recovery(survivors.len());
@@ -500,21 +500,23 @@ where
     }
 }
 
-/// Crash-tolerant all-gather: [`recover_collective`] over `algo`, re-run
-/// degraded with [`Algorithm::recovery_algorithm`] — returning a
-/// [`DegradedOutput`] that marks the dead ranks' blocks missing.
+/// Alias of `Collective::Allgather(algo).recover(ctx, m)`, kept only
+/// because the frozen wall-clock harness under `benchmarks/` calls it; it
+/// goes when a `benchmark` PR moves the `crash_recover` workload to
+/// [`Collective::recover`].
 pub fn recover_allgather(ctx: &mut ProcCtx, algo: Algorithm, m: usize) -> DegradedOutput {
-    recover_collective(
-        ctx,
-        |ctx| allgather(ctx, algo, m),
-        |ctx, members| allgather_group(ctx, algo.recovery_algorithm(), members, m),
-    )
+    Collective::Allgather(algo).recover(ctx, m)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use eag_netsim::{profile, Crash, FaultPlan, Mapping, Topology};
+
+    fn recover(ctx: &mut ProcCtx, algo: Algorithm, m: usize) -> DegradedOutput {
+        Collective::Allgather(algo).recover(ctx, m)
+    }
+
     use eag_runtime::{run, run_crashable, DataMode, RetryPolicy, WorldSpec};
     use std::time::Duration;
 
@@ -704,9 +706,7 @@ mod tests {
     fn recover_without_chaos_is_a_plain_allgather() {
         // No fault plan: the wrapper adds no agreement traffic and returns
         // the complete output at every rank.
-        let report = run(&spec(6, 2), |ctx| {
-            recover_allgather(ctx, Algorithm::ORing, 32)
-        });
+        let report = run(&spec(6, 2), |ctx| recover(ctx, Algorithm::ORing, 32));
         let mut canon: Option<Vec<u8>> = None;
         for out in &report.outputs {
             assert!(out.is_complete());
@@ -730,7 +730,7 @@ mod tests {
         // the agreement rounds run against an all-alive world and must
         // conclude "nobody failed".
         let s = crash_world(4, 2, Crash::before(0, 1_000_000));
-        let report = run_crashable(&s, |ctx| recover_allgather(ctx, Algorithm::ORd, 32));
+        let report = run_crashable(&s, |ctx| recover(ctx, Algorithm::ORd, 32));
         assert!(report.crashed.is_empty());
         for (_, out) in report.survivor_outputs() {
             assert!(out.is_complete());
@@ -745,7 +745,7 @@ mod tests {
         // agree on {3}, re-run over the shrunk group, and return
         // byte-identical degraded outputs.
         let s = crash_world(6, 2, Crash::before(3, 1));
-        let report = run_crashable(&s, |ctx| recover_allgather(ctx, Algorithm::ORing, 48));
+        let report = run_crashable(&s, |ctx| recover(ctx, Algorithm::ORing, 48));
         check_degraded(&report, &[3]);
         assert_eq!(report.wiretap.crashed_ranks(), vec![3]);
     }
@@ -755,7 +755,7 @@ mod tests {
         // The dying rank's last frame is delivered first (crash-after-send),
         // exercising the drain-then-fail order in the failure detector.
         let s = crash_world(5, 1, Crash::after(2, 0));
-        let report = run_crashable(&s, |ctx| recover_allgather(ctx, Algorithm::OBruck, 32));
+        let report = run_crashable(&s, |ctx| recover(ctx, Algorithm::OBruck, 32));
         check_degraded(&report, &[2]);
     }
 
@@ -767,7 +767,7 @@ mod tests {
         // runner, and the *other* node's non-leaders are unblocked by their
         // own leader's attempt abandonment.
         let s = crash_world(6, 2, Crash::before(0, 0));
-        let report = run_crashable(&s, |ctx| recover_allgather(ctx, Algorithm::Hs2, 48));
+        let report = run_crashable(&s, |ctx| recover(ctx, Algorithm::Hs2, 48));
         check_degraded(&report, &[0]);
     }
 
@@ -778,7 +778,7 @@ mod tests {
         // crash planned on one would never fire there).
         for &algo in Algorithm::encrypted_all() {
             let s = crash_world(6, 2, Crash::before(0, 0));
-            let report = run_crashable(&s, move |ctx| recover_allgather(ctx, algo, 32));
+            let report = run_crashable(&s, move |ctx| recover(ctx, algo, 32));
             check_degraded(&report, &[0]);
         }
     }
@@ -790,7 +790,7 @@ mod tests {
         // matches its per-epoch send counter. The agreement rounds run at
         // epoch 1 and conclude "nobody failed"; the run completes cleanly.
         let s = crash_world(6, 2, Crash::before(1, 0));
-        let report = run_crashable(&s, |ctx| recover_allgather(ctx, Algorithm::Hs2, 32));
+        let report = run_crashable(&s, |ctx| recover(ctx, Algorithm::Hs2, 32));
         assert!(report.crashed.is_empty());
         for (_, out) in report.survivor_outputs() {
             assert!(out.is_complete());
@@ -811,7 +811,7 @@ mod tests {
         // attempt was aborted). The contract is uniformity: every
         // survivor decides the same set and returns byte-identical bytes.
         let s = crash_world(6, 2, Crash::before(1, 0).at_epoch(1));
-        let report = run_crashable(&s, |ctx| recover_allgather(ctx, Algorithm::Hs2, 32));
+        let report = run_crashable(&s, |ctx| recover(ctx, Algorithm::Hs2, 32));
         assert_eq!(report.crashed, vec![1]);
         let outs: Vec<_> = report.survivor_outputs().collect();
         assert_eq!(outs.len(), 5);
@@ -842,7 +842,7 @@ mod tests {
         // concurrent epoch-0 failures. Survivors must flood both
         // detections into one decided set and re-run over p-2 ranks.
         let s = crash_schedule_world(6, 2, vec![Crash::before(2, 0), Crash::before(4, 0)]);
-        let report = run_crashable(&s, |ctx| recover_allgather(ctx, Algorithm::ORing, 48));
+        let report = run_crashable(&s, |ctx| recover(ctx, Algorithm::ORing, 48));
         check_degraded(&report, &[2, 4]);
     }
 
@@ -861,7 +861,7 @@ mod tests {
                 Crash::before(5, 0).at_epoch(1),
             ],
         );
-        let report = run_crashable(&s, |ctx| recover_allgather(ctx, Algorithm::ORing, 32));
+        let report = run_crashable(&s, |ctx| recover(ctx, Algorithm::ORing, 32));
         check_degraded(&report, &[1, 3, 5]);
     }
 
@@ -878,7 +878,7 @@ mod tests {
             2,
             vec![Crash::before(0, 0), Crash::before(2, 0).at_epoch(2)],
         );
-        let report = run_crashable(&s, |ctx| recover_allgather(ctx, Algorithm::ORing, 32));
+        let report = run_crashable(&s, |ctx| recover(ctx, Algorithm::ORing, 32));
         assert_eq!(report.crashed, vec![0, 2]);
         let mut canon: Option<Vec<u8>> = None;
         for (rank, out) in report.survivor_outputs() {
@@ -909,7 +909,7 @@ mod tests {
         // Hard crashes leave no dying gasp: arm the failure detector's
         // suspicion clock so silence past the grace period reads as death.
         s.suspect_after = Some(Duration::from_millis(50));
-        let report = run_crashable(&s, |ctx| recover_allgather(ctx, Algorithm::ORing, 32));
+        let report = run_crashable(&s, |ctx| recover(ctx, Algorithm::ORing, 32));
         check_degraded(&report, &[2, 4]);
     }
 }

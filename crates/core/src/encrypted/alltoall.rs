@@ -64,7 +64,7 @@ pub fn alltoall_pairwise(
     let i = my_index(ctx, members);
     let me = ctx.rank();
     let topo = ctx.topology().clone();
-    let mut out = GatherOutput::new_sparse(ctx.p(), members, m);
+    let mut out = GatherOutput::new(vec![m; ctx.p()], members);
     out.place(ctx.my_block_for(me, m));
     for k in 1..q {
         ctx.yield_now();
@@ -118,12 +118,7 @@ pub fn alltoall_bruck(
     // Blocks currently positioned at this rank, keyed (si, di) by
     // member index. Initially: everything this rank originates.
     let mut held: BTreeMap<(usize, usize), Item> = (0..q)
-        .map(|di| {
-            (
-                (i, di),
-                Item::Plain(ctx.my_block_for(members[di], m)),
-            )
-        })
+        .map(|di| ((i, di), Item::Plain(ctx.my_block_for(members[di], m))))
         .collect();
 
     for k in 0..ceil_log2(q) {
@@ -161,7 +156,7 @@ pub fn alltoall_bruck(
         }
     }
 
-    let mut out = GatherOutput::new_sparse(ctx.p(), members, m);
+    let mut out = GatherOutput::new(vec![m; ctx.p()], members);
     for ((si, di), item) in held {
         debug_assert_eq!(di, i, "undelivered block after final round");
         let c = open(ctx, item);

@@ -31,9 +31,7 @@ pub fn bcast_segments(m: usize) -> usize {
 fn seg_lens(m: usize, segments: usize) -> Vec<usize> {
     let base = m / segments;
     let rem = m % segments;
-    (0..segments)
-        .map(|i| base + usize::from(i < rem))
-        .collect()
+    (0..segments).map(|i| base + usize::from(i < rem)).collect()
 }
 
 fn slice_data(data: &Data, segs: &[usize]) -> Vec<Data> {
@@ -106,7 +104,7 @@ pub fn bcast_binomial(
         .expect("calling rank not in member list");
     let root = members[0];
     let topo = ctx.topology().clone();
-    let mut out = GatherOutput::new_sparse(ctx.p(), &[root], m);
+    let mut out = GatherOutput::new(vec![m; ctx.p()], &[root]);
 
     let mut holding = Holding {
         plain: (k == 0).then(|| ctx.block_for(root, m)),
@@ -174,7 +172,7 @@ pub fn bcast_pipelined(
         .expect("calling rank not in member list");
     let root = members[0];
     let topo = ctx.topology().clone();
-    let mut out = GatherOutput::new_sparse(ctx.p(), &[root], m);
+    let mut out = GatherOutput::new(vec![m; ctx.p()], &[root]);
     let segs = seg_lens(m, bcast_segments(m));
 
     let succ = (k + 1 < q).then(|| members[k + 1]);

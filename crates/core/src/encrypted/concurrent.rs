@@ -28,16 +28,19 @@ pub enum SubPattern {
     Rd,
 }
 
-/// Runs the Concurrent algorithm; `encrypted = false` gives the unencrypted
-/// counterpart.
+/// Runs the Concurrent algorithm over the whole world, contributing
+/// `my_chunk` and filling `out`; `encrypted = false` gives the unencrypted
+/// counterpart. Block lengths come from `out`: when they are uniform the
+/// local phase moves each group's result as one merged chunk, otherwise as
+/// per-origin items (merging needs an equal stride).
 pub fn concurrent(
     ctx: &mut ProcCtx,
-    m: usize,
+    my_chunk: Chunk,
+    out: &mut GatherOutput,
     pattern: SubPattern,
     encrypted: bool,
-) -> GatherOutput {
+) {
     let topo = ctx.topology().clone();
-    let p = topo.p();
     let nodes = topo.nodes();
     let group = topo.local_index(ctx.rank());
 
@@ -47,18 +50,15 @@ pub fn concurrent(
         .map(|node| topo.peer_on_node(topo.leader_of(node), group))
         .collect();
 
-    let mut out = GatherOutput::new(p, m);
-    let my_chunk = ctx.my_block(m);
-
     // Phase 1: concurrent sub-all-gathers (one per group).
     if encrypted {
         match pattern {
-            SubPattern::Ring => o_ring_over(ctx, &members, my_chunk, &mut out, tags::PHASE_SUB),
+            SubPattern::Ring => o_ring_over(ctx, &members, my_chunk, out, tags::PHASE_SUB),
             SubPattern::Rd => o_rd_over(
                 ctx,
                 &members,
                 my_chunk,
-                &mut out,
+                out,
                 OrdVariant::ForwardSealed,
                 tags::PHASE_SUB,
             ),
@@ -75,45 +75,26 @@ pub fn concurrent(
     // Phase 2: node-local ordinary all-gather of each group's result.
     let local = topo.ranks_on_node(topo.node_of(ctx.rank()));
     if local.len() > 1 {
-        let contribution = Chunk::concat_owned(
-            members
-                .iter()
-                .map(|&r| out.get(r).expect("sub-gather incomplete").clone())
-                .collect(),
-        );
-        let items = vec![Item::Plain(contribution)];
+        let blocks: Vec<Chunk> = members
+            .iter()
+            .map(|&r| out.get(r).expect("sub-gather incomplete").clone())
+            .collect();
+        let items = if out.block_len().is_some() {
+            vec![Item::Plain(Chunk::concat_owned(blocks))]
+        } else {
+            blocks.into_iter().map(Item::Plain).collect()
+        };
         let gathered = match pattern {
             SubPattern::Ring => ring_allgather_items(ctx, &local, items, tags::PHASE_LOCAL),
             SubPattern::Rd => rd_allgather_items(ctx, &local, items, tags::PHASE_LOCAL),
         };
         out.place_items(gathered);
     }
-    out
-}
-
-/// C-Ring: encrypted ring sub-gathers + local ring.
-pub fn c_ring(ctx: &mut ProcCtx, m: usize) -> GatherOutput {
-    concurrent(ctx, m, SubPattern::Ring, true)
-}
-
-/// C-RD: encrypted RD sub-gathers + local RD.
-pub fn c_rd(ctx: &mut ProcCtx, m: usize) -> GatherOutput {
-    concurrent(ctx, m, SubPattern::Rd, true)
-}
-
-/// Unencrypted counterpart of C-Ring (used by the paper's Figures 5/6).
-pub fn c_ring_plain(ctx: &mut ProcCtx, m: usize) -> GatherOutput {
-    concurrent(ctx, m, SubPattern::Ring, false)
-}
-
-/// Unencrypted counterpart of C-RD.
-pub fn c_rd_plain(ctx: &mut ProcCtx, m: usize) -> GatherOutput {
-    concurrent(ctx, m, SubPattern::Rd, false)
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::{Algorithm, Collective};
     use eag_netsim::{profile, Mapping, Topology};
     use eag_runtime::{run, DataMode, WorldSpec};
 
@@ -132,7 +113,9 @@ mod tests {
         for mapping in [Mapping::Block, Mapping::Cyclic] {
             for (p, nodes) in [(8, 2), (8, 4), (12, 3), (9, 3)] {
                 let report = run(&world(p, nodes, mapping), |ctx| {
-                    c_ring(ctx, 16).verify(9);
+                    Collective::Allgather(Algorithm::CRing)
+                        .run(ctx, 16)
+                        .verify(9);
                 });
                 assert!(!report.wiretap.saw_plaintext_frame());
             }
@@ -144,7 +127,7 @@ mod tests {
         for mapping in [Mapping::Block, Mapping::Cyclic] {
             for (p, nodes) in [(8, 2), (8, 4), (12, 3), (6, 3), (12, 4)] {
                 let report = run(&world(p, nodes, mapping), |ctx| {
-                    c_rd(ctx, 16).verify(9);
+                    Collective::Allgather(Algorithm::CRd).run(ctx, 16).verify(9);
                 });
                 assert!(!report.wiretap.saw_plaintext_frame());
             }
@@ -155,8 +138,12 @@ mod tests {
     fn plain_counterparts_correct() {
         for (p, nodes) in [(8, 4), (12, 3)] {
             let report = run(&world(p, nodes, Mapping::Block), |ctx| {
-                c_ring_plain(ctx, 16).verify(9);
-                c_rd_plain(ctx, 16).verify(9);
+                Collective::Allgather(Algorithm::CRingPlain)
+                    .run(ctx, 16)
+                    .verify(9);
+                Collective::Allgather(Algorithm::CRdPlain)
+                    .run(ctx, 16)
+                    .verify(9);
             });
             assert_eq!(report.outputs.len(), p);
         }
@@ -168,7 +155,9 @@ mod tests {
         // rd = N−1, sd = (N−1)m (the sd lower bound).
         let (p, nodes, m) = (16usize, 4usize, 32usize);
         let report = run(&world(p, nodes, Mapping::Block), |ctx| {
-            c_ring(ctx, m).verify(9);
+            Collective::Allgather(Algorithm::CRing)
+                .run(ctx, m)
+                .verify(9);
         });
         let max = report.max_metrics();
         assert_eq!(max.comm_rounds, (nodes + p / nodes - 2) as u64);
@@ -184,7 +173,7 @@ mod tests {
         // rd = N−1, sd = (N−1)m.
         let (p, nodes, m) = (16usize, 4usize, 32usize);
         let report = run(&world(p, nodes, Mapping::Block), |ctx| {
-            c_rd(ctx, m).verify(9);
+            Collective::Allgather(Algorithm::CRd).run(ctx, m).verify(9);
         });
         let max = report.max_metrics();
         assert_eq!(max.comm_rounds, 4); // lg 16
@@ -199,7 +188,9 @@ mod tests {
         // Inter-node bytes sent must be identical for block and cyclic.
         let traffic = |mapping| {
             let report = run(&world(8, 4, mapping), |ctx| {
-                c_ring(ctx, 64).verify(9);
+                Collective::Allgather(Algorithm::CRing)
+                    .run(ctx, 64)
+                    .verify(9);
             });
             eag_runtime::Metrics::component_sum(&report.metrics).inter_bytes_sent
         };

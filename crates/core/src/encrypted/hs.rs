@@ -38,24 +38,13 @@ pub enum HsVariant {
     Plain,
 }
 
-/// Runs HS1/HS2/Plain with uniform `m`-byte blocks.
-pub fn hs(ctx: &mut ProcCtx, m: usize, variant: HsVariant) -> GatherOutput {
-    let lens = vec![m; ctx.p()];
-    hs_v(ctx, &lens, variant)
-}
-
-/// Runs HS with per-rank block lengths (all-gather-v). Only [`HsVariant::Hs2`]
-/// supports varying lengths (HS1 and the unencrypted counterpart merge the
-/// node's blocks into a single equal-stride buffer before encryption).
-pub fn hs_v(ctx: &mut ProcCtx, lens: &[usize], variant: HsVariant) -> GatherOutput {
+/// Runs HS1/HS2/Plain over the whole world, contributing `my_chunk` and
+/// filling `out`, whose per-rank lengths drive the run. Only
+/// [`HsVariant::Hs2`] supports varying lengths (HS1 and the unencrypted
+/// counterpart merge the node's blocks into a single equal-stride buffer
+/// before encryption).
+pub fn hs_over(ctx: &mut ProcCtx, my_chunk: Chunk, out: &mut GatherOutput, variant: HsVariant) {
     let topo = ctx.topology().clone();
-    let p = topo.p();
-    assert_eq!(lens.len(), p, "need one length per rank");
-    let uniform = lens.windows(2).all(|w| w[0] == w[1]);
-    assert!(
-        uniform || variant == HsVariant::Hs2,
-        "{variant:?} requires uniform block lengths; use HS2 for all-gather-v"
-    );
     let nodes = topo.nodes();
     let my_node = topo.node_of(ctx.rank());
     let local = topo.ranks_on_node(my_node);
@@ -64,8 +53,6 @@ pub fn hs_v(ctx: &mut ProcCtx, lens: &[usize], variant: HsVariant) -> GatherOutp
     let is_leader = li == 0;
     let leaders: Vec<Rank> = (0..nodes).map(|n| topo.leader_of(n)).collect();
 
-    let mut out = GatherOutput::new_varying(lens.to_vec());
-    let my_chunk = ctx.my_block(lens[ctx.rank()]);
     out.place(my_chunk.clone());
 
     // Step 1: deposit into the node's shared buffers. Consumer counts come
@@ -172,35 +159,19 @@ pub fn hs_v(ctx: &mut ProcCtx, lens: &[usize], variant: HsVariant) -> GatherOutp
     // The rank-order rearrangement cost: one bulk copy under block mapping,
     // p per-block copies otherwise (the paper's cyclic-mapping penalty).
     match topo.mapping() {
-        Mapping::Block => ctx.charge_copy(lens.iter().sum()),
+        Mapping::Block => ctx.charge_copy((0..out.p()).map(|r| out.len_of(r)).sum()),
         Mapping::Cyclic => {
-            for &len in lens {
-                ctx.charge_strided_copy(len);
+            for r in 0..out.p() {
+                ctx.charge_strided_copy(out.len_of(r));
             }
         }
     }
-    out
-}
-
-/// HS1: leader encrypts the node's data once.
-pub fn hs1(ctx: &mut ProcCtx, m: usize) -> GatherOutput {
-    hs(ctx, m, HsVariant::Hs1)
-}
-
-/// HS2: per-process encryption, joint decryption.
-pub fn hs2(ctx: &mut ProcCtx, m: usize) -> GatherOutput {
-    hs(ctx, m, HsVariant::Hs2)
-}
-
-/// The unencrypted counterpart of HS1/HS2.
-pub fn hs_plain(ctx: &mut ProcCtx, m: usize) -> GatherOutput {
-    hs(ctx, m, HsVariant::Plain)
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use eag_netsim::{profile, Topology};
+    use crate::{Algorithm, Collective};
+    use eag_netsim::{profile, Mapping, Topology};
     use eag_runtime::{run, DataMode, WorldSpec};
 
     fn world(p: usize, nodes: usize, mapping: Mapping) -> WorldSpec {
@@ -218,7 +189,9 @@ mod tests {
         for mapping in [Mapping::Block, Mapping::Cyclic] {
             for (p, nodes) in [(8, 2), (8, 4), (12, 3), (6, 6), (9, 3)] {
                 let report = run(&world(p, nodes, mapping), |ctx| {
-                    hs1(ctx, 16).verify(13);
+                    Collective::Allgather(Algorithm::Hs1)
+                        .run(ctx, 16)
+                        .verify(13);
                 });
                 assert!(
                     !report.wiretap.saw_plaintext_frame(),
@@ -233,7 +206,9 @@ mod tests {
         for mapping in [Mapping::Block, Mapping::Cyclic] {
             for (p, nodes) in [(8, 2), (8, 4), (12, 3), (10, 5)] {
                 let report = run(&world(p, nodes, mapping), |ctx| {
-                    hs2(ctx, 16).verify(13);
+                    Collective::Allgather(Algorithm::Hs2)
+                        .run(ctx, 16)
+                        .verify(13);
                 });
                 assert!(!report.wiretap.saw_plaintext_frame());
             }
@@ -244,7 +219,9 @@ mod tests {
     fn hs_plain_correct() {
         for (p, nodes) in [(8, 2), (12, 4)] {
             let report = run(&world(p, nodes, Mapping::Block), |ctx| {
-                hs_plain(ctx, 16).verify(13);
+                Collective::Allgather(Algorithm::HsPlain)
+                    .run(ctx, 16)
+                    .verify(13);
             });
             assert_eq!(report.outputs.len(), p);
         }
@@ -256,7 +233,7 @@ mod tests {
         // rd = ⌈(N−1)/ℓ⌉ = 1, sd = ℓm (= max{N,ℓ}m with N = ℓ).
         let (p, nodes, m) = (16usize, 4usize, 32usize);
         let report = run(&world(p, nodes, Mapping::Block), |ctx| {
-            hs1(ctx, m).verify(13);
+            Collective::Allgather(Algorithm::Hs1).run(ctx, m).verify(13);
         });
         let max = report.max_metrics();
         assert_eq!(max.comm_rounds, 2);
@@ -272,7 +249,7 @@ mod tests {
         // sd = (N−1)m.
         let (p, nodes, m) = (16usize, 4usize, 32usize);
         let report = run(&world(p, nodes, Mapping::Block), |ctx| {
-            hs2(ctx, m).verify(13);
+            Collective::Allgather(Algorithm::Hs2).run(ctx, m).verify(13);
         });
         let max = report.max_metrics();
         assert_eq!(max.comm_rounds, 2);
@@ -288,10 +265,10 @@ mod tests {
         // empty once the collective completes — the map used to grow by one
         // generation of slots per collective and never shrink.
         for mapping in [Mapping::Block, Mapping::Cyclic] {
-            for variant in [HsVariant::Hs1, HsVariant::Hs2, HsVariant::Plain] {
+            for algo in [Algorithm::Hs1, Algorithm::Hs2, Algorithm::HsPlain] {
                 for (p, nodes) in [(16, 4), (12, 3), (6, 6)] {
                     let report = run(&world(p, nodes, mapping), move |ctx| {
-                        hs(ctx, 16, variant).verify(13);
+                        Collective::Allgather(algo).run(ctx, 16).verify(13);
                         // All ranks are past their last fetch here, so the
                         // observation below is race-free.
                         ctx.node_barrier();
@@ -299,7 +276,7 @@ mod tests {
                     });
                     assert!(
                         report.outputs.iter().all(|&live| live == 0),
-                        "{variant:?} p={p} N={nodes} {mapping} left live slots: {:?}",
+                        "{algo} p={p} N={nodes} {mapping} left live slots: {:?}",
                         report.outputs
                     );
                 }
@@ -311,8 +288,9 @@ mod tests {
     fn back_to_back_collectives_do_not_accumulate_slots() {
         let report = run(&world(8, 2, Mapping::Block), |ctx| {
             for _ in 0..3 {
-                ctx.begin_collective();
-                hs(ctx, 16, HsVariant::Hs2).verify(13);
+                Collective::Allgather(Algorithm::Hs2)
+                    .run(ctx, 16)
+                    .verify(13);
             }
             ctx.node_barrier();
             ctx.shared_slots_len()
@@ -325,7 +303,7 @@ mod tests {
         // N = 8 nodes, ℓ = 2: each process decrypts ⌈7/2⌉ = 4 at most,
         // and the two siblings split the 7 foreign ciphertexts.
         let report = run(&world(16, 8, Mapping::Block), |ctx| {
-            hs1(ctx, 8).verify(13);
+            Collective::Allgather(Algorithm::Hs1).run(ctx, 8).verify(13);
         });
         let max = report.max_metrics();
         assert_eq!(max.dec_rounds, 4);

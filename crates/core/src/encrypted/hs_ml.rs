@@ -46,7 +46,7 @@ pub fn hs_ml(ctx: &mut ProcCtx, m: usize, k: usize, pattern: MlPattern) -> Gathe
     // with local index in [g·ℓ/k, (g+1)·ℓ/k).
     let is_leader = li < k;
 
-    let mut out = GatherOutput::new(p, m);
+    let mut out = GatherOutput::new(vec![m; p], &(0..p).collect::<Vec<Rank>>());
     let my_chunk = ctx.my_block(m);
     out.place(my_chunk.clone());
 
@@ -175,7 +175,9 @@ mod tests {
             hs_ml(ctx, 64, 1, MlPattern::Rd).verify(53);
         });
         let report_hs2 = run(&world(16, 4, Mapping::Block), |ctx| {
-            crate::encrypted::hs2(ctx, 64).verify(53);
+            crate::Collective::Allgather(crate::Algorithm::Hs2)
+                .run(ctx, 64)
+                .verify(53);
         });
         let ml = report_ml.max_metrics();
         let hs2 = report_hs2.max_metrics();
@@ -206,7 +208,9 @@ mod tests {
     #[test]
     fn hs_ml_crypto_volume_meets_the_lower_bounds() {
         let (p, nodes, m) = (16usize, 4usize, 48usize);
-        let lb = crate::lower_bounds(p, nodes, m);
+        let lb = crate::Operation::Allgather
+            .lower_bounds(p, nodes, m)
+            .unwrap();
         for k in [1usize, 2, 4] {
             let report = run(&world(p, nodes, Mapping::Block), move |ctx| {
                 hs_ml(ctx, m, k, MlPattern::Ring).verify(53);

@@ -15,13 +15,13 @@ pub mod rooted;
 
 pub use alltoall::{alltoall_bruck, alltoall_pairwise};
 pub use bcast::{bcast_binomial, bcast_pipelined, bcast_segments};
-pub use concurrent::{c_rd, c_rd_plain, c_ring, c_ring_plain, concurrent, SubPattern};
-pub use hs::{hs, hs1, hs2, hs_plain, hs_v, HsVariant};
+pub use concurrent::{concurrent, SubPattern};
+pub use hs::{hs_over, HsVariant};
 pub use hs_ml::{hs_ml, MlPattern};
-pub use naive::naive;
-pub use o_bruck::{o_bruck, o_bruck_over};
-pub use o_rd::{o_rd, o_rd2, o_rd_over, OrdVariant};
-pub use o_ring::{o_ring, o_ring_over};
+pub use naive::naive_over;
+pub use o_bruck::o_bruck_over;
+pub use o_rd::{o_rd_over, OrdVariant};
+pub use o_ring::o_ring_over;
 pub use rooted::{
     exchange_lengths, gather_binomial, gather_linear, scatter_binomial, scatter_linear,
 };

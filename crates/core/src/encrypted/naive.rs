@@ -6,33 +6,19 @@
 //! its own node, which is exactly the waste the paper's algorithms remove:
 //! `rd = p−1`, `sd = (p−1)m ≈ (N−1)ℓm`.
 
-use crate::collective::{bruck_allgather_items, rd_allgather_items, ring_allgather_items};
 use crate::output::GatherOutput;
 use crate::tags;
+use crate::unencrypted::mvapich_allgather_items;
 use eag_netsim::Rank;
-use eag_runtime::{Item, ProcCtx};
+use eag_runtime::{Chunk, Item, ProcCtx};
 
-/// Runs the Naive algorithm.
-pub fn naive(ctx: &mut ProcCtx, m: usize) -> GatherOutput {
-    let p = ctx.p();
-    let members: Vec<Rank> = (0..p).collect();
-    let my_chunk = ctx.my_block(m);
-
-    let mut out = GatherOutput::new(p, m);
+/// Runs the Naive algorithm among `members`: seal `my_chunk`, all-gather
+/// the ciphertexts with the modeled MVAPICH default (selected on the
+/// largest member block), open everything that is not already in `out`.
+pub fn naive_over(ctx: &mut ProcCtx, members: &[Rank], my_chunk: Chunk, out: &mut GatherOutput) {
     out.place(my_chunk.clone());
-
     let sealed = Item::Sealed(ctx.encrypt(my_chunk));
-
-    // Ordinary all-gather on ciphertexts, with the MVAPICH-style selection.
-    let items = if m < ctx.mvapich_switch_bytes() {
-        if p.is_power_of_two() {
-            rd_allgather_items(ctx, &members, vec![sealed], tags::PHASE_MAIN)
-        } else {
-            bruck_allgather_items(ctx, &members, sealed, tags::PHASE_MAIN)
-        }
-    } else {
-        ring_allgather_items(ctx, &members, vec![sealed], tags::PHASE_MAIN)
-    };
+    let items = mvapich_allgather_items(ctx, members, sealed, out, tags::PHASE_MAIN);
 
     // Decrypt every received ciphertext (own block is already in place).
     for item in items {
@@ -43,12 +29,11 @@ pub fn naive(ctx: &mut ProcCtx, m: usize) -> GatherOutput {
         let c = ctx.decrypt(s);
         out.place(c);
     }
-    out
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::{Algorithm, Collective};
     use eag_netsim::{profile, Mapping, Topology};
     use eag_runtime::{run, DataMode, WorldSpec};
 
@@ -68,7 +53,9 @@ mod tests {
             for (p, nodes) in [(8, 2), (6, 3), (9, 3)] {
                 for m in [16usize, 16 * 1024] {
                     let report = run(&world(p, nodes, mapping), move |ctx| {
-                        naive(ctx, m).verify(21);
+                        Collective::Allgather(Algorithm::Naive)
+                            .run(ctx, m)
+                            .verify(21);
                     });
                     assert!(!report.wiretap.saw_plaintext_frame());
                 }
@@ -81,7 +68,9 @@ mod tests {
         // re = 1, se = m, rd = p−1, sd = (p−1)m, rc = lg p (RD, small).
         let (p, m) = (8usize, 64usize);
         let report = run(&world(p, 2, Mapping::Block), |ctx| {
-            naive(ctx, m).verify(21);
+            Collective::Allgather(Algorithm::Naive)
+                .run(ctx, m)
+                .verify(21);
         });
         let max = report.max_metrics();
         assert_eq!(max.comm_rounds, 3);
@@ -98,7 +87,9 @@ mod tests {
         // The defining waste of Naive: even blocks from the same node are
         // decrypted. Total decryptions = p(p−1).
         let report = run(&world(8, 2, Mapping::Block), |ctx| {
-            naive(ctx, 16).verify(21);
+            Collective::Allgather(Algorithm::Naive)
+                .run(ctx, 16)
+                .verify(21);
         });
         let sum = eag_runtime::Metrics::component_sum(&report.metrics);
         assert_eq!(sum.dec_rounds, (8 * 7) as u64);

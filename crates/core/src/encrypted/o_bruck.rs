@@ -136,18 +136,9 @@ pub fn o_bruck_over(
     }
 }
 
-/// O-Bruck proper: opportunistic Bruck over all ranks in natural order.
-pub fn o_bruck(ctx: &mut ProcCtx, m: usize) -> GatherOutput {
-    let members: Vec<Rank> = (0..ctx.p()).collect();
-    let mut out = GatherOutput::new(ctx.p(), m);
-    let my_chunk = ctx.my_block(m);
-    o_bruck_over(ctx, &members, my_chunk, &mut out, crate::tags::PHASE_MAIN);
-    out
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::{Algorithm, Collective};
     use eag_netsim::{profile, Mapping, Topology};
     use eag_runtime::{run, DataMode, WorldSpec};
 
@@ -166,7 +157,9 @@ mod tests {
         for mapping in [Mapping::Block, Mapping::Cyclic] {
             for (p, nodes) in [(8, 2), (9, 3), (10, 5), (12, 4), (7, 7), (6, 3)] {
                 let report = run(&world(p, nodes, mapping), |ctx| {
-                    o_bruck(ctx, 24).verify(31);
+                    Collective::Allgather(Algorithm::OBruck)
+                        .run(ctx, 24)
+                        .verify(31);
                 });
                 assert!(
                     !report.wiretap.saw_plaintext_frame(),
@@ -180,7 +173,9 @@ mod tests {
     fn o_bruck_round_count_is_ceil_lg_p() {
         for (p, nodes, want) in [(8usize, 4usize, 3u64), (9, 3, 4), (12, 4, 4)] {
             let report = run(&world(p, nodes, Mapping::Block), |ctx| {
-                o_bruck(ctx, 16).verify(31);
+                Collective::Allgather(Algorithm::OBruck)
+                    .run(ctx, 16)
+                    .verify(31);
             });
             for m in &report.metrics {
                 assert_eq!(m.comm_rounds, want, "p={p}");
@@ -193,7 +188,9 @@ mod tests {
         // ℓ = 1 world: every hop is inter-node. Each rank seals its own
         // block once; everything else is forwarded sealed.
         let report = run(&world(8, 8, Mapping::Block), |ctx| {
-            o_bruck(ctx, 16).verify(31);
+            Collective::Allgather(Algorithm::OBruck)
+                .run(ctx, 16)
+                .verify(31);
         });
         for m in &report.metrics {
             assert_eq!(m.enc_rounds, 1);

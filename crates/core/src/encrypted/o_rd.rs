@@ -194,41 +194,10 @@ pub fn o_rd_over(
     state.finish(ctx, out);
 }
 
-/// O-RD proper: opportunistic RD over all ranks.
-pub fn o_rd(ctx: &mut ProcCtx, m: usize) -> GatherOutput {
-    let members: Vec<Rank> = (0..ctx.p()).collect();
-    let mut out = GatherOutput::new(ctx.p(), m);
-    let my_chunk = ctx.my_block(m);
-    o_rd_over(
-        ctx,
-        &members,
-        my_chunk,
-        &mut out,
-        OrdVariant::ForwardSealed,
-        crate::tags::PHASE_MAIN,
-    );
-    out
-}
-
-/// O-RD2: the merge-and-re-encrypt variant.
-pub fn o_rd2(ctx: &mut ProcCtx, m: usize) -> GatherOutput {
-    let members: Vec<Rank> = (0..ctx.p()).collect();
-    let mut out = GatherOutput::new(ctx.p(), m);
-    let my_chunk = ctx.my_block(m);
-    o_rd_over(
-        ctx,
-        &members,
-        my_chunk,
-        &mut out,
-        OrdVariant::MergeRecrypt,
-        crate::tags::PHASE_MAIN,
-    );
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Algorithm, Collective};
     use eag_netsim::{profile, Mapping, Topology};
     use eag_runtime::{run, DataMode, WorldSpec};
 
@@ -247,7 +216,7 @@ mod tests {
         for mapping in [Mapping::Block, Mapping::Cyclic] {
             for (p, nodes) in [(8, 2), (8, 4), (6, 3), (9, 3), (12, 4)] {
                 let report = run(&world(p, nodes, mapping), |ctx| {
-                    o_rd(ctx, 16).verify(6);
+                    Collective::Allgather(Algorithm::ORd).run(ctx, 16).verify(6);
                 });
                 assert!(
                     !report.wiretap.saw_plaintext_frame(),
@@ -262,7 +231,9 @@ mod tests {
         for mapping in [Mapping::Block, Mapping::Cyclic] {
             for (p, nodes) in [(8, 2), (8, 4), (6, 3), (10, 5), (12, 4)] {
                 let report = run(&world(p, nodes, mapping), |ctx| {
-                    o_rd2(ctx, 16).verify(6);
+                    Collective::Allgather(Algorithm::ORd2)
+                        .run(ctx, 16)
+                        .verify(6);
                 });
                 assert!(!report.wiretap.saw_plaintext_frame());
             }
@@ -275,7 +246,7 @@ mod tests {
         // sd = (N−1)·ℓm = (p−ℓ)m, rc = lg p.
         let (p, nodes, m) = (16usize, 4usize, 32usize);
         let report = run(&world(p, nodes, Mapping::Block), |ctx| {
-            o_rd(ctx, m).verify(6);
+            Collective::Allgather(Algorithm::ORd).run(ctx, m).verify(6);
         });
         let max = report.max_metrics();
         assert_eq!(max.comm_rounds, 4);
@@ -290,7 +261,7 @@ mod tests {
         // p = 16, N = 4, ℓ = 4, block: re = rd = lg N, se = sd = (p−ℓ)m.
         let (p, nodes, m) = (16usize, 4usize, 32usize);
         let report = run(&world(p, nodes, Mapping::Block), |ctx| {
-            o_rd2(ctx, m).verify(6);
+            Collective::Allgather(Algorithm::ORd2).run(ctx, m).verify(6);
         });
         let max = report.max_metrics();
         assert_eq!(max.enc_rounds, 2);
@@ -304,7 +275,7 @@ mod tests {
         // C-RD's sub-gather: one member per node, all hops inter-node.
         let report = run(&world(8, 8, Mapping::Block), |ctx| {
             let members: Vec<Rank> = (0..8).collect();
-            let mut out = GatherOutput::new(8, 8);
+            let mut out = GatherOutput::new(vec![8; 8], &members);
             let mine = ctx.my_block(8);
             o_rd_over(
                 ctx,

@@ -96,18 +96,10 @@ pub fn o_ring_over(
     }
 }
 
-/// O-Ring proper: opportunistic ring over all `p` ranks in natural order.
-pub fn o_ring(ctx: &mut ProcCtx, m: usize) -> GatherOutput {
-    let members: Vec<Rank> = (0..ctx.p()).collect();
-    let mut out = GatherOutput::new(ctx.p(), m);
-    let my_chunk = ctx.my_block(m);
-    o_ring_over(ctx, &members, my_chunk, &mut out, crate::tags::PHASE_MAIN);
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Algorithm, Collective};
     use eag_netsim::{profile, Mapping, Topology};
     use eag_runtime::{run, DataMode, WorldSpec};
 
@@ -126,7 +118,7 @@ mod tests {
         for mapping in [Mapping::Block, Mapping::Cyclic] {
             for (p, nodes) in [(8, 2), (9, 3), (6, 6)] {
                 let report = run(&world(p, nodes, mapping), |ctx| {
-                    let out = o_ring(ctx, 24);
+                    let out = Collective::Allgather(Algorithm::ORing).run(ctx, 24);
                     out.verify(5);
                 });
                 assert!(!report.wiretap.saw_plaintext_frame());
@@ -140,7 +132,9 @@ mod tests {
         // rc = p−1, re = rd = p−1 (exit/entry processes), se = sd = (p−1)m.
         let (p, m) = (9usize, 16usize);
         let report = run(&world(p, 3, Mapping::Block), |ctx| {
-            o_ring(ctx, m).verify(5);
+            Collective::Allgather(Algorithm::ORing)
+                .run(ctx, m)
+                .verify(5);
         });
         let max = report.max_metrics();
         assert_eq!(max.comm_rounds, (p - 1) as u64);
@@ -157,7 +151,7 @@ mod tests {
         // inter-node, ciphertexts are forwarded as-is, so re = 1 per rank.
         let report = run(&world(4, 4, Mapping::Block), |ctx| {
             let members: Vec<Rank> = (0..4).collect();
-            let mut out = GatherOutput::new(4, 8);
+            let mut out = GatherOutput::new(vec![8; 4], &members);
             let mine = ctx.my_block(8);
             o_ring_over(ctx, &members, mine, &mut out, 500);
             out.verify(5);

@@ -101,9 +101,9 @@ pub fn gather_linear(
         let item = Item::Plain(ctx.my_block(lens[me]));
         let item = seal_for(ctx, item, topo.link(me, root));
         ctx.send(root, tag_base + j as u64, Parcel::one(item));
-        return GatherOutput::new_varying_sparse(lens.to_vec(), &[]);
+        return GatherOutput::new(lens.to_vec(), &[]);
     }
-    let mut out = GatherOutput::new_varying_sparse(lens.to_vec(), members);
+    let mut out = GatherOutput::new(lens.to_vec(), members);
     out.place(ctx.my_block(lens[me]));
     for (j, &src) in members.iter().enumerate().skip(1) {
         ctx.yield_now();
@@ -141,7 +141,7 @@ pub fn gather_binomial(
                 .map(|i| seal_for(ctx, i, link))
                 .collect();
             ctx.send(parent, tag_base + mask as u64, Parcel { items });
-            return GatherOutput::new_varying_sparse(lens.to_vec(), &[]);
+            return GatherOutput::new(lens.to_vec(), &[]);
         }
         if k + mask < q {
             ctx.yield_now();
@@ -152,7 +152,7 @@ pub fn gather_binomial(
     }
 
     // Only the root reaches here.
-    let mut out = GatherOutput::new_varying_sparse(lens.to_vec(), members);
+    let mut out = GatherOutput::new(lens.to_vec(), members);
     for item in holdings {
         let c = open(ctx, item);
         out.place(c);
@@ -173,7 +173,7 @@ pub fn scatter_linear(
     let root = members[0];
     let me = ctx.rank();
     let topo = ctx.topology().clone();
-    let mut out = GatherOutput::new_varying_sparse(lens.to_vec(), &[me]);
+    let mut out = GatherOutput::new(lens.to_vec(), &[me]);
     if me == root {
         for (j, &dst) in members.iter().enumerate().skip(1) {
             ctx.yield_now();
@@ -206,7 +206,7 @@ pub fn scatter_binomial(
     let k = my_index(ctx, members);
     let me = ctx.rank();
     let topo = ctx.topology().clone();
-    let mut out = GatherOutput::new_varying_sparse(lens.to_vec(), &[me]);
+    let mut out = GatherOutput::new(lens.to_vec(), &[me]);
 
     // holdings[i] is the block for member k + i.
     let mut holdings: Vec<Item>;
@@ -407,7 +407,7 @@ mod tests {
             let members2 = members.clone();
             let report = run(&world(12, 3, Mapping::Block), move |ctx| {
                 if members2.contains(&ctx.rank()) {
-                    let out = f(ctx, &members2, &vec![16; 12], 400);
+                    let out = f(ctx, &members2, &[16; 12], 400);
                     out.verify(SEED);
                 }
             });

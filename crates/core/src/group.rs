@@ -1,36 +1,16 @@
-//! Sub-communicator all-gathers: run an encrypted all-gather over an
-//! arbitrary subset of ranks (an MPI sub-communicator), not just
+//! Sub-communicators: an ordered rank subset ([`Group`]) a collective can
+//! run over via [`crate::Collective::run_group`], not just
 //! `MPI_COMM_WORLD`.
 //!
 //! **Extension beyond the paper**, which evaluates world-sized collectives
 //! only — but real applications routinely all-gather over row/column
-//! communicators of a process grid. The group versions reuse the same
-//! algorithm kernels (`o_ring_over`, `o_rd_over`, `o_bruck_over`, and the
-//! generic item movers); the opportunistic encryption rule keys off the
-//! *physical* node placement of the group members, so a group that happens
-//! to be node-local pays no encryption at all.
+//! communicators of a process grid, and crash recovery re-runs over the
+//! survivor group. Group runs go through the same kernels as world runs
+//! (the world is the group `0..p`); the opportunistic encryption rule keys
+//! off the *physical* node placement of the group members, so a group that
+//! happens to be node-local pays no encryption at all.
 
-use crate::algorithm::Algorithm;
-use crate::collective::{bruck_allgather_items, rd_allgather_items, ring_allgather_items};
-use crate::encrypted::{o_bruck_over, o_rd_over, o_ring_over, OrdVariant};
-use crate::output::GatherOutput;
-use crate::tags;
 use eag_netsim::Rank;
-use eag_runtime::{Item, ProcCtx};
-
-impl Algorithm {
-    /// True when this algorithm can run over an arbitrary rank subset.
-    /// The shared-memory algorithms (HS1/HS2 and counterparts) assume whole
-    /// nodes participate; the Concurrent family assumes the full ℓ-group
-    /// structure; the remaining algorithms only need the member list.
-    pub fn supports_groups(&self) -> bool {
-        use Algorithm::*;
-        matches!(
-            self,
-            Ring | RingRanked | Rd | Bruck | Naive | ORing | ORd | ORd2 | OBruck
-        )
-    }
-}
 
 /// An ordered set of participating ranks — a sub-communicator by value.
 ///
@@ -102,104 +82,10 @@ impl Group {
     }
 }
 
-/// Runs `algo` as an all-gather of `m`-byte blocks among `members` only.
-///
-/// Every member must call with the identical `members` list (like an MPI
-/// sub-communicator); non-members must not call. The returned output has
-/// one slot per *member position* — `GatherOutput::get(r)` is keyed by the
-/// global rank as usual, and exactly the member ranks are filled.
-pub fn allgather_group(
-    ctx: &mut ProcCtx,
-    algo: Algorithm,
-    members: &[Rank],
-    m: usize,
-) -> GatherOutput {
-    assert!(
-        algo.supports_groups(),
-        "{algo} does not support sub-communicator groups"
-    );
-    assert!(
-        members.contains(&ctx.rank()),
-        "calling rank {} is not in the group",
-        ctx.rank()
-    );
-    ctx.begin_collective();
-
-    let mut out = GatherOutput::new_sparse(ctx.p(), members, m);
-    let my_chunk = ctx.my_block(m);
-
-    use Algorithm::*;
-    match algo {
-        Ring => {
-            let items =
-                ring_allgather_items(ctx, members, vec![Item::Plain(my_chunk)], tags::PHASE_MAIN);
-            out.place_items(items);
-        }
-        RingRanked => {
-            // Order members so same-node members are consecutive.
-            let topo = ctx.topology().clone();
-            let mut ordered = members.to_vec();
-            ordered.sort_by_key(|&r| (topo.node_of(r), r));
-            let items =
-                ring_allgather_items(ctx, &ordered, vec![Item::Plain(my_chunk)], tags::PHASE_MAIN);
-            out.place_items(items);
-        }
-        Rd => {
-            let items =
-                rd_allgather_items(ctx, members, vec![Item::Plain(my_chunk)], tags::PHASE_MAIN);
-            out.place_items(items);
-        }
-        Bruck => {
-            let items =
-                bruck_allgather_items(ctx, members, Item::Plain(my_chunk), tags::PHASE_MAIN);
-            out.place_items(items);
-        }
-        Naive => {
-            out.place(my_chunk.clone());
-            let sealed = Item::Sealed(ctx.encrypt(my_chunk));
-            let items = if m < ctx.mvapich_switch_bytes() {
-                bruck_allgather_items(ctx, members, sealed, tags::PHASE_MAIN)
-            } else {
-                ring_allgather_items(ctx, members, vec![sealed], tags::PHASE_MAIN)
-            };
-            for item in items {
-                let s = item.into_sealed();
-                if s.origins.iter().all(|&o| out.has(o)) {
-                    continue;
-                }
-                let c = ctx.decrypt(s);
-                out.place(c);
-            }
-        }
-        ORing => o_ring_over(ctx, members, my_chunk, &mut out, tags::PHASE_MAIN),
-        ORd => o_rd_over(
-            ctx,
-            members,
-            my_chunk,
-            &mut out,
-            OrdVariant::ForwardSealed,
-            tags::PHASE_MAIN,
-        ),
-        ORd2 => o_rd_over(
-            ctx,
-            members,
-            my_chunk,
-            &mut out,
-            OrdVariant::MergeRecrypt,
-            tags::PHASE_MAIN,
-        ),
-        OBruck => o_bruck_over(ctx, members, my_chunk, &mut out, tags::PHASE_MAIN),
-        _ => unreachable!("supports_groups() vetted above"),
-    }
-    for &r in members {
-        assert!(out.has(r), "{algo} left member {r} unfilled");
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Algorithm, Collective};
     use eag_netsim::{profile, Mapping, Topology};
     use eag_runtime::{run, DataMode, WorldSpec};
     use proptest::prelude::*;
@@ -300,7 +186,7 @@ mod tests {
             let members2 = members.clone();
             let report = run(&world(12, 3), move |ctx| {
                 if members2.contains(&ctx.rank()) {
-                    let out = allgather_group(ctx, algo, &members2, 48);
+                    let out = Collective::Allgather(algo).run_group(ctx, &members2, 48);
                     out.verify_members(SEED, &members2);
                 }
             });
@@ -322,7 +208,9 @@ mod tests {
             let members2 = members.clone();
             let report = run(&world(12, 3), move |ctx| {
                 if members2.contains(&ctx.rank()) {
-                    allgather_group(ctx, algo, &members2, 32).verify_members(SEED, &members2);
+                    Collective::Allgather(algo)
+                        .run_group(ctx, &members2, 32)
+                        .verify_members(SEED, &members2);
                 }
             });
             let sum = eag_runtime::Metrics::component_sum(&report.metrics);
@@ -341,8 +229,12 @@ mod tests {
             let me = ctx.rank();
             let my_row: Vec<Rank> = (0..cols).map(|c| (me / cols) * cols + c).collect();
             let my_col: Vec<Rank> = (0..rows).map(|r| r * cols + me % cols).collect();
-            allgather_group(ctx, Algorithm::ORd, &my_row, 16).verify_members(SEED, &my_row);
-            allgather_group(ctx, Algorithm::OBruck, &my_col, 16).verify_members(SEED, &my_col);
+            Collective::Allgather(Algorithm::ORd)
+                .run_group(ctx, &my_row, 16)
+                .verify_members(SEED, &my_row);
+            Collective::Allgather(Algorithm::OBruck)
+                .run_group(ctx, &my_col, 16)
+                .verify_members(SEED, &my_col);
         });
         assert!(!report.wiretap.saw_plaintext_frame());
     }
@@ -353,7 +245,7 @@ mod tests {
         run(&world(4, 2), |ctx| {
             let members = vec![0, 1];
             if ctx.rank() == 3 {
-                let _ = allgather_group(ctx, Algorithm::Ring, &members, 8);
+                let _ = Collective::Allgather(Algorithm::Ring).run_group(ctx, &members, 8);
             }
         });
     }
@@ -363,7 +255,7 @@ mod tests {
     fn unsupported_algorithm_is_rejected() {
         run(&world(4, 2), |ctx| {
             if ctx.rank() == 0 {
-                let _ = allgather_group(ctx, Algorithm::Hs1, &[0], 8);
+                let _ = Collective::Allgather(Algorithm::Hs1).run_group(ctx, &[0], 8);
             }
         });
     }

@@ -13,12 +13,18 @@
 //! (in [`encrypted`], with encryption switched off).
 //!
 //! Encrypted algorithms ([`encrypted`]): Naive, O-Ring, O-RD, O-RD2,
-//! C-Ring, C-RD, HS1, HS2 — the full Table II column set.
+//! C-Ring, C-RD, HS1, HS2 — the full Table II column set — and the
+//! operation-generic extensions (broadcast, gather/scatter, all-to-all).
 //!
 //! ## Entry point
 //!
+//! [`Collective`] — an operation × algorithm pair — is the one way in:
+//! `run` / `run_group` / `run_with` execute it, `recover` runs it under the
+//! crash-recovery engine, `predict` and [`Operation::lower_bounds`] give
+//! its closed-form metrics, `verify` checks its output.
+//!
 //! ```
-//! use eag_core::{allgather, Algorithm};
+//! use eag_core::{Algorithm, Collective};
 //! use eag_netsim::{profile, Mapping, Topology};
 //! use eag_runtime::{run, DataMode, WorldSpec};
 //!
@@ -28,8 +34,9 @@
 //!     DataMode::Real { seed: 7 },
 //! );
 //! let report = run(&spec, |ctx| {
-//!     let out = allgather(ctx, Algorithm::Hs2, 1024);
-//!     out.verify(7); // every rank got every block, bit-exact
+//!     let hs2 = Collective::Allgather(Algorithm::Hs2);
+//!     let out = hs2.run(ctx, 1024);
+//!     hs2.verify(ctx.rank(), &out, 7); // every rank got every block, bit-exact
 //! });
 //! assert!(report.latency_us > 0.0);
 //! ```
@@ -38,7 +45,6 @@
 #![warn(clippy::undocumented_unsafe_blocks)]
 
 pub mod algorithm;
-pub mod allgatherv;
 pub mod bounds;
 pub mod collective;
 pub mod encrypted;
@@ -47,19 +53,14 @@ pub mod operation;
 pub mod output;
 pub mod unencrypted;
 
-pub use algorithm::{allgather, Algorithm};
-pub use allgatherv::{allgatherv, allgatherv_group, recover_allgatherv};
-pub use bounds::{
-    lower_bounds, lower_bounds_op, predict, predict_latency_us, recommend, try_lower_bounds,
-    BoundsError, MetricSet,
-};
+pub use algorithm::Algorithm;
+pub use bounds::{predict_latency_us, recommend, BoundsError, MetricSet};
 pub use collective::{recover_allgather, recover_collective};
 pub use eag_runtime::CipherSuite;
-pub use group::{allgather_group, Group};
-pub use operation::{
-    varying_lens, AlltoallAlgo, BcastAlgo, Collective, Operation, RootedAlgo,
-};
+pub use group::Group;
+pub use operation::{varying_lens, AlltoallAlgo, BcastAlgo, Collective, Operation, RootedAlgo};
 pub use output::{DegradedOutput, GatherOutput};
+pub use unencrypted::MVAPICH_SWITCH_BYTES;
 
 /// Tag-space layout: every phase of every algorithm draws its message tags
 /// (and shared-memory slot keys) from a distinct base so that concurrent

@@ -1,15 +1,19 @@
-//! The operation-generic collective surface: one [`Collective`] value names
-//! an *operation × algorithm-variant* pair and knows how to run it over the
-//! full world or an arbitrary survivor group, predict its Table-I metric
-//! set, recover it through the multi-crash engine, and verify its output.
+//! The one seam into `eag-core`: a [`Collective`] value names an
+//! *operation × algorithm-variant* pair and is the only way to run it —
+//! over the world, a sub-communicator or a survivor group, with fixed or
+//! explicit per-rank block lengths — to predict its Table-I metric set, to
+//! recover it through the multi-crash engine, and to verify its output.
 //!
-//! The original crate surface was all-gather-only; every layer above
-//! (runtime trace phases, bench schema, recovery engine) keyed on
-//! [`Algorithm`] alone. `Collective` is the join point that lets
-//! broadcast, (irregular) gather/scatter, and all-to-all ride the same
-//! machinery: the shared item movers in [`crate::collective`], the
-//! [`GatherOutput`] container (expected-slot semantics differ per
-//! operation), and [`crate::collective::recover_collective`].
+//! Everything is one general form, [`Collective::run_with`]`(ctx, members,
+//! lens)`: the world is the member list `0..p`, a fixed-length operation is
+//! the uniform-`lens` case. [`Collective::run`], [`Collective::run_group`]
+//! and [`Collective::recover`] are its specialisations for a nominal block
+//! size `m`. The all-gathers dispatch to the single kernel in
+//! [`crate::algorithm`]; broadcast, (irregular) gather/scatter and
+//! all-to-all to their kernels in [`crate::encrypted`]; all share the item
+//! movers in [`crate::collective`], the [`GatherOutput`] container
+//! (expected-slot semantics differ per operation), and
+//! [`crate::collective::recover_collective`].
 //!
 //! ## Rooted operations under recovery
 //!
@@ -21,15 +25,13 @@
 //! member list with the root still at member position 0 (member lists are
 //! sorted ascending).
 
-use crate::algorithm::{allgather, Algorithm};
-use crate::allgatherv::{allgatherv, allgatherv_group, recover_allgatherv};
-use crate::bounds::MetricSet;
-use crate::collective::{ceil_log2, recover_allgather, recover_collective};
+use crate::algorithm::{allgather_over, Algorithm};
+use crate::collective::recover_collective;
 use crate::encrypted::{
-    alltoall_bruck, alltoall_pairwise, bcast_binomial, bcast_pipelined, bcast_segments,
-    exchange_lengths, gather_binomial, gather_linear, scatter_binomial, scatter_linear,
+    alltoall_bruck, alltoall_pairwise, bcast_binomial, bcast_pipelined, exchange_lengths,
+    gather_binomial, gather_linear, scatter_binomial, scatter_linear,
 };
-use crate::group::allgather_group;
+use crate::group::Group;
 use crate::output::{DegradedOutput, GatherOutput};
 use crate::tags;
 use eag_netsim::Rank;
@@ -101,10 +103,7 @@ impl Operation {
     /// Looks an operation up by [`Operation::name`] (case-insensitive).
     pub fn by_name(name: &str) -> Option<Operation> {
         let lower = name.to_ascii_lowercase();
-        Operation::all()
-            .iter()
-            .copied()
-            .find(|o| o.name() == lower)
+        Operation::all().iter().copied().find(|o| o.name() == lower)
     }
 
     /// True for operations whose output is replicated at every rank
@@ -126,7 +125,8 @@ impl std::fmt::Display for Operation {
 /// Broadcast algorithm variants.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BcastAlgo {
-    /// Chain pipeline: the block is cut into [`bcast_segments`] segments
+    /// Chain pipeline: the block is cut into
+    /// [`crate::encrypted::bcast_segments`] segments
     /// that stream down the member chain, decryption overlapped with
     /// forwarding.
     Pipelined,
@@ -283,10 +283,16 @@ impl Collective {
                 Collective::Allgatherv(a)
             }
             Operation::Broadcast => Collective::Broadcast(
-                BcastAlgo::all().iter().copied().find(|b| b.name() == lower)?,
+                BcastAlgo::all()
+                    .iter()
+                    .copied()
+                    .find(|b| b.name() == lower)?,
             ),
             Operation::Gather | Operation::Gatherv | Operation::Scatter | Operation::Scatterv => {
-                let r = RootedAlgo::all().iter().copied().find(|r| r.name() == lower)?;
+                let r = RootedAlgo::all()
+                    .iter()
+                    .copied()
+                    .find(|r| r.name() == lower)?;
                 match Operation::by_name(op)? {
                     Operation::Gather => Collective::Gather(r),
                     Operation::Gatherv => Collective::Gatherv(r),
@@ -295,7 +301,10 @@ impl Collective {
                 }
             }
             Operation::Alltoall => Collective::Alltoall(
-                AlltoallAlgo::all().iter().copied().find(|a| a.name() == lower)?,
+                AlltoallAlgo::all()
+                    .iter()
+                    .copied()
+                    .find(|a| a.name() == lower)?,
             ),
         })
     }
@@ -319,46 +328,68 @@ impl Collective {
         v
     }
 
-    fn kernel_name(&self) -> &'static str {
-        match self {
-            Collective::Broadcast(BcastAlgo::Pipelined) => "bcast/pipelined",
-            Collective::Broadcast(BcastAlgo::Binomial) => "bcast/binomial",
-            Collective::Gather(RootedAlgo::Linear) => "gather/linear",
-            Collective::Gather(RootedAlgo::Binomial) => "gather/binomial",
-            Collective::Gatherv(RootedAlgo::Linear) => "gatherv/linear",
-            Collective::Gatherv(RootedAlgo::Binomial) => "gatherv/binomial",
-            Collective::Scatter(RootedAlgo::Linear) => "scatter/linear",
-            Collective::Scatter(RootedAlgo::Binomial) => "scatter/binomial",
-            Collective::Scatterv(RootedAlgo::Linear) => "scatterv/linear",
-            Collective::Scatterv(RootedAlgo::Binomial) => "scatterv/binomial",
-            Collective::Alltoall(AlltoallAlgo::Pairwise) => "alltoall/pairwise",
-            Collective::Alltoall(AlltoallAlgo::Bruck) => "alltoall/bruck",
-            Collective::Allgather(_) | Collective::Allgatherv(_) => "allgather",
+    /// The per-rank lengths a nominal block size `m` stands for: uniform
+    /// for the fixed-size operations, [`varying_lens`] for the `v` ones.
+    fn nominal_lens(&self, p: usize, m: usize) -> Vec<usize> {
+        match self.operation() {
+            Operation::Allgatherv | Operation::Gatherv | Operation::Scatterv => varying_lens(p, m),
+            _ => vec![m; p],
         }
     }
 
     /// Runs the collective over the full world with nominal block size
     /// `m` (`v`-operations derive per-rank lengths via [`varying_lens`]).
     pub fn run(&self, ctx: &mut ProcCtx, m: usize) -> GatherOutput {
-        ctx.note_operation(self.operation().id());
-        match self {
-            Collective::Allgather(a) => allgather(ctx, *a, m),
-            Collective::Allgatherv(a) => allgatherv(ctx, *a, &varying_lens(ctx.p(), m)),
-            _ => {
-                let members: Vec<Rank> = (0..ctx.p()).collect();
-                self.run_group(ctx, &members, m)
-            }
-        }
+        let p = ctx.p();
+        self.run_with(ctx, Group::world(p).members(), &self.nominal_lens(p, m))
     }
 
-    /// Runs the collective among `members` only (ascending global ranks;
-    /// every member calls with the identical list). This is the degraded
-    /// re-run entry used by [`Collective::recover`]; rooted operations
-    /// whose root (global rank 0) is not in `members` return an
-    /// empty-expectation output — the data died with the root.
+    /// Runs the collective among `members` only — a sub-communicator, or
+    /// the survivor group of a degraded re-run — with nominal block size
+    /// `m`. See [`Collective::run_with`] for the member-list contract.
     pub fn run_group(&self, ctx: &mut ProcCtx, members: &[Rank], m: usize) -> GatherOutput {
-        ctx.note_operation(self.operation().id());
+        self.run_with(ctx, members, &self.nominal_lens(ctx.p(), m))
+    }
+
+    /// The general form: runs the collective among `members`, rank `r`
+    /// contributing `lens[r]` bytes (`lens` is indexed by *global* rank and,
+    /// as in MPI, identical at every caller).
+    ///
+    /// Every member must call with the identical `members` list (like an
+    /// MPI sub-communicator; ascending for the rooted operations, whose
+    /// root is global rank 0); non-members must not call. `get(r)` on the
+    /// returned output is keyed by global rank, and exactly the slots the
+    /// operation delivers to this rank are filled. A rooted operation whose
+    /// root is not in `members` returns an empty-expectation output — the
+    /// data died with the root.
+    ///
+    /// Capability is checked here, once: an all-gather needs
+    /// [`Algorithm::supports`] for the world shape, over anything but the
+    /// whole world [`Algorithm::supports_groups`], and for varying
+    /// lengths (or as [`Collective::Allgatherv`])
+    /// [`Algorithm::supports_varying`]; broadcast sends `lens[0]` (the
+    /// root's block) and all-to-all needs uniform `lens`. The irregular
+    /// gatherv/scatterv read only the caller's own `lens` entry — the
+    /// others are *not* global knowledge there and travel through the
+    /// sealed length-exchange prologue.
+    ///
+    /// Structured failures raised inside (timeouts, dead peers,
+    /// authentication failures) carry the algorithm name (all-gathers) or
+    /// the operation name (everything else) as their phase.
+    pub fn run_with(&self, ctx: &mut ProcCtx, members: &[Rank], lens: &[usize]) -> GatherOutput {
         let p = ctx.p();
+        let me = ctx.rank();
+        assert_eq!(lens.len(), p, "need one length per rank");
+        assert!(
+            members.contains(&me),
+            "calling rank {me} is not in the group"
+        );
+        ctx.note_operation(self.operation().id());
+        ctx.begin_collective();
+        ctx.set_phase(match self {
+            Collective::Allgather(a) | Collective::Allgatherv(a) => a.name(),
+            _ => self.operation().name(),
+        });
         let rooted = matches!(
             self.operation(),
             Operation::Broadcast
@@ -368,59 +399,51 @@ impl Collective {
                 | Operation::Scatterv
         );
         if rooted && members.first() != Some(&0) {
-            return GatherOutput::new_sparse(p, &[], m);
+            return GatherOutput::new(lens.to_vec(), &[]);
         }
-        if matches!(self, Collective::Allgather(_) | Collective::Allgatherv(_)) {
-            let group_algo = |a: &Algorithm| {
-                if a.supports_groups() {
-                    *a
-                } else {
-                    a.recovery_algorithm()
-                }
-            };
-            return match self {
-                Collective::Allgather(a) => allgather_group(ctx, group_algo(a), members, m),
-                Collective::Allgatherv(a) => {
-                    let a = if a.supports_groups() && a.supports_varying() {
-                        *a
-                    } else {
-                        Algorithm::ORing
-                    };
-                    allgatherv_group(ctx, a, &varying_lens(p, m), members)
-                }
-                _ => unreachable!(),
-            };
-        }
-
-        ctx.begin_collective();
-        ctx.set_phase(self.kernel_name());
-        let uniform = vec![m; p];
-        match self {
+        let out = match self {
+            Collective::Allgather(a) | Collective::Allgatherv(a) => {
+                assert!(
+                    a.supports(p, ctx.topology().nodes()),
+                    "{a} does not support this world shape"
+                );
+                assert!(
+                    a.supports_groups() || members.iter().copied().eq(0..p),
+                    "{a} does not support sub-communicator groups"
+                );
+                let varying = matches!(self, Collective::Allgatherv(_))
+                    || members.iter().any(|&r| lens[r] != lens[me]);
+                assert!(
+                    !varying || a.supports_varying(),
+                    "{a} does not support variable block lengths"
+                );
+                let mut out = GatherOutput::new(lens.to_vec(), members);
+                allgather_over(ctx, *a, members, &mut out);
+                out
+            }
             Collective::Broadcast(BcastAlgo::Pipelined) => {
-                bcast_pipelined(ctx, members, m, tags::PHASE_BCAST)
+                bcast_pipelined(ctx, members, lens[0], tags::PHASE_BCAST)
             }
             Collective::Broadcast(BcastAlgo::Binomial) => {
-                bcast_binomial(ctx, members, m, tags::PHASE_BCAST)
+                bcast_binomial(ctx, members, lens[0], tags::PHASE_BCAST)
             }
             Collective::Gather(RootedAlgo::Linear) => {
-                gather_linear(ctx, members, &uniform, tags::PHASE_GATHER)
+                gather_linear(ctx, members, lens, tags::PHASE_GATHER)
             }
             Collective::Gather(RootedAlgo::Binomial) => {
-                gather_binomial(ctx, members, &uniform, tags::PHASE_GATHER)
+                gather_binomial(ctx, members, lens, tags::PHASE_GATHER)
             }
             Collective::Scatter(RootedAlgo::Linear) => {
-                scatter_linear(ctx, members, &uniform, tags::PHASE_SCATTER)
+                scatter_linear(ctx, members, lens, tags::PHASE_SCATTER)
             }
             Collective::Scatter(RootedAlgo::Binomial) => {
-                scatter_binomial(ctx, members, &uniform, tags::PHASE_SCATTER)
+                scatter_binomial(ctx, members, lens, tags::PHASE_SCATTER)
             }
             Collective::Gatherv(r) | Collective::Scatterv(r) => {
-                // The irregular case: lengths are *not* global knowledge —
-                // members learn them through the sealed exchange prologue
-                // (re-run over the survivor group after a shrink).
-                let nominal = varying_lens(p, m);
-                let lens =
-                    exchange_lengths(ctx, members, nominal[ctx.rank()], tags::PHASE_LEN_XCHG);
+                // The irregular case: members learn each other's lengths
+                // through the sealed exchange prologue (re-run over the
+                // survivor group after a shrink).
+                let lens = exchange_lengths(ctx, members, lens[me], tags::PHASE_LEN_XCHG);
                 match (self, r) {
                     (Collective::Gatherv(_), RootedAlgo::Linear) => {
                         gather_linear(ctx, members, &lens, tags::PHASE_GATHER)
@@ -436,118 +459,53 @@ impl Collective {
                     }
                 }
             }
-            Collective::Alltoall(AlltoallAlgo::Pairwise) => {
-                alltoall_pairwise(ctx, members, m, tags::PHASE_A2A)
+            Collective::Alltoall(variant) => {
+                assert!(
+                    lens.iter().all(|&l| l == lens[me]),
+                    "all-to-all needs uniform block lengths"
+                );
+                match variant {
+                    AlltoallAlgo::Pairwise => {
+                        alltoall_pairwise(ctx, members, lens[me], tags::PHASE_A2A)
+                    }
+                    AlltoallAlgo::Bruck => alltoall_bruck(ctx, members, lens[me], tags::PHASE_A2A),
+                }
             }
-            Collective::Alltoall(AlltoallAlgo::Bruck) => {
-                alltoall_bruck(ctx, members, m, tags::PHASE_A2A)
-            }
-            Collective::Allgather(_) | Collective::Allgatherv(_) => unreachable!(),
-        }
+        };
+        assert!(out.is_complete(), "{self} left the output incomplete");
+        out
     }
 
-    /// Runs the collective under the multi-crash recovery engine:
-    /// attempt, agree on failures, re-run over the survivor group.
+    /// Runs the collective under the multi-crash recovery engine
+    /// ([`recover_collective`]): attempt over the world, agree on
+    /// failures, re-run over the survivor group — with the original
+    /// per-rank lengths, so a degraded `v`-output is byte-identical to a
+    /// from-scratch group run. An all-gather whose algorithm cannot run
+    /// over a shrunk group re-runs as [`Algorithm::recovery_algorithm`].
     pub fn recover(&self, ctx: &mut ProcCtx, m: usize) -> DegradedOutput {
-        match self {
-            Collective::Allgather(a) => recover_allgather(ctx, *a, m),
-            Collective::Allgatherv(a) => recover_allgatherv(ctx, *a, &varying_lens(ctx.p(), m)),
-            _ => {
-                let this = *self;
-                recover_collective(
-                    ctx,
-                    |ctx| this.run(ctx, m),
-                    |ctx, members| this.run_group(ctx, members, m),
-                )
-            }
-        }
+        let lens = self.nominal_lens(ctx.p(), m);
+        let rerun = match *self {
+            Collective::Allgather(a) => Collective::Allgather(a.recovery_algorithm()),
+            Collective::Allgatherv(a) => Collective::Allgatherv(a.recovery_algorithm()),
+            other => other,
+        };
+        recover_collective(
+            ctx,
+            |ctx| self.run_with(ctx, Group::world(ctx.p()).members(), &lens),
+            |ctx, members| rerun.run_with(ctx, members, &lens),
+        )
     }
 
     /// Verifies `out` against the deterministic payload pattern for
-    /// `seed`, from the point of view of rank `me`. All-to-all outputs
-    /// hold pair-keyed blocks; everything else holds origin-keyed blocks.
+    /// `seed`, from the point of view of rank `me`, **panicking on any
+    /// mismatch** (harnesses detect corruption with `catch_unwind`).
+    /// All-to-all outputs hold pair-keyed blocks; everything else holds
+    /// origin-keyed blocks.
     pub fn verify(&self, me: Rank, out: &GatherOutput, seed: u64) {
         match self {
             Collective::Alltoall(_) => out.verify_pairwise(seed, me),
             _ => out.verify(seed),
         }
-    }
-
-    /// The closed-form Table-I-style metric prediction for this
-    /// collective under block mapping (p, N powers of two, N ≥ 2, uniform
-    /// blocks). `None` where no closed form is registered — the
-    /// `v`-operations (the length prologue pollutes the per-rank maxima)
-    /// and the Bruck all-to-all (shape-dependent forwarding maxima, like
-    /// the opportunistic Bruck all-gather).
-    pub fn predict(&self, p: usize, nodes: usize, m: usize) -> Option<MetricSet> {
-        if let Collective::Allgather(a) = self {
-            return crate::bounds::predict(*a, p, nodes, m);
-        }
-        if !p.is_power_of_two()
-            || !nodes.is_power_of_two()
-            || nodes < 2
-            || !p.is_multiple_of(nodes)
-        {
-            return None;
-        }
-        let ell = (p / nodes) as u64;
-        let (p64, m64) = (p as u64, m as u64);
-        let lg = ceil_log2(p) as u64;
-        let remote = (p64 - ell) * m64;
-        Some(match self {
-            Collective::Broadcast(BcastAlgo::Binomial) => MetricSet {
-                rc: 1,
-                sc: lg * m64,
-                re: 1,
-                se: m64,
-                rd: 1,
-                sd: m64,
-            },
-            Collective::Broadcast(BcastAlgo::Pipelined) => {
-                let s = bcast_segments(m) as u64;
-                MetricSet {
-                    rc: s,
-                    sc: m64,
-                    re: s,
-                    se: m64,
-                    rd: s,
-                    sd: m64,
-                }
-            }
-            Collective::Gather(RootedAlgo::Linear) => MetricSet {
-                rc: p64 - 1,
-                sc: (p64 - 1) * m64,
-                re: 1,
-                se: m64,
-                rd: p64 - ell,
-                sd: remote,
-            },
-            Collective::Gather(RootedAlgo::Binomial) => MetricSet {
-                rc: lg,
-                sc: (p64 - 1) * m64,
-                re: ell,
-                se: ell * m64,
-                rd: p64 - ell,
-                sd: remote,
-            },
-            Collective::Scatter(_) => MetricSet {
-                rc: 1,
-                sc: (p64 - 1) * m64,
-                re: p64 - ell,
-                se: remote,
-                rd: 1,
-                sd: m64,
-            },
-            Collective::Alltoall(AlltoallAlgo::Pairwise) => MetricSet {
-                rc: p64 - 1,
-                sc: (p64 - 1) * m64,
-                re: p64 - ell,
-                se: remote,
-                rd: p64 - ell,
-                sd: remote,
-            },
-            _ => return None,
-        })
     }
 }
 
@@ -560,7 +518,6 @@ impl std::fmt::Display for Collective {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bounds::lower_bounds_op;
     use eag_netsim::{profile, Mapping, Topology};
     use eag_runtime::{run, DataMode, Metrics, WorldSpec};
 
@@ -643,7 +600,7 @@ mod tests {
             assert_eq!(max.dec_rounds, pred.rd, "{c} rd");
             assert_eq!(max.dec_bytes, pred.sd, "{c} sd");
 
-            let lb = lower_bounds_op(c.operation(), p, nodes, m).unwrap();
+            let lb = c.operation().lower_bounds(p, nodes, m).unwrap();
             assert!(pred.rc >= lb.rc, "{c} rc < bound");
             assert!(pred.sc >= lb.sc, "{c} sc < bound");
             assert!(pred.re >= lb.re, "{c} re < bound");
@@ -658,13 +615,5 @@ mod tests {
         let lens = varying_lens(8, 64);
         assert_eq!(lens, vec![16, 32, 48, 64, 16, 32, 48, 64]);
         assert!(varying_lens(5, 1).iter().all(|&l| l >= 1));
-    }
-
-    #[test]
-    fn allgather_predict_delegates() {
-        let via_collective = Collective::Allgather(Algorithm::ORing).predict(16, 4, 64);
-        let direct = crate::bounds::predict(Algorithm::ORing, 16, 4, 64);
-        assert_eq!(via_collective, direct);
-        assert!(via_collective.is_some());
     }
 }

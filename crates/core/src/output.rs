@@ -19,74 +19,38 @@ pub struct GatherOutput {
     lens: Vec<usize>,
     uniform: Option<usize>,
     blocks: Vec<Option<Chunk>>,
-    /// Which rank slots this collective is expected to fill (all of them
-    /// for world collectives; the member set for group collectives).
+    /// Which rank slots this collective is expected to fill.
     expected: Vec<bool>,
 }
 
 impl GatherOutput {
-    /// An empty output buffer for `p` blocks of `block_len` bytes.
-    pub fn new(p: usize, block_len: usize) -> Self {
-        GatherOutput {
-            lens: vec![block_len; p],
-            uniform: Some(block_len),
-            blocks: vec![None; p],
-            expected: vec![true; p],
-        }
-    }
-
-    /// An output buffer for a sub-communicator collective: only `members`
-    /// (global ranks) are expected to be filled, each with `block_len`
-    /// bytes.
-    pub fn new_sparse(p: usize, members: &[usize], block_len: usize) -> Self {
-        let mut expected = vec![false; p];
-        for &r in members {
-            assert!(r < p, "member rank {r} out of range");
-            expected[r] = true;
-        }
-        GatherOutput {
-            lens: vec![block_len; p],
-            uniform: Some(block_len),
-            blocks: vec![None; p],
-            expected,
-        }
-    }
-
-    /// An empty output buffer with per-rank block lengths (all-gather-v).
-    pub fn new_varying(lens: Vec<usize>) -> Self {
+    /// An empty output buffer: rank `r`'s block is `lens[r]` bytes, and
+    /// exactly the `expected` origins (global ranks) must be filled for the
+    /// output to be complete — every rank for a world all-gather, the
+    /// member set for a group, the root alone for a broadcast.
+    pub fn new(lens: Vec<usize>, expected: &[usize]) -> Self {
         let uniform = match lens.first() {
             Some(&first) if lens.iter().all(|&l| l == first) => Some(first),
             _ => None,
         };
-        let blocks = vec![None; lens.len()];
-        let expected = vec![true; lens.len()];
+        let mut mask = vec![false; lens.len()];
+        for &r in expected {
+            assert!(r < lens.len(), "expected rank {r} out of range");
+            mask[r] = true;
+        }
         GatherOutput {
+            blocks: vec![None; lens.len()],
             lens,
             uniform,
-            blocks,
-            expected,
+            expected: mask,
         }
     }
 
-    /// A varying-length output buffer where only `members` (global ranks)
-    /// are expected — the allgatherv shape after a shrink-and-recover.
-    /// `lens` stays indexed by *global* rank.
-    pub fn new_varying_sparse(lens: Vec<usize>, members: &[usize]) -> Self {
-        let mut out = Self::new_varying(lens);
-        out.expected = vec![false; out.blocks.len()];
-        for &r in members {
-            assert!(r < out.blocks.len(), "member rank {r} out of range");
-            out.expected[r] = true;
-        }
-        out
-    }
-
-    /// Per-rank block length (uniform collectives only).
-    ///
-    /// Panics for varying-length outputs; use [`GatherOutput::len_of`].
-    pub fn block_len(&self) -> usize {
+    /// The common block length, when every rank contributes the same
+    /// number of bytes; `None` for varying-length outputs (use
+    /// [`GatherOutput::len_of`]).
+    pub fn block_len(&self) -> Option<usize> {
         self.uniform
-            .expect("block_len() is only defined for uniform all-gathers")
     }
 
     /// The expected block length of `origin`.
@@ -233,16 +197,13 @@ impl GatherOutput {
             assert_eq!(chunk.data.len(), self.lens[src]);
             if let Data::Real(bytes) = &chunk.data {
                 let expect = pattern_block_pair(seed, src, dst, self.lens[src]);
-                assert_eq!(
-                    bytes, &expect,
-                    "block {src}->{dst} corrupted in transit"
-                );
+                assert_eq!(bytes, &expect, "block {src}->{dst} corrupted in transit");
             }
         }
     }
 }
 
-/// The result of a crash-tolerant all-gather ([`crate::recover_allgather`]):
+/// The result of a crash-tolerant collective ([`crate::Collective::recover`]):
 /// the blocks of every *surviving* source rank, plus the agreed set of
 /// failed ranks whose blocks are permanently missing.
 ///
@@ -331,13 +292,18 @@ impl DegradedOutput {
 mod tests {
     use super::*;
 
+    /// A world output: `p` expected blocks of `m` bytes.
+    fn full(p: usize, m: usize) -> GatherOutput {
+        GatherOutput::new(vec![m; p], &(0..p).collect::<Vec<_>>())
+    }
+
     fn chunk(origin: usize, bytes: Vec<u8>) -> Chunk {
         Chunk::single(origin, Data::Real(bytes.into()))
     }
 
     #[test]
     fn place_and_complete() {
-        let mut out = GatherOutput::new(3, 2);
+        let mut out = full(3, 2);
         out.place(chunk(0, vec![0, 1]));
         assert!(!out.is_complete());
         assert_eq!(out.missing(), vec![1, 2]);
@@ -350,7 +316,7 @@ mod tests {
 
     #[test]
     fn multi_origin_chunks_are_split() {
-        let mut out = GatherOutput::new(2, 2);
+        let mut out = full(2, 2);
         let merged = Chunk {
             origins: vec![0, 1],
             block_len: 2,
@@ -365,7 +331,7 @@ mod tests {
 
     #[test]
     fn identical_duplicates_are_tolerated() {
-        let mut out = GatherOutput::new(1, 2);
+        let mut out = full(1, 2);
         out.place(chunk(0, vec![1, 2]));
         out.place(chunk(0, vec![1, 2]));
         assert!(out.is_complete());
@@ -374,7 +340,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "conflicting data")]
     fn conflicting_duplicates_panic() {
-        let mut out = GatherOutput::new(1, 2);
+        let mut out = full(1, 2);
         out.place(chunk(0, vec![1, 2]));
         out.place(chunk(0, vec![3, 4]));
     }
@@ -382,7 +348,7 @@ mod tests {
     #[test]
     fn verify_checks_patterns() {
         let seed = 11;
-        let mut out = GatherOutput::new(2, 8);
+        let mut out = full(2, 8);
         out.place(Chunk::single(
             0,
             Data::Real(pattern_block(seed, 0, 8).into()),
@@ -397,7 +363,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "corrupted")]
     fn verify_rejects_wrong_bytes() {
-        let mut out = GatherOutput::new(1, 8);
+        let mut out = full(1, 8);
         out.place(Chunk::single(0, Data::Real(vec![0; 8].into())));
         out.verify(11);
     }
@@ -405,7 +371,7 @@ mod tests {
     #[test]
     fn degraded_output_contract() {
         let seed = 11;
-        let mut out = GatherOutput::new_sparse(3, &[0, 2], 8);
+        let mut out = GatherOutput::new(vec![8; 3], &[0, 2]);
         out.place(Chunk::single(
             0,
             Data::Real(pattern_block(seed, 0, 8).into()),
@@ -441,7 +407,7 @@ mod tests {
 
     #[test]
     fn phantom_blocks_verify_lengths_only() {
-        let mut out = GatherOutput::new(2, 16);
+        let mut out = full(2, 16);
         out.place(Chunk::single(0, Data::Phantom(16)));
         out.place(Chunk::single(1, Data::Phantom(16)));
         out.verify(0);

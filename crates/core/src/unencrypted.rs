@@ -1,11 +1,15 @@
 //! Unencrypted all-gather baselines (paper Section III).
 //!
-//! These are the classic algorithms found in MPICH/MVAPICH: Ring, the
-//! rank-ordered Ring of Kandalla et al., Recursive Doubling (general p),
-//! Bruck, and the Hierarchical (leader-based) algorithm, plus the modeled
-//! MVAPICH default (RD/Bruck for small messages, Ring for large). The
-//! unencrypted counterparts of the paper's C-Ring / C-RD / HS algorithms
-//! live with their encrypted versions in [`crate::encrypted`].
+//! These are the classic algorithms found in MPICH/MVAPICH. Ring, the
+//! rank-ordered Ring of Kandalla et al., Recursive Doubling (general p) and
+//! Bruck are the generic item movers of [`crate::collective`] applied to
+//! plaintext blocks — the all-gather kernel calls them directly. This
+//! module holds the baselines with a shape of their own: the Hierarchical
+//! (leader-based) algorithm, Neighbor Exchange, and the modeled MVAPICH
+//! default (RD/Bruck for small messages, Ring for large), which Naive
+//! reuses on ciphertexts. The unencrypted counterparts of the paper's
+//! C-Ring / C-RD / HS algorithms live with their encrypted versions in
+//! [`crate::encrypted`].
 
 use crate::collective::{
     bcast_items_from_root, bruck_allgather_items, gather_items_to_root, rd_allgather_items,
@@ -14,80 +18,47 @@ use crate::collective::{
 use crate::output::GatherOutput;
 use crate::tags;
 use eag_netsim::Rank;
-use eag_runtime::{Item, Parcel, ProcCtx};
+use eag_runtime::{Chunk, Item, Parcel, ProcCtx};
 
-/// Ring all-gather in natural rank order (`P0 → P1 → … → Pp−1 → P0`).
-pub fn ring(ctx: &mut ProcCtx, m: usize) -> GatherOutput {
-    let members: Vec<Rank> = (0..ctx.p()).collect();
-    let items = ring_allgather_items(
-        ctx,
-        &members,
-        vec![Item::Plain(ctx.my_block(m))],
-        tags::PHASE_MAIN,
-    );
-    let mut out = GatherOutput::new(ctx.p(), m);
-    out.place_items(items);
-    out
-}
+/// Block size at which the modeled MVAPICH default switches from
+/// recursive doubling (Bruck for non-power-of-two member counts) to Ring.
+/// The paper observes RD below ~8 KB and Ring above on both of its
+/// systems, so this is a constant of the model, not a per-cluster knob.
+pub const MVAPICH_SWITCH_BYTES: usize = 8 * 1024;
 
-/// Rank-ordered Ring: the logical ring visits each node's processes
-/// consecutively, making performance oblivious to the process mapping
-/// (Kandalla et al. \[13\]).
-pub fn ring_ranked(ctx: &mut ProcCtx, m: usize) -> GatherOutput {
-    let members = ctx.topology().ring_order();
-    let items = ring_allgather_items(
-        ctx,
-        &members,
-        vec![Item::Plain(ctx.my_block(m))],
-        tags::PHASE_MAIN,
-    );
-    let mut out = GatherOutput::new(ctx.p(), m);
-    out.place_items(items);
-    out
-}
-
-/// Recursive Doubling, general `p` (fold/unfold for non-powers-of-two).
-pub fn rd(ctx: &mut ProcCtx, m: usize) -> GatherOutput {
-    let members: Vec<Rank> = (0..ctx.p()).collect();
-    let items = rd_allgather_items(
-        ctx,
-        &members,
-        vec![Item::Plain(ctx.my_block(m))],
-        tags::PHASE_MAIN,
-    );
-    let mut out = GatherOutput::new(ctx.p(), m);
-    out.place_items(items);
-    out
-}
-
-/// Bruck all-gather: `⌈lg p⌉` rounds for any `p`.
-pub fn bruck(ctx: &mut ProcCtx, m: usize) -> GatherOutput {
-    let members: Vec<Rank> = (0..ctx.p()).collect();
-    let items = bruck_allgather_items(
-        ctx,
-        &members,
-        Item::Plain(ctx.my_block(m)),
-        tags::PHASE_MAIN,
-    );
-    let mut out = GatherOutput::new(ctx.p(), m);
-    out.place_items(items);
-    out
+/// The modeled MVAPICH default all-gather of one `item` per member, block
+/// lengths as recorded in `out`: below [`MVAPICH_SWITCH_BYTES`] (keyed on
+/// the largest block any member contributes) RD when the member count is a
+/// power of two and Bruck otherwise; Ring at or above it. The one owner of
+/// that selection — the `MVAPICH` baseline moves plaintext through it,
+/// Naive ciphertext.
+pub fn mvapich_allgather_items(
+    ctx: &mut ProcCtx,
+    members: &[Rank],
+    item: Item,
+    out: &GatherOutput,
+    tag_base: u64,
+) -> Vec<Item> {
+    let max_len = members.iter().map(|&r| out.len_of(r)).max().unwrap_or(0);
+    if max_len >= MVAPICH_SWITCH_BYTES {
+        ring_allgather_items(ctx, members, vec![item], tag_base)
+    } else if members.len().is_power_of_two() {
+        rd_allgather_items(ctx, members, vec![item], tag_base)
+    } else {
+        bruck_allgather_items(ctx, members, item, tag_base)
+    }
 }
 
 /// The Hierarchical algorithm (Träff \[28\]): intra-node gather to a leader,
 /// inter-node all-gather among leaders (RD), intra-node broadcast.
-pub fn hierarchical(ctx: &mut ProcCtx, m: usize) -> GatherOutput {
+pub fn hierarchical(ctx: &mut ProcCtx, my_chunk: Chunk, out: &mut GatherOutput) {
     let topo = ctx.topology().clone();
     let local = topo.ranks_on_node(topo.node_of(ctx.rank()));
     let leaders: Vec<Rank> = (0..topo.nodes()).map(|n| topo.leader_of(n)).collect();
 
     // Step 1: gather node blocks to the leader.
-    let gathered = gather_items_to_root(
-        ctx,
-        &local,
-        vec![Item::Plain(ctx.my_block(m))],
-        tags::PHASE_GATHER,
-    );
+    let gathered =
+        gather_items_to_root(ctx, &local, vec![Item::Plain(my_chunk)], tags::PHASE_GATHER);
 
     // Step 2: leaders all-gather everything.
     let leader_items =
@@ -95,23 +66,17 @@ pub fn hierarchical(ctx: &mut ProcCtx, m: usize) -> GatherOutput {
 
     // Step 3: broadcast the full result within each node.
     let all = bcast_items_from_root(ctx, &local, leader_items, tags::PHASE_BCAST);
-    let mut out = GatherOutput::new(ctx.p(), m);
     out.place_items(all);
-    out
 }
 
 /// Neighbor Exchange all-gather (Chen & Yuan): `p/2` rounds for even `p`,
 /// alternating exchanges with the left/right ring neighbours, moving two
-/// blocks per round after the first. Falls back to Ring for odd `p`
-/// (the algorithm is only defined for even process counts).
-pub fn neighbor_exchange(ctx: &mut ProcCtx, m: usize) -> GatherOutput {
+/// blocks per round after the first. Only defined for even `p`; the
+/// all-gather kernel runs Ring instead when `p` is odd.
+pub fn neighbor_exchange(ctx: &mut ProcCtx, my_chunk: Chunk, out: &mut GatherOutput) {
     let p = ctx.p();
-    if !p.is_multiple_of(2) {
-        return ring(ctx, m);
-    }
-    let mut out = GatherOutput::new(p, m);
+    assert!(p.is_multiple_of(2), "Neighbor Exchange needs an even p");
     let me = ctx.rank();
-    let my_chunk = ctx.my_block(m);
     out.place(my_chunk.clone());
 
     let right = (me + 1) % p;
@@ -157,27 +122,11 @@ pub fn neighbor_exchange(ctx: &mut ProcCtx, m: usize) -> GatherOutput {
         }
         last_pair = received;
     }
-    out
-}
-
-/// The modeled MVAPICH default: RD for small messages (Bruck when `p` is not
-/// a power of two), Ring for large; the switch point comes from the cluster
-/// profile (the paper observes RD below ~8 KB, Ring above, on both systems).
-pub fn mvapich(ctx: &mut ProcCtx, m: usize) -> GatherOutput {
-    if m < ctx.mvapich_switch_bytes() {
-        if ctx.p().is_power_of_two() {
-            rd(ctx, m)
-        } else {
-            bruck(ctx, m)
-        }
-    } else {
-        ring(ctx, m)
-    }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::{Algorithm, Collective};
     use eag_netsim::{profile, Mapping, Topology};
     use eag_runtime::{run, DataMode, WorldSpec};
 
@@ -189,10 +138,10 @@ mod tests {
         )
     }
 
-    fn check(algo: impl Fn(&mut ProcCtx, usize) -> GatherOutput + Sync, p: usize, nodes: usize) {
+    fn check(algo: Algorithm, p: usize, nodes: usize) {
         for mapping in [Mapping::Block, Mapping::Cyclic] {
-            let report = run(&spec(p, nodes, mapping), |ctx| {
-                let out = algo(ctx, 32);
+            let report = run(&spec(p, nodes, mapping), move |ctx| {
+                let out = Collective::Allgather(algo).run(ctx, 32);
                 out.verify(42);
                 out.is_complete()
             });
@@ -202,48 +151,50 @@ mod tests {
 
     #[test]
     fn ring_correct() {
-        check(ring, 8, 2);
-        check(ring, 6, 3);
+        check(Algorithm::Ring, 8, 2);
+        check(Algorithm::Ring, 6, 3);
     }
 
     #[test]
     fn ring_ranked_correct() {
-        check(ring_ranked, 8, 2);
-        check(ring_ranked, 12, 3);
+        check(Algorithm::RingRanked, 8, 2);
+        check(Algorithm::RingRanked, 12, 3);
     }
 
     #[test]
     fn rd_correct_pow2_and_general() {
-        check(rd, 8, 2);
-        check(rd, 6, 2);
-        check(rd, 12, 4);
+        check(Algorithm::Rd, 8, 2);
+        check(Algorithm::Rd, 6, 2);
+        check(Algorithm::Rd, 12, 4);
     }
 
     #[test]
     fn bruck_correct() {
-        check(bruck, 8, 2);
-        check(bruck, 10, 5);
+        check(Algorithm::Bruck, 8, 2);
+        check(Algorithm::Bruck, 10, 5);
     }
 
     #[test]
     fn hierarchical_correct() {
-        check(hierarchical, 8, 2);
-        check(hierarchical, 12, 3);
+        check(Algorithm::Hierarchical, 8, 2);
+        check(Algorithm::Hierarchical, 12, 3);
     }
 
     #[test]
     fn neighbor_exchange_correct() {
-        check(neighbor_exchange, 8, 2);
-        check(neighbor_exchange, 6, 3);
-        check(neighbor_exchange, 12, 4);
+        check(Algorithm::NeighborExchange, 8, 2);
+        check(Algorithm::NeighborExchange, 6, 3);
+        check(Algorithm::NeighborExchange, 12, 4);
         // Odd p falls back to Ring.
-        check(neighbor_exchange, 9, 3);
+        check(Algorithm::NeighborExchange, 9, 3);
     }
 
     #[test]
     fn neighbor_exchange_round_count_is_half_p() {
         let report = run(&spec(8, 2, Mapping::Block), |ctx| {
-            neighbor_exchange(ctx, 16).verify(42);
+            Collective::Allgather(Algorithm::NeighborExchange)
+                .run(ctx, 16)
+                .verify(42);
         });
         for m in &report.metrics {
             assert_eq!(m.comm_rounds, 4); // p/2
@@ -258,7 +209,7 @@ mod tests {
         for (p, nodes) in [(8, 2), (6, 3)] {
             for m in [32usize, 16 * 1024] {
                 let report = run(&spec(p, nodes, Mapping::Block), move |ctx| {
-                    let out = mvapich(ctx, m);
+                    let out = Collective::Allgather(Algorithm::Mvapich).run(ctx, m);
                     out.verify(42);
                     true
                 });
@@ -270,7 +221,9 @@ mod tests {
     #[test]
     fn ring_round_count_is_p_minus_1() {
         let report = run(&spec(6, 2, Mapping::Block), |ctx| {
-            ring(ctx, 16).is_complete()
+            Collective::Allgather(Algorithm::Ring)
+                .run(ctx, 16)
+                .is_complete()
         });
         for m in &report.metrics {
             assert_eq!(m.comm_rounds, 5);
@@ -280,7 +233,11 @@ mod tests {
     #[test]
     fn rd_bytes_match_theory_pow2() {
         // sc = (p-1)·m for recursive doubling.
-        let report = run(&spec(8, 2, Mapping::Block), |ctx| rd(ctx, 64).is_complete());
+        let report = run(&spec(8, 2, Mapping::Block), |ctx| {
+            Collective::Allgather(Algorithm::Rd)
+                .run(ctx, 64)
+                .is_complete()
+        });
         for m in &report.metrics {
             assert_eq!(m.bytes_sent, 7 * 64);
             assert_eq!(m.bytes_recv, 7 * 64);

@@ -7,7 +7,7 @@
 //!
 //! Usage: `cargo run --release -p eag-integration --features chaos --bin chaos_sweep [seeds...]`
 
-use eag_core::Algorithm;
+use eag_core::{Algorithm, Collective};
 use eag_integration::{chaos_run, render_markdown_table, ChaosReport};
 use eag_netsim::{FaultKind, FaultPlan};
 
@@ -20,7 +20,7 @@ const PERMILLE: u16 = 20;
 fn sweep(label: &str, plan: FaultPlan) -> (Vec<ChaosReport>, bool) {
     let rows: Vec<ChaosReport> = Algorithm::encrypted_all()
         .iter()
-        .map(|&algo| chaos_run(algo, P, NODES, M, plan.clone()))
+        .map(|&algo| chaos_run(Collective::Allgather(algo), P, NODES, M, plan.clone()))
         .collect();
     let all_ok = rows.iter().all(|r| r.byte_identical);
     let injected: u64 = rows.iter().map(|r| r.faults_injected).sum();
@@ -49,7 +49,7 @@ fn framing_overhead(reps: u32) {
                 .map(|_| {
                     let t0 = std::time::Instant::now();
                     for &algo in Algorithm::encrypted_all() {
-                        let r = chaos_run(algo, P, NODES, m, plan.clone());
+                        let r = chaos_run(Collective::Allgather(algo), P, NODES, m, plan.clone());
                         assert!(r.byte_identical, "{algo} diverged with no faults");
                     }
                     t0.elapsed()

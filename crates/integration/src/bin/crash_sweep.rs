@@ -9,7 +9,7 @@
 //! exercises crashes that land mid-agreement, and those armed crashes are
 //! required to fire.
 //!
-//! Each cell runs a crash-tolerant all-gather (`recover_allgather`) and
+//! Each cell runs a crash-tolerant all-gather (`Collective::recover`) and
 //! checks the survivor contract: zero hangs, all survivors agree on one
 //! failed set naming only real crashes, and every survivor returns the
 //! byte-identical degraded output. A crash planned at a send step its
@@ -24,7 +24,7 @@
 //! (the seed derives the f ≥ 2 schedules, so a sweep is replayed exactly
 //! by rerunning with the same seed; f defaults to 1).
 
-use eag_core::Algorithm;
+use eag_core::{Algorithm, Collective};
 use eag_integration::{crash_run, crash_schedule_run, render_crash_markdown_table, CrashRunReport};
 use eag_netsim::Crash;
 
@@ -110,7 +110,7 @@ fn sweep_single(all: &mut Vec<CrashRunReport>) -> bool {
         for rank in 0..P {
             let mut cells = Vec::new();
             for (crash, _) in variants(rank) {
-                let r = crash_run(algo, P, NODES, M, crash);
+                let r = crash_run(Collective::Allgather(algo), P, NODES, M, crash);
                 cells.push(match (r.ok(), r.fired) {
                     (true, true) => "R",
                     (true, false) => "·",
@@ -136,7 +136,7 @@ fn sweep_multi(seed: u64, f: usize, all: &mut Vec<CrashRunReport>) -> bool {
         for i in 0..SCHEDULES {
             let crashes = schedule(&mut state, f, i);
             let desc = crashes.iter().map(label).collect::<Vec<_>>().join(", ");
-            let r = crash_schedule_run(algo, P, NODES, M, crashes.clone());
+            let r = crash_schedule_run(Collective::Allgather(algo), P, NODES, M, crashes.clone());
             let mut cell = match (r.ok(), r.fired) {
                 (true, true) => "R",
                 (true, false) => "·",

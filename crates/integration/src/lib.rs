@@ -2,10 +2,10 @@
 //!
 //! The crate's `[[test]]` targets (under the repository's `tests/`) exercise
 //! correctness, security, metrics, bounds, and tracing across every crate.
-//! The library itself hosts the **chaos harness**: helpers that run an
-//! all-gather under a deterministic [`FaultPlan`] and check that the
+//! The library itself hosts the **chaos harness**: helpers that run any
+//! [`Collective`] under a deterministic [`FaultPlan`] and check that the
 //! recovered result is byte-identical to a fault-free run of the same
-//! algorithm.
+//! collective.
 //!
 //! The `chaos_sweep` binary (gated behind the `chaos` cargo feature) sweeps
 //! algorithms × fault kinds × seeds and renders the results as a markdown
@@ -13,11 +13,10 @@
 
 #![deny(missing_docs)]
 
-use eag_core::{allgather, recover_allgather, Algorithm, Collective};
+use eag_core::Collective;
 use eag_netsim::{profile, Crash, FaultPlan, Mapping, Topology};
 use eag_runtime::{
-    try_run, try_run_crashable, CollectiveError, DataMode, Metrics, RetryPolicy, RunReport,
-    WorldSpec,
+    try_run, try_run_crashable, CollectiveError, DataMode, Metrics, RetryPolicy, WorldSpec,
 };
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Duration;
@@ -25,13 +24,13 @@ use std::time::Duration;
 /// The data-pattern seed every chaos run uses (distinct from fault seeds).
 pub const DATA_SEED: u64 = 7;
 
-/// The outcome of one all-gather under fault injection, compared against a
+/// The outcome of one collective under fault injection, compared against a
 /// fault-free reference run.
 #[derive(Debug, Clone)]
 pub struct ChaosReport {
-    /// The algorithm exercised.
-    pub algo: Algorithm,
-    /// The collective completed and every rank's gathered bytes are
+    /// The collective exercised.
+    pub collective: Collective,
+    /// The collective completed and every rank's delivered bytes are
     /// identical to the fault-free reference.
     pub byte_identical: bool,
     /// The structured failure, if the collective aborted.
@@ -70,38 +69,27 @@ pub fn chaos_spec(p: usize, nodes: usize, plan: FaultPlan) -> WorldSpec {
     spec
 }
 
-/// Runs `algo` on `p` ranks / `nodes` nodes with `m`-byte blocks and
-/// returns every rank's gathered bytes, or the structured error.
-fn gather_bytes(
-    spec: &WorldSpec,
-    algo: Algorithm,
-    m: usize,
-) -> Result<RunReport<Vec<Vec<u8>>>, CollectiveError> {
-    try_run(spec, move |ctx| {
-        allgather(ctx, algo, m)
-            .into_blocks()
-            .into_iter()
-            .map(|b| b.data.to_vec())
-            .collect()
-    })
-}
-
-/// Runs `algo` under `plan` and compares the result byte-for-byte against a
-/// fault-free run of the same algorithm on the same inputs.
-pub fn chaos_run(
-    algo: Algorithm,
-    p: usize,
-    nodes: usize,
-    m: usize,
-    plan: FaultPlan,
-) -> ChaosReport {
-    let clean = gather_bytes(&chaos_spec(p, nodes, FaultPlan::default()), algo, m)
-        .unwrap_or_else(|e| panic!("{algo}: fault-free reference failed: {e}"));
-    match gather_bytes(&chaos_spec(p, nodes, plan), algo, m) {
+/// Runs the collective `c` under `plan` and compares every rank's
+/// delivered blocks byte-for-byte against a fault-free run of the same
+/// collective on the same inputs (each rank compares only the slots its
+/// role delivers).
+pub fn chaos_run(c: Collective, p: usize, nodes: usize, m: usize, plan: FaultPlan) -> ChaosReport {
+    let deliver = move |ctx: &mut eag_runtime::ProcCtx| {
+        let out = c.run(ctx, m);
+        c.verify(ctx.rank(), &out, DATA_SEED);
+        // Sparse outputs are legal (gather delivers only at the root,
+        // scatter only the own slot): collect whatever this role holds.
+        (0..out.p())
+            .filter_map(|r| out.get(r).map(|b| (r, b.data.to_vec())))
+            .collect::<Vec<_>>()
+    };
+    let clean = try_run(&chaos_spec(p, nodes, FaultPlan::default()), deliver)
+        .unwrap_or_else(|e| panic!("{c}: fault-free reference failed: {e}"));
+    match try_run(&chaos_spec(p, nodes, plan), deliver) {
         Ok(report) => {
             let sum = Metrics::component_sum(&report.metrics);
             ChaosReport {
-                algo,
+                collective: c,
                 byte_identical: report.outputs == clean.outputs,
                 error: None,
                 faults_injected: sum.faults_injected,
@@ -113,7 +101,7 @@ pub fn chaos_run(
             }
         }
         Err(error) => ChaosReport {
-            algo,
+            collective: c,
             byte_identical: false,
             error: Some(error),
             faults_injected: 0,
@@ -128,12 +116,16 @@ pub fn chaos_run(
 
 // ----- crash recovery harness -------------------------------------------
 
-/// The outcome of one crash-tolerant all-gather under an injected crash
-/// schedule, checked against the survivor-agreement contract.
+/// The outcome of one crash-tolerant collective (any operation) under an
+/// injected crash schedule, checked against the operation's uniformity
+/// contract: replicated operations must yield the byte-identical degraded
+/// output at every survivor; rooted and personalized operations must agree
+/// on the canonical *header* (failed set + epochs) while each survivor's
+/// own output verifies bit-exact for its role.
 #[derive(Debug, Clone)]
 pub struct CrashRunReport {
-    /// The algorithm exercised.
-    pub algo: Algorithm,
+    /// The collective exercised.
+    pub collective: Collective,
     /// The injected crash schedule (see `FaultPlan::crashes`).
     pub crashes: Vec<Crash>,
     /// At least one planned crash actually fired (its target rank reached
@@ -145,9 +137,11 @@ pub struct CrashRunReport {
     /// deciding agreement (or after contributing its block) is attributed
     /// like a post-collective death and stays out of the decision.
     pub agreed: bool,
-    /// Every survivor's degraded output verified bit-exact against the
-    /// input patterns and all canonical encodings are identical.
-    pub byte_identical: bool,
+    /// The per-operation uniformity contract held (canonical bytes for
+    /// replicated operations, canonical header otherwise).
+    pub uniform: bool,
+    /// Every survivor's output verified bit-exact for its role.
+    pub verified: bool,
     /// Number of surviving ranks.
     pub survivors: usize,
     /// The ranks that actually died during the run, ascending.
@@ -166,9 +160,9 @@ pub struct CrashRunReport {
 }
 
 impl CrashRunReport {
-    /// True when the run upheld the full recovery contract.
+    /// True when the run upheld the full per-operation recovery contract.
     pub fn ok(&self) -> bool {
-        self.error.is_none() && self.agreed && self.byte_identical
+        self.error.is_none() && self.agreed && self.uniform && self.verified
     }
 }
 
@@ -199,139 +193,26 @@ pub fn crash_spec(p: usize, nodes: usize, crash: Crash) -> WorldSpec {
     crash_schedule_spec(p, nodes, vec![crash])
 }
 
-/// Runs `recover_allgather` under an injected crash schedule and checks
-/// the survivor-agreement contract: every survivor settles on the
-/// *identical* failed set — a subset of the ranks that really crashed —
-/// and returns the byte-identical degraded output. A crash whose armed
-/// step its rank never reaches simply does not fire; with no fired crash
-/// the run must complete cleanly at every rank.
-pub fn crash_schedule_run(
-    algo: Algorithm,
-    p: usize,
-    nodes: usize,
-    m: usize,
-    crashes: Vec<Crash>,
-) -> CrashRunReport {
-    let mut clean_spec = crash_schedule_spec(p, nodes, Vec::new());
-    clean_spec.faults = FaultPlan::default();
-    let clean = try_run(&clean_spec, move |ctx| {
-        allgather(ctx, algo, m).verify(DATA_SEED);
-    })
-    .unwrap_or_else(|e| panic!("{algo}: fault-free reference failed: {e}"));
-
-    let spec = crash_schedule_spec(p, nodes, crashes.clone());
-    match try_run_crashable(&spec, move |ctx| recover_allgather(ctx, algo, m)) {
-        Ok(report) => {
-            let sum = Metrics::component_sum(&report.metrics);
-            let mut agreed = true;
-            let mut byte_identical = true;
-            let mut canon: Option<Vec<u8>> = None;
-            let mut decided: Option<Vec<usize>> = None;
-            for (_, out) in report.survivor_outputs() {
-                match &decided {
-                    Some(d) => agreed &= &out.failed == d,
-                    None => decided = Some(out.failed.clone()),
-                }
-                agreed &= out.failed.iter().all(|r| report.crashed.contains(r));
-                byte_identical &= catch_unwind(AssertUnwindSafe(|| out.verify(DATA_SEED))).is_ok();
-                let bytes = out.canonical_bytes();
-                match &canon {
-                    Some(c) => byte_identical &= c == &bytes,
-                    None => canon = Some(bytes),
-                }
-            }
-            CrashRunReport {
-                algo,
-                crashes,
-                fired: !report.crashed.is_empty(),
-                agreed,
-                byte_identical,
-                survivors: p - report.crashed.len(),
-                crashed: report.crashed.clone(),
-                crashes_detected: sum.crashes_detected,
-                recoveries: sum.recoveries,
-                clean_latency_us: clean.latency_us,
-                latency_us: report.latency_us,
-                error: None,
-            }
-        }
-        Err(error) => CrashRunReport {
-            algo,
-            crashes,
-            fired: false,
-            agreed: false,
-            byte_identical: false,
-            survivors: 0,
-            crashed: Vec::new(),
-            crashes_detected: 0,
-            recoveries: 0,
-            clean_latency_us: clean.latency_us,
-            latency_us: 0.0,
-            error: Some(error),
-        },
-    }
-}
-
-/// Single-crash convenience wrapper over [`crash_schedule_run`].
-pub fn crash_run(
-    algo: Algorithm,
-    p: usize,
-    nodes: usize,
-    m: usize,
-    crash: Crash,
-) -> CrashRunReport {
-    crash_schedule_run(algo, p, nodes, m, vec![crash])
-}
-
-// ----- operation-generic harness ----------------------------------------
-
-/// The outcome of one crash-tolerant collective (any operation) under an
-/// injected crash schedule, checked against the operation's uniformity
-/// contract: replicated operations must yield the byte-identical degraded
-/// output at every survivor; rooted and personalized operations must agree
-/// on the canonical *header* (failed set + epochs) while each survivor's
-/// own output verifies bit-exact for its role.
-#[derive(Debug, Clone)]
-pub struct CollectiveCrashReport {
-    /// The collective exercised.
-    pub collective: Collective,
-    /// At least one planned crash actually fired.
-    pub fired: bool,
-    /// Every survivor decided the identical failed set, naming only ranks
-    /// that really crashed.
-    pub agreed: bool,
-    /// The per-operation uniformity contract held (canonical bytes for
-    /// replicated operations, canonical header otherwise).
-    pub uniform: bool,
-    /// Every survivor's output verified bit-exact for its role.
-    pub verified: bool,
-    /// Number of surviving ranks.
-    pub survivors: usize,
-    /// The ranks that actually died during the run, ascending.
-    pub crashed: Vec<usize>,
-    /// Completed shrink-and-recover re-runs, summed over ranks.
-    pub recoveries: u64,
-    /// The structured failure, if the world aborted instead of recovering.
-    pub error: Option<CollectiveError>,
-}
-
-impl CollectiveCrashReport {
-    /// True when the run upheld the full per-operation recovery contract.
-    pub fn ok(&self) -> bool {
-        self.error.is_none() && self.agreed && self.uniform && self.verified
-    }
-}
-
 /// Runs `Collective::recover` under an injected crash schedule and checks
-/// the per-operation recovery contract (see [`CollectiveCrashReport`]).
-pub fn collective_crash_run(
+/// the per-operation recovery contract (see [`CrashRunReport`]): every
+/// survivor settles on the *identical* failed set — a subset of the ranks
+/// that really crashed — and the outputs are uniform and verified. A crash
+/// whose armed step its rank never reaches simply does not fire; with no
+/// fired crash the run must complete cleanly at every rank.
+pub fn crash_schedule_run(
     c: Collective,
     p: usize,
     nodes: usize,
     m: usize,
     crashes: Vec<Crash>,
-) -> CollectiveCrashReport {
-    let spec = crash_schedule_spec(p, nodes, crashes);
+) -> CrashRunReport {
+    let clean = try_run(&crash_schedule_spec(p, nodes, Vec::new()), move |ctx| {
+        let out = c.run(ctx, m);
+        c.verify(ctx.rank(), &out, DATA_SEED);
+    })
+    .unwrap_or_else(|e| panic!("{c}: fault-free reference failed: {e}"));
+
+    let spec = crash_schedule_spec(p, nodes, crashes.clone());
     match try_run_crashable(&spec, move |ctx| c.recover(ctx, m)) {
         Ok(report) => {
             let sum = Metrics::component_sum(&report.metrics);
@@ -347,8 +228,14 @@ pub fn collective_crash_run(
                     None => decided = Some(out.failed.clone()),
                 }
                 agreed &= out.failed.iter().all(|r| report.crashed.contains(r));
-                verified &= catch_unwind(AssertUnwindSafe(|| {
-                    c.verify(rank, &out.output, DATA_SEED)
+                verified &= catch_unwind(AssertUnwindSafe(|| match c {
+                    // An all-gather ties `failed` to the output: every rank
+                    // outside it must be present and bit-exact.
+                    Collective::Allgather(_) | Collective::Allgatherv(_) => out.verify(DATA_SEED),
+                    _ => {
+                        c.verify(rank, &out.output, DATA_SEED);
+                        assert!(out.failed.iter().all(|&f| out.output.get(f).is_none()));
+                    }
                 }))
                 .is_ok();
                 let bytes = if replicated {
@@ -361,85 +248,46 @@ pub fn collective_crash_run(
                     None => canon = Some(bytes),
                 }
             }
-            CollectiveCrashReport {
+            CrashRunReport {
                 collective: c,
+                crashes,
                 fired: !report.crashed.is_empty(),
                 agreed,
                 uniform,
                 verified,
                 survivors: p - report.crashed.len(),
                 crashed: report.crashed.clone(),
+                crashes_detected: sum.crashes_detected,
                 recoveries: sum.recoveries,
+                clean_latency_us: clean.latency_us,
+                latency_us: report.latency_us,
                 error: None,
             }
         }
-        Err(error) => CollectiveCrashReport {
+        Err(error) => CrashRunReport {
             collective: c,
+            crashes,
             fired: false,
             agreed: false,
             uniform: false,
             verified: false,
             survivors: 0,
             crashed: Vec::new(),
+            crashes_detected: 0,
             recoveries: 0,
-            error: Some(error),
-        },
-    }
-}
-
-/// Runs a collective under `plan` and compares every rank's delivered
-/// blocks byte-for-byte against a fault-free run — the chaos contract,
-/// generalized to any operation (each rank compares only the slots its
-/// role delivers). Returns the faulted run's fault/retry counters.
-pub fn collective_chaos_run(
-    c: Collective,
-    p: usize,
-    nodes: usize,
-    m: usize,
-    plan: FaultPlan,
-) -> ChaosReport {
-    let deliver = move |ctx: &mut eag_runtime::ProcCtx| {
-        let out = c.run(ctx, m);
-        c.verify(ctx.rank(), &out, DATA_SEED);
-        // Sparse outputs are legal (gather delivers only at the root,
-        // scatter only the own slot): collect whatever this role holds.
-        (0..out.p())
-            .filter_map(|r| out.get(r).map(|b| (r, b.data.to_vec())))
-            .collect::<Vec<_>>()
-    };
-    let clean = try_run(&chaos_spec(p, nodes, FaultPlan::default()), deliver)
-        .unwrap_or_else(|e| panic!("{c}: fault-free reference failed: {e}"));
-    let algo = Algorithm::ORing; // report carrier only; unused for non-allgather
-    match try_run(&chaos_spec(p, nodes, plan), deliver) {
-        Ok(report) => {
-            let sum = Metrics::component_sum(&report.metrics);
-            ChaosReport {
-                algo,
-                byte_identical: report.outputs == clean.outputs,
-                error: None,
-                faults_injected: sum.faults_injected,
-                faults_detected: sum.faults_detected,
-                retries: sum.retries(),
-                dup_frames_dropped: sum.dup_frames_dropped,
-                retransmit_bytes: sum.retransmit_bytes,
-                latency_us: report.latency_us,
-            }
-        }
-        Err(error) => ChaosReport {
-            algo,
-            byte_identical: false,
-            error: Some(error),
-            faults_injected: 0,
-            faults_detected: 0,
-            retries: 0,
-            dup_frames_dropped: 0,
-            retransmit_bytes: 0,
+            clean_latency_us: clean.latency_us,
             latency_us: 0.0,
+            error: Some(error),
         },
     }
 }
 
-/// Renders crash-run reports as a per-algorithm summary table: how many
+/// Single-crash convenience wrapper over [`crash_schedule_run`].
+pub fn crash_run(c: Collective, p: usize, nodes: usize, m: usize, crash: Crash) -> CrashRunReport {
+    crash_schedule_run(c, p, nodes, m, vec![crash])
+}
+
+/// Renders crash-run reports as a per-variant summary table: how many
 /// planned crashes fired, how many recovered correctly, and the mean
 /// recovery-latency overhead versus the fault-free run (fired runs only).
 pub fn render_crash_markdown_table(rows: &[CrashRunReport]) -> String {
@@ -447,14 +295,14 @@ pub fn render_crash_markdown_table(rows: &[CrashRunReport]) -> String {
         "| algorithm | runs | fired | recovered | mean recovery latency vs clean |\n\
          |---|---:|---:|---:|---:|\n",
     );
-    let mut algos: Vec<Algorithm> = Vec::new();
+    let mut collectives: Vec<Collective> = Vec::new();
     for r in rows {
-        if !algos.contains(&r.algo) {
-            algos.push(r.algo);
+        if !collectives.contains(&r.collective) {
+            collectives.push(r.collective);
         }
     }
-    for algo in algos {
-        let runs: Vec<&CrashRunReport> = rows.iter().filter(|r| r.algo == algo).collect();
+    for c in collectives {
+        let runs: Vec<&CrashRunReport> = rows.iter().filter(|r| r.collective == c).collect();
         let fired: Vec<&&CrashRunReport> = runs.iter().filter(|r| r.fired).collect();
         let recovered = fired.iter().filter(|r| r.ok()).count();
         let ratio = if fired.is_empty() {
@@ -469,7 +317,7 @@ pub fn render_crash_markdown_table(rows: &[CrashRunReport]) -> String {
         };
         out.push_str(&format!(
             "| {} | {} | {} | {} | {} |\n",
-            algo,
+            c.variant_name(),
             runs.len(),
             fired.len(),
             recovered,
@@ -496,7 +344,12 @@ pub fn render_markdown_table(rows: &[ChaosReport]) -> String {
         };
         out.push_str(&format!(
             "| {} | {} | {} | {} | {} | {} |\n",
-            r.algo, verdict, r.faults_injected, r.faults_detected, r.retries, r.dup_frames_dropped,
+            r.collective.variant_name(),
+            verdict,
+            r.faults_injected,
+            r.faults_detected,
+            r.retries,
+            r.dup_frames_dropped,
         ));
     }
     out

@@ -18,10 +18,6 @@ pub struct ClusterProfile {
     pub name: String,
     /// The virtual-time cost model.
     pub model: CostModel,
-    /// Message size (bytes) at which the modeled MVAPICH baseline switches
-    /// from recursive doubling to ring (the paper observes RD for small,
-    /// Ring for large on both systems).
-    pub mvapich_switch_bytes: usize,
 }
 
 /// The paper's local Noleland cluster: Intel Xeon Gold 6130 (32 cores/node),
@@ -58,7 +54,6 @@ pub fn noleland() -> ClusterProfile {
             },
             fabric: None,
         },
-        mvapich_switch_bytes: 8 * 1024,
     }
 }
 
@@ -93,7 +88,6 @@ pub fn bridges2() -> ClusterProfile {
             },
             fabric: None,
         },
-        mvapich_switch_bytes: 8 * 1024,
     }
 }
 
@@ -102,7 +96,6 @@ pub fn free() -> ClusterProfile {
     ClusterProfile {
         name: "free".to_string(),
         model: CostModel::free(),
-        mvapich_switch_bytes: 8 * 1024,
     }
 }
 
@@ -111,7 +104,6 @@ pub fn unit() -> ClusterProfile {
     ClusterProfile {
         name: "unit".to_string(),
         model: CostModel::unit(),
-        mvapich_switch_bytes: 8 * 1024,
     }
 }
 

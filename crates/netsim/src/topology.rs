@@ -132,28 +132,14 @@ impl Topology {
         }
     }
 
-    /// A rank order that makes a ring traversal visit each node's processes
-    /// consecutively (the "rank-ordered" ring of Kandalla et al. \[13\] that
-    /// keeps Ring performance mapping-oblivious). Returns a permutation
-    /// `order` such that consecutive entries are on the same node except at
-    /// ℓ-sized boundaries; `order` visits node 0's ranks, then node 1's, ...
-    pub fn ring_order(&self) -> Vec<Rank> {
-        let mut order = Vec::with_capacity(self.p);
-        for node in 0..self.nodes {
-            order.extend(self.ranks_on_node(node));
-        }
+    /// `members` reordered so that a ring traversal visits each node's
+    /// processes consecutively (the "rank-ordered" ring of Kandalla et al.
+    /// \[13\] that keeps Ring performance mapping-oblivious): node 0's
+    /// members first, then node 1's, ..., ascending within a node.
+    pub fn ring_order(&self, members: &[Rank]) -> Vec<Rank> {
+        let mut order = members.to_vec();
+        order.sort_by_key(|&r| (self.node_of(r), r));
         order
-    }
-
-    /// Position of each rank inside [`Topology::ring_order`]: the inverse
-    /// permutation.
-    pub fn ring_position(&self) -> Vec<usize> {
-        let order = self.ring_order();
-        let mut pos = vec![0usize; self.p];
-        for (i, &r) in order.iter().enumerate() {
-            pos[r] = i;
-        }
-        pos
     }
 }
 
@@ -229,7 +215,7 @@ mod tests {
     #[test]
     fn ring_order_groups_nodes_consecutively() {
         let t = Topology::new(12, 3, Mapping::Cyclic);
-        let order = t.ring_order();
+        let order = t.ring_order(&(0..12).collect::<Vec<_>>());
         // Exactly N-1 inter-node boundaries inside the path, +1 wrap-around.
         let mut inter = 0;
         for i in 0..order.len() {
@@ -243,13 +229,10 @@ mod tests {
     }
 
     #[test]
-    fn ring_position_is_inverse_of_ring_order() {
+    fn ring_order_keeps_exactly_the_members() {
         let t = Topology::new(16, 4, Mapping::Cyclic);
-        let order = t.ring_order();
-        let pos = t.ring_position();
-        for (i, &r) in order.iter().enumerate() {
-            assert_eq!(pos[r], i);
-        }
+        // Ranks 1 and 5 share node 1; 2 and 14 share node 2.
+        assert_eq!(t.ring_order(&[14, 5, 2, 1]), vec![1, 5, 2, 14]);
     }
 
     #[test]

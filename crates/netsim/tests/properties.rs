@@ -44,7 +44,7 @@ proptest! {
     /// The ring order crosses node boundaries exactly N times (with wrap).
     #[test]
     fn ring_order_minimizes_crossings(topo in arb_topology()) {
-        let order = topo.ring_order();
+        let order = topo.ring_order(&(0..topo.p()).collect::<Vec<_>>());
         let crossings = (0..order.len())
             .filter(|&i| {
                 topo.link(order[i], order[(i + 1) % order.len()]) == LinkClass::Inter

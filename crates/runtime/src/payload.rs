@@ -406,7 +406,10 @@ impl Parcel {
 /// but reproducible, so receivers can verify content without communication.
 pub fn pattern_block(seed: u64, origin: Rank, len: usize) -> Vec<u8> {
     // splitmix64 stream keyed by (seed, origin).
-    splitmix_stream(seed ^ (origin as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15), len)
+    splitmix_stream(
+        seed ^ (origin as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
+        len,
+    )
 }
 
 /// Deterministic test pattern for the *personalized* block rank `src` sends

@@ -293,7 +293,6 @@ pub struct ProcCtx<'w> {
     rank: Rank,
     topo: &'w Topology,
     model: &'w CostModel,
-    mvapich_switch_bytes: usize,
     mode: DataMode,
     clock_us: f64,
     metrics: Metrics,
@@ -402,11 +401,6 @@ impl<'w> ProcCtx<'w> {
     /// The cost model in force.
     pub fn model(&self) -> &CostModel {
         self.model
-    }
-
-    /// Message size at which the modeled MVAPICH baseline switches RD→Ring.
-    pub fn mvapich_switch_bytes(&self) -> usize {
-        self.mvapich_switch_bytes
     }
 
     /// The data mode of this run.
@@ -690,9 +684,9 @@ impl<'w> ProcCtx<'w> {
     /// origin so the receiver can identify the source from chunk metadata.
     pub fn my_block_for(&self, dst: Rank, len: usize) -> Chunk {
         let data = match self.mode {
-            DataMode::Real { seed } => Data::Real(
-                crate::payload::pattern_block_pair(seed, self.rank, dst, len).into(),
-            ),
+            DataMode::Real { seed } => {
+                Data::Real(crate::payload::pattern_block_pair(seed, self.rank, dst, len).into())
+            }
             DataMode::Phantom => Data::Phantom(len),
         };
         Chunk::single(self.rank, data)
@@ -1810,7 +1804,6 @@ where
                             rank,
                             topo: &spec_ref.topology,
                             model: &spec_ref.profile.model,
-                            mvapich_switch_bytes: spec_ref.profile.mvapich_switch_bytes,
                             mode: spec_ref.mode,
                             clock_us: 0.0,
                             metrics: Metrics {

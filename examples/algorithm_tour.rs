@@ -6,7 +6,7 @@
 //! cargo run --example algorithm_tour
 //! ```
 
-use eag_core::{allgather, bounds, Algorithm};
+use eag_core::{Algorithm, Collective};
 use eag_netsim::{profile, Mapping, Topology};
 use eag_runtime::{run, DataMode, WorldSpec};
 
@@ -25,12 +25,12 @@ fn main() {
             DataMode::Real { seed },
         );
         let report = run(&spec, move |ctx| {
-            allgather(ctx, algo, m).verify(seed);
+            Collective::Allgather(algo).run(ctx, m).verify(seed);
         });
         let mx = report.max_metrics();
-        let check = match bounds::predict(algo, p, nodes, m) {
+        let check = match Collective::Allgather(algo).predict(p, nodes, m) {
             Some(pred) => {
-                let got = bounds::MetricSet {
+                let got = eag_core::MetricSet {
                     rc: mx.comm_rounds,
                     sc: mx.sc_payload(),
                     re: mx.enc_rounds,

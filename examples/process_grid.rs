@@ -6,7 +6,7 @@
 //! cargo run --release --example process_grid
 //! ```
 
-use eag_core::{allgather_group, Algorithm};
+use eag_core::{Algorithm, Collective};
 use eag_netsim::{profile, Mapping, Rank, Topology};
 use eag_runtime::{run, DataMode, WorldSpec};
 
@@ -29,10 +29,10 @@ fn main() {
 
         // Row group: with block mapping these are node-local → the
         // opportunistic algorithms send plaintext and skip crypto entirely.
-        let row_out = allgather_group(ctx, Algorithm::ORd, &row, 2048);
+        let row_out = Collective::Allgather(Algorithm::ORd).run_group(ctx, &row, 2048);
         row_out.verify_members(seed, &row);
         // Column group: one member per node → every hop is encrypted.
-        let col_out = allgather_group(ctx, Algorithm::OBruck, &col, 2048);
+        let col_out = Collective::Allgather(Algorithm::OBruck).run_group(ctx, &col, 2048);
         col_out.verify_members(seed, &col);
         (ctx.metrics().enc_rounds, ctx.metrics().dec_rounds)
     });

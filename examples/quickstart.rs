@@ -5,7 +5,7 @@
 //! cargo run --example quickstart
 //! ```
 
-use eag_core::{allgather, Algorithm};
+use eag_core::{Algorithm, Collective};
 use eag_netsim::{profile, Mapping, Topology};
 use eag_runtime::{run, DataMode, WorldSpec};
 
@@ -20,9 +20,9 @@ fn main() {
 
     let m = 1024; // bytes per process
     let report = run(&spec, move |ctx| {
-        let out = allgather(ctx, Algorithm::Hs2, m);
-        out.verify(2024); // every rank has every block, bit-exact
-        out.block_len()
+        let hs2 = Collective::Allgather(Algorithm::Hs2);
+        let out = hs2.run(ctx, m);
+        hs2.verify(ctx.rank(), &out, 2024); // every rank has every block, bit-exact
     });
 
     println!("encrypted all-gather (HS2) of {m} B x 16 ranks complete");

@@ -11,7 +11,7 @@
 //! cargo run --release --example scientific_halo
 //! ```
 
-use eag_core::{allgather, Algorithm};
+use eag_core::{Algorithm, Collective};
 use eag_netsim::{profile, Mapping, Topology};
 use eag_runtime::{run, DataMode, WorldSpec};
 
@@ -23,7 +23,7 @@ fn simulate_solver(algo: Algorithm, timesteps: usize, plane_bytes: usize) -> f64
     );
     let report = run(&spec, move |ctx| {
         for _ in 0..timesteps {
-            let out = allgather(ctx, algo, plane_bytes);
+            let out = Collective::Allgather(algo).run(ctx, plane_bytes);
             assert!(out.is_complete());
         }
     });

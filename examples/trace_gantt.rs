@@ -5,7 +5,7 @@
 //! cargo run --release --example trace_gantt [algorithm]
 //! ```
 
-use eag_core::{allgather, Algorithm};
+use eag_core::{Algorithm, Collective};
 use eag_netsim::{profile, Mapping, Topology};
 use eag_runtime::{run, trace::render_gantt, BusyBreakdown, DataMode, WorldSpec};
 
@@ -24,7 +24,7 @@ fn main() {
     spec.nic_contention = false;
 
     let report = run(&spec, move |ctx| {
-        allgather(ctx, algo, 16 * 1024).verify(4);
+        Collective::Allgather(algo).run(ctx, 16 * 1024).verify(4);
     });
 
     println!(

@@ -6,7 +6,7 @@
 //! cargo run --release --example variable_blocks
 //! ```
 
-use eag_core::{allgatherv, Algorithm};
+use eag_core::{Algorithm, Collective, Group};
 use eag_netsim::{profile, Mapping, Topology};
 use eag_runtime::{run, DataMode, WorldSpec};
 
@@ -32,7 +32,9 @@ fn main() {
     {
         let lens2 = lens.clone();
         let report = run(&spec, move |ctx| {
-            allgatherv(ctx, algo, &lens2).verify(99);
+            Collective::Allgatherv(algo)
+                .run_with(ctx, Group::world(p).members(), &lens2)
+                .verify(99);
         });
         println!(
             "{:<14} {:>10.2} us   {} inter-node frames, plaintext on wire: {}",

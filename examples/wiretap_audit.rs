@@ -7,7 +7,7 @@
 //! cargo run --example wiretap_audit
 //! ```
 
-use eag_core::{allgather, Algorithm};
+use eag_core::{Algorithm, Collective};
 use eag_netsim::{profile, Mapping, Topology};
 use eag_runtime::{pattern_block, run, DataMode, WorldSpec};
 
@@ -29,7 +29,7 @@ fn main() {
             spec.capture_wire = true;
 
             let report = run(&spec, move |ctx| {
-                allgather(ctx, algo, m).verify(seed);
+                Collective::Allgather(algo).run(ctx, m).verify(seed);
             });
 
             // 1. Classification: every inter-node frame must be ciphertext.

@@ -3,7 +3,7 @@
 //! and HS2 undercut rc/sc because shared-memory transfers are not counted
 //! as communication — Section IV-B notes exactly this).
 
-use eag_core::{allgather, lower_bounds, Algorithm};
+use eag_core::{Algorithm, Collective, Operation};
 use eag_netsim::{profile, Mapping, Topology};
 use eag_runtime::{run, DataMode, Metrics, WorldSpec};
 
@@ -14,7 +14,7 @@ fn measure(algo: Algorithm, p: usize, nodes: usize, m: usize) -> Metrics {
         DataMode::Phantom,
     );
     let report = run(&spec, move |ctx| {
-        allgather(ctx, algo, m).verify(0);
+        Collective::Allgather(algo).run(ctx, m).verify(0);
     });
     report.max_metrics()
 }
@@ -27,7 +27,7 @@ fn uses_shared_memory(algo: Algorithm) -> bool {
 fn no_encrypted_algorithm_beats_the_bounds() {
     for &(p, nodes) in &[(16usize, 4usize), (32, 4), (64, 8), (16, 8), (64, 16)] {
         let m = 64;
-        let lb = lower_bounds(p, nodes, m);
+        let lb = Operation::Allgather.lower_bounds(p, nodes, m).unwrap();
         for &algo in Algorithm::encrypted_all() {
             let mx = measure(algo, p, nodes, m);
             if !uses_shared_memory(algo) {
@@ -70,7 +70,7 @@ fn no_encrypted_algorithm_beats_the_bounds() {
 #[test]
 fn bounds_are_tight_where_claimed() {
     let (p, nodes, m) = (64usize, 8usize, 32usize);
-    let lb = lower_bounds(p, nodes, m);
+    let lb = Operation::Allgather.lower_bounds(p, nodes, m).unwrap();
     for algo in [Algorithm::CRing, Algorithm::CRd, Algorithm::Hs2] {
         assert_eq!(measure(algo, p, nodes, m).dec_bytes, lb.sd, "{algo} sd");
     }
@@ -114,7 +114,7 @@ fn rd_bound_tightness_claims() {
     // ℓ ≥ N: HS1 decrypts once per process.
     let mx = measure(Algorithm::Hs1, 64, 4, 8);
     assert_eq!(mx.dec_rounds, 1);
-    assert_eq!(lower_bounds(64, 4, 8).rd, 1);
+    assert_eq!(Operation::Allgather.lower_bounds(64, 4, 8).unwrap().rd, 1);
 }
 
 /// Unencrypted algorithms still respect the communication bounds
@@ -122,7 +122,7 @@ fn rd_bound_tightness_claims() {
 #[test]
 fn unencrypted_algorithms_respect_comm_bounds() {
     let (p, nodes, m) = (16usize, 4usize, 16usize);
-    let lb = lower_bounds(p, nodes, m);
+    let lb = Operation::Allgather.lower_bounds(p, nodes, m).unwrap();
     for algo in [
         Algorithm::Ring,
         Algorithm::RingRanked,
@@ -133,5 +133,20 @@ fn unencrypted_algorithms_respect_comm_bounds() {
         let mx = measure(algo, p, nodes, m);
         assert!(mx.comm_rounds >= lb.rc, "{algo}");
         assert!(mx.sc_payload() >= lb.sc, "{algo}");
+    }
+}
+
+/// A world with no defined ℓ is a typed error for every operation — never
+/// a panic.
+#[test]
+fn undefined_shapes_are_typed_errors() {
+    use eag_core::BoundsError;
+    for op in Operation::all() {
+        assert_eq!(op.lower_bounds(8, 0, 64), Err(BoundsError::EmptyWorld));
+        assert_eq!(op.lower_bounds(0, 2, 64), Err(BoundsError::EmptyWorld));
+        assert_eq!(
+            op.lower_bounds(10, 4, 64),
+            Err(BoundsError::IndivisibleShape { p: 10, nodes: 4 })
+        );
     }
 }

@@ -15,7 +15,7 @@
 //!   deadline to either a complete result at every rank or the identical
 //!   `DegradedOutput` at every survivor. Never a hang.
 
-use eag_core::{allgather, Algorithm};
+use eag_core::{Algorithm, Collective};
 use eag_integration::{chaos_run, chaos_spec, crash_run, crash_schedule_run};
 use eag_netsim::{Crash, FaultKind, FaultPlan};
 use eag_runtime::{try_run, FailureCause};
@@ -29,7 +29,7 @@ const ACCEPT_SEED: u64 = 0xC0FFEE;
 fn canonical_mix_all_encrypted_algorithms_recover_byte_identical() {
     let plan = FaultPlan::drop_and_tamper(10, 10, ACCEPT_SEED);
     for &algo in Algorithm::encrypted_all() {
-        let r = chaos_run(algo, 16, 8, 128, plan.clone());
+        let r = chaos_run(Collective::Allgather(algo), 16, 8, 128, plan.clone());
         assert!(
             r.byte_identical,
             "{algo} not byte-identical under drop 1% + tamper 1%: {:?}",
@@ -52,7 +52,7 @@ fn adversarial_tamper_is_recovered_by_hop_verification() {
     let mut plan = FaultPlan::only(FaultKind::Tamper, 20, ACCEPT_SEED);
     plan.adversarial_tamper = true;
     for &algo in Algorithm::encrypted_all() {
-        let r = chaos_run(algo, 16, 8, 128, plan.clone());
+        let r = chaos_run(Collective::Allgather(algo), 16, 8, 128, plan.clone());
         assert!(
             r.byte_identical,
             "{algo} not byte-identical under adversarial tamper: {:?}",
@@ -70,7 +70,8 @@ fn dead_peer_during_collective_fails_with_typed_error_and_phase() {
         if ctx.rank() == 1 {
             return Vec::new();
         }
-        allgather(ctx, Algorithm::ORing, 64)
+        Collective::Allgather(Algorithm::ORing)
+            .run(ctx, 64)
             .into_blocks()
             .into_iter()
             .flat_map(|b| b.data.to_vec())
@@ -108,7 +109,7 @@ proptest! {
             fault_nth_inter_frame: Some((nth, kind)),
             ..FaultPlan::default()
         };
-        let r = chaos_run(algo, p, nodes, 64, plan);
+        let r = chaos_run(Collective::Allgather(algo), p, nodes, 64, plan);
         prop_assert!(
             r.byte_identical,
             "{algo} at p={p} did not recover a single {} of inter frame {nth}: {:?}",
@@ -135,7 +136,7 @@ proptest! {
             Crash::before(rank, step)
         };
         let t0 = Instant::now();
-        let r = crash_run(algo, 6, 2, 64, crash);
+        let r = crash_run(Collective::Allgather(algo), 6, 2, 64, crash);
         let elapsed = t0.elapsed();
         prop_assert!(
             elapsed < Duration::from_secs(30),
@@ -188,7 +189,7 @@ proptest! {
             Crash::before(rank2, step2)
         };
         let t0 = Instant::now();
-        let r = crash_schedule_run(algo, 6, 2, 64, vec![first, second]);
+        let r = crash_schedule_run(Collective::Allgather(algo), 6, 2, 64, vec![first, second]);
         let elapsed = t0.elapsed();
         prop_assert!(
             elapsed < Duration::from_secs(30),

@@ -4,7 +4,7 @@
 //! Heavyweight by design — gated behind the `chaos` cargo feature:
 //! `cargo test -p eag-integration --features chaos --test chaos_sweep_full`
 
-use eag_core::Algorithm;
+use eag_core::{Algorithm, Collective};
 use eag_integration::chaos_run;
 use eag_netsim::{FaultKind, FaultPlan};
 
@@ -12,7 +12,7 @@ const SEEDS: &[u64] = &[0xC0FFEE, 1, 0xDEAD_BEEF];
 
 fn assert_sweep(label: &str, plan: FaultPlan) {
     for &algo in Algorithm::encrypted_all() {
-        let r = chaos_run(algo, 16, 8, 128, plan.clone());
+        let r = chaos_run(Collective::Allgather(algo), 16, 8, 128, plan.clone());
         assert!(
             r.byte_identical,
             "{algo} under {label}: not byte-identical ({:?})",

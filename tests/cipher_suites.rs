@@ -3,7 +3,7 @@
 //! under every [`CipherSuite`] has to produce byte-identical gathered
 //! outputs on every rank — the acceptance gate for swapping backends.
 
-use eag_core::{allgather, Algorithm};
+use eag_core::{Algorithm, Collective};
 use eag_netsim::{profile, Mapping, Topology};
 use eag_runtime::{run, CipherSuite, DataMode, WorldSpec};
 
@@ -19,7 +19,7 @@ fn gathered_bytes(suite: CipherSuite, algo: Algorithm, m: usize) -> Vec<Vec<u8>>
     );
     spec.suite = suite;
     let report = run(&spec, move |ctx| {
-        let out = allgather(ctx, algo, m);
+        let out = Collective::Allgather(algo).run(ctx, m);
         out.verify(SEED);
         out.into_blocks()
             .iter()
@@ -61,7 +61,9 @@ fn phantom_latency_is_suite_invariant() {
         spec.nic_contention = false;
         spec.suite = suite;
         run(&spec, |ctx| {
-            allgather(ctx, Algorithm::ORd, 4096).verify(0);
+            Collective::Allgather(Algorithm::ORd)
+                .run(ctx, 4096)
+                .verify(0);
         })
         .latency_us
     };

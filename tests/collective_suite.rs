@@ -7,8 +7,9 @@
 //! CI runs this target as the `collective-suite` job.
 
 use eag_core::{varying_lens, Algorithm, AlltoallAlgo, BcastAlgo, Collective, RootedAlgo};
-use eag_integration::{collective_chaos_run, collective_crash_run, DATA_SEED};
+use eag_integration::{chaos_run, chaos_spec, crash_schedule_run, DATA_SEED};
 use eag_netsim::{Crash, FaultPlan};
+use eag_runtime::try_run;
 
 const CHAOS_SEED: u64 = 0xC0FFEE;
 
@@ -18,7 +19,7 @@ fn every_new_collective_recovers_from_canonical_chaos_mix() {
     // byte-identical results to its fault-free run.
     let plan = FaultPlan::drop_and_tamper(10, 10, CHAOS_SEED);
     for c in Collective::new_operations_all() {
-        let r = collective_chaos_run(c, 16, 8, 128, plan.clone());
+        let r = chaos_run(c, 16, 8, 128, plan.clone());
         assert!(
             r.byte_identical,
             "{c} not byte-identical under drop 1% + tamper 1%: {:?}",
@@ -36,8 +37,11 @@ fn every_new_collective_survives_a_single_crash() {
             Collective::Scatter(RootedAlgo::Linear) | Collective::Scatterv(RootedAlgo::Linear) => 0,
             _ => 4,
         };
-        let r = collective_crash_run(c, 8, 4, 64, vec![Crash::before(victim, 1)]);
-        assert!(r.ok(), "{c}: single crash broke the recovery contract: {r:?}");
+        let r = crash_schedule_run(c, 8, 4, 64, vec![Crash::before(victim, 1)]);
+        assert!(
+            r.ok(),
+            "{c}: single crash broke the recovery contract: {r:?}"
+        );
         if r.fired {
             assert_eq!(r.survivors, 7, "{c}");
             assert_eq!(r.crashed, vec![victim], "{c}");
@@ -49,14 +53,17 @@ fn every_new_collective_survives_a_single_crash() {
 #[test]
 fn every_new_collective_survives_a_double_crash() {
     for c in Collective::new_operations_all() {
-        let r = collective_crash_run(
+        let r = crash_schedule_run(
             c,
             8,
             4,
             64,
             vec![Crash::before(2, 1), Crash::before(5, 0).at_epoch(1)],
         );
-        assert!(r.ok(), "{c}: double crash broke the recovery contract: {r:?}");
+        assert!(
+            r.ok(),
+            "{c}: double crash broke the recovery contract: {r:?}"
+        );
         assert!(r.survivors >= 6, "{c}: more ranks died than scheduled");
     }
 }
@@ -75,7 +82,7 @@ fn rooted_collectives_degrade_cleanly_when_the_root_dies() {
         Collective::Scatter(RootedAlgo::Binomial),
         Collective::Scatterv(RootedAlgo::Binomial),
     ] {
-        let r = collective_crash_run(c, 8, 4, 64, vec![Crash::before(0, 1)]);
+        let r = crash_schedule_run(c, 8, 4, 64, vec![Crash::before(0, 1)]);
         assert!(r.ok(), "{c}: root death broke the recovery contract: {r:?}");
         if r.fired {
             assert_eq!(r.crashed, vec![0], "{c}");
@@ -84,7 +91,7 @@ fn rooted_collectives_degrade_cleanly_when_the_root_dies() {
 }
 
 #[test]
-fn allgatherv_crash_preserves_variable_lengths_byte_identically() {
+fn varying_allgather_crash_preserves_variable_lengths_byte_identically() {
     // The satellite acceptance test: an allgatherv with per-rank lengths
     // survives a shrink — the survivors re-run with the *original*
     // lengths and every survivor's degraded output is byte-identical.
@@ -97,9 +104,12 @@ fn allgatherv_crash_preserves_variable_lengths_byte_identically() {
         Algorithm::CRing, // varying but not group-capable: falls back to O-Ring
     ] {
         let c = Collective::Allgatherv(algo);
-        let r = collective_crash_run(c, p, nodes, m, vec![Crash::before(3, 1)]);
+        let r = crash_schedule_run(c, p, nodes, m, vec![Crash::before(3, 1)]);
         assert!(r.ok(), "{c}: crash broke the recovery contract: {r:?}");
-        assert!(r.fired, "{c}: the armed crash never fired — test is vacuous");
+        assert!(
+            r.fired,
+            "{c}: the armed crash never fired — test is vacuous"
+        );
         assert_eq!(r.crashed, vec![3], "{c}");
         assert!(r.recoveries > 0, "{c}");
         assert_eq!(
@@ -111,7 +121,7 @@ fn allgatherv_crash_preserves_variable_lengths_byte_identically() {
     // HS2 moves data through shared memory, so a send-step-armed crash
     // never fires in its main phase; it still must complete cleanly under
     // the recovery wrapper (and would fall back to O-Ring on a shrink).
-    let r = collective_crash_run(
+    let r = crash_schedule_run(
         Collective::Allgatherv(Algorithm::Hs2),
         p,
         nodes,
@@ -127,14 +137,29 @@ fn alltoall_double_crash_keeps_pairwise_outputs_consistent() {
     // with exactly the survivor-sourced blocks addressed to *it*.
     for variant in [AlltoallAlgo::Pairwise, AlltoallAlgo::Bruck] {
         let c = Collective::Alltoall(variant);
-        let r = collective_crash_run(
-            c,
-            8,
-            4,
-            64,
-            vec![Crash::before(1, 2), Crash::before(6, 1)],
-        );
+        let r = crash_schedule_run(c, 8, 4, 64, vec![Crash::before(1, 2), Crash::before(6, 1)]);
         assert!(r.ok(), "{c}: {r:?}");
+    }
+}
+
+#[test]
+fn a_failing_collective_names_its_operation_as_the_phase() {
+    // One rank never joins: whoever waits on it fails with a typed error
+    // whose phase tells the operations apart ("binomial" alone would not).
+    for (c, absent, phase) in [
+        (Collective::Broadcast(BcastAlgo::Binomial), 0, "bcast"),
+        (Collective::Gather(RootedAlgo::Binomial), 1, "gather"),
+        (Collective::Scatterv(RootedAlgo::Linear), 0, "scatterv"),
+        (Collective::Alltoall(AlltoallAlgo::Pairwise), 1, "alltoall"),
+    ] {
+        let err = try_run(&chaos_spec(4, 2, FaultPlan::default()), move |ctx| {
+            if ctx.rank() != absent {
+                c.run(ctx, 64);
+            }
+        })
+        .err()
+        .expect("a collective with an absent rank must not succeed");
+        assert_eq!(err.phase, phase, "{c}");
     }
 }
 

@@ -4,7 +4,7 @@
 //! The postcondition of MPI_Allgather: after the call, every process holds
 //! every process's block, bit-exact, in rank order.
 
-use eag_core::{allgather, Algorithm};
+use eag_core::{Algorithm, Collective};
 use eag_netsim::{profile, Mapping, Topology};
 use eag_runtime::{run, DataMode, WorldSpec};
 
@@ -20,7 +20,7 @@ fn spec(p: usize, nodes: usize, mapping: Mapping) -> WorldSpec {
 
 fn check(algo: Algorithm, p: usize, nodes: usize, mapping: Mapping, m: usize) {
     let report = run(&spec(p, nodes, mapping), move |ctx| {
-        let out = allgather(ctx, algo, m);
+        let out = Collective::Allgather(algo).run(ctx, m);
         out.verify(SEED);
     });
     assert_eq!(report.outputs.len(), p);
@@ -133,7 +133,7 @@ fn phantom_mode_tracks_origins() {
         let mut s = spec(16, 4, Mapping::Block);
         s.mode = DataMode::Phantom;
         let report = run(&s, move |ctx| {
-            let out = allgather(ctx, algo, 1024);
+            let out = Collective::Allgather(algo).run(ctx, 1024);
             out.verify(SEED); // length + completeness check in phantom mode
         });
         assert_eq!(report.outputs.len(), 16);
@@ -150,7 +150,9 @@ fn traffic_shape_is_data_independent() {
             DataMode::Real { seed },
         );
         let report = run(&s, move |ctx| {
-            allgather(ctx, Algorithm::CRing, 128).verify(seed);
+            Collective::Allgather(Algorithm::CRing)
+                .run(ctx, 128)
+                .verify(seed);
         });
         eag_runtime::Metrics::component_sum(&report.metrics)
     };
@@ -163,14 +165,20 @@ fn traffic_shape_is_data_independent() {
 #[test]
 fn repeated_collectives_in_one_world() {
     let report = run(&spec(8, 4, Mapping::Block), |ctx| {
-        let a = allgather(ctx, Algorithm::Ring, 32);
+        let a = Collective::Allgather(Algorithm::Ring).run(ctx, 32);
         a.verify(SEED);
-        let b = allgather(ctx, Algorithm::Rd, 64);
+        let b = Collective::Allgather(Algorithm::Rd).run(ctx, 64);
         b.verify(SEED);
         for _ in 0..3 {
-            allgather(ctx, Algorithm::Hs2, 48).verify(SEED);
-            allgather(ctx, Algorithm::Hs1, 16).verify(SEED);
-            allgather(ctx, Algorithm::CRing, 24).verify(SEED);
+            Collective::Allgather(Algorithm::Hs2)
+                .run(ctx, 48)
+                .verify(SEED);
+            Collective::Allgather(Algorithm::Hs1)
+                .run(ctx, 16)
+                .verify(SEED);
+            Collective::Allgather(Algorithm::CRing)
+                .run(ctx, 24)
+                .verify(SEED);
         }
     });
     assert_eq!(report.outputs.len(), 8);

@@ -5,7 +5,7 @@
 //! mapping, the rank-ordered Ring and C-Ring are oblivious, and HS1/HS2 pay
 //! a rank-order rearrangement penalty.
 
-use eag_core::{allgather, Algorithm};
+use eag_core::{Algorithm, Collective};
 use eag_netsim::{profile, Mapping, Topology};
 use eag_runtime::{run, DataMode, Metrics, WorldSpec};
 
@@ -18,7 +18,7 @@ fn traffic(algo: Algorithm, p: usize, nodes: usize, mapping: Mapping, m: usize) 
         DataMode::Real { seed: SEED },
     );
     let report = run(&spec, move |ctx| {
-        allgather(ctx, algo, m).verify(SEED);
+        Collective::Allgather(algo).run(ctx, m).verify(SEED);
     });
     Metrics::component_sum(&report.metrics)
 }
@@ -35,7 +35,7 @@ fn latency(algo: Algorithm, mapping: Mapping, m: usize) -> f64 {
     let samples: Vec<f64> = (0..3)
         .map(|_| {
             run(&spec, move |ctx| {
-                allgather(ctx, algo, m).verify(SEED);
+                Collective::Allgather(algo).run(ctx, m).verify(SEED);
             })
             .latency_us
         })
@@ -138,7 +138,9 @@ fn o_ring_boundary_concentration() {
         DataMode::Real { seed: SEED },
     );
     let report = run(&spec, |ctx| {
-        allgather(ctx, Algorithm::ORing, 32).verify(SEED);
+        Collective::Allgather(Algorithm::ORing)
+            .run(ctx, 32)
+            .verify(SEED);
     });
     // Ranks 1,3,5,7 are exit processes (succ on another node) → they encrypt;
     // ranks 0,2,4,6 are entry processes → they decrypt.

@@ -4,7 +4,7 @@
 //! mapping — the table's stated assumptions.
 
 use eag_bench::tables::table2_rows;
-use eag_core::{allgather, Algorithm};
+use eag_core::{Algorithm, Collective, Operation};
 use eag_netsim::{profile, Mapping, Topology};
 use eag_runtime::{run, DataMode, WorldSpec};
 
@@ -39,6 +39,19 @@ fn table2_holds_at_128_over_8() {
 }
 
 #[test]
+fn table2_holds_above_the_mvapich_switch() {
+    // 16 KiB ≥ MVAPICH_SWITCH_BYTES: Naive's ordinary all-gather is Ring,
+    // so its row must predict rc = p − 1, not lg p.
+    let m = 2 * eag_core::MVAPICH_SWITCH_BYTES;
+    let rows = table2_rows(16, 4, m);
+    for row in &rows {
+        assert_eq!(row.predicted, row.measured, "{}", row.algo);
+    }
+    let naive = rows.iter().find(|r| r.algo == Algorithm::Naive).unwrap();
+    assert_eq!(naive.predicted.rc, 15);
+}
+
+#[test]
 fn table2_holds_with_two_nodes() {
     // N = 2: the smallest encrypted configuration.
     for row in table2_rows(8, 2, 40) {
@@ -52,7 +65,7 @@ fn table2_holds_with_two_nodes() {
 #[test]
 fn sd_lower_bound_is_met_by_concurrent_and_hs2() {
     let (p, nodes, m) = (32usize, 4usize, 100usize);
-    let lb = eag_core::lower_bounds(p, nodes, m);
+    let lb = Operation::Allgather.lower_bounds(p, nodes, m).unwrap();
     for algo in [Algorithm::CRing, Algorithm::CRd, Algorithm::Hs2] {
         let spec = WorldSpec::new(
             Topology::new(p, nodes, Mapping::Block),
@@ -60,7 +73,7 @@ fn sd_lower_bound_is_met_by_concurrent_and_hs2() {
             DataMode::Phantom,
         );
         let report = run(&spec, move |ctx| {
-            allgather(ctx, algo, m).verify(0);
+            Collective::Allgather(algo).run(ctx, m).verify(0);
         });
         assert_eq!(report.max_metrics().dec_bytes, lb.sd, "{algo}");
     }
@@ -76,7 +89,7 @@ fn unencrypted_algorithms_do_no_crypto() {
             DataMode::Real { seed: 1 },
         );
         let report = run(&spec, move |ctx| {
-            allgather(ctx, algo, 64).verify(1);
+            Collective::Allgather(algo).run(ctx, 64).verify(1);
         });
         let sum = eag_runtime::Metrics::component_sum(&report.metrics);
         assert_eq!(sum.enc_rounds, 0, "{algo}");
@@ -94,7 +107,7 @@ fn bytes_sent_equals_bytes_received_globally() {
             DataMode::Real { seed: 2 },
         );
         let report = run(&spec, move |ctx| {
-            allgather(ctx, algo, 33).verify(2);
+            Collective::Allgather(algo).run(ctx, 33).verify(2);
         });
         let sum = eag_runtime::Metrics::component_sum(&report.metrics);
         assert_eq!(sum.bytes_sent, sum.bytes_recv, "{algo}");
@@ -113,7 +126,7 @@ fn framing_overhead_is_a_multiple_of_28() {
             DataMode::Real { seed: 3 },
         );
         let report = run(&spec, move |ctx| {
-            allgather(ctx, algo, 50).verify(3);
+            Collective::Allgather(algo).run(ctx, 50).verify(3);
         });
         let sum = eag_runtime::Metrics::component_sum(&report.metrics);
         let overhead = sum.bytes_sent - sum.payload_sent;

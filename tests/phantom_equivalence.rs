@@ -7,7 +7,7 @@
 
 use std::collections::BTreeMap;
 
-use eag_core::{allgather, Algorithm, BcastAlgo, Collective};
+use eag_core::{Algorithm, BcastAlgo, Collective};
 use eag_netsim::{profile, Mapping, Topology};
 use eag_runtime::{run, DataMode, WorldSpec};
 
@@ -28,7 +28,8 @@ fn shape(algo: Algorithm, p: usize, nodes: usize, m: usize, mode: DataMode) -> S
         mode,
     );
     let report = run(&spec, move |ctx| {
-        allgather(ctx, algo, m)
+        Collective::Allgather(algo)
+            .run(ctx, m)
             .into_blocks()
             .iter()
             .map(|b| b.data.len())
@@ -151,7 +152,8 @@ fn phantom_equivalence_cyclic_mapping() {
             |mode| WorldSpec::new(Topology::new(12, 4, Mapping::Cyclic), profile::free(), mode);
         let lens = |mode| {
             run(&spec(mode), |ctx| {
-                allgather(ctx, algo, 96)
+                Collective::Allgather(algo)
+                    .run(ctx, 96)
                     .into_blocks()
                     .iter()
                     .map(|b| b.data.len())

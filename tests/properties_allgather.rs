@@ -2,7 +2,7 @@
 //! shaped world must satisfy the all-gather postcondition with real bytes
 //! and real AES-GCM, and encrypted algorithms must keep the wire clean.
 
-use eag_core::{allgather, Algorithm};
+use eag_core::{Algorithm, Collective};
 use eag_netsim::{profile, Mapping, Topology};
 use eag_runtime::{run, DataMode, WorldSpec};
 use proptest::prelude::*;
@@ -34,7 +34,7 @@ proptest! {
         );
         spec.capture_wire = true;
         let report = run(&spec, move |ctx| {
-            allgather(ctx, algo, m).verify(seed);
+            Collective::Allgather(algo).run(ctx, m).verify(seed);
         });
         if algo.is_encrypted() {
             prop_assert!(
@@ -80,7 +80,9 @@ proptest! {
         spec.capture_wire = true;
         let lens2 = lens.clone();
         let report = run(&spec, move |ctx| {
-            eag_core::allgatherv(ctx, algo, &lens2).verify(seed);
+            Collective::Allgatherv(algo)
+                .run_with(ctx, eag_core::Group::world(lens2.len()).members(), &lens2)
+                .verify(seed);
         });
         if algo.is_encrypted() {
             prop_assert!(!report.wiretap.saw_plaintext_frame(), "{algo} lens={lens:?}");

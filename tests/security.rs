@@ -2,7 +2,7 @@
 //! model: a passive network adversary sees all inter-node traffic (and an
 //! active one may tamper with it). Intra-node traffic is trusted.
 
-use eag_core::{allgather, Algorithm};
+use eag_core::{Algorithm, Collective};
 use eag_netsim::{profile, FrameKind, Mapping, Topology};
 use eag_runtime::{pattern_block, run, DataMode, WorldSpec};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -27,7 +27,7 @@ fn no_plaintext_frames_on_the_wire() {
         for mapping in [Mapping::Block, Mapping::Cyclic] {
             for (p, nodes) in [(8, 2), (12, 4), (9, 3)] {
                 let report = run(&tapped_spec(p, nodes, mapping), move |ctx| {
-                    allgather(ctx, algo, 96).verify(SEED);
+                    Collective::Allgather(algo).run(ctx, 96).verify(SEED);
                 });
                 assert!(
                     !report.wiretap.saw_plaintext_frame(),
@@ -46,7 +46,7 @@ fn no_input_block_leaks_into_captured_bytes() {
     let (p, nodes, m) = (12usize, 3usize, 128usize);
     for &algo in Algorithm::encrypted_all() {
         let report = run(&tapped_spec(p, nodes, Mapping::Block), move |ctx| {
-            allgather(ctx, algo, m).verify(SEED);
+            Collective::Allgather(algo).run(ctx, m).verify(SEED);
         });
         for rank in 0..p {
             let block = pattern_block(SEED, rank, m);
@@ -70,7 +70,9 @@ fn no_input_block_leaks_into_captured_bytes() {
 fn wiretap_catches_unencrypted_traffic() {
     let (p, nodes, m) = (8usize, 4usize, 128usize);
     let report = run(&tapped_spec(p, nodes, Mapping::Block), move |ctx| {
-        allgather(ctx, Algorithm::Ring, m).verify(SEED);
+        Collective::Allgather(Algorithm::Ring)
+            .run(ctx, m)
+            .verify(SEED);
     });
     assert!(report.wiretap.saw_plaintext_frame());
     let block0 = pattern_block(SEED, 0, m);
@@ -83,7 +85,7 @@ fn wiretap_catches_unencrypted_traffic() {
 fn captured_frames_are_cipher_frames() {
     for &algo in Algorithm::encrypted_all() {
         let report = run(&tapped_spec(8, 4, Mapping::Block), move |ctx| {
-            allgather(ctx, algo, 64).verify(SEED);
+            Collective::Allgather(algo).run(ctx, 64).verify(SEED);
         });
         for f in report.wiretap.frames() {
             assert_eq!(f.kind, FrameKind::Cipher, "{algo}: frame {f:?}");
@@ -103,7 +105,9 @@ fn no_two_captured_frames_are_identical() {
     // O-Ring re-encrypts the same plaintext at every node exit — the
     // clearest place where nonce reuse would show as duplicate frames.
     let report = run(&tapped_spec(9, 3, Mapping::Block), |ctx| {
-        allgather(ctx, Algorithm::ORing, 64).verify(SEED);
+        Collective::Allgather(Algorithm::ORing)
+            .run(ctx, 64)
+            .verify(SEED);
     });
     let frames = report.wiretap.frames();
     for (i, a) in frames.iter().enumerate() {
@@ -157,7 +161,7 @@ fn no_nonce_is_reused_for_distinct_ciphertexts() {
     use std::collections::HashMap;
     for &algo in Algorithm::encrypted_all() {
         let report = run(&tapped_spec(8, 2, Mapping::Block), move |ctx| {
-            allgather(ctx, algo, 32).verify(SEED);
+            Collective::Allgather(algo).run(ctx, 32).verify(SEED);
         });
         // Each sealed item of a 32-byte block is nonce(12)|ct(32)|tag(16)
         // = 60 bytes; O-RD/HS frames can carry larger merged items, so key
@@ -194,7 +198,7 @@ fn nonces_are_unique_across_ranks() {
     use std::collections::HashMap;
     for &algo in Algorithm::encrypted_all() {
         let report = run(&tapped_spec(16, 4, Mapping::Block), move |ctx| {
-            allgather(ctx, algo, 48).verify(SEED);
+            Collective::Allgather(algo).run(ctx, 48).verify(SEED);
         });
         // nonce of the frame's leading item → the first 16 ciphertext bytes
         // after it. A forwarded item re-sends both unchanged (possibly from
@@ -287,7 +291,6 @@ fn relabeled_ciphertext_is_rejected() {
 /// watching a recovery).
 #[test]
 fn crash_recovery_reseals_with_fresh_nonces() {
-    use eag_core::recover_allgather;
     use eag_netsim::{Crash, FaultPlan};
     use eag_runtime::{run_crashable, RetryPolicy};
     use std::collections::HashMap;
@@ -305,7 +308,9 @@ fn crash_recovery_reseals_with_fresh_nonces() {
             max_attempts: 10,
             backoff: 1.5,
         };
-        let report = run_crashable(&spec, move |ctx| recover_allgather(ctx, algo, 48));
+        let report = run_crashable(&spec, move |ctx| {
+            Collective::Allgather(algo).recover(ctx, 48)
+        });
         assert_eq!(
             report.crashed,
             vec![0],

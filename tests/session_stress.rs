@@ -6,7 +6,7 @@
 //! that the whole thing drains without deadlock (blocking admissions over
 //! a shared run-permit gate).
 
-use eag_core::{allgather, recover_allgather, Algorithm};
+use eag_core::{Algorithm, Collective};
 use eag_crypto::Key;
 use eag_netsim::{profile, Crash, FaultPlan, Mapping, Topology};
 use eag_runtime::{
@@ -76,7 +76,7 @@ fn run_session(mgr: &SessionManager, tenant: u64, idx: u64, force_coop: bool) ->
     let report = session.run(&spec, move |ctx| {
         // verify() checks the gathered output byte-for-byte against the
         // expected pattern blocks of this session's data seed.
-        allgather(ctx, algo, msg).verify(seed);
+        Collective::Allgather(algo).run(ctx, msg).verify(seed);
     });
     let mut frames = Vec::new();
     for f in report.wiretap.frames() {
@@ -169,14 +169,14 @@ fn cooperative_session_matches_shared_gate_latency() {
 
     let shared = mgr.admit(1).unwrap();
     let a = shared.run(&spec, move |ctx| {
-        allgather(ctx, algo, msg).verify(seed);
+        Collective::Allgather(algo).run(ctx, msg).verify(seed);
     });
     drop(shared);
 
     spec.workers = Some(1);
     let coop = mgr.admit(1).unwrap();
     let b = coop.run(&spec, move |ctx| {
-        allgather(ctx, algo, msg).verify(seed);
+        Collective::Allgather(algo).run(ctx, msg).verify(seed);
     });
 
     assert_eq!(a.latency_us, b.latency_us);
@@ -246,7 +246,7 @@ fn flooding_tenant_is_shed_while_recovery_occupies_the_service() {
         thread::spawn(move || {
             let report = s1.run_crashable(&recovery_spec(seed), move |ctx| {
                 started.store(true, Ordering::SeqCst);
-                let out = recover_allgather(ctx, Algorithm::ORing, 64);
+                let out = Collective::Allgather(Algorithm::ORing).recover(ctx, 64);
                 out.verify(seed);
                 out
             });
@@ -312,7 +312,7 @@ fn parked_tenant_holds_no_run_gate_permits() {
     let seed = SEED_BASE ^ 0xB;
     let s1 = mgr.admit(1).expect("empty service admits");
     let report = s1.run_crashable(&recovery_spec(seed), move |ctx| {
-        let out = recover_allgather(ctx, Algorithm::OBruck, 64);
+        let out = Collective::Allgather(Algorithm::OBruck).recover(ctx, 64);
         out.verify(seed);
         out
     });
@@ -334,7 +334,9 @@ fn parked_tenant_holds_no_run_gate_permits() {
                 DataMode::Real { seed },
             );
             session.run(&spec, move |ctx| {
-                allgather(ctx, Algorithm::ORing, 64).verify(seed);
+                Collective::Allgather(Algorithm::ORing)
+                    .run(ctx, 64)
+                    .verify(seed);
             });
         })
     };

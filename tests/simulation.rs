@@ -2,7 +2,7 @@
 //! paper's analysis says it should.
 
 use eag_bench::{simulate, SimConfig};
-use eag_core::{allgather, Algorithm};
+use eag_core::{Algorithm, Collective};
 use eag_netsim::{profile, Mapping, Topology};
 use eag_runtime::{run, DataMode, WorldSpec};
 
@@ -13,7 +13,7 @@ fn unit_latency(algo: Algorithm, p: usize, nodes: usize, m: usize) -> f64 {
         DataMode::Phantom,
     );
     let report = run(&spec, move |ctx| {
-        allgather(ctx, algo, m).verify(0);
+        Collective::Allgather(algo).run(ctx, m).verify(0);
     });
     report.latency_us
 }
@@ -73,7 +73,7 @@ fn latency_monotone_in_size() {
     for &algo in Algorithm::all() {
         let mut prev = 0.0;
         for m in [1usize, 256, 4 * 1024, 64 * 1024] {
-            let s = simulate(&cfg, algo, m);
+            let s = simulate(&cfg, Collective::Allgather(algo), m);
             assert!(
                 s.mean >= prev,
                 "{algo}: latency not monotone at m={m} ({} < {prev})",
@@ -99,9 +99,9 @@ fn concurrent_family_beats_naive_at_large_sizes() {
         suite: eag_runtime::CipherSuite::AesGcm128,
     };
     let m = 512 * 1024;
-    let naive = simulate(&cfg, Algorithm::Naive, m).mean;
+    let naive = simulate(&cfg, Collective::Allgather(Algorithm::Naive), m).mean;
     for algo in [Algorithm::CRing, Algorithm::CRd] {
-        let t = simulate(&cfg, algo, m).mean;
+        let t = simulate(&cfg, Collective::Allgather(algo), m).mean;
         assert!(
             t < 0.9 * naive,
             "{algo}: {t:.0} µs not below Naive {naive:.0} µs"
@@ -109,7 +109,7 @@ fn concurrent_family_beats_naive_at_large_sizes() {
     }
     // HS2 additionally avoids the intra-node channel entirely (shared
     // memory), so its win is much larger.
-    let hs2 = simulate(&cfg, Algorithm::Hs2, m).mean;
+    let hs2 = simulate(&cfg, Collective::Allgather(Algorithm::Hs2), m).mean;
     assert!(
         hs2 < 0.5 * naive,
         "HS2: {hs2:.0} µs not well below Naive {naive:.0} µs"
@@ -131,10 +131,10 @@ fn round_efficient_algorithms_win_small_messages() {
         suite: eag_runtime::CipherSuite::AesGcm128,
     };
     let m = 4;
-    let o_ring = simulate(&cfg, Algorithm::ORing, m).mean;
-    let c_ring = simulate(&cfg, Algorithm::CRing, m).mean;
+    let o_ring = simulate(&cfg, Collective::Allgather(Algorithm::ORing), m).mean;
+    let c_ring = simulate(&cfg, Collective::Allgather(Algorithm::CRing), m).mean;
     for algo in [Algorithm::ORd2, Algorithm::Hs1] {
-        let t = simulate(&cfg, algo, m).mean;
+        let t = simulate(&cfg, Collective::Allgather(algo), m).mean;
         assert!(t < o_ring, "{algo} {t:.2} vs O-Ring {o_ring:.2}");
         assert!(t < c_ring, "{algo} {t:.2} vs C-Ring {c_ring:.2}");
     }
@@ -156,11 +156,13 @@ fn o_rd2_crossover() {
     };
     let small = 4;
     assert!(
-        simulate(&cfg, Algorithm::ORd2, small).mean <= simulate(&cfg, Algorithm::ORd, small).mean
+        simulate(&cfg, Collective::Allgather(Algorithm::ORd2), small).mean
+            <= simulate(&cfg, Collective::Allgather(Algorithm::ORd), small).mean
     );
     let large = 512 * 1024;
     assert!(
-        simulate(&cfg, Algorithm::ORd, large).mean < simulate(&cfg, Algorithm::ORd2, large).mean
+        simulate(&cfg, Collective::Allgather(Algorithm::ORd), large).mean
+            < simulate(&cfg, Collective::Allgather(Algorithm::ORd2), large).mean
     );
 }
 
@@ -178,10 +180,14 @@ fn hs1_hs2_crossover() {
         data_seed: None,
         suite: eag_runtime::CipherSuite::AesGcm128,
     };
-    assert!(simulate(&cfg, Algorithm::Hs1, 1).mean <= simulate(&cfg, Algorithm::Hs2, 1).mean);
+    assert!(
+        simulate(&cfg, Collective::Allgather(Algorithm::Hs1), 1).mean
+            <= simulate(&cfg, Collective::Allgather(Algorithm::Hs2), 1).mean
+    );
     let large = 1024 * 1024;
     assert!(
-        simulate(&cfg, Algorithm::Hs2, large).mean < simulate(&cfg, Algorithm::Hs1, large).mean
+        simulate(&cfg, Collective::Allgather(Algorithm::Hs2), large).mean
+            < simulate(&cfg, Collective::Allgather(Algorithm::Hs1), large).mean
     );
 }
 
@@ -199,7 +205,7 @@ fn no_contention_is_deterministic() {
         suite: eag_runtime::CipherSuite::AesGcm128,
     };
     for algo in [Algorithm::Naive, Algorithm::CRd, Algorithm::Hs1] {
-        let s = simulate(&cfg, algo, 4096);
+        let s = simulate(&cfg, Collective::Allgather(algo), 4096);
         assert_eq!(s.min, s.max, "{algo}");
     }
 }
@@ -219,7 +225,7 @@ fn contention_noise_is_bounded() {
         suite: eag_runtime::CipherSuite::AesGcm128,
     };
     for algo in [Algorithm::Mvapich, Algorithm::CRing, Algorithm::Hs2] {
-        let s = simulate(&cfg, algo, 64 * 1024);
+        let s = simulate(&cfg, Collective::Allgather(algo), 64 * 1024);
         assert!(
             s.std_dev <= 0.10 * s.mean,
             "{algo}: std {} vs mean {}",
@@ -244,9 +250,9 @@ fn bridges2_reduced_scale_ranking() {
         suite: eag_runtime::CipherSuite::AesGcm128,
     };
     let m = 64 * 1024;
-    let hs2 = simulate(&cfg, Algorithm::Hs2, m).mean;
-    let naive = simulate(&cfg, Algorithm::Naive, m).mean;
-    let mpi = simulate(&cfg, Algorithm::Mvapich, m).mean;
+    let hs2 = simulate(&cfg, Collective::Allgather(Algorithm::Hs2), m).mean;
+    let naive = simulate(&cfg, Collective::Allgather(Algorithm::Naive), m).mean;
+    let mpi = simulate(&cfg, Collective::Allgather(Algorithm::Mvapich), m).mean;
     assert!(
         hs2 < mpi,
         "HS2 {hs2:.0} should beat unencrypted MPI {mpi:.0}"
@@ -272,11 +278,11 @@ fn recommender_tracks_the_simulated_best() {
     let model = cfg.cluster_profile().model;
     for m in [4usize, 1024, 64 * 1024, 1024 * 1024] {
         let pick = eag_core::recommend(64, 8, m, &model);
-        let picked = simulate(&cfg, pick, m).mean;
+        let picked = simulate(&cfg, Collective::Allgather(pick), m).mean;
         let best = Algorithm::encrypted_all()
             .iter()
             .filter(|&&a| a != Algorithm::Naive)
-            .map(|&a| simulate(&cfg, a, m).mean)
+            .map(|&a| simulate(&cfg, Collective::Allgather(a), m).mean)
             .fold(f64::INFINITY, f64::min);
         assert!(
             picked <= 2.5 * best,
@@ -318,7 +324,6 @@ fn ring_forwarding_overlaps_decryption() {
             },
             fabric: None,
         },
-        mvapich_switch_bytes: 8 * 1024,
     };
     let spec = WorldSpec::new(
         Topology::new(8, 8, Mapping::Block), // ℓ = 1: the C-Ring sub shape
@@ -326,7 +331,9 @@ fn ring_forwarding_overlaps_decryption() {
         DataMode::Phantom,
     );
     let report = run(&spec, |ctx| {
-        allgather(ctx, Algorithm::ORing, 16).verify(0);
+        Collective::Allgather(Algorithm::ORing)
+            .run(ctx, 16)
+            .verify(0);
     });
     // 7 hops × 100 µs, with all but the last ~2 decrypts hidden in the
     // waits. Without overlap this would be ≥ 7 × 150 = 1050 µs.
@@ -360,7 +367,7 @@ fn oversubscribed_fabric_rewards_locality() {
         let samples: Vec<f64> = (0..3)
             .map(|_| {
                 run(&spec, move |ctx| {
-                    allgather(ctx, algo, 256 * 1024).verify(0);
+                    Collective::Allgather(algo).run(ctx, 256 * 1024).verify(0);
                 })
                 .latency_us
             })
@@ -385,7 +392,7 @@ fn oversubscribed_fabric_rewards_locality() {
             DataMode::Phantom,
         );
         run(&spec, move |ctx| {
-            allgather(ctx, algo, 256 * 1024).verify(0);
+            Collective::Allgather(algo).run(ctx, 256 * 1024).verify(0);
         })
         .latency_us
     };

@@ -1,7 +1,7 @@
 //! Long-running stress tests (excluded from the default run; invoke with
 //! `cargo test -p eag-integration --test stress -- --ignored`).
 
-use eag_core::{allgather, allgatherv, Algorithm};
+use eag_core::{Algorithm, Collective, Group};
 use eag_netsim::{profile, Mapping, Topology};
 use eag_runtime::{run, DataMode, WorldSpec};
 use rand::rngs::StdRng;
@@ -35,7 +35,7 @@ fn soak_random_collective_sequences() {
         run(&spec, move |ctx| {
             for &(ai, m) in &plan2 {
                 let algo = Algorithm::all()[ai];
-                allgather(ctx, algo, m).verify(seed);
+                Collective::Allgather(algo).run(ctx, m).verify(seed);
             }
         });
     }
@@ -53,10 +53,16 @@ fn soak_mixed_allgather_and_allgatherv() {
     );
     run(&spec, move |ctx| {
         for round in 0..60 {
-            allgather(ctx, Algorithm::Hs2, 64 + round).verify(seed);
+            Collective::Allgather(Algorithm::Hs2)
+                .run(ctx, 64 + round)
+                .verify(seed);
             let lens: Vec<usize> = (0..p).map(|r| (r * 13 + round) % 200).collect();
-            allgatherv(ctx, Algorithm::CRing, &lens).verify(seed);
-            allgather(ctx, Algorithm::ORd2, round % 97).verify(seed);
+            Collective::Allgatherv(Algorithm::CRing)
+                .run_with(ctx, Group::world(lens.len()).members(), &lens)
+                .verify(seed);
+            Collective::Allgather(Algorithm::ORd2)
+                .run(ctx, round % 97)
+                .verify(seed);
         }
     });
 }
@@ -71,7 +77,9 @@ fn soak_bridges2_scale_phantom() {
         DataMode::Phantom,
     );
     let report = run(&spec, |ctx| {
-        allgather(ctx, Algorithm::Hs2, 64 * 1024).verify(0);
+        Collective::Allgather(Algorithm::Hs2)
+            .run(ctx, 64 * 1024)
+            .verify(0);
     });
     assert!(report.latency_us > 0.0);
 }

@@ -1,6 +1,6 @@
 //! Virtual-time trace recording and active-adversary fault injection.
 
-use eag_core::{allgather, Algorithm};
+use eag_core::{Algorithm, Collective};
 use eag_netsim::{profile, Mapping, Topology};
 use eag_runtime::{run, BusyBreakdown, DataMode, EventKind, FaultPlan, WorldSpec};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -21,7 +21,9 @@ fn traced_spec(p: usize, nodes: usize) -> WorldSpec {
 #[test]
 fn traces_cover_every_rank_and_stay_monotone() {
     let report = run(&traced_spec(8, 4), |ctx| {
-        allgather(ctx, Algorithm::Hs2, 256).verify(SEED);
+        Collective::Allgather(Algorithm::Hs2)
+            .run(ctx, 256)
+            .verify(SEED);
     });
     assert_eq!(report.traces.len(), 8);
     for (rank, trace) in report.traces.iter().enumerate() {
@@ -40,7 +42,9 @@ fn traces_cover_every_rank_and_stay_monotone() {
 #[test]
 fn trace_accounts_for_the_whole_critical_path() {
     let report = run(&traced_spec(8, 4), |ctx| {
-        allgather(ctx, Algorithm::CRing, 1024).verify(SEED);
+        Collective::Allgather(Algorithm::CRing)
+            .run(ctx, 1024)
+            .verify(SEED);
     });
     for (rank, trace) in report.traces.iter().enumerate() {
         let busy = BusyBreakdown::of(trace).total_us();
@@ -58,7 +62,9 @@ fn trace_accounts_for_the_whole_critical_path() {
 #[test]
 fn traces_show_the_expected_crypto_ops() {
     let report = run(&traced_spec(8, 4), |ctx| {
-        allgather(ctx, Algorithm::Naive, 64).verify(SEED);
+        Collective::Allgather(Algorithm::Naive)
+            .run(ctx, 64)
+            .verify(SEED);
     });
     for trace in &report.traces {
         let encs = trace
@@ -77,7 +83,9 @@ fn traces_show_the_expected_crypto_ops() {
 #[test]
 fn gantt_renders_all_ranks() {
     let report = run(&traced_spec(4, 2), |ctx| {
-        allgather(ctx, Algorithm::Hs1, 64).verify(SEED);
+        Collective::Allgather(Algorithm::Hs1)
+            .run(ctx, 64)
+            .verify(SEED);
     });
     let chart = eag_runtime::trace::render_gantt(&report.traces, 60);
     for rank in 0..4 {
@@ -103,7 +111,7 @@ fn corrupting_any_early_frame_aborts_encrypted_collectives() {
             };
             let result = catch_unwind(AssertUnwindSafe(|| {
                 run(&spec, move |ctx| {
-                    allgather(ctx, algo, 128).verify(SEED);
+                    Collective::Allgather(algo).run(ctx, 128).verify(SEED);
                 })
             }));
             assert!(
@@ -129,7 +137,7 @@ fn corruption_is_silent_without_encryption() {
         ..FaultPlan::default()
     };
     let report = run(&spec, |ctx| {
-        let out = allgather(ctx, Algorithm::Ring, 128);
+        let out = Collective::Allgather(Algorithm::Ring).run(ctx, 128);
         // Completes without any error...
         assert!(out.is_complete());
         // ...but at least one delivered block no longer matches its source.
