@@ -74,8 +74,9 @@ commands:
              crash-tolerant run surviving that schedule: STEP counts the
              rank's peer sends within its arming epoch (e1 = inside the
              first agreement instance), 'a' dies after the send leaves,
-             'h' is a hard crash (heartbeat detection only). A schedule
-             replays deterministically: same flags, same recovery.
+             'h' is a hard crash (silent; suspected after a grace
+             period). A schedule replays deterministically: same flags,
+             same recovery.
   sweep      best-scheme table across sizes (--p, --nodes; optional
              --mapping, --profile, --sizes 1B,1KB,…, --csv out.csv)
   bench      run the fixed deterministic smoke suite (latency entries,
@@ -211,7 +212,8 @@ impl Options {
 /// * `2@0e1` — rank 2 dies at epoch 1's first send, i.e. inside round 0
 ///   of the first survivor-agreement instance;
 /// * `4@0a`  — rank 4 dies just *after* its first send left;
-/// * `1@0h`  — hard crash: no exit notice, heartbeat detection only.
+/// * `1@0h`  — hard crash: departs silently, suspected after the grace
+///   period.
 fn parse_crash(spec: &str) -> Result<Crash, String> {
     let bad = || format!("--crash: bad spec {spec:?} (use RANK@STEP[eEPOCH][a][h])");
     let (rank_s, rest) = spec.split_once('@').ok_or_else(bad)?;
@@ -413,8 +415,8 @@ fn cmd_run_crash(
     };
     spec.recv_timeout = Some(Duration::from_secs(60));
     if crashes.iter().any(|c| c.hard) {
-        // Hard crashes leave no exit notice: arm the heartbeat-staleness
-        // suspicion clock or survivors would wait out the full timeout.
+        // Hard crashes depart silently: arm the suspicion clock or
+        // survivors would wait out the full timeout.
         spec.suspect_after = Some(Duration::from_millis(50));
     }
     eag_runtime::quiet_expected_panics();

@@ -226,8 +226,8 @@ pub struct CrashPoint {
     /// Die after the triggering frame left (`true`) or just before
     /// (`false`).
     pub after_send: bool,
-    /// Hard crash: no exit notice, survivors detect via heartbeat
-    /// staleness.
+    /// Hard crash: a silent departure, suspected by survivors after the
+    /// grace period.
     pub hard: bool,
 }
 

@@ -899,8 +899,8 @@ mod tests {
 
     #[test]
     fn hard_and_soft_crashes_mix_in_one_schedule() {
-        // A hard crash (no dying gasp: peers must notice via heartbeat
-        // staleness) alongside a soft one. Suspicion of the hard-crashed
+        // A hard crash (no dying gasp: peers suspect it once its silent
+        // departure outlasts the grace period) alongside a soft one. Suspicion of the hard-crashed
         // rank may be raised independently by several survivors across
         // epochs; the suspicion path is idempotent, so the decided set
         // still converges.

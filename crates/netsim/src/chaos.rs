@@ -90,10 +90,11 @@ pub struct Crash {
     /// leaves the peer's receive permanently unsatisfied, dying after
     /// exercises the "message from a dead rank" admission path.
     pub after_send: bool,
-    /// Hard crash: the dead rank leaves no exit notice, so survivors must
-    /// suspect it via heartbeat staleness instead of the runner's
-    /// immediate crash notice. Slower to detect but covers kill -9-style
-    /// deaths rather than clean aborts.
+    /// Hard crash: the dead rank departs silently, so survivors suspect it
+    /// only once its departure record has stayed silent for the world's
+    /// `suspect_after` grace period, instead of acting on the record at
+    /// once as they do for a soft crash. Slower to detect but covers
+    /// kill -9-style deaths rather than clean aborts.
     pub hard: bool,
 }
 
@@ -122,7 +123,8 @@ impl Crash {
         }
     }
 
-    /// Same event, but leaving no exit notice (heartbeat detection only).
+    /// Same event, but departing silently (detected only by suspicion
+    /// after the grace period).
     pub fn hard(mut self) -> Self {
         self.hard = true;
         self

@@ -40,11 +40,12 @@ pub enum FailureCause {
         /// Human-readable detail from the crypto layer.
         detail: String,
     },
-    /// A peer's process died mid-collective (crash notice from the runner,
-    /// or heartbeat staleness for hard crashes). Unlike [`DeadPeer`] —
-    /// a *clean* early exit — this failure is recoverable: survivors can
-    /// agree on the failed set, shrink the group, and re-run degraded
-    /// (see `recover_allgather` in `eag-core`).
+    /// A peer's process died mid-collective (its scheduler departure
+    /// record says it crashed — seen at once for a soft crash, after the
+    /// `suspect_after` grace period for a hard, silent one). Unlike
+    /// [`DeadPeer`] — a *clean* early exit — this failure is recoverable:
+    /// survivors can agree on the failed set, shrink the group, and re-run
+    /// degraded (see `Collective::recover` in `eag-core`).
     ///
     /// [`DeadPeer`]: FailureCause::DeadPeer
     Crash {

@@ -56,6 +56,7 @@ pub mod sched;
 pub mod session;
 pub mod shared;
 pub mod trace;
+mod transport;
 pub mod world;
 
 pub use eag_crypto::{Aead, CipherSuite};

@@ -58,8 +58,9 @@ pub struct Metrics {
     pub retransmit_bytes: u64,
     /// Duplicate frames discarded by sequence-number deduplication.
     pub dup_frames_dropped: u64,
-    /// Peer crashes this rank's failure detector observed (crash notice,
-    /// heartbeat staleness, or a same-node shared-segment abort).
+    /// Peer crashes this rank's failure detector observed (a crashed
+    /// peer's departure record, an attempt abort blaming a crash, or a
+    /// same-node shared-segment abort).
     pub crashes_detected: u64,
     /// Degraded recoveries this rank completed (shrunk-group re-runs).
     pub recoveries: u64,

@@ -30,10 +30,12 @@
 //! - **Departures.** Liveness is a scheduler fact, not a wall-clock guess:
 //!   the runner records how every rank left the world
 //!   ([`Scheduler::depart`]), including hard crashes — the simulation
-//!   analogue of per-node OS process monitoring. The failure detector in
-//!   `world` keys suspicion off these records, so a rank that is merely
-//!   descheduled (oversubscribed, busy in a long compute step) can never be
-//!   suspected: it has not departed.
+//!   analogue of per-node OS process monitoring. These records are the
+//!   runtime's only liveness state: the failure detector, the dead-peer
+//!   check and the post-collective linger in `world` all read them (no
+//!   second copy of who finished or crashed exists to fall out of step),
+//!   so a rank that is merely descheduled (oversubscribed, busy in a long
+//!   compute step) can never be suspected: it has not departed.
 //!
 //! The scheduler is deliberately oblivious to what the messages mean;
 //! reliability framing, virtual clocks, and failure semantics stay in
@@ -41,7 +43,7 @@
 
 use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
@@ -61,8 +63,8 @@ pub enum Wake {
 pub enum Departure {
     /// Its step function returned normally.
     Finished,
-    /// Killed by an injected crash that leaves an exit notice for
-    /// survivors.
+    /// Killed by an injected crash survivors may act on at once: this
+    /// record is the notice.
     SoftCrash,
     /// Killed by an injected crash that leaves no notice. Survivors learn
     /// of it only through this departure record — after the world's
@@ -166,15 +168,21 @@ struct RankSlot<M> {
     /// Monotone count of this rank's scheduler interactions (drains, parks,
     /// yields) — diagnostics for tests and tooling, not a liveness oracle.
     progress: AtomicU64,
-    departed: Mutex<Option<(Departure, Instant)>>,
 }
 
 /// The event-driven rank scheduler. See the [module docs](self) for the
 /// execution model.
 pub struct Scheduler<M> {
     slots: Vec<RankSlot<M>>,
+    /// How and when each rank left the world — written once, read
+    /// lock-free by every receive that checks on its peer. Kept apart from
+    /// the mailbox slots: those cache lines are written on every send and
+    /// drain, these are read-mostly.
+    departed: Vec<OnceLock<(Departure, Instant)>>,
     /// World-event generation counter (see [`Scheduler::world_event`]).
     generation: AtomicU64,
+    /// Number of ranks with a departure record.
+    departures: AtomicUsize,
     gate: Arc<RunGate>,
 }
 
@@ -196,10 +204,11 @@ impl<M> Scheduler<M> {
                     mail: Mutex::new(VecDeque::new()),
                     cv: Condvar::new(),
                     progress: AtomicU64::new(0),
-                    departed: Mutex::new(None),
                 })
                 .collect(),
+            departed: (0..p).map(|_| OnceLock::new()).collect(),
             generation: AtomicU64::new(0),
+            departures: AtomicUsize::new(0),
             gate,
         }
     }
@@ -333,23 +342,31 @@ impl<M> Scheduler<M> {
         }
     }
 
-    /// Records how `rank` left the world and raises a world event so every
-    /// parked rank re-examines liveness.
+    /// Records how `rank` left the world (a rank leaves once; the first
+    /// record stands) and raises a world event so every parked rank
+    /// re-examines liveness — the record is published before the event.
     pub fn depart(&self, rank: usize, how: Departure) {
-        *self.slots[rank].departed.lock() = Some((how, Instant::now()));
+        if self.departed[rank].set((how, Instant::now())).is_ok() {
+            self.departures.fetch_add(1, Ordering::SeqCst);
+        }
         self.world_event();
     }
 
     /// How `rank` left the world, if it has.
     pub fn departure(&self, rank: usize) -> Option<Departure> {
-        self.slots[rank].departed.lock().map(|(how, _)| how)
+        self.departed[rank].get().map(|&(how, _)| how)
+    }
+
+    /// How many ranks have left the world, for any reason.
+    pub fn departures(&self) -> usize {
+        self.departures.load(Ordering::SeqCst)
     }
 
     /// When `rank` departed *silently* (a hard crash), if it did. This is
     /// what the failure detector's suspicion clock runs from.
     pub fn hard_departed_at(&self, rank: usize) -> Option<Instant> {
-        match *self.slots[rank].departed.lock() {
-            Some((Departure::HardCrash, at)) => Some(at),
+        match self.departed[rank].get() {
+            Some(&(Departure::HardCrash, at)) => Some(at),
             _ => None,
         }
     }

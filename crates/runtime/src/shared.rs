@@ -110,11 +110,6 @@ impl NodeShared {
         }
     }
 
-    /// Number of processes sharing this segment.
-    pub fn participants(&self) -> usize {
-        self.participants
-    }
-
     /// Deposits `item` into `key`, visible from virtual time `ready_us` and
     /// consumed by exactly `consumers` fetches (after the last one the slot
     /// is removed). A deposit nobody will fetch (`consumers == 0`) is

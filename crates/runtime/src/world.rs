@@ -11,6 +11,17 @@
 //! it. No rank ever spins a poll loop, which is what lets real-mode
 //! worlds of p=256–1024 run on one machine.
 //!
+//! # Layers
+//!
+//! [`ProcCtx`] is glue. The reliability protocol lives in
+//! `transport.rs` (a private, thread-free state machine: events in, actions
+//! out); liveness lives in the scheduler's departure records
+//! ([`crate::sched`]); everything the ranks of one world share lives in one
+//! borrowed `World`. What is left here executes the transport's actions
+//! against the scheduler, the virtual clock and the counters, prices each
+//! step with the cost model, and owns the wall-clock timers (`Instant`s)
+//! the transport never sees.
+//!
 //! # Reliable transport (chaos mode)
 //!
 //! When the spec's [`FaultPlan`] is enabled, every point-to-point send is
@@ -39,10 +50,11 @@
 //! chosen send step of a chosen membership epoch — including steps inside
 //! the recovery machinery itself (agreement rounds, degraded re-runs).
 //! The world does not treat these as poisoning panics: the runner records
-//! each death (a *crash notice* for soft crashes, or only a silent
-//! scheduler departure for hard crashes, which survivors suspect after a
-//! grace period — see [`WorldSpec::suspect_after`]), wakes any same-node
-//! sibling blocked on the shared segment, and keeps the world alive. A
+//! each death as a scheduler *departure* (soft crashes are visible to
+//! survivors at once; hard crashes depart silently and are suspected only
+//! after a grace period — see [`WorldSpec::suspect_after`]), wakes any
+//! same-node sibling blocked on the shared segment, and keeps the world
+//! alive. A
 //! receive blocked on a dead peer resolves through the failure detector
 //! with a recoverable `Crash { rank }` cause instead of waiting out its
 //! deadline; [`ProcCtx::try_recv`] surfaces the cause as a value so
@@ -51,7 +63,7 @@
 //! abandoned attempt can never alias the agreement rounds or the degraded
 //! re-runs that follow it, and abandonments are serial-scoped so a stale
 //! abort from one membership epoch never bleeds into a later attempt
-//! (see `recover_collective` in `eag-core`). Use
+//! (see `Collective::recover` in `eag-core`). Use
 //! [`run_crashable`]/[`try_run_crashable`] to harvest per-rank outputs with
 //! the crashed ranks marked instead of panicking on the missing output.
 
@@ -61,16 +73,18 @@ use crate::payload::{Chunk, Data, Item, Parcel, Sealed};
 use crate::sched::{Departure, RunGate, Scheduler};
 use crate::shared::{NodeShared, SlotKey};
 use crate::trace::{Event, EventKind, Trace};
+use crate::transport::{
+    corrupt_parcel, Action, Counter, Frame, Mark, Message, Round, Transport, Wire,
+};
 use eag_crypto::{Aead, CipherSuite, Key, NonceSource, WIRE_OVERHEAD};
 use eag_netsim::fabric::FabricState;
 use eag_netsim::nic::NodeNic;
 use eag_netsim::{
-    ClusterProfile, CostModel, FaultKind, FaultPlan, FrameKind, FrameRecord, LinkClass, Rank,
-    Topology, Wiretap,
+    ClusterProfile, CostModel, FaultPlan, FrameKind, FrameRecord, LinkClass, Rank, Topology,
+    Wiretap,
 };
-use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::panic::{catch_unwind, panic_any, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -147,9 +161,10 @@ pub struct WorldSpec {
     /// post-collective linger of each rank in chaos mode.
     pub recv_timeout: Option<Duration>,
     /// Grace period of the failure detector for *hard* crashes, which
-    /// leave no exit notice: a peer that departed the scheduler without
-    /// finishing and has stayed silent this long is suspected crashed.
-    /// Soft crashes are detected immediately from the runner's notice.
+    /// depart silently: a peer whose departure record says it left without
+    /// finishing, and that has stayed silent this long, is suspected
+    /// crashed. Soft crashes are detected immediately from their departure
+    /// record.
     /// Suspicion keys off the scheduler's departure records, never off
     /// wall-clock thread liveness, so a rank that is merely busy or
     /// descheduled (an oversubscribed world) cannot be falsely suspected
@@ -248,119 +263,166 @@ fn seal_aad_into(origins: &[Rank], block_len: usize, aad: &mut Vec<u8>) {
     aad.extend_from_slice(&(block_len as u64).to_le_bytes());
 }
 
-/// What travels on a channel: a data frame with reliability framing, one of
-/// the two recovery control frames, or the poison marker that propagates a
-/// panic.
-#[derive(Clone)]
-enum Wire {
-    /// An application frame. `seq` numbers the `(src, tag)` stream (always 0
-    /// outside chaos mode); `checksum` is the transport-level integrity
-    /// check (`None` outside chaos mode).
-    Data {
-        tag: u64,
-        seq: u64,
-        checksum: Option<u64>,
-        parcel: Parcel,
-    },
-    /// "Retransmit everything on `tag` from `seq` onward."
-    Nack { tag: u64, seq: u64 },
-    /// "I have nothing logged for `tag`" — the NACKed sender will never
-    /// produce the frame; lets the receiver fail fast with `DeadPeer`.
-    NackMiss { tag: u64 },
-    /// The sender panicked; unwind.
-    Poison,
+/// Per-hop integrity check of a frame's sealed items: verifies each
+/// authentication tag (without decrypting) against the AAD rebuilt from the
+/// routing metadata. Catches adversarial tampering that recomputed the
+/// transport checksum; the transport consults it only when the fault
+/// plan's `adversarial_tamper` flag is set (it is a full AEAD pass over
+/// every sealed byte at every hop). Plaintext items have no authenticator —
+/// corruption of them under an adversarial tamper goes undetected here,
+/// which is exactly the integrity gap the encrypted algorithms close.
+fn hop_verify(aead: &dyn Aead, aad: &mut Vec<u8>, parcel: &Parcel) -> bool {
+    parcel.items.iter().all(|item| {
+        let Item::Sealed(s) = item else { return true };
+        let Data::Real(wire) = &s.data else {
+            return true;
+        };
+        seal_aad_into(&s.origins, s.block_len, aad);
+        // Seals are built contiguous and forwarded whole, so the borrow
+        // fast path always hits today; the materializing fallback keeps
+        // this correct for any future fragmented frame.
+        match wire.as_contiguous() {
+            Some(flat) => eag_crypto::verify_message(aead, aad, flat).is_ok(),
+            None => eag_crypto::verify_message(aead, aad, &wire.to_vec()).is_ok(),
+        }
+    })
 }
 
-#[derive(Clone)]
-struct Message {
-    src: Rank,
-    arrive_us: f64,
-    wire: Wire,
-}
-
-/// One logged transmission, kept for NACK-triggered replay. The parcel is
-/// the *pre-fault* clone: retransmissions are always clean.
-struct SentRecord {
-    tag: u64,
-    seq: u64,
-    attempts: u32,
-    parcel: Parcel,
-}
-
-/// Everything a rank needs during a collective: identity, messaging, shared
-/// memory, crypto, clock, and metrics.
-pub struct ProcCtx<'w> {
-    rank: Rank,
-    topo: &'w Topology,
-    model: &'w CostModel,
-    mode: DataMode,
-    clock_us: f64,
-    metrics: Metrics,
-    sched: &'w Scheduler<Message>,
-    /// Reused drain buffer for mailbox batches (allocation-free receives).
-    inbox_scratch: Vec<Message>,
-    /// Accepted, in-order frames awaiting a matching `recv`, with their
-    /// virtual arrival times.
-    pending: HashMap<(Rank, u64), VecDeque<(Parcel, f64)>>,
-    /// Next sequence number per outgoing `(dst, tag)` stream (chaos mode).
-    next_seq: HashMap<(Rank, u64), u64>,
-    /// Next expected sequence number per incoming `(src, tag)` stream.
-    expected: HashMap<(Rank, u64), u64>,
-    /// Out-of-order frames buffered until the gap before them fills.
-    ooo: HashMap<(Rank, u64), BTreeMap<u64, (Parcel, f64)>>,
-    /// Retransmit log per destination (chaos mode only; grows with the
-    /// collective — bounded by the run, not pruned).
-    sent_log: HashMap<Rank, Vec<SentRecord>>,
-    /// Frames held back by an injected `Reorder` fault; released after the
-    /// next send (or when this rank blocks or finishes).
-    reorder_limbo: Vec<(Rank, Message)>,
-    aead: &'w dyn Aead,
-    nonces: NonceSource,
-    /// Reusable AAD buffer (the routing-metadata binding is rebuilt per
-    /// chunk but never needs a fresh allocation).
-    aad_scratch: Vec<u8>,
-    nics: &'w [Arc<NodeNic>],
-    /// Owner id stamped on shared-NIC reservations (see
-    /// [`WorldSpec::session_id`]).
-    session_id: u64,
-    fabric: Option<&'w FabricState>,
-    wiretap: &'w Wiretap,
-    shared: &'w [Arc<NodeShared>],
-    nic_contention: bool,
-    capture_wire: bool,
-    epoch: u64,
-    recv_timeout: Option<Duration>,
-    trace: Option<Trace>,
-    faults: &'w FaultPlan,
-    retry: RetryPolicy,
-    /// Cached `faults.enabled()`: reliability framing armed.
+/// Everything the ranks of one world share, built once by the runner and
+/// borrowed by every [`ProcCtx`].
+struct World<'s> {
+    spec: &'s WorldSpec,
+    /// Cached `spec.faults.enabled()`: reliability framing armed.
     chaos: bool,
-    /// Current collective phase, stamped into [`CollectiveError`]s.
-    phase: &'static str,
-    inter_frame_counter: &'w AtomicU64,
-    finished: &'w [AtomicBool],
-    /// Ranks that have left the world for any reason — clean completion or
-    /// crash. Drives linger termination and the `Finished` broadcast.
-    departed_count: &'w AtomicUsize,
-    /// Crash notices: set by the runner when a rank dies softly (hard
-    /// crashes leave the flag clear and are only caught by heartbeats).
-    crashed: &'w [AtomicBool],
+    /// The data seed (0 in phantom mode).
+    seed: u64,
+    sched: Scheduler<Message>,
+    aead: Box<dyn Aead>,
+    nics: Vec<Arc<NodeNic>>,
+    fabric: Option<FabricState>,
+    wiretap: Arc<Wiretap>,
+    shared: Vec<Arc<NodeShared>>,
+    /// Global count of inter-node first transmissions (the n-th-frame
+    /// fault injections key off it).
+    inter_frames: AtomicU64,
     /// Per-rank abandonment serials: the attempt serial the rank most
     /// recently abandoned (0 = never; set by the rank itself via
     /// [`ProcCtx::abort_attempt`]). Receives are attempt-scoped: a peer
     /// counts as aborted only if its abandoned serial reaches this rank's
     /// current serial, so stale abandonments from earlier membership
     /// epochs never leak into later attempts.
-    aborted: &'w [AtomicU64],
+    aborted: Vec<AtomicU64>,
     /// Per-rank abort blame: the rank + 1 whose crash triggered that
     /// rank's most recent abandonment (0 = none). Lets a cascaded receive
-    /// failure name the *new* crash of the current epoch rather than a
-    /// stale world-first notice.
-    abort_blame: &'w [AtomicUsize],
-    /// First crashed rank + 1 (0 = none). Publish-before-flag ordering
-    /// anchor for soft-crash notices and hard-crash suspicions.
-    crash_notice: &'w AtomicUsize,
-    suspect_after: Option<Duration>,
+    /// failure name the *new* crash of the current epoch.
+    abort_blame: Vec<AtomicUsize>,
+}
+
+impl<'s> World<'s> {
+    fn new(spec: &'s WorldSpec) -> Self {
+        let p = spec.topology.p();
+        let n_nodes = spec.topology.nodes();
+        let model = &spec.profile.model;
+        let seed = match spec.mode {
+            DataMode::Real { seed } => seed,
+            DataMode::Phantom => 0,
+        };
+        let key = spec.key.clone().unwrap_or_else(|| {
+            let mut key_bytes = [0u8; 16];
+            key_bytes[..8].copy_from_slice(&seed.to_le_bytes());
+            key_bytes[8..].copy_from_slice(&(!seed).to_le_bytes());
+            Key::from_bytes(key_bytes)
+        });
+        let nics = match &spec.shared_nics {
+            Some(shared) => {
+                assert_eq!(
+                    shared.len(),
+                    n_nodes,
+                    "shared_nics must provide one NIC per logical node"
+                );
+                shared.clone()
+            }
+            None => (0..n_nodes)
+                .map(|_| Arc::new(NodeNic::new(model.nic_bandwidth)))
+                .collect(),
+        };
+        World {
+            spec,
+            chaos: spec.faults.enabled(),
+            seed,
+            sched: Scheduler::with_gate(p, resolve_gate(spec)),
+            aead: spec.suite.aead_for_key(&key),
+            nics,
+            fabric: model.fabric.map(|fm| FabricState::new(fm, n_nodes)),
+            wiretap: Arc::new(Wiretap::new()),
+            shared: (0..n_nodes)
+                .map(|node| Arc::new(NodeShared::new(spec.topology.ranks_on_node(node).len())))
+                .collect(),
+            inter_frames: AtomicU64::new(0),
+            aborted: (0..p).map(|_| AtomicU64::new(0)).collect(),
+            abort_blame: (0..p).map(|_| AtomicUsize::new(0)).collect(),
+        }
+    }
+
+    /// Records an inter-node frame in the wiretap, as it looks on the wire.
+    fn capture(&self, src: Rank, dst: Rank, parcel: &Parcel) {
+        let kind = if parcel.has_plain() {
+            FrameKind::Plain
+        } else if parcel.items.iter().all(|i| match i {
+            Item::Sealed(s) => s.data.is_real(),
+            Item::Plain(_) => false,
+        }) && !parcel.items.is_empty()
+        {
+            FrameKind::Cipher
+        } else {
+            FrameKind::Phantom
+        };
+        let bytes = if self.spec.capture_wire {
+            // The tap records refcounted views of the payload ropes — an
+            // observer, not a copier.
+            let mut buf = eag_rope::Rope::new();
+            for item in &parcel.items {
+                let data = match item {
+                    Item::Plain(c) => &c.data,
+                    Item::Sealed(s) => &s.data,
+                };
+                if let Data::Real(b) = data {
+                    buf.append(b.clone());
+                }
+            }
+            buf
+        } else {
+            eag_rope::Rope::new()
+        };
+        self.wiretap.capture(FrameRecord {
+            src,
+            dst,
+            kind,
+            len: parcel.wire_len(),
+            bytes,
+        });
+    }
+}
+
+/// Everything a rank needs during a collective: identity, messaging, shared
+/// memory, crypto, clock, and metrics.
+pub struct ProcCtx<'w> {
+    world: &'w World<'w>,
+    rank: Rank,
+    clock_us: f64,
+    metrics: Metrics,
+    /// Reused drain buffer for mailbox batches (allocation-free receives).
+    inbox_scratch: Vec<Message>,
+    /// This rank's end of the reliable transport.
+    transport: Transport,
+    nonces: NonceSource,
+    /// Reusable AAD buffer (the routing-metadata binding is rebuilt per
+    /// chunk but never needs a fresh allocation).
+    aad_scratch: Vec<u8>,
+    epoch: u64,
+    trace: Option<Trace>,
+    /// Current collective phase, stamped into [`CollectiveError`]s.
+    phase: &'static str,
     /// Count of this rank's peer-bound send steps since it entered the
     /// current membership epoch (the crash trigger).
     send_steps: u64,
@@ -378,6 +440,44 @@ pub struct ProcCtx<'w> {
 }
 
 impl<'w> ProcCtx<'w> {
+    fn new(world: &'w World<'w>, rank: Rank) -> Self {
+        let spec = world.spec;
+        ProcCtx {
+            world,
+            rank,
+            clock_us: 0.0,
+            metrics: Metrics {
+                cipher_suite: spec.suite.id(),
+                ..Metrics::default()
+            },
+            inbox_scratch: Vec::new(),
+            transport: Transport::new(rank, &spec.faults),
+            // Fold the session id into the nonce seed so concurrent
+            // sessions sharing a data seed never share nonce streams (a
+            // no-op for the standalone session_id = 0).
+            nonces: NonceSource::seeded(mix_rank_seed(
+                world.seed ^ spec.session_id.wrapping_mul(0xD6E8_FEB8_6659_FD93),
+                rank,
+            )),
+            aad_scratch: Vec::new(),
+            epoch: 0,
+            // A traced timeline opens with the suite marker so consumers
+            // can attribute enc/dec intervals.
+            trace: spec.trace.then(|| {
+                vec![Event {
+                    start_us: 0.0,
+                    end_us: 0.0,
+                    kind: EventKind::Suite { suite: spec.suite },
+                }]
+            }),
+            phase: "collective",
+            send_steps: 0,
+            membership_epoch: 0,
+            attempt_serial: 0,
+            attempt_active: false,
+        }
+    }
+
     /// This process's rank.
     pub fn rank(&self) -> Rank {
         self.rank
@@ -385,34 +485,29 @@ impl<'w> ProcCtx<'w> {
 
     /// Total number of processes p.
     pub fn p(&self) -> usize {
-        self.topo.p()
+        self.world.spec.topology.p()
     }
 
     /// The topology in force.
     pub fn topology(&self) -> &Topology {
-        self.topo
+        &self.world.spec.topology
     }
 
     /// The node hosting this rank.
     pub fn node(&self) -> usize {
-        self.topo.node_of(self.rank)
+        self.world.spec.topology.node_of(self.rank)
     }
 
     /// The cost model in force.
     pub fn model(&self) -> &CostModel {
-        self.model
-    }
-
-    /// The data mode of this run.
-    pub fn mode(&self) -> DataMode {
-        self.mode
+        &self.world.spec.profile.model
     }
 
     /// True when this world has a fault plan armed (chaos mode). Worlds
     /// without one cannot inject crashes, so crash-tolerant wrappers may
     /// skip their agreement traffic entirely.
     pub fn chaos_enabled(&self) -> bool {
-        self.chaos
+        self.world.chaos
     }
 
     /// Current virtual time in µs.
@@ -481,59 +576,43 @@ impl<'w> ProcCtx<'w> {
 
     /// Failure-detector verdict for the peer a receive is blocked on:
     /// `Some(rank)` when the peer can never satisfy the receive because
-    /// `rank` crashed — the peer itself (crash notice or suspected silent
-    /// departure), or, for attempt-scoped receives from a peer that
-    /// abandoned the attempt, the crash that triggered the abandonment.
+    /// `rank` crashed — the peer itself (a soft-crash departure, or a
+    /// silent one past the grace period), or, for attempt-scoped receives
+    /// from a peer that abandoned the attempt, the crash that triggered
+    /// the abandonment.
     fn peer_dead(&self, src: Rank) -> Option<Rank> {
+        let world = self.world;
         if src == self.rank {
             return None;
         }
-        if self.crashed[src].load(Ordering::SeqCst) {
+        if world.sched.departure(src) == Some(Departure::SoftCrash) {
             return Some(src);
         }
-        if self.attempt_active && self.aborted[src].load(Ordering::SeqCst) >= self.attempt_serial {
+        if self.attempt_active && world.aborted[src].load(Ordering::SeqCst) >= self.attempt_serial {
             // The peer abandoned this attempt (or a later one): it will
             // never send the awaited frame. Blame the crash that made it
             // abandon — published before the serial, so it is visible here.
-            let blame = self.abort_blame[src].load(Ordering::SeqCst);
+            let blame = world.abort_blame[src].load(Ordering::SeqCst);
             return Some(if blame > 0 { blame - 1 } else { src });
         }
-        // Hard crashes leave no notice, but the scheduler still records the
+        // Hard crashes depart silently, but the scheduler still records the
         // departure (the runner observes every exit — the simulation
         // analogue of a node's OS seeing the process die). Suspicion means
         // "departed without finishing and stayed silent past the grace
         // period". A live rank that is merely busy or descheduled has not
         // departed and therefore can never be suspected, no matter how
         // oversubscribed the world.
-        if let Some(limit) = self.suspect_after {
-            if self.chaos && !self.finished[src].load(Ordering::SeqCst) {
-                if let Some(at) = self.sched.hard_departed_at(src) {
-                    if at.elapsed() >= limit {
-                        // Publish the suspicion so cascade aborts triggered
-                        // by it attribute their failure to this rank.
-                        let _ = self.crash_notice.compare_exchange(
-                            0,
-                            src + 1,
-                            Ordering::SeqCst,
-                            Ordering::SeqCst,
-                        );
-                        return Some(src);
-                    }
-                }
-            }
-        }
-        None
+        let suspected = self.suspect_deadline(src)?;
+        (Instant::now() >= suspected).then_some(src)
     }
 
     /// The instant at which [`Self::peer_dead`] will start suspecting
     /// `src`, if a suspicion clock is running — a park deadline, so the
     /// detector fires on time instead of on the next unrelated wake.
     fn suspect_deadline(&self, src: Rank) -> Option<Instant> {
-        let limit = self.suspect_after?;
-        if !self.chaos || src == self.rank || self.finished[src].load(Ordering::SeqCst) {
-            return None;
-        }
-        self.sched.hard_departed_at(src).map(|at| at + limit)
+        let limit = self.world.spec.suspect_after?;
+        let departed = self.world.sched.hard_departed_at(src)?;
+        Some(departed + limit)
     }
 
     /// Kills this rank's thread per a fault-plan crash event. The unwind
@@ -541,7 +620,7 @@ impl<'w> ProcCtx<'w> {
     /// world alive instead of poisoning it.
     fn die(&mut self, hard: bool) -> ! {
         self.record_marker(EventKind::Crash { rank: self.rank });
-        self.wiretap.note_crash(self.rank);
+        self.world.wiretap.note_crash(self.rank);
         panic_any(RankCrash { hard })
     }
 
@@ -554,15 +633,10 @@ impl<'w> ProcCtx<'w> {
         self.send_steps = 0;
     }
 
-    /// The membership epoch this rank is currently executing under.
-    pub fn membership_epoch(&self) -> u64 {
-        self.membership_epoch
-    }
-
     /// The fault bound `f` of this world's crash schedule. The recovery
     /// engine sizes its agreement rounds from it.
     pub fn fault_bound(&self) -> usize {
-        self.faults.fault_bound()
+        self.world.spec.faults.fault_bound()
     }
 
     /// Marks the start of a recoverable collective attempt (the initial
@@ -591,24 +665,25 @@ impl<'w> ProcCtx<'w> {
     /// *before* the abandonment serial, so a cascading peer always sees
     /// which crash to pin its own failure on.
     pub fn abort_attempt(&mut self, blamed: Rank) {
+        let world = self.world;
         self.attempt_active = false;
-        self.abort_blame[self.rank].store(blamed + 1, Ordering::SeqCst);
-        self.aborted[self.rank].store(self.attempt_serial, Ordering::SeqCst);
+        world.abort_blame[self.rank].store(blamed + 1, Ordering::SeqCst);
+        world.aborted[self.rank].store(self.attempt_serial, Ordering::SeqCst);
         // Peers parked on a receive from this rank must re-examine the
         // abort serial now, not on their next timer.
-        self.sched.world_event();
+        world.sched.world_event();
         // Same-node siblings may be blocked in a barrier or on a shared
         // deposit this abandoned attempt will never serve. Fail our
         // node's segment over to the blamed crash so they cascade into
         // recovery too. (The segment stays dead afterwards: shared-memory
         // algorithms are unavailable post-crash, which the recovery
         // dispatcher respects by re-running over channels only.)
-        self.shared[self.node()].crash_abort(blamed);
+        world.shared[self.node()].crash_abort(blamed);
     }
 
     /// Records a completed shrink-and-recover on this rank: a `Recover`
     /// trace marker plus the `recoveries` metrics counter. Called by the
-    /// recovery driver (`recover_allgather` in `eag-core`) after the
+    /// recovery driver (`Collective::recover` in `eag-core`) after the
     /// degraded re-run completes.
     pub fn note_recovery(&mut self, survivors: usize) {
         self.metrics.recoveries += 1;
@@ -622,23 +697,14 @@ impl<'w> ProcCtx<'w> {
         self.metrics.operation = self.metrics.operation.max(id);
     }
 
-    /// Converts a crash reported by the node-shared segment (a same-node
-    /// sibling died while we were blocked on its deposit or barrier) into
-    /// the recoverable typed failure.
-    /// Books a same-node crash observed through the shared segment and
-    /// returns it as a failure cause (attributing any wider cascade to it).
-    fn note_shared_crash(&mut self, dead: Rank) -> FailureCause {
-        let _ = self
-            .crash_notice
-            .compare_exchange(0, dead + 1, Ordering::SeqCst, Ordering::SeqCst);
+    /// Books a crash this rank's failure detector observed — through a
+    /// departure record, an attempt abort, or the node-shared segment (a
+    /// same-node sibling died while we were blocked on its deposit or
+    /// barrier) — and returns it as the recoverable typed cause.
+    fn note_crash(&mut self, dead: Rank) -> FailureCause {
         self.metrics.crashes_detected += 1;
         self.record_marker(EventKind::Crash { rank: dead });
         FailureCause::Crash { rank: dead }
-    }
-
-    fn shared_crash(&mut self, dead: Rank) -> ! {
-        let cause = self.note_shared_crash(dead);
-        self.fail(cause)
     }
 
     #[inline]
@@ -670,7 +736,7 @@ impl<'w> ProcCtx<'w> {
     /// one `origin` would generate with [`ProcCtx::my_block`], so the
     /// standard output verification applies unchanged.
     pub fn block_for(&self, origin: Rank, len: usize) -> Chunk {
-        let data = match self.mode {
+        let data = match self.world.spec.mode {
             DataMode::Real { seed } => {
                 Data::Real(crate::payload::pattern_block(seed, origin, len).into())
             }
@@ -683,7 +749,7 @@ impl<'w> ProcCtx<'w> {
     /// pair-keyed pattern (`pattern_block_pair`), carried under this rank's
     /// origin so the receiver can identify the source from chunk metadata.
     pub fn my_block_for(&self, dst: Rank, len: usize) -> Chunk {
-        let data = match self.mode {
+        let data = match self.world.spec.mode {
             DataMode::Real { seed } => {
                 Data::Real(crate::payload::pattern_block_pair(seed, self.rank, dst, len).into())
             }
@@ -699,7 +765,9 @@ impl<'w> ProcCtx<'w> {
     /// `occupancy end + α(link)`. In chaos mode the frame additionally gets
     /// a stream sequence number, a transport checksum, and a retransmit-log
     /// entry, and may be perturbed per the world's [`FaultPlan`].
-    pub fn send(&mut self, dst: Rank, tag: u64, mut parcel: Parcel) {
+    pub fn send(&mut self, dst: Rank, tag: u64, parcel: Parcel) {
+        let world = self.world;
+        let (spec, model) = (world.spec, &world.spec.profile.model);
         let tag = self.wire_tag(tag);
         // `Some(hard)` when a crash event fires after this frame leaves.
         let mut crash_after_send = None;
@@ -710,7 +778,7 @@ impl<'w> ProcCtx<'w> {
             // rounds and degraded re-runs run under epochs ≥ 1). Nothing
             // is suppressed — the epoch-versioned recovery loop restarts
             // agreement when a crash lands inside it.
-            let hit = self
+            let hit = spec
                 .faults
                 .crashes
                 .iter()
@@ -729,30 +797,31 @@ impl<'w> ProcCtx<'w> {
             }
             self.send_steps += 1;
         }
-        // Frames held back by an earlier Reorder injection are released
-        // after this send's delivery — i.e. genuinely overtaken by it.
-        let held = std::mem::take(&mut self.reorder_limbo);
         let t0 = self.clock_us;
         let bytes = parcel.wire_len();
-        let link = self.topo.link(self.rank, dst);
-        let (done_us, arrive_us) = match link {
+        let link = spec.topology.link(self.rank, dst);
+        let (done_us, mut arrive_us) = match link {
             LinkClass::SelfLoop => (self.clock_us, self.clock_us),
             LinkClass::Intra => {
-                let done = self.clock_us + bytes as f64 / self.model.intra.bandwidth;
-                (done, done + self.model.intra.alpha_us)
+                let done = self.clock_us + bytes as f64 / model.intra.bandwidth;
+                (done, done + model.intra.alpha_us)
             }
             LinkClass::Inter => {
-                let stream_done = self.clock_us + bytes as f64 / self.model.inter.bandwidth;
-                let nic_done = if self.nic_contention {
-                    self.nics[self.node()].reserve_for(self.session_id, self.clock_us, bytes)
+                let stream_done = self.clock_us + bytes as f64 / model.inter.bandwidth;
+                let nic_done = if spec.nic_contention {
+                    world.nics[self.node()].reserve_for(spec.session_id, self.clock_us, bytes)
                 } else {
                     self.clock_us
                 };
                 let mut done = stream_done.max(nic_done);
-                let mut alpha = self.model.inter.alpha_us;
-                if let Some(fabric) = self.fabric {
-                    let (fab_done, extra_alpha) =
-                        fabric.reserve(self.clock_us, self.node(), self.topo.node_of(dst), bytes);
+                let mut alpha = model.inter.alpha_us;
+                if let Some(fabric) = &world.fabric {
+                    let (fab_done, extra_alpha) = fabric.reserve(
+                        self.clock_us,
+                        self.node(),
+                        spec.topology.node_of(dst),
+                        bytes,
+                    );
                     done = done.max(fab_done);
                     alpha += extra_alpha;
                 }
@@ -766,133 +835,99 @@ impl<'w> ProcCtx<'w> {
             self.metrics.bytes_sent += bytes as u64;
             self.metrics.payload_sent += parcel.payload_len() as u64;
         }
-        let mut seq = 0u64;
-        let mut checksum = None;
         // Faults are only ever injected on inter-node links, and a
         // `(src, dst)` pair's link class never changes — so intra-node and
-        // self streams can skip the framing (sequence numbers, checksum,
-        // retransmit log) entirely. A frame with `checksum: None` bypasses
-        // the reliability admission at the receiver.
-        if self.chaos && link == LinkClass::Inter {
-            let s = self.next_seq.entry((dst, tag)).or_insert(0);
-            seq = *s;
-            *s += 1;
-            // Checksum and log the frame *before* any fault touches it:
-            // retransmissions replay the clean bytes.
-            checksum = Some(parcel.checksum());
-            self.sent_log.entry(dst).or_default().push(SentRecord {
+        // self streams skip the framing (sequence numbers, checksum,
+        // retransmit log) entirely, and their `checksum: None` frames
+        // bypass the reliability admission at the receiver.
+        let mut frame = if world.chaos && link == LinkClass::Inter {
+            self.transport.frame(dst, tag, parcel)
+        } else {
+            Frame {
                 tag,
-                seq,
-                attempts: 0,
-                parcel: parcel.clone(),
-            });
-        }
+                seq: 0,
+                checksum: None,
+                parcel,
+            }
+        };
         let mut fault = None;
         if link == LinkClass::Inter {
             self.metrics.inter_bytes_sent += bytes as u64;
-            let frame_idx = self.inter_frame_counter.fetch_add(1, Ordering::Relaxed);
-            if self.faults.corrupt_nth_inter_frame == Some(frame_idx) {
+            let frame_idx = world.inter_frames.fetch_add(1, Ordering::Relaxed);
+            if spec.faults.corrupt_nth_inter_frame == Some(frame_idx) {
                 // Legacy unrecovered adversary: corrupt without arming any
                 // recovery (the checksum, if present, is left stale so GCM
                 // aborts the collective downstream).
-                corrupt_parcel(&mut parcel);
+                corrupt_parcel(&mut frame.parcel);
             }
-            if self.chaos {
+            if world.chaos {
                 // Fault decisions hash the *logical* tag: a stream's fault
                 // pattern at a given seed is a property of the collective's
                 // structure, not of which epoch it runs in.
-                fault = match self.faults.fault_nth_inter_frame {
+                fault = match spec.faults.fault_nth_inter_frame {
                     Some((n, kind)) if n == frame_idx => Some(kind),
-                    _ => self.faults.decide(self.rank, dst, logical_tag(tag), seq, 0),
+                    _ => spec
+                        .faults
+                        .decide(self.rank, dst, logical_tag(tag), frame.seq, 0),
                 };
             }
-            if fault == Some(FaultKind::Tamper) {
-                corrupt_parcel(&mut parcel);
-                if self.faults.adversarial_tamper {
-                    // On-path adversary: fix up the transport checksum so
-                    // only the per-hop GCM verification can catch it.
-                    checksum = Some(parcel.checksum());
-                }
-            }
-            self.capture(dst, &parcel);
+            self.transport
+                .apply_fault(dst, &mut frame, &mut arrive_us, fault);
+            world.capture(self.rank, dst, &frame.parcel);
         }
         self.record(t0, EventKind::Send { dst, bytes, link });
-        if let Some(kind) = fault {
-            self.metrics.faults_injected += 1;
-            self.record_marker(EventKind::Fault { kind, dst });
-        }
-        let data = |arrive_us: f64, parcel: Parcel| Message {
-            src: self.rank,
-            arrive_us,
-            wire: Wire::Data {
-                tag,
-                seq,
-                checksum,
-                parcel,
-            },
-        };
-        match fault {
-            Some(FaultKind::Drop) => {}
-            Some(FaultKind::Reorder) => {
-                self.reorder_limbo.push((dst, data(arrive_us, parcel)));
-            }
-            Some(FaultKind::Duplicate) => {
-                let msg = data(arrive_us, parcel);
-                self.sched.send(dst, msg.clone());
-                self.sched.send(dst, msg);
-            }
-            Some(FaultKind::Delay) => {
-                self.sched
-                    .send(dst, data(arrive_us + self.faults.delay_us, parcel));
-            }
-            Some(FaultKind::Tamper) | None => {
-                self.sched.send(dst, data(arrive_us, parcel));
-            }
-        }
-        for (d, m) in held {
-            self.sched.send(d, m);
+        if world.chaos {
+            self.transport.dispatch(dst, frame, arrive_us, fault);
+            self.execute();
+        } else {
+            // Nothing can be faulted or held back: straight to the mailbox.
+            let wire = Wire::Data(frame);
+            world.sched.send(
+                dst,
+                Message {
+                    src: self.rank,
+                    arrive_us,
+                    wire,
+                },
+            );
         }
         if let Some(hard) = crash_after_send {
             self.die(hard);
         }
     }
 
-    fn capture(&self, dst: Rank, parcel: &Parcel) {
-        let kind = if parcel.has_plain() {
-            FrameKind::Plain
-        } else if parcel.items.iter().all(|i| match i {
-            Item::Sealed(s) => s.data.is_real(),
-            Item::Plain(_) => false,
-        }) && !parcel.items.is_empty()
-        {
-            FrameKind::Cipher
-        } else {
-            FrameKind::Phantom
-        };
-        let bytes = if self.capture_wire {
-            // The tap records refcounted views of the payload ropes — an
-            // observer, not a copier.
-            let mut buf = eag_rope::Rope::new();
-            for item in &parcel.items {
-                let data = match item {
-                    Item::Plain(c) => &c.data,
-                    Item::Sealed(s) => &s.data,
-                };
-                if let Data::Real(b) = data {
-                    buf.append(b.clone());
+    /// Executes the actions the transport left behind its last event
+    /// against the scheduler, the counters and the timeline.
+    fn execute(&mut self) {
+        if self.transport.out.is_empty() {
+            return;
+        }
+        let mut out = std::mem::take(&mut self.transport.out);
+        for action in out.drain(..) {
+            match action {
+                Action::Send(dst, msg) => self.world.sched.send(dst, msg),
+                Action::Count(counter, n) => {
+                    let m = &mut self.metrics;
+                    *match counter {
+                        Counter::FaultsInjected => &mut m.faults_injected,
+                        Counter::FaultsDetected => &mut m.faults_detected,
+                        Counter::NacksSent => &mut m.nacks_sent,
+                        Counter::Retransmits => &mut m.retransmits,
+                        Counter::RetransmitBytes => &mut m.retransmit_bytes,
+                        Counter::DupFramesDropped => &mut m.dup_frames_dropped,
+                    } += n;
                 }
+                Action::Mark(mark) => self.record_marker(match mark {
+                    Mark::Fault { kind, dst } => EventKind::Fault { kind, dst },
+                    Mark::Retry { peer, tag, attempt } => EventKind::Retry {
+                        peer,
+                        tag: logical_tag(tag),
+                        attempt,
+                    },
+                }),
             }
-            buf
-        } else {
-            eag_rope::Rope::new()
-        };
-        self.wiretap.capture(FrameRecord {
-            src: self.rank,
-            dst,
-            kind,
-            len: parcel.wire_len(),
-            bytes,
-        });
+        }
+        self.transport.out = out;
     }
 
     /// Receives the parcel tagged `tag` from `src`, blocking until it
@@ -928,29 +963,23 @@ impl<'w> ProcCtx<'w> {
         Ok(parcel)
     }
 
-    /// Pops the next accepted in-order frame for `(src, tag)`, if any.
-    fn take_ready(&mut self, src: Rank, tag: u64) -> Option<(Parcel, f64)> {
-        self.pending
-            .get_mut(&(src, tag))
-            .and_then(VecDeque::pop_front)
-    }
-
     /// Releases any frames held back by Reorder injections.
     fn flush_limbo(&mut self) {
-        for (dst, msg) in std::mem::take(&mut self.reorder_limbo) {
-            self.sched.send(dst, msg);
-        }
+        self.transport.flush_limbo();
+        self.execute();
     }
 
-    /// Drains this rank's mailbox and admits every message. `want` routes
-    /// `NackMiss` into the caller's dead-peer detection.
-    fn drain_inbox(&mut self, want: (Rank, u64), peer_missed: &mut bool) {
+    /// Drains this rank's mailbox, admits every message, and pops the next
+    /// accepted in-order frame of `want`, if one is there. `want` also
+    /// routes `NackMiss` into the caller's dead-peer detection.
+    fn poll(&mut self, want: (Rank, u64), peer_missed: &mut bool) -> Option<(Parcel, f64)> {
         let mut scratch = std::mem::take(&mut self.inbox_scratch);
-        self.sched.drain_into(self.rank, &mut scratch);
+        self.world.sched.drain_into(self.rank, &mut scratch);
         for msg in scratch.drain(..) {
             self.admit(msg, want, peer_missed);
         }
         self.inbox_scratch = scratch;
+        self.transport.take_ready(want.0, want.1)
     }
 
     /// The blocking receive loop: admits mailbox traffic, issues NACK-based
@@ -966,77 +995,54 @@ impl<'w> ProcCtx<'w> {
     /// wake source (flag publishers raise world events, timers become park
     /// deadlines).
     fn wait_for(&mut self, src: Rank, tag: u64) -> Result<(Parcel, f64), FailureCause> {
+        let world = self.world;
+        let retry = world.spec.retry;
         self.flush_limbo();
-        if let Some(got) = self.take_ready(src, tag) {
+        if let Some(got) = self.transport.take_ready(src, tag) {
             return Ok(got);
         }
         let started = Instant::now();
         // The watchdog limit is an absolute deadline for this receive, not
         // a per-wake allowance: unrelated traffic draining through the
         // mailbox must not keep pushing the timeout out indefinitely.
-        let watchdog = self.recv_timeout.map(|limit| started + limit);
+        let watchdog = world.spec.recv_timeout.map(|limit| started + limit);
         let mut attempt: u32 = 0;
-        let mut attempt_deadline = self.chaos.then(|| started + self.retry.attempt_timeout);
+        let mut attempt_deadline = world.chaos.then(|| started + retry.attempt_timeout);
         let mut peer_missed = false;
+        let timeout = |attempts| FailureCause::Timeout {
+            src,
+            tag: logical_tag(tag),
+            waited: started.elapsed(),
+            attempts,
+        };
         loop {
             // Snapshot the event generation *before* reading any world
             // state: an event raised during the checks below aborts the
             // park instead of being lost.
-            let gen = self.sched.generation();
-            self.drain_inbox((src, tag), &mut peer_missed);
-            if let Some(got) = self.take_ready(src, tag) {
+            let gen = world.sched.generation();
+            if let Some(got) = self.poll((src, tag), &mut peer_missed) {
                 return Ok(got);
             }
             let now = Instant::now();
-            if let Some(w) = watchdog {
-                if now >= w {
-                    return Err(FailureCause::Timeout {
-                        src,
-                        tag: logical_tag(tag),
-                        waited: started.elapsed(),
-                        attempts: attempt,
-                    });
-                }
+            if watchdog.is_some_and(|w| now >= w) {
+                return Err(timeout(attempt));
             }
-            if let Some(a) = attempt_deadline {
-                if now >= a {
-                    attempt += 1;
-                    if attempt >= self.retry.max_attempts {
-                        return Err(FailureCause::Timeout {
-                            src,
-                            tag: logical_tag(tag),
-                            waited: started.elapsed(),
-                            attempts: attempt,
-                        });
-                    }
-                    // Ask the peer to replay the stream from where we are.
-                    let from_seq = self.expected.get(&(src, tag)).copied().unwrap_or(0);
-                    self.metrics.nacks_sent += 1;
-                    self.record_marker(EventKind::Retry {
-                        peer: src,
-                        tag: logical_tag(tag),
-                        attempt,
-                    });
-                    self.sched.send(
-                        src,
-                        Message {
-                            src: self.rank,
-                            arrive_us: 0.0,
-                            wire: Wire::Nack { tag, seq: from_seq },
-                        },
-                    );
-                    attempt_deadline = Some(
-                        now + self
-                            .retry
-                            .attempt_timeout
-                            .mul_f64(self.retry.backoff.powi(attempt as i32)),
-                    );
+            if attempt_deadline.is_some_and(|a| now >= a) {
+                attempt += 1;
+                // Ask the peer to replay the stream from where we are.
+                let round = self
+                    .transport
+                    .round_elapsed(src, tag, attempt, retry.max_attempts);
+                if round == Round::Exhausted {
+                    return Err(timeout(attempt));
                 }
+                self.execute();
+                let backoff = retry.backoff.powi(attempt as i32);
+                attempt_deadline = Some(now + retry.attempt_timeout.mul_f64(backoff));
             }
-            if self.finished[src].load(Ordering::SeqCst) {
+            if world.sched.departure(src) == Some(Departure::Finished) {
                 // The peer exited; drain anything it left in our mailbox.
-                self.drain_inbox((src, tag), &mut peer_missed);
-                if let Some(got) = self.take_ready(src, tag) {
+                if let Some(got) = self.poll((src, tag), &mut peer_missed) {
                     return Ok(got);
                 }
                 // Outside chaos mode a finished peer can never send again.
@@ -1044,7 +1050,7 @@ impl<'w> ProcCtx<'w> {
                 // frames — unless it answered NackMiss, which is only ever
                 // emitted once the peer's log is complete (post-finish),
                 // proving it has nothing for this stream.
-                if !self.chaos || peer_missed {
+                if !world.chaos || peer_missed {
                     return Err(FailureCause::DeadPeer {
                         peer: src,
                         tag: logical_tag(tag),
@@ -1058,267 +1064,50 @@ impl<'w> ProcCtx<'w> {
                 // abort), so after a drain an absent frame is *permanently*
                 // absent — resolve the receive now instead of waiting out
                 // the watchdog.
-                self.drain_inbox((src, tag), &mut peer_missed);
-                if let Some(got) = self.take_ready(src, tag) {
+                if let Some(got) = self.poll((src, tag), &mut peer_missed) {
                     return Ok(got);
                 }
-                self.metrics.crashes_detected += 1;
-                self.record_marker(EventKind::Crash { rank: dead });
-                return Err(FailureCause::Crash { rank: dead });
+                return Err(self.note_crash(dead));
             }
-            let mut wake = watchdog;
-            if let Some(a) = attempt_deadline {
-                wake = Some(wake.map_or(a, |w| w.min(a)));
-            }
-            if let Some(s) = self.suspect_deadline(src) {
-                wake = Some(wake.map_or(s, |w| w.min(s)));
-            }
-            self.sched.park(self.rank, wake, gen);
+            let wake = [watchdog, attempt_deadline, self.suspect_deadline(src)]
+                .into_iter()
+                .flatten()
+                .min();
+            world.sched.park(self.rank, wake, gen);
         }
     }
 
     /// Processes one channel message: control frames act immediately; data
-    /// frames pass integrity and ordering checks before joining `pending`.
-    /// `want` is the `(src, tag)` the caller is blocked on (used to route
-    /// `NackMiss` into its dead-peer detection).
+    /// frames go through the transport's admission. `want` is the
+    /// `(src, tag)` the caller is blocked on (used to route `NackMiss` into
+    /// its dead-peer detection).
     fn admit(&mut self, msg: Message, want: (Rank, u64), peer_missed: &mut bool) {
         let src = msg.src;
         match msg.wire {
             Wire::Poison => panic!("rank {src} panicked; propagating"),
             Wire::Nack { tag, seq } => self.service_nack(src, tag, seq),
-            Wire::NackMiss { tag } => {
-                if (src, tag) == want {
-                    *peer_missed = true;
-                }
-            }
-            Wire::Data {
-                tag,
-                seq,
-                checksum,
-                parcel,
-            } => {
-                let key = (src, tag);
-                // `checksum: None` marks an unframed frame: either chaos is
-                // off, or the stream is intra-node/self and can never be
-                // faulted, so it skips the reliability admission.
-                if !self.chaos || checksum.is_none() {
-                    self.pending
-                        .entry(key)
-                        .or_default()
-                        .push_back((parcel, msg.arrive_us));
-                    return;
-                }
-                let expected0 = *self.expected.entry(key).or_insert(0);
-                if seq < expected0 {
-                    // Already accepted (duplicate or redundant retransmit).
-                    self.metrics.dup_frames_dropped += 1;
-                    return;
-                }
-                // The transport checksum covers random corruption; the
-                // (expensive) per-hop GCM verification is only armed when
-                // the threat model includes checksum-evading tamper.
-                let intact = checksum.is_none_or(|c| parcel.checksum() == c)
-                    && (!self.faults.adversarial_tamper || self.hop_verify(&parcel));
-                if !intact {
-                    self.metrics.faults_detected += 1;
-                    self.metrics.nacks_sent += 1;
-                    self.record_marker(EventKind::Retry {
-                        peer: src,
-                        tag: logical_tag(tag),
-                        attempt: 0,
-                    });
-                    self.sched.send(
-                        src,
-                        Message {
-                            src: self.rank,
-                            arrive_us: 0.0,
-                            wire: Wire::Nack {
-                                tag,
-                                seq: expected0,
-                            },
-                        },
-                    );
-                    return;
-                }
-                if seq == expected0 {
-                    let mut ready = vec![(parcel, msg.arrive_us)];
-                    let mut next = seq + 1;
-                    if let Some(buf) = self.ooo.get_mut(&key) {
-                        while let Some(e) = buf.remove(&next) {
-                            ready.push(e);
-                            next += 1;
-                        }
-                    }
-                    self.expected.insert(key, next);
-                    self.pending.entry(key).or_default().extend(ready);
-                } else {
-                    // A gap: buffer and (once per gap) ask for the replay.
-                    let buf = self.ooo.entry(key).or_default();
-                    if buf.contains_key(&seq) {
-                        self.metrics.dup_frames_dropped += 1;
-                    } else {
-                        let first_of_gap = buf.is_empty();
-                        buf.insert(seq, (parcel, msg.arrive_us));
-                        if first_of_gap {
-                            self.metrics.faults_detected += 1;
-                            self.metrics.nacks_sent += 1;
-                            self.record_marker(EventKind::Retry {
-                                peer: src,
-                                tag: logical_tag(tag),
-                                attempt: 0,
-                            });
-                            self.sched.send(
-                                src,
-                                Message {
-                                    src: self.rank,
-                                    arrive_us: 0.0,
-                                    wire: Wire::Nack {
-                                        tag,
-                                        seq: expected0,
-                                    },
-                                },
-                            );
-                        }
-                    }
-                }
+            Wire::NackMiss { tag } => *peer_missed |= (src, tag) == want,
+            Wire::Data(frame) => {
+                let (aead, aad) = (&*self.world.aead, &mut self.aad_scratch);
+                let mut verify = |parcel: &Parcel| hop_verify(aead, aad, parcel);
+                self.transport
+                    .on_frame(src, frame, msg.arrive_us, &mut verify);
+                self.execute();
             }
         }
     }
 
-    /// Per-hop integrity check of a frame's sealed items: verifies each GCM
-    /// tag (without decrypting) against the AAD rebuilt from the routing
-    /// metadata. Catches adversarial tampering that recomputed the transport
-    /// checksum; armed only when the fault plan's `adversarial_tamper` flag
-    /// is set (it is a full AES-GCM pass over every sealed byte at every
-    /// hop). Plaintext items have no authenticator — corruption of them
-    /// under an adversarial tamper goes undetected here, which is exactly
-    /// the integrity gap the encrypted algorithms close.
-    fn hop_verify(&mut self, parcel: &Parcel) -> bool {
-        for item in &parcel.items {
-            if let Item::Sealed(s) = item {
-                if let Data::Real(wire) = &s.data {
-                    seal_aad_into(&s.origins, s.block_len, &mut self.aad_scratch);
-                    // Seals are built contiguous and forwarded whole, so the
-                    // borrow fast path always hits today; the materializing
-                    // fallback keeps this correct for any future fragmented
-                    // frame.
-                    let ok = match wire.as_contiguous() {
-                        Some(flat) => {
-                            eag_crypto::verify_message(self.aead, &self.aad_scratch, flat).is_ok()
-                        }
-                        None => {
-                            let flat = wire.to_vec();
-                            eag_crypto::verify_message(self.aead, &self.aad_scratch, &flat).is_ok()
-                        }
-                    };
-                    if !ok {
-                        return false;
-                    }
-                }
-            }
-        }
-        true
-    }
-
-    /// Replays logged frames on `tag` from `from_seq` onward to `from`, or
-    /// answers `NackMiss` if nothing is logged. Retransmissions are faulted
-    /// independently (keyed by their attempt number, so a deterministic
-    /// re-fault cannot starve recovery), do not advance the virtual clock,
-    /// and are accounted in `retransmit_bytes` rather than `bytes_sent`.
+    /// Hands a NACK to the transport, which replays the logged frames (or
+    /// answers `NackMiss`). Retransmissions are re-faulted per the plan, do
+    /// not advance the virtual clock, and are accounted in
+    /// `retransmit_bytes` rather than `bytes_sent`.
     fn service_nack(&mut self, from: Rank, tag: u64, from_seq: u64) {
-        let mut jobs = Vec::new();
-        if let Some(log) = self.sent_log.get_mut(&from) {
-            for rec in log.iter_mut() {
-                if rec.tag == tag && rec.seq >= from_seq {
-                    rec.attempts += 1;
-                    jobs.push((rec.seq, rec.attempts, rec.parcel.clone()));
-                }
-            }
-        }
-        if jobs.is_empty() {
-            // A NackMiss is a proof that the requested frames will *never*
-            // exist — which is only true once this rank has finished and
-            // its log is complete. Mid-run, the NACK may simply be early:
-            // the receiver's retry timer can race a send that has not
-            // happened yet (and whose frame may then be dropped in flight).
-            // Answering NackMiss then would let the receiver conclude
-            // DeadPeer the moment we finish, instead of re-asking the
-            // lingering log. Stay silent; the receiver's backoff re-asks.
-            if self.finished[self.rank].load(Ordering::SeqCst) {
-                self.sched.send(
-                    from,
-                    Message {
-                        src: self.rank,
-                        arrive_us: 0.0,
-                        wire: Wire::NackMiss { tag },
-                    },
-                );
-            }
-            return;
-        }
-        let link = self.topo.link(self.rank, from);
-        for (seq, attempt, mut parcel) in jobs {
-            self.metrics.retransmits += 1;
-            self.metrics.retransmit_bytes += parcel.wire_len() as u64;
-            self.record_marker(EventKind::Retry {
-                peer: from,
-                tag: logical_tag(tag),
-                attempt,
-            });
-            let mut checksum = Some(parcel.checksum());
-            let fault = if link == LinkClass::Inter {
-                self.faults
-                    .decide(self.rank, from, logical_tag(tag), seq, attempt)
-            } else {
-                None
-            };
-            let mut arrive_us = self.clock_us;
-            match fault {
-                Some(FaultKind::Drop) => {
-                    self.metrics.faults_injected += 1;
-                    self.record_marker(EventKind::Fault {
-                        kind: FaultKind::Drop,
-                        dst: from,
-                    });
-                    continue;
-                }
-                Some(FaultKind::Delay) => {
-                    self.metrics.faults_injected += 1;
-                    self.record_marker(EventKind::Fault {
-                        kind: FaultKind::Delay,
-                        dst: from,
-                    });
-                    arrive_us += self.faults.delay_us;
-                }
-                Some(FaultKind::Tamper) => {
-                    self.metrics.faults_injected += 1;
-                    self.record_marker(EventKind::Fault {
-                        kind: FaultKind::Tamper,
-                        dst: from,
-                    });
-                    corrupt_parcel(&mut parcel);
-                    if self.faults.adversarial_tamper {
-                        checksum = Some(parcel.checksum());
-                    }
-                }
-                // Duplication/reordering of a retransmission adds nothing
-                // the receiver's dedup does not already absorb.
-                Some(FaultKind::Duplicate) | Some(FaultKind::Reorder) | None => {}
-            }
-            self.sched.send(
-                from,
-                Message {
-                    src: self.rank,
-                    arrive_us,
-                    wire: Wire::Data {
-                        tag,
-                        seq,
-                        checksum,
-                        parcel,
-                    },
-                },
-            );
-        }
+        let (rank, faults) = (self.rank, &self.world.spec.faults);
+        let finished = self.world.sched.departure(rank) == Some(Departure::Finished);
+        let mut refault = |seq, attempt| faults.decide(rank, from, logical_tag(tag), seq, attempt);
+        self.transport
+            .on_nack(from, tag, from_seq, finished, self.clock_us, &mut refault);
+        self.execute();
     }
 
     /// Post-collective service loop (chaos mode): a finished rank keeps
@@ -1328,29 +1117,28 @@ impl<'w> ProcCtx<'w> {
     /// so the loop blocks on the spec's actual `recv_timeout` deadline
     /// (`None` = unbounded) instead of spinning a short poll.
     fn linger(&mut self) {
-        let deadline = self.recv_timeout.map(|limit| Instant::now() + limit);
+        let world = self.world;
+        let deadline = world.spec.recv_timeout.map(|limit| Instant::now() + limit);
         loop {
-            let gen = self.sched.generation();
+            let gen = world.sched.generation();
             let mut scratch = std::mem::take(&mut self.inbox_scratch);
-            self.sched.drain_into(self.rank, &mut scratch);
+            world.sched.drain_into(self.rank, &mut scratch);
             let mut poisoned = false;
             for msg in scratch.drain(..) {
                 match msg.wire {
                     Wire::Poison => poisoned = true,
                     Wire::Nack { tag, seq } => self.service_nack(msg.src, tag, seq),
-                    Wire::Data { .. } | Wire::NackMiss { .. } => {}
+                    Wire::Data(_) | Wire::NackMiss { .. } => {}
                 }
             }
             self.inbox_scratch = scratch;
-            if poisoned || self.departed_count.load(Ordering::SeqCst) >= self.p() {
+            if poisoned || world.sched.departures() >= self.p() {
                 return;
             }
-            if let Some(d) = deadline {
-                if Instant::now() >= d {
-                    return;
-                }
+            if deadline.is_some_and(|d| Instant::now() >= d) {
+                return;
             }
-            self.sched.park(self.rank, deadline, gen);
+            world.sched.park(self.rank, deadline, gen);
         }
     }
 
@@ -1369,7 +1157,7 @@ impl<'w> ProcCtx<'w> {
         chunk.check();
         let t0 = self.clock_us;
         let plain_len = chunk.len();
-        self.clock_us += self.model.crypto.enc_time(plain_len);
+        self.clock_us += self.model().crypto.enc_time(plain_len);
         self.record(t0, EventKind::Encrypt { bytes: plain_len });
         self.metrics.enc_rounds += 1;
         self.metrics.enc_bytes += plain_len as u64;
@@ -1388,7 +1176,7 @@ impl<'w> ProcCtx<'w> {
                 // one unavoidable copy of the seal path.
                 let mut wire = Vec::with_capacity(plain_len + WIRE_OVERHEAD);
                 eag_crypto::seal_segments_into(
-                    self.aead,
+                    &*self.world.aead,
                     &mut self.nonces,
                     &self.aad_scratch,
                     bytes.segments(),
@@ -1414,7 +1202,7 @@ impl<'w> ProcCtx<'w> {
     /// collective cannot proceed on forged data.
     pub fn decrypt(&mut self, sealed: Sealed) -> Chunk {
         let t0 = self.clock_us;
-        self.clock_us += self.model.crypto.dec_time(sealed.plain_len);
+        self.clock_us += self.model().crypto.dec_time(sealed.plain_len);
         self.record(
             t0,
             EventKind::Decrypt {
@@ -1439,7 +1227,11 @@ impl<'w> ProcCtx<'w> {
                 // plaintext is re-frozen as a slice view — the `drain`
                 // memmove of the old path is gone.
                 let mut wire = rope.into_vec();
-                match eag_crypto::open_frame_in_place(self.aead, &self.aad_scratch, &mut wire) {
+                match eag_crypto::open_frame_in_place(
+                    &*self.world.aead,
+                    &self.aad_scratch,
+                    &mut wire,
+                ) {
                     Ok(pt) => Data::Real(eag_rope::Rope::from(wire).slice(pt)),
                     Err(e) => self.fail(FailureCause::AuthFailure {
                         detail: format!("{e:?}: forged, corrupted, or relabeled ciphertext"),
@@ -1459,128 +1251,88 @@ impl<'w> ProcCtx<'w> {
 
     // ----- shared memory ----------------------------------------------------
 
-    /// Deposits `item` into this node's shared segment, charging a memory
-    /// copy. Visible to siblings once the copy completes.
-    ///
-    /// `consumers` declares how many [`Self::shared_fetch`] /
-    /// [`Self::shared_fetch_free`] calls will read this slot; the slot
-    /// self-removes after the last one, keeping the segment's map empty
-    /// between collectives. A deposit with `consumers == 0` still charges
-    /// the copy (the data is produced either way) but stores nothing.
-    pub fn shared_deposit(&mut self, key: SlotKey, item: Item, consumers: usize) {
+    /// Charges one memory copy of `bytes` taking `time_us`.
+    fn charge(&mut self, bytes: usize, time_us: f64) {
         let t0 = self.clock_us;
-        let bytes = item.wire_len();
-        self.clock_us += self.model.copy_time(bytes);
+        self.clock_us += time_us;
         self.metrics.copies += 1;
         self.metrics.copy_bytes += bytes as u64;
         self.record(t0, EventKind::Copy { bytes });
-        self.shared[self.node()].deposit(key, item, self.clock_us, consumers);
     }
 
-    /// Fetches the item in `key` from this node's shared segment, charging a
-    /// memory copy and waiting (in virtual time) for the deposit.
-    pub fn shared_fetch(&mut self, key: SlotKey) -> Item {
-        let seg = &self.shared[self.node()];
-        // The segment blocks on its own condvar; give the run permit back
-        // for the duration so waiters never hold a worker hostage.
-        let (item, ready_us) = match self.sched.blocking(|| seg.fetch(key)) {
+    /// Runs a blocking call on this node's shared segment with the run
+    /// permit handed back — the segment blocks on its own condvar, and
+    /// ℓ-1 waiting siblings must never exhaust the worker gate and starve
+    /// the one rank that would release them. A same-node sibling's crash
+    /// surfaces as the recoverable typed failure.
+    fn on_segment<R>(&mut self, call: impl FnOnce(&NodeShared) -> Result<R, Rank>) -> R {
+        let world = self.world;
+        let seg = &world.shared[self.node()];
+        match world.sched.blocking(|| call(seg)) {
             Ok(got) => got,
-            Err(dead) => self.shared_crash(dead),
-        };
-        self.clock_us = self.clock_us.max(ready_us);
-        let bytes = item.wire_len();
-        self.clock_us += self.model.copy_time(bytes);
-        self.metrics.copies += 1;
-        self.metrics.copy_bytes += bytes as u64;
-        Self::unwrap_shared(item)
+            Err(dead) => {
+                let cause = self.note_crash(dead);
+                self.fail(cause)
+            }
+        }
     }
 
-    /// Like [`Self::shared_fetch`], but surfaces a same-node crash as a
-    /// value instead of raising the structured failure — recovery code uses
-    /// this to fail over instead of unwinding.
-    pub fn try_shared_fetch(&mut self, key: SlotKey) -> Result<Item, FailureCause> {
-        let seg = &self.shared[self.node()];
-        match self.sched.blocking(|| seg.fetch(key)) {
-            Ok((item, ready_us)) => {
-                self.clock_us = self.clock_us.max(ready_us);
-                let bytes = item.wire_len();
-                self.clock_us += self.model.copy_time(bytes);
-                self.metrics.copies += 1;
-                self.metrics.copy_bytes += bytes as u64;
-                Ok(Self::unwrap_shared(item))
-            }
-            Err(dead) => Err(self.note_shared_crash(dead)),
-        }
+    /// Deposits `item` into this node's shared segment, charging a memory
+    /// copy. Visible to siblings once the copy completes.
+    ///
+    /// `consumers` declares how many [`Self::shared_fetch_free`] calls will
+    /// read this slot; the slot self-removes after the last one, keeping
+    /// the segment's map empty between collectives. A deposit with
+    /// `consumers == 0` still charges the copy (the data is produced either
+    /// way) but stores nothing.
+    pub fn shared_deposit(&mut self, key: SlotKey, item: Item, consumers: usize) {
+        self.charge_copy(item.wire_len());
+        self.shared_deposit_free(key, item, consumers);
     }
 
     /// Deposits without charging a copy: models producing data directly
     /// into the shared buffer (e.g. decrypting into it). Consumer counting
     /// as in [`Self::shared_deposit`].
     pub fn shared_deposit_free(&mut self, key: SlotKey, item: Item, consumers: usize) {
-        self.shared[self.node()].deposit(key, item, self.clock_us, consumers);
+        self.world.shared[self.node()].deposit(key, item, self.clock_us, consumers);
     }
 
     /// Fetches without charging a copy: models reading the shared buffer in
-    /// place (e.g. encrypting or decrypting straight out of it). Still waits
-    /// (in virtual time) for the deposit to complete.
-    pub fn shared_fetch_free(&mut self, key: SlotKey) -> Item {
-        let seg = &self.shared[self.node()];
-        let (item, ready_us) = match self.sched.blocking(|| seg.fetch(key)) {
-            Ok(got) => got,
-            Err(dead) => self.shared_crash(dead),
-        };
-        self.clock_us = self.clock_us.max(ready_us);
-        Self::unwrap_shared(item)
-    }
-
-    /// Recovers an owned [`Item`] from a fetched slot handle. The last (or
-    /// sole) consumer holds the only `Arc` and gets the item back without
+    /// place (e.g. encrypting or decrypting straight out of it); a caller
+    /// that copies the data out adds [`Self::charge_copy`]. Waits (in
+    /// virtual time) for the deposit to complete. The last (or sole)
+    /// consumer holds the only `Arc` and gets the item back without
     /// copying — on HS1's decrypt path that removes an ℓ·m-byte memcpy per
     /// ciphertext; earlier consumers clone.
-    fn unwrap_shared(item: std::sync::Arc<Item>) -> Item {
-        std::sync::Arc::try_unwrap(item).unwrap_or_else(|arc| (*arc).clone())
+    pub fn shared_fetch_free(&mut self, key: SlotKey) -> Item {
+        let (item, ready_us) = self.on_segment(|seg| seg.fetch(key));
+        self.clock_us = self.clock_us.max(ready_us);
+        Arc::try_unwrap(item).unwrap_or_else(|arc| (*arc).clone())
     }
 
     /// Number of live slots in this node's shared segment — 0 between
     /// correctly consumer-counted collectives (diagnostics/tests).
     pub fn shared_slots_len(&self) -> usize {
-        self.shared[self.node()].len()
+        self.world.shared[self.node()].len()
     }
 
     /// Charges a pure memory copy of `bytes` (e.g. user-buffer placement)
     /// without touching the shared segment.
     pub fn charge_copy(&mut self, bytes: usize) {
-        let t0 = self.clock_us;
-        self.clock_us += self.model.copy_time(bytes);
-        self.metrics.copies += 1;
-        self.metrics.copy_bytes += bytes as u64;
-        self.record(t0, EventKind::Copy { bytes });
+        self.charge(bytes, self.model().copy_time(bytes));
     }
 
     /// Charges a strided (cache-unfriendly) memory copy of `bytes` — the
     /// per-block rank-order rearrangement of HS1/HS2 under cyclic mapping.
     pub fn charge_strided_copy(&mut self, bytes: usize) {
-        let t0 = self.clock_us;
-        self.clock_us += self.model.strided_copy_time(bytes);
-        self.metrics.copies += 1;
-        self.metrics.copy_bytes += bytes as u64;
-        self.record(t0, EventKind::Copy { bytes });
+        self.charge(bytes, self.model().strided_copy_time(bytes));
     }
 
     /// Node-local barrier synchronizing the virtual clocks of all processes
     /// on this node.
     pub fn node_barrier(&mut self) {
-        let t0 = self.clock_us;
-        let seg = &self.shared[self.node()];
-        let clock_us = self.clock_us;
-        let barrier_us = self.model.barrier_us;
-        // Barrier waiters block on the segment's condvar; hand the run
-        // permit back so ℓ-1 waiting siblings never exhaust the worker
-        // gate and starve the one rank that would complete the barrier.
-        self.clock_us = match self.sched.blocking(|| seg.barrier(clock_us, barrier_us)) {
-            Ok(release) => release,
-            Err(dead) => self.shared_crash(dead),
-        };
+        let (t0, cost_us) = (self.clock_us, self.model().barrier_us);
+        self.clock_us = self.on_segment(|seg| seg.barrier(t0, cost_us));
         self.record(t0, EventKind::Barrier);
     }
 
@@ -1590,27 +1342,7 @@ impl<'w> ProcCtx<'w> {
     /// world. Purely a wall-clock fairness device — the virtual clock and
     /// the cost model are untouched.
     pub fn yield_now(&mut self) {
-        self.sched.yield_now(self.rank);
-    }
-}
-
-/// Flips one byte of the first real payload in `parcel` (tamper injection).
-/// Copy-on-write: the retransmit log's clone of the same frame shares the
-/// rope's buffers, and a replayed frame must carry the original, pre-fault
-/// bytes — only the corrupted in-flight view may see the flip.
-fn corrupt_parcel(parcel: &mut Parcel) {
-    for item in &mut parcel.items {
-        let data = match item {
-            Item::Plain(c) => &mut c.data,
-            Item::Sealed(s) => &mut s.data,
-        };
-        if let Data::Real(bytes) = data {
-            if !bytes.is_empty() {
-                let mid = bytes.len() / 2;
-                bytes.xor_byte(mid, 0x80);
-                return;
-            }
-        }
+        self.world.sched.yield_now(self.rank);
     }
 }
 
@@ -1635,17 +1367,6 @@ impl<T> RunReport<T> {
     /// values the paper's Table II reports).
     pub fn max_metrics(&self) -> Metrics {
         Metrics::component_max(&self.metrics)
-    }
-
-    /// Per-rank busy-time breakdowns from the recorded traces (one entry
-    /// per rank; all-zero entries when the run was not traced). Lets
-    /// reporting tools attribute each rank's virtual time to send / recv /
-    /// crypto / copy / barrier without re-walking raw traces.
-    pub fn busy_breakdowns(&self) -> Vec<crate::trace::BusyBreakdown> {
-        self.traces
-            .iter()
-            .map(crate::trace::BusyBreakdown::of)
-            .collect()
     }
 }
 
@@ -1714,236 +1435,87 @@ fn resolve_gate(spec: &WorldSpec) -> Arc<RunGate> {
     }
 }
 
-/// Shared engine behind [`run`] and [`run_crashable`]: runs one rank state
-/// machine per rank on the scheduler (stacks on parked OS threads, at most
-/// [`WorldSpec::workers`] running at once) and collects per-rank slots. A
-/// rank killed by an injected [`Crash`](eag_netsim::Crash) leaves a `None`
-/// output (its crash is published to survivors instead of poisoning the
-/// world); any other panic is broadcast as poison and re-raised, preferring
-/// a structured [`CollectiveError`] over secondary string panics.
-#[allow(clippy::type_complexity)]
-fn run_world<T, F>(spec: &WorldSpec, f: F) -> (Vec<(Option<T>, f64, Metrics, Trace)>, Arc<Wiretap>)
+/// What a rank thread leaves behind: its output (`None` if it crashed), final
+/// clock, metrics and trace. Unwritten only if the thread exited silently.
+type RankSlot<T> = Option<(Option<T>, f64, Metrics, Trace)>;
+
+/// Runs `f` on every rank of the world — one rank state machine per rank on
+/// the scheduler (stacks on parked OS threads, at most
+/// [`WorldSpec::workers`] running at once) — and collects the report. A
+/// rank killed by an injected [`Crash`](eag_netsim::Crash) contributes a
+/// `None` output (listed in [`CrashReport::crashed`]; its departure is
+/// published to survivors instead of poisoning the world) and survivors'
+/// outputs are returned as-is. Any other panic is broadcast as poison and
+/// re-raised here, preferring a structured [`CollectiveError`] over
+/// secondary string panics.
+pub fn run_crashable<T, F>(spec: &WorldSpec, f: F) -> CrashReport<T>
 where
     T: Send,
     F: Fn(&mut ProcCtx) -> T + Sync,
 {
     let p = spec.topology.p();
-    let n_nodes = spec.topology.nodes();
-    let model = &spec.profile.model;
-    let chaos = spec.faults.enabled();
+    let world = World::new(spec);
+    let mut slots: Vec<RankSlot<T>> = (0..p).map(|_| None).collect();
 
-    let sched: Scheduler<Message> = Scheduler::with_gate(p, resolve_gate(spec));
-
-    let seed = match spec.mode {
-        DataMode::Real { seed } => seed,
-        DataMode::Phantom => 0,
-    };
-    let key = spec.key.clone().unwrap_or_else(|| {
-        let mut key_bytes = [0u8; 16];
-        key_bytes[..8].copy_from_slice(&seed.to_le_bytes());
-        key_bytes[8..].copy_from_slice(&(!seed).to_le_bytes());
-        Key::from_bytes(key_bytes)
-    });
-    let aead = spec.suite.aead_for_key(&key);
-
-    let nics: Vec<Arc<NodeNic>> = match &spec.shared_nics {
-        Some(shared) => {
-            assert_eq!(
-                shared.len(),
-                n_nodes,
-                "shared_nics must provide one NIC per logical node"
-            );
-            shared.iter().map(Arc::clone).collect()
-        }
-        None => (0..n_nodes)
-            .map(|_| Arc::new(NodeNic::new(model.nic_bandwidth)))
-            .collect(),
-    };
-    let fabric = model.fabric.map(|fm| FabricState::new(fm, n_nodes));
-    let shared: Vec<Arc<NodeShared>> = (0..n_nodes)
-        .map(|node| Arc::new(NodeShared::new(spec.topology.ranks_on_node(node).len())))
-        .collect();
-    let wiretap = Arc::new(Wiretap::new());
-    let frame_counter = AtomicU64::new(0);
-    let finished: Vec<AtomicBool> = (0..p).map(|_| AtomicBool::new(false)).collect();
-    let crashed: Vec<AtomicBool> = (0..p).map(|_| AtomicBool::new(false)).collect();
-    let aborted: Vec<AtomicU64> = (0..p).map(|_| AtomicU64::new(0)).collect();
-    let abort_blame: Vec<AtomicUsize> = (0..p).map(|_| AtomicUsize::new(0)).collect();
-    let crash_notice = AtomicUsize::new(0);
-    let departed_count = AtomicUsize::new(0);
-
-    let mut slots: Vec<Option<(Option<T>, f64, Metrics, Trace)>> = (0..p).map(|_| None).collect();
-
-    {
-        let sched_ref = &sched;
-        let nics = &nics;
-        let fabric_ref = fabric.as_ref();
-        let shared = &shared;
-        let wiretap_ref = &*wiretap;
-        let f = &f;
-        let spec_ref = spec;
-        let frame_counter_ref = &frame_counter;
-        let finished_ref = &finished[..];
-        let crashed_ref = &crashed[..];
-        let aborted_ref = &aborted[..];
-        let abort_blame_ref = &abort_blame[..];
-        let crash_notice_ref = &crash_notice;
-        let departed_count_ref = &departed_count;
-        let aead_ref: &dyn Aead = &*aead;
-
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(p);
-            for (rank, slot) in slots.iter_mut().enumerate() {
-                let handle = std::thread::Builder::new()
-                    .name(format!("rank-{rank}"))
-                    .stack_size(1 << 20)
-                    .spawn_scoped(scope, move || {
-                        // Fresh thread, but make the probe window explicit.
-                        eag_rope::probe::reset();
-                        let mut ctx = ProcCtx {
-                            rank,
-                            topo: &spec_ref.topology,
-                            model: &spec_ref.profile.model,
-                            mode: spec_ref.mode,
-                            clock_us: 0.0,
-                            metrics: Metrics {
-                                cipher_suite: spec_ref.suite.id(),
-                                ..Metrics::default()
-                            },
-                            sched: sched_ref,
-                            inbox_scratch: Vec::new(),
-                            pending: HashMap::new(),
-                            next_seq: HashMap::new(),
-                            expected: HashMap::new(),
-                            ooo: HashMap::new(),
-                            sent_log: HashMap::new(),
-                            reorder_limbo: Vec::new(),
-                            aead: aead_ref,
-                            // Fold the session id into the nonce seed so
-                            // concurrent sessions sharing a data seed never
-                            // share nonce streams (a no-op for the
-                            // standalone session_id = 0).
-                            nonces: NonceSource::seeded(mix_rank_seed(
-                                seed ^ spec_ref.session_id.wrapping_mul(0xD6E8_FEB8_6659_FD93),
-                                rank,
-                            )),
-                            aad_scratch: Vec::new(),
-                            nics,
-                            session_id: spec_ref.session_id,
-                            fabric: fabric_ref,
-                            wiretap: wiretap_ref,
-                            shared,
-                            nic_contention: spec_ref.nic_contention,
-                            capture_wire: spec_ref.capture_wire,
-                            epoch: 0,
-                            recv_timeout: spec_ref.recv_timeout,
-                            // A traced timeline opens with the suite marker
-                            // so consumers can attribute enc/dec intervals.
-                            trace: spec_ref.trace.then(|| {
-                                vec![Event {
-                                    start_us: 0.0,
-                                    end_us: 0.0,
-                                    kind: EventKind::Suite {
-                                        suite: spec_ref.suite,
-                                    },
-                                }]
-                            }),
-                            faults: &spec_ref.faults,
-                            retry: spec_ref.retry,
-                            chaos,
-                            phase: "collective",
-                            inter_frame_counter: frame_counter_ref,
-                            finished: finished_ref,
-                            departed_count: departed_count_ref,
-                            crashed: crashed_ref,
-                            aborted: aborted_ref,
-                            abort_blame: abort_blame_ref,
-                            crash_notice: crash_notice_ref,
-                            suspect_after: spec_ref.suspect_after,
-                            send_steps: 0,
-                            membership_epoch: 0,
-                            attempt_serial: 0,
-                            attempt_active: false,
-                        };
-                        // The state machine runs only while it holds a run
-                        // permit; parks and blocking waits hand it back.
-                        sched_ref.enter();
-                        let result = catch_unwind(AssertUnwindSafe(|| f(&mut ctx)));
-                        match result {
-                            Ok(out) => {
-                                ctx.flush_limbo();
-                                finished_ref[rank].store(true, Ordering::SeqCst);
-                                departed_count_ref.fetch_add(1, Ordering::SeqCst);
-                                // The departure event wakes every parked
-                                // rank: receivers re-check `finished`,
-                                // lingerers re-count departures.
-                                sched_ref.depart(rank, Departure::Finished);
-                                if ctx.chaos {
-                                    // Stay to answer late NACKs until every
-                                    // rank is done.
-                                    ctx.linger();
-                                }
-                                *slot = Some((
-                                    Some(out),
-                                    ctx.clock_us,
-                                    ctx.metrics(),
-                                    ctx.trace.take().unwrap_or_default(),
-                                ));
+    std::thread::scope(|scope| {
+        let (world, f) = (&world, &f);
+        let mut handles = Vec::with_capacity(p);
+        for (rank, slot) in slots.iter_mut().enumerate() {
+            let handle = std::thread::Builder::new()
+                .name(format!("rank-{rank}"))
+                .stack_size(1 << 20)
+                .spawn_scoped(scope, move || {
+                    // Fresh thread, but make the probe window explicit.
+                    eag_rope::probe::reset();
+                    let mut ctx = ProcCtx::new(world, rank);
+                    // The state machine runs only while it holds a run
+                    // permit; parks and blocking waits hand it back.
+                    world.sched.enter();
+                    let out = match catch_unwind(AssertUnwindSafe(|| f(&mut ctx))) {
+                        Ok(out) => {
+                            ctx.flush_limbo();
+                            // The departure event wakes every parked rank:
+                            // receivers re-check the peer's record,
+                            // lingerers re-count departures.
+                            world.sched.depart(rank, Departure::Finished);
+                            if world.chaos {
+                                // Stay to answer late NACKs until every
+                                // rank is done.
+                                ctx.linger();
                             }
-                            Err(payload) if payload.is::<RankCrash>() => {
-                                // An injected crash: the rank is dead, but
-                                // the world survives. Publish the death to
-                                // survivors instead of poisoning. The
-                                // payload says how the rank died — a
-                                // schedule may kill several ranks, each
-                                // its own way.
-                                let hard = payload
-                                    .downcast_ref::<RankCrash>()
-                                    .map(|rc| rc.hard)
-                                    .unwrap_or(false);
-                                if !hard {
-                                    // Attribute the cascade before raising
-                                    // the flag detectors look at: a survivor
-                                    // that observes `crashed[rank]` must also
-                                    // see the notice naming this rank.
-                                    let _ = crash_notice_ref.compare_exchange(
-                                        0,
-                                        rank + 1,
-                                        Ordering::SeqCst,
-                                        Ordering::SeqCst,
-                                    );
-                                    crashed_ref[rank].store(true, Ordering::SeqCst);
-                                }
-                                // Even a hard crash is visible to the node's
-                                // OS: wake same-node shared-segment waiters.
-                                shared[spec_ref.topology.node_of(rank)].crash_abort(rank);
-                                departed_count_ref.fetch_add(1, Ordering::SeqCst);
-                                // Hard crashes depart *silently*: the record
-                                // below is all survivors ever get, and the
-                                // failure detector suspects it only after
-                                // the spec's grace period.
-                                sched_ref.depart(
+                            Some(out)
+                        }
+                        Err(payload) => match payload.downcast_ref::<RankCrash>() {
+                            // An injected crash: the rank is dead, but the
+                            // world survives. The payload says how the rank
+                            // died — a schedule may kill several ranks,
+                            // each its own way.
+                            Some(crash) => {
+                                // Even a hard crash is visible to the
+                                // node's OS: wake same-node shared-segment
+                                // waiters.
+                                world.shared[ctx.node()].crash_abort(rank);
+                                // The departure record is all survivors
+                                // get: a soft crash is seen at once, a hard
+                                // one departs *silently* and is suspected
+                                // only after the spec's grace period.
+                                world.sched.depart(
                                     rank,
-                                    if hard {
+                                    if crash.hard {
                                         Departure::HardCrash
                                     } else {
                                         Departure::SoftCrash
                                     },
                                 );
-                                *slot = Some((
-                                    None,
-                                    ctx.clock_us,
-                                    ctx.metrics(),
-                                    ctx.trace.take().unwrap_or_default(),
-                                ));
+                                None
                             }
-                            Err(payload) => {
+                            None => {
                                 // Wake everyone up before propagating.
-                                for seg in shared.iter() {
+                                for seg in &world.shared {
                                     seg.poison();
                                 }
                                 for dst in 0..p {
-                                    sched_ref.send(
+                                    world.sched.send(
                                         dst,
                                         Message {
                                             src: rank,
@@ -1952,134 +1524,117 @@ where
                                         },
                                     );
                                 }
-                                sched_ref.depart(rank, Departure::Poisoned);
-                                sched_ref.exit();
+                                world.sched.depart(rank, Departure::Poisoned);
+                                world.sched.exit();
                                 resume_unwind(payload);
                             }
-                        }
-                        sched_ref.exit();
-                    })
-                    .expect("failed to spawn rank thread");
-                handles.push(handle);
-            }
-            // Prefer the structured root-cause error over the string panics
-            // of ranks that merely got poisoned by it.
-            let mut typed: Option<Box<dyn std::any::Any + Send>> = None;
-            let mut first_panic: Option<Box<dyn std::any::Any + Send>> = None;
-            for handle in handles {
-                if let Err(e) = handle.join() {
-                    if e.is::<CollectiveError>() {
-                        typed.get_or_insert(e);
-                    } else {
-                        first_panic.get_or_insert(e);
-                    }
+                        },
+                    };
+                    let trace = ctx.trace.take().unwrap_or_default();
+                    *slot = Some((out, ctx.clock_us, ctx.metrics(), trace));
+                    world.sched.exit();
+                })
+                .expect("failed to spawn rank thread");
+            handles.push(handle);
+        }
+        // Prefer the structured root-cause error over the string panics
+        // of ranks that merely got poisoned by it.
+        let mut typed: Option<Box<dyn std::any::Any + Send>> = None;
+        let mut first_panic: Option<Box<dyn std::any::Any + Send>> = None;
+        for handle in handles {
+            if let Err(e) = handle.join() {
+                if e.is::<CollectiveError>() {
+                    typed.get_or_insert(e);
+                } else {
+                    first_panic.get_or_insert(e);
                 }
             }
-            if let Some(e) = typed.or(first_panic) {
-                resume_unwind(e);
-            }
-        });
-    }
+        }
+        if let Some(e) = typed.or(first_panic) {
+            resume_unwind(e);
+        }
+    });
 
-    let collected = slots
-        .into_iter()
-        .enumerate()
-        .map(|(rank, slot)| match slot {
-            Some(filled) => filled,
-            // A rank exited without writing its slot (and without raising
-            // any panic the join loop would have re-thrown). Surface it as
-            // a typed failure instead of an opaque expect-panic.
-            None => panic_any(CollectiveError {
+    let mut report = CrashReport {
+        outputs: Vec::with_capacity(p),
+        crashed: Vec::new(),
+        latency_us: 0.0,
+        clocks_us: Vec::with_capacity(p),
+        metrics: Vec::with_capacity(p),
+        wiretap: Arc::clone(&world.wiretap),
+        traces: Vec::with_capacity(p),
+    };
+    for (rank, slot) in slots.into_iter().enumerate() {
+        // A rank that exited without writing its slot (and without raising
+        // any panic the join loop would have re-thrown) is a typed failure,
+        // not an opaque expect-panic.
+        let (out, clock_us, metrics, trace) = slot.unwrap_or_else(|| {
+            panic_any(CollectiveError {
                 rank,
                 phase: "collect",
                 cause: FailureCause::SilentExit { rank },
-            }),
-        })
-        .collect();
-    (collected, wiretap)
+            })
+        });
+        if out.is_none() {
+            report.crashed.push(rank);
+        }
+        report.outputs.push(out);
+        report.latency_us = report.latency_us.max(clock_us);
+        report.clocks_us.push(clock_us);
+        report.metrics.push(metrics);
+        report.traces.push(trace);
+    }
+    report
 }
 
-/// Runs `f` on every rank of the world and collects the report.
+/// Like [`run_crashable`], for worlds that anticipate no crash: a rank
+/// killed by an injected [`Crash`](eag_netsim::Crash) is the typed `Crash`
+/// failure (raised as a panic here; [`try_run`] surfaces it as a value).
 ///
 /// A panic on any rank is broadcast to all ranks (poisoning channels and
 /// shared segments) so the world shuts down instead of deadlocking, and the
 /// original panic is re-raised here; a structured [`CollectiveError`] is
-/// preferred over secondary string panics when both occur. Use [`try_run`]
-/// to receive the error as a value instead of a panic, and
-/// [`run_crashable`] when the fault plan injects a
-/// [`Crash`](eag_netsim::Crash).
+/// preferred over secondary string panics when both occur.
 pub fn run<T, F>(spec: &WorldSpec, f: F) -> RunReport<T>
 where
     T: Send,
     F: Fn(&mut ProcCtx) -> T + Sync,
 {
-    let (slots, wiretap) = run_world(spec, f);
-    let mut outputs = Vec::with_capacity(slots.len());
-    let mut clocks_us = Vec::with_capacity(slots.len());
-    let mut metrics = Vec::with_capacity(slots.len());
-    let mut traces = Vec::with_capacity(slots.len());
-    for (rank, (out, clock, m, trace)) in slots.into_iter().enumerate() {
-        // A crashed rank under the non-crash-tolerant runner is a typed
-        // failure, not an expect-panic: `try_run` surfaces it as a value,
-        // and worlds that anticipate crashes should use `run_crashable`.
-        let out = out.unwrap_or_else(|| {
+    let report = run_crashable(spec, f);
+    let survived = |(rank, out): (Rank, Option<T>)| {
+        out.unwrap_or_else(|| {
             panic_any(CollectiveError {
                 rank,
                 phase: "collect",
                 cause: FailureCause::Crash { rank },
             })
-        });
-        outputs.push(out);
-        clocks_us.push(clock);
-        metrics.push(m);
-        traces.push(trace);
-    }
-    let latency_us = clocks_us.iter().cloned().fold(0.0f64, f64::max);
+        })
+    };
     RunReport {
-        outputs,
-        latency_us,
-        clocks_us,
-        metrics,
-        wiretap,
-        traces,
+        outputs: report
+            .outputs
+            .into_iter()
+            .enumerate()
+            .map(survived)
+            .collect(),
+        latency_us: report.latency_us,
+        clocks_us: report.clocks_us,
+        metrics: report.metrics,
+        wiretap: report.wiretap,
+        traces: report.traces,
     }
 }
 
-/// Like [`run`], but tolerates ranks killed by an injected
-/// [`Crash`](eag_netsim::Crash): crashed ranks contribute `None` outputs
-/// (listed in [`CrashReport::crashed`]) and survivors' outputs are returned
-/// as-is. Non-crash panics still poison the world and re-raise here.
-pub fn run_crashable<T, F>(spec: &WorldSpec, f: F) -> CrashReport<T>
-where
-    T: Send,
-    F: Fn(&mut ProcCtx) -> T + Sync,
-{
-    let (slots, wiretap) = run_world(spec, f);
-    let mut outputs = Vec::with_capacity(slots.len());
-    let mut clocks_us = Vec::with_capacity(slots.len());
-    let mut metrics = Vec::with_capacity(slots.len());
-    let mut traces = Vec::with_capacity(slots.len());
-    for (out, clock, m, trace) in slots {
-        outputs.push(out);
-        clocks_us.push(clock);
-        metrics.push(m);
-        traces.push(trace);
-    }
-    let crashed = outputs
-        .iter()
-        .enumerate()
-        .filter_map(|(rank, out)| out.is_none().then_some(rank))
-        .collect();
-    let latency_us = clocks_us.iter().cloned().fold(0.0f64, f64::max);
-    CrashReport {
-        outputs,
-        crashed,
-        latency_us,
-        clocks_us,
-        metrics,
-        wiretap,
-        traces,
-    }
+/// Surfaces a structured [`CollectiveError`] raised inside `run` (timeout,
+/// dead peer, authentication failure, a survivor's failed recovery) as a
+/// value. Plain string panics (algorithm bugs) still propagate as panics.
+fn typed<R>(body: impl FnOnce() -> R) -> Result<R, CollectiveError> {
+    catch_unwind(AssertUnwindSafe(body)).map_err(|payload| {
+        match payload.downcast::<CollectiveError>() {
+            Ok(e) => *e,
+            Err(other) => resume_unwind(other),
+        }
+    })
 }
 
 /// Like [`run`], but returns a structured [`CollectiveError`] as a value
@@ -2091,13 +1646,7 @@ where
     T: Send,
     F: Fn(&mut ProcCtx) -> T + Sync,
 {
-    match catch_unwind(AssertUnwindSafe(|| run(spec, f))) {
-        Ok(report) => Ok(report),
-        Err(payload) => match payload.downcast::<CollectiveError>() {
-            Ok(e) => Err(*e),
-            Err(other) => resume_unwind(other),
-        },
-    }
+    typed(|| run(spec, f))
 }
 
 /// Installs a panic hook that suppresses the backtraces of *expected*
@@ -2127,13 +1676,7 @@ where
     T: Send,
     F: Fn(&mut ProcCtx) -> T + Sync,
 {
-    match catch_unwind(AssertUnwindSafe(|| run_crashable(spec, f))) {
-        Ok(report) => Ok(report),
-        Err(payload) => match payload.downcast::<CollectiveError>() {
-            Ok(e) => Err(*e),
-            Err(other) => resume_unwind(other),
-        },
-    }
+    typed(|| run_crashable(spec, f))
 }
 
 #[cfg(test)]

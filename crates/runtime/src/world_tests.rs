@@ -2,7 +2,7 @@
 //! transport (fault injection, NACK recovery, dedup, typed failures).
 
 use super::*;
-use eag_netsim::{profile, Crash, Mapping};
+use eag_netsim::{profile, Crash, FaultKind, Mapping};
 
 fn spec(p: usize, nodes: usize) -> WorldSpec {
     WorldSpec::new(
@@ -208,7 +208,9 @@ fn shared_memory_deposit_fetch_and_barrier() {
             ctx.shared_deposit((1, 0), item, 2);
         }
         ctx.node_barrier();
-        let got = ctx.shared_fetch((1, 0));
+        // Fetch and copy out: the read itself is free, the copy is charged.
+        let got = ctx.shared_fetch_free((1, 0));
+        ctx.charge_copy(got.wire_len());
         ctx.node_barrier();
         (got.origins()[0], ctx.shared_slots_len())
     });
@@ -810,7 +812,7 @@ fn crash_spec(crash: Crash) -> WorldSpec {
 #[test]
 fn soft_crash_resolves_blocked_recv_without_waiting_out_the_deadline() {
     // Rank 0 dies before its first send; rank 1 is blocked on that message.
-    // The crash notice must resolve the receive in milliseconds, not after
+    // The departure record must resolve the receive in milliseconds, not after
     // the 300 s recv_timeout or the full retry budget.
     let mut s = crash_spec(Crash::before(0, 0));
     s.trace = true;
@@ -896,6 +898,64 @@ fn hard_crash_is_suspected_after_silent_departure() {
         got.expect("closure ran on rank 1").unwrap_err(),
         FailureCause::Crash { rank: 0 }
     );
+}
+
+#[test]
+fn every_liveness_verdict_is_the_scheduler_departure_record() {
+    // Liveness has one owner. Rank 0 finishes, rank 1 crashes softly and
+    // rank 2 crashes hard; rank 3 probes all three. Each verdict the
+    // detector gives must be the one the scheduler's departure record of
+    // that rank dictates — there is no second copy to consult.
+    let mut s = spec(4, 4);
+    s.faults = FaultPlan {
+        crashes: vec![Crash::before(1, 0), Crash::before(2, 0).hard()],
+        ..FaultPlan::default()
+    };
+    s.retry = fast_retry();
+    s.recv_timeout = Some(Duration::from_secs(30));
+    let grace = Duration::from_millis(100);
+    s.suspect_after = Some(grace);
+    let t0 = Instant::now();
+    let report = run_crashable(&s, move |ctx| {
+        match ctx.rank() {
+            0 => return None,
+            1 | 2 => ctx.send(3, 7, Parcel::one(Item::Plain(ctx.my_block(8)))),
+            _ => {}
+        }
+        // Probe the finished rank last: by then every other rank has
+        // departed, and the `DeadPeer` verdict of an armed world needs
+        // rank 0's `NackMiss` — so rank 0 was still lingering at p-1
+        // departures.
+        let probes = [1, 2, 0].map(|src| {
+            let verdict = ctx.try_recv(src, 7).unwrap_err();
+            let sched = &ctx.world.sched;
+            let silent_for = sched.hard_departed_at(src).map(|at| at.elapsed());
+            (
+                verdict,
+                sched.departure(src),
+                silent_for,
+                sched.departures(),
+            )
+        });
+        Some(probes)
+    });
+    assert_eq!(report.crashed, vec![1, 2]);
+    let [soft, hard, finished] = report.outputs[3].clone().flatten().expect("prober output");
+    // A soft crash is a verdict as soon as its record exists.
+    assert_eq!(soft.0, FailureCause::Crash { rank: 1 });
+    assert_eq!(soft.1, Some(Departure::SoftCrash));
+    // A hard crash only once its record has been silent for the grace period.
+    assert_eq!(hard.0, FailureCause::Crash { rank: 2 });
+    assert_eq!(hard.1, Some(Departure::HardCrash));
+    assert!(hard.2.expect("hard departure is timestamped") >= grace);
+    // A finished peer is `DeadPeer`, never `Crash`.
+    assert_eq!(finished.0, FailureCause::DeadPeer { peer: 0, tag: 7 });
+    assert_eq!(finished.1, Some(Departure::Finished));
+    assert_eq!(finished.3, 3, "everyone but the prober had departed");
+    assert_eq!(report.metrics[3].crashes_detected, 2);
+    // The lingerer left when the prober — the p-th departure — did, not at
+    // its `recv_timeout`.
+    assert!(t0.elapsed() < Duration::from_secs(10), "linger overstayed");
 }
 
 #[test]
@@ -1009,10 +1069,19 @@ fn same_node_crash_unblocks_shared_memory_waiters() {
                 ctx.send(2, 9, Parcel::one(Item::Plain(ctx.my_block(8))));
                 None
             }
-            // Same-node sibling blocked on rank 0's deposit.
+            // Same-node sibling blocked on rank 0's deposit. The fetch
+            // raises the typed failure; catch it the way the recovery
+            // engine does, so the world carries on.
             1 => {
                 let key = ctx.slot(5, 0);
-                Some(ctx.try_shared_fetch(key).map(|_| ()))
+                Some(
+                    typed(|| ctx.shared_fetch_free(key))
+                        .map(|_| ())
+                        .map_err(|e| {
+                            assert_eq!(e.rank, 1);
+                            e.cause
+                        }),
+                )
             }
             // Off-node ranks: blocked on the doomed rank's message.
             _ => Some(ctx.try_recv(0, 9).map(|_| ())),
