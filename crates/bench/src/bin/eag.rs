@@ -828,5 +828,13 @@ fn cmd_list() -> Result<(), String> {
         println!("  {}", c.name());
     }
     println!("  allgatherv/<any varying-capable algorithm above>");
+    println!("cipher suites (--cipher):");
+    for suite in CipherSuite::ALL {
+        println!("  {suite}");
+    }
+    // Which AES-GCM kernel the dispatch picked on this CPU, so a CI log
+    // shows what a runner actually tested.
+    let gcm = eag_crypto::AesGcm::new(&eag_crypto::Key::from_bytes([0; 16]));
+    println!("aes-gcm kernel on this CPU: {}", gcm.tier());
     Ok(())
 }

@@ -7,7 +7,7 @@
 //!
 //! | suite | cipher | misuse posture | fast path |
 //! |---|---|---|---|
-//! | [`CipherSuite::AesGcm128`] | AES-128-GCM | nonce reuse is catastrophic | fused AES-NI+PCLMUL |
+//! | [`CipherSuite::AesGcm128`] | AES-128-GCM | nonce reuse is catastrophic | fused VAES+VPCLMUL (512-bit), else AES-NI+PCLMUL |
 //! | [`CipherSuite::AesGcmSiv128`] | AES-128-GCM-SIV | misuse-resistant | AES-NI + PCLMUL POLYVAL |
 //! | [`CipherSuite::ChaCha20Poly1305`] | ChaCha20-Poly1305 | nonce reuse leaks XOR | SSE2 (no AES-NI needed) |
 //!
@@ -222,11 +222,7 @@ impl CipherSuite {
     /// backends (the dispatch-equivalence tests compare the two).
     pub fn aead_for_key_soft(self, key: &Key) -> Box<dyn Aead> {
         match self {
-            CipherSuite::AesGcm128 => {
-                // AesGcm has no dedicated soft constructor; route through the
-                // process-wide force (tests use the component new_softs).
-                Box::new(AesGcm::new(key))
-            }
+            CipherSuite::AesGcm128 => Box::new(AesGcm::new_soft(key)),
             CipherSuite::AesGcmSiv128 => Box::new(AesGcmSiv::new_soft(key)),
             CipherSuite::ChaCha20Poly1305 => Box::new(ChaCha20Poly1305::new_soft(key)),
         }

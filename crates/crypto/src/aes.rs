@@ -19,7 +19,7 @@
 pub const BLOCK_LEN: usize = 16;
 
 /// Maximum number of rounds (AES-256).
-const MAX_ROUNDS: usize = 14;
+pub(crate) const MAX_ROUNDS: usize = 14;
 
 /// The AES S-box.
 #[rustfmt::skip]
@@ -335,7 +335,7 @@ impl Aes {
     }
 }
 
-fn detect_backend() -> Backend {
+pub(crate) fn detect_backend() -> Backend {
     #[cfg(target_arch = "x86_64")]
     {
         if !crate::dispatch::force_soft() && std::arch::is_x86_feature_detected!("aes") {
@@ -499,8 +499,11 @@ pub(crate) mod aesni {
     use super::{RoundKeys, MAX_ROUNDS};
     use std::arch::x86_64::*;
 
+    /// Expanded round keys in registers, with the round count.
+    pub(crate) type LoadedKeys = ([__m128i; MAX_ROUNDS + 1], usize);
+
     #[inline]
-    pub(crate) unsafe fn load_keys(keys: &RoundKeys) -> ([__m128i; MAX_ROUNDS + 1], usize) {
+    pub(crate) unsafe fn load_keys(keys: &RoundKeys) -> LoadedKeys {
         let mut out = [_mm_setzero_si128(); MAX_ROUNDS + 1];
         for (o, rk) in out.iter_mut().zip(keys.keys().iter()) {
             *o = _mm_loadu_si128(rk.as_ptr() as *const __m128i);
@@ -520,59 +523,77 @@ pub(crate) mod aesni {
         _mm_storeu_si128(block.as_mut_ptr() as *mut __m128i, b);
     }
 
-    /// CTR keystream XOR with round keys hoisted out of the loop and eight
-    /// independent blocks in flight to fill the AESENC pipeline.
+    /// Splits a counter block into its nonce part (counter word zeroed) and
+    /// the 32-bit big-endian counter GCM increments.
+    #[inline(always)]
+    pub(crate) unsafe fn split_counter(icb: &[u8; 16]) -> (__m128i, u32) {
+        let base = _mm_loadu_si128(icb.as_ptr() as *const __m128i);
+        let word_mask = _mm_set_epi32(-1, 0, 0, 0);
+        let ctr32 = u32::from_be_bytes([icb[12], icb[13], icb[14], icb[15]]);
+        (_mm_andnot_si128(word_mask, base), ctr32)
+    }
+
+    #[inline(always)]
+    unsafe fn counter_block(base_hi: __m128i, ctr32: u32) -> __m128i {
+        let word = _mm_set_epi32(ctr32.swap_bytes() as i32, 0, 0, 0);
+        _mm_or_si128(base_hi, word)
+    }
+
+    /// XORs the 128 bytes at `p` with the keystream of the eight counter
+    /// blocks from `*ctr32` on (GCM `inc32`: the word wraps, the nonce part
+    /// never changes), advancing `*ctr32` by eight. Eight independent
+    /// blocks in flight fill the AESENC pipeline. The one 8-block stride of
+    /// this crate: the plain CTR sweep below and the fused CTR+GHASH kernel
+    /// both run it.
+    ///
+    /// Callers guarantee `p` is valid for 128 bytes of reads and writes.
+    #[inline(always)]
+    pub(crate) unsafe fn xor_stride8(
+        (rk, rounds): &LoadedKeys,
+        base_hi: __m128i,
+        ctr32: &mut u32,
+        p: *mut __m128i,
+    ) {
+        let mut blocks = [_mm_setzero_si128(); 8];
+        for b in blocks.iter_mut() {
+            *b = _mm_xor_si128(counter_block(base_hi, *ctr32), rk[0]);
+            *ctr32 = ctr32.wrapping_add(1);
+        }
+        for k in &rk[1..*rounds] {
+            for b in blocks.iter_mut() {
+                *b = _mm_aesenc_si128(*b, *k);
+            }
+        }
+        for (i, b) in blocks.iter().enumerate() {
+            let ks = _mm_aesenclast_si128(*b, rk[*rounds]);
+            _mm_storeu_si128(p.add(i), _mm_xor_si128(_mm_loadu_si128(p.add(i)), ks));
+        }
+    }
+
+    /// CTR keystream XOR with round keys hoisted out of the loop:
+    /// [`xor_stride8`] over the whole strides, then block by block.
     #[target_feature(enable = "aes")]
     pub unsafe fn xor_ctr(keys: &RoundKeys, icb: &[u8; 16], data: &mut [u8]) {
-        let (rk, rounds) = load_keys(keys);
-        let base = _mm_loadu_si128(icb.as_ptr() as *const __m128i);
-        // Counter handling: GCM increments only the last (big-endian) u32.
-        let mut ctr32 = u32::from_be_bytes([icb[12], icb[13], icb[14], icb[15]]);
-        let word_mask = _mm_set_epi32(-1, 0, 0, 0);
-        let base_hi = _mm_andnot_si128(word_mask, base);
+        let loaded = load_keys(keys);
+        let (base_hi, mut ctr32) = split_counter(icb);
 
-        #[inline]
-        unsafe fn counter_block(base_hi: __m128i, ctr32: u32) -> __m128i {
-            let word = _mm_set_epi32(ctr32.swap_bytes() as i32, 0, 0, 0);
-            _mm_or_si128(base_hi, word)
+        let mut strides = data.chunks_exact_mut(128);
+        for stride in &mut strides {
+            xor_stride8(&loaded, base_hi, &mut ctr32, stride.as_mut_ptr().cast());
         }
-
-        let mut offset = 0usize;
-        while data.len() - offset >= 128 {
-            let mut blocks = [_mm_setzero_si128(); 8];
-            for b in blocks.iter_mut() {
-                *b = _mm_xor_si128(counter_block(base_hi, ctr32), rk[0]);
-                ctr32 = ctr32.wrapping_add(1);
-            }
-            for k in rk.iter().take(rounds).skip(1) {
-                for b in blocks.iter_mut() {
-                    *b = _mm_aesenc_si128(*b, *k);
-                }
-            }
-            let p = data.as_mut_ptr().add(offset) as *mut __m128i;
-            for (i, b) in blocks.iter().enumerate() {
-                let ks = _mm_aesenclast_si128(*b, rk[rounds]);
-                let d = _mm_loadu_si128(p.add(i));
-                _mm_storeu_si128(p.add(i), _mm_xor_si128(d, ks));
-            }
-            offset += 128;
-        }
-
-        // Single-block tail.
-        while offset < data.len() {
+        let (rk, rounds) = loaded;
+        for chunk in strides.into_remainder().chunks_mut(16) {
             let mut b = _mm_xor_si128(counter_block(base_hi, ctr32), rk[0]);
             ctr32 = ctr32.wrapping_add(1);
-            for k in rk.iter().take(rounds).skip(1) {
+            for k in &rk[1..rounds] {
                 b = _mm_aesenc_si128(b, *k);
             }
             b = _mm_aesenclast_si128(b, rk[rounds]);
             let mut ks = [0u8; 16];
             _mm_storeu_si128(ks.as_mut_ptr() as *mut __m128i, b);
-            let take = (data.len() - offset).min(16);
-            for (d, k) in data[offset..offset + take].iter_mut().zip(ks.iter()) {
+            for (d, k) in chunk.iter_mut().zip(ks.iter()) {
                 *d ^= k;
             }
-            offset += take;
         }
     }
 

@@ -1,4 +1,4 @@
-//! Fused CTR+GHASH kernel (x86-64).
+//! Fused CTR+GHASH kernel (x86-64, AES-NI + PCLMULQDQ).
 //!
 //! GCM's two halves are computationally independent per block: the CTR
 //! keystream is pure AESENC work and the authentication pass is pure
@@ -6,15 +6,16 @@
 //! walks the message twice and leaves one execution port idle in each sweep.
 //! This module interleaves them: each 128-byte stride generates eight
 //! keystream blocks, XORs them into the message in place, and feeds the
-//! resulting ciphertext straight into two 4-block aggregated GHASH updates —
-//! while the values are still in registers. Out-of-order execution then
-//! overlaps the AESENC chains of stride *n+1* with the carry-less multiplies
-//! of stride *n*, so AES and GHASH throughput add instead of serialize.
+//! ciphertext into two 4-block aggregated GHASH updates. Out-of-order
+//! execution then overlaps the AESENC chains of one stride with the
+//! carry-less multiplies of its neighbour, so AES and GHASH throughput add
+//! instead of serialize.
 //!
-//! Both entry points require `data.len() % 128 == 0`; callers route the tail
-//! through the unfused block paths. Counter semantics are GCM `inc32` (only
-//! the low 32 bits of the counter block increment), identical to
-//! [`crate::aes::Aes::xor_ctr_keystream`].
+//! [`crypt_blocks`] is the 128-bit tier of [`crate::gcm::AesGcm`]'s
+//! dispatch; [`crate::wide`] is the 512-bit one. It takes whole 128-byte
+//! strides; callers route the tail through the unfused block paths. Counter
+//! semantics are GCM `inc32` (only the low 32 bits of the counter block
+//! increment), identical to [`crate::aes::Aes::xor_ctr_keystream`].
 
 #![cfg(target_arch = "x86_64")]
 
@@ -25,52 +26,37 @@ use std::arch::x86_64::*;
 /// Bytes processed per fused stride (8 AES blocks).
 pub(crate) const STRIDE: usize = 128;
 
-#[inline(always)]
-unsafe fn counter_block(base_hi: __m128i, ctr32: u32) -> __m128i {
-    let word = _mm_set_epi32(ctr32.swap_bytes() as i32, 0, 0, 0);
-    _mm_or_si128(base_hi, word)
-}
-
 /// Absorbs one 128-byte stride of ciphertext at `p` into the accumulator.
 /// Loading from (L1-resident) memory instead of carrying the eight
 /// ciphertext values in registers is what keeps the fused loop inside the
 /// sixteen-xmm budget — carrying them live alongside the eight AES states
 /// spills to the stack and costs more than the reload.
 #[inline(always)]
-unsafe fn ghash_stride(
-    a: __m128i,
-    p: *const __m128i,
-    h1: __m128i,
-    h2: __m128i,
-    h3: __m128i,
-    h4: __m128i,
-) -> __m128i {
-    let lo = [
-        bswap(_mm_loadu_si128(p)),
-        bswap(_mm_loadu_si128(p.add(1))),
-        bswap(_mm_loadu_si128(p.add(2))),
-        bswap(_mm_loadu_si128(p.add(3))),
-    ];
-    let a = ghash4(a, lo, h1, h2, h3, h4);
-    let hi = [
-        bswap(_mm_loadu_si128(p.add(4))),
-        bswap(_mm_loadu_si128(p.add(5))),
-        bswap(_mm_loadu_si128(p.add(6))),
-        bswap(_mm_loadu_si128(p.add(7))),
-    ];
-    ghash4(a, hi, h1, h2, h3, h4)
+unsafe fn ghash_stride(a: __m128i, p: *const __m128i, h: [__m128i; 4]) -> __m128i {
+    let quad = |q: *const __m128i| {
+        [
+            bswap(_mm_loadu_si128(q)),
+            bswap(_mm_loadu_si128(q.add(1))),
+            bswap(_mm_loadu_si128(q.add(2))),
+            bswap(_mm_loadu_si128(q.add(3))),
+        ]
+    };
+    let a = ghash4(a, quad(p), h[0], h[1], h[2], h[3]);
+    ghash4(a, quad(p.add(4)), h[0], h[1], h[2], h[3])
 }
 
-/// Encrypts `data` in place with the CTR keystream starting at `icb` and
-/// absorbs the produced ciphertext into the GHASH accumulator `acc` using
-/// the precomputed `powers` H¹..H⁴. Returns the updated accumulator.
+/// XORs `data` in place with the CTR keystream starting at `icb` and
+/// absorbs the ciphertext — the input when `DEC`, the output otherwise —
+/// into the GHASH accumulator `acc` using the precomputed `powers` H¹..H⁴.
+/// Returns the updated accumulator. Whole 128-byte strides only: a trailing
+/// partial stride is left untouched for the caller's tail path.
 ///
-/// Software-pipelined one stride deep: iteration *s* encrypts stride *s*
-/// while hashing the ciphertext stride *s−1* already in L1, so the AESENC
-/// and PCLMUL chains of every iteration are independent and overlap under
-/// out-of-order execution.
-///
-/// Requires `data.len()` to be a multiple of 128.
+/// Software-pipelined one stride deep, so the AESENC and PCLMUL chains of
+/// every iteration are independent and overlap under out-of-order
+/// execution: iteration *s* runs the first stage on stride *s* and the
+/// second on stride *s−1*. Sealing, the stages are encrypt then hash (the
+/// ciphertext of *s−1* is already in L1); opening, hash then decrypt (the
+/// ciphertext of *s* is read before the next iteration overwrites it).
 ///
 /// # Safety
 /// The CPU must support `aes`, `pclmulqdq`, `sse2`, and `ssse3`.
@@ -80,275 +66,35 @@ unsafe fn ghash_stride(
     enable = "sse2",
     enable = "ssse3"
 )]
-pub(crate) unsafe fn seal_blocks(
+pub(crate) unsafe fn crypt_blocks<const DEC: bool>(
     keys: &RoundKeys,
     powers: &[u128; 4],
     icb: &[u8; 16],
     acc: u128,
     data: &mut [u8],
 ) -> u128 {
-    debug_assert_eq!(data.len() % STRIDE, 0);
-    if data.is_empty() {
-        return acc;
-    }
-    let (rk, rounds) = aesni::load_keys(keys);
-    let base = _mm_loadu_si128(icb.as_ptr() as *const __m128i);
-    let mut ctr32 = u32::from_be_bytes([icb[12], icb[13], icb[14], icb[15]]);
-    let word_mask = _mm_set_epi32(-1, 0, 0, 0);
-    let base_hi = _mm_andnot_si128(word_mask, base);
-
-    let h1 = load_elem(powers[0]);
-    let h2 = load_elem(powers[1]);
-    let h3 = load_elem(powers[2]);
-    let h4 = load_elem(powers[3]);
+    let loaded = aesni::load_keys(keys);
+    let (base_hi, mut ctr32) = aesni::split_counter(icb);
+    let h = powers.map(|p| load_elem(p));
     let mut a = load_elem(acc);
 
     let strides = data.len() / STRIDE;
-    for s in 0..strides {
-        let mut blocks = [_mm_setzero_si128(); 8];
-        for b in blocks.iter_mut() {
-            *b = _mm_xor_si128(counter_block(base_hi, ctr32), rk[0]);
-            ctr32 = ctr32.wrapping_add(1);
+    let base = data.as_mut_ptr();
+    // In bounds for every s < strides, which is all the loop passes it.
+    let at = |s: usize| base.add(s * STRIDE) as *mut __m128i;
+    for s in 0..=strides {
+        let (first, second) = ((s < strides).then_some(s), s.checked_sub(1));
+        let (xor, hash) = if DEC {
+            (second, first)
+        } else {
+            (first, second)
+        };
+        if let Some(x) = xor {
+            aesni::xor_stride8(&loaded, base_hi, &mut ctr32, at(x));
         }
-        for k in rk.iter().take(rounds).skip(1) {
-            for b in blocks.iter_mut() {
-                *b = _mm_aesenc_si128(*b, *k);
-            }
+        if let Some(x) = hash {
+            a = ghash_stride(a, at(x), h);
         }
-        let p = data.as_mut_ptr().add(s * STRIDE) as *mut __m128i;
-        for (i, b) in blocks.iter().enumerate() {
-            let ks = _mm_aesenclast_si128(*b, rk[rounds]);
-            _mm_storeu_si128(p.add(i), _mm_xor_si128(_mm_loadu_si128(p.add(i)), ks));
-        }
-        if s > 0 {
-            let q = data.as_ptr().add((s - 1) * STRIDE) as *const __m128i;
-            a = ghash_stride(a, q, h1, h2, h3, h4);
-        }
-    }
-    // Drain the pipeline: the last stride's ciphertext.
-    let q = data.as_ptr().add((strides - 1) * STRIDE) as *const __m128i;
-    a = ghash_stride(a, q, h1, h2, h3, h4);
-    store_elem(a)
-}
-
-/// Decrypts `data` in place, absorbing the *ciphertext* (read before it is
-/// overwritten) into the GHASH accumulator. Returns the updated accumulator.
-///
-/// Pipelined like [`seal_blocks`], but shifted: iteration *s* hashes the
-/// (still-intact) ciphertext of stride *s* and decrypts stride *s−1*, whose
-/// hash was taken one iteration earlier.
-///
-/// Requires `data.len()` to be a multiple of 128.
-///
-/// # Safety
-/// The CPU must support `aes`, `pclmulqdq`, `sse2`, and `ssse3`.
-#[target_feature(
-    enable = "aes",
-    enable = "pclmulqdq",
-    enable = "sse2",
-    enable = "ssse3"
-)]
-pub(crate) unsafe fn open_blocks(
-    keys: &RoundKeys,
-    powers: &[u128; 4],
-    icb: &[u8; 16],
-    acc: u128,
-    data: &mut [u8],
-) -> u128 {
-    debug_assert_eq!(data.len() % STRIDE, 0);
-    if data.is_empty() {
-        return acc;
-    }
-    let (rk, rounds) = aesni::load_keys(keys);
-    let base = _mm_loadu_si128(icb.as_ptr() as *const __m128i);
-    let mut ctr32 = u32::from_be_bytes([icb[12], icb[13], icb[14], icb[15]]);
-    let word_mask = _mm_set_epi32(-1, 0, 0, 0);
-    let base_hi = _mm_andnot_si128(word_mask, base);
-
-    let h1 = load_elem(powers[0]);
-    let h2 = load_elem(powers[1]);
-    let h3 = load_elem(powers[2]);
-    let h4 = load_elem(powers[3]);
-    let mut a = load_elem(acc);
-
-    let strides = data.len() / STRIDE;
-    for s in 0..strides {
-        let q = data.as_ptr().add(s * STRIDE) as *const __m128i;
-        a = ghash_stride(a, q, h1, h2, h3, h4);
-        if s > 0 {
-            let mut blocks = [_mm_setzero_si128(); 8];
-            for b in blocks.iter_mut() {
-                *b = _mm_xor_si128(counter_block(base_hi, ctr32), rk[0]);
-                ctr32 = ctr32.wrapping_add(1);
-            }
-            for k in rk.iter().take(rounds).skip(1) {
-                for b in blocks.iter_mut() {
-                    *b = _mm_aesenc_si128(*b, *k);
-                }
-            }
-            let p = data.as_mut_ptr().add((s - 1) * STRIDE) as *mut __m128i;
-            for (i, b) in blocks.iter().enumerate() {
-                let ks = _mm_aesenclast_si128(*b, rk[rounds]);
-                _mm_storeu_si128(p.add(i), _mm_xor_si128(_mm_loadu_si128(p.add(i)), ks));
-            }
-        }
-    }
-    // Drain: decrypt the last stride.
-    let mut blocks = [_mm_setzero_si128(); 8];
-    for b in blocks.iter_mut() {
-        *b = _mm_xor_si128(counter_block(base_hi, ctr32), rk[0]);
-        ctr32 = ctr32.wrapping_add(1);
-    }
-    for k in rk.iter().take(rounds).skip(1) {
-        for b in blocks.iter_mut() {
-            *b = _mm_aesenc_si128(*b, *k);
-        }
-    }
-    let p = data.as_mut_ptr().add((strides - 1) * STRIDE) as *mut __m128i;
-    for (i, b) in blocks.iter().enumerate() {
-        let ks = _mm_aesenclast_si128(*b, rk[rounds]);
-        _mm_storeu_si128(p.add(i), _mm_xor_si128(_mm_loadu_si128(p.add(i)), ks));
     }
     store_elem(a)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::aes::{Aes, Backend};
-    use crate::ghash::GHash;
-
-    fn fused_available(aes: &Aes, ghash: &GHash) -> bool {
-        aes.backend() == Backend::AesNi && ghash.backend() == crate::ghash::MulBackend::Pclmul
-    }
-
-    /// The fused seal must equal the unfused two-sweep composition
-    /// (CTR keystream, then GHASH over the ciphertext) bit for bit.
-    #[test]
-    fn fused_seal_matches_two_sweep() {
-        let key = [0x5Au8; 16];
-        let aes = Aes::new(&key);
-        let mut h = [0u8; 16];
-        aes.encrypt_block(&mut h);
-        let proto = GHash::new(&h);
-        if !fused_available(&aes, &proto) {
-            return;
-        }
-        let icb = {
-            let mut b = [0x21u8; 16];
-            b[12..].copy_from_slice(&7u32.to_be_bytes());
-            b
-        };
-        for strides in [1usize, 2, 3, 9] {
-            let len = strides * STRIDE;
-            let plain: Vec<u8> = (0..len).map(|i| (i * 89 + 5) as u8).collect();
-
-            let mut reference = plain.clone();
-            aes.xor_ctr_keystream(&icb, &mut reference);
-            let mut ref_ghash = proto.fresh();
-            ref_ghash.update_padded(&reference);
-
-            let mut fused = plain.clone();
-            let mut g = proto.fresh();
-            // SAFETY: guarded above — fused_available checked the features.
-            let acc =
-                unsafe { seal_blocks(aes.round_keys(), g.powers(), &icb, g.acc_raw(), &mut fused) };
-            g.set_acc_raw(acc);
-
-            assert_eq!(fused, reference, "ciphertext, strides = {strides}");
-            assert_eq!(
-                g.finalize(),
-                ref_ghash.finalize(),
-                "ghash, strides = {strides}"
-            );
-        }
-    }
-
-    /// Open must GHASH the ciphertext (not the plaintext) and invert seal.
-    #[test]
-    fn fused_open_inverts_seal_and_hashes_ciphertext() {
-        let key = [0xC3u8; 16];
-        let aes = Aes::new(&key);
-        let mut h = [0u8; 16];
-        aes.encrypt_block(&mut h);
-        let proto = GHash::new(&h);
-        if !fused_available(&aes, &proto) {
-            return;
-        }
-        let icb = [0x42u8; 16];
-        let len = 4 * STRIDE;
-        let plain: Vec<u8> = (0..len).map(|i| (i * 13 + 1) as u8).collect();
-
-        let mut buf = plain.clone();
-        let mut g_seal = proto.fresh();
-        // SAFETY: guarded above — fused_available checked the features.
-        let acc = unsafe {
-            seal_blocks(
-                aes.round_keys(),
-                g_seal.powers(),
-                &icb,
-                g_seal.acc_raw(),
-                &mut buf,
-            )
-        };
-        g_seal.set_acc_raw(acc);
-
-        let mut g_open = proto.fresh();
-        // SAFETY: guarded above.
-        let acc = unsafe {
-            open_blocks(
-                aes.round_keys(),
-                g_open.powers(),
-                &icb,
-                g_open.acc_raw(),
-                &mut buf,
-            )
-        };
-        g_open.set_acc_raw(acc);
-
-        assert_eq!(buf, plain, "open must invert seal");
-        assert_eq!(
-            g_seal.finalize(),
-            g_open.finalize(),
-            "both directions hash the same ciphertext"
-        );
-    }
-
-    /// The accumulator handoff must compose with prior and subsequent
-    /// unfused updates (AAD before, tail + lengths after).
-    #[test]
-    fn accumulator_composes_across_fused_boundary() {
-        let key = [0x11u8; 16];
-        let aes = Aes::new(&key);
-        let mut h = [0u8; 16];
-        aes.encrypt_block(&mut h);
-        let proto = GHash::new(&h);
-        if !fused_available(&aes, &proto) {
-            return;
-        }
-        let icb = [0x99u8; 16];
-        let aad = b"associated data, 20b";
-        let len = 2 * STRIDE;
-        let plain: Vec<u8> = (0..len).map(|i| (i * 3) as u8).collect();
-
-        // Reference: unfused, one GHASH over aad || ct || lens.
-        let mut ct = plain.clone();
-        aes.xor_ctr_keystream(&icb, &mut ct);
-        let mut reference = proto.fresh();
-        reference.update_padded(aad);
-        reference.update_padded(&ct);
-        reference.update_lengths(aad.len() as u64, ct.len() as u64);
-
-        // Fused: aad unfused, bulk fused, lengths unfused.
-        let mut buf = plain.clone();
-        let mut g = proto.fresh();
-        g.update_padded(aad);
-        // SAFETY: guarded above.
-        let acc = unsafe { seal_blocks(aes.round_keys(), g.powers(), &icb, g.acc_raw(), &mut buf) };
-        g.set_acc_raw(acc);
-        g.update_lengths(aad.len() as u64, buf.len() as u64);
-
-        assert_eq!(buf, ct);
-        assert_eq!(g.finalize(), reference.finalize());
-    }
 }

@@ -70,14 +70,6 @@ fn byte_table(h: u128) -> std::sync::Arc<[u128; 256]> {
     std::sync::Arc::new(t)
 }
 
-/// Precomputes H¹..H⁴ (key setup; the portable multiply is fine here).
-fn h_powers(h: u128) -> [u128; 4] {
-    let h2 = gf128_mul_soft(h, h);
-    let h3 = gf128_mul_soft(h2, h);
-    let h4 = gf128_mul_soft(h3, h);
-    [h, h2, h3, h4]
-}
-
 /// Byte-serial multiply-by-H using the per-key table (Horner over the 16
 /// bytes of `x`, degree-descending).
 fn mul_h_table(table: &[u128; 256], x: u128) -> u128 {
@@ -103,7 +95,7 @@ pub(crate) fn mulx_ghash(v: u128) -> u128 {
     v
 }
 
-fn detect_backend() -> MulBackend {
+pub(crate) fn detect_backend() -> MulBackend {
     #[cfg(target_arch = "x86_64")]
     {
         if !crate::dispatch::force_soft()
@@ -139,22 +131,16 @@ impl GHash {
     /// selecting the fastest available backend (PCLMULQDQ, else the
     /// table-driven portable path).
     pub fn new(h: &[u8; 16]) -> Self {
-        let hv = u128::from_be_bytes(*h);
         match detect_backend() {
-            MulBackend::Pclmul => GHash {
-                h: hv,
-                acc: 0,
-                backend: MulBackend::Pclmul,
-                table: None,
-                powers: h_powers(hv),
-            },
-            _ => GHash {
-                h: hv,
-                acc: 0,
-                backend: MulBackend::SoftTable,
-                table: Some(byte_table(hv)),
-                powers: [0; 4],
-            },
+            MulBackend::Pclmul => {
+                let mut g = GHash {
+                    backend: MulBackend::Pclmul,
+                    ..GHash::new_soft(h)
+                };
+                g.powers = g.h_powers();
+                g
+            }
+            _ => GHash::new_soft_table(h),
         }
     }
 
@@ -172,13 +158,11 @@ impl GHash {
 
     /// Creates an instance pinned to the table-driven portable backend.
     pub fn new_soft_table(h: &[u8; 16]) -> Self {
-        let hv = u128::from_be_bytes(*h);
+        let soft = GHash::new_soft(h);
         GHash {
-            h: hv,
-            acc: 0,
             backend: MulBackend::SoftTable,
-            table: Some(byte_table(hv)),
-            powers: [0; 4],
+            table: Some(byte_table(soft.h)),
+            ..soft
         }
     }
 
@@ -211,6 +195,16 @@ impl GHash {
     #[inline]
     pub(crate) fn powers(&self) -> &[u128; 4] {
         &self.powers
+    }
+
+    /// H¹..Hᴺ, ascending, computed with this instance's own (dispatched)
+    /// multiply — key set-up for the aggregated kernels.
+    pub(crate) fn h_powers<const N: usize>(&self) -> [u128; N] {
+        let mut p = [self.h; N];
+        for i in 1..N {
+            p[i] = self.mul_h(p[i - 1]);
+        }
+        p
     }
 
     #[inline]
@@ -292,27 +286,28 @@ pub(crate) mod pclmul {
     /// convention as the portable code) into an SSE register in *reflected*
     /// layout: byte 0 of the block in lane 15. In this layout the classic
     /// Intel "GCM with bit-reflected data" multiply below applies directly.
+    /// On little-endian x86 that register is the `u128`'s own memory image,
+    /// so tables of elements (`[u128; N]`) load as they lie.
     #[inline(always)]
     pub(crate) unsafe fn load_elem(x: u128) -> __m128i {
-        // to_be_bytes puts block byte 0 first; loading little-endian and
-        // byte-reversing gives lane15 = block byte 0.
-        let bytes = x.to_be_bytes();
-        let v = _mm_loadu_si128(bytes.as_ptr() as *const __m128i);
-        bswap(v)
+        std::mem::transmute(x)
     }
 
     #[inline(always)]
     pub(crate) unsafe fn store_elem(v: __m128i) -> u128 {
-        let mut out = [0u8; 16];
-        _mm_storeu_si128(out.as_mut_ptr() as *mut __m128i, bswap(v));
-        u128::from_be_bytes(out)
+        std::mem::transmute(v)
+    }
+
+    /// The `PSHUFB` control that byte-reverses 16 lanes.
+    #[inline(always)]
+    pub(crate) unsafe fn bswap_mask() -> __m128i {
+        _mm_set_epi8(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15)
     }
 
     /// Byte-reverses the 16 lanes.
     #[inline(always)]
     pub(crate) unsafe fn bswap(v: __m128i) -> __m128i {
-        let mask = _mm_set_epi8(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15);
-        _mm_shuffle_epi8(v, mask)
+        _mm_shuffle_epi8(v, bswap_mask())
     }
 
     /// Raw 256-bit carry-less product of two 128-bit operands

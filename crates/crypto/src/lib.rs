@@ -7,7 +7,8 @@
 //! behind one [`Aead`] trait, selected at runtime via [`CipherSuite`]:
 //!
 //! - **AES-128-GCM** ([`gcm`]) — the default; fused single-pass
-//!   CTR+GHASH kernel on AES-NI + PCLMULQDQ hardware.
+//!   CTR+GHASH kernel, 512-bit on VAES + VPCLMULQDQ hardware, 128-bit on
+//!   AES-NI + PCLMULQDQ ([`AesGcm::tier`] names the one in use).
 //! - **AES-128-GCM-SIV** ([`gcm_siv`]) — nonce-misuse-resistant (RFC 8452);
 //!   POLYVAL rides the same PCLMUL kernel bit-reflected.
 //! - **ChaCha20-Poly1305** ([`chacha20poly1305`]) — for hosts without
@@ -70,6 +71,7 @@ pub mod nonce;
 pub mod poly1305;
 pub mod polyval;
 pub mod probe;
+mod wide;
 
 pub use aead::{Aead, CipherSuite};
 pub use aes::{Aes, Aes128, KeySize};

@@ -1,7 +1,7 @@
 //! Wall-clock throughput probes for the AEAD hot paths.
 //!
 //! Measures what this machine actually sustains through
-//! [`seal_message_into`] and [`open_message_in_place`] — the exact
+//! [`seal_message_into`] and [`open_frame_in_place`] — the exact
 //! buffer-reusing calls the runtime's encrypted transport makes — so
 //! benchmark reports can carry real crypto throughput next to the
 //! virtual-time latencies. [`probe_throughput`] probes the default
@@ -10,7 +10,7 @@
 //! Wall-clock numbers are machine- and load-dependent by nature; callers
 //! must treat them as informational, not as regression-gate inputs.
 
-use crate::{open_message_in_place, seal_message_into, CipherSuite, Key, NonceSource};
+use crate::{open_frame_in_place, seal_message_into, CipherSuite, Key, NonceSource, WIRE_OVERHEAD};
 use std::time::Instant;
 
 /// Throughput measured at one message size.
@@ -25,15 +25,20 @@ pub struct ThroughputPoint {
     pub open_mb_per_s: f64,
 }
 
+/// Bytes of pre-sealed frames the open probe sweeps (between 4 and 64
+/// frames): enough that consecutive opens do not hit one hot buffer.
+const RING_BYTES: usize = 1 << 20;
+
 /// Default sizes for a quick probe: 1 KiB, 16 KiB, 256 KiB, 1 MiB.
 pub const DEFAULT_PROBE_SIZES: [usize; 4] = [1024, 16 * 1024, 256 * 1024, 1024 * 1024];
 
 /// Measures seal/open throughput of the default AES-GCM suite at each size
 /// in `sizes`.
 ///
-/// `budget_secs` is the approximate wall-clock budget *per direction per
-/// size* (a calibration pass sizes the iteration count to fit it; at least
-/// 3 iterations always run). `probe_throughput(&DEFAULT_PROBE_SIZES, 0.05)`
+/// `budget_secs` is the approximate timed wall-clock budget *per direction
+/// per size* (a calibration pass sizes the seal iteration count to fit it,
+/// at least 3 always run; opens sweep a ring of pre-sealed frames, at least
+/// once, until it is spent). `probe_throughput(&DEFAULT_PROBE_SIZES, 0.05)`
 /// finishes in well under a second on anything modern.
 pub fn probe_throughput(sizes: &[usize], budget_secs: f64) -> Vec<ThroughputPoint> {
     probe_throughput_suite(CipherSuite::AesGcm128, sizes, budget_secs)
@@ -58,23 +63,27 @@ pub fn probe_throughput_suite(
                 seal_message_into(cipher, &mut nonces, b"", &plaintext, &mut wire);
                 std::hint::black_box(wire.len());
             });
-            // `wire` now holds a valid frame; open copies it fresh each
-            // iteration since opening consumes the frame in place. The copy
-            // is subtracted via a memcpy-only baseline.
-            seal_message_into(cipher, &mut nonces, b"", &plaintext, &mut wire);
-            let mut scratch = Vec::new();
-            let open_with_copy = time_op(budget_secs, || {
-                scratch.clear();
-                scratch.extend_from_slice(&wire);
-                open_message_in_place(cipher, b"", &mut scratch).expect("frame is authentic");
-                std::hint::black_box(scratch.len());
-            });
-            let copy_only = time_op(budget_secs * 0.2, || {
-                scratch.clear();
-                scratch.extend_from_slice(&wire);
-                std::hint::black_box(scratch.len());
-            });
-            let open_secs = (open_with_copy - copy_only).max(open_with_copy * 0.05);
+            // Opening consumes a frame, so opens are timed over a ring of
+            // pre-sealed frames and the ring is re-sealed, untimed, between
+            // sweeps: nothing but `open_frame_in_place` is on the clock (a
+            // copy-and-subtract baseline drowns in noise once open runs near
+            // memcpy speed).
+            let frame_len = msg_bytes + WIRE_OVERHEAD;
+            let mut ring = vec![Vec::new(); (RING_BYTES / frame_len).clamp(4, 64)];
+            let (mut open_total, mut opens) = (0.0, 0usize);
+            while opens == 0 || open_total < budget_secs {
+                for frame in &mut ring {
+                    seal_message_into(cipher, &mut nonces, b"", &plaintext, frame);
+                }
+                let sweep = Instant::now();
+                for frame in &mut ring {
+                    let opened = open_frame_in_place(cipher, b"", frame);
+                    std::hint::black_box(opened.expect("frame is authentic"));
+                }
+                open_total += sweep.elapsed().as_secs_f64();
+                opens += ring.len();
+            }
+            let open_secs = open_total / opens as f64;
             ThroughputPoint {
                 msg_bytes,
                 seal_mb_per_s: mb_per_s(msg_bytes, seal_secs),
