@@ -699,7 +699,10 @@ fn cmd_calibrate(opts: &Options) -> Result<(), String> {
     // wins under *this* cipher on *this* machine".
     let mut cals = Vec::new();
     for suite in CipherSuite::ALL {
-        println!("measuring local {suite} and memcpy costs…");
+        println!(
+            "measuring local {suite} ({}) and memcpy costs…",
+            kernel_tier(suite)
+        );
         let cal = eag_bench::calibrate::calibrate_local_suite(&base, suite)
             .ok_or_else(|| format!("unknown base profile {base:?}"))?;
         cals.push(cal);
@@ -832,9 +835,21 @@ fn cmd_list() -> Result<(), String> {
     for suite in CipherSuite::ALL {
         println!("  {suite}");
     }
-    // Which AES-GCM kernel the dispatch picked on this CPU, so a CI log
-    // shows what a runner actually tested.
-    let gcm = eag_crypto::AesGcm::new(&eag_crypto::Key::from_bytes([0; 16]));
-    println!("aes-gcm kernel on this CPU: {}", gcm.tier());
+    // Which kernels the dispatch picked on this CPU, so a CI log shows what
+    // a runner actually tested (and which tiers its tests had to skip).
+    for suite in [CipherSuite::AesGcm128, CipherSuite::ChaCha20Poly1305] {
+        println!("{suite} kernel on this CPU: {}", kernel_tier(suite));
+    }
     Ok(())
+}
+
+/// The kernel tier `suite` dispatches to on this CPU, asked of the cipher.
+fn kernel_tier(suite: CipherSuite) -> &'static str {
+    let key = eag_crypto::Key::from_bytes([0; 16]);
+    match suite {
+        CipherSuite::AesGcm128 => eag_crypto::AesGcm::new(&key).tier(),
+        CipherSuite::AesGcmSiv128 if eag_crypto::AesGcmSiv::new(&key).is_soft() => "soft",
+        CipherSuite::AesGcmSiv128 => "aesni+pclmul",
+        CipherSuite::ChaCha20Poly1305 => eag_crypto::ChaCha20Poly1305::new(&key).tier(),
+    }
 }

@@ -9,7 +9,7 @@
 //! |---|---|---|---|
 //! | [`CipherSuite::AesGcm128`] | AES-128-GCM | nonce reuse is catastrophic | fused VAES+VPCLMUL (512-bit), else AES-NI+PCLMUL |
 //! | [`CipherSuite::AesGcmSiv128`] | AES-128-GCM-SIV | misuse-resistant | AES-NI + PCLMUL POLYVAL |
-//! | [`CipherSuite::ChaCha20Poly1305`] | ChaCha20-Poly1305 | nonce reuse leaks XOR | SSE2 (no AES-NI needed) |
+//! | [`CipherSuite::ChaCha20Poly1305`] | ChaCha20-Poly1305 | nonce reuse leaks XOR | multi-block ChaCha20 (AVX-512 / AVX2 / SSE2) + multi-block Poly1305 (IFMA, else `u128`); no AES-NI needed |
 //!
 //! All suites share 12-byte nonces and 16-byte tags, so the wire framing
 //! (and [`crate::WIRE_OVERHEAD`]) is suite-invariant: a frame's suite is

@@ -1,6 +1,6 @@
 //! Shared runtime-dispatch policy for every backend in this crate.
 //!
-//! Each primitive (AES, GHASH/POLYVAL, ChaCha20) performs its own CPU
+//! Each primitive (AES, GHASH/POLYVAL, ChaCha20, Poly1305) performs its own CPU
 //! feature detection, but they all honor one global override: the
 //! `EAG_CRYPTO_FORCE_SOFT` environment variable. When it is set (non-empty
 //! and not `"0"`), every `new()` constructor selects its portable software

@@ -11,8 +11,19 @@ pub const TAG_LEN: usize = 16;
 
 /// Maximum plaintext length GCM permits with a 96-bit IV:
 /// (2^32 − 2) blocks of 16 bytes (NIST SP 800-38D §5.2.1.1). Beyond this the
-/// 32-bit counter would wrap and reuse keystream.
-pub const MAX_PLAINTEXT_LEN: usize = ((1u64 << 32) - 2) as usize * 16;
+/// 32-bit counter would wrap and reuse keystream. `usize::MAX` where that
+/// does not fit a `usize`.
+pub const MAX_PLAINTEXT_LEN: usize = clamp_to_usize(((1u64 << 32) - 2) * 16);
+
+/// `n` as a `usize`, saturating on targets whose `usize` is narrower: a
+/// length limit no slice can reach there is no limit.
+pub(crate) const fn clamp_to_usize(n: u64) -> usize {
+    if n > usize::MAX as u64 {
+        usize::MAX
+    } else {
+        n as usize
+    }
+}
 
 /// Decryption failure.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -12,7 +12,9 @@
 //! - **AES-128-GCM-SIV** ([`gcm_siv`]) — nonce-misuse-resistant (RFC 8452);
 //!   POLYVAL rides the same PCLMUL kernel bit-reflected.
 //! - **ChaCha20-Poly1305** ([`chacha20poly1305`]) — for hosts without
-//!   AES-NI (RFC 8439); SSE2 or scalar.
+//!   AES-NI (RFC 8439); 16 / 8 / 4 ChaCha20 blocks per stride on AVX-512 /
+//!   AVX2 / SSE2 and 8 or 4 Poly1305 blocks per step
+//!   ([`ChaCha20Poly1305::tier`] names the pair in use), or scalar.
 //!
 //! Every suite frames messages identically — `nonce(12) ‖ ct ‖ tag(16)`,
 //! exactly **28 bytes** ([`WIRE_OVERHEAD`]) over the plaintext — so suite

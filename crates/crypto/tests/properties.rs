@@ -303,9 +303,10 @@ proptest! {
         key in arb_key(),
         nonce in arb_nonce(),
         aad in proptest::collection::vec(any::<u8>(), 0..48),
-        // Several 256-byte strides of the widest AES-GCM kernel plus every
-        // tail class (none, whole 128-byte stride, whole blocks, partial).
-        pt in proptest::collection::vec(any::<u8>(), 0..1200),
+        // Four 1 KiB strides of the widest kernel (16-block ChaCha20; the
+        // widest AES-GCM stride is 256 bytes) plus every tail class of each
+        // ladder (none, whole narrower strides, whole blocks, partial).
+        pt in proptest::collection::vec(any::<u8>(), 0..4400),
     ) {
         assert_dispatch_matches_soft(suite, &key, &nonce, &aad, &pt);
     }
