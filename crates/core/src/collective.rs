@@ -10,10 +10,13 @@
 //! [`recover_collective`] is the ULFM-style crash-tolerant engine: an
 //! epoch-versioned shrink-and-rerun loop that attempts the collective and,
 //! for as long as crashes keep landing — including inside its own
-//! agreement rounds and degraded re-runs — re-detects, re-agrees, and
-//! re-runs over ever-smaller survivor groups until an agreement instance
-//! confirms a completed output. [`crate::Collective::recover`] is the
-//! entry point built on it (see the function docs for the protocol).
+//! agreement rounds and degraded re-runs — re-detects, re-agrees (a
+//! rotating-coordinator consensus, `2(q − 1)` sealed frames per round over
+//! `q` live ranks), and re-runs over ever-smaller survivor groups until an
+//! agreement instance confirms a completed output, or a completed output
+//! already covers every crash the fault bound allows.
+//! [`crate::Collective::recover`] is the entry point built on it (see the
+//! function docs for the protocol).
 
 use crate::algorithm::Algorithm;
 use crate::group::Group;
@@ -256,12 +259,33 @@ pub fn bcast_items_from_root(
 
 // ----- crash recovery ---------------------------------------------------
 
-/// Flooded-consensus rounds per agreement instance for fault bound `f`:
-/// `f + 1` guarantees at least one crash-free round (the classic floodset
-/// argument — uniformity can only break if a *new* rank dies in every
-/// round), floored at 2 to keep the legacy single-crash schedule.
-fn agreement_rounds(f: usize) -> u64 {
-    (f as u64 + 1).max(2)
+/// Logical tags each `tags::PHASE_*` base owns; a tag past it would land
+/// in the next phase.
+const PHASE_SLOT: u64 = 1 << 20;
+
+/// Tags between consecutive agreement instances: the most any instance
+/// of a `p`-rank world with fault bound `f` can use — a gather tag and a
+/// reply tag for each of at most `min(f + 1, p)` coordinator rounds.
+fn agreement_stride(p: usize, f: usize) -> u64 {
+    2 * (f + 1).min(p) as u64
+}
+
+/// Logical tag `k` of the epoch-`epoch` agreement instance. Instances sit
+/// `stride` tags apart, so a restarted agreement can never alias an
+/// aborted instance's frames. Checked in release builds: a large fault
+/// bound must stop here rather than run into the next phase's tags.
+fn agreement_tag(epoch: u64, stride: u64, k: u64) -> u64 {
+    let offset = epoch
+        .checked_mul(stride)
+        .and_then(|o| o.checked_add(k))
+        .filter(|&o| k < stride && o < PHASE_SLOT);
+    match offset {
+        Some(o) => tags::PHASE_AGREE + o,
+        None => panic!(
+            "agreement tag {k} of epoch {epoch} (stride {stride}) overflows the \
+             {PHASE_SLOT}-tag phase slot"
+        ),
+    }
 }
 
 /// Backstop on membership epochs. Every epoch that fails to decide
@@ -273,88 +297,127 @@ fn max_epochs(p: usize) -> u64 {
     p as u64 + 4
 }
 
-/// One epoch-stamped agreement instance: `rounds` rounds of flooded
-/// failed-set consensus deciding on **entry values only**.
+/// Seals `set` as a `p`-byte bitmap — one encryption per transmission, so
+/// every agreement frame carries a fresh nonce — and sends it to `dst`.
+fn send_set(ctx: &mut ProcCtx, dst: Rank, tag: u64, set: &BTreeSet<Rank>) {
+    let mut bitmap = vec![0u8; ctx.p()];
+    for &r in set {
+        bitmap[r] = 1;
+    }
+    let sealed = ctx.encrypt(Chunk::single(ctx.rank(), Data::Real(bitmap.into())));
+    ctx.send(dst, tag, Parcel::one(Item::Sealed(sealed)));
+}
+
+/// Receives and opens a bitmap sent by [`send_set`]. `Err(rank)` is the
+/// failure detector's verdict that it will never arrive because `rank`
+/// crashed; any other failure is unrecoverable and unwinds.
+fn recv_set(ctx: &mut ProcCtx, src: Rank, tag: u64) -> Result<BTreeSet<Rank>, Rank> {
+    let parcel = match ctx.try_recv(src, tag) {
+        Ok(parcel) => parcel,
+        Err(FailureCause::Crash { rank }) => return Err(rank),
+        Err(cause) => panic_any(CollectiveError {
+            rank: ctx.rank(),
+            phase: "recovery-agreement",
+            cause,
+        }),
+    };
+    let mut set = BTreeSet::new();
+    for item in parcel.items {
+        if let Data::Real(bytes) = &ctx.decrypt(item.into_sealed()).data {
+            for (r, &bit) in bytes.segments().flatten().enumerate() {
+                if bit != 0 {
+                    set.insert(r);
+                }
+            }
+        }
+    }
+    Ok(set)
+}
+
+/// One epoch-stamped agreement instance: rotating-coordinator consensus
+/// for a perfect failure detector (Chandra & Toueg), deciding on **entry
+/// values only**.
 ///
-/// Every rank not known failed *at epoch entry* exchanges its current
-/// entry-derived failed set (as a sealed `p`-byte bitmap) with every other
-/// such rank each round and unions what it hears. Crashes detected *during*
-/// the instance (a peer that cannot answer) are deliberately kept out of
-/// the flooded set: they go into the caller's `failed` for the *next*
-/// epoch's entry. This is what makes the decision uniform — entry values
-/// are fixed, so with `rounds = f + 1` one round is crash-free and every
-/// survivor leaves with the identical decided set, even when ranks die
-/// mid-instance.
+/// The instance visits coordinators c₁…c_{b+1}: the lowest `b + 1` ranks
+/// outside `prev`, the previous instance's (uniform) decision, where
+/// `b = f − |prev|` is the crash budget still unspent — so every survivor
+/// derives the same list. In round r every live rank seals its estimate
+/// (a `p`-byte bitmap, initially its entry-time failed set) to c_r; c_r
+/// unions what arrives and seals the union back to each sender; each rank
+/// adopts it. A rank that already knows c_r is dead skips the round, and
+/// one that finds c_r dead while waiting keeps its estimate. That is
+/// `2(q − 1)` sealed frames per round over `q` live ranks.
+///
+/// Crashes detected *during* the instance (a sender or coordinator that
+/// cannot answer) never enter an estimate: they go into the caller's
+/// `failed` for the *next* epoch's entry. Uniformity: `prev` holds `|prev|`
+/// of the at most `f` crashes, so at most `b` coordinators die. Once the
+/// first that does not has answered, every live rank holds its union, and
+/// every later union is of identical sets. The decision names only crashed
+/// ranks and covers every survivor's entry set.
 ///
 /// Returns the decided set (ascending); extends `failed` with both the
 /// decided set and any mid-instance detections.
 fn agreement_instance(
     ctx: &mut ProcCtx,
     failed: &mut BTreeSet<Rank>,
+    prev: &[Rank],
     epoch: u64,
-    rounds: u64,
+    stride: u64,
 ) -> Vec<Rank> {
     let p = ctx.p();
     let me = ctx.rank();
-    // Entry knowledge: what this rank brings into the epoch. Grows only by
-    // unioning peers' (equally entry-derived) bitmaps.
-    let mut known: BTreeSet<Rank> = failed.clone();
-    // Mid-instance detections: next epoch's problem, never flooded.
+    let budget = ctx.fault_bound().saturating_sub(prev.len());
+    let coordinators: Vec<Rank> = (0..p)
+        .filter(|r| !prev.contains(r))
+        .take(budget + 1)
+        .collect();
+    // Entry knowledge: what this rank brings into the epoch. Changes only
+    // by adopting a coordinator's union of (equally entry-derived) sets.
+    let mut estimate: BTreeSet<Rank> = failed.clone();
+    // Mid-instance detections: next epoch's problem, never in an estimate.
     let mut fresh: BTreeSet<Rank> = BTreeSet::new();
-    let peers: Vec<Rank> = (0..p).filter(|r| *r != me && !known.contains(r)).collect();
-    debug_assert!(
-        epoch * 64 + rounds < 1 << 20,
-        "agreement tags overflow the phase slot"
-    );
-    for round in 0..rounds {
+    for (round, &coord) in coordinators.iter().enumerate() {
+        // Every rank opens every round, skipped or not, so the runtime's
+        // per-collective wire epochs stay in lockstep.
         ctx.begin_collective();
         ctx.set_phase("recovery-agreement");
-        // Epoch-stamped: a restarted agreement in a later epoch can never
-        // alias frames of an earlier, crash-aborted instance.
-        let tag = tags::PHASE_AGREE + epoch * 64 + round;
-        let mut bitmap = vec![0u8; p];
-        for &f in known.iter() {
-            bitmap[f] = 1;
+        if estimate.contains(&coord) || fresh.contains(&coord) {
+            continue;
         }
-        let chunk = Chunk::single(me, Data::Real(bitmap.into()));
-        for &peer in &peers {
-            // Seal per peer: every transmission gets its own fresh nonce,
-            // so the recovery protocol upholds the nonce-uniqueness
-            // invariant.
-            let sealed = ctx.encrypt(chunk.clone());
-            ctx.send(peer, tag, Parcel::one(Item::Sealed(sealed)));
-        }
-        for &peer in &peers {
-            match ctx.try_recv(peer, tag) {
-                Ok(parcel) => {
-                    for item in parcel.items {
-                        let c = ctx.decrypt(item.into_sealed());
-                        if let Data::Real(bytes) = &c.data {
-                            let mut r = 0;
-                            for seg in bytes.segments() {
-                                for &bit in seg {
-                                    if bit != 0 {
-                                        known.insert(r);
-                                    }
-                                    r += 1;
-                                }
-                            }
-                        }
+        let gather = agreement_tag(epoch, stride, 2 * round as u64);
+        let reply = gather + 1;
+        if coord == me {
+            let mut heard = Vec::new();
+            for r in 0..p {
+                if r == me || estimate.contains(&r) || fresh.contains(&r) {
+                    continue;
+                }
+                match recv_set(ctx, r, gather) {
+                    Ok(set) => {
+                        estimate.extend(set);
+                        heard.push(r);
+                    }
+                    Err(dead) => {
+                        fresh.insert(dead);
                     }
                 }
-                Err(FailureCause::Crash { rank }) => {
-                    fresh.insert(rank);
+            }
+            for r in heard {
+                send_set(ctx, r, reply, &estimate);
+            }
+        } else {
+            send_set(ctx, coord, gather, &estimate);
+            match recv_set(ctx, coord, reply) {
+                Ok(union) => estimate = union,
+                Err(dead) => {
+                    fresh.insert(dead);
                 }
-                Err(cause) => panic_any(CollectiveError {
-                    rank: me,
-                    phase: "recovery-agreement",
-                    cause,
-                }),
             }
         }
     }
-    let decided: Vec<Rank> = known.iter().copied().collect();
-    failed.extend(known);
+    let decided: Vec<Rank> = estimate.iter().copied().collect();
+    failed.extend(estimate);
     failed.extend(fresh);
     decided
 }
@@ -410,12 +473,13 @@ where
 ///    the failure detector with a `Crash` cause and abandons the attempt,
 ///    blaming the crash so peers cascade promptly.
 /// 2. **Agreement (entering epoch `e ≥ 1`).** One epoch-stamped
-///    agreement instance of `max(2, f + 1)` flooded rounds decides a
-///    failed set from *epoch-entry* knowledge only. Crashes landing inside
-///    the instance are excluded from the decision (kept for the next
-///    epoch), which keeps the decision uniform across survivors; the
-///    instance is effectively restartable — a crash mid-agreement simply
-///    enlarges the next epoch's entry set.
+///    rotating-coordinator instance of `b + 1` rounds, `b` the crash
+///    budget the previous decision leaves unspent, decides a failed set
+///    from *epoch-entry* knowledge only (see `agreement_instance`).
+///    Crashes landing inside the instance are excluded from the decision
+///    (kept for the next epoch), which keeps the decision uniform across
+///    survivors; the instance is effectively restartable — a crash
+///    mid-agreement simply enlarges the next epoch's entry set.
 /// 3. **Decide or re-run.** If the decided set is exactly the set the
 ///    latest completed output already covers (for a clean attempt: both
 ///    empty), the loop terminates and returns that output. Otherwise all
@@ -424,7 +488,9 @@ where
 ///    aligned — and loop back to agreement to *confirm* the re-run. A
 ///    completed re-run does not exempt a rank from that confirmation: a
 ///    peer may have died after serving this rank but before serving
-///    others.
+///    others. The one exception is a completed output covering `f`
+///    ranks: with the whole budget spent no crash is left to happen, so
+///    it is returned without a confirming instance.
 ///
 /// Each re-run is a fresh collective epoch: blocks are re-sealed with
 /// fresh nonces, never reusing a (key, nonce) pair. Termination: an epoch
@@ -459,9 +525,22 @@ where
     // it against the agreement's decided set, and both are
     // protocol-lockstep, so every survivor terminates in the same epoch.
     let mut covered: Option<Vec<Rank>> = output.as_ref().map(|_| Vec::new());
-    let rounds = agreement_rounds(ctx.fault_bound());
+    let f = ctx.fault_bound();
+    let stride = agreement_stride(ctx.p(), f);
+    // The previous instance's decision: uniform, so it names the same
+    // coordinators at every survivor.
+    let mut decided: Vec<Rank> = Vec::new();
     let mut epoch = 0u64;
     loop {
+        if let Some(done) = covered.take_if(|c| c.len() == f) {
+            // The output covers f crashes: none is left to happen, so
+            // there is nothing for a confirming instance to find.
+            return DegradedOutput {
+                failed: done,
+                epochs: epoch,
+                output: output.take().expect("covered set implies an output"),
+            };
+        }
         epoch += 1;
         assert!(
             epoch <= max_epochs(ctx.p()),
@@ -469,7 +548,7 @@ where
             max_epochs(ctx.p())
         );
         ctx.enter_epoch(epoch);
-        let decided = agreement_instance(ctx, &mut failed, epoch, rounds);
+        decided = agreement_instance(ctx, &mut failed, &decided, epoch, stride);
         if covered.as_deref() == Some(&decided[..]) {
             return DegradedOutput {
                 failed: decided,
@@ -487,7 +566,7 @@ where
             Some(out) => {
                 ctx.note_recovery(survivors.len());
                 output = Some(out);
-                covered = Some(decided);
+                covered = Some(decided.clone());
             }
             None => {
                 // The re-run itself was crashed out from under us; the
@@ -662,6 +741,8 @@ mod tests {
 
     fn crash_schedule_world(p: usize, nodes: usize, crashes: Vec<Crash>) -> WorldSpec {
         let mut s = spec(p, nodes);
+        // `check_degraded` reads detections off the `Crash` markers.
+        s.trace = true;
         s.faults = FaultPlan {
             crashes,
             ..FaultPlan::default()
@@ -681,7 +762,10 @@ mod tests {
     /// Asserts the degraded contract across a crashed world's survivors:
     /// every survivor agreed on `failed`, verified bit-exact, recovered
     /// at least once, and produced byte-identical output (which covers
-    /// the epoch count too — it is folded into the canonical encoding).
+    /// the epoch count too — it is folded into the canonical encoding);
+    /// and some survivor's failure detector saw each crash. Not every
+    /// survivor need see one: a rank that never waits on the dead rank
+    /// learns the crash from an agreement coordinator's union.
     fn check_degraded(report: &eag_runtime::CrashReport<DegradedOutput>, failed: &[Rank]) {
         assert_eq!(report.crashed, failed);
         let mut canon: Option<Vec<u8>> = None;
@@ -690,7 +774,6 @@ mod tests {
             assert!(out.epochs >= 1, "rank {rank} recovered without an epoch");
             out.verify(3);
             assert!(report.metrics[rank].recoveries >= 1, "rank {rank}");
-            assert!(report.metrics[rank].crashes_detected >= 1, "rank {rank}");
             let bytes = out.canonical_bytes();
             match &canon {
                 Some(c) => assert_eq!(c, &bytes, "rank {rank} diverged"),
@@ -699,6 +782,12 @@ mod tests {
         }
         for &f in failed {
             assert!(report.outputs[f].is_none(), "crashed rank {f} has output");
+            let detected = report.survivor_outputs().any(|(rank, _)| {
+                report.traces[rank]
+                    .iter()
+                    .any(|e| e.kind == eag_runtime::EventKind::Crash { rank: f })
+            });
+            assert!(detected, "no survivor detected the crash of rank {f}");
         }
     }
 
@@ -802,7 +891,8 @@ mod tests {
     #[test]
     fn crash_inside_an_agreement_round_is_tolerated() {
         // The same sendless HS2 non-leader, but armed for epoch 1: its
-        // first peer-bound send ever is agreement round 0, where it dies.
+        // first peer-bound send ever is its estimate to coordinator 0 in
+        // agreement round 0, where it dies.
         // Whether the crash lands before or after the last survivor has
         // left the epoch-0 attempt is a scheduling race, so two decisions
         // are sound: "nobody failed" (the victim's block was gathered
@@ -839,7 +929,7 @@ mod tests {
     #[test]
     fn two_concurrent_crashes_recover_to_one_agreed_set() {
         // Ranks 2 and 4 both die before their first ring send: two
-        // concurrent epoch-0 failures. Survivors must flood both
+        // concurrent epoch-0 failures. Survivors must merge both
         // detections into one decided set and re-run over p-2 ranks.
         let s = crash_schedule_world(6, 2, vec![Crash::before(2, 0), Crash::before(4, 0)]);
         let report = run_crashable(&s, |ctx| recover(ctx, Algorithm::ORing, 48));
@@ -851,7 +941,7 @@ mod tests {
         // Ranks 1 and 3 die at epoch 0; rank 5 survives the initial
         // attempt but dies at its first send of the epoch-1 agreement.
         // The engine must iterate — detect, agree, re-run — until a
-        // confirming agreement covers all three.
+        // re-run covers all three (the whole budget, so it is final).
         let s = crash_schedule_world(
             6,
             2,
@@ -911,5 +1001,114 @@ mod tests {
         s.suspect_after = Some(Duration::from_millis(50));
         let report = run_crashable(&s, |ctx| recover(ctx, Algorithm::ORing, 32));
         check_degraded(&report, &[2, 4]);
+    }
+
+    #[test]
+    fn agreement_tags_stay_inside_their_epoch_and_the_phase_slot() {
+        // Includes fault bounds whose instances need more than 64 tags,
+        // the fixed stride that once ran epoch e's tags into epoch e+1's.
+        for (p, f) in [(6, 1), (16, 1), (40, 40), (64, 200), (300, 299)] {
+            let stride = agreement_stride(p, f);
+            for epoch in 1..=max_epochs(p) {
+                let last = agreement_tag(epoch, stride, stride - 1);
+                assert!(last < tags::PHASE_AGREE + PHASE_SLOT, "p={p} f={f}");
+                assert!(last < agreement_tag(epoch + 1, stride, 0), "p={p} f={f}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "overflows")]
+    fn agreement_tag_past_the_phase_slot_is_refused() {
+        agreement_tag(PHASE_SLOT / 4, 4, 0);
+    }
+
+    /// Runs the engine around a message-free attempt and re-run, so every
+    /// sealed frame is agreement traffic. Each rank in `dying` makes one
+    /// send its planned crash fires before; every other rank waits on the
+    /// first of them, so all survivors enter epoch 1 knowing it dead.
+    /// Returns the report and the world's sealed-frame count.
+    fn agreement_only(
+        p: usize,
+        crashes: Vec<Crash>,
+        dying: &[Rank],
+    ) -> (eag_runtime::CrashReport<DegradedOutput>, u64) {
+        let report = run_crashable(&crash_schedule_world(p, 2, crashes), |ctx| {
+            let me = ctx.rank();
+            let empty = |members: &[Rank]| GatherOutput::new(vec![0; p], members);
+            recover_collective(
+                ctx,
+                |ctx| {
+                    if dying.contains(&me) {
+                        ctx.send((me + 1) % p, 1, Parcel { items: Vec::new() });
+                    } else if let Some(&first) = dying.first() {
+                        ctx.recv(first, 1);
+                    }
+                    empty(&[])
+                },
+                |_, members| empty(members),
+            )
+        });
+        let sealed = report.metrics.iter().map(|m| m.enc_rounds).sum();
+        (report, sealed)
+    }
+
+    fn assert_decision(
+        report: &eag_runtime::CrashReport<DegradedOutput>,
+        failed: &[Rank],
+        epochs: u64,
+    ) {
+        for (rank, out) in report.survivor_outputs() {
+            assert_eq!(out.failed, failed, "rank {rank}");
+            assert_eq!(out.epochs, epochs, "rank {rank}");
+        }
+    }
+
+    #[test]
+    fn agreement_sends_two_frames_per_live_rank_per_coordinator() {
+        // p = 16, rank 0 dead before its first send and known dead at
+        // every survivor. Coordinator 0 is skipped; coordinator 1 gathers
+        // and answers the other q − 1 = 14 survivors; the re-run covers
+        // the one crash f = 1 allows, so no confirming instance follows.
+        let (report, sealed) = agreement_only(16, vec![Crash::before(0, 0)], &[0]);
+        assert_eq!(report.crashed, vec![0]);
+        assert_decision(&report, &[0], 1);
+        assert_eq!(sealed, 2 * 14);
+
+        // Armed, never fired: both coordinators of the f = 1 instance
+        // gather and answer p − 1 estimates, 2·(f + 1)·(p − 1) frames,
+        // and confirm the clean attempt's empty set.
+        let (report, sealed) = agreement_only(16, vec![Crash::before(0, 1_000_000)], &[]);
+        assert!(report.crashed.is_empty());
+        assert_decision(&report, &[], 0);
+        assert_eq!(sealed, 2 * 2 * 15);
+
+        // f = 2 at p = 6: ranks 0 and 1 die, only 0 is known at entry,
+        // q = 4 survivors. Epoch 1: coordinator 0 skipped, each survivor
+        // seals to coordinator 1 and finds it dead (q), coordinator 2
+        // decides {0} (2(q − 1)). Epoch 2 (b = 1): coordinator 1 is now
+        // known dead, coordinator 2 decides {0, 1} (2(q − 1)). That
+        // re-run covers f crashes, so nothing follows it.
+        let crashes = vec![Crash::before(0, 0), Crash::before(1, 0)];
+        let (report, sealed) = agreement_only(6, crashes, &[0, 1]);
+        assert_eq!(report.crashed, vec![0, 1]);
+        assert_decision(&report, &[0, 1], 2);
+        assert_eq!(sealed, 4 + 2 * 3 + 2 * 3);
+    }
+
+    #[test]
+    fn large_fault_bound_of_unfired_crashes_recovers() {
+        // f = 40 at p = 40: 40 coordinator rounds of two tags each, past
+        // the 64-tag stride that once separated epochs. Rank 0 dies; the
+        // 39 other planned crashes never fire, so a confirming instance
+        // runs. Epoch 1: coordinator 0 skipped, then 39 rounds of
+        // 2·38 frames; epoch 2 (prev {0}, b = 39): coordinators 1..=39,
+        // 39 rounds of 2·38 again.
+        let mut crashes = vec![Crash::before(0, 0)];
+        crashes.extend((1..40).map(|r| Crash::before(r, 1_000_000)));
+        let (report, sealed) = agreement_only(40, crashes, &[0]);
+        assert_eq!(report.crashed, vec![0]);
+        assert_decision(&report, &[0], 1);
+        assert_eq!(sealed, 2 * 39 * 2 * 38);
     }
 }

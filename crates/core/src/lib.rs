@@ -84,8 +84,9 @@ pub mod tags {
     pub const SLOT_CIPHER_FOREIGN: u64 = 12 << 20;
     /// Shared-memory slots: jointly decrypted plaintexts.
     pub const SLOT_PLAIN_OUT: u64 = 13 << 20;
-    /// Survivor agreement on the failed-rank set (crash recovery; the
-    /// flooded-consensus round number is added to the base).
+    /// Survivor agreement on the failed-rank set (crash recovery; each
+    /// membership epoch's instance adds a gather and a reply tag per
+    /// coordinator round to the base).
     pub const PHASE_AGREE: u64 = 14 << 20;
     /// Scatter tree/linear exchange (scatter and scatterv).
     pub const PHASE_SCATTER: u64 = 15 << 20;

@@ -215,10 +215,10 @@ impl GatherOutput {
 pub struct DegradedOutput {
     /// The agreed failed ranks, ascending. Identical at every survivor.
     pub failed: Vec<usize>,
-    /// Membership epochs consumed before the deciding agreement: 0 for a
-    /// clean (or clean-confirmed) run, `e ≥ 1` when `e` recovery
-    /// iterations ran. Protocol-lockstep, so identical at every survivor
-    /// — it participates in [`DegradedOutput::canonical_bytes`] as a
+    /// Recovery re-runs performed (completed or crashed out): 0 for a
+    /// clean (or clean-confirmed) run, `e ≥ 1` when `e` shrunk-group
+    /// re-runs ran. Protocol-lockstep, so identical at every survivor —
+    /// it participates in [`DegradedOutput::canonical_bytes`] as a
     /// cross-survivor sanity check on the recovery engine itself.
     pub epochs: u64,
     /// The gathered blocks (sparse when `failed` is non-empty).

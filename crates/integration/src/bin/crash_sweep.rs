@@ -5,9 +5,10 @@
 //! crash-after-send), one crash per run — the original single-failure
 //! matrix. `f = 2` and `f = 3` sweep seed-derived crash *schedules* of f
 //! distinct ranks; half the schedules arm their last crash inside the
-//! first agreement instance (`at_epoch(1)`), so the sweep always
-//! exercises crashes that land mid-agreement, and those armed crashes are
-//! required to fire.
+//! first agreement instance (`at_epoch(1)`), half of those on the first
+//! live coordinator after one of its sends (mid-broadcast), so the sweep
+//! always exercises crashes that land mid-agreement, and those armed
+//! crashes are required to fire.
 //!
 //! Each cell runs a crash-tolerant all-gather (`Collective::recover`) and
 //! checks the survivor contract: zero hangs, all survivors agree on one
@@ -34,7 +35,7 @@ const M: usize = 64;
 /// Send steps the f=1 sweep crashes at (crash-before).
 const STEPS: [u64; 3] = [0, 1, 2];
 /// Crash schedules per algorithm in the f ≥ 2 sweeps.
-const SCHEDULES: usize = 6;
+const SCHEDULES: usize = 8;
 
 fn variants(rank: usize) -> Vec<(Crash, String)> {
     let mut v: Vec<(Crash, String)> = STEPS
@@ -70,16 +71,27 @@ fn label(c: &Crash) -> String {
 }
 
 /// Builds the i-th crash schedule of `f` distinct ranks for one algorithm.
-/// Odd-indexed schedules arm their last crash at epoch 1 step 0 — inside
-/// round 0 of the first agreement instance, where every live rank sends —
-/// so that crash is guaranteed to fire mid-agreement.
+/// Odd-indexed schedules arm their last crash in epoch 1, inside the first
+/// agreement instance, where every live rank sends at least once: to each
+/// coordinator it does not know dead (one of them always survives its
+/// round) or, as a coordinator, its replies. So that crash is guaranteed
+/// to fire mid-agreement. Schedules 1, 5, … kill a random spared rank
+/// before its first such send; schedules 3, 7, … kill the lowest spared
+/// rank — the first live coordinator once the ranks below it have died —
+/// after its first or second send, mid-broadcast.
 fn schedule(state: &mut u64, f: usize, i: usize) -> Vec<Crash> {
     let mut ranks: Vec<usize> = (0..P).collect();
     let mut crashes = Vec::with_capacity(f);
     for k in 0..f {
+        let in_agreement = k == f - 1 && i % 2 == 1;
+        if in_agreement && i % 4 == 3 {
+            let coordinator = *ranks.iter().min().expect("f < P");
+            crashes.push(Crash::after(coordinator, splitmix(state) % 2).at_epoch(1));
+            continue;
+        }
         let j = (splitmix(state) as usize) % ranks.len();
         let rank = ranks.swap_remove(j);
-        if k == f - 1 && i % 2 == 1 {
+        if in_agreement {
             crashes.push(Crash::before(rank, 0).at_epoch(1));
             continue;
         }
@@ -142,8 +154,8 @@ fn sweep_multi(seed: u64, f: usize, all: &mut Vec<CrashRunReport>) -> bool {
                 (true, false) => "·",
                 (false, _) => "X",
             };
-            // An epoch-1 crash is armed inside agreement round 0, where
-            // every live rank sends: it must have fired.
+            // An epoch-1 crash is armed inside the first agreement
+            // instance, where every live rank sends: it must have fired.
             for c in crashes.iter().filter(|c| c.epoch > 0) {
                 if !r.crashed.contains(&c.rank) {
                     cell = "X";

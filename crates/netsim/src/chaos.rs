@@ -269,8 +269,9 @@ impl FaultPlan {
     }
 
     /// The fault bound `f`: how many rank crashes this plan can fire. The
-    /// recovery engine runs `max(2, f + 1)` agreement rounds per
-    /// membership epoch so that one round is guaranteed crash-free.
+    /// recovery engine's agreement visits one coordinator more than the
+    /// crashes still possible (at most `f + 1`), so one of them is
+    /// guaranteed to survive its round.
     pub fn fault_bound(&self) -> usize {
         self.crashes.len()
     }

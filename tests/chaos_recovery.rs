@@ -14,6 +14,8 @@
 //!   before/after-send, and algorithm — resolves within an absolute
 //!   deadline to either a complete result at every rank or the identical
 //!   `DegradedOutput` at every survivor. Never a hang.
+//! * Agreement coordinators dying mid-broadcast, two per instance, or in
+//!   the confirming instance leave the survivors' decision uniform.
 
 use eag_core::{Algorithm, Collective};
 use eag_integration::{chaos_run, chaos_spec, crash_run, crash_schedule_run};
@@ -83,6 +85,70 @@ fn dead_peer_during_collective_fails_with_typed_error_and_phase() {
     match err.cause {
         FailureCause::DeadPeer { peer, .. } => assert_eq!(peer, 1),
         other => panic!("expected DeadPeer, got {other}"),
+    }
+}
+
+/// Coordinator deaths inside the survivor agreement, for every encrypted
+/// algorithm at p = 6 over 2 nodes: a round coordinator dying before or
+/// after each of its reply sends, two coordinators dying in one instance,
+/// a coordinator dying in the confirming instance, and one dying
+/// mid-broadcast after two attempt crashes. Every armed agreement crash
+/// fires, and the survivors decide one set naming only real crashes and
+/// return byte-identical outputs.
+#[test]
+fn coordinator_deaths_keep_the_decision_uniform() {
+    let mut table: Vec<Vec<Crash>> = Vec::new();
+    // f = 1: coordinator 0 of the epoch-1 instance answers the five other
+    // ranks at its epoch-1 send steps 0–4.
+    for step in 0..5 {
+        table.push(vec![Crash::before(0, step).at_epoch(1)]);
+        table.push(vec![Crash::after(0, step).at_epoch(1)]);
+    }
+    // f = 2: coordinators 0 and 1 of one instance both die mid-broadcast
+    // (rank 1's step 0 is its estimate to coordinator 0).
+    table.push(vec![
+        Crash::after(0, 1).at_epoch(1),
+        Crash::after(1, 2).at_epoch(1),
+    ]);
+    table.push(vec![
+        Crash::before(0, 3).at_epoch(1),
+        Crash::before(1, 1).at_epoch(1),
+    ]);
+    // f = 2: rank 3, the node-1 leader, dies in the attempt, so epoch 1
+    // decides {3} and re-runs; coordinator 0 of the epoch-2 confirming
+    // instance then dies mid-broadcast.
+    table.push(vec![Crash::before(3, 0), Crash::after(0, 1).at_epoch(2)]);
+    table.push(vec![Crash::before(3, 0), Crash::before(0, 2).at_epoch(2)]);
+    // f = 3: ranks 2 and 4 die in the attempt (where they send), so
+    // survivors may enter the instance knowing different sets; coordinator
+    // 0 then dies mid-broadcast, before every survivor has the union.
+    table.push(vec![
+        Crash::before(2, 0),
+        Crash::before(4, 0),
+        Crash::after(0, 1).at_epoch(1),
+    ]);
+    table.push(vec![
+        Crash::before(2, 0),
+        Crash::before(4, 0),
+        Crash::before(0, 1).at_epoch(1),
+    ]);
+    for &algo in Algorithm::encrypted_all() {
+        for crashes in &table {
+            let r = crash_schedule_run(Collective::Allgather(algo), 6, 2, 64, crashes.clone());
+            assert!(
+                r.ok(),
+                "{algo} {crashes:?} broke the recovery contract: {r:?}"
+            );
+            // HS non-leaders never send in the attempt, so only the
+            // agreement crashes are certain to fire.
+            for c in crashes.iter().filter(|c| c.epoch > 0) {
+                assert!(
+                    r.crashed.contains(&c.rank),
+                    "{algo} {crashes:?}: the crash on rank {} never fired",
+                    c.rank
+                );
+            }
+        }
     }
 }
 
@@ -167,8 +233,8 @@ proptest! {
     }
 
     /// Any double-crash schedule — two distinct ranks, random steps, the
-    /// second crash optionally armed inside round 0 of the first agreement
-    /// instance — resolves within the deadline to one uniform decision:
+    /// second crash optionally armed at the victim's first send of the
+    /// first agreement instance — resolves within the deadline to one uniform decision:
     /// identical failed set (naming only real crashes) and byte-identical
     /// degraded output at every survivor. Never a hang.
     #[test]
