@@ -1,7 +1,9 @@
 //! Thread-local allocation/copy accounting for the data plane.
 //!
 //! The runtime is thread-per-rank, so a thread-local counter pair gives an
-//! exact, deterministic per-rank tally with no atomics on the hot path. The
+//! exact, deterministic per-rank tally with no atomics on the hot path.
+//! Rank threads are pooled and reused across worlds, so the runtime
+//! [`reset`]s the counters at every rank start. The
 //! rope counts every byte and buffer it materializes ([`crate::Rope::to_vec`],
 //! [`crate::Rope::copy_into`], copy-on-write, shared `into_vec`); freezing an
 //! existing buffer is free. Layers above count their own residual copies and

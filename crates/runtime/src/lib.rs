@@ -52,6 +52,7 @@
 pub mod error;
 pub mod metrics;
 pub mod payload;
+mod pool;
 pub mod sched;
 pub mod session;
 pub mod shared;

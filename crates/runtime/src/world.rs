@@ -4,11 +4,12 @@
 //! virtual clock priced by the cost model.
 //!
 //! Each rank's state machine keeps its stack on a (cheap, almost always
-//! parked) OS thread, but whether it *runs* is a scheduler decision: at
-//! most [`WorldSpec::workers`] ranks execute concurrently, messages land
-//! in per-rank mailboxes, and a rank with nothing to do parks until mail,
-//! a world event (departure, abort, poison), or its earliest timer wakes
-//! it. No rank ever spins a poll loop, which is what lets real-mode
+//! parked) OS thread leased from the process-wide rank pool (`pool.rs`),
+//! but whether it *runs* is a scheduler decision: at most
+//! [`WorldSpec::workers`] ranks execute concurrently, messages land in
+//! per-rank mailboxes, and a rank with nothing to do parks until mail, a
+//! world event (departure, abort, poison), or its earliest timer wakes it.
+//! No rank ever spins a poll loop, which is what lets real-mode
 //! worlds of p=256–1024 run on one machine.
 //!
 //! # Layers
@@ -70,6 +71,7 @@
 use crate::error::{CollectiveError, FailureCause};
 use crate::metrics::Metrics;
 use crate::payload::{Chunk, Data, Item, Parcel, Sealed};
+use crate::pool;
 use crate::sched::{Departure, RunGate, Scheduler};
 use crate::shared::{NodeShared, SlotKey};
 use crate::trace::{Event, EventKind, Trace};
@@ -1440,14 +1442,19 @@ fn resolve_gate(spec: &WorldSpec) -> Arc<RunGate> {
 type RankSlot<T> = Option<(Option<T>, f64, Metrics, Trace)>;
 
 /// Runs `f` on every rank of the world — one rank state machine per rank on
-/// the scheduler (stacks on parked OS threads, at most
-/// [`WorldSpec::workers`] running at once) — and collects the report. A
-/// rank killed by an injected [`Crash`](eag_netsim::Crash) contributes a
+/// the scheduler, at most [`WorldSpec::workers`] running at once — and
+/// collects the report. Each rank's stack is an OS thread leased from one
+/// process-wide pool of parked threads: the world leases p of them (spawning
+/// only the shortfall, and panicking before any rank starts if it cannot),
+/// and they go back to the pool when it ends.
+///
+/// A rank killed by an injected [`Crash`](eag_netsim::Crash) contributes a
 /// `None` output (listed in [`CrashReport::crashed`]; its departure is
 /// published to survivors instead of poisoning the world) and survivors'
 /// outputs are returned as-is. Any other panic is broadcast as poison and
-/// re-raised here, preferring a structured [`CollectiveError`] over
-/// secondary string panics.
+/// re-raised here once every rank has ended, preferring a structured
+/// [`CollectiveError`] over secondary string panics, else the lowest rank's
+/// panic.
 pub fn run_crashable<T, F>(spec: &WorldSpec, f: F) -> CrashReport<T>
 where
     T: Send,
@@ -1457,103 +1464,94 @@ where
     let world = World::new(spec);
     let mut slots: Vec<RankSlot<T>> = (0..p).map(|_| None).collect();
 
-    std::thread::scope(|scope| {
-        let (world, f) = (&world, &f);
-        let mut handles = Vec::with_capacity(p);
-        for (rank, slot) in slots.iter_mut().enumerate() {
-            let handle = std::thread::Builder::new()
-                .name(format!("rank-{rank}"))
-                .stack_size(1 << 20)
-                .spawn_scoped(scope, move || {
-                    // Fresh thread, but make the probe window explicit.
-                    eag_rope::probe::reset();
-                    let mut ctx = ProcCtx::new(world, rank);
-                    // The state machine runs only while it holds a run
-                    // permit; parks and blocking waits hand it back.
-                    world.sched.enter();
-                    let out = match catch_unwind(AssertUnwindSafe(|| f(&mut ctx))) {
-                        Ok(out) => {
-                            ctx.flush_limbo();
-                            // The departure event wakes every parked rank:
-                            // receivers re-check the peer's record,
-                            // lingerers re-count departures.
-                            world.sched.depart(rank, Departure::Finished);
-                            if world.chaos {
-                                // Stay to answer late NACKs until every
-                                // rank is done.
-                                ctx.linger();
-                            }
-                            Some(out)
+    let (world, f) = (&world, &f);
+    let bodies = slots
+        .iter_mut()
+        .enumerate()
+        .map(|(rank, slot)| -> pool::Body<'_> {
+            Box::new(move || {
+                // A leased thread still holds its previous world's probe
+                // counts: open this rank's window at zero.
+                eag_rope::probe::reset();
+                let mut ctx = ProcCtx::new(world, rank);
+                // The state machine runs only while it holds a run
+                // permit; parks and blocking waits hand it back.
+                world.sched.enter();
+                let out = match catch_unwind(AssertUnwindSafe(|| f(&mut ctx))) {
+                    Ok(out) => {
+                        ctx.flush_limbo();
+                        // The departure event wakes every parked rank:
+                        // receivers re-check the peer's record,
+                        // lingerers re-count departures.
+                        world.sched.depart(rank, Departure::Finished);
+                        if world.chaos {
+                            // Stay to answer late NACKs until every
+                            // rank is done.
+                            ctx.linger();
                         }
-                        Err(payload) => match payload.downcast_ref::<RankCrash>() {
-                            // An injected crash: the rank is dead, but the
-                            // world survives. The payload says how the rank
-                            // died — a schedule may kill several ranks,
-                            // each its own way.
-                            Some(crash) => {
-                                // Even a hard crash is visible to the
-                                // node's OS: wake same-node shared-segment
-                                // waiters.
-                                world.shared[ctx.node()].crash_abort(rank);
-                                // The departure record is all survivors
-                                // get: a soft crash is seen at once, a hard
-                                // one departs *silently* and is suspected
-                                // only after the spec's grace period.
-                                world.sched.depart(
-                                    rank,
-                                    if crash.hard {
-                                        Departure::HardCrash
-                                    } else {
-                                        Departure::SoftCrash
+                        Some(out)
+                    }
+                    Err(payload) => match payload.downcast_ref::<RankCrash>() {
+                        // An injected crash: the rank is dead, but the
+                        // world survives. The payload says how the rank
+                        // died — a schedule may kill several ranks,
+                        // each its own way.
+                        Some(crash) => {
+                            // Even a hard crash is visible to the
+                            // node's OS: wake same-node shared-segment
+                            // waiters.
+                            world.shared[ctx.node()].crash_abort(rank);
+                            // The departure record is all survivors
+                            // get: a soft crash is seen at once, a hard
+                            // one departs *silently* and is suspected
+                            // only after the spec's grace period.
+                            world.sched.depart(
+                                rank,
+                                if crash.hard {
+                                    Departure::HardCrash
+                                } else {
+                                    Departure::SoftCrash
+                                },
+                            );
+                            None
+                        }
+                        None => {
+                            // Wake everyone up before propagating.
+                            for seg in &world.shared {
+                                seg.poison();
+                            }
+                            for dst in 0..p {
+                                world.sched.send(
+                                    dst,
+                                    Message {
+                                        src: rank,
+                                        arrive_us: 0.0,
+                                        wire: Wire::Poison,
                                     },
                                 );
-                                None
                             }
-                            None => {
-                                // Wake everyone up before propagating.
-                                for seg in &world.shared {
-                                    seg.poison();
-                                }
-                                for dst in 0..p {
-                                    world.sched.send(
-                                        dst,
-                                        Message {
-                                            src: rank,
-                                            arrive_us: 0.0,
-                                            wire: Wire::Poison,
-                                        },
-                                    );
-                                }
-                                world.sched.depart(rank, Departure::Poisoned);
-                                world.sched.exit();
-                                resume_unwind(payload);
-                            }
-                        },
-                    };
-                    let trace = ctx.trace.take().unwrap_or_default();
-                    *slot = Some((out, ctx.clock_us, ctx.metrics(), trace));
-                    world.sched.exit();
-                })
-                .expect("failed to spawn rank thread");
-            handles.push(handle);
-        }
-        // Prefer the structured root-cause error over the string panics
-        // of ranks that merely got poisoned by it.
-        let mut typed: Option<Box<dyn std::any::Any + Send>> = None;
-        let mut first_panic: Option<Box<dyn std::any::Any + Send>> = None;
-        for handle in handles {
-            if let Err(e) = handle.join() {
-                if e.is::<CollectiveError>() {
-                    typed.get_or_insert(e);
-                } else {
-                    first_panic.get_or_insert(e);
-                }
-            }
-        }
-        if let Some(e) = typed.or(first_panic) {
-            resume_unwind(e);
-        }
-    });
+                            world.sched.depart(rank, Departure::Poisoned);
+                            world.sched.exit();
+                            resume_unwind(payload);
+                        }
+                    },
+                };
+                let trace = ctx.trace.take().unwrap_or_default();
+                *slot = Some((out, ctx.clock_us, ctx.metrics(), trace));
+                world.sched.exit();
+            })
+        })
+        .collect();
+    // Prefer the structured root-cause error over the string panics of
+    // ranks that merely got poisoned by it; else the lowest rank's panic.
+    let mut panics: Vec<_> = pool::run_all(bodies).into_iter().flatten().collect();
+    if !panics.is_empty() {
+        let root = panics
+            .iter()
+            .position(|e| e.is::<CollectiveError>())
+            .unwrap_or(0);
+        resume_unwind(panics.swap_remove(root));
+    }
 
     let mut report = CrashReport {
         outputs: Vec::with_capacity(p),
