@@ -8,18 +8,19 @@
 //!                [--crash 3@1 --crash 2@0e1 …]  (crash-tolerant run)
 //! eag sweep      --p 128 --nodes 8 [--mapping block] [--profile noleland]
 //!                [--sizes 1B,1KB,64KB,1MB]
-//! eag bench      [--json BENCH_noleland.json] [--probe]
+//! eag bench      [--json BENCH_noleland.json]
 //! eag regress    --baseline BENCH_noleland.json [--current BENCH_ci.json]
-//!                [--threshold 10] [--confidence 0.95]
 //! eag recommend  --p 128 --nodes 8 --size 64KB [--profile noleland]
 //! eag audit      --p 12 --nodes 3 [--size 256B]
 //! eag paper      table1|…|table6|fig1|fig5|…|fig8|scaling|shape-check|all
+//! eag calibrate  [--base noleland] [--p 32 --nodes 4]
 //! eag list
 //! ```
 
 use eag_bench::fmt::{parse_size, size_label};
+use eag_bench::report::SuiteCase;
 use eag_bench::tables::{best_scheme_table, render_best_scheme_table};
-use eag_bench::SimConfig;
+use eag_bench::{BenchReport, SimConfig};
 use eag_core::{Algorithm, Collective, Operation};
 use eag_netsim::{profile, Crash, FaultPlan, Mapping, Topology};
 use eag_runtime::{
@@ -83,21 +84,18 @@ commands:
              crash-recovery cells, and the concurrent-sessions sweep:
              throughput and p95/p99 tail latency vs 1→10k tenant sessions)
              and emit the machine-readable report
-             (--json PATH or '-' for stdout;
-             --probe adds wall-clock crypto throughput — never commit
-             probed reports as baselines)
-  regress    gate a report against a baseline (--baseline BENCH_x.json;
-             optional --current BENCH_y.json, else the baseline's suite is
-             re-run; --threshold pct, --confidence 0..1). Exits nonzero on
-             a statistically significant regression (mean or p99 tail),
-             metric drift, or missing entries
+             (--json PATH or '-' for stdout)
+  regress    diff a report against a baseline, cell by cell
+             (--baseline BENCH_x.json; optional --current BENCH_y.json,
+             else the smoke suite is re-run). Exits nonzero if any cell
+             changed in any field or is missing from either side
   recommend  model-driven algorithm pick (--p, --nodes, --size)
   audit      wiretap security audit of all encrypted algorithms
              (--p, --nodes; optional --size)
   calibrate  measure THIS machine's crypto/memcpy speeds for every AEAD
-             backend, fit per-suite Hockney constants, and compare
-             algorithms under each fitted profile (optional --base
-             noleland|bridges2, --p, --nodes)
+             backend (seal/open MB/s table), fit per-suite Hockney
+             constants, and compare algorithms under each fitted profile
+             (optional --base noleland|bridges2, --p, --nodes)
   paper      regenerate one table or figure of the paper's evaluation
              (table1..table6, fig1, fig5..fig8), the node-count scaling
              study (scaling), the qualitative-claims check (shape-check,
@@ -121,7 +119,7 @@ impl Options {
                 return Err(format!("unexpected argument {arg:?}"));
             };
             // Boolean flags.
-            if matches!(name, "real" | "trace" | "probe") {
+            if matches!(name, "real" | "trace") {
                 flags.insert(name.to_string(), "true".to_string());
                 continue;
             }
@@ -175,13 +173,6 @@ impl Options {
             Some(v) => CipherSuite::by_name(v).ok_or_else(|| {
                 format!("--cipher: {v:?} (use aes-gcm|aes-gcm-siv|chacha20-poly1305)")
             }),
-        }
-    }
-
-    fn f64_of(&self, name: &str, default: f64) -> Result<f64, String> {
-        match self.flags.get(name) {
-            None => Ok(default),
-            Some(v) => v.parse().map_err(|_| format!("--{name}: bad number {v:?}")),
         }
     }
 
@@ -354,27 +345,35 @@ fn cmd_run(opts: &Options) -> Result<(), String> {
         }
     }
     if let Some(path) = opts.flags.get("json") {
-        // Machine-readable single-entry report: re-measured through the
-        // harness (reps + metrics) so the JSON matches what `eag bench`
-        // would emit for this cell.
-        let case = eag_bench::report::SuiteCase {
-            cfg: SimConfig {
-                p,
-                nodes,
-                mapping,
-                profile: opts.profile_name(),
-                reps: opts.usize_of("reps", 3)?,
-                nic_contention: spec.nic_contention,
-                data_seed: None,
-                suite: spec.suite,
-            },
-            collective,
-            msg_bytes: m,
-        };
-        let bench = eag_bench::report::run_suite("run", &opts.profile_name(), &[case]);
+        // Machine-readable single-entry report: re-measured as the
+        // deterministic phantom cell `eag bench` would emit for this point.
+        let profile = opts.profile_name();
+        let case = json_case(collective, p, nodes, mapping, &profile, spec.suite, m);
+        let bench = eag_bench::report::run_suite("run", &profile, &[case], &[], &[]);
         write_report(&bench, path)?;
     }
     Ok(())
+}
+
+/// The `eag bench` cell `eag run --json` measures: one contention-free
+/// phantom run of `collective` at this point.
+fn json_case(
+    collective: Collective,
+    p: usize,
+    nodes: usize,
+    mapping: Mapping,
+    profile: &str,
+    suite: CipherSuite,
+    msg_bytes: usize,
+) -> SuiteCase {
+    SuiteCase {
+        cfg: SimConfig {
+            suite,
+            ..SimConfig::deterministic(p, nodes, mapping, profile)
+        },
+        collective,
+        msg_bytes,
+    }
 }
 
 /// `eag run --crash …`: one crash-tolerant collective surviving the planned
@@ -473,115 +472,57 @@ fn cmd_run_crash(
 }
 
 /// Writes a report as JSON to `path`, or to stdout when `path` is `-`.
-fn write_report(report: &eag_bench::BenchReport, path: &str) -> Result<(), String> {
+fn write_report(report: &BenchReport, path: &str) -> Result<(), String> {
     let json = report.to_json();
     if path == "-" {
         print!("{json}");
     } else {
         std::fs::write(path, &json).map_err(|e| format!("writing {path}: {e}"))?;
         println!(
-            "bench report written to {path} ({} entries, {} recovery, {} sessions{})",
+            "bench report written to {path} ({} entries, {} recovery, {} sessions)",
             report.entries.len(),
             report.recovery.len(),
             report.sessions.len(),
-            if report.deterministic {
-                ", deterministic"
-            } else {
-                ", NOT deterministic — do not commit as a baseline"
-            }
         );
     }
     Ok(())
 }
 
 fn cmd_bench(opts: &Options) -> Result<(), String> {
-    let mut report = eag_bench::report::run_smoke_suite();
-    if opts.bool_of("probe") {
-        let mut points = Vec::new();
-        for suite in CipherSuite::ALL {
-            points.extend(
-                eag_crypto::probe::probe_throughput_suite(
-                    suite,
-                    &eag_crypto::probe::DEFAULT_PROBE_SIZES,
-                    0.05,
-                )
-                .iter()
-                .map(|p| eag_bench::report::CryptoProbePoint {
-                    cipher_suite: suite.name().to_string(),
-                    msg_bytes: p.msg_bytes as u64,
-                    seal_mb_per_s: p.seal_mb_per_s,
-                    open_mb_per_s: p.open_mb_per_s,
-                }),
-            );
-        }
-        report = report.with_crypto(eag_bench::report::CryptoProbe { points });
-    }
+    let report = eag_bench::report::run_smoke_suite();
     let path = opts.flags.get("json").map(String::as_str).unwrap_or("-");
     write_report(&report, path)
 }
 
+fn read_report(path: &str) -> Result<BenchReport, String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
+    BenchReport::from_json(&text).map_err(|e| format!("{path}: {e}"))
+}
+
 fn cmd_regress(opts: &Options) -> Result<(), String> {
-    let baseline_path = opts
-        .flags
-        .get("baseline")
-        .ok_or("regress needs --baseline BENCH_<profile>.json")?;
-    let baseline_text = std::fs::read_to_string(baseline_path)
-        .map_err(|e| format!("reading {baseline_path}: {e}"))?;
-    let baseline = eag_bench::BenchReport::from_json(&baseline_text)
-        .map_err(|e| format!("{baseline_path}: {e}"))?;
+    let baseline = read_report(
+        opts.flags
+            .get("baseline")
+            .ok_or("regress needs --baseline BENCH_<profile>.json")?,
+    )?;
     let current = match opts.flags.get("current") {
-        Some(path) => {
-            let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-            eag_bench::BenchReport::from_json(&text).map_err(|e| format!("{path}: {e}"))?
-        }
+        Some(path) => read_report(path)?,
         None => {
-            println!(
-                "re-running suite {:?} ({} cases, {} recovery, {} sessions) from the baseline…",
-                baseline.suite,
-                baseline.entries.len(),
-                baseline.recovery.len(),
-                baseline.sessions.len()
-            );
-            let cases = eag_bench::report::suite_from_report(&baseline)?;
-            let recovery = eag_bench::report::recovery_suite_from_report(&baseline)?;
-            let sessions = eag_bench::sessions::session_suite_from_report(&baseline)?;
-            eag_bench::report::run_suite_full(
-                &baseline.suite,
-                &baseline.profile,
-                &cases,
-                &recovery,
-                &sessions,
-            )
+            println!("re-running the smoke suite…");
+            eag_bench::report::run_smoke_suite()
         }
     };
-    let gate = eag_bench::regress::GateConfig {
-        threshold_pct: opts.f64_of("threshold", 10.0)?,
-        confidence: opts.f64_of("confidence", 0.95)?,
-    };
-    if !(0.5..1.0).contains(&gate.confidence) {
-        return Err(format!(
-            "--confidence must be in [0.5, 1.0), got {}",
-            gate.confidence
-        ));
+    let out = eag_bench::regress::compare(&baseline, &current);
+    for d in &out.diffs {
+        println!("{d}");
     }
-    let out = eag_bench::regress::compare(&baseline, &current, &gate);
-    for c in &out.comparisons {
-        println!("{c}");
-    }
-    use eag_bench::regress::Verdict;
     println!(
-        "gate: {} compared, {} regressed, {} tail-regressed (p99), {} improved, \
-         {} metric drift, {} unmatched (threshold {}%, confidence {})",
-        out.comparisons.len(),
-        out.count(&Verdict::Regressed),
-        out.count(&Verdict::TailRegressed),
-        out.count(&Verdict::Improved),
-        out.count(&Verdict::MetricsDrift),
-        out.count(&Verdict::Unmatched),
-        gate.threshold_pct,
-        gate.confidence
+        "gate: {} compared, {} changed, {} unmatched",
+        out.compared,
+        out.changed(),
+        out.unmatched()
     );
-    if out.pass {
+    if out.pass() {
         println!("PASS");
         Ok(())
     } else {
@@ -729,29 +670,32 @@ fitted constants ({}):",
         );
     }
 
-    // Per-size seal throughput side by side, with the winning backend —
-    // the measured backend-crossover table.
+    // Per-size seal / open throughput of every backend side by side,
+    // through the exact buffer-reusing calls the encrypted transport makes.
+    let sizes = &eag_crypto::probe::DEFAULT_PROBE_SIZES;
+    let probes: Vec<_> = CipherSuite::ALL
+        .iter()
+        .map(|&suite| eag_crypto::probe::probe_throughput_suite(suite, sizes, 0.05))
+        .collect();
     println!(
         "
-measured seal throughput (MB/s):"
+measured seal / open throughput (MB/s, wall clock):"
     );
     print!("{:>8}", "size");
-    for cal in &cals {
-        print!(" {:>18}", cal.suite.name());
+    for suite in CipherSuite::ALL {
+        print!(" {:>24}", suite.name());
     }
-    println!(" {:>18}", "fastest");
-    for (i, s) in cals[0].seal.iter().enumerate() {
-        print!("{:>8}", size_label(s.bytes));
-        let mut best: Option<(&str, f64)> = None;
-        for cal in &cals {
-            let sample = &cal.seal[i];
-            let mbps = sample.bytes as f64 / sample.secs_per_op / 1e6;
-            print!(" {mbps:>18.0}");
-            if best.is_none_or(|(_, b)| mbps > b) {
-                best = Some((cal.suite.name(), mbps));
-            }
+    println!();
+    for (i, &size) in sizes.iter().enumerate() {
+        print!("{:>8}", size_label(size));
+        for probe in &probes {
+            let seal_open = format!(
+                "{:.0} / {:.0}",
+                probe[i].seal_mb_per_s, probe[i].open_mb_per_s
+            );
+            print!(" {seal_open:>24}");
         }
-        println!(" {:>18}", best.expect("at least one suite").0);
+        println!();
     }
 
     // Algorithm crossover under each suite's fitted profile: where the
@@ -851,5 +795,35 @@ fn kernel_tier(suite: CipherSuite) -> &'static str {
         CipherSuite::AesGcmSiv128 if eag_crypto::AesGcmSiv::new(&key).is_soft() => "soft",
         CipherSuite::AesGcmSiv128 => "aesni+pclmul",
         CipherSuite::ChaCha20Poly1305 => eag_crypto::ChaCha20Poly1305::new(&key).tier(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use eag_bench::report::{run_case, smoke_suite};
+
+    #[test]
+    fn run_json_cell_equals_the_smoke_cell() {
+        let collective = Collective::Allgather(Algorithm::ORing);
+        let (p, nodes, mapping, m) = (16, 4, Mapping::Block, 1024);
+        let cell = json_case(
+            collective,
+            p,
+            nodes,
+            mapping,
+            "noleland",
+            CipherSuite::AesGcm128,
+            m,
+        );
+        let smoke = smoke_suite()
+            .into_iter()
+            .find(|c| {
+                c.collective == collective
+                    && (c.cfg.p, c.cfg.nodes, c.cfg.mapping, c.msg_bytes) == (p, nodes, mapping, m)
+                    && c.cfg.data_seed.is_none()
+            })
+            .expect("the smoke suite has this cell");
+        assert_eq!(run_case(&cell), run_case(&smoke));
     }
 }

@@ -38,6 +38,22 @@ pub struct SimConfig {
 }
 
 impl SimConfig {
+    /// One contention-free run of `p` ranks over `nodes` nodes: the
+    /// bit-deterministic cell of `eag bench` (phantom payloads under the
+    /// default suite; set `data_seed`/`suite` for a real-payload cell).
+    pub fn deterministic(p: usize, nodes: usize, mapping: Mapping, profile: &str) -> Self {
+        SimConfig {
+            p,
+            nodes,
+            mapping,
+            profile: profile.into(),
+            reps: 1,
+            nic_contention: false,
+            data_seed: None,
+            suite: CipherSuite::AesGcm128,
+        }
+    }
+
     /// The paper's Noleland setup: p = 128 over N = 8.
     pub fn noleland(mapping: Mapping) -> Self {
         SimConfig {
@@ -106,34 +122,22 @@ impl SimConfig {
 /// returns latency statistics over `cfg.reps` runs. Every run also checks
 /// the operation's postcondition via origin tracking.
 pub fn simulate(cfg: &SimConfig, c: Collective, m: usize) -> Stats {
-    Stats::of(&simulate_samples(cfg, c, m).0)
+    let samples: Vec<f64> = (0..cfg.reps.max(1))
+        .map(|_| simulate_once(cfg, c, m).0)
+        .collect();
+    Stats::of(&samples)
 }
 
-/// Simulates `c` under `cfg` and returns the raw per-rep latency samples
-/// (µs, in run order) together with the critical-path [`Metrics`] of the
-/// first run. The machine-readable report pipeline uses this so the JSON can
-/// carry both the summary statistics *and* the samples they came from.
+/// Simulates `c` under `cfg` once and returns its virtual latency (µs)
+/// together with the run's critical-path [`Metrics`].
 ///
 /// [`Metrics`]: eag_runtime::Metrics
-pub fn simulate_samples(
-    cfg: &SimConfig,
-    c: Collective,
-    m: usize,
-) -> (Vec<f64>, eag_runtime::Metrics) {
-    let spec = cfg.world_spec();
-    let mut samples = Vec::with_capacity(cfg.reps.max(1));
-    let mut metrics = None;
-    for _ in 0..cfg.reps.max(1) {
-        let report = run(&spec, move |ctx| {
-            let out = c.run(ctx, m);
-            debug_assert!(out.is_complete());
-        });
-        samples.push(report.latency_us);
-        if metrics.is_none() {
-            metrics = Some(report.max_metrics());
-        }
-    }
-    (samples, metrics.expect("at least one rep"))
+pub fn simulate_once(cfg: &SimConfig, c: Collective, m: usize) -> (f64, eag_runtime::Metrics) {
+    let report = run(&cfg.world_spec(), move |ctx| {
+        let out = c.run(ctx, m);
+        debug_assert!(out.is_complete());
+    });
+    (report.latency_us, report.max_metrics())
 }
 
 /// Data-pattern seed for recovery measurements. Crash recovery needs real

@@ -18,8 +18,10 @@
 //! | `scaling`, `shape-check` | node-count scaling study; the paper's qualitative claims as PASS/FAIL |
 //! | `all` | everything above but the last row, as Markdown |
 //!
-//! The wall-clock Criterion benches (`benches/`) measure the *real*
-//! byte-moving, AES-encrypting runtime at laptop scale.
+//! `eag bench` runs the fixed deterministic smoke suite into a versioned
+//! JSON report ([`report`]), and `eag regress` diffs two such reports cell
+//! by cell ([`regress`]). Wall-clock measurement of the real byte-moving,
+//! encrypting runtime lives in the separate `benchmarks/` package.
 
 #![deny(missing_docs)]
 #![warn(clippy::undocumented_unsafe_blocks)]

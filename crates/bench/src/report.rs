@@ -1,23 +1,19 @@
 //! Machine-readable benchmark reports.
 //!
-//! Everything the human-readable tables print — per-configuration latency
-//! statistics, the six per-algorithm cost metrics of the paper's Table II,
-//! and (optionally) real wall-clock crypto throughput — serialized into a
-//! stable, versioned JSON schema (`BENCH_<profile>.json`) that the
-//! [`regress`](crate::regress) gate and CI can consume.
+//! Everything the human-readable tables print — per-configuration
+//! virtual-time latency, the six per-algorithm cost metrics of the paper's
+//! Table II, crash-recovery and concurrent-sessions cells — serialized into
+//! a stable, versioned JSON schema (`BENCH_<profile>.json`) that the
+//! [`regress`](crate::regress) gate and CI consume.
 //!
-//! The committed baseline is produced by [`run_smoke_suite`], which runs a
-//! fixed-seed, contention-free suite: on the virtual-time simulator such
-//! runs are *bit-deterministic* (pure `f64` arithmetic, no wall clock, no
-//! arrival-order races), so the serialized report is byte-identical across
-//! machines and re-runs. Wall-clock crypto probes are inherently noisy and
-//! therefore excluded from the deterministic suite; attach them explicitly
-//! via [`BenchReport::with_crypto`] when measuring, and never commit them
-//! into a gating baseline.
+//! The committed baseline is produced by [`run_smoke_suite`], a fixed-seed,
+//! contention-free suite: on the virtual-time simulator such runs are
+//! *bit-deterministic* (pure `f64` arithmetic, no wall clock, no
+//! arrival-order races), so each cell is one run and the serialized report
+//! is byte-identical across machines and re-runs.
 
-use crate::harness::{simulate_recovery_schedule, simulate_samples, SimConfig};
+use crate::harness::{simulate_once, simulate_recovery_schedule, SimConfig};
 use crate::sessions::{run_session_case, smoke_session_suite, SessionCase, SessionEntry};
-use crate::stats::Stats;
 use eag_core::{Algorithm, AlltoallAlgo, BcastAlgo, Collective};
 use eag_netsim::{Crash, Mapping};
 use eag_runtime::{CipherSuite, Metrics};
@@ -27,14 +23,14 @@ use serde::{Deserialize, Serialize};
 /// breaking change to the field layout; [`BenchReport::from_json`] rejects
 /// mismatched versions instead of misreading them.
 ///
-/// v7: entries and recovery cells carry an `operation` field (the collective
-/// operation the cell measured — `allgather`, `bcast`, `alltoall`, …) which
-/// joined the entry-identity key; `algorithm` now names the per-operation
-/// variant.
-pub const SCHEMA_VERSION: u64 = 7;
+/// v8: an entry carries one `latency_us` (the cell is one deterministic
+/// run) instead of `reps`, `nic_contention` and a latency summary; the
+/// report drops `deterministic` and the wall-clock `crypto` probe; session
+/// cells drop their always-empty `samples_us`.
+pub const SCHEMA_VERSION: u64 = 8;
 
-/// A complete benchmark report: one entry per (algorithm, configuration,
-/// message size) plus optional wall-clock crypto throughput.
+/// A complete benchmark report: one entry per (operation, variant,
+/// configuration, message size), plus crash-recovery and sessions cells.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct BenchReport {
     /// Schema version ([`SCHEMA_VERSION`] at write time).
@@ -43,26 +39,15 @@ pub struct BenchReport {
     pub suite: String,
     /// Cluster profile every entry ran on (e.g. `"noleland"`).
     pub profile: String,
-    /// True when every entry is bit-deterministic (no NIC contention, no
-    /// wall-clock probes): a regress gate against such a baseline expects
-    /// *exact* reproduction, not just statistical agreement.
-    pub deterministic: bool,
     /// One entry per benchmarked (algorithm, config, message size).
     pub entries: Vec<BenchEntry>,
     /// One entry per crash-recovery measurement: the survivor-path latency
-    /// of shrink-and-recover under a planned rank crash. Always
-    /// deterministic (flag-based detection, no NACK timers, no contention),
-    /// so the regress gate compares these exactly.
+    /// of shrink-and-recover under a planned rank crash.
     pub recovery: Vec<RecoveryEntry>,
     /// One entry per concurrent-sessions cell: service throughput and
     /// per-session tail latency (p95/p99) versus how many tenant sessions
-    /// share the fabric (see [`crate::sessions`]). Deterministic by
-    /// construction, so the regress gate compares the tails exactly.
+    /// share the fabric (see [`crate::sessions`]).
     pub sessions: Vec<SessionEntry>,
-    /// Real wall-clock AES-GCM throughput, if probed (`--probe`). Always
-    /// `None` in committed baselines — wall-clock numbers are machine- and
-    /// load-dependent.
-    pub crypto: Option<CryptoProbe>,
 }
 
 /// One benchmarked (operation, variant, configuration, message size) cell.
@@ -84,13 +69,8 @@ pub struct BenchEntry {
     pub mapping: Mapping,
     /// Per-process message size in bytes (the paper's `m`).
     pub msg_bytes: u64,
-    /// Repetitions the latency statistics summarize.
-    pub reps: u64,
-    /// Whether per-node NIC bandwidth sharing was modeled (nondeterministic
-    /// arrival order; always `false` in the deterministic smoke suite).
-    pub nic_contention: bool,
-    /// Virtual-time latency statistics over the repetitions.
-    pub latency: LatencyStats,
+    /// Virtual-time latency of the run, µs.
+    pub latency_us: f64,
     /// The paper's six cost metrics for this run (critical path over ranks).
     pub metrics: PaperMetrics,
     /// Data-pattern seed for real-payload cells; `None` for phantom-mode
@@ -106,75 +86,36 @@ pub struct BenchEntry {
     pub copy_probe: Option<CopyProbe>,
 }
 
+impl BenchEntry {
+    /// The cell's identity (operation, algorithm, p, nodes, mapping,
+    /// msg_bytes, cipher_suite, data_seed) as a readable label: the key the
+    /// regress gate joins on.
+    pub fn label(&self) -> String {
+        let seed = self.data_seed.map(|s| format!(" seed={s}"));
+        format!(
+            "{}/{} p={} N={} {} {}B {}{}",
+            self.operation,
+            self.algorithm,
+            self.p,
+            self.nodes,
+            self.mapping,
+            self.msg_bytes,
+            self.cipher_suite,
+            seed.unwrap_or_default()
+        )
+    }
+}
+
 /// Deterministic data-plane cost of one real-payload cell: what the
 /// implementation physically moved, as opposed to the modeled traffic in
 /// [`PaperMetrics`]. Taken from the component-wise maximum over ranks, so
-/// the numbers read as "per rank on the critical path, per run". Exact
-/// counters on the virtual-time simulator, hence gated by exact comparison
-/// in `eag regress` — a change here means the zero-copy story changed.
+/// the numbers read as "per rank on the critical path, per run".
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CopyProbe {
     /// Payload bytes physically memcpy'd by the data plane.
     pub memcpy_bytes: u64,
     /// Fresh payload byte buffers allocated by the data plane.
     pub buf_allocs: u64,
-}
-
-/// Latency summary plus the raw samples it was computed from, all in
-/// microseconds of virtual time.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct LatencyStats {
-    /// Arithmetic mean.
-    pub mean_us: f64,
-    /// Sample standard deviation.
-    pub std_dev_us: f64,
-    /// Smallest sample.
-    pub min_us: f64,
-    /// Largest sample.
-    pub max_us: f64,
-    /// Median sample.
-    pub median_us: f64,
-    /// 95th percentile (nearest-rank).
-    pub p95_us: f64,
-    /// 99th percentile (nearest-rank; equals `max_us` for `n < 100`).
-    pub p99_us: f64,
-    /// Number of samples.
-    pub n: u64,
-    /// The raw samples, in run order — kept so a future reader can
-    /// recompute any statistic without re-running the suite.
-    pub samples_us: Vec<f64>,
-}
-
-impl LatencyStats {
-    /// Builds the serializable summary from computed [`Stats`] and the raw
-    /// samples they summarize.
-    pub fn from_stats(stats: &Stats, samples: &[f64]) -> LatencyStats {
-        LatencyStats {
-            mean_us: stats.mean,
-            std_dev_us: stats.std_dev,
-            min_us: stats.min,
-            max_us: stats.max,
-            median_us: stats.median,
-            p95_us: stats.p95,
-            p99_us: stats.p99,
-            n: stats.n as u64,
-            samples_us: samples.to_vec(),
-        }
-    }
-
-    /// Reconstructs [`Stats`] for comparison code (regress gate).
-    pub fn to_stats(&self) -> Stats {
-        Stats {
-            mean: self.mean_us,
-            std_dev: self.std_dev_us,
-            min: self.min_us,
-            max: self.max_us,
-            median: self.median_us,
-            p95: self.p95_us,
-            p99: self.p99_us,
-            n: self.n as usize,
-        }
-    }
 }
 
 /// The six cost metrics the paper's Table II derives per algorithm, taken
@@ -212,7 +153,7 @@ impl PaperMetrics {
 }
 
 /// One planned crash of a recovery cell's schedule, in serialized form.
-/// Mirrors [`eag_netsim::Crash`] field-for-field so a baseline replays the
+/// Mirrors [`eag_netsim::Crash`] field-for-field, so the cell names the
 /// exact schedule it was measured under.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CrashPoint {
@@ -240,21 +181,6 @@ impl CrashPoint {
             epoch: c.epoch,
             after_send: c.after_send,
             hard: c.hard,
-        }
-    }
-
-    /// Reconstructs the runnable crash this point was serialized from.
-    pub fn to_crash(self) -> Crash {
-        let base = if self.after_send {
-            Crash::after(self.rank as usize, self.step)
-        } else {
-            Crash::before(self.rank as usize, self.step)
-        };
-        let base = base.at_epoch(self.epoch);
-        if self.hard {
-            base.hard()
-        } else {
-            base
         }
     }
 }
@@ -291,25 +217,37 @@ pub struct RecoveryEntry {
     pub survivors: u64,
 }
 
-/// Wall-clock AEAD throughput measured on this machine via the in-place
-/// seal/open paths in `eag-crypto`, one point per (suite, message size).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct CryptoProbe {
-    /// One point per probed (cipher suite, message size) pair.
-    pub points: Vec<CryptoProbePoint>,
-}
-
-/// Throughput of one cipher suite at one message size.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct CryptoProbePoint {
-    /// AEAD cipher suite probed, by canonical name.
-    pub cipher_suite: String,
-    /// Message size in bytes.
-    pub msg_bytes: u64,
-    /// Seal (encrypt+tag) throughput in MB/s (10^6 bytes per second).
-    pub seal_mb_per_s: f64,
-    /// Open (verify+decrypt) throughput in MB/s.
-    pub open_mb_per_s: f64,
+impl RecoveryEntry {
+    /// The cell's identity (operation, algorithm, p, nodes, mapping,
+    /// msg_bytes and the full crash schedule, each crash written
+    /// `r<rank>@s<step>[e<epoch>][a][h]` like `eag run --crash`) as a
+    /// readable label: the key the regress gate joins on.
+    pub fn label(&self) -> String {
+        let schedule: Vec<String> = self
+            .crashes
+            .iter()
+            .map(|c| {
+                let epoch = if c.epoch > 0 {
+                    format!("e{}", c.epoch)
+                } else {
+                    String::new()
+                };
+                let after = if c.after_send { "a" } else { "" };
+                let hard = if c.hard { "h" } else { "" };
+                format!("r{}@s{}{epoch}{after}{hard}", c.rank, c.step)
+            })
+            .collect();
+        format!(
+            "recover {}/{} p={} N={} {} {}B {}",
+            self.operation,
+            self.algorithm,
+            self.p,
+            self.nodes,
+            self.mapping,
+            self.msg_bytes,
+            schedule.join("+")
+        )
+    }
 }
 
 /// One benchmark case of a suite: a configuration, a collective
@@ -345,7 +283,7 @@ pub const SMOKE_SIZES: [usize; 2] = [1024, 64 * 1024];
 /// The fixed smoke suite behind the committed CI baseline: every encrypted
 /// algorithm plus the modeled MVAPICH baseline, on a 16-process / 4-node
 /// Noleland world, block and cyclic mappings, [`SMOKE_SIZES`] message
-/// sizes. NIC contention is off, so every case is bit-deterministic.
+/// sizes. Every case is a [`SimConfig::deterministic`] cell.
 ///
 /// On top of the phantom latency grid, the suite carries real-payload cells
 /// for O-Ring and O-Bruck (block mapping, both sizes, seed
@@ -356,90 +294,50 @@ pub const SMOKE_SIZES: [usize; 2] = [1024, 64 * 1024];
 /// identical by construction (the cost model is suite-blind), which the
 /// regress gate then re-checks for free.
 ///
-/// Since schema v7 the suite also carries one phantom latency cell per new
-/// collective (broadcast, gather/scatter incl. the irregular variants,
-/// all-to-all; block mapping, both sizes) plus real-payload copy-probe
-/// cells for a representative pair of them (binomial broadcast and pairwise
+/// The suite also carries one phantom latency cell per other collective
+/// (broadcast, gather/scatter incl. the irregular variants, all-to-all;
+/// block mapping, both sizes) plus real-payload copy-probe cells for a
+/// representative pair of them (binomial broadcast and pairwise
 /// all-to-all, default suite).
 pub fn smoke_suite() -> Vec<SuiteCase> {
+    let cell = |mapping| SimConfig::deterministic(16, 4, mapping, "noleland");
+    let real = |suite| SimConfig {
+        data_seed: Some(SMOKE_DATA_SEED),
+        suite,
+        ..cell(Mapping::Block)
+    };
+    let mut configs: Vec<(SimConfig, Vec<Collective>)> = Vec::new();
+    let mut allgathers = vec![Collective::Allgather(Algorithm::Mvapich)];
+    allgathers.extend(
+        Algorithm::encrypted_all()
+            .iter()
+            .map(|&a| Collective::Allgather(a)),
+    );
+    for mapping in [Mapping::Block, Mapping::Cyclic] {
+        configs.push((cell(mapping), allgathers.clone()));
+    }
+    configs.push((cell(Mapping::Block), Collective::new_operations_all()));
+    for suite in CipherSuite::ALL {
+        let real_allgathers = [Algorithm::ORing, Algorithm::OBruck].map(Collective::Allgather);
+        configs.push((real(suite), real_allgathers.to_vec()));
+    }
+    configs.push((
+        real(CipherSuite::AesGcm128),
+        vec![
+            Collective::Broadcast(BcastAlgo::Binomial),
+            Collective::Alltoall(AlltoallAlgo::Pairwise),
+        ],
+    ));
     let mut cases = Vec::new();
-    for &mapping in &[Mapping::Block, Mapping::Cyclic] {
-        let cfg = SimConfig {
-            p: 16,
-            nodes: 4,
-            mapping,
-            profile: "noleland".into(),
-            reps: 3,
-            nic_contention: false,
-            data_seed: None,
-            suite: CipherSuite::AesGcm128,
-        };
-        let mut algos = vec![Algorithm::Mvapich];
-        algos.extend_from_slice(Algorithm::encrypted_all());
-        for algo in algos {
-            for &m in &SMOKE_SIZES {
+    for (cfg, collectives) in configs {
+        for collective in collectives {
+            for &msg_bytes in &SMOKE_SIZES {
                 cases.push(SuiteCase {
                     cfg: cfg.clone(),
-                    collective: Collective::Allgather(algo),
-                    msg_bytes: m,
+                    collective,
+                    msg_bytes,
                 });
             }
-        }
-    }
-    let new_cfg = SimConfig {
-        p: 16,
-        nodes: 4,
-        mapping: Mapping::Block,
-        profile: "noleland".into(),
-        reps: 3,
-        nic_contention: false,
-        data_seed: None,
-        suite: CipherSuite::AesGcm128,
-    };
-    for collective in Collective::new_operations_all() {
-        for &m in &SMOKE_SIZES {
-            cases.push(SuiteCase {
-                cfg: new_cfg.clone(),
-                collective,
-                msg_bytes: m,
-            });
-        }
-    }
-    for suite in CipherSuite::ALL {
-        let real_cfg = SimConfig {
-            p: 16,
-            nodes: 4,
-            mapping: Mapping::Block,
-            profile: "noleland".into(),
-            reps: 3,
-            nic_contention: false,
-            data_seed: Some(SMOKE_DATA_SEED),
-            suite,
-        };
-        for algo in [Algorithm::ORing, Algorithm::OBruck] {
-            for &m in &SMOKE_SIZES {
-                cases.push(SuiteCase {
-                    cfg: real_cfg.clone(),
-                    collective: Collective::Allgather(algo),
-                    msg_bytes: m,
-                });
-            }
-        }
-    }
-    let new_real_cfg = SimConfig {
-        data_seed: Some(SMOKE_DATA_SEED),
-        ..new_cfg
-    };
-    for collective in [
-        Collective::Broadcast(BcastAlgo::Binomial),
-        Collective::Alltoall(AlltoallAlgo::Pairwise),
-    ] {
-        for &m in &SMOKE_SIZES {
-            cases.push(SuiteCase {
-                cfg: new_real_cfg.clone(),
-                collective,
-                msg_bytes: m,
-            });
         }
     }
     cases
@@ -465,54 +363,36 @@ pub const SMOKE_DATA_SEED: u64 = 11;
 ///
 /// Each case is bit-deterministic, so the committed latencies gate exactly.
 pub fn smoke_recovery_suite() -> Vec<RecoveryCase> {
-    let cfg = SimConfig {
-        p: 8,
-        nodes: 2,
-        mapping: Mapping::Block,
-        profile: "noleland".into(),
-        reps: 1,
-        nic_contention: false,
-        data_seed: None,
-        suite: eag_runtime::CipherSuite::AesGcm128,
+    let case = |collective, crashes| RecoveryCase {
+        cfg: SimConfig::deterministic(8, 2, Mapping::Block, "noleland"),
+        collective,
+        msg_bytes: 1024,
+        crashes,
     };
     let mut cases: Vec<RecoveryCase> = Algorithm::encrypted_all()
         .iter()
-        .map(|&algo| RecoveryCase {
-            cfg: cfg.clone(),
-            collective: Collective::Allgather(algo),
-            msg_bytes: 1024,
-            crashes: vec![Crash::before(0, 0)],
-        })
+        .map(|&algo| case(Collective::Allgather(algo), vec![Crash::before(0, 0)]))
         .collect();
     for algo in [Algorithm::ORing, Algorithm::OBruck] {
-        cases.push(RecoveryCase {
-            cfg: cfg.clone(),
-            collective: Collective::Allgather(algo),
-            msg_bytes: 1024,
-            crashes: vec![Crash::before(0, 0), Crash::before(4, 1)],
-        });
-        cases.push(RecoveryCase {
-            cfg: cfg.clone(),
-            collective: Collective::Allgather(algo),
-            msg_bytes: 1024,
-            crashes: vec![
+        cases.push(case(
+            Collective::Allgather(algo),
+            vec![Crash::before(0, 0), Crash::before(4, 1)],
+        ));
+        cases.push(case(
+            Collective::Allgather(algo),
+            vec![
                 Crash::before(0, 0),
                 Crash::before(2, 1),
                 Crash::before(4, 0).at_epoch(1),
             ],
-        });
+        ));
     }
     for (collective, victim) in [
         (Collective::Broadcast(BcastAlgo::Binomial), 4usize),
         (Collective::Alltoall(AlltoallAlgo::Pairwise), 3),
         (Collective::Allgatherv(Algorithm::ORing), 3),
     ] {
-        cases.push(RecoveryCase {
-            cfg: cfg.clone(),
-            collective,
-            msg_bytes: 1024,
-            crashes: vec![Crash::before(victim, 0)],
-        });
+        cases.push(case(collective, vec![Crash::before(victim, 0)]));
     }
     cases
 }
@@ -535,10 +415,9 @@ pub fn run_recovery_case(case: &RecoveryCase) -> RecoveryEntry {
     }
 }
 
-/// Runs one case and serializes the result.
+/// Runs one case once and serializes the result.
 pub fn run_case(case: &SuiteCase) -> BenchEntry {
-    let (samples, metrics) = simulate_samples(&case.cfg, case.collective, case.msg_bytes);
-    let stats = Stats::of(&samples);
+    let (latency_us, metrics) = simulate_once(&case.cfg, case.collective, case.msg_bytes);
     BenchEntry {
         operation: case.collective.operation().name().to_string(),
         algorithm: case.collective.variant_name().to_string(),
@@ -546,9 +425,7 @@ pub fn run_case(case: &SuiteCase) -> BenchEntry {
         nodes: case.cfg.nodes as u64,
         mapping: case.cfg.mapping,
         msg_bytes: case.msg_bytes as u64,
-        reps: case.cfg.reps as u64,
-        nic_contention: case.cfg.nic_contention,
-        latency: LatencyStats::from_stats(&stats, &samples),
+        latency_us,
         metrics: PaperMetrics::of(&metrics),
         data_seed: case.cfg.data_seed,
         cipher_suite: case.cfg.suite.name().to_string(),
@@ -559,52 +436,30 @@ pub fn run_case(case: &SuiteCase) -> BenchEntry {
     }
 }
 
-/// Runs a full suite into a report. `suite` names the suite in the output;
-/// `profile` should match the cases' cluster profile.
-pub fn run_suite(suite: &str, profile: &str, cases: &[SuiteCase]) -> BenchReport {
-    run_suite_with_recovery(suite, profile, cases, &[])
-}
-
-/// Like [`run_suite`], additionally measuring crash-recovery cases into the
-/// report's `recovery` section. Recovery measurements are deterministic by
-/// construction and never affect the report's `deterministic` flag.
-pub fn run_suite_with_recovery(
-    suite: &str,
-    profile: &str,
-    cases: &[SuiteCase],
-    recovery: &[RecoveryCase],
-) -> BenchReport {
-    run_suite_full(suite, profile, cases, recovery, &[])
-}
-
-/// Like [`run_suite_with_recovery`], additionally sweeping the
-/// concurrent-sessions cases into the report's `sessions` section. Session
-/// sweeps are deterministic by construction (see [`crate::sessions`]) and
-/// never affect the report's `deterministic` flag.
-pub fn run_suite_full(
+/// Runs latency, crash-recovery and concurrent-sessions cases into one
+/// report. `suite` names the suite in the output; `profile` should match
+/// the cases' cluster profile.
+pub fn run_suite(
     suite: &str,
     profile: &str,
     cases: &[SuiteCase],
     recovery: &[RecoveryCase],
     sessions: &[SessionCase],
 ) -> BenchReport {
-    let deterministic = cases.iter().all(|c| !c.cfg.nic_contention);
     BenchReport {
         schema_version: SCHEMA_VERSION,
         suite: suite.to_string(),
         profile: profile.to_string(),
-        deterministic,
         entries: cases.iter().map(run_case).collect(),
         recovery: recovery.iter().map(run_recovery_case).collect(),
         sessions: sessions.iter().map(run_session_case).collect(),
-        crypto: None,
     }
 }
 
 /// Runs the fixed smoke suite (the one CI gates on), including the
 /// crash-recovery cases and the concurrent-sessions sweep.
 pub fn run_smoke_suite() -> BenchReport {
-    run_suite_full(
+    run_suite(
         "smoke",
         "noleland",
         &smoke_suite(),
@@ -613,147 +468,28 @@ pub fn run_smoke_suite() -> BenchReport {
     )
 }
 
-/// Reconstructs the suite a report was produced by, so `eag regress` can
-/// re-run exactly the baseline's cases when no `--current` report is given.
-pub fn suite_from_report(report: &BenchReport) -> Result<Vec<SuiteCase>, String> {
-    report
-        .entries
-        .iter()
-        .map(|e| {
-            let collective = Collective::by_names(&e.operation, &e.algorithm).ok_or_else(|| {
-                format!(
-                    "unknown collective {:?}/{:?} in report",
-                    e.operation, e.algorithm
-                )
-            })?;
-            let suite = CipherSuite::by_name(&e.cipher_suite)
-                .ok_or_else(|| format!("unknown cipher suite {:?} in report", e.cipher_suite))?;
-            Ok(SuiteCase {
-                cfg: SimConfig {
-                    p: e.p as usize,
-                    nodes: e.nodes as usize,
-                    mapping: e.mapping,
-                    profile: report.profile.clone(),
-                    reps: e.reps as usize,
-                    nic_contention: e.nic_contention,
-                    data_seed: e.data_seed,
-                    suite,
-                },
-                collective,
-                msg_bytes: e.msg_bytes as usize,
-            })
-        })
-        .collect()
-}
-
-/// Reconstructs the crash-recovery cases a report carried, so `eag regress`
-/// can re-measure them alongside the latency suite when no `--current`
-/// report is given.
-pub fn recovery_suite_from_report(report: &BenchReport) -> Result<Vec<RecoveryCase>, String> {
-    report
-        .recovery
-        .iter()
-        .map(|e| {
-            let collective = Collective::by_names(&e.operation, &e.algorithm).ok_or_else(|| {
-                format!(
-                    "unknown collective {:?}/{:?} in report",
-                    e.operation, e.algorithm
-                )
-            })?;
-            Ok(RecoveryCase {
-                cfg: SimConfig {
-                    p: e.p as usize,
-                    nodes: e.nodes as usize,
-                    mapping: e.mapping,
-                    profile: report.profile.clone(),
-                    reps: 1,
-                    nic_contention: false,
-                    data_seed: None,
-                    suite: CipherSuite::AesGcm128,
-                },
-                collective,
-                msg_bytes: e.msg_bytes as usize,
-                crashes: e.crashes.iter().map(|c| c.to_crash()).collect(),
-            })
-        })
-        .collect()
-}
-
 impl BenchReport {
-    /// Attaches wall-clock crypto throughput to this report. Doing so marks
-    /// the report nondeterministic: wall-clock numbers never reproduce
-    /// exactly.
-    pub fn with_crypto(mut self, probe: CryptoProbe) -> BenchReport {
-        self.crypto = Some(probe);
-        self.deterministic = false;
-        self
-    }
-
     /// Serializes to pretty JSON (stable field order, shortest-round-trip
-    /// floats; byte-identical across runs for deterministic reports).
+    /// floats; byte-identical across runs).
     pub fn to_json(&self) -> String {
         serde_json::to_string_pretty(self).expect("value-tree serialization cannot fail")
     }
 
-    /// Parses a report back, rejecting schema-version mismatches.
+    /// Parses a report back. The schema version is checked before the
+    /// fields, so a report of another version is refused by name rather
+    /// than by its first unfamiliar field.
     pub fn from_json(text: &str) -> Result<BenchReport, String> {
-        let report: BenchReport = serde_json::from_str(text).map_err(|e| e.to_string())?;
-        if report.schema_version != SCHEMA_VERSION {
-            return Err(format!(
-                "unsupported schema_version {} (this binary writes {})",
-                report.schema_version, SCHEMA_VERSION
-            ));
+        let value: serde::Value = serde_json::from_str(text).map_err(|e| e.to_string())?;
+        match value.get("schema_version") {
+            Some(&serde::Value::UInt(SCHEMA_VERSION)) => {
+                BenchReport::from_value(&value).map_err(|e| e.to_string())
+            }
+            other => Err(format!(
+                "unsupported schema_version {} (this binary reads and writes {SCHEMA_VERSION})",
+                other.map_or("(missing)".to_string(), |v| serde_json::to_string(v)
+                    .unwrap_or_default())
+            )),
         }
-        Ok(report)
-    }
-
-    /// Looks up the entry matching `other` by identity (operation,
-    /// algorithm, p, nodes, mapping, msg_bytes, data_seed, cipher_suite) —
-    /// the key the regress gate joins on. `operation` distinguishes cells
-    /// of different collectives that share a variant name
-    /// (`allgather/O-Ring` vs `allgatherv/O-Ring`); `data_seed`
-    /// distinguishes real-payload cells from the phantom cell at the same
-    /// configuration point; `cipher_suite` distinguishes the per-suite real
-    /// cells from each other.
-    pub fn find_matching(&self, other: &BenchEntry) -> Option<&BenchEntry> {
-        self.entries.iter().find(|e| {
-            e.operation == other.operation
-                && e.algorithm == other.algorithm
-                && e.p == other.p
-                && e.nodes == other.nodes
-                && e.mapping == other.mapping
-                && e.msg_bytes == other.msg_bytes
-                && e.data_seed == other.data_seed
-                && e.cipher_suite == other.cipher_suite
-        })
-    }
-
-    /// Looks up the recovery entry matching `other` by identity (operation,
-    /// algorithm, p, nodes, mapping, msg_bytes, and the full crash
-    /// schedule).
-    pub fn find_matching_recovery(&self, other: &RecoveryEntry) -> Option<&RecoveryEntry> {
-        self.recovery.iter().find(|e| {
-            e.operation == other.operation
-                && e.algorithm == other.algorithm
-                && e.p == other.p
-                && e.nodes == other.nodes
-                && e.mapping == other.mapping
-                && e.msg_bytes == other.msg_bytes
-                && e.crashes == other.crashes
-        })
-    }
-
-    /// Looks up the sessions entry matching `other` by identity (algorithm,
-    /// p, nodes, msg_bytes, sessions, physical_nodes).
-    pub fn find_matching_session(&self, other: &SessionEntry) -> Option<&SessionEntry> {
-        self.sessions.iter().find(|e| {
-            e.algorithm == other.algorithm
-                && e.p == other.p
-                && e.nodes == other.nodes
-                && e.msg_bytes == other.msg_bytes
-                && e.sessions == other.sessions
-                && e.physical_nodes == other.physical_nodes
-        })
     }
 }
 
@@ -762,17 +498,8 @@ mod tests {
     use super::*;
 
     fn sample_report() -> BenchReport {
-        let cfg = SimConfig {
-            p: 8,
-            nodes: 2,
-            mapping: Mapping::Block,
-            profile: "noleland".into(),
-            reps: 2,
-            nic_contention: false,
-            data_seed: None,
-            suite: eag_runtime::CipherSuite::AesGcm128,
-        };
-        run_suite_with_recovery(
+        let cfg = SimConfig::deterministic(8, 2, Mapping::Block, "noleland");
+        run_suite(
             "unit",
             "noleland",
             &[
@@ -788,11 +515,12 @@ mod tests {
                 },
             ],
             &[RecoveryCase {
-                cfg: SimConfig { reps: 1, ..cfg },
+                cfg,
                 collective: Collective::Allgather(Algorithm::ORing),
                 msg_bytes: 512,
                 crashes: vec![Crash::before(0, 0)],
             }],
+            &[],
         )
     }
 
@@ -820,9 +548,15 @@ mod tests {
     fn schema_version_mismatch_is_rejected() {
         let mut report = sample_report();
         report.schema_version = SCHEMA_VERSION + 1;
-        let json = report.to_json();
-        let err = BenchReport::from_json(&json).unwrap_err();
-        assert!(err.contains("schema_version"), "{err}");
+        let err = BenchReport::from_json(&report.to_json()).unwrap_err();
+        assert!(err.contains("schema_version 9"), "{err}");
+        // A v7 report (entries with a latency summary, a `deterministic`
+        // flag) is refused by its version, not by its first unknown field.
+        let v7 = r#"{"schema_version": 7, "suite": "smoke", "profile": "noleland",
+            "deterministic": true, "entries": [{"reps": 3, "latency": {}}],
+            "recovery": [], "sessions": [], "crypto": null}"#;
+        let err = BenchReport::from_json(v7).unwrap_err();
+        assert!(err.contains("unsupported schema_version 7"), "{err}");
     }
 
     #[test]
@@ -841,7 +575,9 @@ mod tests {
             cases.len(),
             2 * algos * 2 + new_phantom + allgather_real + new_real
         );
-        assert!(cases.iter().all(|c| !c.cfg.nic_contention));
+        assert!(cases
+            .iter()
+            .all(|c| !c.cfg.nic_contention && c.cfg.reps == 1));
         assert!(cases.iter().all(|c| c.cfg.profile == "noleland"));
         let real: Vec<_> = cases.iter().filter(|c| c.cfg.data_seed.is_some()).collect();
         assert_eq!(real.len(), allgather_real + new_real);
@@ -886,14 +622,8 @@ mod tests {
     #[test]
     fn real_payload_cells_carry_the_copy_probe() {
         let cfg = SimConfig {
-            p: 8,
-            nodes: 2,
-            mapping: Mapping::Block,
-            profile: "noleland".into(),
-            reps: 2,
-            nic_contention: false,
             data_seed: Some(SMOKE_DATA_SEED),
-            suite: eag_runtime::CipherSuite::AesGcm128,
+            ..SimConfig::deterministic(8, 2, Mapping::Block, "noleland")
         };
         let entry = run_case(&SuiteCase {
             cfg,
@@ -945,37 +675,70 @@ mod tests {
         let e = &report.recovery[0];
         assert_eq!(e.survivors, e.p - 1);
         assert!(e.recovery_latency_us > e.clean_latency_us);
-        // And the suite reconstructs losslessly for the regress re-run path.
-        let cases = recovery_suite_from_report(&report).unwrap();
-        assert_eq!(cases.len(), 1);
-        assert_eq!(cases[0].collective, Collective::Allgather(Algorithm::ORing));
-        assert_eq!(cases[0].cfg.p, e.p as usize);
     }
 
     #[test]
     fn recovery_lookup_joins_on_identity() {
         let report = sample_report();
-        let found = report.find_matching_recovery(&report.recovery[0]).unwrap();
-        assert_eq!(found, &report.recovery[0]);
-        let mut missing = report.recovery[0].clone();
-        missing.crashes[0].step += 1;
-        assert!(report.find_matching_recovery(&missing).is_none());
+        let cell = &report.recovery[0];
+        assert_eq!(
+            cell.label(),
+            "recover allgather/O-Ring p=8 N=2 block 512B r0@s0"
+        );
+        // Measurements are not identity.
+        let mut slower = cell.clone();
+        slower.recovery_latency_us += 1.0;
+        slower.survivors -= 1;
+        assert_eq!(slower.label(), cell.label());
+        // Every field of every planned crash is.
+        let mut later = cell.clone();
+        later.crashes[0].step += 1;
+        let mut after = cell.clone();
+        after.crashes[0].after_send = true;
+        let mut hard = cell.clone();
+        hard.crashes[0].hard = true;
         // A deeper schedule at the same point is a different cell too.
-        let mut extended = report.recovery[0].clone();
+        let mut extended = cell.clone();
         extended
             .crashes
             .push(CrashPoint::of(&Crash::before(1, 0).at_epoch(1)));
-        assert!(report.find_matching_recovery(&extended).is_none());
+        let labels: std::collections::BTreeSet<_> = [cell, &later, &after, &hard, &extended]
+            .iter()
+            .map(|e| e.label())
+            .collect();
+        assert_eq!(labels.len(), 5, "{labels:?}");
+        assert_eq!(
+            extended.label(),
+            "recover allgather/O-Ring p=8 N=2 block 512B r0@s0+r1@s0e1"
+        );
     }
 
     #[test]
     fn entry_lookup_joins_on_identity() {
         let report = sample_report();
-        let found = report.find_matching(&report.entries[1]).unwrap();
-        assert_eq!(found, &report.entries[1]);
-        let mut missing = report.entries[0].clone();
-        missing.msg_bytes += 1;
-        assert!(report.find_matching(&missing).is_none());
+        let cell = &report.entries[0];
+        assert_eq!(cell.label(), "allgather/HS2 p=8 N=2 block 512B aes-gcm");
+        let mut slower = cell.clone();
+        slower.latency_us *= 2.0;
+        slower.metrics.enc_rounds += 1;
+        assert_eq!(slower.label(), cell.label());
+        let mut bigger = cell.clone();
+        bigger.msg_bytes += 1;
+        let mut real = cell.clone();
+        real.data_seed = Some(SMOKE_DATA_SEED);
+        let mut chacha = real.clone();
+        chacha.cipher_suite = CipherSuite::ChaCha20Poly1305.name().into();
+        let mut gatherv = cell.clone();
+        gatherv.operation = "allgatherv".into();
+        let labels: std::collections::BTreeSet<_> = [cell, &bigger, &real, &chacha, &gatherv]
+            .iter()
+            .map(|e| e.label())
+            .collect();
+        assert_eq!(labels.len(), 5, "{labels:?}");
+        assert_eq!(
+            chacha.label(),
+            "allgather/HS2 p=8 N=2 block 512B chacha20-poly1305 seed=11"
+        );
     }
 
     #[test]
@@ -989,34 +752,17 @@ mod tests {
             physical_nodes: 4,
             profile: "noleland".into(),
         };
-        let report = run_suite_full("unit", "noleland", &[], &[], &[session_case]);
-        assert!(report.deterministic);
+        let report = run_suite("unit", "noleland", &[], &[], &[session_case]);
         assert_eq!(report.sessions.len(), 1);
         let back = BenchReport::from_json(&report.to_json()).unwrap();
         assert_eq!(report, back);
-        let found = report.find_matching_session(&report.sessions[0]).unwrap();
-        assert_eq!(found, &report.sessions[0]);
-        let mut missing = report.sessions[0].clone();
-        missing.sessions += 1;
-        assert!(report.find_matching_session(&missing).is_none());
-        // And the sweep reconstructs for the regress re-run path.
-        let cases = crate::sessions::session_suite_from_report(&report).unwrap();
-        assert_eq!(cases.len(), 1);
-        assert_eq!(cases[0].sessions, 16);
-    }
-
-    #[test]
-    fn crypto_probe_marks_nondeterministic() {
-        let report = sample_report().with_crypto(CryptoProbe {
-            points: vec![CryptoProbePoint {
-                cipher_suite: "aes-gcm".into(),
-                msg_bytes: 4096,
-                seal_mb_per_s: 1234.5,
-                open_mb_per_s: 2345.6,
-            }],
-        });
-        assert!(!report.deterministic);
-        let back = BenchReport::from_json(&report.to_json()).unwrap();
-        assert_eq!(report, back);
+        let cell = &report.sessions[0];
+        assert_eq!(cell.label(), "sessions O-Ring p=8 N=2 1024B x16 nic4");
+        let mut slower = cell.clone();
+        slower.latency.p99 *= 2.0;
+        assert_eq!(slower.label(), cell.label());
+        let mut more = cell.clone();
+        more.sessions += 1;
+        assert_ne!(more.label(), cell.label());
     }
 }

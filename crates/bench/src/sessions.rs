@@ -3,7 +3,7 @@
 //!
 //! The paper benchmarks one collective owning the machine; the ROADMAP
 //! north star is a *service* running many small encrypted collectives at
-//! once. This module measures that axis deterministically so the Welch
+//! once. This module measures that axis deterministically so the exact
 //! regression gate can bite on tail latencies:
 //!
 //! 1. Run the session's collective **once**, standalone and
@@ -24,7 +24,6 @@
 //! standalone latency exactly — the contention model is calibrated to
 //! vanish at N = 1.
 
-use crate::report::LatencyStats;
 use crate::stats::Stats;
 use eag_core::{Algorithm, Collective};
 use eag_netsim::nic::NodeNic;
@@ -69,14 +68,26 @@ pub struct SessionEntry {
     pub physical_nodes: u64,
     /// Latency of one session running alone, µs (the N = 1 anchor).
     pub standalone_latency_us: f64,
-    /// Per-session completion-time statistics (p50/p95/p99 are the tail
-    /// the regression gate watches). `samples_us` is left empty: at 10 000
-    /// sessions the raw samples would dominate the report, and the sweep
-    /// is deterministic — re-running it reproduces them bit-exactly.
-    pub latency: LatencyStats,
+    /// Per-session completion-time distribution, µs (p50/p95/p99 are the
+    /// tail the regression gate watches). The raw samples are not kept: at
+    /// 10 000 sessions they would dominate the report, and the sweep is
+    /// deterministic — re-running it reproduces them bit-exactly.
+    pub latency: Stats,
     /// Service throughput: total inter-node wire bytes across all
     /// sessions divided by the makespan (B/µs ≡ MB/s).
     pub throughput_mb_per_s: f64,
+}
+
+impl SessionEntry {
+    /// The cell's identity (algorithm, p, nodes, msg_bytes, sessions,
+    /// physical_nodes) as a readable label: the key the regress gate joins
+    /// on.
+    pub fn label(&self) -> String {
+        format!(
+            "sessions {} p={} N={} {}B x{} nic{}",
+            self.algorithm, self.p, self.nodes, self.msg_bytes, self.sessions, self.physical_nodes
+        )
+    }
 }
 
 /// Session counts of the smoke sweep: 1 → 10k, log-spaced.
@@ -173,33 +184,9 @@ pub fn run_session_case(case: &SessionCase) -> SessionEntry {
         sessions: case.sessions as u64,
         physical_nodes: case.physical_nodes as u64,
         standalone_latency_us: standalone,
-        latency: LatencyStats::from_stats(&stats, &[]),
+        latency: stats,
         throughput_mb_per_s: throughput,
     }
-}
-
-/// Reconstructs the sessions cases a report carried, so `eag regress` can
-/// re-run them when no `--current` report is given.
-pub fn session_suite_from_report(
-    report: &crate::report::BenchReport,
-) -> Result<Vec<SessionCase>, String> {
-    report
-        .sessions
-        .iter()
-        .map(|e| {
-            let algo = Algorithm::by_name(&e.algorithm)
-                .ok_or_else(|| format!("unknown algorithm {:?} in report", e.algorithm))?;
-            Ok(SessionCase {
-                algo,
-                p: e.p as usize,
-                nodes: e.nodes as usize,
-                msg_bytes: e.msg_bytes as usize,
-                sessions: e.sessions as usize,
-                physical_nodes: e.physical_nodes as usize,
-                profile: report.profile.clone(),
-            })
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -221,8 +208,8 @@ mod tests {
     #[test]
     fn single_session_reproduces_standalone_latency() {
         let e = run_session_case(&case(1));
-        assert_eq!(e.latency.mean_us, e.standalone_latency_us);
-        assert_eq!(e.latency.p99_us, e.standalone_latency_us);
+        assert_eq!(e.latency.mean, e.standalone_latency_us);
+        assert_eq!(e.latency.p99, e.standalone_latency_us);
         assert!(e.throughput_mb_per_s > 0.0);
     }
 
@@ -233,9 +220,9 @@ mod tests {
         assert_eq!(many.standalone_latency_us, one.standalone_latency_us);
         // The fabric saturates: later sessions queue, so the p99 pulls
         // away from the median and both exceed the lone-session latency.
-        assert!(many.latency.p99_us > one.latency.p99_us);
-        assert!(many.latency.p99_us >= many.latency.median_us);
-        assert!(many.latency.max_us >= many.latency.p99_us);
+        assert!(many.latency.p99 > one.latency.p99);
+        assert!(many.latency.p99 >= many.latency.median);
+        assert!(many.latency.max >= many.latency.p99);
     }
 
     #[test]

@@ -1,7 +1,9 @@
 //! Small summary statistics for repeated simulation runs.
 
+use serde::{Deserialize, Serialize};
+
 /// Summary of a set of latency samples (µs).
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct Stats {
     /// Arithmetic mean.
     pub mean: f64,

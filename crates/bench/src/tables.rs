@@ -1,7 +1,7 @@
 //! Generators for the paper's Tables I–VI.
 
 use crate::fmt::{latency_label, size_label};
-use crate::harness::{simulate, simulate_samples, SimConfig};
+use crate::harness::{simulate, simulate_once, SimConfig};
 use eag_core::{Algorithm, Collective, MetricSet, Operation};
 use eag_netsim::Mapping;
 
@@ -118,16 +118,7 @@ pub struct MetricsRow {
 /// Measures every encrypted algorithm and compares with Table II.
 /// Requires powers of two and block mapping (the table's assumptions).
 pub fn table2_rows(p: usize, nodes: usize, m: usize) -> Vec<MetricsRow> {
-    let cfg = SimConfig {
-        p,
-        nodes,
-        mapping: Mapping::Block,
-        profile: "unit".into(),
-        reps: 1,
-        nic_contention: false,
-        data_seed: None,
-        suite: eag_runtime::CipherSuite::AesGcm128,
-    };
+    let cfg = SimConfig::deterministic(p, nodes, Mapping::Block, "unit");
     Algorithm::encrypted_all()
         .iter()
         .filter_map(|&algo| {
@@ -135,7 +126,7 @@ pub fn table2_rows(p: usize, nodes: usize, m: usize) -> Vec<MetricsRow> {
             // extension) are skipped.
             let c = Collective::Allgather(algo);
             let predicted = c.predict(p, nodes, m)?;
-            let (_, mx) = simulate_samples(&cfg, c, m);
+            let (_, mx) = simulate_once(&cfg, c, m);
             let measured = MetricSet {
                 rc: mx.comm_rounds,
                 sc: mx.sc_payload(),
