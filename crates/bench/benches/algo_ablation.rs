@@ -16,15 +16,10 @@ use eag_core::{Algorithm, Collective};
 use eag_netsim::Mapping;
 
 fn cfg(mapping: Mapping, contention: bool) -> SimConfig {
-    SimConfig {
-        p: 128,
-        nodes: 8,
-        mapping,
-        profile: "noleland".into(),
-        reps: 3,
-        nic_contention: contention,
-        data_seed: None,
-        suite: eag_runtime::CipherSuite::AesGcm128,
+    if contention {
+        SimConfig::contended(128, 8, mapping, "noleland")
+    } else {
+        SimConfig::deterministic(128, 8, mapping, "noleland")
     }
 }
 
@@ -32,8 +27,8 @@ fn compare(title: &str, cfg: &SimConfig, a: Algorithm, b: Algorithm, sizes: &[us
     println!("\n== {title} ==");
     println!("{:>8} {:>12} {:>12}  winner", "size", a.name(), b.name());
     for &m in sizes {
-        let ta = simulate(cfg, Collective::Allgather(a), m).mean;
-        let tb = simulate(cfg, Collective::Allgather(b), m).mean;
+        let ta = simulate(cfg, Collective::Allgather(a), m).0;
+        let tb = simulate(cfg, Collective::Allgather(b), m).0;
         println!(
             "{:>8} {:>10.2}us {:>10.2}us  {}",
             size_label(m),
@@ -46,31 +41,23 @@ fn compare(title: &str, cfg: &SimConfig, a: Algorithm, b: Algorithm, sizes: &[us
 
 fn multi_leader_sweep() {
     use eag_core::encrypted::{hs_ml, MlPattern};
-    use eag_netsim::{profile, Topology};
-    use eag_runtime::{run, DataMode, WorldSpec};
+    use eag_netsim::FaultPlan;
+    use eag_runtime::run;
 
     // Bridges-2 model: one core stream (12 GB/s) cannot saturate the
     // 25 GB/s NIC, so extra leaders should pay off up to ~k = 2.
     println!("\n== ablation 5: HS-ML multi-leader sweep (bridges2, p=128, N=8, 256KB) ==");
     println!("{:>4} {:>14}", "k", "latency");
     let m = 256 * 1024;
+    let spec =
+        SimConfig::contended(128, 8, Mapping::Block, "bridges2").world_spec(FaultPlan::default());
     for k in [1usize, 2, 4, 8, 16] {
-        let spec = WorldSpec::new(
-            Topology::new(128, 8, Mapping::Block),
-            profile::bridges2(),
-            DataMode::Phantom,
-        );
-        let samples: Vec<f64> = (0..3)
-            .map(|_| {
-                run(&spec, move |ctx| {
-                    let out = hs_ml(ctx, m, k, MlPattern::Ring);
-                    assert!(out.is_complete());
-                })
-                .latency_us
-            })
-            .collect();
-        let mean = samples.iter().sum::<f64>() / samples.len() as f64;
-        println!("{k:>4} {mean:>12.2}us");
+        let latency = run(&spec, move |ctx| {
+            let out = hs_ml(ctx, m, k, MlPattern::Ring);
+            assert!(out.is_complete());
+        })
+        .latency_us;
+        println!("{k:>4} {latency:>12.2}us");
     }
 }
 

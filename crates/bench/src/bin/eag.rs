@@ -17,18 +17,17 @@
 //! eag list
 //! ```
 
+use eag_bench::calibrate::{calibrate_local_suite, Sample};
 use eag_bench::fmt::{parse_size, size_label};
-use eag_bench::report::SuiteCase;
+use eag_bench::harness::{crash_schedule_run, run_verified, DATA_SEED};
+use eag_bench::report::{entry, CrashPoint, SuiteCase, SCHEMA_VERSION};
 use eag_bench::tables::{best_scheme_table, render_best_scheme_table};
 use eag_bench::{BenchReport, SimConfig};
 use eag_core::{Algorithm, Collective, Operation};
 use eag_netsim::{profile, Crash, FaultPlan, Mapping, Topology};
-use eag_runtime::{
-    pattern_block, run, run_crashable, CipherSuite, DataMode, RetryPolicy, WorldSpec,
-};
+use eag_runtime::{pattern_block, CipherSuite, DataMode, RunReport, WorldSpec};
 use std::collections::HashMap;
 use std::process::ExitCode;
-use std::time::Duration;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -155,11 +154,13 @@ impl Options {
         }
     }
 
-    fn profile_name(&self) -> String {
-        self.flags
-            .get("profile")
-            .cloned()
-            .unwrap_or_else(|| "noleland".to_string())
+    /// Parses --profile (default noleland) into a known profile name.
+    fn profile_name(&self) -> Result<String, String> {
+        let name = self.flags.get("profile").map_or("noleland", String::as_str);
+        match profile::by_name(name) {
+            Some(_) => Ok(name.to_string()),
+            None => Err(format!("--profile: unknown profile {name:?}")),
+        }
     }
 
     fn bool_of(&self, name: &str) -> bool {
@@ -274,48 +275,64 @@ fn parse_collective(opts: &Options) -> Result<Collective, String> {
     }
 }
 
-fn cmd_run(opts: &Options) -> Result<(), String> {
+/// The cell `eag run` measures: `--op`/`--algo` with `--size` blocks on the
+/// contention-free world of `--p`/`--nodes`/`--mapping`/`--profile` (the
+/// `eag bench` cell of that point) under `--cipher`, with real payloads
+/// under `--real`.
+fn run_cell(opts: &Options) -> Result<SuiteCase, String> {
     let (p, nodes) = opts.shape(16, 4)?;
-    let m = opts.size_of("size", 1024)?;
-    let mapping = opts.mapping()?;
-    let collective = parse_collective(opts)?;
-    let prof =
-        profile::by_name(&opts.profile_name()).ok_or_else(|| "unknown profile".to_string())?;
+    Ok(SuiteCase {
+        cfg: SimConfig {
+            suite: opts.cipher()?,
+            data_seed: opts.bool_of("real").then_some(DATA_SEED),
+            ..SimConfig::deterministic(p, nodes, opts.mapping()?, &opts.profile_name()?)
+        },
+        collective: parse_collective(opts)?,
+        msg_bytes: opts.size_of("size", 1024)?,
+    })
+}
 
+fn cmd_run(opts: &Options) -> Result<(), String> {
+    let case = run_cell(opts)?;
     let crashes = opts.crash_schedule()?;
     if !crashes.is_empty() {
-        return cmd_run_crash(opts, collective, p, nodes, m, mapping, prof, crashes);
+        return cmd_run_crash(&case, crashes);
     }
-
-    let mut spec = WorldSpec::new(
-        Topology::new(p, nodes, mapping),
-        prof,
-        if opts.bool_of("real") {
-            DataMode::Real { seed: 7 }
-        } else {
-            DataMode::Phantom
-        },
-    );
-    spec.suite = opts.cipher()?;
+    let mut spec = case.cfg.world_spec(FaultPlan::default());
     spec.trace = opts.bool_of("trace");
     spec.capture_wire = opts.bool_of("real");
+    let report = run_verified(&spec, case.collective, case.msg_bytes);
+    print!("{}", render_run(&case, &report));
+    if spec.trace {
+        print!("{}", eag_runtime::trace::render_gantt(&report.traces, 100));
+        if let Some(path) = opts.flags.get("chrome-trace") {
+            let json = eag_runtime::trace::to_chrome_trace(&report.traces);
+            std::fs::write(path, json).map_err(|e| format!("writing {path}: {e}"))?;
+            println!("chrome trace written to {path} (open in chrome://tracing)");
+        }
+    }
+    if let Some(path) = opts.flags.get("json") {
+        write_report(&run_report(&case, &report), path)?;
+    }
+    Ok(())
+}
 
-    let report = run(&spec, move |ctx| {
-        let out = collective.run(ctx, m);
-        collective.verify(ctx.rank(), &out, 7);
-    });
-
-    println!(
-        "{} | p={p} N={nodes} {mapping} | {} blocks | profile {} | cipher {}",
-        collective.name(),
-        size_label(m),
-        opts.profile_name(),
-        spec.suite
-    );
-    println!("latency: {:.2} µs", report.latency_us);
+/// What `eag run` prints about its one run of `case`.
+fn render_run(case: &SuiteCase, report: &RunReport<()>) -> String {
+    let (cfg, collective) = (&case.cfg, case.collective);
     let mx = report.max_metrics();
-    println!(
-        "critical path: rc={} sc={}B re={} se={}B rd={} sd={}B",
+    let mut out = format!(
+        "{} | p={} N={} {} | {} blocks | profile {} | cipher {}\n\
+         latency: {:.2} µs\n\
+         critical path: rc={} sc={}B re={} se={}B rd={} sd={}B\n",
+        collective.name(),
+        cfg.p,
+        cfg.nodes,
+        cfg.mapping,
+        size_label(case.msg_bytes),
+        cfg.profile,
+        cfg.suite,
+        report.latency_us,
         mx.comm_rounds,
         mx.sc_payload(),
         mx.enc_rounds,
@@ -329,143 +346,61 @@ fn cmd_run(opts: &Options) -> Result<(), String> {
         Collective::Allgather(a) | Collective::Allgatherv(a) => a.is_encrypted(),
         _ => true,
     };
-    if encrypted && opts.bool_of("real") {
-        println!(
-            "wiretap: {} frames, plaintext seen: {}",
+    if encrypted && cfg.data_seed.is_some() {
+        out.push_str(&format!(
+            "wiretap: {} frames, plaintext seen: {}\n",
             report.wiretap.frame_count(),
             report.wiretap.saw_plaintext_frame()
-        );
+        ));
     }
-    if spec.trace {
-        print!("{}", eag_runtime::trace::render_gantt(&report.traces, 100));
-        if let Some(path) = opts.flags.get("chrome-trace") {
-            let json = eag_runtime::trace::to_chrome_trace(&report.traces);
-            std::fs::write(path, json).map_err(|e| format!("writing {path}: {e}"))?;
-            println!("chrome trace written to {path} (open in chrome://tracing)");
-        }
-    }
-    if let Some(path) = opts.flags.get("json") {
-        // Machine-readable single-entry report: re-measured as the
-        // deterministic phantom cell `eag bench` would emit for this point.
-        let profile = opts.profile_name();
-        let case = json_case(collective, p, nodes, mapping, &profile, spec.suite, m);
-        let bench = eag_bench::report::run_suite("run", &profile, &[case], &[], &[]);
-        write_report(&bench, path)?;
-    }
-    Ok(())
+    out
 }
 
-/// The `eag bench` cell `eag run --json` measures: one contention-free
-/// phantom run of `collective` at this point.
-fn json_case(
-    collective: Collective,
-    p: usize,
-    nodes: usize,
-    mapping: Mapping,
-    profile: &str,
-    suite: CipherSuite,
-    msg_bytes: usize,
-) -> SuiteCase {
-    SuiteCase {
-        cfg: SimConfig {
-            suite,
-            ..SimConfig::deterministic(p, nodes, mapping, profile)
-        },
-        collective,
-        msg_bytes,
+/// The single-entry report `eag run --json` writes: the run it printed.
+fn run_report(case: &SuiteCase, report: &RunReport<()>) -> BenchReport {
+    BenchReport {
+        schema_version: SCHEMA_VERSION,
+        suite: "run".into(),
+        profile: case.cfg.profile.clone(),
+        entries: vec![entry(case, report.latency_us, &report.max_metrics())],
+        recovery: Vec::new(),
+        sessions: Vec::new(),
     }
 }
 
 /// `eag run --crash …`: one crash-tolerant collective surviving the planned
-/// crash schedule. Runs the operation's recovery wrapper under real payloads
-/// (survivor agreement seals actual failure bitmaps and the outputs verify
-/// bit-exact), with NIC contention off and flag-based detection, so a given
-/// schedule replays deterministically.
-#[allow(clippy::too_many_arguments)]
-fn cmd_run_crash(
-    opts: &Options,
-    collective: Collective,
-    p: usize,
-    nodes: usize,
-    m: usize,
-    mapping: Mapping,
-    prof: eag_netsim::ClusterProfile,
-    crashes: Vec<Crash>,
-) -> Result<(), String> {
-    if let Some(c) = crashes.iter().find(|c| c.rank >= p) {
-        return Err(format!("--crash: rank {} is outside 0..{p}", c.rank));
+/// crash schedule, against its fault-free reference. Runs the operation's
+/// recovery wrapper under real payloads (survivor agreement seals actual
+/// failure bitmaps and the outputs verify bit-exact) with flag-based
+/// detection, so a given schedule replays deterministically.
+fn cmd_run_crash(case: &SuiteCase, crashes: Vec<Crash>) -> Result<(), String> {
+    let (cfg, collective) = (&case.cfg, case.collective);
+    if let Some(c) = crashes.iter().find(|c| c.rank >= cfg.p) {
+        return Err(format!("--crash: rank {} is outside 0..{}", c.rank, cfg.p));
     }
-    let seed = 7u64;
-    let mut spec = WorldSpec::new(
-        Topology::new(p, nodes, mapping),
-        prof,
-        DataMode::Real { seed },
-    );
-    spec.suite = opts.cipher()?;
-    spec.nic_contention = false;
-    spec.faults = FaultPlan {
-        crashes: crashes.clone(),
-        ..FaultPlan::default()
-    };
-    spec.retry = RetryPolicy {
-        attempt_timeout: Duration::from_secs(5),
-        max_attempts: 3,
-        backoff: 2.0,
-    };
-    spec.recv_timeout = Some(Duration::from_secs(60));
-    if crashes.iter().any(|c| c.hard) {
-        // Hard crashes depart silently: arm the suspicion clock or
-        // survivors would wait out the full timeout.
-        spec.suspect_after = Some(Duration::from_millis(50));
-    }
-    eag_runtime::quiet_expected_panics();
-
-    let report = run_crashable(&spec, move |ctx| {
-        let out = collective.recover(ctx, m);
-        collective.verify(ctx.rank(), &out.output, seed);
-        out
-    });
-
-    let schedule = crashes
-        .iter()
-        .map(|c| {
-            format!(
-                "{}@{}{}{}{}",
-                c.rank,
-                c.phase_step,
-                if c.epoch > 0 {
-                    format!("e{}", c.epoch)
-                } else {
-                    String::new()
-                },
-                if c.after_send { "a" } else { "" },
-                if c.hard { "h" } else { "" }
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(", ");
+    let schedule: Vec<String> = crashes.iter().map(|c| CrashPoint::of(c).label()).collect();
+    let r = crash_schedule_run(cfg, collective, case.msg_bytes, crashes);
     println!(
-        "{} | p={p} N={nodes} {mapping} | {} blocks | profile {} | crash schedule [{schedule}]",
+        "{} | p={} N={} {} | {} blocks | profile {} | crash schedule [{}]",
         collective.name(),
-        size_label(m),
-        opts.profile_name(),
+        cfg.p,
+        cfg.nodes,
+        cfg.mapping,
+        size_label(case.msg_bytes),
+        cfg.profile,
+        schedule.join(", ")
     );
-    println!(
-        "crashed: {:?} | survivors: {}",
-        report.crashed,
-        p - report.crashed.len()
-    );
-    if let Some(out) = report.outputs.iter().flatten().next() {
-        println!(
-            "agreed failed set: {:?} | recovery epochs: {}",
-            out.failed, out.epochs
-        );
+    if !r.ok() {
+        // Not a usage error: fail without re-printing the usage text.
+        eprintln!("error: the recovery contract failed: {r:?}");
+        std::process::exit(1);
     }
+    println!("crashed: {:?} | survivors: {}", r.crashed, r.survivors);
     println!(
-        "latency: {:.2} µs (clean run + detection + agreement + re-runs)",
-        report.latency_us
+        "latency: {:.2} µs (clean run {:.2} µs + detection + agreement + re-runs)",
+        r.latency_us, r.clean_latency_us
     );
-    if report.crashed.is_empty() {
+    if !r.fired {
         println!("note: no planned crash fired (the schedule never reached its send steps)");
     }
     Ok(())
@@ -534,16 +469,7 @@ fn cmd_regress(opts: &Options) -> Result<(), String> {
 
 fn cmd_sweep(opts: &Options) -> Result<(), String> {
     let (p, nodes) = opts.shape(128, 8)?;
-    let cfg = SimConfig {
-        p,
-        nodes,
-        mapping: opts.mapping()?,
-        profile: opts.profile_name(),
-        reps: 3,
-        nic_contention: true,
-        data_seed: None,
-        suite: eag_runtime::CipherSuite::AesGcm128,
-    };
+    let cfg = SimConfig::contended(p, nodes, opts.mapping()?, &opts.profile_name()?);
     let sizes: Vec<usize> = match opts.flags.get("sizes") {
         None => vec![1, 64, 1024, 8 * 1024, 64 * 1024, 1024 * 1024],
         Some(list) => list
@@ -573,13 +499,12 @@ fn cmd_sweep(opts: &Options) -> Result<(), String> {
 fn cmd_recommend(opts: &Options) -> Result<(), String> {
     let (p, nodes) = opts.shape(128, 8)?;
     let m = opts.size_of("size", 64 * 1024)?;
-    let prof =
-        profile::by_name(&opts.profile_name()).ok_or_else(|| "unknown profile".to_string())?;
+    let name = opts.profile_name()?;
+    let prof = profile::by_name(&name).expect("profile_name checked it");
     let pick = eag_core::recommend(p, nodes, m, &prof.model);
     println!(
-        "recommended scheme for p={p}, N={nodes}, {} blocks on {}: {}",
+        "recommended scheme for p={p}, N={nodes}, {} blocks on {name}: {}",
         size_label(m),
-        opts.profile_name(),
         pick.name()
     );
     for &algo in Algorithm::encrypted_all() {
@@ -597,15 +522,13 @@ fn cmd_audit(opts: &Options) -> Result<(), String> {
     println!("wiretap audit: p={p}, N={nodes}, {} blocks", size_label(m));
     for &algo in Algorithm::encrypted_all() {
         for mapping in [Mapping::Block, Mapping::Cyclic] {
-            let mut spec = WorldSpec::new(
-                Topology::new(p, nodes, mapping),
-                profile::free(),
-                DataMode::Real { seed },
-            );
+            let cfg = SimConfig {
+                data_seed: Some(seed),
+                ..SimConfig::deterministic(p, nodes, mapping, "free")
+            };
+            let mut spec = cfg.world_spec(FaultPlan::default());
             spec.capture_wire = true;
-            let report = run(&spec, move |ctx| {
-                Collective::Allgather(algo).run(ctx, m).verify(seed);
-            });
+            let report = run_verified(&spec, Collective::Allgather(algo), m);
             let mut leaked = report.wiretap.saw_plaintext_frame();
             for rank in 0..p {
                 if m >= 16 && report.wiretap.contains(&pattern_block(seed, rank, m)) {
@@ -644,7 +567,7 @@ fn cmd_calibrate(opts: &Options) -> Result<(), String> {
             "measuring local {suite} ({}) and memcpy costs…",
             kernel_tier(suite)
         );
-        let cal = eag_bench::calibrate::calibrate_local_suite(&base, suite)
+        let cal = calibrate_local_suite(&base, suite)
             .ok_or_else(|| format!("unknown base profile {base:?}"))?;
         cals.push(cal);
     }
@@ -670,30 +593,20 @@ fitted constants ({}):",
         );
     }
 
-    // Per-size seal / open throughput of every backend side by side,
-    // through the exact buffer-reusing calls the encrypted transport makes.
-    let sizes = &eag_crypto::probe::DEFAULT_PROBE_SIZES;
-    let probes: Vec<_> = CipherSuite::ALL
-        .iter()
-        .map(|&suite| eag_crypto::probe::probe_throughput_suite(suite, sizes, 0.05))
-        .collect();
-    println!(
-        "
-measured seal / open throughput (MB/s, wall clock):"
-    );
+    // Per-size seal / open throughput of every backend side by side: the
+    // probe samples the fits above were made from.
+    println!("\nmeasured seal / open throughput (MB/s, wall clock):");
     print!("{:>8}", "size");
-    for suite in CipherSuite::ALL {
-        print!(" {:>24}", suite.name());
+    for cal in &cals {
+        print!(" {:>24}", cal.suite.name());
     }
     println!();
-    for (i, &size) in sizes.iter().enumerate() {
-        print!("{:>8}", size_label(size));
-        for probe in &probes {
-            let seal_open = format!(
-                "{:.0} / {:.0}",
-                probe[i].seal_mb_per_s, probe[i].open_mb_per_s
-            );
-            print!(" {seal_open:>24}");
+    let mb_per_s = |s: &Sample| s.bytes as f64 / s.secs_per_op / 1e6;
+    for (i, sample) in cals[0].seal.iter().enumerate() {
+        print!("{:>8}", size_label(sample.bytes));
+        for cal in &cals {
+            let (seal, open) = (mb_per_s(&cal.seal[i]), mb_per_s(&cal.open[i]));
+            print!(" {:>24}", format!("{seal:.0} / {open:.0}"));
         }
         println!();
     }
@@ -713,15 +626,13 @@ algorithm comparison under {} (p={p}, N={nodes}):",
         );
         for m in [1024usize, 64 * 1024, 1024 * 1024] {
             let latency = |algo: Algorithm| {
+                // The fitted profile has no name to build a `SimConfig` from.
                 let spec = WorldSpec::new(
                     Topology::new(p, nodes, Mapping::Block),
                     cal.profile.clone(),
                     DataMode::Phantom,
                 );
-                run(&spec, move |ctx| {
-                    Collective::Allgather(algo).run(ctx, m).verify(0);
-                })
-                .latency_us
+                run_verified(&spec, Collective::Allgather(algo), m).latency_us
             };
             let mpi = latency(Algorithm::Mvapich);
             let naive = latency(Algorithm::Naive);
@@ -803,27 +714,41 @@ mod tests {
     use super::*;
     use eag_bench::report::{run_case, smoke_suite};
 
+    fn options(line: &str) -> Options {
+        let args: Vec<String> = line.split_whitespace().map(String::from).collect();
+        Options::parse(&args).expect("valid flags")
+    }
+
     #[test]
     fn run_json_cell_equals_the_smoke_cell() {
-        let collective = Collective::Allgather(Algorithm::ORing);
-        let (p, nodes, mapping, m) = (16, 4, Mapping::Block, 1024);
-        let cell = json_case(
-            collective,
-            p,
-            nodes,
-            mapping,
-            "noleland",
-            CipherSuite::AesGcm128,
-            m,
-        );
+        let cell = run_cell(&options("--algo O-Ring --p 16 --nodes 4 --size 1KB")).unwrap();
         let smoke = smoke_suite()
             .into_iter()
             .find(|c| {
-                c.collective == collective
-                    && (c.cfg.p, c.cfg.nodes, c.cfg.mapping, c.msg_bytes) == (p, nodes, mapping, m)
+                c.collective == cell.collective
+                    && (c.cfg.p, c.cfg.nodes, c.cfg.mapping, c.msg_bytes)
+                        == (cell.cfg.p, cell.cfg.nodes, cell.cfg.mapping, cell.msg_bytes)
                     && c.cfg.data_seed.is_none()
             })
             .expect("the smoke suite has this cell");
         assert_eq!(run_case(&cell), run_case(&smoke));
+    }
+
+    #[test]
+    fn run_prints_the_latency_it_writes() {
+        // A shape whose contended latency differs from the deterministic
+        // one: the printed and the written number come from one run.
+        let cell = run_cell(&options("--algo C-Ring --p 16 --nodes 4 --size 64KB")).unwrap();
+        assert!(!cell.cfg.nic_contention);
+        let spec = cell.cfg.world_spec(FaultPlan::default());
+        let report = run_verified(&spec, cell.collective, cell.msg_bytes);
+        let written = run_report(&cell, &report);
+        let printed = render_run(&cell, &report);
+        let latency_us = written.entries[0].latency_us;
+        assert!(
+            printed.contains(&format!("latency: {latency_us:.2} µs")),
+            "{printed}"
+        );
+        assert_eq!(written.entries[0], run_case(&cell));
     }
 }

@@ -11,7 +11,8 @@
 //! can answer "which algorithm wins *under this AEAD on this machine*",
 //! not just under the paper's AES-GCM numbers.
 
-use eag_crypto::{CipherSuite, Key, Nonce};
+use eag_crypto::probe::probe_throughput_suite;
+use eag_crypto::CipherSuite;
 use eag_netsim::{profile, ClusterProfile};
 use std::time::Instant;
 
@@ -64,69 +65,24 @@ fn time_op(mut op: impl FnMut(), per_op_budget: f64) -> f64 {
     start.elapsed().as_secs_f64() / iters as f64
 }
 
-/// Measures the default AES-128-GCM seal cost across `sizes`.
-pub fn measure_seal(sizes: &[usize]) -> Vec<Sample> {
-    measure_seal_suite(CipherSuite::AesGcm128, sizes)
-}
-
-/// Measures one suite's seal cost across `sizes` on this machine.
-pub fn measure_seal_suite(suite: CipherSuite, sizes: &[usize]) -> Vec<Sample> {
-    let aead = suite.aead_for_key(&Key::from_bytes([0x5Au8; 16]));
-    let nonce = Nonce::from_bytes([3u8; 12]);
-    sizes
+/// Measures one suite's seal and open cost across `sizes` on this machine,
+/// through the crypto probe: the exact buffer-reusing calls the encrypted
+/// transport makes, with opens timed on pre-sealed frames.
+fn measure_crypto_suite(suite: CipherSuite, sizes: &[usize]) -> (Vec<Sample>, Vec<Sample>) {
+    let points = probe_throughput_suite(suite, sizes, 0.02);
+    let sample = |bytes: usize, mb_per_s: f64| Sample {
+        bytes,
+        secs_per_op: bytes as f64 / (mb_per_s * 1e6),
+    };
+    points
         .iter()
-        .map(|&bytes| {
-            let mut data = vec![0xC3u8; bytes];
-            // Sealing in place re-encrypts the previous ciphertext each
-            // iteration; AEAD cost is content-independent, so the timing
-            // stands.
-            let secs = time_op(
-                || {
-                    std::hint::black_box(aead.seal_in_place_detached(&nonce, b"", &mut data));
-                },
-                0.02,
-            );
-            Sample {
-                bytes,
-                secs_per_op: secs,
-            }
+        .map(|t| {
+            (
+                sample(t.msg_bytes, t.seal_mb_per_s),
+                sample(t.msg_bytes, t.open_mb_per_s),
+            )
         })
-        .collect()
-}
-
-/// Measures the default AES-128-GCM open cost across `sizes`.
-pub fn measure_open(sizes: &[usize]) -> Vec<Sample> {
-    measure_open_suite(CipherSuite::AesGcm128, sizes)
-}
-
-/// Measures one suite's open cost across `sizes` on this machine. Each
-/// timed operation restores the ciphertext and opens it in place (opening
-/// consumes the buffer), mirroring what a receiving rank actually does
-/// with an arrived frame.
-pub fn measure_open_suite(suite: CipherSuite, sizes: &[usize]) -> Vec<Sample> {
-    let aead = suite.aead_for_key(&Key::from_bytes([0x5Au8; 16]));
-    let nonce = Nonce::from_bytes([3u8; 12]);
-    sizes
-        .iter()
-        .map(|&bytes| {
-            let mut ciphertext = vec![0xC3u8; bytes];
-            let tag = aead.seal_in_place_detached(&nonce, b"", &mut ciphertext);
-            let mut scratch = vec![0u8; bytes];
-            let secs = time_op(
-                || {
-                    scratch.copy_from_slice(&ciphertext);
-                    aead.open_in_place_detached(&nonce, b"", &mut scratch, &tag)
-                        .expect("frame is authentic");
-                    std::hint::black_box(&scratch);
-                },
-                0.02,
-            );
-            Sample {
-                bytes,
-                secs_per_op: secs,
-            }
-        })
-        .collect()
+        .unzip()
 }
 
 /// Measures plain memcpy cost across `sizes` on this machine.
@@ -181,12 +137,6 @@ pub struct Calibration {
     pub memcpy: Vec<Sample>,
 }
 
-/// Runs the full calibration against a named base profile under the
-/// default AES-GCM suite (profile named `<base>-local`).
-pub fn calibrate_local(base: &str) -> Option<Calibration> {
-    calibrate_local_suite(base, CipherSuite::AesGcm128)
-}
-
 /// Runs the full calibration against a named base profile with the crypto
 /// terms measured under `suite`. The fitted profile keeps the historical
 /// `<base>-local` name for AES-GCM and is named `<base>-local-<suite>` for
@@ -194,8 +144,7 @@ pub fn calibrate_local(base: &str) -> Option<Calibration> {
 pub fn calibrate_local_suite(base: &str, suite: CipherSuite) -> Option<Calibration> {
     let mut prof = profile::by_name(base)?;
     let sizes = calibration_sizes();
-    let seal = measure_seal_suite(suite, &sizes);
-    let open = measure_open_suite(suite, &sizes);
+    let (seal, open) = measure_crypto_suite(suite, &sizes);
     let memcpy = measure_memcpy(&sizes);
 
     let (enc_alpha, enc_bw) = fit_hockney(&seal);
@@ -260,18 +209,19 @@ mod tests {
 
     #[test]
     fn seal_measurement_is_sane() {
-        let samples = measure_seal(&[1024, 64 * 1024]);
-        assert_eq!(samples.len(), 2);
-        for s in &samples {
-            assert!(s.secs_per_op > 0.0);
+        let (seal, open) = measure_crypto_suite(CipherSuite::AesGcm128, &[1024, 64 * 1024]);
+        assert_eq!(seal.len(), 2);
+        assert_eq!(open.len(), 2);
+        for s in seal.iter().chain(&open) {
+            assert!(s.secs_per_op > 0.0 && s.secs_per_op.is_finite());
         }
         // Larger messages take longer.
-        assert!(samples[1].secs_per_op > samples[0].secs_per_op);
+        assert!(seal[1].secs_per_op > seal[0].secs_per_op);
     }
 
     #[test]
     fn calibrate_produces_usable_profile() {
-        let cal = calibrate_local("noleland").expect("base exists");
+        let cal = calibrate_local_suite("noleland", CipherSuite::AesGcm128).expect("base exists");
         assert_eq!(cal.profile.name, "noleland-local");
         assert_eq!(cal.suite, CipherSuite::AesGcm128);
         let m = &cal.profile.model;
@@ -285,10 +235,9 @@ mod tests {
     fn per_suite_calibrations_get_distinct_profile_names() {
         // Tiny grids keep this test fast; the fit only needs two sizes.
         for suite in CipherSuite::ALL {
-            let seal = measure_seal_suite(suite, &[256, 4096]);
+            let (seal, open) = measure_crypto_suite(suite, &[256, 4096]);
             assert_eq!(seal.len(), 2);
             assert!(seal.iter().all(|s| s.secs_per_op > 0.0), "{suite}");
-            let open = measure_open_suite(suite, &[256, 4096]);
             assert!(open.iter().all(|s| s.secs_per_op > 0.0), "{suite}");
         }
         let cal =
@@ -299,6 +248,6 @@ mod tests {
 
     #[test]
     fn unknown_base_yields_none() {
-        assert!(calibrate_local("atlantis").is_none());
+        assert!(calibrate_local_suite("atlantis", CipherSuite::AesGcm128).is_none());
     }
 }

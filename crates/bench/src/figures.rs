@@ -3,7 +3,8 @@
 use crate::fmt::{parse_size, size_label};
 use crate::harness::{simulate, SimConfig};
 use eag_core::{Algorithm, Collective};
-use eag_crypto::{AesGcm128, Key, Nonce};
+use eag_crypto::probe::probe_throughput_suite;
+use eag_crypto::CipherSuite;
 use eag_netsim::profile;
 
 /// One latency series for a figure panel.
@@ -11,7 +12,7 @@ use eag_netsim::profile;
 pub struct Series {
     /// Legend label.
     pub label: String,
-    /// (message size, mean latency µs) points.
+    /// (message size, latency µs) points.
     pub points: Vec<(usize, f64)>,
 }
 
@@ -32,7 +33,7 @@ pub fn panel(cfg: &SimConfig, title: &str, algos: &[Algorithm], sizes: &[usize])
             label: a.name().to_string(),
             points: sizes
                 .iter()
-                .map(|&m| (m, simulate(cfg, Collective::Allgather(a), m).mean))
+                .map(|&m| (m, simulate(cfg, Collective::Allgather(a), m).0))
                 .collect(),
         })
         .collect();
@@ -125,19 +126,6 @@ pub fn render_panels(title: &str, panels: &[Panel]) -> String {
     out
 }
 
-/// Renders panels as CSV: `panel,series,size_bytes,latency_us` rows.
-pub fn render_panels_csv(panels: &[Panel]) -> String {
-    let mut out = String::from("panel,series,size_bytes,latency_us\n");
-    for p in panels {
-        for s in &p.series {
-            for &(m, l) in &s.points {
-                out.push_str(&format!("{},{},{m},{l:.3}\n", p.title, s.label));
-            }
-        }
-    }
-    out
-}
-
 /// One point of Figure 1: throughput in MB/s at a message size.
 #[derive(Debug, Clone, Copy)]
 pub struct ThroughputPoint {
@@ -154,46 +142,28 @@ pub struct ThroughputPoint {
 /// Figure 1: encryption vs ping-pong throughput.
 ///
 /// The model curves reproduce the paper's Noleland anchors; the real curve
-/// measures this machine's `eag-crypto` seal throughput for reference.
+/// is this machine's AES-128-GCM seal throughput from the crypto probe (the
+/// timer `eag calibrate` fits its constants from).
 pub fn fig1_points() -> Vec<ThroughputPoint> {
     let model = profile::noleland().model;
-    let labels = [
+    let sizes: Vec<usize> = [
         "1B", "256B", "1KB", "4KB", "16KB", "32KB", "64KB", "128KB", "512KB", "2MB",
-    ];
-    let gcm = AesGcm128::new(&Key::from_bytes([7u8; 16]));
-    let nonce = Nonce::from_bytes([1u8; 12]);
-    labels
+    ]
+    .iter()
+    .map(|l| parse_size(l).unwrap())
+    .collect();
+    let real = probe_throughput_suite(CipherSuite::AesGcm128, &sizes, 0.02);
+    sizes
         .iter()
-        .map(|l| {
-            let m = parse_size(l).unwrap();
+        .zip(real)
+        .map(|(&m, real)| ThroughputPoint {
+            size: m,
             // Ping-pong: one round trip moves 2m bytes in 2(α+βm).
-            let pp = m as f64 / model.inter.time(m);
-            let enc = m as f64 / model.crypto.enc_time(m);
-            let real = measure_seal_throughput(&gcm, &nonce, m);
-            ThroughputPoint {
-                size: m,
-                pingpong_model: pp,
-                encryption_model: enc,
-                encryption_real: real,
-            }
+            pingpong_model: m as f64 / model.inter.time(m),
+            encryption_model: m as f64 / model.crypto.enc_time(m),
+            encryption_real: real.seal_mb_per_s,
         })
         .collect()
-}
-
-/// Measures real AES-128-GCM seal throughput (MB/s) for `m`-byte messages.
-pub fn measure_seal_throughput(gcm: &AesGcm128, nonce: &Nonce, m: usize) -> f64 {
-    let data = vec![0xA5u8; m];
-    // Warm up, then time enough iterations for a stable figure.
-    let iters = (16 * 1024 * 1024 / m.max(1)).clamp(8, 4096);
-    for _ in 0..4 {
-        std::hint::black_box(gcm.seal(nonce, b"", &data));
-    }
-    let start = std::time::Instant::now();
-    for _ in 0..iters {
-        std::hint::black_box(gcm.seal(nonce, b"", &data));
-    }
-    let secs = start.elapsed().as_secs_f64();
-    (m as f64 * iters as f64) / secs / 1e6
 }
 
 /// Renders Figure 1 as a Markdown table.
@@ -299,16 +269,7 @@ mod tests {
     use eag_netsim::Mapping;
 
     fn tiny() -> SimConfig {
-        SimConfig {
-            p: 8,
-            nodes: 4,
-            mapping: Mapping::Block,
-            profile: "noleland".into(),
-            reps: 1,
-            nic_contention: true,
-            data_seed: None,
-            suite: eag_runtime::CipherSuite::AesGcm128,
-        }
+        SimConfig::contended(8, 4, Mapping::Block, "noleland")
     }
 
     #[test]
@@ -335,21 +296,6 @@ mod tests {
         assert!(big.pingpong_model > 10_000.0);
         assert!(big.encryption_model > 5_000.0 && big.encryption_model < 5_600.0);
         assert!(big.encryption_real > 0.0);
-    }
-
-    #[test]
-    fn panels_csv_rows_match_points() {
-        let p = Panel {
-            title: "(a)".into(),
-            series: vec![Series {
-                label: "X".into(),
-                points: vec![(1, 2.0), (4, 8.0)],
-            }],
-        };
-        let csv = render_panels_csv(&[p]);
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines.len(), 3);
-        assert_eq!(lines[1], "(a),X,1,2.000");
     }
 
     #[test]

@@ -9,6 +9,7 @@ use crate::figures::{
 };
 use crate::fmt::{parse_size, size_label, table3_sizes, table4_sizes, table5_sizes, table6_sizes};
 use crate::harness::{simulate, SimConfig};
+use crate::stats::overhead_pct;
 use crate::tables::{
     best_scheme_table, candidate_schemes, render_best_scheme_table, render_table1, render_table2,
     table2_rows,
@@ -343,21 +344,13 @@ fn print_scaling() {
     println!("| N | p | MPI (µs) | Naive | O-RD | C-Ring | HS2 |");
     println!("|---|---|---|---|---|---|---|");
     for nodes in [2usize, 4, 8, 16, 32] {
-        let cfg = SimConfig {
-            p: nodes * ell,
-            nodes,
-            reps: 2,
-            ..SimConfig::noleland(Mapping::Block)
-        };
-        let mpi = simulate(&cfg, Collective::Allgather(Algorithm::Mvapich), m);
-        let pct = |algo| {
-            let s = simulate(&cfg, Collective::Allgather(algo), m);
-            format!("{:+.1}%", s.overhead_pct(&mpi))
-        };
+        let cfg = SimConfig::contended(nodes * ell, nodes, Mapping::Block, "noleland");
+        let latency = |algo| simulate(&cfg, Collective::Allgather(algo), m).0;
+        let mpi = latency(Algorithm::Mvapich);
+        let pct = |algo| format!("{:+.1}%", overhead_pct(latency(algo), mpi));
         println!(
-            "| {nodes} | {} | {:.1} | {} | {} | {} | {} |",
+            "| {nodes} | {} | {mpi:.1} | {} | {} | {} | {} |",
             cfg.p,
-            mpi.mean,
             pct(Algorithm::Naive),
             pct(Algorithm::ORd),
             pct(Algorithm::CRing),
@@ -384,7 +377,7 @@ fn print_shape_check() -> bool {
     };
     let block = SimConfig::noleland(Mapping::Block);
     let cyclic = SimConfig::noleland(Mapping::Cyclic);
-    let mean = |cfg: &SimConfig, algo, m| simulate(cfg, Collective::Allgather(algo), m).mean;
+    let latency = |cfg: &SimConfig, algo, m| simulate(cfg, Collective::Allgather(algo), m).0;
 
     // --- Table III claims (block mapping) ---------------------------------
     let sizes: Vec<usize> = ["1B", "64B", "2KB", "32KB", "2MB"]
@@ -437,14 +430,14 @@ fn print_shape_check() -> bool {
     // --- Table IV claims (cyclic mapping) ---------------------------------
     let big = parse_size("2MB").unwrap();
     let degradation =
-        mean(&cyclic, Algorithm::Mvapich, big) / mean(&block, Algorithm::Mvapich, big);
+        latency(&cyclic, Algorithm::Mvapich, big) / latency(&block, Algorithm::Mvapich, big);
     claim(
         "T4: MVAPICH degrades ~2-4x under cyclic mapping at 2MB (paper: 2.5x)",
         (1.8..5.0).contains(&degradation),
         format!("degradation {degradation:.2}x"),
     );
-    let cring_block = mean(&block, Algorithm::CRing, big);
-    let cring_cyclic = mean(&cyclic, Algorithm::CRing, big);
+    let cring_block = latency(&block, Algorithm::CRing, big);
+    let cring_cyclic = latency(&cyclic, Algorithm::CRing, big);
     claim(
         "T4: C-Ring is mapping-oblivious at 2MB",
         ((cring_block - cring_cyclic).abs() / cring_block) < 0.10,
@@ -469,16 +462,16 @@ fn print_shape_check() -> bool {
 
     // --- Figure 7 claims ----------------------------------------------------
     let m_small = 4usize;
-    let ord2 = mean(&block, Algorithm::ORd2, m_small);
-    let oring = mean(&block, Algorithm::ORing, m_small);
+    let ord2 = latency(&block, Algorithm::ORd2, m_small);
+    let oring = latency(&block, Algorithm::ORing, m_small);
     claim(
         "F7a: O-RD2 beats O-Ring for tiny messages",
         ord2 < oring,
         format!("{ord2:.1}µs vs {oring:.1}µs at 4B"),
     );
     let m_large = parse_size("1MB").unwrap();
-    let hs2 = mean(&block, Algorithm::Hs2, m_large);
-    let naive = mean(&block, Algorithm::Naive, m_large);
+    let hs2 = latency(&block, Algorithm::Hs2, m_large);
+    let naive = latency(&block, Algorithm::Naive, m_large);
     claim(
         "F7c: HS2 beats Naive by a wide margin at 1MB",
         hs2 < 0.5 * naive,
@@ -486,9 +479,9 @@ fn print_shape_check() -> bool {
     );
 
     // --- Crossover claims ----------------------------------------------------
-    let ord_small = mean(&block, Algorithm::ORd, m_small);
-    let ord2_large = mean(&block, Algorithm::ORd2, m_large);
-    let ord_large = mean(&block, Algorithm::ORd, m_large);
+    let ord_small = latency(&block, Algorithm::ORd, m_small);
+    let ord2_large = latency(&block, Algorithm::ORd2, m_large);
+    let ord_large = latency(&block, Algorithm::ORd, m_large);
     claim(
         "IV-B: O-RD2 better small, O-RD better large",
         ord2 <= ord_small && ord_large < ord2_large,

@@ -12,7 +12,7 @@
 //! arrival-order races), so each cell is one run and the serialized report
 //! is byte-identical across machines and re-runs.
 
-use crate::harness::{simulate_once, simulate_recovery_schedule, SimConfig};
+use crate::harness::{crash_schedule_run, simulate, SimConfig};
 use crate::sessions::{run_session_case, smoke_session_suite, SessionCase, SessionEntry};
 use eag_core::{Algorithm, AlltoallAlgo, BcastAlgo, Collective};
 use eag_netsim::{Crash, Mapping};
@@ -183,6 +183,19 @@ impl CrashPoint {
             hard: c.hard,
         }
     }
+
+    /// The crash written `r<rank>@s<step>[e<epoch>][a][h]`, like the
+    /// `RANK@STEP[eEPOCH][a][h]` spec `eag run --crash` takes.
+    pub fn label(&self) -> String {
+        let epoch = if self.epoch > 0 {
+            format!("e{}", self.epoch)
+        } else {
+            String::new()
+        };
+        let after = if self.after_send { "a" } else { "" };
+        let hard = if self.hard { "h" } else { "" };
+        format!("r{}@s{}{epoch}{after}{hard}", self.rank, self.step)
+    }
 }
 
 /// One crash-recovery latency cell: the virtual-time cost of surviving a
@@ -219,24 +232,11 @@ pub struct RecoveryEntry {
 
 impl RecoveryEntry {
     /// The cell's identity (operation, algorithm, p, nodes, mapping,
-    /// msg_bytes and the full crash schedule, each crash written
-    /// `r<rank>@s<step>[e<epoch>][a][h]` like `eag run --crash`) as a
-    /// readable label: the key the regress gate joins on.
+    /// msg_bytes and the full crash schedule, each crash as
+    /// [`CrashPoint::label`]) as a readable label: the key the regress gate
+    /// joins on.
     pub fn label(&self) -> String {
-        let schedule: Vec<String> = self
-            .crashes
-            .iter()
-            .map(|c| {
-                let epoch = if c.epoch > 0 {
-                    format!("e{}", c.epoch)
-                } else {
-                    String::new()
-                };
-                let after = if c.after_send { "a" } else { "" };
-                let hard = if c.hard { "h" } else { "" };
-                format!("r{}@s{}{epoch}{after}{hard}", c.rank, c.step)
-            })
-            .collect();
+        let schedule: Vec<String> = self.crashes.iter().map(CrashPoint::label).collect();
         format!(
             "recover {}/{} p={} N={} {} {}B {}",
             self.operation,
@@ -397,10 +397,22 @@ pub fn smoke_recovery_suite() -> Vec<RecoveryCase> {
     cases
 }
 
-/// Runs one crash-recovery case and serializes the result.
+/// Runs one crash-recovery case and serializes the result. Panics unless
+/// a planned crash fired (the cell would silently measure a clean run) and
+/// the survivors upheld the full recovery contract.
 pub fn run_recovery_case(case: &RecoveryCase) -> RecoveryEntry {
-    let sample =
-        simulate_recovery_schedule(&case.cfg, case.collective, case.msg_bytes, &case.crashes);
+    let run = crash_schedule_run(
+        &case.cfg,
+        case.collective,
+        case.msg_bytes,
+        case.crashes.clone(),
+    );
+    assert!(
+        run.fired && run.ok(),
+        "{}: recovery cell under {:?} did not fire and recover: {run:?}",
+        case.collective,
+        case.crashes
+    );
     RecoveryEntry {
         operation: case.collective.operation().name().to_string(),
         algorithm: case.collective.variant_name().to_string(),
@@ -409,15 +421,21 @@ pub fn run_recovery_case(case: &RecoveryCase) -> RecoveryEntry {
         mapping: case.cfg.mapping,
         msg_bytes: case.msg_bytes as u64,
         crashes: case.crashes.iter().map(CrashPoint::of).collect(),
-        clean_latency_us: sample.clean_latency_us,
-        recovery_latency_us: sample.recovery_latency_us,
-        survivors: sample.survivors as u64,
+        clean_latency_us: run.clean_latency_us,
+        recovery_latency_us: run.latency_us,
+        survivors: run.survivors as u64,
     }
 }
 
 /// Runs one case once and serializes the result.
 pub fn run_case(case: &SuiteCase) -> BenchEntry {
-    let (latency_us, metrics) = simulate_once(&case.cfg, case.collective, case.msg_bytes);
+    let (latency_us, metrics) = simulate(&case.cfg, case.collective, case.msg_bytes);
+    entry(case, latency_us, &metrics)
+}
+
+/// Serializes one run of `case`: its virtual latency (µs) and the run's
+/// critical-path metrics.
+pub fn entry(case: &SuiteCase, latency_us: f64, metrics: &Metrics) -> BenchEntry {
     BenchEntry {
         operation: case.collective.operation().name().to_string(),
         algorithm: case.collective.variant_name().to_string(),
@@ -426,7 +444,7 @@ pub fn run_case(case: &SuiteCase) -> BenchEntry {
         mapping: case.cfg.mapping,
         msg_bytes: case.msg_bytes as u64,
         latency_us,
-        metrics: PaperMetrics::of(&metrics),
+        metrics: PaperMetrics::of(metrics),
         data_seed: case.cfg.data_seed,
         cipher_suite: case.cfg.suite.name().to_string(),
         copy_probe: case.cfg.data_seed.map(|_| CopyProbe {
@@ -575,9 +593,7 @@ mod tests {
             cases.len(),
             2 * algos * 2 + new_phantom + allgather_real + new_real
         );
-        assert!(cases
-            .iter()
-            .all(|c| !c.cfg.nic_contention && c.cfg.reps == 1));
+        assert!(cases.iter().all(|c| !c.cfg.nic_contention));
         assert!(cases.iter().all(|c| c.cfg.profile == "noleland"));
         let real: Vec<_> = cases.iter().filter(|c| c.cfg.data_seed.is_some()).collect();
         assert_eq!(real.len(), allgather_real + new_real);

@@ -24,11 +24,11 @@
 //! standalone latency exactly — the contention model is calibrated to
 //! vanish at N = 1.
 
+use crate::harness::{run_verified, SimConfig};
 use crate::stats::Stats;
 use eag_core::{Algorithm, Collective};
 use eag_netsim::nic::NodeNic;
-use eag_netsim::{profile, Mapping, Topology};
-use eag_runtime::{run, DataMode, WorldSpec};
+use eag_netsim::{FaultPlan, Mapping};
 use serde::{Deserialize, Serialize};
 
 /// One point of the sessions axis: a session shape and how many of them
@@ -117,22 +117,11 @@ pub fn smoke_session_suite() -> Vec<SessionCase> {
 
 /// Runs one sessions-axis cell. See the [module docs](self) for the model.
 pub fn run_session_case(case: &SessionCase) -> SessionEntry {
-    let prof = profile::by_name(&case.profile)
-        .unwrap_or_else(|| panic!("unknown profile {:?}", case.profile));
-    let nic_bw = prof.model.nic_bandwidth;
-
     // Step 1: the standalone, contention-free reference run.
-    let mut spec = WorldSpec::new(
-        Topology::new(case.p, case.nodes, Mapping::Block),
-        prof,
-        DataMode::Phantom,
-    );
-    spec.nic_contention = false;
-    let (algo, m) = (case.algo, case.msg_bytes);
-    let report = run(&spec, move |ctx| {
-        let out = Collective::Allgather(algo).run(ctx, m);
-        debug_assert!(out.is_complete());
-    });
+    let cfg = SimConfig::deterministic(case.p, case.nodes, Mapping::Block, &case.profile);
+    let spec = cfg.world_spec(FaultPlan::default());
+    let nic_bw = spec.profile.model.nic_bandwidth;
+    let report = run_verified(&spec, Collective::Allgather(case.algo), case.msg_bytes);
     let standalone = report.latency_us;
 
     // Per-logical-node inter-node egress, from the wiretap.

@@ -1,4 +1,6 @@
-//! Small summary statistics for repeated simulation runs.
+//! Small summary statistics: the per-session completion-time distribution
+//! of the concurrent-sessions axis, and the relative overhead the paper's
+//! tables report.
 
 use serde::{Deserialize, Serialize};
 
@@ -30,9 +32,8 @@ impl Stats {
     /// Summarizes `samples`.
     ///
     /// Panics on an empty slice or on any non-finite sample: a NaN latency
-    /// would otherwise poison `mean`/`std_dev` silently and make
-    /// [`Stats::overhead_pct`] report a misleading `0`. Callers that want to
-    /// handle bad samples gracefully use [`Stats::try_of`].
+    /// would otherwise poison `mean`/`std_dev` silently. Callers that want
+    /// to handle bad samples gracefully use [`Stats::try_of`].
     pub fn of(samples: &[f64]) -> Stats {
         match Self::try_of(samples) {
             Ok(s) => s,
@@ -79,20 +80,19 @@ impl Stats {
             n,
         })
     }
+}
 
-    /// Relative overhead of `self` versus a `baseline` mean, in percent
-    /// (negative = faster than the baseline), as the paper reports.
-    ///
-    /// A zero baseline mean — e.g. a free-profile run where every virtual-
-    /// time sample is 0 µs — has no meaningful relative overhead; returns 0
-    /// instead of NaN/±inf so report tables stay sane. (Non-finite means can
-    /// no longer occur: [`Stats::of`] rejects non-finite samples.)
-    pub fn overhead_pct(&self, baseline: &Stats) -> f64 {
-        if baseline.mean == 0.0 || !baseline.mean.is_finite() {
-            return 0.0;
-        }
-        (self.mean / baseline.mean - 1.0) * 100.0
+/// Relative overhead of `latency_us` versus `baseline_us`, in percent
+/// (negative = faster than the baseline), as the paper reports.
+///
+/// A zero or non-finite baseline — e.g. a free-profile run, whose virtual
+/// latency is 0 µs — has no meaningful relative overhead; returns 0 instead
+/// of NaN/±inf so report tables stay sane.
+pub fn overhead_pct(latency_us: f64, baseline_us: f64) -> f64 {
+    if baseline_us == 0.0 || !baseline_us.is_finite() {
+        return 0.0;
     }
+    (latency_us / baseline_us - 1.0) * 100.0
 }
 
 /// Why a set of samples could not be summarized.
@@ -214,17 +214,16 @@ mod tests {
 
     #[test]
     fn overhead_of_zero_baseline_is_finite() {
-        // Free network profiles produce all-zero virtual latencies; the
+        // Free network profiles produce zero virtual latencies; the
         // relative overhead must not be NaN or infinite then.
-        let zero = Stats::of(&[0.0, 0.0, 0.0]);
-        assert_eq!(Stats::of(&[5.0]).overhead_pct(&zero), 0.0);
-        assert_eq!(zero.overhead_pct(&zero), 0.0);
+        assert_eq!(overhead_pct(5.0, 0.0), 0.0);
+        assert_eq!(overhead_pct(0.0, 0.0), 0.0);
+        assert_eq!(overhead_pct(5.0, f64::INFINITY), 0.0);
     }
 
     #[test]
     fn overhead_sign() {
-        let base = Stats::of(&[100.0]);
-        assert!((Stats::of(&[150.0]).overhead_pct(&base) - 50.0).abs() < 1e-9);
-        assert!((Stats::of(&[80.0]).overhead_pct(&base) + 20.0).abs() < 1e-9);
+        assert!((overhead_pct(150.0, 100.0) - 50.0).abs() < 1e-9);
+        assert!((overhead_pct(80.0, 100.0) + 20.0).abs() < 1e-9);
     }
 }

@@ -1,7 +1,8 @@
 //! Generators for the paper's Tables I–VI.
 
 use crate::fmt::{latency_label, size_label};
-use crate::harness::{simulate, simulate_once, SimConfig};
+use crate::harness::{simulate, SimConfig};
+use crate::stats::overhead_pct;
 use eag_core::{Algorithm, Collective, MetricSet, Operation};
 use eag_netsim::Mapping;
 
@@ -32,18 +33,18 @@ pub fn best_scheme_table(cfg: &SimConfig, sizes: &[usize]) -> Vec<BestSchemeRow>
     sizes
         .iter()
         .map(|&m| {
-            let mpi = simulate(cfg, Collective::Allgather(Algorithm::Mvapich), m);
-            let naive = simulate(cfg, Collective::Allgather(Algorithm::Naive), m);
-            let (best, best_stats) = candidate_schemes()
+            let latency = |a| simulate(cfg, Collective::Allgather(a), m).0;
+            let mpi = latency(Algorithm::Mvapich);
+            let (best, best_us) = candidate_schemes()
                 .iter()
-                .map(|&a| (a, simulate(cfg, Collective::Allgather(a), m)))
-                .min_by(|a, b| a.1.mean.total_cmp(&b.1.mean))
+                .map(|&a| (a, latency(a)))
+                .min_by(|a, b| a.1.total_cmp(&b.1))
                 .expect("non-empty candidate set");
             BestSchemeRow {
                 size: m,
-                mpi_latency_us: mpi.mean,
-                naive_overhead_pct: naive.overhead_pct(&mpi),
-                best_overhead_pct: best_stats.overhead_pct(&mpi),
+                mpi_latency_us: mpi,
+                naive_overhead_pct: overhead_pct(latency(Algorithm::Naive), mpi),
+                best_overhead_pct: overhead_pct(best_us, mpi),
                 best,
             }
         })
@@ -126,7 +127,7 @@ pub fn table2_rows(p: usize, nodes: usize, m: usize) -> Vec<MetricsRow> {
             // extension) are skipped.
             let c = Collective::Allgather(algo);
             let predicted = c.predict(p, nodes, m)?;
-            let (_, mx) = simulate_once(&cfg, c, m);
+            let (_, mx) = simulate(&cfg, c, m);
             let measured = MetricSet {
                 rc: mx.comm_rounds,
                 sc: mx.sc_payload(),
@@ -181,16 +182,7 @@ mod tests {
     use super::*;
 
     fn tiny() -> SimConfig {
-        SimConfig {
-            p: 16,
-            nodes: 4,
-            mapping: Mapping::Block,
-            profile: "noleland".into(),
-            reps: 1,
-            nic_contention: true,
-            data_seed: None,
-            suite: eag_runtime::CipherSuite::AesGcm128,
-        }
+        SimConfig::contended(16, 4, Mapping::Block, "noleland")
     }
 
     #[test]

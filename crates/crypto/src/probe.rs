@@ -4,9 +4,9 @@
 //! [`seal_message_into`] and [`open_frame_in_place`] — the exact
 //! buffer-reusing calls the runtime's encrypted transport makes — so
 //! benchmark reports can carry real crypto throughput next to the
-//! virtual-time latencies. [`probe_throughput`] probes the default
-//! AES-GCM suite; [`probe_throughput_suite`] probes any [`CipherSuite`]
-//! (the per-backend calibration in `eag-bench` runs it for all three).
+//! virtual-time latencies. [`probe_throughput_suite`] probes any
+//! [`CipherSuite`]; it is the one crypto timer the calibration and the
+//! Figure 1 "this machine" column in `eag-bench` read.
 //! Wall-clock numbers are machine- and load-dependent by nature; callers
 //! must treat them as informational, not as regression-gate inputs.
 
@@ -32,20 +32,15 @@ const RING_BYTES: usize = 1 << 20;
 /// Default sizes for a quick probe: 1 KiB, 16 KiB, 256 KiB, 1 MiB.
 pub const DEFAULT_PROBE_SIZES: [usize; 4] = [1024, 16 * 1024, 256 * 1024, 1024 * 1024];
 
-/// Measures seal/open throughput of the default AES-GCM suite at each size
-/// in `sizes`.
+/// Measures seal/open throughput of one cipher suite at each size in
+/// `sizes`.
 ///
 /// `budget_secs` is the approximate timed wall-clock budget *per direction
 /// per size* (a calibration pass sizes the seal iteration count to fit it,
 /// at least 3 always run; opens sweep a ring of pre-sealed frames, at least
-/// once, until it is spent). `probe_throughput(&DEFAULT_PROBE_SIZES, 0.05)`
-/// finishes in well under a second on anything modern.
-pub fn probe_throughput(sizes: &[usize], budget_secs: f64) -> Vec<ThroughputPoint> {
-    probe_throughput_suite(CipherSuite::AesGcm128, sizes, budget_secs)
-}
-
-/// Measures seal/open throughput of one cipher suite at each size in
-/// `sizes` (same budget semantics as [`probe_throughput`]).
+/// once, until it is spent). A budget of 0.05 s over
+/// [`DEFAULT_PROBE_SIZES`] finishes in well under a second on anything
+/// modern.
 pub fn probe_throughput_suite(
     suite: CipherSuite,
     sizes: &[usize],
@@ -117,7 +112,7 @@ mod tests {
 
     #[test]
     fn probe_reports_positive_finite_throughput() {
-        let points = probe_throughput(&[1024, 8192], 0.005);
+        let points = probe_throughput_suite(CipherSuite::AesGcm128, &[1024, 8192], 0.005);
         assert_eq!(points.len(), 2);
         for p in &points {
             assert!(

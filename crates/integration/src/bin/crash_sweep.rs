@@ -1,9 +1,9 @@
 //! Crash sweep: multi-crash recovery across every encrypted algorithm at
 //! p = 6 over 2 nodes.
 //!
-//! `f = 1` sweeps every rank × several phase steps (crash-before and
-//! crash-after-send), one crash per run — the original single-failure
-//! matrix. `f = 2` and `f = 3` sweep seed-derived crash *schedules* of f
+//! `f = 1` sweeps every rank × several phase steps (crash-before,
+//! crash-after-send, and a hard crash before the first send), one crash per
+//! run — the original single-failure matrix. `f = 2` and `f = 3` sweep seed-derived crash *schedules* of f
 //! distinct ranks; half the schedules arm their last crash inside the
 //! first agreement instance (`at_epoch(1)`), half of those on the first
 //! live coordinator after one of its sends (mid-broadcast), so the sweep
@@ -25,9 +25,11 @@
 //! (the seed derives the f ≥ 2 schedules, so a sweep is replayed exactly
 //! by rerunning with the same seed; f defaults to 1).
 
+use eag_bench::harness::{crash_schedule_run, CrashRunReport};
+use eag_bench::SimConfig;
 use eag_core::{Algorithm, Collective};
-use eag_integration::{crash_run, crash_schedule_run, render_crash_markdown_table, CrashRunReport};
-use eag_netsim::Crash;
+use eag_integration::render_crash_markdown_table;
+use eag_netsim::{Crash, Mapping};
 
 const P: usize = 6;
 const NODES: usize = 2;
@@ -44,7 +46,15 @@ fn variants(rank: usize) -> Vec<(Crash, String)> {
         .collect();
     // One after-send variant: the dying rank's final frame is delivered.
     v.push((Crash::after(rank, 0), "a0".to_string()));
+    // One hard variant: the rank departs silently and is only suspected
+    // after the grace period.
+    v.push((Crash::before(rank, 0).hard(), "b0h".to_string()));
     v
+}
+
+/// The world every cell runs in.
+fn config() -> SimConfig {
+    SimConfig::deterministic(P, NODES, Mapping::Block, "noleland")
 }
 
 /// splitmix64 — the deterministic stream all f ≥ 2 schedules draw from.
@@ -122,7 +132,7 @@ fn sweep_single(all: &mut Vec<CrashRunReport>) -> bool {
         for rank in 0..P {
             let mut cells = Vec::new();
             for (crash, _) in variants(rank) {
-                let r = crash_run(Collective::Allgather(algo), P, NODES, M, crash);
+                let r = crash_schedule_run(&config(), Collective::Allgather(algo), M, vec![crash]);
                 cells.push(match (r.ok(), r.fired) {
                     (true, true) => "R",
                     (true, false) => "·",
@@ -148,7 +158,7 @@ fn sweep_multi(seed: u64, f: usize, all: &mut Vec<CrashRunReport>) -> bool {
         for i in 0..SCHEDULES {
             let crashes = schedule(&mut state, f, i);
             let desc = crashes.iter().map(label).collect::<Vec<_>>().join(", ");
-            let r = crash_schedule_run(Collective::Allgather(algo), P, NODES, M, crashes.clone());
+            let r = crash_schedule_run(&config(), Collective::Allgather(algo), M, crashes.clone());
             let mut cell = match (r.ok(), r.fired) {
                 (true, true) => "R",
                 (true, false) => "·",

@@ -2,27 +2,24 @@
 //!
 //! The crate's `[[test]]` targets (under the repository's `tests/`) exercise
 //! correctness, security, metrics, bounds, and tracing across every crate.
-//! The library itself hosts the **chaos harness**: helpers that run any
-//! [`Collective`] under a deterministic [`FaultPlan`] and check that the
+//! The library itself hosts the **chaos harness**: [`chaos_run`] runs any
+//! [`Collective`] under a deterministic [`FaultPlan`] and checks that the
 //! recovered result is byte-identical to a fault-free run of the same
-//! collective.
+//! collective. Crash recovery runs through
+//! [`eag_bench::harness::crash_schedule_run`], like the bench cells.
 //!
-//! The `chaos_sweep` binary (gated behind the `chaos` cargo feature) sweeps
-//! algorithms × fault kinds × seeds and renders the results as a markdown
-//! table; CI runs it at a fixed seed.
+//! The `chaos_sweep` and `crash_sweep` binaries (gated behind the `chaos`
+//! cargo feature) sweep algorithms × fault kinds × seeds and algorithms ×
+//! crash schedules, and render the results as markdown tables with the
+//! render functions here; CI runs them at a fixed seed.
 
 #![deny(missing_docs)]
 
+use eag_bench::harness::{CrashRunReport, DATA_SEED};
+use eag_bench::SimConfig;
 use eag_core::Collective;
-use eag_netsim::{profile, Crash, FaultPlan, Mapping, Topology};
-use eag_runtime::{
-    try_run, try_run_crashable, CollectiveError, DataMode, Metrics, RetryPolicy, WorldSpec,
-};
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::time::Duration;
-
-/// The data-pattern seed every chaos run uses (distinct from fault seeds).
-pub const DATA_SEED: u64 = 7;
+use eag_netsim::{FaultPlan, Mapping};
+use eag_runtime::{try_run, CollectiveError, Metrics};
 
 /// The outcome of one collective under fault injection, compared against a
 /// fault-free reference run.
@@ -50,23 +47,14 @@ pub struct ChaosReport {
     pub latency_us: f64,
 }
 
-/// Builds the world spec used by chaos runs: `p` ranks over `nodes` nodes,
-/// real data, the free-cost profile (chaos is about wall-clock recovery,
-/// not virtual-time pricing).
-pub fn chaos_spec(p: usize, nodes: usize, plan: FaultPlan) -> WorldSpec {
-    let mut spec = WorldSpec::new(
-        Topology::new(p, nodes, Mapping::Block),
-        profile::free(),
-        DataMode::Real { seed: DATA_SEED },
-    );
-    spec.faults = plan;
-    spec.retry = RetryPolicy {
-        attempt_timeout: Duration::from_millis(20),
-        max_attempts: 10,
-        backoff: 1.5,
-    };
-    spec.recv_timeout = Some(Duration::from_secs(60));
-    spec
+/// The world chaos runs use: `p` ranks over `nodes` nodes, block mapping,
+/// real data at [`DATA_SEED`], the free-cost profile (chaos is about
+/// wall-clock recovery, not virtual-time pricing).
+pub fn chaos_config(p: usize, nodes: usize) -> SimConfig {
+    SimConfig {
+        data_seed: Some(DATA_SEED),
+        ..SimConfig::deterministic(p, nodes, Mapping::Block, "free")
+    }
 }
 
 /// Runs the collective `c` under `plan` and compares every rank's
@@ -74,6 +62,7 @@ pub fn chaos_spec(p: usize, nodes: usize, plan: FaultPlan) -> WorldSpec {
 /// collective on the same inputs (each rank compares only the slots its
 /// role delivers).
 pub fn chaos_run(c: Collective, p: usize, nodes: usize, m: usize, plan: FaultPlan) -> ChaosReport {
+    let cfg = chaos_config(p, nodes);
     let deliver = move |ctx: &mut eag_runtime::ProcCtx| {
         let out = c.run(ctx, m);
         c.verify(ctx.rank(), &out, DATA_SEED);
@@ -83,9 +72,9 @@ pub fn chaos_run(c: Collective, p: usize, nodes: usize, m: usize, plan: FaultPla
             .filter_map(|r| out.get(r).map(|b| (r, b.data.to_vec())))
             .collect::<Vec<_>>()
     };
-    let clean = try_run(&chaos_spec(p, nodes, FaultPlan::default()), deliver)
+    let clean = try_run(&cfg.world_spec(FaultPlan::default()), deliver)
         .unwrap_or_else(|e| panic!("{c}: fault-free reference failed: {e}"));
-    match try_run(&chaos_spec(p, nodes, plan), deliver) {
+    match try_run(&cfg.world_spec(plan), deliver) {
         Ok(report) => {
             let sum = Metrics::component_sum(&report.metrics);
             ChaosReport {
@@ -112,179 +101,6 @@ pub fn chaos_run(c: Collective, p: usize, nodes: usize, m: usize, plan: FaultPla
             latency_us: 0.0,
         },
     }
-}
-
-// ----- crash recovery harness -------------------------------------------
-
-/// The outcome of one crash-tolerant collective (any operation) under an
-/// injected crash schedule, checked against the operation's uniformity
-/// contract: replicated operations must yield the byte-identical degraded
-/// output at every survivor; rooted and personalized operations must agree
-/// on the canonical *header* (failed set + epochs) while each survivor's
-/// own output verifies bit-exact for its role.
-#[derive(Debug, Clone)]
-pub struct CrashRunReport {
-    /// The collective exercised.
-    pub collective: Collective,
-    /// The injected crash schedule (see `FaultPlan::crashes`).
-    pub crashes: Vec<Crash>,
-    /// At least one planned crash actually fired (its target rank reached
-    /// the armed send step in the armed membership epoch).
-    pub fired: bool,
-    /// Every survivor converged on the *identical* failed set, and that
-    /// set only names ranks that really crashed. The decided set may be a
-    /// strict subset of the crashed ranks: a victim that dies after the
-    /// deciding agreement (or after contributing its block) is attributed
-    /// like a post-collective death and stays out of the decision.
-    pub agreed: bool,
-    /// The per-operation uniformity contract held (canonical bytes for
-    /// replicated operations, canonical header otherwise).
-    pub uniform: bool,
-    /// Every survivor's output verified bit-exact for its role.
-    pub verified: bool,
-    /// Number of surviving ranks.
-    pub survivors: usize,
-    /// The ranks that actually died during the run, ascending.
-    pub crashed: Vec<usize>,
-    /// Crash detections, summed over ranks (a cascade detects many times).
-    pub crashes_detected: u64,
-    /// Completed shrink-and-recover re-runs, summed over ranks.
-    pub recoveries: u64,
-    /// Simulated latency of a fault-free run of the same collective, µs.
-    pub clean_latency_us: f64,
-    /// Simulated latency of the crashed run (detection + agreement +
-    /// degraded re-run), µs.
-    pub latency_us: f64,
-    /// The structured failure, if the world aborted instead of recovering.
-    pub error: Option<CollectiveError>,
-}
-
-impl CrashRunReport {
-    /// True when the run upheld the full per-operation recovery contract.
-    pub fn ok(&self) -> bool {
-        self.error.is_none() && self.agreed && self.uniform && self.verified
-    }
-}
-
-/// Builds the world spec used by crash runs. Unlike [`chaos_spec`] this
-/// prices virtual time (the noleland profile) so the recovery-latency
-/// figures are meaningful, and arms exactly the planned crash schedule.
-pub fn crash_schedule_spec(p: usize, nodes: usize, crashes: Vec<Crash>) -> WorldSpec {
-    let mut spec = WorldSpec::new(
-        Topology::new(p, nodes, Mapping::Block),
-        profile::noleland(),
-        DataMode::Real { seed: DATA_SEED },
-    );
-    spec.faults = FaultPlan {
-        crashes,
-        ..FaultPlan::default()
-    };
-    spec.retry = RetryPolicy {
-        attempt_timeout: Duration::from_millis(20),
-        max_attempts: 10,
-        backoff: 1.5,
-    };
-    spec.recv_timeout = Some(Duration::from_secs(60));
-    spec
-}
-
-/// Single-crash convenience wrapper over [`crash_schedule_spec`].
-pub fn crash_spec(p: usize, nodes: usize, crash: Crash) -> WorldSpec {
-    crash_schedule_spec(p, nodes, vec![crash])
-}
-
-/// Runs `Collective::recover` under an injected crash schedule and checks
-/// the per-operation recovery contract (see [`CrashRunReport`]): every
-/// survivor settles on the *identical* failed set — a subset of the ranks
-/// that really crashed — and the outputs are uniform and verified. A crash
-/// whose armed step its rank never reaches simply does not fire; with no
-/// fired crash the run must complete cleanly at every rank.
-pub fn crash_schedule_run(
-    c: Collective,
-    p: usize,
-    nodes: usize,
-    m: usize,
-    crashes: Vec<Crash>,
-) -> CrashRunReport {
-    let clean = try_run(&crash_schedule_spec(p, nodes, Vec::new()), move |ctx| {
-        let out = c.run(ctx, m);
-        c.verify(ctx.rank(), &out, DATA_SEED);
-    })
-    .unwrap_or_else(|e| panic!("{c}: fault-free reference failed: {e}"));
-
-    let spec = crash_schedule_spec(p, nodes, crashes.clone());
-    match try_run_crashable(&spec, move |ctx| c.recover(ctx, m)) {
-        Ok(report) => {
-            let sum = Metrics::component_sum(&report.metrics);
-            let replicated = c.operation().is_replicated();
-            let mut agreed = true;
-            let mut uniform = true;
-            let mut verified = true;
-            let mut canon: Option<Vec<u8>> = None;
-            let mut decided: Option<Vec<usize>> = None;
-            for (rank, out) in report.survivor_outputs() {
-                match &decided {
-                    Some(d) => agreed &= &out.failed == d,
-                    None => decided = Some(out.failed.clone()),
-                }
-                agreed &= out.failed.iter().all(|r| report.crashed.contains(r));
-                verified &= catch_unwind(AssertUnwindSafe(|| match c {
-                    // An all-gather ties `failed` to the output: every rank
-                    // outside it must be present and bit-exact.
-                    Collective::Allgather(_) | Collective::Allgatherv(_) => out.verify(DATA_SEED),
-                    _ => {
-                        c.verify(rank, &out.output, DATA_SEED);
-                        assert!(out.failed.iter().all(|&f| out.output.get(f).is_none()));
-                    }
-                }))
-                .is_ok();
-                let bytes = if replicated {
-                    out.canonical_bytes()
-                } else {
-                    out.canonical_header()
-                };
-                match &canon {
-                    Some(cb) => uniform &= cb == &bytes,
-                    None => canon = Some(bytes),
-                }
-            }
-            CrashRunReport {
-                collective: c,
-                crashes,
-                fired: !report.crashed.is_empty(),
-                agreed,
-                uniform,
-                verified,
-                survivors: p - report.crashed.len(),
-                crashed: report.crashed.clone(),
-                crashes_detected: sum.crashes_detected,
-                recoveries: sum.recoveries,
-                clean_latency_us: clean.latency_us,
-                latency_us: report.latency_us,
-                error: None,
-            }
-        }
-        Err(error) => CrashRunReport {
-            collective: c,
-            crashes,
-            fired: false,
-            agreed: false,
-            uniform: false,
-            verified: false,
-            survivors: 0,
-            crashed: Vec::new(),
-            crashes_detected: 0,
-            recoveries: 0,
-            clean_latency_us: clean.latency_us,
-            latency_us: 0.0,
-            error: Some(error),
-        },
-    }
-}
-
-/// Single-crash convenience wrapper over [`crash_schedule_run`].
-pub fn crash_run(c: Collective, p: usize, nodes: usize, m: usize, crash: Crash) -> CrashRunReport {
-    crash_schedule_run(c, p, nodes, m, vec![crash])
 }
 
 /// Renders crash-run reports as a per-variant summary table: how many

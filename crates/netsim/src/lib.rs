@@ -38,7 +38,6 @@
 #![warn(clippy::undocumented_unsafe_blocks)]
 
 pub mod chaos;
-pub mod fabric;
 pub mod model;
 pub mod nic;
 pub mod profile;
@@ -46,7 +45,6 @@ pub mod topology;
 pub mod wiretap;
 
 pub use chaos::{Crash, FaultKind, FaultPlan};
-pub use fabric::{FabricModel, FabricState};
 pub use model::{CostModel, CryptoCost, LinkClass, LinkCost};
 pub use profile::ClusterProfile;
 pub use topology::{Mapping, Rank, Topology};

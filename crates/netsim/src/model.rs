@@ -98,9 +98,6 @@ pub struct CostModel {
     pub barrier_us: f64,
     /// Encryption/decryption cost.
     pub crypto: CryptoCost,
-    /// Optional two-level switch fabric (leaf uplinks shared by cross-leaf
-    /// traffic). `None` models a full-bisection network.
-    pub fabric: Option<crate::fabric::FabricModel>,
 }
 
 impl CostModel {
@@ -137,7 +134,6 @@ impl CostModel {
             strided_copy_factor: 1.0,
             barrier_us: 0.0,
             crypto: CryptoCost::FREE,
-            fabric: None,
         }
     }
 
@@ -163,7 +159,6 @@ impl CostModel {
                 dec_alpha_us: 1.0,
                 dec_bandwidth: 1.0,
             },
-            fabric: None,
         }
     }
 }

@@ -21,8 +21,7 @@
 //! each reservation is stamped with its caller's *owner id*
 //! ([`NodeNic::reserve_for`]), and a finished session retires only its own
 //! intervals ([`NodeNic::retire`]) — it must not drop another session's
-//! live reservations the way a blanket [`NodeNic::reset`] would. Intervals
-//! only merge with same-owner neighbours so retirement stays exact;
+//! live reservations. Intervals only merge with same-owner neighbours so retirement stays exact;
 //! cross-owner back-to-back reservations remain distinct ledger entries.
 
 use parking_lot::Mutex;
@@ -51,13 +50,6 @@ impl NodeNic {
             busy: Mutex::new(Vec::new()),
             bandwidth,
         }
-    }
-
-    /// Reserves the NIC for `bytes` starting no earlier than `now`, on
-    /// behalf of the standalone owner 0; returns the virtual time at which
-    /// the last byte clears the NIC. See [`NodeNic::reserve_for`].
-    pub fn reserve(&self, now_us: f64, bytes: usize) -> f64 {
-        self.reserve_for(0, now_us, bytes)
     }
 
     /// Reserves the NIC for `bytes` starting no earlier than `now`, on
@@ -121,17 +113,9 @@ impl NodeNic {
 
     /// Retires every interval reserved by session `owner`, leaving all
     /// other sessions' reservations intact. This is how a finished session
-    /// leaves a *shared* NIC; contrast [`NodeNic::reset`].
+    /// leaves a *shared* NIC.
     pub fn retire(&self, owner: u64) {
         self.busy.lock().retain(|iv| iv.owner != owner);
-    }
-
-    /// Resets the ledger to idle (used between simulation repetitions of a
-    /// NIC with a single owner). On a NIC shared across sessions use
-    /// [`NodeNic::retire`] instead: a blanket reset here would drop other
-    /// sessions' live reservations.
-    pub fn reset(&self) {
-        self.busy.lock().clear();
     }
 
     /// Snapshot of the busy intervals (testing and diagnostics).
@@ -151,48 +135,48 @@ mod tests {
     #[test]
     fn infinite_bandwidth_is_transparent() {
         let nic = NodeNic::new(f64::INFINITY);
-        assert_eq!(nic.reserve(5.0, 1 << 30), 5.0);
-        assert_eq!(nic.reserve(3.0, 1 << 30), 3.0);
+        assert_eq!(nic.reserve_for(0, 5.0, 1 << 30), 5.0);
+        assert_eq!(nic.reserve_for(0, 3.0, 1 << 30), 3.0);
     }
 
     #[test]
     fn serializes_concurrent_streams() {
         let nic = NodeNic::new(100.0); // 100 B/µs
                                        // Two 1000-byte sends at the same instant: the second queues.
-        assert_eq!(nic.reserve(0.0, 1000), 10.0);
-        assert_eq!(nic.reserve(0.0, 1000), 20.0);
+        assert_eq!(nic.reserve_for(0, 0.0, 1000), 10.0);
+        assert_eq!(nic.reserve_for(0, 0.0, 1000), 20.0);
         // A later send after the NIC drained starts immediately.
-        assert_eq!(nic.reserve(50.0, 1000), 60.0);
+        assert_eq!(nic.reserve_for(0, 50.0, 1000), 60.0);
     }
 
     #[test]
     fn earlier_virtual_time_uses_idle_gap() {
         let nic = NodeNic::new(100.0);
         // A rank that is ahead in virtual time reserves [10, 20).
-        assert_eq!(nic.reserve(10.0, 1000), 20.0);
+        assert_eq!(nic.reserve_for(0, 10.0, 1000), 20.0);
         // A rank still at virtual time 0 must not queue behind it:
         // the NIC is idle during [0, 10).
-        assert_eq!(nic.reserve(0.0, 1000), 10.0);
+        assert_eq!(nic.reserve_for(0, 0.0, 1000), 10.0);
         // But a third rank at time 0 now has to go after [0,20).
-        assert_eq!(nic.reserve(0.0, 1000), 30.0);
+        assert_eq!(nic.reserve_for(0, 0.0, 1000), 30.0);
     }
 
     #[test]
     fn small_gap_is_skipped_when_too_tight() {
         let nic = NodeNic::new(1.0); // 1 B/µs
-        assert_eq!(nic.reserve(0.0, 10), 10.0); // [0,10)
-        assert_eq!(nic.reserve(15.0, 10), 25.0); // [15,25)
-                                                 // A 10-byte send at t=5 does not fit into the [10,15) gap.
-        assert_eq!(nic.reserve(5.0, 10), 35.0);
+        assert_eq!(nic.reserve_for(0, 0.0, 10), 10.0); // [0,10)
+        assert_eq!(nic.reserve_for(0, 15.0, 10), 25.0); // [15,25)
+                                                        // A 10-byte send at t=5 does not fit into the [10,15) gap.
+        assert_eq!(nic.reserve_for(0, 5.0, 10), 35.0);
         // A 5-byte send at t=5 does fit into [10,15).
-        assert_eq!(nic.reserve(5.0, 5), 15.0);
+        assert_eq!(nic.reserve_for(0, 5.0, 5), 15.0);
     }
 
     #[test]
     fn adjacent_intervals_merge() {
         let nic = NodeNic::new(1.0);
         for k in 0..100 {
-            nic.reserve(k as f64 * 10.0, 10);
+            nic.reserve_for(0, k as f64 * 10.0, 10);
         }
         // All reservations were back-to-back → a single merged interval.
         assert_eq!(nic.busy.lock().len(), 1);
@@ -238,17 +222,9 @@ mod tests {
     }
 
     #[test]
-    fn reset_clears_backlog() {
-        let nic = NodeNic::new(1.0);
-        nic.reserve(0.0, 1_000_000);
-        nic.reset();
-        assert_eq!(nic.reserve(0.0, 1), 1.0);
-    }
-
-    #[test]
     fn zero_sized_sends_cost_nothing() {
         let nic = NodeNic::new(1.0);
-        assert_eq!(nic.reserve(7.0, 0), 7.0);
+        assert_eq!(nic.reserve_for(0, 7.0, 0), 7.0);
         assert!(nic.busy.lock().is_empty());
     }
 }

@@ -52,7 +52,6 @@ pub fn noleland() -> ClusterProfile {
                 dec_alpha_us: 0.25,
                 dec_bandwidth: 5_500.0,
             },
-            fabric: None,
         },
     }
 }
@@ -86,7 +85,6 @@ pub fn bridges2() -> ClusterProfile {
                 dec_alpha_us: 0.3,
                 dec_bandwidth: 4_800.0,
             },
-            fabric: None,
         },
     }
 }

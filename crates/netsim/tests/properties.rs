@@ -74,7 +74,7 @@ proptest! {
         let mut total_bytes = 0usize;
         let mut earliest: f64 = f64::INFINITY;
         for &(now, bytes) in &reservations {
-            let finish = nic.reserve(now, bytes);
+            let finish = nic.reserve_for(0, now, bytes);
             prop_assert!(finish >= now + bytes as f64 / bw - 1e-9);
             last_finish = last_finish.max(finish);
             total_bytes += bytes;
@@ -95,7 +95,7 @@ proptest! {
     ) {
         let nic = NodeNic::new(7.0);
         for &(now, bytes) in &reservations {
-            nic.reserve(now, bytes);
+            nic.reserve_for(0, now, bytes);
         }
         let busy = nic.busy_intervals();
         for w in busy.windows(2) {
@@ -117,7 +117,7 @@ proptest! {
     ) {
         let bw = 5.0;
         let nic = NodeNic::new(bw);
-        let mut finishes: Vec<f64> = sizes.iter().map(|&s| nic.reserve(0.0, s)).collect();
+        let mut finishes: Vec<f64> = sizes.iter().map(|&s| nic.reserve_for(0, 0.0, s)).collect();
         finishes.sort_by(f64::total_cmp);
         let total: usize = sizes.iter().sum();
         prop_assert!((finishes.last().unwrap() - total as f64 / bw).abs() < 1e-9);

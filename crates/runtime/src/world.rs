@@ -79,7 +79,6 @@ use crate::transport::{
     corrupt_parcel, Action, Counter, Frame, Mark, Message, Round, Transport, Wire,
 };
 use eag_crypto::{Aead, CipherSuite, Key, NonceSource, WIRE_OVERHEAD};
-use eag_netsim::fabric::FabricState;
 use eag_netsim::nic::NodeNic;
 use eag_netsim::{
     ClusterProfile, CostModel, FaultPlan, FrameKind, FrameRecord, LinkClass, Rank, Topology,
@@ -301,7 +300,6 @@ struct World<'s> {
     sched: Scheduler<Message>,
     aead: Box<dyn Aead>,
     nics: Vec<Arc<NodeNic>>,
-    fabric: Option<FabricState>,
     wiretap: Arc<Wiretap>,
     shared: Vec<Arc<NodeShared>>,
     /// Global count of inter-node first transmissions (the n-th-frame
@@ -355,7 +353,6 @@ impl<'s> World<'s> {
             sched: Scheduler::with_gate(p, resolve_gate(spec)),
             aead: spec.suite.aead_for_key(&key),
             nics,
-            fabric: model.fabric.map(|fm| FabricState::new(fm, n_nodes)),
             wiretap: Arc::new(Wiretap::new()),
             shared: (0..n_nodes)
                 .map(|node| Arc::new(NodeShared::new(spec.topology.ranks_on_node(node).len())))
@@ -815,19 +812,8 @@ impl<'w> ProcCtx<'w> {
                 } else {
                     self.clock_us
                 };
-                let mut done = stream_done.max(nic_done);
-                let mut alpha = model.inter.alpha_us;
-                if let Some(fabric) = &world.fabric {
-                    let (fab_done, extra_alpha) = fabric.reserve(
-                        self.clock_us,
-                        self.node(),
-                        spec.topology.node_of(dst),
-                        bytes,
-                    );
-                    done = done.max(fab_done);
-                    alpha += extra_alpha;
-                }
-                (done, done + alpha)
+                let done = stream_done.max(nic_done);
+                (done, done + model.inter.alpha_us)
             }
         };
         self.clock_us = done_us;

@@ -457,7 +457,7 @@ fn nic_contention_serializes_when_enabled() {
 // ----- chaos transport --------------------------------------------------
 
 /// A 2-rank, 2-node spec with chaos armed via `fault_nth_inter_frame`.
-fn chaos_spec(kind: FaultKind) -> WorldSpec {
+fn chaos_world(kind: FaultKind) -> WorldSpec {
     let mut s = spec(2, 2);
     s.faults = FaultPlan {
         fault_nth_inter_frame: Some((0, kind)),
@@ -482,7 +482,7 @@ fn exchange_one(s: &WorldSpec, len: usize) -> RunReport<Vec<u8>> {
 
 #[test]
 fn dropped_frame_is_nacked_and_retransmitted() {
-    let s = chaos_spec(FaultKind::Drop);
+    let s = chaos_world(FaultKind::Drop);
     let report = exchange_one(&s, 40);
     assert_eq!(report.outputs[1], crate::payload::pattern_block(1, 0, 40));
     // The receiver timed out at least once and NACKed; the sender (from its
@@ -499,7 +499,7 @@ fn dropped_frame_is_nacked_and_retransmitted() {
 
 #[test]
 fn random_tamper_is_caught_by_transport_checksum() {
-    let s = chaos_spec(FaultKind::Tamper);
+    let s = chaos_world(FaultKind::Tamper);
     let report = exchange_one(&s, 32);
     // Recovered: the delivered bytes are the clean pattern.
     assert_eq!(report.outputs[1], crate::payload::pattern_block(1, 0, 32));
@@ -514,7 +514,7 @@ fn random_tamper_is_caught_by_transport_checksum() {
 fn adversarial_tamper_is_caught_by_hop_verification() {
     // The adversary recomputes the transport checksum, so only the per-hop
     // GCM verification of the sealed item can catch the corruption.
-    let mut s = chaos_spec(FaultKind::Tamper);
+    let mut s = chaos_world(FaultKind::Tamper);
     s.faults.adversarial_tamper = true;
     let report = run(&s, |ctx| {
         if ctx.rank() == 0 {
@@ -534,7 +534,7 @@ fn adversarial_tamper_is_caught_by_hop_verification() {
 
 #[test]
 fn duplicated_frame_is_deduplicated() {
-    let s = chaos_spec(FaultKind::Duplicate);
+    let s = chaos_world(FaultKind::Duplicate);
     let report = run(&s, |ctx| {
         if ctx.rank() == 0 {
             ctx.send(1, 1, Parcel::one(Item::Plain(ctx.my_block(8))));
@@ -559,7 +559,7 @@ fn duplicated_frame_is_deduplicated() {
 fn reordered_frames_are_delivered_in_sequence_order() {
     // Frame 0 of tag 1 is held back past frame 1 of the same tag; the
     // receiver must still observe stream order (8 bytes then 16 bytes).
-    let s = chaos_spec(FaultKind::Reorder);
+    let s = chaos_world(FaultKind::Reorder);
     let report = run(&s, |ctx| {
         if ctx.rank() == 0 {
             ctx.send(1, 1, Parcel::one(Item::Plain(ctx.my_block(8))));
@@ -799,7 +799,7 @@ fn slices_of_one_buffer_are_safely_shared_across_threads() {
 // ----- crash tolerance --------------------------------------------------
 
 /// A 2-rank, 2-node spec whose fault plan kills rank 0 per `crash`.
-fn crash_spec(crash: Crash) -> WorldSpec {
+fn crash_world(crash: Crash) -> WorldSpec {
     let mut s = spec(2, 2);
     s.faults = FaultPlan {
         crashes: vec![crash],
@@ -814,7 +814,7 @@ fn soft_crash_resolves_blocked_recv_without_waiting_out_the_deadline() {
     // Rank 0 dies before its first send; rank 1 is blocked on that message.
     // The departure record must resolve the receive in milliseconds, not after
     // the 300 s recv_timeout or the full retry budget.
-    let mut s = crash_spec(Crash::before(0, 0));
+    let mut s = crash_world(Crash::before(0, 0));
     s.trace = true;
     let t0 = Instant::now();
     let report = run_crashable(&s, |ctx| {
@@ -853,7 +853,7 @@ fn soft_crash_resolves_blocked_recv_without_waiting_out_the_deadline() {
 #[test]
 fn crash_after_send_delivers_the_final_frame_first() {
     // `after_send` kills rank 0 *after* frame 0 left: rank 1 still gets it.
-    let report = run_crashable(&crash_spec(Crash::after(0, 0)), |ctx| {
+    let report = run_crashable(&crash_world(Crash::after(0, 0)), |ctx| {
         if ctx.rank() == 0 {
             ctx.send(1, 7, Parcel::one(Item::Plain(ctx.my_block(16))));
             unreachable!("rank 0 must die inside the send");
@@ -876,7 +876,7 @@ fn crash_after_send_delivers_the_final_frame_first() {
 fn hard_crash_is_suspected_after_silent_departure() {
     // A hard crash leaves no notice: survivors learn of it only from the
     // scheduler's departure record, suspected after the grace period.
-    let mut s = crash_spec(Crash::before(0, 0).hard());
+    let mut s = crash_world(Crash::before(0, 0).hard());
     s.suspect_after = Some(Duration::from_millis(100));
     let t0 = Instant::now();
     let report = run_crashable(&s, |ctx| {
@@ -995,7 +995,7 @@ fn crash_under_plain_run_surfaces_a_typed_error() {
     // Regression: `run` on a crash-injected world used to die on an opaque
     // `expect("rank produced no output")`-style panic; it must raise a
     // typed `CollectiveError` that `try_run` surfaces as a value.
-    let s = crash_spec(Crash::before(0, 0));
+    let s = crash_world(Crash::before(0, 0));
     let err = unwrap_err(
         try_run(&s, |ctx| {
             if ctx.rank() == 0 {
@@ -1107,7 +1107,7 @@ fn aborted_attempt_resolves_peers_blocked_in_their_own_attempts() {
     // Rank 1 abandons its attempt (as if cascading from a crash elsewhere);
     // rank 0, blocked inside its own attempt on rank 1's next message, must
     // resolve through the detector instead of timing out.
-    let mut s = crash_spec(Crash::before(2, 0)); // arms chaos; rank 2 absent
+    let mut s = crash_world(Crash::before(2, 0)); // arms chaos; rank 2 absent
     s.topology = Topology::new(2, 2, Mapping::Block);
     s.faults = FaultPlan {
         armed: true,

@@ -19,16 +19,7 @@ fn main() {
         Some("cyclic") => Mapping::Cyclic,
         _ => Mapping::Block,
     };
-    let cfg = SimConfig {
-        p,
-        nodes,
-        mapping,
-        profile: "noleland".into(),
-        reps: 3,
-        nic_contention: true,
-        data_seed: None,
-        suite: eag_runtime::CipherSuite::AesGcm128,
-    };
+    let cfg = SimConfig::contended(p, nodes, mapping, "noleland");
 
     println!(
         "best encrypted scheme by message size (p={p}, N={nodes}, {mapping} mapping)\n\

@@ -17,15 +17,22 @@
 //! * Agreement coordinators dying mid-broadcast, two per instance, or in
 //!   the confirming instance leave the survivors' decision uniform.
 
+use eag_bench::harness::crash_schedule_run;
+use eag_bench::SimConfig;
 use eag_core::{Algorithm, Collective};
-use eag_integration::{chaos_run, chaos_spec, crash_run, crash_schedule_run};
-use eag_netsim::{Crash, FaultKind, FaultPlan};
+use eag_integration::{chaos_config, chaos_run};
+use eag_netsim::{Crash, FaultKind, FaultPlan, Mapping};
 use eag_runtime::{try_run, FailureCause};
 use proptest::prelude::*;
 use std::time::{Duration, Instant};
 
 /// The fixed seed of the acceptance run (also CI's `chaos_sweep` default).
 const ACCEPT_SEED: u64 = 0xC0FFEE;
+
+/// The 6-rank / 2-node world the crash properties run in.
+fn crash_world() -> SimConfig {
+    SimConfig::deterministic(6, 2, Mapping::Block, "noleland")
+}
 
 #[test]
 fn canonical_mix_all_encrypted_algorithms_recover_byte_identical() {
@@ -67,7 +74,7 @@ fn adversarial_tamper_is_recovered_by_hop_verification() {
 fn dead_peer_during_collective_fails_with_typed_error_and_phase() {
     // Rank 1 exits without participating; its ring neighbour must fail fast
     // with a structured DeadPeer error whose phase names the algorithm.
-    let spec = chaos_spec(4, 2, FaultPlan::default());
+    let spec = chaos_config(4, 2).world_spec(FaultPlan::default());
     let err = try_run(&spec, |ctx| {
         if ctx.rank() == 1 {
             return Vec::new();
@@ -134,7 +141,12 @@ fn coordinator_deaths_keep_the_decision_uniform() {
     ]);
     for &algo in Algorithm::encrypted_all() {
         for crashes in &table {
-            let r = crash_schedule_run(Collective::Allgather(algo), 6, 2, 64, crashes.clone());
+            let r = crash_schedule_run(
+                &crash_world(),
+                Collective::Allgather(algo),
+                64,
+                crashes.clone(),
+            );
             assert!(
                 r.ok(),
                 "{algo} {crashes:?} broke the recovery contract: {r:?}"
@@ -202,7 +214,7 @@ proptest! {
             Crash::before(rank, step)
         };
         let t0 = Instant::now();
-        let r = crash_run(Collective::Allgather(algo), 6, 2, 64, crash);
+        let r = crash_schedule_run(&crash_world(), Collective::Allgather(algo), 64, vec![crash]);
         let elapsed = t0.elapsed();
         prop_assert!(
             elapsed < Duration::from_secs(30),
@@ -255,7 +267,7 @@ proptest! {
             Crash::before(rank2, step2)
         };
         let t0 = Instant::now();
-        let r = crash_schedule_run(Collective::Allgather(algo), 6, 2, 64, vec![first, second]);
+        let r = crash_schedule_run(&crash_world(), Collective::Allgather(algo), 64, vec![first, second]);
         let elapsed = t0.elapsed();
         prop_assert!(
             elapsed < Duration::from_secs(30),

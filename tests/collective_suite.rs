@@ -6,12 +6,19 @@
 //!
 //! CI runs this target as the `collective-suite` job.
 
+use eag_bench::harness::{crash_schedule_run, DATA_SEED};
+use eag_bench::SimConfig;
 use eag_core::{varying_lens, Algorithm, AlltoallAlgo, BcastAlgo, Collective, RootedAlgo};
-use eag_integration::{chaos_run, chaos_spec, crash_schedule_run, DATA_SEED};
-use eag_netsim::{Crash, FaultPlan};
+use eag_integration::{chaos_config, chaos_run};
+use eag_netsim::{Crash, FaultPlan, Mapping};
 use eag_runtime::try_run;
 
 const CHAOS_SEED: u64 = 0xC0FFEE;
+
+/// The 8-rank / 4-node world the crash cases run in.
+fn crash_world() -> SimConfig {
+    SimConfig::deterministic(8, 4, Mapping::Block, "noleland")
+}
 
 #[test]
 fn every_new_collective_recovers_from_canonical_chaos_mix() {
@@ -37,7 +44,7 @@ fn every_new_collective_survives_a_single_crash() {
             Collective::Scatter(RootedAlgo::Linear) | Collective::Scatterv(RootedAlgo::Linear) => 0,
             _ => 4,
         };
-        let r = crash_schedule_run(c, 8, 4, 64, vec![Crash::before(victim, 1)]);
+        let r = crash_schedule_run(&crash_world(), c, 64, vec![Crash::before(victim, 1)]);
         assert!(
             r.ok(),
             "{c}: single crash broke the recovery contract: {r:?}"
@@ -54,9 +61,8 @@ fn every_new_collective_survives_a_single_crash() {
 fn every_new_collective_survives_a_double_crash() {
     for c in Collective::new_operations_all() {
         let r = crash_schedule_run(
+            &crash_world(),
             c,
-            8,
-            4,
             64,
             vec![Crash::before(2, 1), Crash::before(5, 0).at_epoch(1)],
         );
@@ -82,7 +88,7 @@ fn rooted_collectives_degrade_cleanly_when_the_root_dies() {
         Collective::Scatter(RootedAlgo::Binomial),
         Collective::Scatterv(RootedAlgo::Binomial),
     ] {
-        let r = crash_schedule_run(c, 8, 4, 64, vec![Crash::before(0, 1)]);
+        let r = crash_schedule_run(&crash_world(), c, 64, vec![Crash::before(0, 1)]);
         assert!(r.ok(), "{c}: root death broke the recovery contract: {r:?}");
         if r.fired {
             assert_eq!(r.crashed, vec![0], "{c}");
@@ -95,7 +101,8 @@ fn varying_allgather_crash_preserves_variable_lengths_byte_identically() {
     // The satellite acceptance test: an allgatherv with per-rank lengths
     // survives a shrink — the survivors re-run with the *original*
     // lengths and every survivor's degraded output is byte-identical.
-    let (p, nodes, m) = (8usize, 4usize, 96usize);
+    let (cfg, m) = (crash_world(), 96usize);
+    let p = cfg.p;
     let lens = varying_lens(p, m);
     for algo in [
         Algorithm::ORing,  // group- and varying-capable: re-runs as itself
@@ -104,7 +111,7 @@ fn varying_allgather_crash_preserves_variable_lengths_byte_identically() {
         Algorithm::CRing, // varying but not group-capable: falls back to O-Ring
     ] {
         let c = Collective::Allgatherv(algo);
-        let r = crash_schedule_run(c, p, nodes, m, vec![Crash::before(3, 1)]);
+        let r = crash_schedule_run(&cfg, c, m, vec![Crash::before(3, 1)]);
         assert!(r.ok(), "{c}: crash broke the recovery contract: {r:?}");
         assert!(
             r.fired,
@@ -122,9 +129,8 @@ fn varying_allgather_crash_preserves_variable_lengths_byte_identically() {
     // never fires in its main phase; it still must complete cleanly under
     // the recovery wrapper (and would fall back to O-Ring on a shrink).
     let r = crash_schedule_run(
+        &cfg,
         Collective::Allgatherv(Algorithm::Hs2),
-        p,
-        nodes,
         m,
         vec![Crash::before(3, 1)],
     );
@@ -137,7 +143,12 @@ fn alltoall_double_crash_keeps_pairwise_outputs_consistent() {
     // with exactly the survivor-sourced blocks addressed to *it*.
     for variant in [AlltoallAlgo::Pairwise, AlltoallAlgo::Bruck] {
         let c = Collective::Alltoall(variant);
-        let r = crash_schedule_run(c, 8, 4, 64, vec![Crash::before(1, 2), Crash::before(6, 1)]);
+        let r = crash_schedule_run(
+            &crash_world(),
+            c,
+            64,
+            vec![Crash::before(1, 2), Crash::before(6, 1)],
+        );
         assert!(r.ok(), "{c}: {r:?}");
     }
 }
@@ -152,11 +163,14 @@ fn a_failing_collective_names_its_operation_as_the_phase() {
         (Collective::Scatterv(RootedAlgo::Linear), 0, "scatterv"),
         (Collective::Alltoall(AlltoallAlgo::Pairwise), 1, "alltoall"),
     ] {
-        let err = try_run(&chaos_spec(4, 2, FaultPlan::default()), move |ctx| {
-            if ctx.rank() != absent {
-                c.run(ctx, 64);
-            }
-        })
+        let err = try_run(
+            &chaos_config(4, 2).world_spec(FaultPlan::default()),
+            move |ctx| {
+                if ctx.rank() != absent {
+                    c.run(ctx, 64);
+                }
+            },
+        )
         .err()
         .expect("a collective with an absent rank must not succeed");
         assert_eq!(err.phase, phase, "{c}");
@@ -165,7 +179,7 @@ fn a_failing_collective_names_its_operation_as_the_phase() {
 
 #[test]
 fn data_seed_is_the_shared_chaos_seed() {
-    // The harness verifies against DATA_SEED; keep the constant pinned so
-    // recovery schedules in the bench layer stay comparable.
+    // Chaos and crash runs verify against one DATA_SEED; keep it pinned so
+    // the committed recovery cells stay comparable.
     assert_eq!(DATA_SEED, 7);
 }

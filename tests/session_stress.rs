@@ -6,12 +6,11 @@
 //! that the whole thing drains without deadlock (blocking admissions over
 //! a shared run-permit gate).
 
+use eag_bench::SimConfig;
 use eag_core::{Algorithm, Collective};
 use eag_crypto::Key;
 use eag_netsim::{profile, Crash, FaultPlan, Mapping, Topology};
-use eag_runtime::{
-    AdmitError, CipherSuite, DataMode, RetryPolicy, SessionConfig, SessionManager, WorldSpec,
-};
+use eag_runtime::{AdmitError, CipherSuite, DataMode, SessionConfig, SessionManager, WorldSpec};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
@@ -202,23 +201,15 @@ fn serialized_stress_reproduces_bit_identically() {
 
 /// The world one tenant's crash-recovery session runs: a 6-rank / 2-node
 /// crash-tolerant all-gather surviving a two-crash schedule.
-fn recovery_spec(seed: u64) -> WorldSpec {
-    let mut spec = WorldSpec::new(
-        Topology::new(6, 2, Mapping::Block),
-        profile::noleland(),
-        DataMode::Real { seed },
-    );
-    spec.faults = FaultPlan {
+fn recovery_world(seed: u64) -> WorldSpec {
+    let cfg = SimConfig {
+        data_seed: Some(seed),
+        ..SimConfig::deterministic(6, 2, Mapping::Block, "noleland")
+    };
+    cfg.world_spec(FaultPlan {
         crashes: vec![Crash::before(0, 0), Crash::before(3, 1)],
         ..FaultPlan::default()
-    };
-    spec.retry = RetryPolicy {
-        attempt_timeout: Duration::from_millis(20),
-        max_attempts: 10,
-        backoff: 1.5,
-    };
-    spec.recv_timeout = Some(Duration::from_secs(60));
-    spec
+    })
 }
 
 /// Backpressure keeps firing while the service is occupied by a tenant
@@ -244,7 +235,7 @@ fn flooding_tenant_is_shed_while_recovery_occupies_the_service() {
     let recovering = {
         let started = Arc::clone(&started);
         thread::spawn(move || {
-            let report = s1.run_crashable(&recovery_spec(seed), move |ctx| {
+            let report = s1.run_crashable(&recovery_world(seed), move |ctx| {
                 started.store(true, Ordering::SeqCst);
                 let out = Collective::Allgather(Algorithm::ORing).recover(ctx, 64);
                 out.verify(seed);
@@ -311,7 +302,7 @@ fn parked_tenant_holds_no_run_gate_permits() {
 
     let seed = SEED_BASE ^ 0xB;
     let s1 = mgr.admit(1).expect("empty service admits");
-    let report = s1.run_crashable(&recovery_spec(seed), move |ctx| {
+    let report = s1.run_crashable(&recovery_world(seed), move |ctx| {
         let out = Collective::Allgather(Algorithm::OBruck).recover(ctx, 64);
         out.verify(seed);
         out

@@ -1,21 +1,14 @@
 //! Virtual-time simulation properties: the cost model behaves like the
 //! paper's analysis says it should.
 
-use eag_bench::{simulate, SimConfig};
+use eag_bench::{simulate, SimConfig, Stats};
 use eag_core::{Algorithm, Collective};
-use eag_netsim::{profile, Mapping, Topology};
+use eag_netsim::{Mapping, Topology};
 use eag_runtime::{run, DataMode, WorldSpec};
 
 fn unit_latency(algo: Algorithm, p: usize, nodes: usize, m: usize) -> f64 {
-    let spec = WorldSpec::new(
-        Topology::new(p, nodes, Mapping::Block),
-        profile::unit(),
-        DataMode::Phantom,
-    );
-    let report = run(&spec, move |ctx| {
-        Collective::Allgather(algo).run(ctx, m).verify(0);
-    });
-    report.latency_us
+    let cfg = SimConfig::deterministic(p, nodes, Mapping::Block, "unit");
+    simulate(&cfg, Collective::Allgather(algo), m).0
 }
 
 /// In the unit Hockney model (uniform links, free crypto-wise? no — unit
@@ -60,26 +53,16 @@ fn naive_matches_model_sum() {
 /// Latency is monotone in message size for every algorithm.
 #[test]
 fn latency_monotone_in_size() {
-    let cfg = SimConfig {
-        p: 16,
-        nodes: 4,
-        mapping: Mapping::Block,
-        profile: "noleland".into(),
-        reps: 1,
-        nic_contention: false,
-        data_seed: None,
-        suite: eag_runtime::CipherSuite::AesGcm128,
-    };
+    let cfg = SimConfig::deterministic(16, 4, Mapping::Block, "noleland");
     for &algo in Algorithm::all() {
         let mut prev = 0.0;
         for m in [1usize, 256, 4 * 1024, 64 * 1024] {
-            let s = simulate(&cfg, Collective::Allgather(algo), m);
+            let latency = simulate(&cfg, Collective::Allgather(algo), m).0;
             assert!(
-                s.mean >= prev,
-                "{algo}: latency not monotone at m={m} ({} < {prev})",
-                s.mean
+                latency >= prev,
+                "{algo}: latency not monotone at m={m} ({latency} < {prev})"
             );
-            prev = s.mean;
+            prev = latency;
         }
     }
 }
@@ -88,20 +71,11 @@ fn latency_monotone_in_size() {
 /// (C-Ring, C-RD, HS2) beats Naive by a wide margin on Noleland.
 #[test]
 fn concurrent_family_beats_naive_at_large_sizes() {
-    let cfg = SimConfig {
-        p: 32,
-        nodes: 4,
-        mapping: Mapping::Block,
-        profile: "noleland".into(),
-        reps: 1,
-        nic_contention: true,
-        data_seed: None,
-        suite: eag_runtime::CipherSuite::AesGcm128,
-    };
+    let cfg = SimConfig::contended(32, 4, Mapping::Block, "noleland");
     let m = 512 * 1024;
-    let naive = simulate(&cfg, Collective::Allgather(Algorithm::Naive), m).mean;
+    let naive = simulate(&cfg, Collective::Allgather(Algorithm::Naive), m).0;
     for algo in [Algorithm::CRing, Algorithm::CRd] {
-        let t = simulate(&cfg, Collective::Allgather(algo), m).mean;
+        let t = simulate(&cfg, Collective::Allgather(algo), m).0;
         assert!(
             t < 0.9 * naive,
             "{algo}: {t:.0} µs not below Naive {naive:.0} µs"
@@ -109,7 +83,7 @@ fn concurrent_family_beats_naive_at_large_sizes() {
     }
     // HS2 additionally avoids the intra-node channel entirely (shared
     // memory), so its win is much larger.
-    let hs2 = simulate(&cfg, Collective::Allgather(Algorithm::Hs2), m).mean;
+    let hs2 = simulate(&cfg, Collective::Allgather(Algorithm::Hs2), m).0;
     assert!(
         hs2 < 0.5 * naive,
         "HS2: {hs2:.0} µs not well below Naive {naive:.0} µs"
@@ -120,21 +94,12 @@ fn concurrent_family_beats_naive_at_large_sizes() {
 /// round-heavy ones (O-Ring, C-Ring) — the paper's small-message story.
 #[test]
 fn round_efficient_algorithms_win_small_messages() {
-    let cfg = SimConfig {
-        p: 64,
-        nodes: 8,
-        mapping: Mapping::Block,
-        profile: "noleland".into(),
-        reps: 1,
-        nic_contention: true,
-        data_seed: None,
-        suite: eag_runtime::CipherSuite::AesGcm128,
-    };
+    let cfg = SimConfig::contended(64, 8, Mapping::Block, "noleland");
     let m = 4;
-    let o_ring = simulate(&cfg, Collective::Allgather(Algorithm::ORing), m).mean;
-    let c_ring = simulate(&cfg, Collective::Allgather(Algorithm::CRing), m).mean;
+    let o_ring = simulate(&cfg, Collective::Allgather(Algorithm::ORing), m).0;
+    let c_ring = simulate(&cfg, Collective::Allgather(Algorithm::CRing), m).0;
     for algo in [Algorithm::ORd2, Algorithm::Hs1] {
-        let t = simulate(&cfg, Collective::Allgather(algo), m).mean;
+        let t = simulate(&cfg, Collective::Allgather(algo), m).0;
         assert!(t < o_ring, "{algo} {t:.2} vs O-Ring {o_ring:.2}");
         assert!(t < c_ring, "{algo} {t:.2} vs C-Ring {c_ring:.2}");
     }
@@ -144,25 +109,16 @@ fn round_efficient_algorithms_win_small_messages() {
 /// O-RD better for large ones (the merge-recrypt trade-off).
 #[test]
 fn o_rd2_crossover() {
-    let cfg = SimConfig {
-        p: 64,
-        nodes: 8,
-        mapping: Mapping::Block,
-        profile: "noleland".into(),
-        reps: 1,
-        nic_contention: false,
-        data_seed: None,
-        suite: eag_runtime::CipherSuite::AesGcm128,
-    };
+    let cfg = SimConfig::deterministic(64, 8, Mapping::Block, "noleland");
     let small = 4;
     assert!(
-        simulate(&cfg, Collective::Allgather(Algorithm::ORd2), small).mean
-            <= simulate(&cfg, Collective::Allgather(Algorithm::ORd), small).mean
+        simulate(&cfg, Collective::Allgather(Algorithm::ORd2), small).0
+            <= simulate(&cfg, Collective::Allgather(Algorithm::ORd), small).0
     );
     let large = 512 * 1024;
     assert!(
-        simulate(&cfg, Collective::Allgather(Algorithm::ORd), large).mean
-            < simulate(&cfg, Collective::Allgather(Algorithm::ORd2), large).mean
+        simulate(&cfg, Collective::Allgather(Algorithm::ORd), large).0
+            < simulate(&cfg, Collective::Allgather(Algorithm::ORd2), large).0
     );
 }
 
@@ -170,43 +126,32 @@ fn o_rd2_crossover() {
 /// HS2 better for large (less data encrypted).
 #[test]
 fn hs1_hs2_crossover() {
-    let cfg = SimConfig {
-        p: 64,
-        nodes: 8,
-        mapping: Mapping::Block,
-        profile: "noleland".into(),
-        reps: 1,
-        nic_contention: false,
-        data_seed: None,
-        suite: eag_runtime::CipherSuite::AesGcm128,
-    };
+    let cfg = SimConfig::deterministic(64, 8, Mapping::Block, "noleland");
     assert!(
-        simulate(&cfg, Collective::Allgather(Algorithm::Hs1), 1).mean
-            <= simulate(&cfg, Collective::Allgather(Algorithm::Hs2), 1).mean
+        simulate(&cfg, Collective::Allgather(Algorithm::Hs1), 1).0
+            <= simulate(&cfg, Collective::Allgather(Algorithm::Hs2), 1).0
     );
     let large = 1024 * 1024;
     assert!(
-        simulate(&cfg, Collective::Allgather(Algorithm::Hs2), large).mean
-            < simulate(&cfg, Collective::Allgather(Algorithm::Hs1), large).mean
+        simulate(&cfg, Collective::Allgather(Algorithm::Hs2), large).0
+            < simulate(&cfg, Collective::Allgather(Algorithm::Hs1), large).0
     );
 }
 
-/// Without NIC contention the simulation is fully deterministic.
+/// Without NIC contention the simulation is fully deterministic: repeated
+/// runs of one cell agree bit for bit.
 #[test]
 fn no_contention_is_deterministic() {
-    let cfg = SimConfig {
-        p: 32,
-        nodes: 4,
-        mapping: Mapping::Cyclic,
-        profile: "bridges2".into(),
-        reps: 5,
-        nic_contention: false,
-        data_seed: None,
-        suite: eag_runtime::CipherSuite::AesGcm128,
-    };
+    let cfg = SimConfig::deterministic(32, 4, Mapping::Cyclic, "bridges2");
     for algo in [Algorithm::Naive, Algorithm::CRd, Algorithm::Hs1] {
-        let s = simulate(&cfg, Collective::Allgather(algo), 4096);
-        assert_eq!(s.min, s.max, "{algo}");
+        let first = simulate(&cfg, Collective::Allgather(algo), 4096).0;
+        for _ in 0..4 {
+            assert_eq!(
+                simulate(&cfg, Collective::Allgather(algo), 4096).0,
+                first,
+                "{algo}"
+            );
+        }
     }
 }
 
@@ -214,18 +159,12 @@ fn no_contention_is_deterministic() {
 /// measured standard deviations are within 10% of the mean).
 #[test]
 fn contention_noise_is_bounded() {
-    let cfg = SimConfig {
-        p: 32,
-        nodes: 4,
-        mapping: Mapping::Block,
-        profile: "noleland".into(),
-        reps: 5,
-        nic_contention: true,
-        data_seed: None,
-        suite: eag_runtime::CipherSuite::AesGcm128,
-    };
+    let cfg = SimConfig::contended(32, 4, Mapping::Block, "noleland");
     for algo in [Algorithm::Mvapich, Algorithm::CRing, Algorithm::Hs2] {
-        let s = simulate(&cfg, Collective::Allgather(algo), 64 * 1024);
+        let samples: Vec<f64> = (0..5)
+            .map(|_| simulate(&cfg, Collective::Allgather(algo), 64 * 1024).0)
+            .collect();
+        let s = Stats::of(&samples);
         assert!(
             s.std_dev <= 0.10 * s.mean,
             "{algo}: std {} vs mean {}",
@@ -239,20 +178,11 @@ fn contention_noise_is_bounded() {
 /// for large messages, as in the paper's Table VI.
 #[test]
 fn bridges2_reduced_scale_ranking() {
-    let cfg = SimConfig {
-        p: 128,
-        nodes: 16,
-        mapping: Mapping::Block,
-        profile: "bridges2".into(),
-        reps: 1,
-        nic_contention: true,
-        data_seed: None,
-        suite: eag_runtime::CipherSuite::AesGcm128,
-    };
+    let cfg = SimConfig::contended(128, 16, Mapping::Block, "bridges2");
     let m = 64 * 1024;
-    let hs2 = simulate(&cfg, Collective::Allgather(Algorithm::Hs2), m).mean;
-    let naive = simulate(&cfg, Collective::Allgather(Algorithm::Naive), m).mean;
-    let mpi = simulate(&cfg, Collective::Allgather(Algorithm::Mvapich), m).mean;
+    let hs2 = simulate(&cfg, Collective::Allgather(Algorithm::Hs2), m).0;
+    let naive = simulate(&cfg, Collective::Allgather(Algorithm::Naive), m).0;
+    let mpi = simulate(&cfg, Collective::Allgather(Algorithm::Mvapich), m).0;
     assert!(
         hs2 < mpi,
         "HS2 {hs2:.0} should beat unencrypted MPI {mpi:.0}"
@@ -265,24 +195,15 @@ fn bridges2_reduced_scale_ranking() {
 /// good enough to drive online selection.
 #[test]
 fn recommender_tracks_the_simulated_best() {
-    let cfg = SimConfig {
-        p: 64,
-        nodes: 8,
-        mapping: Mapping::Block,
-        profile: "noleland".into(),
-        reps: 1,
-        nic_contention: false,
-        data_seed: None,
-        suite: eag_runtime::CipherSuite::AesGcm128,
-    };
+    let cfg = SimConfig::deterministic(64, 8, Mapping::Block, "noleland");
     let model = cfg.cluster_profile().model;
     for m in [4usize, 1024, 64 * 1024, 1024 * 1024] {
         let pick = eag_core::recommend(64, 8, m, &model);
-        let picked = simulate(&cfg, Collective::Allgather(pick), m).mean;
+        let picked = simulate(&cfg, Collective::Allgather(pick), m).0;
         let best = Algorithm::encrypted_all()
             .iter()
             .filter(|&&a| a != Algorithm::Naive)
-            .map(|&a| simulate(&cfg, Collective::Allgather(a), m).mean)
+            .map(|&a| simulate(&cfg, Collective::Allgather(a), m).0)
             .fold(f64::INFINITY, f64::min);
         assert!(
             picked <= 2.5 * best,
@@ -322,7 +243,6 @@ fn ring_forwarding_overlaps_decryption() {
                 dec_alpha_us: 50.0,
                 dec_bandwidth: f64::INFINITY,
             },
-            fabric: None,
         },
     };
     let spec = WorldSpec::new(
@@ -341,65 +261,5 @@ fn ring_forwarding_overlaps_decryption() {
         report.latency_us < 900.0,
         "decryption not overlapped: {:.1} µs",
         report.latency_us
-    );
-}
-
-/// Under an oversubscribed two-level fabric, the node-ordered ring (which
-/// crosses leaf boundaries only at leaf edges) beats recursive doubling
-/// (whose large rounds all cross the core) — the locality effect the
-/// related work's topology-aware collectives exploit.
-#[test]
-fn oversubscribed_fabric_rewards_locality() {
-    use eag_netsim::FabricModel;
-    let mut profile = profile::noleland();
-    // 4 leaves of 2 nodes; uplinks at 1/4 of the NIC rate (4:1 oversub).
-    profile.model.fabric = Some(FabricModel {
-        nodes_per_leaf: 2,
-        uplink_bandwidth: profile.model.nic_bandwidth / 4.0,
-        extra_alpha_us: 1.0,
-    });
-    let latency = |algo: Algorithm| {
-        let spec = WorldSpec::new(
-            Topology::new(32, 8, Mapping::Block),
-            profile.clone(),
-            DataMode::Phantom,
-        );
-        let samples: Vec<f64> = (0..3)
-            .map(|_| {
-                run(&spec, move |ctx| {
-                    Collective::Allgather(algo).run(ctx, 256 * 1024).verify(0);
-                })
-                .latency_us
-            })
-            .collect();
-        samples.iter().sum::<f64>() / samples.len() as f64
-    };
-    let c_ring = latency(Algorithm::CRing);
-    let c_rd = latency(Algorithm::CRd);
-    assert!(
-        c_ring < c_rd,
-        "fabric should favor the ring's locality: C-Ring {c_ring:.0} vs C-RD {c_rd:.0}"
-    );
-
-    // And the same algorithms without a fabric are within noise of each
-    // other (the full-bisection baseline).
-    let mut flat = profile.clone();
-    flat.model.fabric = None;
-    let flat_latency = |algo: Algorithm| {
-        let spec = WorldSpec::new(
-            Topology::new(32, 8, Mapping::Block),
-            flat.clone(),
-            DataMode::Phantom,
-        );
-        run(&spec, move |ctx| {
-            Collective::Allgather(algo).run(ctx, 256 * 1024).verify(0);
-        })
-        .latency_us
-    };
-    let fr = flat_latency(Algorithm::CRing);
-    let fd = flat_latency(Algorithm::CRd);
-    assert!(
-        (fr - fd).abs() / fr < 0.25,
-        "flat network: C-Ring {fr:.0} vs C-RD {fd:.0} should be comparable"
     );
 }
