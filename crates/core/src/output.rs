@@ -8,7 +8,7 @@
 //! expects every slot, but filled with pair-keyed blocks verified by
 //! [`GatherOutput::verify_pairwise`].
 
-use eag_runtime::{pattern_block, pattern_block_pair, Chunk, Data, Item};
+use eag_runtime::{pattern_block_matches, pattern_block_pair_matches, Chunk, Data, Item};
 
 /// The assembled result of an all-gather at one process: one block per rank.
 ///
@@ -158,8 +158,9 @@ impl GatherOutput {
             let chunk = block.as_ref().unwrap();
             assert_eq!(chunk.data.len(), self.lens[rank]);
             if let Data::Real(bytes) = &chunk.data {
-                let expect = pattern_block(seed, rank, self.lens[rank]);
-                assert_eq!(bytes, &expect, "rank {rank}'s block corrupted in transit");
+                if let Err(at) = pattern_block_matches(seed, rank, bytes) {
+                    panic!("rank {rank}'s block corrupted in transit: first differing byte at offset {at}");
+                }
             }
         }
     }
@@ -196,8 +197,9 @@ impl GatherOutput {
             let chunk = block.as_ref().unwrap();
             assert_eq!(chunk.data.len(), self.lens[src]);
             if let Data::Real(bytes) = &chunk.data {
-                let expect = pattern_block_pair(seed, src, dst, self.lens[src]);
-                assert_eq!(bytes, &expect, "block {src}->{dst} corrupted in transit");
+                if let Err(at) = pattern_block_pair_matches(seed, src, dst, bytes) {
+                    panic!("block {src}->{dst} corrupted in transit: first differing byte at offset {at}");
+                }
             }
         }
     }
@@ -291,6 +293,7 @@ impl DegradedOutput {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use eag_runtime::{pattern_block, pattern_block_pair};
 
     /// A world output: `p` expected blocks of `m` bytes.
     fn full(p: usize, m: usize) -> GatherOutput {
@@ -366,6 +369,70 @@ mod tests {
         let mut out = full(1, 8);
         out.place(Chunk::single(0, Data::Real(vec![0; 8].into())));
         out.verify(11);
+    }
+
+    /// `f`'s panic message; fails the test when `f` returns.
+    fn panic_message(f: impl FnOnce()) -> String {
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
+            .expect_err("verification accepted a wrong block");
+        err.downcast_ref::<String>().cloned().unwrap_or_default()
+    }
+
+    #[test]
+    fn verify_names_the_first_flipped_byte() {
+        let (seed, m) = (11, 9000);
+        // Three segments of 4099, 4091 and 810 bytes: no boundary falls on
+        // a word, and the first two span more than one comparison window.
+        let segmented = || {
+            let bytes = pattern_block(seed, 1, m);
+            let mut data = Data::Real(bytes[..4099].to_vec().into());
+            if let Data::Real(rope) = &mut data {
+                rope.append(bytes[4099..8190].to_vec().into());
+                rope.append(bytes[8190..].to_vec().into());
+                assert_eq!(rope.segment_count(), 3);
+            }
+            data
+        };
+        let output = |block: Data| {
+            let mut out = full(2, m);
+            out.place(Chunk::single(
+                0,
+                Data::Real(pattern_block(seed, 0, m).into()),
+            ));
+            out.place(Chunk::single(1, block));
+            out
+        };
+        output(segmented()).verify(seed);
+        for at in [0, m / 2, m - 1, 4098, 4099, 8189, 8190] {
+            let mut block = segmented();
+            if let Data::Real(rope) = &mut block {
+                rope.xor_byte(at, 0x80);
+            }
+            let out = output(block);
+            let msg = panic_message(|| out.verify(seed));
+            let want =
+                format!("rank 1's block corrupted in transit: first differing byte at offset {at}");
+            assert_eq!(msg, want);
+        }
+    }
+
+    #[test]
+    fn verify_pairwise_rejects_mirrored_and_reseeded_blocks() {
+        let (seed, dst, m) = (5, 1, 24);
+        let output = |from_0: Vec<u8>| {
+            let mut out = full(2, m);
+            out.place(chunk(0, from_0));
+            out.place(chunk(1, pattern_block_pair(seed, 1, dst, m)));
+            out
+        };
+        output(pattern_block_pair(seed, 0, dst, m)).verify_pairwise(seed, dst);
+        let mirrored = pattern_block_pair(seed, dst, 0, m);
+        let reseeded = pattern_block_pair(seed + 1, 0, dst, m);
+        for wrong in [mirrored, reseeded] {
+            let out = output(wrong);
+            let msg = panic_message(|| out.verify_pairwise(seed, dst));
+            assert!(msg.starts_with("block 0->1 corrupted in transit"), "{msg}");
+        }
     }
 
     #[test]

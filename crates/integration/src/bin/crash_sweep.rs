@@ -29,7 +29,7 @@ use eag_bench::harness::{crash_schedule_run, CrashRunReport};
 use eag_bench::SimConfig;
 use eag_core::{Algorithm, Collective};
 use eag_integration::render_crash_markdown_table;
-use eag_netsim::{Crash, Mapping};
+use eag_netsim::{splitmix64, Crash, Mapping};
 
 const P: usize = 6;
 const NODES: usize = 2;
@@ -59,11 +59,9 @@ fn config() -> SimConfig {
 
 /// splitmix64 — the deterministic stream all f ≥ 2 schedules draw from.
 fn splitmix(state: &mut u64) -> u64 {
+    let z = splitmix64(*state);
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    z
 }
 
 fn label(c: &Crash) -> String {

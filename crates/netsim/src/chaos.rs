@@ -214,14 +214,6 @@ impl Default for FaultPlan {
     }
 }
 
-/// splitmix64 — the statelessly-seedable mixer used for fault decisions.
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 impl FaultPlan {
     /// An all-zero plan with the given seed (faults armed one knob at a
     /// time by the caller).
@@ -304,7 +296,7 @@ impl FaultPlan {
         }
         let mut h = self.seed ^ 0x6A09_E667_F3BC_C908;
         for word in [src as u64, dst as u64, tag, seq, attempt as u64] {
-            h = splitmix64(h ^ word);
+            h = crate::splitmix64(h ^ word);
         }
         let roll = (h % 1000) as u32;
         let mut edge = self.drop_permille as u32;

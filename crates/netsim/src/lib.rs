@@ -49,3 +49,17 @@ pub use model::{CostModel, CryptoCost, LinkClass, LinkCost};
 pub use profile::ClusterProfile;
 pub use topology::{Mapping, Rank, Topology};
 pub use wiretap::{FrameKind, FrameRecord, Wiretap};
+
+/// splitmix64: one Weyl step (`z + γ`, γ = 2⁶⁴/φ) then the finalizer, a
+/// full-avalanche bijection on `u64`. The workspace's one copy: fault
+/// decisions, per-rank seeds, the crash sweep's schedule stream and the
+/// payload pattern (word `i` of a stream keyed by `k` is
+/// `splitmix64(k + i·γ)`) all call it, so no second generator can drift
+/// from the one that makes the inputs.
+#[inline]
+pub fn splitmix64(z: u64) -> u64 {
+    let mut z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}

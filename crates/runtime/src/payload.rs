@@ -405,37 +405,158 @@ impl Parcel {
 /// Deterministic test pattern for rank `origin`'s block: high-entropy-looking
 /// but reproducible, so receivers can verify content without communication.
 pub fn pattern_block(seed: u64, origin: Rank, len: usize) -> Vec<u8> {
-    // splitmix64 stream keyed by (seed, origin).
-    splitmix_stream(
-        seed ^ (origin as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-        len,
-    )
+    stream(origin_key(seed, origin), len)
 }
 
 /// Deterministic test pattern for the *personalized* block rank `src` sends
 /// to rank `dst` (all-to-all traffic): keyed by the ordered pair, so the
 /// (0→1) block differs from (1→0) and from either rank's `pattern_block`.
 pub fn pattern_block_pair(seed: u64, src: Rank, dst: Rank, len: usize) -> Vec<u8> {
-    let key = seed
-        ^ (src as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        ^ (dst as u64).wrapping_mul(0xA076_1D64_78BD_642F);
-    splitmix_stream(key, len)
+    stream(pair_key(seed, src, dst), len)
 }
 
-fn splitmix_stream(key: u64, len: usize) -> Vec<u8> {
-    let mut state = key;
-    let mut out = Vec::with_capacity(len);
-    while out.len() < len {
-        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^= z >> 31;
-        let bytes = z.to_le_bytes();
-        let take = bytes.len().min(len - out.len());
-        out.extend_from_slice(&bytes[..take]);
+/// Checks `block` against `pattern_block(seed, origin, block.len())` without
+/// building it: `Err(i)` names the first differing byte offset.
+pub fn pattern_block_matches(seed: u64, origin: Rank, block: &Rope) -> Result<(), usize> {
+    stream_matches(origin_key(seed, origin), block)
+}
+
+/// Checks `block` against `pattern_block_pair(seed, src, dst, block.len())`
+/// without building it: `Err(i)` names the first differing byte offset.
+pub fn pattern_block_pair_matches(
+    seed: u64,
+    src: Rank,
+    dst: Rank,
+    block: &Rope,
+) -> Result<(), usize> {
+    stream_matches(pair_key(seed, src, dst), block)
+}
+
+// The pattern format. Byte `b` of the stream keyed by `key` is byte `b % 8`
+// of the little-endian word `splitmix64(key + (b / 8)·γ)`: every word is
+// independent of the others, so the kernel has no loop-carried chain and
+// vectorizes, and any window of the stream can be made without its prefix.
+
+const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
+fn origin_key(seed: u64, origin: Rank) -> u64 {
+    seed ^ (origin as u64).wrapping_mul(GAMMA)
+}
+
+fn pair_key(seed: u64, src: Rank, dst: Rank) -> u64 {
+    origin_key(seed, src) ^ (dst as u64).wrapping_mul(0xA076_1D64_78BD_642F)
+}
+
+/// The kernel: words `first, first + 1, …` of the stream over `out`, whole
+/// 8-byte words only (a trailing `out.len() % 8` bytes are left alone).
+#[inline(always)]
+fn words(key: u64, first: u64, out: &mut [u8]) {
+    let mut z = key.wrapping_add(first.wrapping_mul(GAMMA));
+    for w in out.chunks_exact_mut(8) {
+        w.copy_from_slice(&eag_netsim::splitmix64(z).to_le_bytes());
+        z = z.wrapping_add(GAMMA);
     }
+}
+
+/// A compiled copy of [`words`].
+type Kernel = fn(u64, u64, &mut [u8]);
+
+/// [`words`] in baseline code: the tier every CPU runs, and the reference
+/// the wide tier is tested against.
+fn words_portable(key: u64, first: u64, out: &mut [u8]) {
+    words(key, first, out)
+}
+
+/// [`words`] with AVX-512's native 64-bit lane multiply (`vpmullq`).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512dq,avx512vl")]
+fn words_wide(key: u64, first: u64, out: &mut [u8]) {
+    words(key, first, out)
+}
+
+/// Word `i` of the stream, for a window that starts or ends inside a word.
+fn word(key: u64, i: u64) -> [u8; 8] {
+    let mut w = [0; 8];
+    words(key, i, &mut w);
+    w
+}
+
+/// True when this CPU runs [`words_wide`]. The standard library caches the
+/// CPUID probe at first use, so this is three relaxed loads per call.
+#[cfg(target_arch = "x86_64")]
+fn has_wide() -> bool {
+    !cfg!(miri)
+        && std::arch::is_x86_feature_detected!("avx512f")
+        && std::arch::is_x86_feature_detected!("avx512dq")
+        && std::arch::is_x86_feature_detected!("avx512vl")
+}
+
+/// The widest tier this CPU runs.
+fn kernel() -> Kernel {
+    #[cfg(target_arch = "x86_64")]
+    if has_wide() {
+        return |key, first, out| {
+            // SAFETY: this closure is returned only after `has_wide` saw
+            // avx512f, avx512dq and avx512vl on this CPU, the features
+            // `words_wide` is compiled for.
+            unsafe { words_wide(key, first, out) }
+        };
+    }
+    words_portable
+}
+
+/// Stream bytes `[from, from + out.len())` of the stream keyed by `key`;
+/// `from` may fall inside a word. `kernel` makes the whole words.
+fn fill(kernel: Kernel, key: u64, from: usize, mut out: &mut [u8]) {
+    let mut i = (from / 8) as u64;
+    let skip = from % 8;
+    if skip != 0 && !out.is_empty() {
+        let take = (8 - skip).min(out.len());
+        out[..take].copy_from_slice(&word(key, i)[skip..skip + take]);
+        out = &mut out[take..];
+        i += 1;
+    }
+    let whole = out.len() - out.len() % 8;
+    let (body, tail) = out.split_at_mut(whole);
+    kernel(key, i, body);
+    if !tail.is_empty() {
+        let n = tail.len();
+        tail.copy_from_slice(&word(key, i + (whole / 8) as u64)[..n]);
+    }
+}
+
+fn stream(key: u64, len: usize) -> Vec<u8> {
+    let mut out = vec![0; len];
+    fill(kernel(), key, 0, &mut out);
     out
+}
+
+/// Stream bytes made per comparison: the window and the block bytes it is
+/// compared with stay in L1.
+const WINDOW: usize = 4096;
+
+/// Compares `block` with the stream one window at a time, segment by
+/// segment, so the expected block is never built.
+fn stream_matches(key: u64, block: &Rope) -> Result<(), usize> {
+    let kernel = kernel();
+    let mut window = [0u8; WINDOW];
+    let mut at = 0;
+    for seg in block.segments() {
+        for got in seg.chunks(WINDOW) {
+            let want = &mut window[..got.len()];
+            fill(kernel, key, at, want);
+            if got != want {
+                let i = got
+                    .iter()
+                    .zip(want.iter())
+                    .take_while(|(g, w)| g == w)
+                    .count();
+                return Err(at + i);
+            }
+            at += got.len();
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -629,5 +750,105 @@ mod tests {
         assert_ne!(a, c);
         assert_ne!(a, d);
         assert_eq!(pattern_block(7, 0, 5).len(), 5);
+    }
+
+    /// The stream loop the word kernel replaced, kept word for word as the
+    /// reference every tier must reproduce.
+    fn splitmix_stream(key: u64, len: usize) -> Vec<u8> {
+        let mut state = key;
+        let mut out = Vec::with_capacity(len);
+        while out.len() < len {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^= z >> 31;
+            let bytes = z.to_le_bytes();
+            let take = bytes.len().min(len - out.len());
+            out.extend_from_slice(&bytes[..take]);
+        }
+        out
+    }
+
+    /// Every tail shape, both sides of a 256-byte block, and one and many
+    /// comparison windows (the last two too slow under Miri).
+    fn lengths() -> Vec<usize> {
+        let mut lens: Vec<usize> = (0..=72).chain([255, 256, 257]).collect();
+        if !cfg!(miri) {
+            lens.extend([16 << 10, 256 << 10]);
+        }
+        lens
+    }
+
+    /// Every tier this CPU runs.
+    fn tiers() -> Vec<(&'static str, Kernel)> {
+        #[allow(unused_mut)]
+        let mut tiers: Vec<(&'static str, Kernel)> = vec![("portable", words_portable)];
+        #[cfg(target_arch = "x86_64")]
+        if has_wide() {
+            tiers.push(("wide", kernel()));
+        }
+        tiers
+    }
+
+    #[test]
+    fn every_tier_reproduces_the_reference_stream_from_any_offset() {
+        for (tier, kernel) in tiers() {
+            for len in lengths() {
+                for key in [0, 0x5EED, u64::MAX] {
+                    let want = splitmix_stream(key, len + 9);
+                    for from in [0, 1, 3, 8, 9] {
+                        let mut got = vec![0xAA; len];
+                        fill(kernel, key, from, &mut got);
+                        assert!(
+                            got == want[from..from + len],
+                            "{tier} tier: key {key:#x}, bytes {from}..{}",
+                            from + len
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn pattern_blocks_keep_their_bytes() {
+        let (seed, src, dst) = (0xC0FFEE, 5, 9);
+        for len in lengths() {
+            let origin_key = seed ^ (src as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            let pair_key = origin_key ^ (dst as u64).wrapping_mul(0xA076_1D64_78BD_642F);
+            assert!(pattern_block(seed, src, len) == splitmix_stream(origin_key, len));
+            assert!(pattern_block_pair(seed, src, dst, len) == splitmix_stream(pair_key, len));
+        }
+    }
+
+    #[test]
+    fn matcher_finds_the_first_differing_byte_across_segments() {
+        let (seed, src, dst) = (3, 1, 2);
+        for len in lengths() {
+            // Segments of 1, 3, 7, 15, … bytes: every segment after the
+            // first starts inside a word, and the long ones span windows.
+            let bytes = pattern_block(seed, src, len);
+            let mut rope = Rope::new();
+            let (mut at, mut step) = (0, 1);
+            while at < len {
+                let end = (at + step).min(len);
+                rope.append(bytes[at..end].to_vec().into());
+                (at, step) = (end, 2 * step + 1);
+            }
+            assert_eq!(pattern_block_matches(seed, src, &rope), Ok(()));
+            if len == 0 {
+                continue;
+            }
+            assert_eq!(pattern_block_matches(seed + 1, src, &rope), Err(0));
+            for i in [0, len / 2, len - 1] {
+                let mut bad = rope.clone();
+                bad.xor_byte(i, 1);
+                assert_eq!(pattern_block_matches(seed, src, &bad), Err(i));
+            }
+            let pair = Rope::from(pattern_block_pair(seed, src, dst, len));
+            assert_eq!(pattern_block_pair_matches(seed, src, dst, &pair), Ok(()));
+            assert!(pattern_block_pair_matches(seed, dst, src, &pair).is_err());
+        }
     }
 }

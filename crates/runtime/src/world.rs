@@ -1401,11 +1401,7 @@ impl<T> CrashReport<T> {
 /// stream seeded with the raw world seed, correlating it with every other
 /// consumer of that seed.
 fn mix_rank_seed(seed: u64, rank: Rank) -> u64 {
-    let mut z = seed ^ (rank as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    eag_netsim::splitmix64(seed ^ (rank as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
 }
 
 /// Run-permit gate for a spec: the explicit shared gate if one was
