@@ -7,7 +7,9 @@
 //! member list `0..p`, a fixed-length all-gather is the uniform-`lens`
 //! case of the varying one (as Träff treats regular collectives). It is
 //! reached only through [`crate::Collective::run_with`], which checks the
-//! capability predicates below once.
+//! capability predicates below once. Each arm is a walk of
+//! [`crate::collective`] plus a rule: plain items, or the opportunistic
+//! holdings of [`crate::encrypted`].
 
 use crate::collective::{bruck_allgather_items, rd_allgather_items, ring_allgather_items};
 use crate::encrypted::{
@@ -248,7 +250,7 @@ pub(crate) fn allgather_over(
             out.place_items(items);
         }
         Bruck => {
-            let items = bruck_allgather_items(ctx, members, Item::Plain(mine), PHASE_MAIN);
+            let items = bruck_allgather_items(ctx, members, vec![Item::Plain(mine)], PHASE_MAIN);
             out.place_items(items);
         }
         Hierarchical => hierarchical(ctx, mine, out),

@@ -1,11 +1,17 @@
-//! Generic, crypto-oblivious item movers, plus the crash-recovery driver.
+//! The item walks — the communication patterns every all-gather,
+//! broadcast and gather kernel moves its blocks with — plus the
+//! crash-recovery driver.
 //!
-//! These primitives move opaque [`Item`]s (plaintext or sealed) among an
-//! ordered member list with the classic all-gather communication patterns:
-//! ring, recursive doubling (general member counts via fold/unfold), and
-//! Bruck. They do no encryption themselves; the encrypted algorithms either
-//! pre-seal items (Naive, the Concurrent sub-gathers, HS) or use the
-//! crypto-aware movers in [`crate::encrypted`].
+//! Each walk (ring, recursive doubling with fold/unfold for any member
+//! count, Bruck, binomial broadcast, linear gather) exists once, generic
+//! over what a rank holds (the `Holdings` bound). A walk decides who sends
+//! which held items to whom and when; the holdings decide how each item
+//! crosses an edge. A plain mover holds `Vec<Item>` and forwards every item
+//! as it is, sealed or not — the unencrypted baselines, and Naive and the
+//! HS leader phase on pre-sealed items. The encrypted kernels in
+//! [`crate::encrypted`] hold blocks under the opportunistic rule
+//! (`Vec<Held>`, or O-RD's merged-ciphertext `OrdState`), so a kernel is a
+//! walk plus a rule.
 //!
 //! [`recover_collective`] is the ULFM-style crash-tolerant engine: an
 //! epoch-versioned shrink-and-rerun loop that attempts the collective and,
@@ -23,55 +29,109 @@ use crate::group::Group;
 use crate::operation::Collective;
 use crate::output::{DegradedOutput, GatherOutput};
 use crate::tags;
-use eag_netsim::Rank;
+use eag_netsim::{LinkClass, Rank};
 use eag_runtime::{Chunk, CollectiveError, Data, FailureCause, Item, Parcel, ProcCtx};
 use std::collections::BTreeSet;
+use std::ops::Range;
 use std::panic::{catch_unwind, panic_any, resume_unwind, AssertUnwindSafe};
 
 /// Largest power of two `<= q`.
-pub fn floor_pow2(q: usize) -> usize {
+pub(crate) fn floor_pow2(q: usize) -> usize {
     assert!(q >= 1);
     1usize << (usize::BITS - 1 - q.leading_zeros())
 }
 
 /// `ceil(log2(q))` for `q >= 1`.
-pub fn ceil_log2(q: usize) -> u32 {
+pub(crate) fn ceil_log2(q: usize) -> u32 {
     assert!(q >= 1);
     q.next_power_of_two().trailing_zeros()
 }
 
-/// Index of `rank` within `members`; panics if absent.
-fn my_index(ctx: &ProcCtx, members: &[Rank]) -> usize {
+/// Index of the calling rank within `members`; panics if absent.
+pub(crate) fn my_index(ctx: &ProcCtx, members: &[Rank]) -> usize {
     members
         .iter()
         .position(|&r| r == ctx.rank())
         .expect("calling rank is not in the member list")
 }
 
+/// What a rank holds while a walk moves items: the walk addresses the
+/// held items by position and asks for them in the form an edge needs.
+pub(crate) trait Holdings {
+    /// Number of held items.
+    fn len(&self) -> usize;
+
+    /// The items at `range`, in the form they take across a `link` edge.
+    fn items_for(&mut self, ctx: &mut ProcCtx, range: Range<usize>, link: LinkClass) -> Vec<Item>;
+
+    /// Takes in received items, appended after the held ones.
+    fn absorb(&mut self, items: Vec<Item>);
+
+    /// Everything, for a fold partner that sends the complete result back.
+    /// A plain mover keeps nothing meanwhile: the result contains it all.
+    fn hand_off(&mut self, ctx: &mut ProcCtx, link: LinkClass) -> Vec<Item> {
+        let n = self.len();
+        self.items_for(ctx, 0..n, link)
+    }
+
+    /// The walk sends the items at `range` no further (they were just
+    /// forwarded for the last time, or arrived where they stay).
+    fn settle(&mut self, _ctx: &mut ProcCtx, _range: Range<usize>) {}
+}
+
+/// The plain mover: items travel as they are, plaintext or sealed.
+impl Holdings for Vec<Item> {
+    fn len(&self) -> usize {
+        Vec::len(self)
+    }
+
+    fn items_for(&mut self, _: &mut ProcCtx, range: Range<usize>, _: LinkClass) -> Vec<Item> {
+        self[range].to_vec()
+    }
+
+    fn absorb(&mut self, items: Vec<Item>) {
+        self.extend(items);
+    }
+
+    fn hand_off(&mut self, _: &mut ProcCtx, _: LinkClass) -> Vec<Item> {
+        std::mem::take(self)
+    }
+}
+
 /// Ring all-gather: member `k` sends to `k+1` and receives from `k-1`,
-/// `q-1` times, forwarding what it received the previous step. Every member
-/// contributes `my_items`; returns all members' items (own included).
-pub fn ring_allgather_items(
+/// `q-1` times, forwarding what it received the previous step; returns
+/// every member's items (own included). Forwarded items settle right after
+/// their send, received ones on arrival unless they leave again across a
+/// node boundary — O-Ring opens a forwarded ciphertext after the forward,
+/// under the wait for the next arrival.
+pub(crate) fn ring_allgather_items<H: Holdings>(
     ctx: &mut ProcCtx,
     members: &[Rank],
-    my_items: Vec<Item>,
+    mut held: H,
     tag_base: u64,
-) -> Vec<Item> {
+) -> H {
     let q = members.len();
     let k = my_index(ctx, members);
     let succ = members[(k + 1) % q];
     let pred = members[(k + q - 1) % q];
-    let mut collected = my_items.clone();
-    let mut cur = my_items;
+    // The successor never changes, so neither does the outbound link class.
+    let link = ctx.topology().link(ctx.rank(), succ);
+    let mut cur = 0..held.len();
     for step in 0..q.saturating_sub(1) {
         // Round boundary: a natural scheduling point on a contended world.
         ctx.yield_now();
         let tag = tag_base + step as u64;
-        ctx.send(succ, tag, Parcel { items: cur });
-        cur = ctx.recv(pred, tag).items;
-        collected.extend(cur.iter().cloned());
+        let items = held.items_for(ctx, cur.clone(), link);
+        ctx.send(succ, tag, Parcel { items });
+        held.settle(ctx, cur);
+        let start = held.len();
+        held.absorb(ctx.recv(pred, tag).items);
+        cur = start..held.len();
+        if link != LinkClass::Inter || step + 2 == q {
+            held.settle(ctx, cur.clone());
+        }
     }
-    collected
+    held
 }
 
 /// Recursive-doubling all-gather over an arbitrary member count.
@@ -81,35 +141,34 @@ pub fn ring_allgather_items(
 /// members fold their data into a power-of-two active set first and receive
 /// the full result afterwards, for at most `lg q + 2` rounds (the paper's
 /// "extra steps ... still bounded by 2·lg(p)").
-pub fn rd_allgather_items(
+pub(crate) fn rd_allgather_items<H: Holdings>(
     ctx: &mut ProcCtx,
     members: &[Rank],
-    my_items: Vec<Item>,
+    mut held: H,
     tag_base: u64,
-) -> Vec<Item> {
+) -> H {
     let q = members.len();
     if q == 1 {
-        return my_items;
+        return held;
     }
     let k = my_index(ctx, members);
+    let me = ctx.rank();
     let pow = floor_pow2(q);
     let r = q - pow;
-
-    let mut holdings = my_items;
+    let unfold_tag = tag_base + 1 + 64;
 
     // Fold: odd members of the first 2r send everything to their left
-    // neighbour and go dormant until the unfold.
-    let fold_tag = tag_base;
+    // neighbour and go dormant until the unfold brings the complete result.
     if k < 2 * r {
         if k % 2 == 1 {
-            ctx.send(members[k - 1], fold_tag, Parcel { items: holdings });
-            // Wait for the complete result.
-            let unfold_tag = tag_base + 1 + 64;
-            return ctx.recv(members[k - 1], unfold_tag).items;
-        } else {
-            let received = ctx.recv(members[k + 1], fold_tag).items;
-            holdings.extend(received);
+            let partner = members[k - 1];
+            let link = ctx.topology().link(me, partner);
+            let items = held.hand_off(ctx, link);
+            ctx.send(partner, tag_base, Parcel { items });
+            held.absorb(ctx.recv(partner, unfold_tag).items);
+            return held;
         }
+        held.absorb(ctx.recv(members[k + 1], tag_base).items);
     }
 
     // Active set: even members of the first 2r, then everyone from 2r on.
@@ -122,50 +181,37 @@ pub fn rd_allgather_items(
         }
     };
 
-    let rounds = pow.trailing_zeros();
-    for b in 0..rounds {
+    for b in 0..pow.trailing_zeros() {
         ctx.yield_now();
         let peer = active_member(active_index ^ (1usize << b));
         let tag = tag_base + 1 + b as u64;
-        let received = ctx
-            .sendrecv(
-                peer,
-                peer,
-                tag,
-                Parcel {
-                    items: holdings.clone(),
-                },
-            )
-            .items;
-        holdings.extend(received);
+        let link = ctx.topology().link(me, peer);
+        let items = held.items_for(ctx, 0..held.len(), link);
+        held.absorb(ctx.sendrecv(peer, peer, tag, Parcel { items }).items);
     }
 
-    // Unfold: give the folded members the complete result.
-    if k < 2 * r && k.is_multiple_of(2) {
-        let unfold_tag = tag_base + 1 + 64;
-        ctx.send(
-            members[k + 1],
-            unfold_tag,
-            Parcel {
-                items: holdings.clone(),
-            },
-        );
+    // Unfold: give the folded member the complete result.
+    if k < 2 * r {
+        let partner = members[k + 1];
+        let link = ctx.topology().link(me, partner);
+        let items = held.items_for(ctx, 0..held.len(), link);
+        ctx.send(partner, unfold_tag, Parcel { items });
     }
-    holdings
+    held
 }
 
-/// Bruck all-gather (`⌈lg q⌉` rounds for any `q`). Requires exactly one item
-/// per member; item `j` of the returned vector is the item of member
-/// `(k + j) mod q` (callers place by origin, so order does not matter).
-pub fn bruck_allgather_items(
+/// Bruck all-gather (`⌈lg q⌉` rounds for any `q`) of one item per member.
+/// Item `j` of the returned holdings is the item of member `(k + j) mod q`
+/// (callers place by origin, so order does not matter).
+pub(crate) fn bruck_allgather_items<H: Holdings>(
     ctx: &mut ProcCtx,
     members: &[Rank],
-    my_item: Item,
+    mut held: H,
     tag_base: u64,
-) -> Vec<Item> {
+) -> H {
     let q = members.len();
     let k = my_index(ctx, members);
-    let mut slots: Vec<Item> = vec![my_item];
+    let me = ctx.rank();
     let mut round = 0u64;
     let mut step = 1usize;
     while step < q {
@@ -174,87 +220,82 @@ pub fn bruck_allgather_items(
         let dst = members[(k + q - step) % q];
         let src = members[(k + step) % q];
         let tag = tag_base + round;
-        ctx.send(
-            dst,
-            tag,
-            Parcel {
-                items: slots[..cnt].to_vec(),
-            },
-        );
+        let link = ctx.topology().link(me, dst);
+        let items = held.items_for(ctx, 0..cnt, link);
+        ctx.send(dst, tag, Parcel { items });
         let received = ctx.recv(src, tag).items;
         debug_assert_eq!(received.len(), cnt);
-        slots.extend(received);
+        held.absorb(received);
         step *= 2;
         round += 1;
     }
-    debug_assert_eq!(slots.len(), q);
-    slots
+    debug_assert_eq!(held.len(), q);
+    held
 }
 
 /// Point-to-point gather to `members[0]`: every other member sends its items
 /// to the root; the root returns everyone's items, others return `None`.
-pub fn gather_items_to_root(
+/// Arrivals settle at the root as they come.
+pub(crate) fn gather_items_to_root<H: Holdings>(
     ctx: &mut ProcCtx,
     members: &[Rank],
-    my_items: Vec<Item>,
+    mut held: H,
     tag_base: u64,
-) -> Option<Vec<Item>> {
+) -> Option<H> {
     let root = members[0];
-    if ctx.rank() == root {
-        let mut all = my_items;
+    let me = ctx.rank();
+    if me == root {
         for (j, &m) in members.iter().enumerate().skip(1) {
-            let received = ctx.recv(m, tag_base + j as u64).items;
-            all.extend(received);
+            ctx.yield_now();
+            let start = held.len();
+            held.absorb(ctx.recv(m, tag_base + j as u64).items);
+            held.settle(ctx, start..held.len());
         }
-        Some(all)
+        Some(held)
     } else {
         let j = my_index(ctx, members);
-        ctx.send(root, tag_base + j as u64, Parcel { items: my_items });
+        let link = ctx.topology().link(me, root);
+        let items = held.items_for(ctx, 0..held.len(), link);
+        ctx.send(root, tag_base + j as u64, Parcel { items });
         None
     }
 }
 
-/// Binomial-tree broadcast from `members[0]`: the root's `items` reach every
-/// member in at most `⌈lg q⌉` rounds. Non-roots pass `None`.
-pub fn bcast_items_from_root(
+/// Binomial-tree broadcast from `members[0]`: the root's holdings reach
+/// every member in at most `⌈lg q⌉` rounds. Non-roots pass empty holdings.
+pub(crate) fn bcast_items_from_root<H: Holdings>(
     ctx: &mut ProcCtx,
     members: &[Rank],
-    items: Option<Vec<Item>>,
+    mut held: H,
     tag_base: u64,
-) -> Vec<Item> {
+) -> H {
     let q = members.len();
     let k = my_index(ctx, members);
-    let mut holdings = if k == 0 {
-        items.expect("root must supply the broadcast items")
-    } else {
-        Vec::new()
-    };
+    let me = ctx.rank();
 
-    // MPICH-style binomial tree, root = index 0.
+    // MPICH-style binomial tree, root = index 0: receive from the parent
+    // (k minus its lowest set bit) …
     let mut mask = 1usize;
     while mask < q {
         if k & mask != 0 {
-            let src = members[k - mask];
-            holdings = ctx.recv(src, tag_base + mask as u64).items;
+            held.absorb(ctx.recv(members[k - mask], tag_base + mask as u64).items);
             break;
         }
         mask <<= 1;
     }
+    // … then serve the subtree, largest child first.
     mask >>= 1;
     while mask > 0 {
-        if k + mask < q && k & (mask - 1) == 0 && k & mask == 0 {
+        if k + mask < q && k & mask == 0 {
+            ctx.yield_now();
             let dst = members[k + mask];
-            ctx.send(
-                dst,
-                tag_base + mask as u64,
-                Parcel {
-                    items: holdings.clone(),
-                },
-            );
+            let link = ctx.topology().link(me, dst);
+            let items = held.items_for(ctx, 0..held.len(), link);
+            ctx.send(dst, tag_base + mask as u64, Parcel { items });
         }
         mask >>= 1;
     }
-    holdings
+    held
 }
 
 // ----- crash recovery ---------------------------------------------------
@@ -659,9 +700,7 @@ mod tests {
     #[test]
     fn bruck_gathers_everything_any_q() {
         for p in [1, 2, 3, 5, 7, 8, 11, 16] {
-            check_mover(p, |ctx, m, items| {
-                bruck_allgather_items(ctx, m, items.into_iter().next().unwrap(), 100)
-            });
+            check_mover(p, |ctx, m, items| bruck_allgather_items(ctx, m, items, 100));
         }
     }
 
@@ -701,7 +740,7 @@ mod tests {
             if ctx.rank() == 0 {
                 assert_eq!(origins_of(gathered.as_ref().unwrap()), vec![0, 1, 2, 3, 4]);
             }
-            let all = bcast_items_from_root(ctx, &members, gathered, 200);
+            let all = bcast_items_from_root(ctx, &members, gathered.unwrap_or_default(), 200);
             origins_of(&all)
         });
         for out in report.outputs {
@@ -714,7 +753,11 @@ mod tests {
         for q in [1usize, 2, 3, 4, 6, 7, 8, 9] {
             let members: Vec<Rank> = (0..q).collect();
             let report = run(&spec(q, 1), |ctx| {
-                let items = (ctx.rank() == 0).then(|| vec![Item::Plain(ctx.my_block(4))]);
+                let items = if ctx.rank() == 0 {
+                    vec![Item::Plain(ctx.my_block(4))]
+                } else {
+                    Vec::new()
+                };
                 let got = bcast_items_from_root(ctx, &members, items, 50);
                 origins_of(&got)
             });

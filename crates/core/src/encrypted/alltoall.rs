@@ -2,7 +2,8 @@
 //! holds one distinct block *per destination* and must deliver each block
 //! to its addressee.
 //!
-//! Two variants:
+//! Neither walk has a plain twin; both take the opportunistic rule from
+//! [`Held`], every rank relaying what it does not consume. Two variants:
 //!
 //! - [`alltoall_pairwise`]: `q−1` sendrecv rounds, round `k` exchanging
 //!   with ranks at member-index distance `±k`. Every block travels exactly
@@ -24,37 +25,17 @@
 
 use std::collections::BTreeMap;
 
-use crate::collective::ceil_log2;
+use crate::collective::{ceil_log2, my_index};
+use crate::encrypted::Held;
 use crate::output::GatherOutput;
-use eag_netsim::{LinkClass, Rank};
-use eag_runtime::{Chunk, Item, Parcel, ProcCtx};
-
-fn seal_for(ctx: &mut ProcCtx, item: Item, link: LinkClass) -> Item {
-    match (item, link) {
-        (Item::Plain(c), LinkClass::Inter) => Item::Sealed(ctx.encrypt(c)),
-        (item, _) => item,
-    }
-}
-
-fn open(ctx: &mut ProcCtx, item: Item) -> Chunk {
-    match item {
-        Item::Plain(c) => c,
-        Item::Sealed(s) => ctx.decrypt(s),
-    }
-}
-
-fn my_index(ctx: &ProcCtx, members: &[Rank]) -> usize {
-    members
-        .iter()
-        .position(|&r| r == ctx.rank())
-        .expect("calling rank not in member list")
-}
+use eag_netsim::Rank;
+use eag_runtime::{Item, Parcel, ProcCtx};
 
 /// Pairwise-exchange encrypted all-to-all over `members`, uniform block
 /// length `m`. Each rank's output holds the `q` blocks addressed to it,
 /// slot-indexed by source rank; verify with
 /// [`GatherOutput::verify_pairwise`].
-pub fn alltoall_pairwise(
+pub(crate) fn alltoall_pairwise(
     ctx: &mut ProcCtx,
     members: &[Rank],
     m: usize,
@@ -63,18 +44,16 @@ pub fn alltoall_pairwise(
     let q = members.len();
     let i = my_index(ctx, members);
     let me = ctx.rank();
-    let topo = ctx.topology().clone();
     let mut out = GatherOutput::new(vec![m; ctx.p()], members);
     out.place(ctx.my_block_for(me, m));
     for k in 1..q {
         ctx.yield_now();
         let dst = members[(i + k) % q];
         let src = members[(i + q - k) % q];
-        let item = Item::Plain(ctx.my_block_for(dst, m));
-        let item = seal_for(ctx, item, topo.link(me, dst));
+        let link = ctx.topology().link(me, dst);
+        let item = Held::from(ctx.my_block_for(dst, m)).relay(ctx, link);
         let mut parcel = ctx.sendrecv(dst, src, tag_base + k as u64, Parcel::one(item));
-        let c = open(ctx, parcel.items.remove(0));
-        out.place(c);
+        out.place(Held::from(parcel.items.remove(0)).into_plain(ctx));
     }
     out
 }
@@ -104,7 +83,7 @@ fn bruck_expected(q: usize, i: usize, k: u32) -> Vec<(usize, usize)> {
 /// Bruck-style encrypted all-to-all over `members`, uniform block length
 /// `m`: `⌈lg q⌉` rounds, ciphertext forwarded as-is through
 /// intermediaries.
-pub fn alltoall_bruck(
+pub(crate) fn alltoall_bruck(
     ctx: &mut ProcCtx,
     members: &[Rank],
     m: usize,
@@ -113,12 +92,11 @@ pub fn alltoall_bruck(
     let q = members.len();
     let i = my_index(ctx, members);
     let me = ctx.rank();
-    let topo = ctx.topology().clone();
 
     // Blocks currently positioned at this rank, keyed (si, di) by
     // member index. Initially: everything this rank originates.
-    let mut held: BTreeMap<(usize, usize), Item> = (0..q)
-        .map(|di| ((i, di), Item::Plain(ctx.my_block_for(members[di], m))))
+    let mut held: BTreeMap<(usize, usize), Held> = (0..q)
+        .map(|di| ((i, di), Held::from(ctx.my_block_for(members[di], m))))
         .collect();
 
     for k in 0..ceil_log2(q) {
@@ -137,12 +115,13 @@ pub fn alltoall_bruck(
         let expected = bruck_expected(q, i, k);
 
         if !moving.is_empty() {
-            let link = topo.link(me, dst);
+            let link = ctx.topology().link(me, dst);
             let items: Vec<Item> = moving
                 .iter()
                 .map(|key| {
-                    let item = held.remove(key).expect("moving block is held");
-                    seal_for(ctx, item, link)
+                    held.remove(key)
+                        .expect("moving block is held")
+                        .relay(ctx, link)
                 })
                 .collect();
             ctx.send(dst, tag_base + u64::from(k), Parcel { items });
@@ -151,15 +130,15 @@ pub fn alltoall_bruck(
             let parcel = ctx.recv(src, tag_base + u64::from(k));
             assert_eq!(parcel.items.len(), expected.len(), "bruck manifest drift");
             for (key, item) in expected.into_iter().zip(parcel.items) {
-                held.insert(key, item);
+                held.insert(key, Held::from(item));
             }
         }
     }
 
     let mut out = GatherOutput::new(vec![m; ctx.p()], members);
-    for ((si, di), item) in held {
+    for ((si, di), h) in held {
         debug_assert_eq!(di, i, "undelivered block after final round");
-        let c = open(ctx, item);
+        let c = h.into_plain(ctx);
         debug_assert_eq!(c.origins, vec![members[si]]);
         out.place(c);
     }

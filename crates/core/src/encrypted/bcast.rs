@@ -1,6 +1,7 @@
 //! Encrypted broadcast: sealed binomial-tree and pipelined-chain variants.
-//!
-//! Both follow the opportunistic rule of the all-gather algorithms:
+//! The binomial tree is the shared broadcast walk; the pipelined chain has
+//! no plain twin and keeps its own walk. Both take the opportunistic rule
+//! of the all-gather algorithms from [`Held`]:
 //! plaintext travels intra-node, ciphertext inter-node, and a ciphertext
 //! received from upstream is *forwarded as-is* across further inter-node
 //! hops (one seal per node exit, not per edge). The root seals its block at
@@ -16,15 +17,17 @@
 //!   rd = S, sd = m` — each node-boundary sender seals each segment, each
 //!   node leader opens each segment; total bytes stay m per rank.
 
+use crate::collective::{bcast_items_from_root, my_index};
+use crate::encrypted::Held;
 use crate::output::GatherOutput;
 use eag_netsim::{LinkClass, Rank};
-use eag_runtime::{Chunk, Data, Item, Parcel, ProcCtx, Sealed};
+use eag_runtime::{Chunk, Data, Parcel, ProcCtx};
 
 /// Segment count for the pipelined chain: a deterministic function of the
 /// block size so every rank (and the closed-form prediction) agrees without
 /// communication. Four segments saturate the pipeline on the profiles we
 /// model; blocks smaller than four bytes get one segment per byte.
-pub fn bcast_segments(m: usize) -> usize {
+pub(crate) fn bcast_segments(m: usize) -> usize {
     m.clamp(1, 4)
 }
 
@@ -64,92 +67,27 @@ fn concat_data(parts: Vec<Data>, total: usize) -> Data {
     Data::Real(bytes.into())
 }
 
-/// A lazily materialized representation of the broadcast block: at most one
-/// seal and one open per rank, whichever edges demand them.
-struct Holding {
-    plain: Option<Chunk>,
-    sealed: Option<Sealed>,
-}
-
-impl Holding {
-    fn plain(&mut self, ctx: &mut ProcCtx) -> Chunk {
-        if self.plain.is_none() {
-            let s = self.sealed.clone().expect("holding neither form");
-            self.plain = Some(ctx.decrypt(s));
-        }
-        self.plain.clone().unwrap()
-    }
-
-    fn sealed(&mut self, ctx: &mut ProcCtx) -> Sealed {
-        if self.sealed.is_none() {
-            let c = self.plain.clone().expect("holding neither form");
-            self.sealed = Some(ctx.encrypt(c));
-        }
-        self.sealed.clone().unwrap()
-    }
-}
-
 /// Sealed binomial-tree broadcast of `members[0]`'s `m`-byte block to every
-/// member. Every rank's output holds exactly the root's slot.
-pub fn bcast_binomial(
+/// member — the shared binomial walk over the block held under the
+/// opportunistic rule: inter-node children get the ciphertext (forwarded
+/// as-is when it arrived sealed, one fresh seal otherwise), intra-node
+/// children the plaintext. Every rank's output holds exactly the root's
+/// slot.
+pub(crate) fn bcast_binomial(
     ctx: &mut ProcCtx,
     members: &[Rank],
     m: usize,
     tag_base: u64,
 ) -> GatherOutput {
-    let q = members.len();
-    let k = members
-        .iter()
-        .position(|&r| r == ctx.rank())
-        .expect("calling rank not in member list");
     let root = members[0];
-    let topo = ctx.topology().clone();
-    let mut out = GatherOutput::new(vec![m; ctx.p()], &[root]);
-
-    let mut holding = Holding {
-        plain: (k == 0).then(|| ctx.block_for(root, m)),
-        sealed: None,
-    };
-
-    // MPICH binomial tree over member indices, root = index 0: receive from
-    // the parent (k minus its lowest set bit) …
-    let mut mask = 1usize;
-    if k != 0 {
-        while mask < q {
-            if k & mask != 0 {
-                let src = members[k - mask];
-                match ctx.recv(src, tag_base + mask as u64).items.remove(0) {
-                    Item::Plain(c) => holding.plain = Some(c),
-                    Item::Sealed(s) => holding.sealed = Some(s),
-                }
-                break;
-            }
-            mask <<= 1;
-        }
+    let mine = if ctx.rank() == root {
+        vec![Held::from(ctx.block_for(root, m))]
     } else {
-        while mask < q {
-            mask <<= 1;
-        }
-    }
-
-    // … then serve the subtree, largest child first. Inter-node children
-    // get the (cached) ciphertext — forward-as-is when it arrived sealed,
-    // one fresh seal otherwise; intra-node children get the plaintext.
-    mask >>= 1;
-    while mask > 0 {
-        if k + mask < q && k & mask == 0 {
-            ctx.yield_now();
-            let dst = members[k + mask];
-            let item = match topo.link(ctx.rank(), dst) {
-                LinkClass::Inter => Item::Sealed(holding.sealed(ctx)),
-                _ => Item::Plain(holding.plain(ctx)),
-            };
-            ctx.send(dst, tag_base + mask as u64, Parcel::one(item));
-        }
-        mask >>= 1;
-    }
-
-    out.place(holding.plain(ctx));
+        Vec::new()
+    };
+    let mut held = bcast_items_from_root(ctx, members, mine, tag_base);
+    let mut out = GatherOutput::new(vec![m; ctx.p()], &[root]);
+    out.place(held[0].open(ctx));
     out
 }
 
@@ -159,36 +97,27 @@ pub fn bcast_binomial(
 /// by segment; a rank whose outbound edge is inter-node forwards an arrived
 /// ciphertext as-is and opens its own copy under the wait for the next
 /// segment.
-pub fn bcast_pipelined(
+pub(crate) fn bcast_pipelined(
     ctx: &mut ProcCtx,
     members: &[Rank],
     m: usize,
     tag_base: u64,
 ) -> GatherOutput {
     let q = members.len();
-    let k = members
-        .iter()
-        .position(|&r| r == ctx.rank())
-        .expect("calling rank not in member list");
+    let k = my_index(ctx, members);
     let root = members[0];
-    let topo = ctx.topology().clone();
     let mut out = GatherOutput::new(vec![m; ctx.p()], &[root]);
     let segs = seg_lens(m, bcast_segments(m));
 
     let succ = (k + 1 < q).then(|| members[k + 1]);
-    let out_inter = succ.map(|s| topo.link(ctx.rank(), s) == LinkClass::Inter);
+    let link = succ.map(|s| ctx.topology().link(ctx.rank(), s));
 
     if k == 0 {
         let full = ctx.block_for(root, m);
         for (i, data) in slice_data(&full.data, &segs).into_iter().enumerate() {
             ctx.yield_now();
-            if let (Some(succ), Some(inter)) = (succ, out_inter) {
-                let chunk = Chunk::single(root, data);
-                let item = if inter {
-                    Item::Sealed(ctx.encrypt(chunk))
-                } else {
-                    Item::Plain(chunk)
-                };
+            if let (Some(succ), Some(link)) = (succ, link) {
+                let item = Held::from(Chunk::single(root, data)).relay(ctx, link);
                 ctx.send(succ, tag_base + i as u64, Parcel::one(item));
             }
         }
@@ -201,35 +130,18 @@ pub fn bcast_pipelined(
     for i in 0..segs.len() {
         ctx.yield_now();
         let tag = tag_base + i as u64;
-        match ctx.recv(pred, tag).items.remove(0) {
-            Item::Plain(c) => {
-                if let Some(succ) = succ {
-                    let item = if out_inter == Some(true) {
-                        Item::Sealed(ctx.encrypt(c.clone()))
-                    } else {
-                        Item::Plain(c.clone())
-                    };
-                    ctx.send(succ, tag, Parcel::one(item));
-                }
-                collected.push(c.data);
-            }
-            Item::Sealed(s) => {
-                if let Some(succ) = succ {
-                    if out_inter == Some(true) {
-                        // Forward as-is first; open our copy under the wait
-                        // for the next segment.
-                        ctx.send(succ, tag, Parcel::one(Item::Sealed(s.clone())));
-                        collected.push(ctx.decrypt(s).data);
-                        continue;
-                    }
-                    let c = ctx.decrypt(s);
-                    ctx.send(succ, tag, Parcel::one(Item::Plain(c.clone())));
-                    collected.push(c.data);
-                    continue;
-                }
-                collected.push(ctx.decrypt(s).data);
-            }
+        let mut held = Held::from(ctx.recv(pred, tag).items.remove(0));
+        // A segment that stays in this node is opened on arrival; one that
+        // leaves it sealed is forwarded as-is first and opened under the
+        // wait for the next segment.
+        if link != Some(LinkClass::Inter) {
+            held.settle(ctx);
         }
+        if let (Some(succ), Some(link)) = (succ, link) {
+            let item = held.item_for(ctx, link);
+            ctx.send(succ, tag, Parcel::one(item));
+        }
+        collected.push(held.into_plain(ctx).data);
     }
     out.place(Chunk {
         origins: vec![root],

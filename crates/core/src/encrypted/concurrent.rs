@@ -6,7 +6,8 @@
 //! its own block exactly once and forwards received ciphertexts untouched:
 //! `re = 1`, `se = m`, `rd = N−1`, `sd = (N−1)m` — the theoretical lower
 //! bound for sd). A node-local ordinary all-gather then spreads the ℓ
-//! per-group results across the node.
+//! per-group results across the node. The sub-gather is O-Ring or O-RD
+//! over the group, the local phase the same walk over plain items.
 //!
 //! The same code with `encrypted = false` gives the *unencrypted
 //! counterparts* the paper uses in Figures 5 and 6.
@@ -21,7 +22,7 @@ use eag_runtime::{Chunk, Item, ProcCtx};
 
 /// Which pattern the sub-all-gather (and the local phase) uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SubPattern {
+pub(crate) enum SubPattern {
     /// Ring sub-gather + local ring (C-Ring).
     Ring,
     /// RD sub-gather + local RD (C-RD).
@@ -33,7 +34,7 @@ pub enum SubPattern {
 /// counterpart. Block lengths come from `out`: when they are uniform the
 /// local phase moves each group's result as one merged chunk, otherwise as
 /// per-origin items (merging needs an equal stride).
-pub fn concurrent(
+pub(crate) fn concurrent(
     ctx: &mut ProcCtx,
     my_chunk: Chunk,
     out: &mut GatherOutput,

@@ -14,6 +14,10 @@
 //!   all-gather the per-process ciphertexts; joint decryption handles
 //!   (N−1)ℓ ciphertexts, N−1 per process (`rd = N−1`, `sd = (N−1)m`).
 //!
+//! The leader phase is the shared RD walk over plain items: the
+//! ciphertexts were sealed in shared memory before it, and it forwards
+//! them untouched.
+//!
 //! With a non-block mapping, step 4 needs `p` small copies instead of one
 //! large one to rearrange blocks into rank order — the penalty the paper
 //! observes for HS1/HS2 under cyclic mapping.
@@ -29,7 +33,7 @@ use eag_runtime::{Chunk, Item, ProcCtx};
 
 /// Which HS scheme to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum HsVariant {
+pub(crate) enum HsVariant {
     /// Leader encrypts the whole node block once.
     Hs1,
     /// Every process encrypts its own block.
@@ -43,7 +47,12 @@ pub enum HsVariant {
 /// [`HsVariant::Hs2`] supports varying lengths (HS1 and the unencrypted
 /// counterpart merge the node's blocks into a single equal-stride buffer
 /// before encryption).
-pub fn hs_over(ctx: &mut ProcCtx, my_chunk: Chunk, out: &mut GatherOutput, variant: HsVariant) {
+pub(crate) fn hs_over(
+    ctx: &mut ProcCtx,
+    my_chunk: Chunk,
+    out: &mut GatherOutput,
+    variant: HsVariant,
+) {
     let topo = ctx.topology().clone();
     let nodes = topo.nodes();
     let my_node = topo.node_of(ctx.rank());

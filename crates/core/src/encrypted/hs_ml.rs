@@ -11,7 +11,8 @@
 //!
 //! The multi-leader idea follows Kandalla et al.'s multi-leader all-gather
 //! designs for multi-core clusters (the paper's reference \[13\]), applied to
-//! the encrypted setting.
+//! the encrypted setting. Each leader group runs the shared ring or RD walk
+//! over the pre-sealed items, as HS does.
 
 use crate::collective::{rd_allgather_items, ring_allgather_items};
 use crate::output::GatherOutput;

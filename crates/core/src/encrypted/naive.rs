@@ -4,7 +4,8 @@
 //! all-gather on the ciphertexts (the modeled MVAPICH default), and every
 //! process decrypts all `p−1` received ciphertexts — including those from
 //! its own node, which is exactly the waste the paper's algorithms remove:
-//! `rd = p−1`, `sd = (p−1)m ≈ (N−1)ℓm`.
+//! `rd = p−1`, `sd = (p−1)m ≈ (N−1)ℓm`. No opportunistic rule: the
+//! ciphertexts ride a plain walk over `Vec<Item>`, sealed on every edge.
 
 use crate::output::GatherOutput;
 use crate::tags;
@@ -15,7 +16,12 @@ use eag_runtime::{Chunk, Item, ProcCtx};
 /// Runs the Naive algorithm among `members`: seal `my_chunk`, all-gather
 /// the ciphertexts with the modeled MVAPICH default (selected on the
 /// largest member block), open everything that is not already in `out`.
-pub fn naive_over(ctx: &mut ProcCtx, members: &[Rank], my_chunk: Chunk, out: &mut GatherOutput) {
+pub(crate) fn naive_over(
+    ctx: &mut ProcCtx,
+    members: &[Rank],
+    my_chunk: Chunk,
+    out: &mut GatherOutput,
+) {
     out.place(my_chunk.clone());
     let sealed = Item::Sealed(ctx.encrypt(my_chunk));
     let items = mvapich_allgather_items(ctx, members, sealed, out, tags::PHASE_MAIN);

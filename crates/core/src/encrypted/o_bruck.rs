@@ -1,4 +1,5 @@
-//! O-Bruck — an Opportunistic Bruck all-gather.
+//! O-Bruck — an Opportunistic Bruck all-gather: the shared Bruck walk over
+//! blocks held under the opportunistic rule.
 //!
 //! **Extension beyond the paper.** The paper applies its opportunistic rule
 //! (encrypt inter-node hops, plaintext intra-node hops, forward ciphertexts
@@ -6,134 +7,28 @@
 //! completes in `⌈lg p⌉` rounds for *any* p — unlike RD, no fold/unfold
 //! steps — which makes an opportunistic Bruck the natural candidate for
 //! small messages on non-power-of-two process counts (where the modeled
-//! MVAPICH baseline also uses Bruck). Ciphertexts are cached per block, so
-//! a block crossing several node boundaries is sealed only once by whoever
-//! first exports it.
+//! MVAPICH baseline also uses Bruck). A block may leave a rank more than
+//! once, so each held block keeps both forms: it is sealed only once, by
+//! whoever first exports it, and ciphertexts still sealed after the last
+//! round are opened at the end.
 
+use crate::collective::bruck_allgather_items;
+use crate::encrypted::{place_held, Held};
 use crate::output::GatherOutput;
-use eag_netsim::{LinkClass, Rank};
-use eag_runtime::{Chunk, Data, Item, Parcel, ProcCtx, Sealed};
-
-/// Placeholder swapped in while a representation is moved out of a
-/// `&mut Slot` (immediately overwritten by the `Slot::Both` promotion).
-fn taken_chunk() -> Chunk {
-    Chunk {
-        origins: Vec::new(),
-        block_len: 0,
-        data: Data::Phantom(0),
-    }
-}
-
-/// Sealed counterpart of [`taken_chunk`].
-fn taken_sealed() -> Sealed {
-    Sealed {
-        origins: Vec::new(),
-        block_len: 0,
-        plain_len: 0,
-        data: Data::Phantom(0),
-    }
-}
-
-/// One Bruck slot: a single member's block, in whichever representations we
-/// currently hold.
-enum Slot {
-    /// Plaintext only.
-    Plain(Chunk),
-    /// Ciphertext only (received over the network, not yet opened).
-    Sealed(Sealed),
-    /// Both (opened for output / sealed version cached for forwarding).
-    Both(Chunk, Sealed),
-}
-
-impl Slot {
-    /// The item to send over `link`, sealing or opening as required and
-    /// updating the cached representations.
-    fn item_for(&mut self, ctx: &mut ProcCtx, link: LinkClass) -> Item {
-        match link {
-            LinkClass::Inter => {
-                if let Slot::Plain(c) = self {
-                    // One clone only: encrypt consumes a copy (recycling its
-                    // buffer as scratch), the original moves into the cache.
-                    let plain = std::mem::replace(c, taken_chunk());
-                    let sealed = ctx.encrypt(plain.clone());
-                    *self = Slot::Both(plain, sealed);
-                }
-                match self {
-                    Slot::Sealed(s) | Slot::Both(_, s) => Item::Sealed(s.clone()),
-                    Slot::Plain(_) => unreachable!("sealed above"),
-                }
-            }
-            LinkClass::Intra | LinkClass::SelfLoop => {
-                if let Slot::Sealed(s) = self {
-                    let sealed = std::mem::replace(s, taken_sealed());
-                    let c = ctx.decrypt(sealed.clone());
-                    *self = Slot::Both(c, sealed);
-                }
-                match self {
-                    Slot::Plain(c) | Slot::Both(c, _) => Item::Plain(c.clone()),
-                    Slot::Sealed(_) => unreachable!("opened above"),
-                }
-            }
-        }
-    }
-
-    fn from_item(item: Item) -> Slot {
-        match item {
-            Item::Plain(c) => Slot::Plain(c),
-            Item::Sealed(s) => Slot::Sealed(s),
-        }
-    }
-
-    /// The plaintext, opening the ciphertext if necessary.
-    fn into_plain(self, ctx: &mut ProcCtx) -> Chunk {
-        match self {
-            Slot::Plain(c) | Slot::Both(c, _) => c,
-            Slot::Sealed(s) => ctx.decrypt(s),
-        }
-    }
-}
+use eag_netsim::Rank;
+use eag_runtime::{Chunk, ProcCtx};
 
 /// Opportunistic Bruck all-gather over `members`; places every member's
 /// plaintext into `out`.
-pub fn o_bruck_over(
+pub(crate) fn o_bruck_over(
     ctx: &mut ProcCtx,
     members: &[Rank],
     my_chunk: Chunk,
     out: &mut GatherOutput,
     tag_base: u64,
 ) {
-    let q = members.len();
-    let k = members
-        .iter()
-        .position(|&r| r == ctx.rank())
-        .expect("calling rank not in member list");
-    let me = ctx.rank();
-
-    let mut slots: Vec<Slot> = vec![Slot::Plain(my_chunk)];
-    let mut step = 1usize;
-    let mut round = 0u64;
-    while step < q {
-        // Round boundary: a natural scheduling point on a contended world.
-        ctx.yield_now();
-        let cnt = step.min(q - step);
-        let dst = members[(k + q - step) % q];
-        let src = members[(k + step) % q];
-        let link = ctx.topology().link(me, dst);
-        let items: Vec<Item> = slots[..cnt]
-            .iter_mut()
-            .map(|slot| slot.item_for(ctx, link))
-            .collect();
-        ctx.send(dst, tag_base + round, Parcel { items });
-        let received = ctx.recv(src, tag_base + round).items;
-        debug_assert_eq!(received.len(), cnt);
-        slots.extend(received.into_iter().map(Slot::from_item));
-        step *= 2;
-        round += 1;
-    }
-    debug_assert_eq!(slots.len(), q);
-    for slot in slots {
-        out.place(slot.into_plain(ctx));
-    }
+    let held = bruck_allgather_items(ctx, members, vec![Held::from(my_chunk)], tag_base);
+    place_held(ctx, held, out);
 }
 
 #[cfg(test)]

@@ -1,8 +1,9 @@
 //! The Opportunistic Recursive Doubling algorithms O-RD and O-RD2, and the
 //! encrypted RD sub-gather used by C-RD.
 //!
-//! Both follow the ordinary RD exchange pattern (general member counts via
-//! fold/unfold) and differ in how they represent data on inter-node hops:
+//! Both are the shared RD walk (general member counts via fold/unfold) over
+//! merged-ciphertext holdings, and differ in how they represent data on
+//! inter-node hops:
 //!
 //! - **O-RD** seals its *known-plaintext* holdings once (caching the
 //!   ciphertext while the plaintext set is unchanged) and forwards received
@@ -17,14 +18,15 @@
 //!   encryption volume for fewer decryption rounds: `re = rd = lg N`,
 //!   `se = sd = (p−ℓ)m`.
 
-use crate::collective::floor_pow2;
+use crate::collective::{rd_allgather_items, Holdings};
 use crate::output::GatherOutput;
 use eag_netsim::{LinkClass, Rank};
-use eag_runtime::{Chunk, Item, Parcel, ProcCtx, Sealed};
+use eag_runtime::{Chunk, Item, ProcCtx, Sealed};
+use std::ops::Range;
 
 /// Which opportunistic RD variant to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum OrdVariant {
+pub(crate) enum OrdVariant {
     /// Cache one ciphertext of the plaintext holdings; forward foreign
     /// ciphertexts untouched; decrypt everything at the end.
     ForwardSealed,
@@ -32,7 +34,10 @@ pub enum OrdVariant {
     MergeRecrypt,
 }
 
-/// Crypto-aware holdings of one process during an opportunistic RD.
+/// Crypto-aware holdings of one process during an opportunistic RD. Not a
+/// per-block rule: the plaintext set is sent as *one* merged chunk, sealed
+/// as one ciphertext whose contents change from round to round, so there is
+/// no single block to hold in two forms.
 struct OrdState {
     plain: Vec<Chunk>,
     sealed: Vec<Sealed>,
@@ -41,15 +46,6 @@ struct OrdState {
 }
 
 impl OrdState {
-    fn new(my_chunk: Chunk, variant: OrdVariant) -> Self {
-        OrdState {
-            plain: vec![my_chunk],
-            sealed: Vec::new(),
-            cache: None,
-            variant,
-        }
-    }
-
     /// Decrypts every held ciphertext into the plaintext set (skipping
     /// ciphertexts whose origins are already known in plaintext).
     fn absorb_sealed(&mut self, ctx: &mut ProcCtx) {
@@ -70,9 +66,15 @@ impl OrdState {
         }
         self.cache = None;
     }
+}
 
-    /// The items to send to a partner over `link`.
-    fn items_for(&mut self, ctx: &mut ProcCtx, link: LinkClass) -> Vec<Item> {
+/// RD always sends the whole state, so the range is the whole state too.
+impl Holdings for OrdState {
+    fn len(&self) -> usize {
+        self.plain.len() + self.sealed.len()
+    }
+
+    fn items_for(&mut self, ctx: &mut ProcCtx, _: Range<usize>, link: LinkClass) -> Vec<Item> {
         match link {
             LinkClass::Intra | LinkClass::SelfLoop => {
                 // Intra-node sends carry plaintext only; held ciphertexts
@@ -99,7 +101,6 @@ impl OrdState {
         }
     }
 
-    /// Absorbs a received parcel.
     fn absorb(&mut self, items: Vec<Item>) {
         for item in items {
             match item {
@@ -111,19 +112,12 @@ impl OrdState {
             }
         }
     }
-
-    /// Decrypts the remaining ciphertexts and places everything.
-    fn finish(mut self, ctx: &mut ProcCtx, out: &mut GatherOutput) {
-        self.absorb_sealed(ctx);
-        for c in self.plain {
-            out.place(c);
-        }
-    }
 }
 
-/// Runs an opportunistic RD all-gather of `my_chunk` over `members`; places
-/// every member's plaintext into `out`.
-pub fn o_rd_over(
+/// Runs an opportunistic RD all-gather of `my_chunk` over `members` — the
+/// shared RD walk over [`OrdState`] holdings; places every member's
+/// plaintext into `out`.
+pub(crate) fn o_rd_over(
     ctx: &mut ProcCtx,
     members: &[Rank],
     my_chunk: Chunk,
@@ -131,67 +125,18 @@ pub fn o_rd_over(
     variant: OrdVariant,
     tag_base: u64,
 ) {
-    let q = members.len();
-    let mut state = OrdState::new(my_chunk, variant);
-    if q == 1 {
-        state.finish(ctx, out);
-        return;
-    }
-    let k = members
-        .iter()
-        .position(|&r| r == ctx.rank())
-        .expect("calling rank not in member list");
-    let pow = floor_pow2(q);
-    let r = q - pow;
-    let me = ctx.rank();
-
-    // Fold: odd members of the first 2r hand their data to the left even
-    // neighbour, then wait for the complete result.
-    if k < 2 * r {
-        if k % 2 == 1 {
-            let partner = members[k - 1];
-            let link = ctx.topology().link(me, partner);
-            let items = state.items_for(ctx, link);
-            ctx.send(partner, tag_base, Parcel { items });
-            let received = ctx.recv(partner, tag_base + 1 + 64).items;
-            state.absorb(received);
-            state.finish(ctx, out);
-            return;
-        } else {
-            let received = ctx.recv(members[k + 1], tag_base).items;
-            state.absorb(received);
-        }
-    }
-
-    let active_index = if k < 2 * r { k / 2 } else { k - r };
-    let active_member = |idx: usize| -> Rank {
-        if idx < r {
-            members[2 * idx]
-        } else {
-            members[idx + r]
-        }
+    let state = OrdState {
+        plain: vec![my_chunk],
+        sealed: Vec::new(),
+        cache: None,
+        variant,
     };
-
-    for b in 0..pow.trailing_zeros() {
-        // Round boundary: a natural scheduling point on a contended world.
-        ctx.yield_now();
-        let peer = active_member(active_index ^ (1usize << b));
-        let tag = tag_base + 1 + b as u64;
-        let link = ctx.topology().link(me, peer);
-        let items = state.items_for(ctx, link);
-        ctx.send(peer, tag, Parcel { items });
-        let received = ctx.recv(peer, tag).items;
-        state.absorb(received);
+    let mut state = rd_allgather_items(ctx, members, state, tag_base);
+    // Decrypt the remaining ciphertexts and place everything.
+    state.absorb_sealed(ctx);
+    for c in state.plain {
+        out.place(c);
     }
-
-    // Unfold: hand the folded neighbour the complete result.
-    if k < 2 * r && k % 2 == 0 {
-        let partner = members[k + 1];
-        let link = ctx.topology().link(me, partner);
-        let items = state.items_for(ctx, link);
-        ctx.send(partner, tag_base + 1 + 64, Parcel { items });
-    }
-    state.finish(ctx, out);
 }
 
 #[cfg(test)]

@@ -1,99 +1,33 @@
 //! The Opportunistic Ring (O-Ring) algorithm, and the encrypted ring
-//! sub-gather used by C-Ring.
+//! sub-gather used by C-Ring: the shared ring walk over blocks held under
+//! the opportunistic rule.
 //!
-//! The ring pattern is unchanged from the ordinary algorithm; the
-//! opportunistic rule decides the representation of every hop:
-//!
-//! - **intra-node hop**: send plaintext (decrypting first if the data is
-//!   currently held as ciphertext — the "entry process" role);
-//! - **inter-node hop**: send ciphertext. Plaintext holdings are freshly
-//!   encrypted (the "exit process" role); ciphertext received from the
-//!   previous hop is *forwarded as-is*, with a decryption done only for this
-//!   process's own output. Forward-as-is is what keeps `re = 1` in the
-//!   Concurrent sub-gathers, where every hop is inter-node.
+//! - **intra-node hop**: plaintext; a ciphertext arriving from another
+//!   node is opened on arrival (the "entry process" role);
+//! - **inter-node hop**: ciphertext. Plaintext is sealed (the "exit
+//!   process" role); a ciphertext received from the previous hop is
+//!   *forwarded as-is* and opened for this process's own output only after
+//!   the forward, under the wait for the next arrival. Forward-as-is is
+//!   what keeps `re = 1` in the Concurrent sub-gathers, where every hop is
+//!   inter-node.
 
+use crate::collective::ring_allgather_items;
+use crate::encrypted::{place_held, Held};
 use crate::output::GatherOutput;
-use eag_netsim::{LinkClass, Rank};
-use eag_runtime::{Chunk, Item, Parcel, ProcCtx};
+use eag_netsim::Rank;
+use eag_runtime::{Chunk, ProcCtx};
 
 /// Runs an opportunistic ring all-gather of `my_chunk` over `members`
 /// (visited in list order); places every member's plaintext into `out`.
-pub fn o_ring_over(
+pub(crate) fn o_ring_over(
     ctx: &mut ProcCtx,
     members: &[Rank],
     my_chunk: Chunk,
     out: &mut GatherOutput,
     tag_base: u64,
 ) {
-    let q = members.len();
-    let k = members
-        .iter()
-        .position(|&r| r == ctx.rank())
-        .expect("calling rank not in member list");
-    let succ = members[(k + 1) % q];
-    let pred = members[(k + q - 1) % q];
-
-    out.place(my_chunk.clone());
-    let mut cur = Item::Plain(my_chunk);
-    // A ciphertext we forward untouched still has to be opened for our own
-    // output — but *after* the forward, so the decryption overlaps with the
-    // wait for the next arrival instead of delaying the whole downstream
-    // pipeline (the paper's communication/computation overlap).
-    let mut pending: Option<eag_runtime::Sealed> = None;
-    // The successor never changes, so neither does the outbound link class.
-    let link = ctx.topology().link(ctx.rank(), succ);
-
-    for step in 0..q.saturating_sub(1) {
-        // Round boundary: a natural scheduling point on a contended world.
-        ctx.yield_now();
-        let tag = tag_base + step as u64;
-        // `cur` is rebuilt from the arrival below, so the match can consume
-        // it: the sealed plaintext's buffer is recycled by the rank's
-        // encrypt scratch instead of being cloned every round.
-        let to_send = match (cur, link) {
-            // Plaintext over the network: seal it (exit-process role).
-            (Item::Plain(c), LinkClass::Inter) => Item::Sealed(ctx.encrypt(c)),
-            // Anything else is already in the right representation:
-            // plaintext stays plaintext intra-node; ciphertext is forwarded
-            // as-is inter-node; sealed-over-intra cannot occur because
-            // receives convert to plaintext when the next hop is intra.
-            (item, _) => item,
-        };
-        ctx.send(succ, tag, Parcel::one(to_send));
-
-        // The forward is on the wire; now open last round's ciphertext for
-        // our own output, hidden under the wait for this round's arrival.
-        if let Some(s) = pending.take() {
-            let c = ctx.decrypt(s);
-            out.place(c);
-        }
-
-        let received = ctx.recv(pred, tag).items.remove(0);
-        cur = match received {
-            Item::Plain(c) => {
-                out.place(c.clone());
-                Item::Plain(c)
-            }
-            Item::Sealed(s) => {
-                if link == LinkClass::Inter && step + 1 < q - 1 {
-                    // Forward the ciphertext untouched next round.
-                    pending = Some(s.clone());
-                    Item::Sealed(s)
-                } else {
-                    // The next hop (or our output) needs the plaintext now
-                    // (entry-process role).
-                    let c = ctx.decrypt(s);
-                    out.place(c.clone());
-                    Item::Plain(c)
-                }
-            }
-        };
-    }
-
-    if let Some(s) = pending {
-        let c = ctx.decrypt(s);
-        out.place(c);
-    }
+    let held = ring_allgather_items(ctx, members, vec![Held::from(my_chunk)], tag_base);
+    place_held(ctx, held, out);
 }
 
 #[cfg(test)]

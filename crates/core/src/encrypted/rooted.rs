@@ -2,7 +2,9 @@
 //! binomial-tree, uniform and irregular (variable per-rank block lengths,
 //! after Träff's linear-time irregular gather/scatter construction).
 //!
-//! The opportunistic rule is applied per edge and per block: a plaintext
+//! Linear gather is the shared gather walk; the other three keep their own
+//! walks. All take the opportunistic rule from [`Held`], per edge and per
+//! block, as relays rather than consumers: a plaintext
 //! block is sealed exactly when it first crosses a node boundary
 //! (exit-process role), an already-sealed block is *forwarded as-is* by
 //! every intermediary, and it is opened only by the rank that consumes it
@@ -10,7 +12,7 @@
 //!
 //! The irregular case needs the receive-count vector at every rank before
 //! any tree edge can be sized; [`exchange_lengths`] is the sealed
-//! length-exchange prologue shared with `allgatherv` (8-byte metadata
+//! length-exchange prologue of gatherv and scatterv (8-byte metadata
 //! blocks, Bruck pattern, `⌈lg q⌉` rounds — Träff's linear-time bound is
 //! preserved because the prologue moves O(q) metadata, not payload).
 //!
@@ -25,9 +27,10 @@
 //!   re = p−ℓ, se = (p−ℓ)m, rd = 1, sd = m` (the root seals each
 //!   remote-bound block once; every remote rank opens only its own).
 
-use crate::collective::bruck_allgather_items;
+use crate::collective::{bruck_allgather_items, gather_items_to_root, my_index};
+use crate::encrypted::{place_held, Held};
 use crate::output::GatherOutput;
-use eag_netsim::{LinkClass, Rank};
+use eag_netsim::Rank;
 use eag_runtime::{Chunk, Data, Item, Parcel, ProcCtx};
 
 /// Sealed length-exchange prologue for the irregular collectives: every
@@ -35,7 +38,7 @@ use eag_runtime::{Chunk, Data, Item, Parcel, ProcCtx};
 /// by *global* rank. Metadata is sealed per transmission like the recovery
 /// agreement bitmaps (real bytes even in phantom worlds — lengths are
 /// protocol state, not payload).
-pub fn exchange_lengths(
+pub(crate) fn exchange_lengths(
     ctx: &mut ProcCtx,
     members: &[Rank],
     my_len: usize,
@@ -47,7 +50,7 @@ pub fn exchange_lengths(
         Data::Real((my_len as u64).to_le_bytes().to_vec().into()),
     );
     let sealed = Item::Sealed(ctx.encrypt(chunk));
-    let items = bruck_allgather_items(ctx, members, sealed, tag_base);
+    let items = bruck_allgather_items(ctx, members, vec![sealed], tag_base);
     let mut lens = vec![0usize; ctx.p()];
     for item in items {
         let c = ctx.decrypt(item.into_sealed());
@@ -59,59 +62,27 @@ pub fn exchange_lengths(
     lens
 }
 
-/// Seals `item` if it is plaintext about to cross a node boundary;
-/// otherwise returns it unchanged (plaintext intra-node, sealed forwarded
-/// as-is anywhere).
-fn seal_for(ctx: &mut ProcCtx, item: Item, link: LinkClass) -> Item {
-    match (item, link) {
-        (Item::Plain(c), LinkClass::Inter) => Item::Sealed(ctx.encrypt(c)),
-        (item, _) => item,
-    }
-}
-
-fn open(ctx: &mut ProcCtx, item: Item) -> Chunk {
-    match item {
-        Item::Plain(c) => c,
-        Item::Sealed(s) => ctx.decrypt(s),
-    }
-}
-
-fn my_index(ctx: &ProcCtx, members: &[Rank]) -> usize {
-    members
-        .iter()
-        .position(|&r| r == ctx.rank())
-        .expect("calling rank not in member list")
-}
-
-/// Linear encrypted gather to `members[0]`: every other member sends its
-/// block straight to the root, sealed iff the edge is inter-node. The root
-/// returns a complete output over the member slots; non-roots return an
-/// empty-expectation output (gather delivers data only at the root).
-pub fn gather_linear(
+/// Linear encrypted gather to `members[0]` — the shared linear gather walk
+/// over blocks held under the opportunistic rule: every other member sends
+/// its block straight to the root, sealed iff the edge is inter-node, and
+/// the root opens each arrival as it comes. The root returns a complete
+/// output over the member slots; non-roots return an empty-expectation
+/// output (gather delivers data only at the root).
+pub(crate) fn gather_linear(
     ctx: &mut ProcCtx,
     members: &[Rank],
     lens: &[usize],
     tag_base: u64,
 ) -> GatherOutput {
-    let root = members[0];
-    let me = ctx.rank();
-    let topo = ctx.topology().clone();
-    if me != root {
-        let j = my_index(ctx, members);
-        let item = Item::Plain(ctx.my_block(lens[me]));
-        let item = seal_for(ctx, item, topo.link(me, root));
-        ctx.send(root, tag_base + j as u64, Parcel::one(item));
-        return GatherOutput::new(lens.to_vec(), &[]);
+    let mine = vec![Held::from(ctx.my_block(lens[ctx.rank()]))];
+    match gather_items_to_root(ctx, members, mine, tag_base) {
+        Some(held) => {
+            let mut out = GatherOutput::new(lens.to_vec(), members);
+            place_held(ctx, held, &mut out);
+            out
+        }
+        None => GatherOutput::new(lens.to_vec(), &[]),
     }
-    let mut out = GatherOutput::new(lens.to_vec(), members);
-    out.place(ctx.my_block(lens[me]));
-    for (j, &src) in members.iter().enumerate().skip(1) {
-        ctx.yield_now();
-        let item = ctx.recv(src, tag_base + j as u64).items.remove(0);
-        let c = open(ctx, item);
-        out.place(c);
-    }
-    out
 }
 
 /// Binomial-tree encrypted gather to `members[0]`: subtrees accumulate
@@ -119,7 +90,7 @@ pub fn gather_linear(
 /// blocks sealed (one seal per block — blocks stay individually addressed
 /// so intermediaries can forward foreign ciphertexts as-is) and relays
 /// sealed subtrees untouched.
-pub fn gather_binomial(
+pub(crate) fn gather_binomial(
     ctx: &mut ProcCtx,
     members: &[Rank],
     lens: &[usize],
@@ -128,35 +99,29 @@ pub fn gather_binomial(
     let q = members.len();
     let k = my_index(ctx, members);
     let me = ctx.rank();
-    let topo = ctx.topology().clone();
-    let mut holdings: Vec<Item> = vec![Item::Plain(ctx.my_block(lens[me]))];
+    let mut held: Vec<Held> = vec![Held::from(ctx.my_block(lens[me]))];
 
     let mut mask = 1usize;
     while mask < q {
         if k & mask != 0 {
             let parent = members[k - mask];
-            let link = topo.link(me, parent);
-            let items: Vec<Item> = holdings
-                .into_iter()
-                .map(|i| seal_for(ctx, i, link))
-                .collect();
+            let link = ctx.topology().link(me, parent);
+            let items: Vec<Item> = held.into_iter().map(|h| h.relay(ctx, link)).collect();
             ctx.send(parent, tag_base + mask as u64, Parcel { items });
             return GatherOutput::new(lens.to_vec(), &[]);
         }
         if k + mask < q {
             ctx.yield_now();
             let child = members[k + mask];
-            holdings.extend(ctx.recv(child, tag_base + mask as u64).items);
+            let items = ctx.recv(child, tag_base + mask as u64).items;
+            held.extend(items.into_iter().map(Held::from));
         }
         mask <<= 1;
     }
 
     // Only the root reaches here.
     let mut out = GatherOutput::new(lens.to_vec(), members);
-    for item in holdings {
-        let c = open(ctx, item);
-        out.place(c);
-    }
+    place_held(ctx, held, &mut out);
     out
 }
 
@@ -164,7 +129,7 @@ pub fn gather_binomial(
 /// member's block from its send buffer ([`ProcCtx::block_for`]) and sends
 /// it directly, sealed iff the edge is inter-node. Every rank's output
 /// holds exactly its own slot.
-pub fn scatter_linear(
+pub(crate) fn scatter_linear(
     ctx: &mut ProcCtx,
     members: &[Rank],
     lens: &[usize],
@@ -172,20 +137,19 @@ pub fn scatter_linear(
 ) -> GatherOutput {
     let root = members[0];
     let me = ctx.rank();
-    let topo = ctx.topology().clone();
     let mut out = GatherOutput::new(lens.to_vec(), &[me]);
     if me == root {
         for (j, &dst) in members.iter().enumerate().skip(1) {
             ctx.yield_now();
-            let item = Item::Plain(ctx.block_for(dst, lens[dst]));
-            let item = seal_for(ctx, item, topo.link(me, dst));
+            let link = ctx.topology().link(me, dst);
+            let item = Held::from(ctx.block_for(dst, lens[dst])).relay(ctx, link);
             ctx.send(dst, tag_base + j as u64, Parcel::one(item));
         }
         out.place(ctx.my_block(lens[me]));
     } else {
         let j = my_index(ctx, members);
         let item = ctx.recv(root, tag_base + j as u64).items.remove(0);
-        out.place(open(ctx, item));
+        out.place(Held::from(item).into_plain(ctx));
     }
     out
 }
@@ -196,7 +160,7 @@ pub fn scatter_linear(
 /// bound for another node are sealed at their first inter-node edge —
 /// individually, so intermediaries forward them as-is and each destination
 /// opens only its own.
-pub fn scatter_binomial(
+pub(crate) fn scatter_binomial(
     ctx: &mut ProcCtx,
     members: &[Rank],
     lens: &[usize],
@@ -205,26 +169,26 @@ pub fn scatter_binomial(
     let q = members.len();
     let k = my_index(ctx, members);
     let me = ctx.rank();
-    let topo = ctx.topology().clone();
     let mut out = GatherOutput::new(lens.to_vec(), &[me]);
 
-    // holdings[i] is the block for member k + i.
-    let mut holdings: Vec<Item>;
+    // held[i] is the block for member k + i.
+    let mut held: Vec<Held>;
     let mut mask = 1usize;
     if k == 0 {
-        holdings = members
+        held = members
             .iter()
-            .map(|&r| Item::Plain(ctx.block_for(r, lens[r])))
+            .map(|&r| Held::from(ctx.block_for(r, lens[r])))
             .collect();
         while mask < q {
             mask <<= 1;
         }
     } else {
-        holdings = Vec::new();
+        held = Vec::new();
         while mask < q {
             if k & mask != 0 {
                 let parent = members[k - mask];
-                holdings = ctx.recv(parent, tag_base + mask as u64).items;
+                let items = ctx.recv(parent, tag_base + mask as u64).items;
+                held = items.into_iter().map(Held::from).collect();
                 break;
             }
             mask <<= 1;
@@ -233,22 +197,22 @@ pub fn scatter_binomial(
 
     mask >>= 1;
     while mask > 0 {
-        if k + mask < q && k & mask == 0 && holdings.len() > mask {
+        if k + mask < q && k & mask == 0 && held.len() > mask {
             ctx.yield_now();
             let dst = members[k + mask];
-            let link = topo.link(me, dst);
-            let items: Vec<Item> = holdings
+            let link = ctx.topology().link(me, dst);
+            let items: Vec<Item> = held
                 .split_off(mask)
                 .into_iter()
-                .map(|i| seal_for(ctx, i, link))
+                .map(|h| h.relay(ctx, link))
                 .collect();
             ctx.send(dst, tag_base + mask as u64, Parcel { items });
         }
         mask >>= 1;
     }
 
-    debug_assert_eq!(holdings.len(), 1, "subtree not fully scattered");
-    out.place(open(ctx, holdings.remove(0)));
+    debug_assert_eq!(held.len(), 1, "subtree not fully scattered");
+    out.place(held.remove(0).into_plain(ctx));
     out
 }
 

@@ -10,8 +10,8 @@
 //! and [`Collective::recover`] are its specialisations for a nominal block
 //! size `m`. The all-gathers dispatch to the single kernel in
 //! [`crate::algorithm`]; broadcast, (irregular) gather/scatter and
-//! all-to-all to their kernels in [`crate::encrypted`]; all share the item
-//! movers in [`crate::collective`], the [`GatherOutput`] container
+//! all-to-all to their kernels in [`crate::encrypted`]; all share the walks
+//! in [`crate::collective`], the [`GatherOutput`] container
 //! (expected-slot semantics differ per operation), and
 //! [`crate::collective::recover_collective`].
 //!
@@ -125,9 +125,8 @@ impl std::fmt::Display for Operation {
 /// Broadcast algorithm variants.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BcastAlgo {
-    /// Chain pipeline: the block is cut into
-    /// [`crate::encrypted::bcast_segments`] segments
-    /// that stream down the member chain, decryption overlapped with
+    /// Chain pipeline: the block is cut into `min(m, 4)` segments that
+    /// stream down the member chain, decryption overlapped with
     /// forwarding.
     Pipelined,
     /// MPICH-style binomial tree; the root seals once and sealed subtree

@@ -2,8 +2,8 @@
 //!
 //! These are the classic algorithms found in MPICH/MVAPICH. Ring, the
 //! rank-ordered Ring of Kandalla et al., Recursive Doubling (general p) and
-//! Bruck are the generic item movers of [`crate::collective`] applied to
-//! plaintext blocks — the all-gather kernel calls them directly. This
+//! Bruck are the shared walks of [`crate::collective`] over plain items —
+//! the all-gather kernel calls them directly. This
 //! module holds the baselines with a shape of their own: the Hierarchical
 //! (leader-based) algorithm, Neighbor Exchange, and the modeled MVAPICH
 //! default (RD/Bruck for small messages, Ring for large), which Naive
@@ -32,7 +32,7 @@ pub const MVAPICH_SWITCH_BYTES: usize = 8 * 1024;
 /// power of two and Bruck otherwise; Ring at or above it. The one owner of
 /// that selection — the `MVAPICH` baseline moves plaintext through it,
 /// Naive ciphertext.
-pub fn mvapich_allgather_items(
+pub(crate) fn mvapich_allgather_items(
     ctx: &mut ProcCtx,
     members: &[Rank],
     item: Item,
@@ -45,13 +45,13 @@ pub fn mvapich_allgather_items(
     } else if members.len().is_power_of_two() {
         rd_allgather_items(ctx, members, vec![item], tag_base)
     } else {
-        bruck_allgather_items(ctx, members, item, tag_base)
+        bruck_allgather_items(ctx, members, vec![item], tag_base)
     }
 }
 
 /// The Hierarchical algorithm (Träff \[28\]): intra-node gather to a leader,
 /// inter-node all-gather among leaders (RD), intra-node broadcast.
-pub fn hierarchical(ctx: &mut ProcCtx, my_chunk: Chunk, out: &mut GatherOutput) {
+pub(crate) fn hierarchical(ctx: &mut ProcCtx, my_chunk: Chunk, out: &mut GatherOutput) {
     let topo = ctx.topology().clone();
     let local = topo.ranks_on_node(topo.node_of(ctx.rank()));
     let leaders: Vec<Rank> = (0..topo.nodes()).map(|n| topo.leader_of(n)).collect();
@@ -65,7 +65,12 @@ pub fn hierarchical(ctx: &mut ProcCtx, my_chunk: Chunk, out: &mut GatherOutput) 
         gathered.map(|items| rd_allgather_items(ctx, &leaders, items, tags::PHASE_MAIN));
 
     // Step 3: broadcast the full result within each node.
-    let all = bcast_items_from_root(ctx, &local, leader_items, tags::PHASE_BCAST);
+    let all = bcast_items_from_root(
+        ctx,
+        &local,
+        leader_items.unwrap_or_default(),
+        tags::PHASE_BCAST,
+    );
     out.place_items(all);
 }
 
@@ -73,7 +78,7 @@ pub fn hierarchical(ctx: &mut ProcCtx, my_chunk: Chunk, out: &mut GatherOutput) 
 /// alternating exchanges with the left/right ring neighbours, moving two
 /// blocks per round after the first. Only defined for even `p`; the
 /// all-gather kernel runs Ring instead when `p` is odd.
-pub fn neighbor_exchange(ctx: &mut ProcCtx, my_chunk: Chunk, out: &mut GatherOutput) {
+pub(crate) fn neighbor_exchange(ctx: &mut ProcCtx, my_chunk: Chunk, out: &mut GatherOutput) {
     let p = ctx.p();
     assert!(p.is_multiple_of(2), "Neighbor Exchange needs an even p");
     let me = ctx.rank();

@@ -1,10 +1,10 @@
-//! Security contract of the encrypted algorithms under the paper's threat
+//! Security contract of the encrypted collectives under the paper's threat
 //! model: a passive network adversary sees all inter-node traffic (and an
 //! active one may tamper with it). Intra-node traffic is trusted.
 
-use eag_core::{Algorithm, Collective};
+use eag_core::{varying_lens, Algorithm, Collective, Operation};
 use eag_netsim::{profile, FrameKind, Mapping, Topology};
-use eag_runtime::{pattern_block, run, DataMode, WorldSpec};
+use eag_runtime::{pattern_block, pattern_block_pair, run, DataMode, RunReport, WorldSpec};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 const SEED: u64 = 0x5EC;
@@ -19,19 +19,52 @@ fn tapped_spec(p: usize, nodes: usize, mapping: Mapping) -> WorldSpec {
     s
 }
 
-/// No encrypted algorithm ever sends a frame classified as plaintext over
+/// Every encrypted collective: the Table II all-gathers and every variant
+/// of the other operations, which share the opportunistic rule.
+fn encrypted_collectives() -> Vec<Collective> {
+    let mut all: Vec<Collective> = Algorithm::encrypted_all()
+        .iter()
+        .map(|&a| Collective::Allgather(a))
+        .collect();
+    all.extend(Collective::new_operations_all());
+    all
+}
+
+/// Runs `c` over a tapped world, every rank verifying its output.
+fn tapped_run(c: Collective, p: usize, nodes: usize, mapping: Mapping, m: usize) -> RunReport<()> {
+    run(&tapped_spec(p, nodes, mapping), move |ctx| {
+        let out = c.run(ctx, m);
+        c.verify(ctx.rank(), &out, SEED);
+    })
+}
+
+/// Every input block `c` moves with nominal size `m` over `p` ranks:
+/// origin blocks, or one block per (source, destination) pair for
+/// all-to-all.
+fn input_blocks(c: Collective, p: usize, m: usize) -> Vec<Vec<u8>> {
+    let lens = match c.operation() {
+        Operation::Gatherv | Operation::Scatterv => varying_lens(p, m),
+        _ => vec![m; p],
+    };
+    match c.operation() {
+        Operation::Alltoall => (0..p)
+            .flat_map(|src| (0..p).map(move |dst| pattern_block_pair(SEED, src, dst, m)))
+            .collect(),
+        _ => (0..p).map(|r| pattern_block(SEED, r, lens[r])).collect(),
+    }
+}
+
+/// No encrypted collective ever sends a frame classified as plaintext over
 /// an inter-node link.
 #[test]
 fn no_plaintext_frames_on_the_wire() {
-    for &algo in Algorithm::encrypted_all() {
+    for c in encrypted_collectives() {
         for mapping in [Mapping::Block, Mapping::Cyclic] {
             for (p, nodes) in [(8, 2), (12, 4), (9, 3)] {
-                let report = run(&tapped_spec(p, nodes, mapping), move |ctx| {
-                    Collective::Allgather(algo).run(ctx, 96).verify(SEED);
-                });
+                let report = tapped_run(c, p, nodes, mapping, 96);
                 assert!(
                     !report.wiretap.saw_plaintext_frame(),
-                    "{algo} p={p} N={nodes} {mapping}: plaintext frame captured"
+                    "{c} p={p} N={nodes} {mapping}: plaintext frame captured"
                 );
             }
         }
@@ -44,20 +77,17 @@ fn no_plaintext_frames_on_the_wire() {
 #[test]
 fn no_input_block_leaks_into_captured_bytes() {
     let (p, nodes, m) = (12usize, 3usize, 128usize);
-    for &algo in Algorithm::encrypted_all() {
-        let report = run(&tapped_spec(p, nodes, Mapping::Block), move |ctx| {
-            Collective::Allgather(algo).run(ctx, m).verify(SEED);
-        });
-        for rank in 0..p {
-            let block = pattern_block(SEED, rank, m);
+    for c in encrypted_collectives() {
+        let report = tapped_run(c, p, nodes, Mapping::Block, m);
+        for (i, block) in input_blocks(c, p, m).iter().enumerate() {
             assert!(
-                !report.wiretap.contains(&block),
-                "{algo}: rank {rank}'s block found in wire capture"
+                !report.wiretap.contains(block),
+                "{c}: input block {i} found in wire capture"
             );
             // Even a 32-byte prefix must not appear.
             assert!(
                 !report.wiretap.contains(&block[..32]),
-                "{algo}: rank {rank}'s block prefix found in wire capture"
+                "{c}: input block {i}'s prefix found in wire capture"
             );
         }
     }
@@ -196,10 +226,8 @@ fn no_nonce_is_reused_for_distinct_ciphertexts() {
 #[test]
 fn nonces_are_unique_across_ranks() {
     use std::collections::HashMap;
-    for &algo in Algorithm::encrypted_all() {
-        let report = run(&tapped_spec(16, 4, Mapping::Block), move |ctx| {
-            Collective::Allgather(algo).run(ctx, 48).verify(SEED);
-        });
+    for c in encrypted_collectives() {
+        let report = tapped_run(c, 16, 4, Mapping::Block, 48);
         // nonce of the frame's leading item → the first 16 ciphertext bytes
         // after it. A forwarded item re-sends both unchanged (possibly from
         // another rank, possibly with a different frame tail); two distinct
@@ -207,7 +235,7 @@ fn nonces_are_unique_across_ranks() {
         let mut seen: HashMap<[u8; 12], [u8; 16]> = HashMap::new();
         let mut frames = 0usize;
         for f in report.wiretap.frames() {
-            assert!(f.bytes.len() >= 28, "{algo}: frame below GCM framing size");
+            assert!(f.bytes.len() >= 28, "{c}: frame below GCM framing size");
             frames += 1;
             let flat = f.bytes.to_vec();
             let mut n = [0u8; 12];
@@ -217,11 +245,11 @@ fn nonces_are_unique_across_ranks() {
             if let Some(prev) = seen.insert(n, ct) {
                 assert_eq!(
                     prev, ct,
-                    "{algo}: one nonce paired with two different ciphertexts"
+                    "{c}: one nonce paired with two different ciphertexts"
                 );
             }
         }
-        assert!(frames > 0, "{algo}: wiretap captured nothing");
+        assert!(frames > 0, "{c}: wiretap captured nothing");
     }
 }
 
