@@ -7,8 +7,6 @@
 //! 3. C-Ring vs HS1 — concurrent streams vs single-leader traffic,
 //!    with the NIC contention model on and off.
 //! 4. Ring vs rank-ordered Ring under cyclic mapping.
-//! 5. HS-ML multi-leader sweep: k leaders per node from 1 (= HS2-like) to
-//!    ℓ (= C-Ring-like stream concurrency), showing where the NIC saturates.
 
 use eag_bench::fmt::size_label;
 use eag_bench::{simulate, SimConfig};
@@ -36,28 +34,6 @@ fn compare(title: &str, cfg: &SimConfig, a: Algorithm, b: Algorithm, sizes: &[us
             tb,
             if ta <= tb { a.name() } else { b.name() }
         );
-    }
-}
-
-fn multi_leader_sweep() {
-    use eag_core::encrypted::{hs_ml, MlPattern};
-    use eag_netsim::FaultPlan;
-    use eag_runtime::run;
-
-    // Bridges-2 model: one core stream (12 GB/s) cannot saturate the
-    // 25 GB/s NIC, so extra leaders should pay off up to ~k = 2.
-    println!("\n== ablation 5: HS-ML multi-leader sweep (bridges2, p=128, N=8, 256KB) ==");
-    println!("{:>4} {:>14}", "k", "latency");
-    let m = 256 * 1024;
-    let spec =
-        SimConfig::contended(128, 8, Mapping::Block, "bridges2").world_spec(FaultPlan::default());
-    for k in [1usize, 2, 4, 8, 16] {
-        let latency = run(&spec, move |ctx| {
-            let out = hs_ml(ctx, m, k, MlPattern::Ring);
-            assert!(out.is_complete());
-        })
-        .latency_us;
-        println!("{k:>4} {latency:>12.2}us");
     }
 }
 
@@ -108,5 +84,4 @@ fn main() {
         Algorithm::RingRanked,
         &sizes,
     );
-    multi_leader_sweep();
 }

@@ -11,14 +11,13 @@
 //! [`crate::collective`] plus a rule: plain items, or the opportunistic
 //! holdings of [`crate::encrypted`].
 
-use crate::collective::{bruck_allgather_items, rd_allgather_items, ring_allgather_items};
+use crate::collective::Walk;
 use crate::encrypted::{
-    concurrent, hs_over, naive_over, o_bruck_over, o_rd_over, o_ring_over, HsVariant, OrdVariant,
-    SubPattern,
+    concurrent, hs_over, naive_over, o_rd_over, o_walk_over, HsVariant, OrdVariant,
 };
 use crate::output::GatherOutput;
 use crate::tags::PHASE_MAIN;
-use crate::unencrypted::{hierarchical, mvapich_allgather_items, neighbor_exchange};
+use crate::unencrypted::{hierarchical, mvapich_walk, neighbor_exchange};
 use eag_netsim::Rank;
 use eag_runtime::{Item, ProcCtx};
 
@@ -27,7 +26,7 @@ use eag_runtime::{Item, ProcCtx};
 /// The unencrypted entries are the Section III baselines plus the
 /// unencrypted counterparts of the paper's new algorithms (used in
 /// Figures 5 and 6); the encrypted entries are the Section IV algorithms
-/// of Table II.
+/// of Table II plus O-Bruck (an extension).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Algorithm {
     // --- unencrypted ---
@@ -100,7 +99,8 @@ impl Algorithm {
         ]
     }
 
-    /// The eight encrypted algorithms of Table II.
+    /// The encrypted algorithms: the eight of Table II plus O-Bruck (an
+    /// extension beyond the paper).
     pub fn encrypted_all() -> &'static [Algorithm] {
         use Algorithm::*;
         &[Naive, ORing, ORd, ORd2, CRing, CRd, Hs1, Hs2, OBruck]
@@ -234,43 +234,31 @@ pub(crate) fn allgather_over(
     match algo {
         // Neighbor Exchange is defined for even process counts only.
         NeighborExchange if members.len().is_multiple_of(2) => neighbor_exchange(ctx, mine, out),
-        Ring | NeighborExchange => {
-            let items = ring_allgather_items(ctx, members, vec![Item::Plain(mine)], PHASE_MAIN);
-            out.place_items(items);
-        }
-        RingRanked => {
-            // Same-node members consecutive (Kandalla et al.): the ring
-            // stays mapping-oblivious.
-            let ordered = ctx.topology().ring_order(members);
-            let items = ring_allgather_items(ctx, &ordered, vec![Item::Plain(mine)], PHASE_MAIN);
-            out.place_items(items);
-        }
-        Rd => {
-            let items = rd_allgather_items(ctx, members, vec![Item::Plain(mine)], PHASE_MAIN);
-            out.place_items(items);
-        }
-        Bruck => {
-            let items = bruck_allgather_items(ctx, members, vec![Item::Plain(mine)], PHASE_MAIN);
-            out.place_items(items);
+        Ring | NeighborExchange | RingRanked | Rd | Bruck | Mvapich => {
+            let walk = match algo {
+                Rd => Walk::Rd,
+                Bruck => Walk::Bruck,
+                Mvapich => mvapich_walk(members, out),
+                _ => Walk::Ring,
+            };
+            // The rank-ordered Ring visits same-node members consecutively
+            // (Kandalla et al.), so it stays mapping-oblivious.
+            let ranked;
+            let members = if algo == RingRanked {
+                ranked = ctx.topology().ring_order(members);
+                &ranked
+            } else {
+                members
+            };
+            out.place_items(walk.run(ctx, members, vec![Item::Plain(mine)], PHASE_MAIN));
         }
         Hierarchical => hierarchical(ctx, mine, out),
-        Mvapich => {
-            let items = mvapich_allgather_items(ctx, members, Item::Plain(mine), out, PHASE_MAIN);
-            out.place_items(items);
-        }
-        CRingPlain => concurrent(ctx, mine, out, SubPattern::Ring, false),
-        CRdPlain => concurrent(ctx, mine, out, SubPattern::Rd, false),
+        CRingPlain => concurrent(ctx, mine, out, Walk::Ring, false),
+        CRdPlain => concurrent(ctx, mine, out, Walk::Rd, false),
         HsPlain => hs_over(ctx, mine, out, HsVariant::Plain),
         Naive => naive_over(ctx, members, mine, out),
-        ORing => o_ring_over(ctx, members, mine, out, PHASE_MAIN),
-        ORd => o_rd_over(
-            ctx,
-            members,
-            mine,
-            out,
-            OrdVariant::ForwardSealed,
-            PHASE_MAIN,
-        ),
+        ORing => o_walk_over(ctx, Walk::Ring, members, mine, out, PHASE_MAIN),
+        ORd => o_walk_over(ctx, Walk::Rd, members, mine, out, PHASE_MAIN),
         ORd2 => o_rd_over(
             ctx,
             members,
@@ -279,11 +267,11 @@ pub(crate) fn allgather_over(
             OrdVariant::MergeRecrypt,
             PHASE_MAIN,
         ),
-        CRing => concurrent(ctx, mine, out, SubPattern::Ring, true),
-        CRd => concurrent(ctx, mine, out, SubPattern::Rd, true),
+        CRing => concurrent(ctx, mine, out, Walk::Ring, true),
+        CRd => concurrent(ctx, mine, out, Walk::Rd, true),
         Hs1 => hs_over(ctx, mine, out, HsVariant::Hs1),
         Hs2 => hs_over(ctx, mine, out, HsVariant::Hs2),
-        OBruck => o_bruck_over(ctx, members, mine, out, PHASE_MAIN),
+        OBruck => o_walk_over(ctx, Walk::Bruck, members, mine, out, PHASE_MAIN),
     }
 }
 

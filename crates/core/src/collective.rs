@@ -13,6 +13,11 @@
 //! (`Vec<Held>`, or O-RD's merged-ciphertext `OrdState`), so a kernel is a
 //! walk plus a rule.
 //!
+//! The three all-gather walks are reached only through `Walk`, the one
+//! ring / RD / Bruck selector. The hierarchical kernels (HS, C-Ring/C-RD,
+//! Hierarchical) run their inter-node walk over a `node_group`: the g-th
+//! rank of every node.
+//!
 //! [`recover_collective`] is the ULFM-style crash-tolerant engine: an
 //! epoch-versioned shrink-and-rerun loop that attempts the collective and,
 //! for as long as crashes keep landing — including inside its own
@@ -29,7 +34,7 @@ use crate::group::Group;
 use crate::operation::Collective;
 use crate::output::{DegradedOutput, GatherOutput};
 use crate::tags;
-use eag_netsim::{LinkClass, Rank};
+use eag_netsim::{LinkClass, Rank, Topology};
 use eag_runtime::{Chunk, CollectiveError, Data, FailureCause, Item, Parcel, ProcCtx};
 use std::collections::BTreeSet;
 use std::ops::Range;
@@ -98,13 +103,51 @@ impl Holdings for Vec<Item> {
     }
 }
 
+/// An all-gather walk: who sends which held items to whom, round by round.
+/// The one choice between ring, recursive doubling and Bruck.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Walk {
+    /// `q − 1` rounds to the successor, forwarding the last arrival.
+    Ring,
+    /// Recursive doubling, folding a non-power-of-two member count.
+    Rd,
+    /// Bruck dissemination, `⌈lg q⌉` rounds for any member count.
+    Bruck,
+}
+
+impl Walk {
+    /// Runs the walk over `members` (every member passes the identical
+    /// list) from tag `tag_base` on; returns every member's items.
+    pub(crate) fn run<H: Holdings>(
+        self,
+        ctx: &mut ProcCtx,
+        members: &[Rank],
+        held: H,
+        tag_base: u64,
+    ) -> H {
+        match self {
+            Walk::Ring => ring_allgather_items(ctx, members, held, tag_base),
+            Walk::Rd => rd_allgather_items(ctx, members, held, tag_base),
+            Walk::Bruck => bruck_allgather_items(ctx, members, held, tag_base),
+        }
+    }
+}
+
+/// Node group `g`: the `g`-th rank of every node, in node order. Group 0
+/// is the node leaders; groups `0..ℓ` partition the world.
+pub(crate) fn node_group(topo: &Topology, g: usize) -> Vec<Rank> {
+    (0..topo.nodes())
+        .map(|node| topo.peer_on_node(topo.leader_of(node), g))
+        .collect()
+}
+
 /// Ring all-gather: member `k` sends to `k+1` and receives from `k-1`,
 /// `q-1` times, forwarding what it received the previous step; returns
 /// every member's items (own included). Forwarded items settle right after
 /// their send, received ones on arrival unless they leave again across a
 /// node boundary — O-Ring opens a forwarded ciphertext after the forward,
 /// under the wait for the next arrival.
-pub(crate) fn ring_allgather_items<H: Holdings>(
+fn ring_allgather_items<H: Holdings>(
     ctx: &mut ProcCtx,
     members: &[Rank],
     mut held: H,
@@ -141,7 +184,7 @@ pub(crate) fn ring_allgather_items<H: Holdings>(
 /// members fold their data into a power-of-two active set first and receive
 /// the full result afterwards, for at most `lg q + 2` rounds (the paper's
 /// "extra steps ... still bounded by 2·lg(p)").
-pub(crate) fn rd_allgather_items<H: Holdings>(
+fn rd_allgather_items<H: Holdings>(
     ctx: &mut ProcCtx,
     members: &[Rank],
     mut held: H,
@@ -203,7 +246,7 @@ pub(crate) fn rd_allgather_items<H: Holdings>(
 /// Bruck all-gather (`⌈lg q⌉` rounds for any `q`) of one item per member.
 /// Item `j` of the returned holdings is the item of member `(k + j) mod q`
 /// (callers place by origin, so order does not matter).
-pub(crate) fn bruck_allgather_items<H: Holdings>(
+fn bruck_allgather_items<H: Holdings>(
     ctx: &mut ProcCtx,
     members: &[Rank],
     mut held: H,
@@ -763,6 +806,29 @@ mod tests {
             });
             for out in report.outputs {
                 assert_eq!(out, vec![0], "q = {q}");
+            }
+        }
+    }
+
+    #[test]
+    fn node_groups_partition_the_world_one_rank_per_node() {
+        for mapping in [Mapping::Block, Mapping::Cyclic] {
+            // Includes ℓ = 1 (every rank its own node) and N = 1.
+            for (p, nodes) in [(12, 3), (8, 4), (6, 6), (5, 1), (1, 1)] {
+                let topo = Topology::new(p, nodes, mapping);
+                let ell = p / nodes;
+                let groups: Vec<Vec<Rank>> = (0..ell).map(|g| node_group(&topo, g)).collect();
+                let mut all: Vec<Rank> = groups.concat();
+                all.sort_unstable();
+                assert_eq!(all, (0..p).collect::<Vec<_>>(), "p={p} N={nodes} {mapping}");
+                for (g, group) in groups.iter().enumerate() {
+                    let nodes_of: Vec<usize> = group.iter().map(|&r| topo.node_of(r)).collect();
+                    assert_eq!(nodes_of, (0..nodes).collect::<Vec<_>>(), "group {g}");
+                    assert!(group.iter().all(|&r| topo.local_index(r) == g), "group {g}");
+                }
+                let mut leaders: Vec<Rank> = (0..p).filter(|&r| topo.is_leader(r)).collect();
+                leaders.sort_by_key(|&r| topo.node_of(r));
+                assert_eq!(groups[0], leaders, "p={p} N={nodes} {mapping}");
             }
         }
     }

@@ -9,68 +9,45 @@
 //! per-group results across the node. The sub-gather is O-Ring or O-RD
 //! over the group, the local phase the same walk over plain items.
 //!
+//! The groups are the node groups of [`crate::collective::node_group`],
+//! the same lists HS and the Hierarchical baseline run their leader walk
+//! over (group 0). Unlike HS there is no collect step, and the result is
+//! spread with a message walk instead of shared memory.
+//!
 //! The same code with `encrypted = false` gives the *unencrypted
 //! counterparts* the paper uses in Figures 5 and 6.
 
-use crate::collective::{rd_allgather_items, ring_allgather_items};
-use crate::encrypted::o_rd::{o_rd_over, OrdVariant};
-use crate::encrypted::o_ring::o_ring_over;
+use crate::collective::{node_group, Walk};
+use crate::encrypted::o_walk_over;
 use crate::output::GatherOutput;
 use crate::tags;
-use eag_netsim::Rank;
 use eag_runtime::{Chunk, Item, ProcCtx};
 
-/// Which pattern the sub-all-gather (and the local phase) uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum SubPattern {
-    /// Ring sub-gather + local ring (C-Ring).
-    Ring,
-    /// RD sub-gather + local RD (C-RD).
-    Rd,
-}
-
-/// Runs the Concurrent algorithm over the whole world, contributing
-/// `my_chunk` and filling `out`; `encrypted = false` gives the unencrypted
-/// counterpart. Block lengths come from `out`: when they are uniform the
-/// local phase moves each group's result as one merged chunk, otherwise as
-/// per-origin items (merging needs an equal stride).
+/// Runs the Concurrent algorithm over the whole world with `walk` as both
+/// the sub-gather and the local phase (Ring: C-Ring, RD: C-RD),
+/// contributing `my_chunk` and filling `out`; `encrypted = false` gives
+/// the unencrypted counterpart. Block lengths come from `out`: when they
+/// are uniform the local phase moves each group's result as one merged
+/// chunk, otherwise as per-origin items (merging needs an equal stride).
 pub(crate) fn concurrent(
     ctx: &mut ProcCtx,
     my_chunk: Chunk,
     out: &mut GatherOutput,
-    pattern: SubPattern,
+    walk: Walk,
     encrypted: bool,
 ) {
     let topo = ctx.topology().clone();
-    let nodes = topo.nodes();
-    let group = topo.local_index(ctx.rank());
-
-    // Group members: the `group`-th process of every node, ordered by node.
-    // This ordering is mapping-oblivious (the paper's C-Ring property).
-    let members: Vec<Rank> = (0..nodes)
-        .map(|node| topo.peer_on_node(topo.leader_of(node), group))
-        .collect();
+    // Group members: the process with this rank's local index on every
+    // node, ordered by node. This ordering is mapping-oblivious (the
+    // paper's C-Ring property).
+    let members = node_group(&topo, topo.local_index(ctx.rank()));
 
     // Phase 1: concurrent sub-all-gathers (one per group).
     if encrypted {
-        match pattern {
-            SubPattern::Ring => o_ring_over(ctx, &members, my_chunk, out, tags::PHASE_SUB),
-            SubPattern::Rd => o_rd_over(
-                ctx,
-                &members,
-                my_chunk,
-                out,
-                OrdVariant::ForwardSealed,
-                tags::PHASE_SUB,
-            ),
-        }
+        o_walk_over(ctx, walk, &members, my_chunk, out, tags::PHASE_SUB);
     } else {
         let items = vec![Item::Plain(my_chunk)];
-        let gathered = match pattern {
-            SubPattern::Ring => ring_allgather_items(ctx, &members, items, tags::PHASE_SUB),
-            SubPattern::Rd => rd_allgather_items(ctx, &members, items, tags::PHASE_SUB),
-        };
-        out.place_items(gathered);
+        out.place_items(walk.run(ctx, &members, items, tags::PHASE_SUB));
     }
 
     // Phase 2: node-local ordinary all-gather of each group's result.
@@ -85,11 +62,7 @@ pub(crate) fn concurrent(
         } else {
             blocks.into_iter().map(Item::Plain).collect()
         };
-        let gathered = match pattern {
-            SubPattern::Ring => ring_allgather_items(ctx, &local, items, tags::PHASE_LOCAL),
-            SubPattern::Rd => rd_allgather_items(ctx, &local, items, tags::PHASE_LOCAL),
-        };
-        out.place_items(gathered);
+        out.place_items(walk.run(ctx, &local, items, tags::PHASE_LOCAL));
     }
 }
 

@@ -14,7 +14,9 @@
 //!   all-gather the per-process ciphertexts; joint decryption handles
 //!   (N−1)ℓ ciphertexts, N−1 per process (`rd = N−1`, `sd = (N−1)m`).
 //!
-//! The leader phase is the shared RD walk over plain items: the
+//! This is the one shared-memory skeleton: deposit + barrier, the leader
+//! walk, the joint open split over ℓ, and the copy-out. The leader phase is
+//! the shared RD walk over node group 0 (the leaders) on plain items: the
 //! ciphertexts were sealed in shared memory before it, and it forwards
 //! them untouched.
 //!
@@ -25,10 +27,10 @@
 //! `HsVariant::Plain` is the shared (unencrypted) counterpart of both, used
 //! as a baseline in the paper's Figures 5 and 6.
 
-use crate::collective::rd_allgather_items;
+use crate::collective::{node_group, Walk};
 use crate::output::GatherOutput;
 use crate::tags;
-use eag_netsim::{Mapping, Rank};
+use eag_netsim::Mapping;
 use eag_runtime::{Chunk, Item, ProcCtx};
 
 /// Which HS scheme to run.
@@ -54,13 +56,12 @@ pub(crate) fn hs_over(
     variant: HsVariant,
 ) {
     let topo = ctx.topology().clone();
-    let nodes = topo.nodes();
     let my_node = topo.node_of(ctx.rank());
-    let local = topo.ranks_on_node(my_node);
-    let ell = local.len();
+    let ell = topo.procs_per_node();
     let li = topo.local_index(ctx.rank());
-    let is_leader = li == 0;
-    let leaders: Vec<Rank> = (0..nodes).map(|n| topo.leader_of(n)).collect();
+    // HS2 moves every rank's ciphertext, HS1 and Plain one node buffer.
+    let per_node = if variant == HsVariant::Hs2 { ell } else { 1 };
+    let foreign_items = (topo.nodes() - 1) * per_node;
 
     out.place(my_chunk.clone());
 
@@ -68,51 +69,43 @@ pub(crate) fn hs_over(
     // from the algorithm's structure: a gather slot is read by the ℓ−1
     // siblings in step 4, plus (HS1/Plain only) once by the leader in
     // step 2.
-    match variant {
-        HsVariant::Hs1 | HsVariant::Plain => {
-            ctx.shared_deposit(ctx.slot(tags::SLOT_GATHER, li), Item::Plain(my_chunk), ell);
-        }
-        HsVariant::Hs2 => {
-            // Ciphertext for the network, plus plaintext so siblings can
-            // read intra-node blocks without decryption.
-            let sealed = ctx.encrypt(my_chunk.clone());
-            ctx.shared_deposit(
-                ctx.slot(tags::SLOT_GATHER, li),
-                Item::Plain(my_chunk),
-                ell - 1,
-            );
-            ctx.shared_deposit_free(ctx.slot(tags::SLOT_CIPHER_IN, li), Item::Sealed(sealed), 1);
-        }
+    if variant == HsVariant::Hs2 {
+        // Ciphertext for the network, plus plaintext so siblings can
+        // read intra-node blocks without decryption.
+        let sealed = ctx.encrypt(my_chunk.clone());
+        ctx.shared_deposit(
+            ctx.slot(tags::SLOT_GATHER, li),
+            Item::Plain(my_chunk),
+            ell - 1,
+        );
+        ctx.shared_deposit_free(ctx.slot(tags::SLOT_CIPHER_IN, li), Item::Sealed(sealed), 1);
+    } else {
+        ctx.shared_deposit(ctx.slot(tags::SLOT_GATHER, li), Item::Plain(my_chunk), ell);
     }
     ctx.node_barrier();
 
     // Step 2: leaders all-gather.
-    if is_leader {
-        let contribution: Vec<Item> = match variant {
-            HsVariant::Hs1 => {
-                let blocks: Vec<Chunk> = (0..ell)
-                    .map(|k| {
-                        ctx.shared_fetch_free(ctx.slot(tags::SLOT_GATHER, k))
-                            .into_plain()
-                    })
-                    .collect();
-                let node_chunk = Chunk::concat_owned(blocks);
-                vec![Item::Sealed(ctx.encrypt(node_chunk))]
-            }
-            HsVariant::Hs2 => (0..ell)
+    if li == 0 {
+        let contribution: Vec<Item> = if variant == HsVariant::Hs2 {
+            (0..ell)
                 .map(|k| ctx.shared_fetch_free(ctx.slot(tags::SLOT_CIPHER_IN, k)))
-                .collect(),
-            HsVariant::Plain => {
-                let blocks: Vec<Chunk> = (0..ell)
-                    .map(|k| {
-                        ctx.shared_fetch_free(ctx.slot(tags::SLOT_GATHER, k))
-                            .into_plain()
-                    })
-                    .collect();
-                vec![Item::Plain(Chunk::concat_owned(blocks))]
-            }
+                .collect()
+        } else {
+            // One node buffer; only HS1 seals it.
+            let blocks: Vec<Chunk> = (0..ell)
+                .map(|k| {
+                    ctx.shared_fetch_free(ctx.slot(tags::SLOT_GATHER, k))
+                        .into_plain()
+                })
+                .collect();
+            let node_chunk = Chunk::concat_owned(blocks);
+            vec![match variant {
+                HsVariant::Hs1 => Item::Sealed(ctx.encrypt(node_chunk)),
+                _ => Item::Plain(node_chunk),
+            }]
         };
-        let gathered = rd_allgather_items(ctx, &leaders, contribution, tags::PHASE_MAIN);
+        let leaders = node_group(&topo, 0);
+        let gathered = Walk::Rd.run(ctx, &leaders, contribution, tags::PHASE_MAIN);
         // Deposit foreign items into the shared ciphertext (or plaintext)
         // buffer, indexed consecutively for the joint-decryption split.
         let mut idx = 0usize;
@@ -126,19 +119,14 @@ pub(crate) fn hs_over(
             ctx.shared_deposit_free(ctx.slot(tags::SLOT_CIPHER_FOREIGN, idx), item, 1);
             idx += 1;
         }
-        let expected = match variant {
-            HsVariant::Hs2 => (nodes - 1) * ell,
-            _ => nodes - 1,
-        };
-        assert_eq!(idx, expected, "leader gathered an unexpected item count");
+        assert_eq!(
+            idx, foreign_items,
+            "leader gathered an unexpected item count"
+        );
     }
     ctx.node_barrier();
 
     // Step 3: joint decryption into the shared plaintext buffer.
-    let foreign_items = match variant {
-        HsVariant::Hs2 => (nodes - 1) * ell,
-        _ => nodes - 1,
-    };
     for j in (0..foreign_items).skip(li).step_by(ell) {
         // Each joint-decryption slice is a compute burst; give waiting
         // ranks a turn between slices on a contended world.

@@ -15,7 +15,6 @@ pub(crate) mod alltoall;
 pub(crate) mod bcast;
 pub(crate) mod concurrent;
 pub(crate) mod hs;
-pub mod hs_ml;
 pub(crate) mod naive;
 pub(crate) mod o_bruck;
 pub(crate) mod o_rd;
@@ -24,19 +23,17 @@ pub(crate) mod rooted;
 
 pub(crate) use alltoall::{alltoall_bruck, alltoall_pairwise};
 pub(crate) use bcast::{bcast_binomial, bcast_pipelined, bcast_segments};
-pub(crate) use concurrent::{concurrent, SubPattern};
+pub(crate) use concurrent::concurrent;
 pub(crate) use hs::{hs_over, HsVariant};
-pub use hs_ml::{hs_ml, MlPattern};
 pub(crate) use naive::naive_over;
-pub(crate) use o_bruck::o_bruck_over;
 pub(crate) use o_rd::{o_rd_over, OrdVariant};
-pub(crate) use o_ring::o_ring_over;
 pub(crate) use rooted::{
     exchange_lengths, gather_binomial, gather_linear, scatter_binomial, scatter_linear,
 };
 
-use crate::collective::Holdings;
-use eag_netsim::LinkClass;
+use crate::collective::{Holdings, Walk};
+use crate::output::GatherOutput;
+use eag_netsim::{LinkClass, Rank};
 use eag_runtime::{Chunk, Item, ProcCtx, Sealed};
 use std::ops::Range;
 
@@ -152,16 +149,43 @@ impl Holdings for Vec<Held> {
 }
 
 /// Opens every held block and places it in `out`.
-pub(crate) fn place_held(ctx: &mut ProcCtx, held: Vec<Held>, out: &mut crate::GatherOutput) {
+pub(crate) fn place_held(ctx: &mut ProcCtx, held: Vec<Held>, out: &mut GatherOutput) {
     for h in held {
         out.place(h.into_plain(ctx));
     }
 }
 
+/// The opportunistic all-gather of `my_chunk` over `walk` among `members`
+/// (visited in list order), every member's plaintext placed in `out`:
+/// O-Ring, O-RD and O-Bruck, and the sub-gathers of C-Ring and C-RD. Ring
+/// and Bruck hold blocks under the per-block rule; RD holds O-RD's merged
+/// ciphertext.
+pub(crate) fn o_walk_over(
+    ctx: &mut ProcCtx,
+    walk: Walk,
+    members: &[Rank],
+    my_chunk: Chunk,
+    out: &mut GatherOutput,
+    tag_base: u64,
+) {
+    if walk == Walk::Rd {
+        return o_rd_over(
+            ctx,
+            members,
+            my_chunk,
+            out,
+            OrdVariant::ForwardSealed,
+            tag_base,
+        );
+    }
+    let held = walk.run(ctx, members, vec![Held::from(my_chunk)], tag_base);
+    place_held(ctx, held, out);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use eag_netsim::{profile, Mapping, Rank, Topology};
+    use eag_netsim::{profile, Mapping, Topology};
     use eag_runtime::{run, DataMode, Metrics, WorldSpec};
 
     /// A two-node world; only rank 0 acts, on blocks it never sends.

@@ -9,12 +9,12 @@
 
 use crate::output::GatherOutput;
 use crate::tags;
-use crate::unencrypted::mvapich_allgather_items;
+use crate::unencrypted::mvapich_walk;
 use eag_netsim::Rank;
 use eag_runtime::{Chunk, Item, ProcCtx};
 
 /// Runs the Naive algorithm among `members`: seal `my_chunk`, all-gather
-/// the ciphertexts with the modeled MVAPICH default (selected on the
+/// the ciphertexts over the modeled MVAPICH default's walk (selected on the
 /// largest member block), open everything that is not already in `out`.
 pub(crate) fn naive_over(
     ctx: &mut ProcCtx,
@@ -24,7 +24,7 @@ pub(crate) fn naive_over(
 ) {
     out.place(my_chunk.clone());
     let sealed = Item::Sealed(ctx.encrypt(my_chunk));
-    let items = mvapich_allgather_items(ctx, members, sealed, out, tags::PHASE_MAIN);
+    let items = mvapich_walk(members, out).run(ctx, members, vec![sealed], tags::PHASE_MAIN);
 
     // Decrypt every received ciphertext (own block is already in place).
     for item in items {

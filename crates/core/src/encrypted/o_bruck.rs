@@ -1,5 +1,6 @@
 //! O-Bruck — an Opportunistic Bruck all-gather: the shared Bruck walk over
-//! blocks held under the opportunistic rule.
+//! blocks held under the opportunistic rule, run by
+//! [`super::o_walk_over`] with `Walk::Bruck`.
 //!
 //! **Extension beyond the paper.** The paper applies its opportunistic rule
 //! (encrypt inter-node hops, plaintext intra-node hops, forward ciphertexts
@@ -11,25 +12,6 @@
 //! once, so each held block keeps both forms: it is sealed only once, by
 //! whoever first exports it, and ciphertexts still sealed after the last
 //! round are opened at the end.
-
-use crate::collective::bruck_allgather_items;
-use crate::encrypted::{place_held, Held};
-use crate::output::GatherOutput;
-use eag_netsim::Rank;
-use eag_runtime::{Chunk, ProcCtx};
-
-/// Opportunistic Bruck all-gather over `members`; places every member's
-/// plaintext into `out`.
-pub(crate) fn o_bruck_over(
-    ctx: &mut ProcCtx,
-    members: &[Rank],
-    my_chunk: Chunk,
-    out: &mut GatherOutput,
-    tag_base: u64,
-) {
-    let held = bruck_allgather_items(ctx, members, vec![Held::from(my_chunk)], tag_base);
-    place_held(ctx, held, out);
-}
 
 #[cfg(test)]
 mod tests {

@@ -18,7 +18,7 @@
 //!   encryption volume for fewer decryption rounds: `re = rd = lg N`,
 //!   `se = sd = (p−ℓ)m`.
 
-use crate::collective::{rd_allgather_items, Holdings};
+use crate::collective::{Holdings, Walk};
 use crate::output::GatherOutput;
 use eag_netsim::{LinkClass, Rank};
 use eag_runtime::{Chunk, Item, ProcCtx, Sealed};
@@ -131,7 +131,7 @@ pub(crate) fn o_rd_over(
         cache: None,
         variant,
     };
-    let mut state = rd_allgather_items(ctx, members, state, tag_base);
+    let mut state = Walk::Rd.run(ctx, members, state, tag_base);
     // Decrypt the remaining ciphertexts and place everything.
     state.absorb_sealed(ctx);
     for c in state.plain {

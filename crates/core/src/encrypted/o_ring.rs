@@ -1,6 +1,6 @@
 //! The Opportunistic Ring (O-Ring) algorithm, and the encrypted ring
 //! sub-gather used by C-Ring: the shared ring walk over blocks held under
-//! the opportunistic rule.
+//! the opportunistic rule, run by [`super::o_walk_over`] with `Walk::Ring`.
 //!
 //! - **intra-node hop**: plaintext; a ciphertext arriving from another
 //!   node is opened on arrival (the "entry process" role);
@@ -11,30 +11,13 @@
 //!   what keeps `re = 1` in the Concurrent sub-gathers, where every hop is
 //!   inter-node.
 
-use crate::collective::ring_allgather_items;
-use crate::encrypted::{place_held, Held};
-use crate::output::GatherOutput;
-use eag_netsim::Rank;
-use eag_runtime::{Chunk, ProcCtx};
-
-/// Runs an opportunistic ring all-gather of `my_chunk` over `members`
-/// (visited in list order); places every member's plaintext into `out`.
-pub(crate) fn o_ring_over(
-    ctx: &mut ProcCtx,
-    members: &[Rank],
-    my_chunk: Chunk,
-    out: &mut GatherOutput,
-    tag_base: u64,
-) {
-    let held = ring_allgather_items(ctx, members, vec![Held::from(my_chunk)], tag_base);
-    place_held(ctx, held, out);
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::collective::Walk;
+    use crate::encrypted::o_walk_over;
+    use crate::output::GatherOutput;
     use crate::{Algorithm, Collective};
-    use eag_netsim::{profile, Mapping, Topology};
+    use eag_netsim::{profile, Mapping, Rank, Topology};
     use eag_runtime::{run, DataMode, WorldSpec};
 
     fn world(p: usize, nodes: usize, mapping: Mapping) -> WorldSpec {
@@ -87,7 +70,7 @@ mod tests {
             let members: Vec<Rank> = (0..4).collect();
             let mut out = GatherOutput::new(vec![8; 4], &members);
             let mine = ctx.my_block(8);
-            o_ring_over(ctx, &members, mine, &mut out, 500);
+            o_walk_over(ctx, Walk::Ring, &members, mine, &mut out, 500);
             out.verify(5);
         });
         for m in &report.metrics {

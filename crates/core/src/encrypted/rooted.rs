@@ -27,7 +27,7 @@
 //!   re = p−ℓ, se = (p−ℓ)m, rd = 1, sd = m` (the root seals each
 //!   remote-bound block once; every remote rank opens only its own).
 
-use crate::collective::{bruck_allgather_items, gather_items_to_root, my_index};
+use crate::collective::{gather_items_to_root, my_index, Walk};
 use crate::encrypted::{place_held, Held};
 use crate::output::GatherOutput;
 use eag_netsim::Rank;
@@ -50,7 +50,7 @@ pub(crate) fn exchange_lengths(
         Data::Real((my_len as u64).to_le_bytes().to_vec().into()),
     );
     let sealed = Item::Sealed(ctx.encrypt(chunk));
-    let items = bruck_allgather_items(ctx, members, vec![sealed], tag_base);
+    let items = Walk::Bruck.run(ctx, members, vec![sealed], tag_base);
     let mut lens = vec![0usize; ctx.p()];
     for item in items {
         let c = ctx.decrypt(item.into_sealed());

@@ -13,7 +13,8 @@
 //! (in [`encrypted`], with encryption switched off).
 //!
 //! Encrypted algorithms ([`encrypted`]): Naive, O-Ring, O-RD, O-RD2,
-//! C-Ring, C-RD, HS1, HS2 — the full Table II column set — and the
+//! C-Ring, C-RD, HS1, HS2 — the full Table II column set — plus O-Bruck
+//! (the opportunistic rule over Bruck, an extension), and the
 //! operation-generic extensions (broadcast, gather/scatter, all-to-all).
 //!
 //! ## Entry point

@@ -3,18 +3,15 @@
 //! These are the classic algorithms found in MPICH/MVAPICH. Ring, the
 //! rank-ordered Ring of Kandalla et al., Recursive Doubling (general p) and
 //! Bruck are the shared walks of [`crate::collective`] over plain items —
-//! the all-gather kernel calls them directly. This
-//! module holds the baselines with a shape of their own: the Hierarchical
-//! (leader-based) algorithm, Neighbor Exchange, and the modeled MVAPICH
-//! default (RD/Bruck for small messages, Ring for large), which Naive
-//! reuses on ciphertexts. The unencrypted counterparts of the paper's
+//! the all-gather kernel runs them as a `Walk`. This module holds the
+//! baselines with a shape of their own: the Hierarchical (leader-based)
+//! algorithm, Neighbor Exchange, and the modeled MVAPICH default's walk
+//! choice (RD/Bruck for small messages, Ring for large), which Naive
+//! shares. The unencrypted counterparts of the paper's
 //! C-Ring / C-RD / HS algorithms live with their encrypted versions in
 //! [`crate::encrypted`].
 
-use crate::collective::{
-    bcast_items_from_root, bruck_allgather_items, gather_items_to_root, rd_allgather_items,
-    ring_allgather_items,
-};
+use crate::collective::{bcast_items_from_root, gather_items_to_root, node_group, Walk};
 use crate::output::GatherOutput;
 use crate::tags;
 use eag_netsim::Rank;
@@ -26,26 +23,20 @@ use eag_runtime::{Chunk, Item, Parcel, ProcCtx};
 /// systems, so this is a constant of the model, not a per-cluster knob.
 pub const MVAPICH_SWITCH_BYTES: usize = 8 * 1024;
 
-/// The modeled MVAPICH default all-gather of one `item` per member, block
-/// lengths as recorded in `out`: below [`MVAPICH_SWITCH_BYTES`] (keyed on
-/// the largest block any member contributes) RD when the member count is a
+/// The walk of the modeled MVAPICH default over `members`, block lengths
+/// as recorded in `out`: below [`MVAPICH_SWITCH_BYTES`] (keyed on the
+/// largest block any member contributes) RD when the member count is a
 /// power of two and Bruck otherwise; Ring at or above it. The one owner of
-/// that selection — the `MVAPICH` baseline moves plaintext through it,
-/// Naive ciphertext.
-pub(crate) fn mvapich_allgather_items(
-    ctx: &mut ProcCtx,
-    members: &[Rank],
-    item: Item,
-    out: &GatherOutput,
-    tag_base: u64,
-) -> Vec<Item> {
+/// that selection — the `MVAPICH` baseline moves plaintext over it, Naive
+/// ciphertext.
+pub(crate) fn mvapich_walk(members: &[Rank], out: &GatherOutput) -> Walk {
     let max_len = members.iter().map(|&r| out.len_of(r)).max().unwrap_or(0);
     if max_len >= MVAPICH_SWITCH_BYTES {
-        ring_allgather_items(ctx, members, vec![item], tag_base)
+        Walk::Ring
     } else if members.len().is_power_of_two() {
-        rd_allgather_items(ctx, members, vec![item], tag_base)
+        Walk::Rd
     } else {
-        bruck_allgather_items(ctx, members, vec![item], tag_base)
+        Walk::Bruck
     }
 }
 
@@ -54,15 +45,14 @@ pub(crate) fn mvapich_allgather_items(
 pub(crate) fn hierarchical(ctx: &mut ProcCtx, my_chunk: Chunk, out: &mut GatherOutput) {
     let topo = ctx.topology().clone();
     let local = topo.ranks_on_node(topo.node_of(ctx.rank()));
-    let leaders: Vec<Rank> = (0..topo.nodes()).map(|n| topo.leader_of(n)).collect();
+    let leaders = node_group(&topo, 0);
 
     // Step 1: gather node blocks to the leader.
     let gathered =
         gather_items_to_root(ctx, &local, vec![Item::Plain(my_chunk)], tags::PHASE_GATHER);
 
     // Step 2: leaders all-gather everything.
-    let leader_items =
-        gathered.map(|items| rd_allgather_items(ctx, &leaders, items, tags::PHASE_MAIN));
+    let leader_items = gathered.map(|items| Walk::Rd.run(ctx, &leaders, items, tags::PHASE_MAIN));
 
     // Step 3: broadcast the full result within each node.
     let all = bcast_items_from_root(

@@ -3,7 +3,11 @@
 //! item walks and the opportunistic per-block rule serve, over the shapes
 //! where those walks branch — recursive doubling folding a non-power-of-two
 //! count, Bruck sending a partial last round, rings and trees crossing node
-//! boundaries under both mappings, and a 7-member sub-communicator.
+//! boundaries under both mappings, and a 7-member sub-communicator. Two
+//! shapes pin the hierarchical kernels' edge cases: p16n8 has more foreign
+//! nodes than ranks per node (N − 1 > ℓ), so an HS1 rank opens several
+//! foreign node blocks, and p4n4 has one rank per node (ℓ = 1), so HS
+//! copies out with no siblings and C-Ring/C-RD skip their local phase.
 //!
 //! The expected table (`tests/exactness_golden.txt`) pins behaviour: a
 //! refactor of the kernels must reproduce it exactly. On a mismatch the
@@ -105,7 +109,7 @@ fn cell(cfg: &SimConfig, c: Collective, members: Option<&[usize]>, m: usize) -> 
 fn table() -> Vec<String> {
     const GROUP: [usize; 7] = [0, 1, 3, 5, 6, 8, 11];
     let mut lines = Vec::new();
-    for (p, nodes) in [(6usize, 2usize), (9, 3), (12, 3)] {
+    for (p, nodes) in [(6usize, 2usize), (9, 3), (12, 3), (16, 8), (4, 4)] {
         for mapping in [Mapping::Block, Mapping::Cyclic] {
             let mut cfg = SimConfig::deterministic(p, nodes, mapping, "noleland");
             cfg.data_seed = Some(SEED);
