@@ -692,7 +692,7 @@ fn cmd_list() -> Result<(), String> {
     }
     // Which kernels the dispatch picked on this CPU, so a CI log shows what
     // a runner actually tested (and which tiers its tests had to skip).
-    for suite in [CipherSuite::AesGcm128, CipherSuite::ChaCha20Poly1305] {
+    for suite in CipherSuite::ALL {
         println!("{suite} kernel on this CPU: {}", kernel_tier(suite));
     }
     Ok(())
@@ -700,13 +700,9 @@ fn cmd_list() -> Result<(), String> {
 
 /// The kernel tier `suite` dispatches to on this CPU, asked of the cipher.
 fn kernel_tier(suite: CipherSuite) -> &'static str {
-    let key = eag_crypto::Key::from_bytes([0; 16]);
-    match suite {
-        CipherSuite::AesGcm128 => eag_crypto::AesGcm::new(&key).tier(),
-        CipherSuite::AesGcmSiv128 if eag_crypto::AesGcmSiv::new(&key).is_soft() => "soft",
-        CipherSuite::AesGcmSiv128 => "aesni+pclmul",
-        CipherSuite::ChaCha20Poly1305 => eag_crypto::ChaCha20Poly1305::new(&key).tier(),
-    }
+    suite
+        .aead_for_key(&eag_crypto::Key::from_bytes([0; 16]))
+        .tier()
 }
 
 #[cfg(test)]

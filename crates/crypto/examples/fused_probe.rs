@@ -2,7 +2,7 @@
 //! `cargo run --release -p eag-crypto --example fused_probe`
 
 use eag_crypto::ghash::GHash;
-use eag_crypto::{Aes128, AesGcm128, Key, Nonce};
+use eag_crypto::{Aead, Aes128, AesGcm128, Key, Nonce};
 use std::hint::black_box;
 use std::time::Instant;
 

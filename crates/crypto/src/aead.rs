@@ -2,8 +2,9 @@
 //!
 //! Everything above this crate (the runtime's encrypted transport, the
 //! framing helpers in [`crate`], the bench probes) speaks [`Aead`] — the
-//! detached in-place seal/open/verify surface that the fused GCM pipeline
-//! already exposed. The three implementations are:
+//! detached in-place seal/open/verify surface. Each suite implements the
+//! trait directly, in its own module; the `Vec`-returning [`Aead::seal`] /
+//! [`Aead::open`] are written once, here. The three implementations are:
 //!
 //! | suite | cipher | misuse posture | fast path |
 //! |---|---|---|---|
@@ -15,8 +16,8 @@
 //! (and [`crate::WIRE_OVERHEAD`]) is suite-invariant: a frame's suite is
 //! session configuration, not wire format. Backend dispatch happens inside
 //! each implementation (see [`crate::dispatch`] for the forced-soft
-//! override); selecting a *suite* is this module's job, via
-//! [`CipherSuite::aead_for_key`].
+//! override; [`Aead::tier`] names the outcome); selecting a *suite* is this
+//! module's job, via [`CipherSuite::aead_for_key`].
 
 use crate::chacha20poly1305::ChaCha20Poly1305;
 use crate::gcm::{AesGcm, OpenError, TAG_LEN};
@@ -34,7 +35,13 @@ pub trait Aead: Send + Sync {
     /// The suite this instance implements.
     fn suite(&self) -> CipherSuite;
 
+    /// The kernels this instance dispatched to, for logs and reports:
+    /// `"soft…"` on the portable backends, else the SIMD tier's name.
+    fn tier(&self) -> &'static str;
+
     /// Encrypts `data` in place and returns the 16-byte authentication tag.
+    /// Panics if `data` exceeds the suite's length limit (its counter would
+    /// wrap and reuse keystream).
     fn seal_in_place_detached(&self, nonce: &Nonce, aad: &[u8], data: &mut [u8]) -> [u8; TAG_LEN];
 
     /// Verifies `tag` and decrypts `data` (ciphertext) in place. On failure
@@ -64,87 +71,25 @@ pub trait Aead: Send + Sync {
         let mut scratch = ciphertext.to_vec();
         self.open_in_place_detached(nonce, aad, &mut scratch, tag)
     }
-}
 
-impl Aead for AesGcm {
-    fn suite(&self) -> CipherSuite {
-        CipherSuite::AesGcm128
+    /// Encrypts and authenticates: returns `ciphertext || tag`.
+    fn seal(&self, nonce: &Nonce, aad: &[u8], plaintext: &[u8]) -> Vec<u8> {
+        let mut out = Vec::with_capacity(plaintext.len() + TAG_LEN);
+        out.extend_from_slice(plaintext);
+        let tag = self.seal_in_place_detached(nonce, aad, &mut out);
+        out.extend_from_slice(&tag);
+        out
     }
 
-    fn seal_in_place_detached(&self, nonce: &Nonce, aad: &[u8], data: &mut [u8]) -> [u8; TAG_LEN] {
-        AesGcm::seal_in_place_detached(self, nonce, aad, data)
-    }
-
-    fn open_in_place_detached(
-        &self,
-        nonce: &Nonce,
-        aad: &[u8],
-        data: &mut [u8],
-        tag: &[u8],
-    ) -> Result<(), OpenError> {
-        AesGcm::open_in_place_detached(self, nonce, aad, data, tag)
-    }
-
-    fn verify_detached(
-        &self,
-        nonce: &Nonce,
-        aad: &[u8],
-        ciphertext: &[u8],
-        tag: &[u8],
-    ) -> Result<(), OpenError> {
-        AesGcm::verify_detached(self, nonce, aad, ciphertext, tag)
-    }
-}
-
-impl Aead for AesGcmSiv {
-    fn suite(&self) -> CipherSuite {
-        CipherSuite::AesGcmSiv128
-    }
-
-    fn seal_in_place_detached(&self, nonce: &Nonce, aad: &[u8], data: &mut [u8]) -> [u8; TAG_LEN] {
-        AesGcmSiv::seal_in_place_detached(self, nonce, aad, data)
-    }
-
-    fn open_in_place_detached(
-        &self,
-        nonce: &Nonce,
-        aad: &[u8],
-        data: &mut [u8],
-        tag: &[u8],
-    ) -> Result<(), OpenError> {
-        AesGcmSiv::open_in_place_detached(self, nonce, aad, data, tag)
-    }
-    // verify_detached: default (decrypt-and-discard) — SIV tags cover the
-    // plaintext, so there is no ciphertext-only check.
-}
-
-impl Aead for ChaCha20Poly1305 {
-    fn suite(&self) -> CipherSuite {
-        CipherSuite::ChaCha20Poly1305
-    }
-
-    fn seal_in_place_detached(&self, nonce: &Nonce, aad: &[u8], data: &mut [u8]) -> [u8; TAG_LEN] {
-        ChaCha20Poly1305::seal_in_place_detached(self, nonce, aad, data)
-    }
-
-    fn open_in_place_detached(
-        &self,
-        nonce: &Nonce,
-        aad: &[u8],
-        data: &mut [u8],
-        tag: &[u8],
-    ) -> Result<(), OpenError> {
-        ChaCha20Poly1305::open_in_place_detached(self, nonce, aad, data, tag)
-    }
-
-    fn verify_detached(
-        &self,
-        nonce: &Nonce,
-        aad: &[u8],
-        ciphertext: &[u8],
-        tag: &[u8],
-    ) -> Result<(), OpenError> {
-        ChaCha20Poly1305::verify_detached(self, nonce, aad, ciphertext, tag)
+    /// Verifies and decrypts `ciphertext || tag`; returns the plaintext.
+    fn open(&self, nonce: &Nonce, aad: &[u8], sealed: &[u8]) -> Result<Vec<u8>, OpenError> {
+        if sealed.len() < TAG_LEN {
+            return Err(OpenError::Truncated);
+        }
+        let (ct, tag) = sealed.split_at(sealed.len() - TAG_LEN);
+        let mut pt = ct.to_vec();
+        self.open_in_place_detached(nonce, aad, &mut pt, tag)?;
+        Ok(pt)
     }
 }
 
@@ -239,6 +184,7 @@ impl std::fmt::Display for CipherSuite {
 mod tests {
     use super::*;
     use crate::nonce::NonceSource;
+    use crate::tests::framed;
 
     #[test]
     fn names_round_trip() {
@@ -260,7 +206,7 @@ mod tests {
             let mut src = NonceSource::seeded(17);
             for len in [0usize, 1, 16, 127, 128, 129, 1000] {
                 let pt: Vec<u8> = (0..len).map(|i| (i * 3 % 251) as u8).collect();
-                let wire = crate::seal_message(&*aead, &mut src, b"aad", &pt);
+                let mut wire = framed(&*aead, &mut src, b"aad", &pt);
                 assert_eq!(wire.len(), pt.len() + crate::WIRE_OVERHEAD, "{suite}");
                 assert!(
                     crate::verify_message(&*aead, b"aad", &wire).is_ok(),
@@ -270,8 +216,8 @@ mod tests {
                     crate::verify_message(&*aead, b"bad", &wire).is_err(),
                     "{suite}"
                 );
-                let back = crate::open_message(&*aead, b"aad", &wire).unwrap();
-                assert_eq!(back, pt, "{suite} len {len}");
+                let range = crate::open_frame_in_place(&*aead, b"aad", &mut wire).unwrap();
+                assert_eq!(wire[range], pt[..], "{suite} len {len}");
             }
         }
     }
@@ -288,13 +234,31 @@ mod tests {
                 }
                 let sealer = a.aead_for_key(&key);
                 let opener = b.aead_for_key(&key);
-                let wire =
-                    crate::seal_message(&*sealer, &mut NonceSource::seeded(4), b"", b"payload");
+                let mut wire = framed(&*sealer, &mut NonceSource::seeded(4), b"", b"payload");
                 assert!(
-                    crate::open_message(&*opener, b"", &wire).is_err(),
+                    crate::open_frame_in_place(&*opener, b"", &mut wire).is_err(),
                     "{a} frame opened under {b}"
                 );
             }
         }
+    }
+
+    /// `tier()` through the seam is the suite's own dispatch, and the
+    /// pinned-soft construction reports a soft tier on every suite.
+    #[test]
+    fn tier_is_the_suites_own_dispatch() {
+        let key = Key::from_bytes([0x2Cu8; 16]);
+        for suite in CipherSuite::ALL {
+            let own = match suite {
+                CipherSuite::AesGcm128 => AesGcm::new(&key).tier(),
+                CipherSuite::AesGcmSiv128 => AesGcmSiv::new(&key).tier(),
+                CipherSuite::ChaCha20Poly1305 => ChaCha20Poly1305::new(&key).tier(),
+            };
+            assert_eq!(suite.aead_for_key(&key).tier(), own, "{suite}");
+            let soft = suite.aead_for_key_soft(&key).tier();
+            assert!(soft.starts_with("soft"), "{suite} soft tier {soft}");
+        }
+        let siv = AesGcmSiv::new(&key);
+        assert_eq!(siv.is_soft(), siv.tier() == "soft");
     }
 }

@@ -11,9 +11,8 @@
 //!   x86-64, used automatically when available (and constant-time by
 //!   construction).
 //!
-//! Only the pieces GCM needs are on the hot path (block encryption and the
-//! fused CTR loop); the inverse cipher is provided for completeness and is
-//! exercised by tests.
+//! Only the forward cipher exists: GCM, GCM-SIV, CTR and the session KDF
+//! never decrypt a block.
 
 /// AES block size in bytes.
 pub const BLOCK_LEN: usize = 16;
@@ -42,19 +41,6 @@ const SBOX: [u8; 256] = [
     0x8c, 0xa1, 0x89, 0x0d, 0xbf, 0xe6, 0x42, 0x68, 0x41, 0x99, 0x2d, 0x0f, 0xb0, 0x54, 0xbb, 0x16,
 ];
 
-/// The inverse S-box (built at first use from [`SBOX`]).
-fn inv_sbox() -> &'static [u8; 256] {
-    use std::sync::OnceLock;
-    static INV: OnceLock<[u8; 256]> = OnceLock::new();
-    INV.get_or_init(|| {
-        let mut inv = [0u8; 256];
-        for (i, &s) in SBOX.iter().enumerate() {
-            inv[s as usize] = i as u8;
-        }
-        inv
-    })
-}
-
 /// Round constants for the key schedule.
 const RCON: [u8; 10] = [0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1b, 0x36];
 
@@ -64,8 +50,7 @@ fn xtime(b: u8) -> u8 {
     (b << 1) ^ (((b >> 7) & 1) * 0x1b)
 }
 
-/// General GF(2^8) multiplication (used by the inverse cipher, the
-/// constant-time S-box, and tests). Constant-time: the loop shape depends
+/// General GF(2^8) multiplication (used by the constant-time S-box). Constant-time: the loop shape depends
 /// only on public values.
 fn gf_mul(mut a: u8, mut b: u8) -> u8 {
     let mut acc = 0u8;
@@ -284,13 +269,6 @@ impl Aes {
         }
     }
 
-    /// Decrypts one 16-byte block in place (inverse cipher).
-    pub fn decrypt_block(&self, block: &mut [u8; 16]) {
-        // The inverse cipher is off the GCM hot path; the portable
-        // implementation is used unconditionally.
-        decrypt_soft(&self.keys, block);
-    }
-
     /// XORs `data` with the CTR keystream starting at counter block `icb`
     /// (GCM `inc32` semantics: only the low 32 bits increment). The AES-NI
     /// path loads the round keys once and pipelines eight blocks.
@@ -384,13 +362,6 @@ fn sub_bytes(state: &mut [u8; 16], constant_time: bool) {
     }
 }
 
-fn inv_sub_bytes(state: &mut [u8; 16]) {
-    let inv = inv_sbox();
-    for s in state.iter_mut() {
-        *s = inv[*s as usize];
-    }
-}
-
 /// State layout: byte `i` of the buffer is row `i % 4`, column `i / 4`
 /// (FIPS-197 column-major order, matching the wire order of the block).
 #[inline]
@@ -412,24 +383,6 @@ fn shift_rows(state: &mut [u8; 16]) {
     state[3] = t;
 }
 
-fn inv_shift_rows(state: &mut [u8; 16]) {
-    // Row 1: shift right by 1.
-    let t = state[13];
-    state[13] = state[9];
-    state[9] = state[5];
-    state[5] = state[1];
-    state[1] = t;
-    // Row 2: shift right by 2 (same as left by 2).
-    state.swap(2, 10);
-    state.swap(6, 14);
-    // Row 3: shift right by 3 (= left by 1).
-    let t = state[3];
-    state[3] = state[7];
-    state[7] = state[11];
-    state[11] = state[15];
-    state[15] = t;
-}
-
 #[inline]
 fn mix_columns(state: &mut [u8; 16]) {
     for c in 0..4 {
@@ -446,20 +399,6 @@ fn mix_columns(state: &mut [u8; 16]) {
     }
 }
 
-fn inv_mix_columns(state: &mut [u8; 16]) {
-    for c in 0..4 {
-        let col = &mut state[4 * c..4 * c + 4];
-        let a0 = col[0];
-        let a1 = col[1];
-        let a2 = col[2];
-        let a3 = col[3];
-        col[0] = gf_mul(a0, 0x0e) ^ gf_mul(a1, 0x0b) ^ gf_mul(a2, 0x0d) ^ gf_mul(a3, 0x09);
-        col[1] = gf_mul(a0, 0x09) ^ gf_mul(a1, 0x0e) ^ gf_mul(a2, 0x0b) ^ gf_mul(a3, 0x0d);
-        col[2] = gf_mul(a0, 0x0d) ^ gf_mul(a1, 0x09) ^ gf_mul(a2, 0x0e) ^ gf_mul(a3, 0x0b);
-        col[3] = gf_mul(a0, 0x0b) ^ gf_mul(a1, 0x0d) ^ gf_mul(a2, 0x09) ^ gf_mul(a3, 0x0e);
-    }
-}
-
 fn encrypt_soft(keys: &RoundKeys, block: &mut [u8; 16], constant_time: bool) {
     let rk = keys.keys();
     let rounds = keys.rounds();
@@ -473,21 +412,6 @@ fn encrypt_soft(keys: &RoundKeys, block: &mut [u8; 16], constant_time: bool) {
     sub_bytes(block, constant_time);
     shift_rows(block);
     add_round_key(block, &rk[rounds]);
-}
-
-fn decrypt_soft(keys: &RoundKeys, block: &mut [u8; 16]) {
-    let rk = keys.keys();
-    let rounds = keys.rounds();
-    add_round_key(block, &rk[rounds]);
-    for round in (1..rounds).rev() {
-        inv_shift_rows(block);
-        inv_sub_bytes(block);
-        add_round_key(block, &rk[round]);
-        inv_mix_columns(block);
-    }
-    inv_shift_rows(block);
-    inv_sub_bytes(block);
-    add_round_key(block, &rk[0]);
 }
 
 // ---------------------------------------------------------------------------
@@ -648,14 +572,6 @@ mod tests {
         let aes = Aes::new_soft(&key);
         aes.encrypt_block(&mut block);
         assert_eq!(block, expect);
-        aes.decrypt_block(&mut block);
-        assert_eq!(
-            block,
-            [
-                0x32, 0x43, 0xf6, 0xa8, 0x88, 0x5a, 0x30, 0x8d, 0x31, 0x31, 0x98, 0xa2, 0xe0, 0x37,
-                0x07, 0x34
-            ]
-        );
     }
 
     /// FIPS-197 Appendix C known-answer tests for all three key sizes.
@@ -717,23 +633,6 @@ mod tests {
                 ct.encrypt_block(&mut c);
                 assert_eq!(a, b, "hw vs soft, key_len {key_len}");
                 assert_eq!(b, c, "soft vs constant-time, key_len {key_len}");
-            }
-        }
-    }
-
-    #[test]
-    fn decrypt_inverts_encrypt_all_key_sizes() {
-        for key_len in [16usize, 24, 32] {
-            let key: Vec<u8> = (0..key_len).map(|i| (i * 31) as u8).collect();
-            let aes = Aes::new_soft(&key);
-            for seed in 0u8..16 {
-                let original: [u8; 16] =
-                    core::array::from_fn(|i| seed.wrapping_mul(31).wrapping_add((i * i) as u8));
-                let mut block = original;
-                aes.encrypt_block(&mut block);
-                assert_ne!(block, original);
-                aes.decrypt_block(&mut block);
-                assert_eq!(block, original);
             }
         }
     }

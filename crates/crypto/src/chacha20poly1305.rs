@@ -5,7 +5,7 @@
 //! (four blocks per step over r⁴…r¹, eight on AVX-512 IFMA — see
 //! [`crate::poly1305`]) over `AAD ‖ ciphertext` under a per-nonce one-time
 //! key drawn from keystream block 0. Which pair of kernels runs is one
-//! private tier fixed at key set-up; [`ChaCha20Poly1305::tier`] names it.
+//! private tier fixed at key set-up; [`Aead::tier`] names it.
 //! Because the tag authenticates the *ciphertext*, forwarding hops can
 //! verify frames without decrypting, and a failed open never produces
 //! plaintext — the tag check completes before the keystream is ever
@@ -14,8 +14,9 @@
 //! Framing (12-byte nonce, 16-byte tag) is identical to AES-GCM, so the wire
 //! overhead of every suite in this crate is the same [`crate::WIRE_OVERHEAD`].
 
+use crate::aead::{Aead, CipherSuite};
 use crate::chacha::{ChaCha20, ChaChaBackend};
-use crate::gcm::{clamp_to_usize, OpenError, TAG_LEN};
+use crate::gcm::{clamp_to_usize, tags_equal, OpenError, TAG_LEN};
 use crate::nonce::Nonce;
 use crate::poly1305::{Poly1305, PolyBackend};
 use crate::Key;
@@ -85,31 +86,22 @@ impl ChaCha20Poly1305 {
     /// ChaCha20 needs 256 key bits; the 128-bit world key is expanded with
     /// ChaCha20 itself as a PRF: the key doubled (`k ‖ k`) keys a block-0
     /// keystream call at the zero nonce, and the first 32 output bytes
-    /// become the session key. Deterministic across backends.
+    /// become the session key. Deterministic across backends. The instance
+    /// runs on the fastest kernels this CPU has.
     pub fn new(key: &Key) -> Self {
-        Self::from_key_bytes(&Self::expand_key(key))
-    }
-
-    /// Like [`ChaCha20Poly1305::new`] but pinned to the portable kernels.
-    pub fn new_soft(key: &Key) -> Self {
-        Self::from_key_bytes_soft(&Self::expand_key(key))
-    }
-
-    /// Creates an instance from a full 256-bit key (RFC 8439 layout) on the
-    /// fastest kernels this CPU runs.
-    pub fn from_key_bytes(key: &[u8; 32]) -> Self {
         let fastest = Tier::ALL.into_iter().rev().find(|t| t.supported());
-        Self::at_tier(key, fastest.unwrap_or(Tier::Soft))
+        Self::at_tier(&Self::expand_key(key), fastest.unwrap_or(Tier::Soft))
     }
 
-    /// Creates an instance from a 256-bit key pinned to the portable
-    /// kernels (for cross-checks and forced-soft dispatch).
-    pub fn from_key_bytes_soft(key: &[u8; 32]) -> Self {
-        Self::at_tier(key, Tier::Soft)
+    /// Like [`ChaCha20Poly1305::new`] but pinned to the portable kernels
+    /// (for cross-checks and forced-soft dispatch).
+    pub fn new_soft(key: &Key) -> Self {
+        Self::at_tier(&Self::expand_key(key), Tier::Soft)
     }
 
-    /// Creates an instance pinned to `tier`. Panics if the tier is not
-    /// [`Tier::supported`]: the kernels' safety rests on that check.
+    /// Creates an instance from a full 256-bit key (RFC 8439 layout) pinned
+    /// to `tier`. Panics if the tier is not [`Tier::supported`]: the
+    /// kernels' safety rests on that check.
     fn at_tier(key: &[u8; 32], tier: Tier) -> Self {
         assert!(tier.supported(), "{tier:?} kernels not runnable here");
         ChaCha20Poly1305 {
@@ -121,19 +113,6 @@ impl ChaCha20Poly1305 {
     /// The ChaCha20 backend this instance dispatches to.
     pub fn backend(&self) -> ChaChaBackend {
         self.core.backend()
-    }
-
-    /// The kernels this instance runs, for logs and reports: the ChaCha20
-    /// tier and its blocks per stride, then the Poly1305 radix and blocks
-    /// per step.
-    pub fn tier(&self) -> &'static str {
-        match self.tier {
-            Tier::Soft => "soft/1blk+poly44x4",
-            Tier::Sse2 => "sse2/4blk+poly44x4",
-            Tier::Avx2 => "avx2/8blk+poly44x4",
-            Tier::Avx512 => "avx512/16blk+poly44x4",
-            Tier::Avx512Ifma => "avx512/16blk+ifma44x8",
-        }
     }
 
     fn expand_key(key: &Key) -> [u8; 32] {
@@ -170,15 +149,27 @@ impl ChaCha20Poly1305 {
         p.update(&lens);
         p.finalize()
     }
+}
 
-    /// Encrypts `data` in place and returns the 16-byte tag.
+impl Aead for ChaCha20Poly1305 {
+    fn suite(&self) -> CipherSuite {
+        CipherSuite::ChaCha20Poly1305
+    }
+
+    /// The ChaCha20 tier and its blocks per stride, then the Poly1305 radix
+    /// and blocks per step.
+    fn tier(&self) -> &'static str {
+        match self.tier {
+            Tier::Soft => "soft/1blk+poly44x4",
+            Tier::Sse2 => "sse2/4blk+poly44x4",
+            Tier::Avx2 => "avx2/8blk+poly44x4",
+            Tier::Avx512 => "avx512/16blk+poly44x4",
+            Tier::Avx512Ifma => "avx512/16blk+ifma44x8",
+        }
+    }
+
     /// Panics if `data` exceeds [`MAX_PLAINTEXT_LEN_CHACHA`].
-    pub fn seal_in_place_detached(
-        &self,
-        nonce: &Nonce,
-        aad: &[u8],
-        data: &mut [u8],
-    ) -> [u8; TAG_LEN] {
+    fn seal_in_place_detached(&self, nonce: &Nonce, aad: &[u8], data: &mut [u8]) -> [u8; TAG_LEN] {
         assert!(
             data.len() <= MAX_PLAINTEXT_LEN_CHACHA,
             "ChaCha20 plaintext exceeds the 32-bit-counter length limit"
@@ -188,12 +179,10 @@ impl ChaCha20Poly1305 {
         self.tag_of(&otk, aad, data)
     }
 
-    /// Verifies `tag` and decrypts `data` (ciphertext) in place.
-    ///
     /// The tag covers the ciphertext, so verification happens **before**
     /// decryption; on mismatch the buffer is returned untouched (still
     /// ciphertext — no plaintext is ever produced).
-    pub fn open_in_place_detached(
+    fn open_in_place_detached(
         &self,
         nonce: &Nonce,
         aad: &[u8],
@@ -205,9 +194,8 @@ impl ChaCha20Poly1305 {
         Ok(())
     }
 
-    /// Verifies the tag of `ciphertext` without decrypting (one Poly1305
-    /// sweep plus one keystream block) — the per-hop forwarding check.
-    pub fn verify_detached(
+    /// One Poly1305 sweep plus one keystream block, no decryption.
+    fn verify_detached(
         &self,
         nonce: &Nonce,
         aad: &[u8],
@@ -218,35 +206,10 @@ impl ChaCha20Poly1305 {
             return Err(OpenError::Truncated);
         }
         let otk = self.poly_key(nonce);
-        let expect = self.tag_of(&otk, aad, ciphertext);
-        let mut diff = 0u8;
-        for (a, b) in expect.iter().zip(tag.iter()) {
-            diff |= a ^ b;
-        }
-        if diff != 0 {
+        if !tags_equal(&self.tag_of(&otk, aad, ciphertext), tag) {
             return Err(OpenError::TagMismatch);
         }
         Ok(())
-    }
-
-    /// Encrypts and authenticates: returns `ciphertext || tag`.
-    pub fn seal(&self, nonce: &Nonce, aad: &[u8], plaintext: &[u8]) -> Vec<u8> {
-        let mut out = Vec::with_capacity(plaintext.len() + TAG_LEN);
-        out.extend_from_slice(plaintext);
-        let tag = self.seal_in_place_detached(nonce, aad, &mut out);
-        out.extend_from_slice(&tag);
-        out
-    }
-
-    /// Verifies and decrypts `ciphertext || tag`; returns the plaintext.
-    pub fn open(&self, nonce: &Nonce, aad: &[u8], sealed: &[u8]) -> Result<Vec<u8>, OpenError> {
-        if sealed.len() < TAG_LEN {
-            return Err(OpenError::Truncated);
-        }
-        let (ct, tag) = sealed.split_at(sealed.len() - TAG_LEN);
-        let mut pt = ct.to_vec();
-        self.open_in_place_detached(nonce, aad, &mut pt, tag)?;
-        Ok(pt)
     }
 }
 
@@ -340,7 +303,6 @@ only one tip for the future, sunscreen would be it.";
         let tiers = each_tier(&rfc_key());
         let fastest = tiers.last().unwrap().tier;
         assert_eq!(ChaCha20Poly1305::new(&key).tier, fastest);
-        assert_eq!(ChaCha20Poly1305::from_key_bytes(&rfc_key()).tier, fastest);
         assert_eq!(
             ChaCha20Poly1305::new_soft(&key).tier(),
             "soft/1blk+poly44x4"
@@ -390,7 +352,7 @@ only one tip for the future, sunscreen would be it.";
 
     #[test]
     fn tamper_and_wrong_aad_rejected() {
-        let cipher = ChaCha20Poly1305::from_key_bytes(&rfc_key());
+        let cipher = each_tier(&rfc_key()).pop().unwrap();
         let nonce = rfc_nonce();
         let mut sealed = cipher.seal(&nonce, b"aad", b"attack at dawn");
         assert!(cipher.open(&nonce, b"other", &sealed).is_err());

@@ -1,5 +1,6 @@
 //! AES-128-GCM authenticated encryption (NIST SP 800-38D).
 
+use crate::aead::{Aead, CipherSuite};
 use crate::aes::Aes128;
 use crate::ctr::{gctr_xor, inc32};
 use crate::ghash::GHash;
@@ -46,7 +47,8 @@ impl std::fmt::Display for OpenError {
 impl std::error::Error for OpenError {}
 
 /// Constant-time tag comparison: every byte is read whatever the outcome.
-fn tags_equal(expect: &[u8; TAG_LEN], tag: &[u8]) -> bool {
+/// The one tag check of every suite.
+pub(crate) fn tags_equal(expect: &[u8; TAG_LEN], tag: &[u8]) -> bool {
     let mut diff = (tag.len() != TAG_LEN) as u8;
     for (a, b) in expect.iter().zip(tag.iter()) {
         diff |= a ^ b;
@@ -87,19 +89,19 @@ impl Tier {
     }
 }
 
-/// An AES-GCM AEAD instance (128-, 192-, or 256-bit key).
+/// An AES-128-GCM AEAD instance, used through [`Aead`].
 ///
-/// `seal` produces `ciphertext || tag(16)`; `open` verifies and strips the
-/// tag. The in-place variants ([`AesGcm::seal_in_place_detached`] /
-/// [`AesGcm::open_in_place_detached`]) transform the buffer without
-/// allocating. Nonces are 96-bit and must be unique per key (the library
-/// draws them at random, as the paper does).
+/// The in-place seal and open transform the buffer without allocating.
+/// Nonces are 96-bit and must be unique per key (the library draws them at
+/// random, as the paper does). The kernels also run AES-192/256-GCM (the
+/// NIST vectors check them); the public constructors take the 128-bit
+/// session [`Key`].
 ///
 /// The bulk of every message runs through the widest fused single-pass
 /// CTR+GHASH kernel the CPU has — 256-byte strides with AVX-512 + VAES +
 /// VPCLMULQDQ (`crate::wide`), else 128-byte strides with AES-NI +
 /// PCLMULQDQ (`crate::fused`) — and the tail, or everything on other CPUs,
-/// through the portable two-sweep layout. [`AesGcm::tier`] names the choice.
+/// through the portable two-sweep layout. [`Aead::tier`] names the choice.
 #[derive(Clone)]
 pub struct AesGcm {
     aes: Aes128,
@@ -117,16 +119,11 @@ pub struct AesGcm {
 pub type AesGcm128 = AesGcm;
 
 impl AesGcm {
-    /// Creates an AES-128-GCM instance from a 128-bit [`Key`].
+    /// Creates an AES-128-GCM instance from a 128-bit [`Key`] on the
+    /// widest tier this CPU runs.
     pub fn new(key: &Key) -> Self {
-        Self::with_key_bytes(key.as_bytes())
-    }
-
-    /// Creates an instance from raw key bytes (16, 24, or 32 of them —
-    /// AES-128/192/256-GCM respectively).
-    pub fn with_key_bytes(key: &[u8]) -> Self {
         let widest = Tier::SIMD.into_iter().find(|t| t.supported());
-        Self::at_tier(key, widest.unwrap_or(Tier::Soft))
+        Self::at_tier(key.as_bytes(), widest.unwrap_or(Tier::Soft))
     }
 
     /// Creates an AES-128-GCM instance pinned to the portable backends
@@ -136,8 +133,9 @@ impl AesGcm {
         Self::at_tier(key.as_bytes(), Tier::Soft)
     }
 
-    /// Creates an instance pinned to `tier`. Panics if the tier is not
-    /// [`Tier::supported`]: the kernels' safety rests on that check.
+    /// Creates an instance from 16, 24 or 32 key bytes (AES-128/192/256)
+    /// pinned to `tier`. Panics if the tier is not [`Tier::supported`]: the
+    /// kernels' safety rests on that check.
     fn at_tier(key: &[u8], tier: Tier) -> Self {
         assert!(tier.supported(), "{tier:?} kernel not runnable here");
         let aes = match tier {
@@ -160,16 +158,6 @@ impl AesGcm {
             ghash_proto,
             tier,
             wide_powers,
-        }
-    }
-
-    /// The bulk kernel this instance dispatches to, for logs and reports:
-    /// `"soft"`, `"aesni+pclmul/128B"` or `"vaes+vpclmul/256B"`.
-    pub fn tier(&self) -> &'static str {
-        match self.tier {
-            Tier::Soft => "soft",
-            Tier::AesNi => "aesni+pclmul/128B",
-            Tier::Wide => "vaes+vpclmul/256B",
         }
     }
 
@@ -245,18 +233,35 @@ impl AesGcm {
         self.finish_tag(j0, &g)
     }
 
-    /// Encrypts `data` in place and returns the 16-byte authentication tag.
-    ///
-    /// This is the allocation-free core of [`AesGcm::seal`]: the caller
-    /// provides the plaintext in a mutable buffer and receives the
-    /// ciphertext in the same buffer. Panics if `data` exceeds
-    /// [`MAX_PLAINTEXT_LEN`] (the counter would wrap and reuse keystream).
-    pub fn seal_in_place_detached(
-        &self,
-        nonce: &Nonce,
-        aad: &[u8],
-        data: &mut [u8],
-    ) -> [u8; TAG_LEN] {
+    /// T = MSB_128( GHASH_H(A, C) ^ E_K(J0) ) for a finalized GHASH state.
+    fn finish_tag(&self, j0: &[u8; 16], g: &GHash) -> [u8; TAG_LEN] {
+        let s = g.finalize();
+        let mut ekj0 = *j0;
+        self.aes.encrypt_block(&mut ekj0);
+        let mut tag = [0u8; TAG_LEN];
+        for i in 0..TAG_LEN {
+            tag[i] = s[i] ^ ekj0[i];
+        }
+        tag
+    }
+}
+
+impl Aead for AesGcm {
+    fn suite(&self) -> CipherSuite {
+        CipherSuite::AesGcm128
+    }
+
+    /// `"soft"`, `"aesni+pclmul/128B"` or `"vaes+vpclmul/256B"`.
+    fn tier(&self) -> &'static str {
+        match self.tier {
+            Tier::Soft => "soft",
+            Tier::AesNi => "aesni+pclmul/128B",
+            Tier::Wide => "vaes+vpclmul/256B",
+        }
+    }
+
+    /// Panics if `data` exceeds [`MAX_PLAINTEXT_LEN`].
+    fn seal_in_place_detached(&self, nonce: &Nonce, aad: &[u8], data: &mut [u8]) -> [u8; TAG_LEN] {
         assert!(
             data.len() <= MAX_PLAINTEXT_LEN,
             "GCM plaintext exceeds the SP 800-38D length limit"
@@ -264,13 +269,9 @@ impl AesGcm {
         self.crypt::<false>(&Self::j0(nonce), aad, data)
     }
 
-    /// Verifies `tag` and decrypts `data` (ciphertext) in place.
-    ///
-    /// The allocation-free core of [`AesGcm::open`]. On tag mismatch the
-    /// buffer is zeroed (the single-pass layout decrypts before the tag
-    /// check completes, and unauthenticated plaintext must not escape) and
-    /// [`OpenError::TagMismatch`] is returned.
-    pub fn open_in_place_detached(
+    /// The single-pass layout decrypts before the tag check completes, so
+    /// on mismatch the buffer is zeroed.
+    fn open_in_place_detached(
         &self,
         nonce: &Nonce,
         aad: &[u8],
@@ -288,18 +289,13 @@ impl AesGcm {
         Ok(())
     }
 
-    /// Verifies the authentication tag of `ciphertext` **without
-    /// decrypting** it.
-    ///
-    /// GCM's tag is a function of the AAD and the *ciphertext*, so an
-    /// intermediate hop that forwards sealed frames verbatim (the paper's
-    /// ring/recursive-doubling forwarding chains) can authenticate a frame
-    /// it is not the final consumer of: one GHASH sweep plus two block
-    /// encryptions, no plaintext ever materialized. This is the detection
-    /// primitive behind the runtime's per-hop tamper recovery — the hop
-    /// that received a corrupted frame NACKs its immediate sender instead
-    /// of letting the corruption surface ranks later at the consumer.
-    pub fn verify_detached(
+    /// GCM's tag is a function of the AAD and the *ciphertext*, so a hop
+    /// that forwards sealed frames verbatim (the paper's ring /
+    /// recursive-doubling chains) authenticates a frame it does not
+    /// consume with one GHASH sweep and two block encryptions — the
+    /// detection primitive behind the runtime's per-hop tamper recovery:
+    /// the hop that received a corrupted frame NACKs its immediate sender.
+    fn verify_detached(
         &self,
         nonce: &Nonce,
         aad: &[u8],
@@ -318,40 +314,6 @@ impl AesGcm {
             return Err(OpenError::TagMismatch);
         }
         Ok(())
-    }
-
-    /// Encrypts and authenticates: returns `ciphertext || tag`.
-    /// Panics if `plaintext` exceeds [`MAX_PLAINTEXT_LEN`] (the counter
-    /// would wrap and reuse keystream).
-    pub fn seal(&self, nonce: &Nonce, aad: &[u8], plaintext: &[u8]) -> Vec<u8> {
-        let mut out = Vec::with_capacity(plaintext.len() + TAG_LEN);
-        out.extend_from_slice(plaintext);
-        let tag = self.seal_in_place_detached(nonce, aad, &mut out);
-        out.extend_from_slice(&tag);
-        out
-    }
-
-    /// Verifies and decrypts `ciphertext || tag`; returns the plaintext.
-    pub fn open(&self, nonce: &Nonce, aad: &[u8], sealed: &[u8]) -> Result<Vec<u8>, OpenError> {
-        if sealed.len() < TAG_LEN {
-            return Err(OpenError::Truncated);
-        }
-        let (ct, tag) = sealed.split_at(sealed.len() - TAG_LEN);
-        let mut pt = ct.to_vec();
-        self.open_in_place_detached(nonce, aad, &mut pt, tag)?;
-        Ok(pt)
-    }
-
-    /// T = MSB_128( GHASH_H(A, C) ^ E_K(J0) ) for a finalized GHASH state.
-    fn finish_tag(&self, j0: &[u8; 16], g: &GHash) -> [u8; TAG_LEN] {
-        let s = g.finalize();
-        let mut ekj0 = *j0;
-        self.aes.encrypt_block(&mut ekj0);
-        let mut tag = [0u8; TAG_LEN];
-        for i in 0..TAG_LEN {
-            tag[i] = s[i] ^ ekj0[i];
-        }
-        tag
     }
 }
 
@@ -655,13 +617,14 @@ mod tests {
     fn gcm_larger_keys_roundtrip() {
         for key_len in [24usize, 32] {
             let key: Vec<u8> = (0..key_len).map(|i| (i * 11 + 5) as u8).collect();
-            let gcm = AesGcm::with_key_bytes(&key);
             let nonce = nonce_of("cafebabefacedbaddecaf888");
-            for len in [0usize, 1, 16, 61, 255] {
-                let pt: Vec<u8> = (0..len).map(|i| (i * 3) as u8).collect();
-                let sealed = gcm.seal(&nonce, b"hdr", &pt);
-                assert_eq!(gcm.open(&nonce, b"hdr", &sealed).unwrap(), pt);
-                assert!(gcm.open(&nonce, b"other", &sealed).is_err());
+            for gcm in each_tier(&key) {
+                for len in [0usize, 1, 16, 61, 255] {
+                    let pt: Vec<u8> = (0..len).map(|i| (i * 3) as u8).collect();
+                    let sealed = gcm.seal(&nonce, b"hdr", &pt);
+                    assert_eq!(gcm.open(&nonce, b"hdr", &sealed).unwrap(), pt);
+                    assert!(gcm.open(&nonce, b"other", &sealed).is_err());
+                }
             }
         }
     }

@@ -20,8 +20,9 @@
 //! POLYVAL rides the existing PCLMUL/soft GHASH kernels bit-reflected
 //! (see [`crate::polyval`]); AES dispatches per [`crate::aes`].
 
+use crate::aead::{Aead, CipherSuite};
 use crate::aes::{Aes, Backend};
-use crate::gcm::{OpenError, TAG_LEN};
+use crate::gcm::{tags_equal, OpenError, TAG_LEN};
 use crate::nonce::{Nonce, NONCE_LEN};
 use crate::polyval::Polyval;
 use crate::Key;
@@ -111,15 +112,24 @@ impl AesGcmSiv {
         s[15] &= 0x7f;
         s
     }
+}
 
-    /// Encrypts `data` in place and returns the 16-byte tag.
+impl Aead for AesGcmSiv {
+    fn suite(&self) -> CipherSuite {
+        CipherSuite::AesGcmSiv128
+    }
+
+    /// `"soft"` or `"aesni+pclmul"`.
+    fn tier(&self) -> &'static str {
+        if self.soft {
+            "soft"
+        } else {
+            "aesni+pclmul"
+        }
+    }
+
     /// Panics if `data` exceeds [`MAX_PLAINTEXT_LEN_SIV`].
-    pub fn seal_in_place_detached(
-        &self,
-        nonce: &Nonce,
-        aad: &[u8],
-        data: &mut [u8],
-    ) -> [u8; TAG_LEN] {
+    fn seal_in_place_detached(&self, nonce: &Nonce, aad: &[u8], data: &mut [u8]) -> [u8; TAG_LEN] {
         assert!(
             data.len() <= MAX_PLAINTEXT_LEN_SIV,
             "GCM-SIV plaintext exceeds the RFC 8452 length limit"
@@ -134,13 +144,9 @@ impl AesGcmSiv {
         tag
     }
 
-    /// Verifies `tag` and decrypts `data` (ciphertext) in place.
-    ///
     /// SIV tags are functions of the *plaintext*, so decryption must happen
-    /// before the tag can be recomputed; on mismatch the buffer is zeroed
-    /// (unauthenticated plaintext must not escape) and
-    /// [`OpenError::TagMismatch`] is returned.
-    pub fn open_in_place_detached(
+    /// before the tag can be recomputed; on mismatch the buffer is zeroed.
+    fn open_in_place_detached(
         &self,
         nonce: &Nonce,
         aad: &[u8],
@@ -159,36 +165,14 @@ impl AesGcmSiv {
 
         let mut expect = self.synthetic_iv(&auth_key, nonce, aad, data);
         enc.encrypt_block(&mut expect);
-        let mut diff = 0u8;
-        for (a, b) in expect.iter().zip(tag.iter()) {
-            diff |= a ^ b;
-        }
-        if diff != 0 {
+        if !tags_equal(&expect, tag) {
             data.fill(0);
             return Err(OpenError::TagMismatch);
         }
         Ok(())
     }
-
-    /// Encrypts and authenticates: returns `ciphertext || tag`.
-    pub fn seal(&self, nonce: &Nonce, aad: &[u8], plaintext: &[u8]) -> Vec<u8> {
-        let mut out = Vec::with_capacity(plaintext.len() + TAG_LEN);
-        out.extend_from_slice(plaintext);
-        let tag = self.seal_in_place_detached(nonce, aad, &mut out);
-        out.extend_from_slice(&tag);
-        out
-    }
-
-    /// Verifies and decrypts `ciphertext || tag`; returns the plaintext.
-    pub fn open(&self, nonce: &Nonce, aad: &[u8], sealed: &[u8]) -> Result<Vec<u8>, OpenError> {
-        if sealed.len() < TAG_LEN {
-            return Err(OpenError::Truncated);
-        }
-        let (ct, tag) = sealed.split_at(sealed.len() - TAG_LEN);
-        let mut pt = ct.to_vec();
-        self.open_in_place_detached(nonce, aad, &mut pt, tag)?;
-        Ok(pt)
-    }
+    // verify_detached: the default (decrypt-and-discard) — SIV tags cover
+    // the plaintext, so there is no ciphertext-only check.
 }
 
 /// XORs `data` with an AES-CTR keystream in GCM-SIV's counter layout:

@@ -8,22 +8,25 @@
 //!
 //! - **AES-128-GCM** ([`gcm`]) — the default; fused single-pass
 //!   CTR+GHASH kernel, 512-bit on VAES + VPCLMULQDQ hardware, 128-bit on
-//!   AES-NI + PCLMULQDQ ([`AesGcm::tier`] names the one in use).
+//!   AES-NI + PCLMULQDQ ([`Aead::tier`] names the one in use).
 //! - **AES-128-GCM-SIV** ([`gcm_siv`]) — nonce-misuse-resistant (RFC 8452);
 //!   POLYVAL rides the same PCLMUL kernel bit-reflected.
 //! - **ChaCha20-Poly1305** ([`chacha20poly1305`]) — for hosts without
 //!   AES-NI (RFC 8439); 16 / 8 / 4 ChaCha20 blocks per stride on AVX-512 /
 //!   AVX2 / SSE2 and 8 or 4 Poly1305 blocks per step
-//!   ([`ChaCha20Poly1305::tier`] names the pair in use), or scalar.
+//!   ([`Aead::tier`] names the pair in use), or scalar.
 //!
 //! Every suite frames messages identically — `nonce(12) ‖ ct ‖ tag(16)`,
 //! exactly **28 bytes** ([`WIRE_OVERHEAD`]) over the plaintext — so suite
 //! choice is session configuration, not wire format. The framing helpers
-//! ([`seal_message`], [`seal_segments_into`], [`open_frame_in_place`], …)
-//! are generic over `A: Aead + ?Sized` and work with `&dyn Aead`.
+//! — [`seal_segments_into`] (and its one-segment case
+//! [`seal_message_into`]) to seal, [`open_frame_in_place`] to open,
+//! [`verify_message`] to check a forwarded frame — are generic over
+//! `A: Aead + ?Sized` and work with `&dyn Aead`.
 //!
 //! ## Layout
-//! - [`aead`] — the [`Aead`] trait and [`CipherSuite`] selection.
+//! - [`aead`] — the [`Aead`] trait (which each suite implements directly)
+//!   and [`CipherSuite`] selection.
 //! - [`aes`] — the AES block cipher (portable soft / constant-time soft /
 //!   runtime-detected AES-NI).
 //! - [`ghash`] — GHASH over GF(2^128) (bitwise / table-driven / PCLMULQDQ).
@@ -39,7 +42,7 @@
 //!
 //! ## Example
 //! ```
-//! use eag_crypto::{AesGcm128, CipherSuite, Key, Nonce};
+//! use eag_crypto::{Aead, AesGcm128, CipherSuite, Key, Nonce, NonceSource};
 //!
 //! let key = Key::from_bytes([0u8; 16]);
 //! let cipher = AesGcm128::new(&key);
@@ -48,11 +51,13 @@
 //! let pt = cipher.open(&nonce, b"header", &ct).expect("authentic");
 //! assert_eq!(pt, b"secret payload");
 //!
-//! // Suite-generic: the same framing under a misuse-resistant AEAD.
+//! // Suite-generic: the wire framing under a misuse-resistant AEAD.
 //! let aead = CipherSuite::AesGcmSiv128.aead_for_key(&key);
-//! let mut nonces = eag_crypto::NonceSource::seeded(7);
-//! let wire = eag_crypto::seal_message(&*aead, &mut nonces, b"hdr", b"payload");
-//! assert_eq!(eag_crypto::open_message(&*aead, b"hdr", &wire).unwrap(), b"payload");
+//! let mut wire = Vec::new();
+//! let mut nonces = NonceSource::seeded(7);
+//! eag_crypto::seal_message_into(&*aead, &mut nonces, b"hdr", b"payload", &mut wire);
+//! let range = eag_crypto::open_frame_in_place(&*aead, b"hdr", &mut wire).unwrap();
+//! assert_eq!(&wire[range], b"payload");
 //! ```
 
 #![deny(missing_docs)]
@@ -118,28 +123,13 @@ impl std::fmt::Debug for Key {
     }
 }
 
-/// Seals `plaintext` into the paper's wire format:
-/// `nonce(12) || ciphertext(len) || tag(16)`.
+/// Seals `plaintext` into `out` (cleared first) in the paper's wire format
+/// `nonce(12) || ciphertext(len) || tag(16)`, reusing `out`'s allocation
+/// when it is large enough: the one-segment case of [`seal_segments_into`].
 ///
 /// The nonce is drawn from `source`; the same `aad` must be presented to
-/// [`open_message`].
-pub fn seal_message<A: Aead + ?Sized>(
-    cipher: &A,
-    source: &mut NonceSource,
-    aad: &[u8],
-    plaintext: &[u8],
-) -> Vec<u8> {
-    let mut out = Vec::new();
-    seal_message_into(cipher, source, aad, plaintext, &mut out);
-    out
-}
-
-/// Seals `plaintext` into `out` (cleared first) in the wire format of
-/// [`seal_message`], reusing `out`'s allocation when it is large enough.
-///
-/// This is the steady-state path for the runtime: a per-rank scratch buffer
-/// makes every seal allocation-free after the first message of each size
-/// class.
+/// [`open_frame_in_place`]. A per-rank scratch buffer makes every seal
+/// allocation-free after the first message of each size class.
 pub fn seal_message_into<A: Aead + ?Sized>(
     cipher: &A,
     source: &mut NonceSource,
@@ -174,62 +164,36 @@ pub fn seal_segments_into<'a, A: Aead + ?Sized>(
     out.extend_from_slice(&tag);
 }
 
-/// Opens a message produced by [`seal_message`]; returns the plaintext or an
-/// error if the frame is malformed or fails authentication.
-pub fn open_message<A: Aead + ?Sized>(
-    cipher: &A,
-    aad: &[u8],
-    wire: &[u8],
-) -> Result<Vec<u8>, OpenError> {
-    let mut buf = wire.to_vec();
-    open_message_in_place(cipher, aad, &mut buf)?;
-    Ok(buf)
+/// A wire frame's nonce and the end of its ciphertext (where the tag
+/// starts), or [`OpenError::Truncated`] if it cannot hold both.
+fn split_frame(wire: &[u8]) -> Result<(Nonce, usize), OpenError> {
+    if wire.len() < WIRE_OVERHEAD {
+        return Err(OpenError::Truncated);
+    }
+    let mut nonce = [0u8; NONCE_LEN];
+    nonce.copy_from_slice(&wire[..NONCE_LEN]);
+    Ok((Nonce::from_bytes(nonce), wire.len() - TAG_LEN))
 }
 
-/// Opens a wire frame in place: on success `wire` holds just the plaintext
-/// (the nonce and tag framing are stripped); on failure `wire`'s payload
-/// bytes are zeroed and the error is returned.
-///
-/// The allocation-free counterpart of [`open_message`] — the decrypt happens
-/// inside the frame's own buffer.
-pub fn open_message_in_place<A: Aead + ?Sized>(
-    cipher: &A,
-    aad: &[u8],
-    wire: &mut Vec<u8>,
-) -> Result<(), OpenError> {
-    let pt = open_frame_in_place(cipher, aad, wire)?;
-    wire.truncate(pt.end);
-    wire.drain(..pt.start);
-    Ok(())
-}
-
-/// Decrypts a wire frame in place without restitching the buffer: on success
+/// Opens a wire frame in place without restitching the buffer: on success
 /// the plaintext sits at the returned range of `wire` (the nonce prefix and
-/// tag suffix are left untouched around it) and no bytes move.
-///
-/// This is the zero-copy counterpart of [`open_message_in_place`] for callers
-/// that can hold a view into the frame — freeze the buffer and slice the
-/// range instead of paying the `drain` memmove.
+/// tag suffix are left untouched around it) and no bytes move — freeze the
+/// buffer and slice the range. On failure the error is returned and the
+/// payload bytes follow the suite's failed-open contract
+/// ([`Aead::open_in_place_detached`]).
 pub fn open_frame_in_place<A: Aead + ?Sized>(
     cipher: &A,
     aad: &[u8],
     wire: &mut [u8],
 ) -> Result<std::ops::Range<usize>, OpenError> {
-    if wire.len() < WIRE_OVERHEAD {
-        return Err(OpenError::Truncated);
-    }
-    let mut nb = [0u8; NONCE_LEN];
-    nb.copy_from_slice(&wire[..NONCE_LEN]);
-    let nonce = Nonce::from_bytes(nb);
-    let ct_end = wire.len() - TAG_LEN;
+    let (nonce, ct_end) = split_frame(wire)?;
     let (frame, tag) = wire.split_at_mut(ct_end);
     cipher.open_in_place_detached(&nonce, aad, &mut frame[NONCE_LEN..], tag)?;
     Ok(NONCE_LEN..ct_end)
 }
 
-/// Verifies a wire frame produced by [`seal_message`] without decrypting
-/// it: parses `nonce(12) || ciphertext || tag(16)` and checks the tag
-/// against the AAD and ciphertext.
+/// Verifies a wire frame without decrypting it: checks the tag of
+/// `nonce(12) || ciphertext || tag(16)` against the AAD and ciphertext.
 ///
 /// Forwarding hops use this for in-flight integrity: GCM authenticates the
 /// ciphertext, so no plaintext is produced (or zeroized) on the hot path.
@@ -238,13 +202,7 @@ pub fn verify_message<A: Aead + ?Sized>(
     aad: &[u8],
     wire: &[u8],
 ) -> Result<(), OpenError> {
-    if wire.len() < WIRE_OVERHEAD {
-        return Err(OpenError::Truncated);
-    }
-    let mut nb = [0u8; NONCE_LEN];
-    nb.copy_from_slice(&wire[..NONCE_LEN]);
-    let nonce = Nonce::from_bytes(nb);
-    let ct_end = wire.len() - TAG_LEN;
+    let (nonce, ct_end) = split_frame(wire)?;
     cipher.verify_detached(&nonce, aad, &wire[NONCE_LEN..ct_end], &wire[ct_end..])
 }
 
@@ -252,31 +210,64 @@ pub fn verify_message<A: Aead + ?Sized>(
 mod tests {
     use super::*;
 
+    /// Every suite's AEAD under one key: the framing is suite-invariant,
+    /// so each framing test runs under all of them.
+    fn each_suite(key: u8) -> impl Iterator<Item = (CipherSuite, Box<dyn Aead>)> {
+        let key = Key::from_bytes([key; 16]);
+        CipherSuite::ALL
+            .into_iter()
+            .map(move |suite| (suite, suite.aead_for_key(&key)))
+    }
+
+    /// Seals `pt` into a fresh wire frame.
+    pub(crate) fn framed(
+        cipher: &dyn Aead,
+        source: &mut NonceSource,
+        aad: &[u8],
+        pt: &[u8],
+    ) -> Vec<u8> {
+        let mut wire = Vec::new();
+        seal_message_into(cipher, source, aad, pt, &mut wire);
+        wire
+    }
+
+    /// Opens a copy of `wire` and returns its plaintext.
+    fn unframed(cipher: &dyn Aead, aad: &[u8], wire: &[u8]) -> Result<Vec<u8>, OpenError> {
+        let mut buf = wire.to_vec();
+        let range = open_frame_in_place(cipher, aad, &mut buf)?;
+        Ok(buf[range].to_vec())
+    }
+
     #[test]
     fn verify_message_matches_open_verdict() {
-        let key = Key::from_bytes([7u8; 16]);
-        let cipher = AesGcm128::new(&key);
-        let mut source = NonceSource::seeded(9);
-        for len in [0usize, 1, 16, 129, 1000] {
-            let pt: Vec<u8> = (0..len).map(|i| (i * 7 % 251) as u8).collect();
-            let mut wire = seal_message(&cipher, &mut source, b"aad", &pt);
-            assert!(verify_message(&cipher, b"aad", &wire).is_ok());
-            assert!(verify_message(&cipher, b"bad", &wire).is_err());
-            for i in 0..wire.len() {
-                wire[i] ^= 0x40;
-                assert!(
-                    verify_message(&cipher, b"aad", &wire).is_err(),
-                    "flip at byte {i} of len {len} undetected"
-                );
-                wire[i] ^= 0x40;
+        for (suite, cipher) in each_suite(7) {
+            let mut source = NonceSource::seeded(9);
+            for len in [0usize, 1, 16, 129, 1000] {
+                let pt: Vec<u8> = (0..len).map(|i| (i * 7 % 251) as u8).collect();
+                let mut wire = framed(&*cipher, &mut source, b"aad", &pt);
+                assert!(verify_message(&*cipher, b"aad", &wire).is_ok(), "{suite}");
+                assert!(verify_message(&*cipher, b"bad", &wire).is_err(), "{suite}");
+                for i in 0..wire.len() {
+                    wire[i] ^= 0x40;
+                    assert!(
+                        verify_message(&*cipher, b"aad", &wire).is_err(),
+                        "{suite}: flip at byte {i} of len {len} undetected"
+                    );
+                    wire[i] ^= 0x40;
+                }
+                // Verification must not consume the frame: open still succeeds.
+                assert_eq!(unframed(&*cipher, b"aad", &wire).unwrap(), pt, "{suite}");
             }
-            // Verification must not consume the frame: open still succeeds.
-            assert_eq!(open_message(&cipher, b"aad", &wire).unwrap(), pt);
+            for len in 0..WIRE_OVERHEAD {
+                assert!(
+                    matches!(
+                        verify_message(&*cipher, b"", &vec![0u8; len]),
+                        Err(OpenError::Truncated)
+                    ),
+                    "{suite}: {len}-byte frame"
+                );
+            }
         }
-        assert!(matches!(
-            verify_message(&cipher, b"", &[0u8; 27]),
-            Err(OpenError::Truncated)
-        ));
     }
 
     #[test]
@@ -286,78 +277,105 @@ mod tests {
 
     #[test]
     fn seal_open_roundtrip() {
-        let key = Key::from_bytes([7u8; 16]);
-        let cipher = AesGcm128::new(&key);
-        let mut source = NonceSource::seeded(42);
-        for len in [0usize, 1, 15, 16, 17, 255, 4096] {
-            let pt: Vec<u8> = (0..len).map(|i| (i * 31 % 251) as u8).collect();
-            let wire = seal_message(&cipher, &mut source, b"ctx", &pt);
-            assert_eq!(wire.len(), pt.len() + WIRE_OVERHEAD);
-            let back = open_message(&cipher, b"ctx", &wire).unwrap();
-            assert_eq!(back, pt);
+        for (suite, cipher) in each_suite(7) {
+            let mut source = NonceSource::seeded(42);
+            for len in [0usize, 1, 15, 16, 17, 255, 4096] {
+                let pt: Vec<u8> = (0..len).map(|i| (i * 31 % 251) as u8).collect();
+                let wire = framed(&*cipher, &mut source, b"ctx", &pt);
+                assert_eq!(wire.len(), pt.len() + WIRE_OVERHEAD, "{suite}");
+                let back = unframed(&*cipher, b"ctx", &wire).unwrap();
+                assert_eq!(back, pt, "{suite} len {len}");
+            }
         }
     }
 
     #[test]
     fn open_rejects_wrong_aad() {
-        let key = Key::from_bytes([7u8; 16]);
-        let cipher = AesGcm128::new(&key);
-        let mut source = NonceSource::seeded(42);
-        let wire = seal_message(&cipher, &mut source, b"aad-a", b"hello");
-        assert!(open_message(&cipher, b"aad-b", &wire).is_err());
+        for (suite, cipher) in each_suite(7) {
+            let mut source = NonceSource::seeded(42);
+            let wire = framed(&*cipher, &mut source, b"aad-a", b"hello");
+            assert_eq!(
+                unframed(&*cipher, b"aad-b", &wire),
+                Err(OpenError::TagMismatch),
+                "{suite}"
+            );
+        }
     }
 
+    /// Every frame too short to hold a nonce and a tag is `Truncated`,
+    /// under every suite, and the buffer is left as it was.
     #[test]
     fn open_rejects_truncated_frame() {
-        let key = Key::from_bytes([7u8; 16]);
-        let cipher = AesGcm128::new(&key);
-        assert!(matches!(
-            open_message(&cipher, b"", &[0u8; 27]),
-            Err(OpenError::Truncated)
-        ));
+        for (suite, cipher) in each_suite(7) {
+            for len in 0..WIRE_OVERHEAD {
+                let mut short: Vec<u8> = (0..len as u8).collect();
+                assert_eq!(
+                    open_frame_in_place(&*cipher, b"", &mut short),
+                    Err(OpenError::Truncated),
+                    "{suite}: {len}-byte frame"
+                );
+                assert!(short.iter().copied().eq(0..len as u8), "{suite}");
+            }
+        }
     }
 
     #[test]
     fn seal_segments_matches_contiguous_seal() {
-        let key = Key::from_bytes([3u8; 16]);
-        let cipher = AesGcm128::new(&key);
-        let pt: Vec<u8> = (0..300).map(|i| (i % 251) as u8).collect();
-        for split in [0usize, 1, 128, 299, 300] {
-            let whole = seal_message(&cipher, &mut NonceSource::seeded(5), b"aad", &pt);
-            let mut gathered = Vec::new();
-            seal_segments_into(
-                &cipher,
-                &mut NonceSource::seeded(5),
-                b"aad",
-                [&pt[..split], &pt[split..]],
-                &mut gathered,
-            );
-            assert_eq!(whole, gathered, "split at {split}");
+        for (suite, cipher) in each_suite(3) {
+            let pt: Vec<u8> = (0..300).map(|i| (i % 251) as u8).collect();
+            for split in [0usize, 1, 128, 299, 300] {
+                let whole = framed(&*cipher, &mut NonceSource::seeded(5), b"aad", &pt);
+                let mut gathered = Vec::new();
+                seal_segments_into(
+                    &*cipher,
+                    &mut NonceSource::seeded(5),
+                    b"aad",
+                    [&pt[..split], &pt[split..]],
+                    &mut gathered,
+                );
+                assert_eq!(whole, gathered, "{suite}: split at {split}");
+            }
         }
     }
 
+    /// The plaintext range sits inside the unmoved frame; a tampered
+    /// ciphertext or tag fails with each suite's failed-open contract on
+    /// the payload: zeroed where the suite decrypts before verifying (GCM,
+    /// GCM-SIV), the tampered ciphertext untouched where it verifies first
+    /// (ChaCha20-Poly1305).
     #[test]
     fn open_frame_in_place_returns_plaintext_range() {
-        let key = Key::from_bytes([4u8; 16]);
-        let cipher = AesGcm128::new(&key);
-        let mut source = NonceSource::seeded(8);
-        for len in [0usize, 1, 64, 333] {
-            let pt: Vec<u8> = (0..len).map(|i| (i * 13 % 251) as u8).collect();
-            let mut wire = seal_message(&cipher, &mut source, b"hdr", &pt);
-            let before = wire.len();
-            let range = open_frame_in_place(&cipher, b"hdr", &mut wire).unwrap();
-            assert_eq!(wire.len(), before, "frame length must not change");
-            assert_eq!(range, NONCE_LEN..before - TAG_LEN);
-            assert_eq!(&wire[range], &pt[..]);
+        for (suite, cipher) in each_suite(4) {
+            let mut source = NonceSource::seeded(8);
+            for len in [0usize, 1, 64, 333] {
+                let pt: Vec<u8> = (0..len).map(|i| (i * 13 % 251) as u8).collect();
+                let mut wire = framed(&*cipher, &mut source, b"hdr", &pt);
+                let before = wire.len();
+                let range = open_frame_in_place(&*cipher, b"hdr", &mut wire).unwrap();
+                assert_eq!(wire.len(), before, "{suite}: frame length must not change");
+                assert_eq!(range, NONCE_LEN..before - TAG_LEN, "{suite}");
+                assert_eq!(&wire[range], &pt[..], "{suite}");
+            }
+            let sealed = framed(&*cipher, &mut source, b"hdr", b"payload");
+            let ct_end = sealed.len() - TAG_LEN;
+            for flip in [NONCE_LEN, ct_end - 1, ct_end, sealed.len() - 1] {
+                let mut tampered = sealed.clone();
+                tampered[flip] ^= 1;
+                let mut buf = tampered.clone();
+                assert_eq!(
+                    open_frame_in_place(&*cipher, b"hdr", &mut buf),
+                    Err(OpenError::TagMismatch),
+                    "{suite}: flip at {flip}"
+                );
+                let payload = match suite {
+                    CipherSuite::ChaCha20Poly1305 => tampered[NONCE_LEN..ct_end].to_vec(),
+                    CipherSuite::AesGcm128 | CipherSuite::AesGcmSiv128 => vec![0; b"payload".len()],
+                };
+                assert_eq!(buf[NONCE_LEN..ct_end], payload, "{suite}: flip at {flip}");
+                assert_eq!(buf[..NONCE_LEN], tampered[..NONCE_LEN], "{suite}: nonce");
+                assert_eq!(buf[ct_end..], tampered[ct_end..], "{suite}: tag");
+            }
         }
-        let mut short = vec![0u8; WIRE_OVERHEAD - 1];
-        assert!(matches!(
-            open_frame_in_place(&cipher, b"", &mut short),
-            Err(OpenError::Truncated)
-        ));
-        let mut tampered = seal_message(&cipher, &mut source, b"hdr", b"payload");
-        tampered[NONCE_LEN] ^= 1;
-        assert!(open_frame_in_place(&cipher, b"hdr", &mut tampered).is_err());
     }
 
     #[test]

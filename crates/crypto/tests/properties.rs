@@ -2,8 +2,8 @@
 
 use eag_crypto::ghash::{gf128_mul_soft, GHash};
 use eag_crypto::{
-    open_message, open_message_in_place, seal_message, seal_message_into, AesGcm128, CipherSuite,
-    Key, Nonce, NonceSource, NONCE_LEN, TAG_LEN, WIRE_OVERHEAD,
+    open_frame_in_place, seal_message_into, Aead, AesGcm128, CipherSuite, Key, Nonce, NonceSource,
+    NONCE_LEN, TAG_LEN, WIRE_OVERHEAD,
 };
 use proptest::prelude::*;
 
@@ -104,9 +104,11 @@ proptest! {
     ) {
         let gcm = AesGcm128::new(&key);
         let mut src = NonceSource::seeded(seed);
-        let wire = seal_message(&gcm, &mut src, b"", &pt);
+        let mut wire = Vec::new();
+        seal_message_into(&gcm, &mut src, b"", &pt, &mut wire);
         prop_assert_eq!(wire.len(), pt.len() + 28);
-        prop_assert_eq!(open_message(&gcm, b"", &wire).unwrap(), pt);
+        let range = open_frame_in_place(&gcm, b"", &mut wire).unwrap();
+        prop_assert_eq!(&wire[range], &pt[..]);
     }
 
     /// Two different plaintexts never seal to the same frame (under one
@@ -210,7 +212,7 @@ proptest! {
         prop_assert!(buf.iter().all(|&b| b == 0), "failed open must zeroize");
     }
 
-    /// The scratch-reusing wire framing equals [`seal_message`]'s output and
+    /// The scratch-reusing wire framing is `nonce || seal(nonce, pt)` and
     /// opens in place back to the plaintext, whatever the buffer held before.
     #[test]
     fn framed_in_place_roundtrip_reuses_scratch(
@@ -221,8 +223,9 @@ proptest! {
     ) {
         let gcm = AesGcm128::new(&key);
 
-        let mut src_a = NonceSource::seeded(seed);
-        let reference = seal_message(&gcm, &mut src_a, b"hdr", &pt);
+        let nonce = NonceSource::seeded(seed).next_nonce();
+        let mut reference = nonce.as_bytes().to_vec();
+        reference.extend(gcm.seal(&nonce, b"hdr", &pt));
 
         let mut src_b = NonceSource::seeded(seed);
         let mut wire = junk; // scratch with arbitrary prior contents
@@ -231,8 +234,8 @@ proptest! {
         prop_assert_eq!(wire.len(), pt.len() + WIRE_OVERHEAD);
         prop_assert_eq!(&wire[..NONCE_LEN], &reference[..NONCE_LEN]);
 
-        open_message_in_place(&gcm, b"hdr", &mut wire).unwrap();
-        prop_assert_eq!(wire, pt);
+        let range = open_frame_in_place(&gcm, b"hdr", &mut wire).unwrap();
+        prop_assert_eq!(&wire[range], &pt[..]);
     }
 
     /// Every backend behind the [`Aead`] trait roundtrips any key, nonce,

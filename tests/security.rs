@@ -156,9 +156,10 @@ fn tampered_ciphertext_aborts_the_collective() {
     let key = Key::from_bytes([3u8; 16]);
     let gcm = AesGcm128::new(&key);
     let mut nonces = NonceSource::seeded(1);
-    let mut wire = eag_crypto::seal_message(&gcm, &mut nonces, b"", b"the block");
+    let mut wire = Vec::new();
+    eag_crypto::seal_message_into(&gcm, &mut nonces, b"", b"the block", &mut wire);
     wire[14] ^= 0x40;
-    assert!(eag_crypto::open_message(&gcm, b"", &wire).is_err());
+    assert!(eag_crypto::open_frame_in_place(&gcm, b"", &mut wire).is_err());
 
     // And end to end: a world where one rank forwards a corrupted sealed
     // item must panic (GCM tag mismatch), not deliver wrong data.
