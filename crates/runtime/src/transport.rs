@@ -13,6 +13,7 @@
 //! | frame to send                           | [`frame`](Transport::frame) → [`apply_fault`](Transport::apply_fault) → [`dispatch`](Transport::dispatch) |
 //! | frame arrived                           | [`on_frame`](Transport::on_frame)       |
 //! | NACK arrived                            | [`on_nack`](Transport::on_nack)         |
+//! | ACK arrived                             | [`on_ack`](Transport::on_ack)           |
 //! | retry round elapsed                     | [`round_elapsed`](Transport::round_elapsed) |
 //!
 //! | action (transport → glue)               | executed against                        |
@@ -50,7 +51,7 @@ pub(crate) struct Frame {
     pub(crate) parcel: Parcel,
 }
 
-/// What travels on a channel: a data frame, one of the two recovery
+/// What travels on a channel: a data frame, one of the three recovery
 /// control frames, or the poison marker that propagates a panic.
 #[derive(Clone)]
 pub(crate) enum Wire {
@@ -60,8 +61,15 @@ pub(crate) enum Wire {
         tag: u64,
         seq: u64,
     },
-    /// "I have nothing logged for `tag`" — the NACKed sender will never
-    /// produce the frame; lets the receiver fail fast with `DeadPeer`.
+    /// "I have accepted every frame on `tag` below `seq`" — cumulative;
+    /// the sender prunes its retransmit log up to `seq`.
+    Ack {
+        tag: u64,
+        seq: u64,
+    },
+    /// "I have nothing logged for `tag` at or after the NACKed sequence
+    /// number" — the finished sender will never produce the frame; lets
+    /// the receiver fail fast with `DeadPeer`.
     NackMiss {
         tag: u64,
     },
@@ -110,10 +118,10 @@ pub(crate) enum Round {
     Exhausted,
 }
 
-/// One logged transmission, kept for NACK-triggered replay. The parcel is
-/// the *pre-fault* clone: retransmissions start from clean bytes.
+/// One logged transmission, kept for NACK-triggered replay until the peer
+/// acknowledges it. The parcel is the *pre-fault* clone: retransmissions
+/// start from clean bytes.
 struct SentRecord {
-    tag: u64,
     seq: u64,
     attempts: u32,
     parcel: Parcel,
@@ -140,9 +148,10 @@ pub(crate) struct Transport {
     /// Verified out-of-order frames buffered until the gap before them
     /// fills.
     ooo: HashMap<Stream, BTreeMap<u64, (Parcel, f64)>>,
-    /// Retransmit log per destination (grows with the collective —
-    /// bounded by the run, not pruned).
-    sent_log: HashMap<Rank, Vec<SentRecord>>,
+    /// Retransmit log per outgoing stream, in sequence order: exactly the
+    /// frames the peer has not acknowledged yet (an emptied stream's entry
+    /// is removed).
+    sent_log: HashMap<Stream, VecDeque<SentRecord>>,
     /// Frames held back by an injected `Reorder`; released after the next
     /// first transmission (or when the rank blocks or finishes).
     reorder_limbo: Vec<(Rank, Message)>,
@@ -195,6 +204,12 @@ impl Transport {
         self.out.push(Action::Send(dst, msg));
     }
 
+    /// The number of frames logged for replay, over every stream.
+    #[cfg(test)]
+    pub(crate) fn logged(&self) -> usize {
+        self.sent_log.values().map(VecDeque::len).sum()
+    }
+
     /// The one NACK constructor: asks `to` to replay `tag` from the first
     /// sequence number this rank has not accepted yet.
     fn nack(&mut self, to: Rank, tag: u64, attempt: u32) {
@@ -217,12 +232,14 @@ impl Transport {
         let next = self.next_seq.entry((dst, tag)).or_insert(0);
         let seq = *next;
         *next += 1;
-        self.sent_log.entry(dst).or_default().push(SentRecord {
-            tag,
-            seq,
-            attempts: 0,
-            parcel: parcel.clone(),
-        });
+        self.sent_log
+            .entry((dst, tag))
+            .or_default()
+            .push_back(SentRecord {
+                seq,
+                attempts: 0,
+                parcel: parcel.clone(),
+            });
         Frame {
             tag,
             seq,
@@ -303,10 +320,10 @@ impl Transport {
     /// buffered frames by design, and a corrupted copy of a frame held
     /// verified must not trigger another replay); integrity failure →
     /// NACK; next in sequence → delivered, followed by the consecutive
-    /// buffered frames; a gap → buffered, NACKed once per gap. `verify` is
-    /// the per-hop authenticator check, consulted only under an
-    /// adversarial-tamper plan. Nothing is buffered or delivered
-    /// unverified.
+    /// buffered frames, and one cumulative ACK sent for the advance; a
+    /// gap → buffered, NACKed once per gap. `verify` is the per-hop
+    /// authenticator check, consulted only under an adversarial-tamper
+    /// plan. Nothing is buffered or delivered unverified.
     pub(crate) fn on_frame(
         &mut self,
         src: Rank,
@@ -351,6 +368,7 @@ impl Transport {
                 }
             }
             self.expected.insert(key, next);
+            self.emit(src, 0.0, Wire::Ack { tag, seq: next });
         } else {
             let buf = self.ooo.entry(key).or_default();
             let first_of_gap = buf.is_empty();
@@ -373,12 +391,16 @@ impl Transport {
     /// arrive at `now_us` (they do not advance any clock) and are counted
     /// apart from first transmissions.
     ///
-    /// With nothing logged, the answer is `NackMiss` only once this rank
-    /// has `finished`: a `NackMiss` is a proof that the frames will
-    /// *never* exist, which holds only for a complete log. Mid-run the
-    /// NACK may simply be early — the receiver's retry timer can race a
-    /// send that has not happened yet — so the transport stays silent and
-    /// the receiver's backoff re-asks.
+    /// With nothing logged at or after `from_seq`, the answer is
+    /// `NackMiss` only once this rank has `finished`: a `NackMiss` is a
+    /// proof that the frames will *never* exist, which holds only once
+    /// every frame is sent. Pruning keeps the proof sound: a pruned frame
+    /// lies below an ACK, the receiver's expected sequence number only
+    /// grows, and mailboxes are FIFO per destination — so every ACK
+    /// handled before this NACK was sent before it, and pruned only
+    /// frames below `from_seq`. Mid-run the NACK may simply be early — the
+    /// receiver's retry timer can race a send that has not happened yet —
+    /// so the transport stays silent and the receiver's backoff re-asks.
     pub(crate) fn on_nack(
         &mut self,
         from: Rank,
@@ -389,8 +411,9 @@ impl Transport {
         refault: &mut dyn FnMut(u64, u32) -> Option<FaultKind>,
     ) {
         let mut jobs = Vec::new();
-        for rec in self.sent_log.get_mut(&from).into_iter().flatten() {
-            if rec.tag == tag && rec.seq >= from_seq {
+        if let Some(log) = self.sent_log.get_mut(&(from, tag)) {
+            let start = log.partition_point(|rec| rec.seq < from_seq);
+            for rec in log.range_mut(start..) {
                 rec.attempts += 1;
                 jobs.push((rec.seq, rec.attempts, rec.parcel.clone()));
             }
@@ -419,6 +442,24 @@ impl Transport {
             if fault != Some(FaultKind::Drop) {
                 self.emit(from, arrive_us, Wire::Data(frame));
             }
+        }
+    }
+
+    // ----- ACK arrived ------------------------------------------------------
+
+    /// `from` has accepted every frame of `tag` below `seq`: drops them
+    /// from the retransmit log. ACKs are cumulative, so a stale one prunes
+    /// nothing.
+    pub(crate) fn on_ack(&mut self, from: Rank, tag: u64, seq: u64) {
+        let key = (from, tag);
+        let Some(log) = self.sent_log.get_mut(&key) else {
+            return;
+        };
+        while log.front().is_some_and(|rec| rec.seq < seq) {
+            log.pop_front();
+        }
+        if log.is_empty() {
+            self.sent_log.remove(&key);
         }
     }
 

@@ -100,6 +100,14 @@ impl Tape {
 /// order the network allows. A retry round elapses whenever nothing else
 /// can move and the receiver is still short.
 ///
+/// The receiver's ACKs are handled as soon as they reach the head of the
+/// sender's mailbox. That loses no schedule: an ACK prunes only frames
+/// below the receiver's expected sequence number, so it commutes with the
+/// sender's own sends, and it stays FIFO with the NACKs around it, so
+/// every NACK sees the log it would see had the sender handled the ACK at
+/// any later drain. Every run ends with the sender's log empty: each
+/// delivered frame is acknowledged and pruned.
+///
 /// Returns how many retry rounds the run needed.
 fn run_model(tags: &[u64], adversarial: bool, tape: &mut Tape) -> u32 {
     let plan = plan(adversarial);
@@ -118,7 +126,7 @@ fn run_model(tags: &[u64], adversarial: bool, tape: &mut Tape) -> u32 {
     loop {
         while let Some(msg) = to_receiver.pop_front() {
             let Wire::Data(frame) = msg.wire else {
-                panic!("the sender emits only data frames while it has a log");
+                panic!("the sender emits only data frames while the receiver is short");
             };
             let id = (frame.tag, frame.seq);
             let clean = parcels.contains(&frame.parcel);
@@ -147,6 +155,10 @@ fn run_model(tags: &[u64], adversarial: bool, tape: &mut Tape) -> u32 {
                 received += 1;
             }
         }
+        while let Some(&Wire::Ack { tag, seq }) = to_sender.front().map(|m| &m.wire) {
+            to_sender.pop_front();
+            sender.on_ack(RECEIVER, tag, seq);
+        }
         let can_send = sent < tags.len();
         let can_hear = !to_sender.is_empty();
         let mut tally = Vec::new();
@@ -168,7 +180,7 @@ fn run_model(tags: &[u64], adversarial: bool, tape: &mut Tape) -> u32 {
             }
         } else if can_hear {
             let Some(Wire::Nack { tag, seq }) = to_sender.pop_front().map(|m| m.wire) else {
-                panic!("the receiver emits only NACKs");
+                panic!("the receiver emits only NACKs and ACKs");
             };
             let finished = sent == tags.len();
             let mut refault = |_seq, attempt| match attempt {
@@ -192,6 +204,12 @@ fn run_model(tags: &[u64], adversarial: bool, tape: &mut Tape) -> u32 {
     for &tag in tags {
         assert!(receiver.take_ready(SENDER, tag).is_none(), "extra delivery");
     }
+    // Bounded: every delivered frame was acknowledged and pruned.
+    assert_eq!(
+        sender.logged(),
+        0,
+        "the retransmit log kept acknowledged frames"
+    );
     rounds
 }
 
@@ -280,6 +298,49 @@ fn nack_to_an_empty_log_is_answered_only_once_finished() {
     ));
 }
 
+/// A NACK that arrives after the frames it asks for were acknowledged
+/// and pruned finds nothing at or after its sequence number: a finished
+/// sender answers `NackMiss`, a running one stays silent, and the
+/// receiver — which already holds every frame — sees no redelivery.
+#[test]
+fn stale_nack_after_the_ack_pruned_its_frames_replays_nothing() {
+    let plan = plan(false);
+    let mut sender = Transport::new(SENDER, &plan);
+    let mut receiver = Transport::new(RECEIVER, &plan);
+    let mut verify = |_: &Parcel| true;
+    let (mut to_receiver, mut to_sender, mut tally) =
+        (VecDeque::new(), VecDeque::new(), Vec::new());
+    for id in 0..2 {
+        let frame = sender.frame(RECEIVER, 4, parcel(id));
+        receiver.on_frame(SENDER, frame, id as f64, &mut verify);
+    }
+    pump(&mut receiver, &mut to_sender, &mut tally);
+    assert_eq!(receiver.take_ready(SENDER, 4), Some((parcel(0), 0.0)));
+    assert_eq!(receiver.take_ready(SENDER, 4), Some((parcel(1), 1.0)));
+    assert_eq!(sender.logged(), 2);
+    for msg in to_sender.drain(..) {
+        let Wire::Ack { tag, seq } = msg.wire else {
+            panic!("expected only ACKs back");
+        };
+        sender.on_ack(RECEIVER, tag, seq);
+    }
+    assert_eq!(sender.logged(), 0, "both frames are acknowledged");
+    let mut clean = |_, _| None;
+    sender.on_nack(RECEIVER, 4, 0, false, 0.0, &mut clean);
+    assert!(sender.out.is_empty(), "a running sender must stay silent");
+    sender.on_nack(RECEIVER, 4, 0, true, 0.0, &mut clean);
+    pump(&mut sender, &mut to_receiver, &mut tally);
+    let [Message {
+        wire: Wire::NackMiss { tag: 4 },
+        ..
+    }] = &to_receiver.make_contiguous()[..]
+    else {
+        panic!("a finished sender answers NackMiss and replays nothing");
+    };
+    assert_eq!(counted(&tally, Counter::Retransmits), 0);
+    assert_eq!(receiver.take_ready(SENDER, 4), None, "no redelivery");
+}
+
 /// Satellite-1 regression: go-back-N re-delivers frames the receiver
 /// already buffered, and each replay is independently re-faultable. A
 /// tampered replay of a frame held *verified* used to fail the integrity
@@ -313,9 +374,19 @@ fn tampered_replay_of_a_buffered_frame_is_a_duplicate_not_a_fault() {
             [Action::Count(Counter::DupFramesDropped, 1)]
         ));
         receiver.out.clear();
-        // The gap fills: both frames come out clean, in order, once.
+        // The gap fills: both frames come out clean, in order, once, and
+        // one cumulative ACK covers them both.
         receiver.on_frame(SENDER, first, 3.0, &mut verify);
-        assert!(receiver.out.is_empty());
+        assert!(matches!(
+            &receiver.out[..],
+            [Action::Send(
+                SENDER,
+                Message {
+                    wire: Wire::Ack { tag: 3, seq: 2 },
+                    ..
+                }
+            )]
+        ));
         assert_eq!(receiver.take_ready(SENDER, 3), Some((parcel(0), 3.0)));
         assert_eq!(receiver.take_ready(SENDER, 3), Some((parcel(1), 1.0)));
         assert_eq!(receiver.take_ready(SENDER, 3), None);
@@ -413,7 +484,7 @@ proptest! {
             for action in receiver.out.drain(..) {
                 if let Action::Send(to, msg) = action {
                     prop_assert_eq!(to, SENDER);
-                    prop_assert!(matches!(msg.wire, Wire::Nack { .. }));
+                    prop_assert!(matches!(msg.wire, Wire::Nack { .. } | Wire::Ack { .. }));
                 }
             }
         }

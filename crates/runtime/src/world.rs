@@ -27,14 +27,15 @@
 //!
 //! When the spec's [`FaultPlan`] is enabled, every point-to-point send is
 //! framed for recovery: frames carry a per-`(dst, tag)` stream sequence
-//! number and a transport checksum, senders keep a retransmit log, and
-//! receivers detect loss (receive timeout), corruption (checksum or per-hop
-//! GCM verification), duplication and reordering (sequence numbers), and
-//! recover by NACKing the sender, which replays the affected frames from its
-//! log. Ranks that finish while chaos is armed *linger* to service late
-//! NACKs until every rank has finished. Unrecoverable situations raise a
-//! structured [`CollectiveError`] instead of hanging: a receive that
-//! exhausts its retry budget or wall-clock watchdog fails with
+//! number and a transport checksum, senders keep a retransmit log of the
+//! frames the receiver has not acknowledged yet (cumulative ACKs prune
+//! it), and receivers detect loss (receive timeout), corruption (checksum
+//! or per-hop GCM verification), duplication and reordering (sequence
+//! numbers), and recover by NACKing the sender, which replays the affected
+//! frames from its log. Ranks that finish while chaos is armed *linger* to
+//! service late NACKs until every rank has finished. Unrecoverable
+//! situations raise a structured [`CollectiveError`] instead of hanging: a
+//! receive that exhausts its retry budget or wall-clock watchdog fails with
 //! `Timeout`, a receive blocked on a rank that already exited fails with
 //! `DeadPeer`, and a GCM authentication failure at a consumer fails with
 //! `AuthFailure`.
@@ -1074,6 +1075,7 @@ impl<'w> ProcCtx<'w> {
         match msg.wire {
             Wire::Poison => panic!("rank {src} panicked; propagating"),
             Wire::Nack { tag, seq } => self.service_nack(src, tag, seq),
+            Wire::Ack { tag, seq } => self.transport.on_ack(src, tag, seq),
             Wire::NackMiss { tag } => *peer_missed |= (src, tag) == want,
             Wire::Data(frame) => {
                 let (aead, aad) = (&*self.world.aead, &mut self.aad_scratch);
@@ -1099,11 +1101,12 @@ impl<'w> ProcCtx<'w> {
     }
 
     /// Post-collective service loop (chaos mode): a finished rank keeps
-    /// answering NACKs until every rank has departed (finished or
-    /// crashed), so a peer recovering a lost frame never finds its sender
-    /// gone. Parked between requests — each departure raises a world event,
-    /// so the loop blocks on the spec's actual `recv_timeout` deadline
-    /// (`None` = unbounded) instead of spinning a short poll.
+    /// answering NACKs (and pruning its log on ACKs) until every rank has
+    /// departed (finished or crashed), so a peer recovering a lost frame
+    /// never finds its sender gone. Parked between requests — each
+    /// departure raises a world event, so the loop blocks on the spec's
+    /// actual `recv_timeout` deadline (`None` = unbounded) instead of
+    /// spinning a short poll.
     fn linger(&mut self) {
         let world = self.world;
         let deadline = world.spec.recv_timeout.map(|limit| Instant::now() + limit);
@@ -1116,6 +1119,7 @@ impl<'w> ProcCtx<'w> {
                 match msg.wire {
                     Wire::Poison => poisoned = true,
                     Wire::Nack { tag, seq } => self.service_nack(msg.src, tag, seq),
+                    Wire::Ack { tag, seq } => self.transport.on_ack(msg.src, tag, seq),
                     Wire::Data(_) | Wire::NackMiss { .. } => {}
                 }
             }

@@ -702,6 +702,65 @@ fn armed_framing_at_zero_rate_changes_results_nothing() {
     }
 }
 
+/// The retransmit log is bounded by what is in flight, not by how long
+/// the world lives: an armed ring world under duplicate, reorder and
+/// tamper faults (the wall-clock `ag_armed` mix) keeps each rank's log at
+/// most p frames deep after 8 back-to-back collectives and after 64. In
+/// the ring a rank's send at step j waits on a chain of receives that
+/// starts with its successor accepting frame j − p, and that
+/// acknowledgement reaches the rank's mailbox before the frame that
+/// unblocks it — so at most frames j − p + 1 … j are logged. Without
+/// pruning, the deepest log grows by p − 1 frames per collective.
+#[test]
+fn retransmit_log_stays_bounded_over_a_long_armed_world() {
+    let ring = |s: &WorldSpec, ops: usize| {
+        run(s, move |ctx| {
+            let p = ctx.p();
+            let next = (ctx.rank() + 1) % p;
+            let prev = (ctx.rank() + p - 1) % p;
+            let (mut got, mut peak) = (Vec::new(), 0);
+            // One tag per collective: fault decisions hash the logical
+            // tag, so every collective draws its own faults.
+            for tag in 0..ops as u64 {
+                ctx.begin_collective();
+                let mut cur = Parcel::one(Item::Plain(ctx.my_block(16)));
+                for _ in 0..p - 1 {
+                    ctx.send(next, tag, cur);
+                    peak = peak.max(ctx.transport.logged());
+                    cur = ctx.recv(prev, tag);
+                    got.push(cur.items[0].origins()[0]);
+                }
+            }
+            (got, peak)
+        })
+    };
+    let mut armed = spec(4, 2);
+    armed.faults = FaultPlan {
+        seed: 0xC0FFEE,
+        duplicate_permille: 20,
+        reorder_permille: 10,
+        tamper_permille: 10,
+        ..FaultPlan::default()
+    };
+    armed.retry = fast_retry();
+    for ops in [8, 64] {
+        let chaos = ring(&armed, ops);
+        let plain = ring(&spec(4, 2), ops);
+        let injected: u64 = chaos.metrics.iter().map(|m| m.faults_injected).sum();
+        assert!(injected > 0, "{ops} collectives drew no fault");
+        for (rank, ((got, peak), (want, _))) in chaos.outputs.iter().zip(&plain.outputs).enumerate()
+        {
+            assert_eq!(got, want, "rank {rank}: results differ from a plain run");
+            // Ranks 0 and 2 send intra-node only: nothing is ever framed.
+            let bound = if rank % 2 == 0 { 0 } else { 4 };
+            assert!(
+                *peak <= bound,
+                "rank {rank}: {peak} frames logged after {ops} collectives (bound {bound})"
+            );
+        }
+    }
+}
+
 #[test]
 fn rate_based_chaos_recovers_a_multi_frame_stream() {
     // Aggressive rates over a long stream: every frame must still arrive,
