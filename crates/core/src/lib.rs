@@ -45,6 +45,7 @@
 #![deny(missing_docs)]
 #![warn(clippy::undocumented_unsafe_blocks)]
 
+mod agreement;
 pub mod algorithm;
 pub mod bounds;
 pub mod collective;
@@ -52,15 +53,16 @@ pub mod encrypted;
 pub mod group;
 pub mod operation;
 pub mod output;
+pub mod recovery;
 pub mod unencrypted;
 
 pub use algorithm::Algorithm;
 pub use bounds::{predict_latency_us, recommend, BoundsError, MetricSet};
-pub use collective::{recover_allgather, recover_collective};
 pub use eag_runtime::CipherSuite;
 pub use group::Group;
 pub use operation::{varying_lens, AlltoallAlgo, BcastAlgo, Collective, Operation, RootedAlgo};
 pub use output::{DegradedOutput, GatherOutput};
+pub use recovery::{recover_allgather, recover_collective};
 pub use unencrypted::MVAPICH_SWITCH_BYTES;
 
 /// Tag-space layout: every phase of every algorithm draws its message tags

@@ -13,7 +13,7 @@
 //! all-to-all to their kernels in [`crate::encrypted`]; all share the walks
 //! in [`crate::collective`], the [`GatherOutput`] container
 //! (expected-slot semantics differ per operation), and
-//! [`crate::collective::recover_collective`].
+//! [`crate::recovery::recover_collective`].
 //!
 //! ## Rooted operations under recovery
 //!
@@ -26,13 +26,13 @@
 //! sorted ascending).
 
 use crate::algorithm::{allgather_over, Algorithm};
-use crate::collective::recover_collective;
 use crate::encrypted::{
     alltoall_bruck, alltoall_pairwise, bcast_binomial, bcast_pipelined, exchange_lengths,
     gather_binomial, gather_linear, scatter_binomial, scatter_linear,
 };
 use crate::group::Group;
 use crate::output::{DegradedOutput, GatherOutput};
+use crate::recovery::recover_collective;
 use crate::tags;
 use eag_netsim::Rank;
 use eag_runtime::ProcCtx;

@@ -18,7 +18,9 @@
 //!   what makes the paper's Concurrent algorithms shine: one core cannot
 //!   saturate the link, ℓ cores can);
 //! - [`wiretap::Wiretap`] records every frame crossing an inter-node link so
-//!   tests can prove plaintext never leaves a node unencrypted.
+//!   tests can prove plaintext never leaves a node unencrypted;
+//! - [`tape::Tape`] records the choices of one model run, so the
+//!   thread-free protocol models explore every run by stateless DFS.
 //!
 //! ```
 //! use eag_netsim::{profile, LinkClass, Mapping, Topology};
@@ -41,12 +43,14 @@ pub mod chaos;
 pub mod model;
 pub mod nic;
 pub mod profile;
+pub mod tape;
 pub mod topology;
 pub mod wiretap;
 
 pub use chaos::{Crash, FaultKind, FaultPlan};
 pub use model::{CostModel, CryptoCost, LinkClass, LinkCost};
 pub use profile::ClusterProfile;
+pub use tape::Tape;
 pub use topology::{Mapping, Rank, Topology};
 pub use wiretap::{FrameKind, FrameRecord, Wiretap};
 

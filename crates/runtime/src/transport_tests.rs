@@ -6,6 +6,7 @@
 
 use super::*;
 use crate::payload::Chunk;
+use eag_netsim::Tape;
 use proptest::prelude::*;
 
 const SENDER: Rank = 0;
@@ -51,39 +52,6 @@ fn pump(t: &mut Transport, wire: &mut VecDeque<Message>, tally: &mut Vec<(Counte
 fn counted(tally: &[(Counter, u64)], which: Counter) -> u64 {
     let hits = tally.iter().filter(|(c, _)| *c == which);
     hits.map(|(_, n)| n).sum()
-}
-
-/// The nondeterministic choices of one run, replayed from the front; the
-/// explorer enumerates every tape (stateless depth-first search).
-#[derive(Default)]
-struct Tape {
-    picks: Vec<(usize, usize)>,
-    pos: usize,
-}
-
-impl Tape {
-    /// The next choice among `arity` alternatives.
-    fn pick(&mut self, arity: usize) -> usize {
-        if self.pos == self.picks.len() {
-            self.picks.push((0, arity));
-        }
-        let (choice, recorded) = self.picks[self.pos];
-        assert_eq!(recorded, arity, "the run is not a function of its tape");
-        self.pos += 1;
-        choice
-    }
-
-    /// Moves to the next unexplored tape; `false` once all are done.
-    fn advance(&mut self) -> bool {
-        self.pos = 0;
-        while let Some((choice, arity)) = self.picks.pop() {
-            if choice + 1 < arity {
-                self.picks.push((choice + 1, arity));
-                return true;
-            }
-        }
-        false
-    }
 }
 
 /// One run of the two-endpoint model: the sender transmits `tags.len()`

@@ -503,13 +503,6 @@ impl<'w> ProcCtx<'w> {
         &self.world.spec.profile.model
     }
 
-    /// True when this world has a fault plan armed (chaos mode). Worlds
-    /// without one cannot inject crashes, so crash-tolerant wrappers may
-    /// skip their agreement traffic entirely.
-    pub fn chaos_enabled(&self) -> bool {
-        self.world.chaos
-    }
-
     /// Current virtual time in µs.
     pub fn clock_us(&self) -> f64 {
         self.clock_us
