@@ -283,7 +283,6 @@ fn crash_mid_ring_yields_identical_degraded_outputs() {
     let s = crash_world(6, 2, Crash::before(3, 1));
     let report = run_crashable(&s, |ctx| recover(ctx, Algorithm::ORing, 48));
     check_degraded(&report, &[3]);
-    assert_eq!(report.wiretap.crashed_ranks(), vec![3]);
 }
 
 #[test]

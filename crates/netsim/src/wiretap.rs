@@ -41,7 +41,6 @@ pub struct FrameRecord {
 #[derive(Debug, Default)]
 pub struct Wiretap {
     frames: Mutex<Vec<FrameRecord>>,
-    crashes: Mutex<Vec<usize>>,
 }
 
 impl Wiretap {
@@ -89,21 +88,7 @@ impl Wiretap {
             .any(|f| f.bytes.contains_subslice(needle))
     }
 
-    /// Marks `rank` as crashed mid-run (an injected [`Crash`] fired). The
-    /// adversary — and tests — can see where the traffic of a rank stops.
-    ///
-    /// [`Crash`]: crate::chaos::Crash
-    pub fn note_crash(&self, rank: usize) {
-        self.crashes.lock().push(rank);
-    }
-
-    /// Ranks that crashed during the run, in the order their deaths fired.
-    pub fn crashed_ranks(&self) -> Vec<usize> {
-        self.crashes.lock().clone()
-    }
-
-    /// Clears all captured frames (crash notes are kept: they describe the
-    /// run, not a traffic window).
+    /// Clears all captured frames.
     pub fn clear(&self) {
         self.frames.lock().clear();
     }
@@ -155,14 +140,5 @@ mod tests {
         tap.capture(frame(FrameKind::Cipher, &[1]));
         tap.clear();
         assert_eq!(tap.frame_count(), 0);
-    }
-
-    #[test]
-    fn crash_notes_survive_clear() {
-        let tap = Wiretap::new();
-        tap.note_crash(3);
-        tap.capture(frame(FrameKind::Cipher, &[1]));
-        tap.clear();
-        assert_eq!(tap.crashed_ranks(), vec![3]);
     }
 }

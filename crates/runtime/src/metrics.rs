@@ -5,7 +5,12 @@
 //! rounds, `se` bytes encrypted, `rd` decryption rounds, `sd` bytes
 //! decrypted. The runtime counts all six (plus a few extras) so tests can
 //! check measured values against the paper's Table II formulas and Table I
-//! lower bounds.
+//! lower bounds. Every counter except the data-plane probe pair is a fold
+//! of the rank's event stream: [`Metrics::add`] is the one place an
+//! occurrence becomes a count.
+
+use crate::trace::EventKind;
+use eag_netsim::{LinkClass, Rank};
 
 /// Counters for one process, one collective invocation.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -64,20 +69,78 @@ pub struct Metrics {
     pub crashes_detected: u64,
     /// Degraded recoveries this rank completed (shrunk-group re-runs).
     pub recoveries: u64,
-    /// The [`CipherSuite::id`](eag_crypto::CipherSuite::id) of the suite
-    /// this rank sealed under (0 = unset, e.g. a default-constructed
-    /// `Metrics`). A label, not a counter: aggregations take the max so a
-    /// uniform world reports its suite and a default-padded slot never
-    /// masks it.
-    pub cipher_suite: u64,
     /// Numeric id of the collective operation this rank last ran (0 =
-    /// unset; ids are assigned by the collective layer in `eag-core`).
-    /// Like `cipher_suite`, a label rather than a counter: aggregations
-    /// take the max so default-padded slots never mask it.
+    /// unset; ids are assigned by the collective layer in `eag-core`). A
+    /// label rather than a counter: aggregations take the max so
+    /// default-padded slots never mask it.
     pub operation: u64,
 }
 
 impl Metrics {
+    /// Folds one event of rank `me` into the counters. Self-loop traffic
+    /// is a local hand-off, not communication, so it leaves the Table II
+    /// columns alone; a `Crash` naming `me` is the dying rank's own marker,
+    /// not a detection.
+    pub fn add(&mut self, me: Rank, kind: &EventKind) {
+        match *kind {
+            EventKind::Send {
+                bytes,
+                payload,
+                link,
+                ..
+            } => {
+                if link != LinkClass::SelfLoop {
+                    self.bytes_sent += bytes as u64;
+                    self.payload_sent += payload as u64;
+                }
+                if link == LinkClass::Inter {
+                    self.inter_bytes_sent += bytes as u64;
+                }
+            }
+            EventKind::Recv {
+                bytes,
+                payload,
+                link,
+                ..
+            } => {
+                if link != LinkClass::SelfLoop {
+                    self.comm_rounds += 1;
+                    self.bytes_recv += bytes as u64;
+                    self.payload_recv += payload as u64;
+                }
+            }
+            EventKind::Encrypt { bytes } => {
+                self.enc_rounds += 1;
+                self.enc_bytes += bytes as u64;
+            }
+            EventKind::Decrypt { bytes } => {
+                self.dec_rounds += 1;
+                self.dec_bytes += bytes as u64;
+            }
+            EventKind::Copy { bytes } => {
+                self.copies += 1;
+                self.copy_bytes += bytes as u64;
+            }
+            EventKind::Fault { .. } => self.faults_injected += 1,
+            EventKind::Detect { .. } => self.faults_detected += 1,
+            EventKind::Nack { .. } => self.nacks_sent += 1,
+            EventKind::Retransmit { bytes, .. } => {
+                self.retransmits += 1;
+                self.retransmit_bytes += bytes as u64;
+            }
+            EventKind::Duplicate { .. } => self.dup_frames_dropped += 1,
+            EventKind::Crash { rank } if rank != me => self.crashes_detected += 1,
+            EventKind::Recover { .. } => self.recoveries += 1,
+            EventKind::Barrier | EventKind::Crash { .. } | EventKind::Suite { .. } => {}
+        }
+    }
+
+    /// Labels these metrics with the collective operation being run,
+    /// max-merged like the aggregations.
+    pub(crate) fn label_operation(&mut self, id: u64) {
+        self.operation = self.operation.max(id);
+    }
+
     /// `sc` in the paper's terms: bytes through this process's critical path
     /// (the larger of sent and received), wire bytes.
     pub fn sc(&self) -> u64 {
@@ -97,34 +160,27 @@ impl Metrics {
         self.nacks_sent + self.retransmits
     }
 
+    /// Merges `other` into `self` counter by counter with `f`. The
+    /// `operation` label is not a counter: it always takes the max, so a
+    /// default-padded slot never masks it and ids are never summed.
+    fn merge(&mut self, other: &Metrics, f: fn(u64, u64) -> u64) {
+        macro_rules! each {
+            ($($field:ident),*) => { $(self.$field = f(self.$field, other.$field);)* };
+        }
+        each! {
+            comm_rounds, bytes_sent, bytes_recv, payload_sent, payload_recv, inter_bytes_sent,
+            enc_rounds, enc_bytes, dec_rounds, dec_bytes, copies, copy_bytes, memcpy_bytes,
+            buf_allocs, faults_injected, faults_detected, nacks_sent, retransmits,
+            retransmit_bytes, dup_frames_dropped, crashes_detected, recoveries
+        }
+        self.operation = self.operation.max(other.operation);
+    }
+
     /// Component-wise maximum: the per-metric critical path over processes.
     pub fn component_max(all: &[Metrics]) -> Metrics {
         let mut out = Metrics::default();
         for m in all {
-            out.comm_rounds = out.comm_rounds.max(m.comm_rounds);
-            out.bytes_sent = out.bytes_sent.max(m.bytes_sent);
-            out.bytes_recv = out.bytes_recv.max(m.bytes_recv);
-            out.payload_sent = out.payload_sent.max(m.payload_sent);
-            out.payload_recv = out.payload_recv.max(m.payload_recv);
-            out.inter_bytes_sent = out.inter_bytes_sent.max(m.inter_bytes_sent);
-            out.enc_rounds = out.enc_rounds.max(m.enc_rounds);
-            out.enc_bytes = out.enc_bytes.max(m.enc_bytes);
-            out.dec_rounds = out.dec_rounds.max(m.dec_rounds);
-            out.dec_bytes = out.dec_bytes.max(m.dec_bytes);
-            out.copies = out.copies.max(m.copies);
-            out.copy_bytes = out.copy_bytes.max(m.copy_bytes);
-            out.memcpy_bytes = out.memcpy_bytes.max(m.memcpy_bytes);
-            out.buf_allocs = out.buf_allocs.max(m.buf_allocs);
-            out.faults_injected = out.faults_injected.max(m.faults_injected);
-            out.faults_detected = out.faults_detected.max(m.faults_detected);
-            out.nacks_sent = out.nacks_sent.max(m.nacks_sent);
-            out.retransmits = out.retransmits.max(m.retransmits);
-            out.retransmit_bytes = out.retransmit_bytes.max(m.retransmit_bytes);
-            out.dup_frames_dropped = out.dup_frames_dropped.max(m.dup_frames_dropped);
-            out.crashes_detected = out.crashes_detected.max(m.crashes_detected);
-            out.recoveries = out.recoveries.max(m.recoveries);
-            out.cipher_suite = out.cipher_suite.max(m.cipher_suite);
-            out.operation = out.operation.max(m.operation);
+            out.merge(m, u64::max);
         }
         out
     }
@@ -133,31 +189,7 @@ impl Metrics {
     pub fn component_sum(all: &[Metrics]) -> Metrics {
         let mut out = Metrics::default();
         for m in all {
-            out.comm_rounds += m.comm_rounds;
-            out.bytes_sent += m.bytes_sent;
-            out.bytes_recv += m.bytes_recv;
-            out.payload_sent += m.payload_sent;
-            out.payload_recv += m.payload_recv;
-            out.inter_bytes_sent += m.inter_bytes_sent;
-            out.enc_rounds += m.enc_rounds;
-            out.enc_bytes += m.enc_bytes;
-            out.dec_rounds += m.dec_rounds;
-            out.dec_bytes += m.dec_bytes;
-            out.copies += m.copies;
-            out.copy_bytes += m.copy_bytes;
-            out.memcpy_bytes += m.memcpy_bytes;
-            out.buf_allocs += m.buf_allocs;
-            out.faults_injected += m.faults_injected;
-            out.faults_detected += m.faults_detected;
-            out.nacks_sent += m.nacks_sent;
-            out.retransmits += m.retransmits;
-            out.retransmit_bytes += m.retransmit_bytes;
-            out.dup_frames_dropped += m.dup_frames_dropped;
-            out.crashes_detected += m.crashes_detected;
-            out.recoveries += m.recoveries;
-            // Labels, not counters: summing ids is meaningless.
-            out.cipher_suite = out.cipher_suite.max(m.cipher_suite);
-            out.operation = out.operation.max(m.operation);
+            out.merge(m, |a, b| a + b);
         }
         out
     }
@@ -214,6 +246,44 @@ mod tests {
         let sum = Metrics::component_sum(&[a, b]);
         assert_eq!(sum.crashes_detected, 3);
         assert_eq!(sum.recoveries, 1);
+    }
+
+    #[test]
+    fn fold_skips_self_loops_and_the_dying_ranks_own_crash() {
+        let mut m = Metrics::default();
+        for link in [LinkClass::SelfLoop, LinkClass::Intra, LinkClass::Inter] {
+            m.add(
+                0,
+                &EventKind::Send {
+                    dst: 1,
+                    bytes: 92,
+                    payload: 64,
+                    link,
+                },
+            );
+            m.add(
+                0,
+                &EventKind::Recv {
+                    src: 1,
+                    bytes: 92,
+                    payload: 64,
+                    link,
+                },
+            );
+        }
+        m.add(0, &EventKind::Crash { rank: 0 });
+        m.add(0, &EventKind::Crash { rank: 2 });
+        let want = Metrics {
+            comm_rounds: 2,
+            bytes_sent: 184,
+            bytes_recv: 184,
+            payload_sent: 128,
+            payload_recv: 128,
+            inter_bytes_sent: 92,
+            crashes_detected: 1,
+            ..Default::default()
+        };
+        assert_eq!(m, want);
     }
 
     #[test]

@@ -1,14 +1,18 @@
-//! Virtual-time event tracing.
+//! Virtual-time events: one description of every occurrence on a rank.
 //!
-//! When enabled, every rank records what it did and when (in virtual time):
-//! sends, receives, crypto operations, copies, and barriers. Traces feed the
+//! Each [`EventKind`] is what happened, with enough payload that
+//! [`Metrics::add`](crate::Metrics::add) — the one function bumping the
+//! paper's counters — folds it into the rank's metrics. When tracing is
+//! enabled the rank also retains the stream, stamped in virtual time:
+//! sends, receives, crypto operations, copies, barriers and the
+//! zero-duration markers of faults, recovery and crashes. Traces feed the
 //! overlap analyses in tests and can be rendered as a per-rank ASCII
 //! timeline for debugging algorithm schedules.
 
 use eag_crypto::CipherSuite;
 use eag_netsim::{FaultKind, LinkClass, Rank};
 
-/// What a traced interval was spent on.
+/// What a traced interval was spent on, or what a marker records.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum EventKind {
     /// Transmitting a message (occupancy on the sender).
@@ -17,6 +21,8 @@ pub enum EventKind {
         dst: Rank,
         /// Wire bytes.
         bytes: usize,
+        /// Payload bytes (wire bytes minus the AEAD framing).
+        payload: usize,
         /// Link class traversed.
         link: LinkClass,
     },
@@ -26,6 +32,10 @@ pub enum EventKind {
         src: Rank,
         /// Wire bytes.
         bytes: usize,
+        /// Payload bytes (wire bytes minus the AEAD framing).
+        payload: usize,
+        /// Link class traversed.
+        link: LinkClass,
     },
     /// Encrypting (sealing) plaintext.
     Encrypt {
@@ -52,16 +62,45 @@ pub enum EventKind {
         /// Destination of the perturbed frame.
         dst: Rank,
     },
-    /// A recovery action: a NACK issued by a receiver (`attempt` counts the
-    /// receive's retry round) or a frame retransmitted by a sender
-    /// (`attempt` counts that frame's transmissions). Zero-duration marker.
-    Retry {
-        /// The peer the NACK was sent to / the retransmission went to.
+    /// A corrupted or missing frame detected on arrival (transport
+    /// checksum, per-hop verification, or a sequence gap). Zero-duration
+    /// marker.
+    Detect {
+        /// The sender of the stream.
+        src: Rank,
+        /// Tag of the affected message stream.
+        tag: u64,
+    },
+    /// A NACK issued by a receiver; `attempt` counts the receive's retry
+    /// round (0 for a NACK triggered by a detection). Zero-duration marker.
+    Nack {
+        /// The peer asked to retransmit.
+        peer: Rank,
+        /// Tag of the affected message stream.
+        tag: u64,
+        /// Retry round.
+        attempt: u32,
+    },
+    /// A frame retransmitted in answer to a NACK; `attempt` counts that
+    /// frame's transmissions. Zero-duration marker: replays do not advance
+    /// the clock.
+    Retransmit {
+        /// The peer the retransmission went to.
         peer: Rank,
         /// Tag of the affected message stream.
         tag: u64,
         /// Attempt number (1-based).
         attempt: u32,
+        /// Wire bytes retransmitted.
+        bytes: usize,
+    },
+    /// A duplicate frame dropped by sequence-number deduplication.
+    /// Zero-duration marker.
+    Duplicate {
+        /// The sender of the stream.
+        src: Rank,
+        /// Tag of the affected message stream.
+        tag: u64,
     },
     /// A rank died mid-collective. Recorded on the dying rank at its point
     /// of death, and on each survivor when its failure detector notices.
@@ -76,8 +115,8 @@ pub enum EventKind {
         /// Number of surviving ranks in the shrunk group.
         survivors: usize,
     },
-    /// The cipher suite this rank's transport seals frames under. Recorded
-    /// once per rank at virtual time zero. Zero-duration marker.
+    /// The cipher suite this rank's transport seals frames under. Opens
+    /// every traced timeline, at virtual time zero. Zero-duration marker.
     Suite {
         /// The configured suite.
         suite: CipherSuite,
@@ -87,19 +126,41 @@ pub enum EventKind {
 impl EventKind {
     /// Short label for rendering.
     pub fn label(&self) -> &'static str {
+        self.legend().1
+    }
+
+    /// The Gantt glyph and the label of this kind of event.
+    fn legend(&self) -> (char, &'static str) {
         match self {
-            EventKind::Send { .. } => "send",
-            EventKind::Recv { .. } => "recv",
-            EventKind::Encrypt { .. } => "enc",
-            EventKind::Decrypt { .. } => "dec",
-            EventKind::Copy { .. } => "copy",
-            EventKind::Barrier => "barrier",
-            EventKind::Fault { .. } => "fault",
-            EventKind::Retry { .. } => "retry",
-            EventKind::Crash { .. } => "crash",
-            EventKind::Recover { .. } => "recover",
-            EventKind::Suite { .. } => "suite",
+            EventKind::Send { .. } => ('S', "send"),
+            EventKind::Recv { .. } => ('r', "recv"),
+            EventKind::Encrypt { .. } => ('E', "enc"),
+            EventKind::Decrypt { .. } => ('D', "dec"),
+            EventKind::Copy { .. } => ('c', "copy"),
+            EventKind::Barrier => ('|', "barrier"),
+            EventKind::Fault { .. } => ('X', "fault"),
+            EventKind::Detect { .. } => ('!', "detect"),
+            EventKind::Nack { .. } => ('N', "nack"),
+            EventKind::Retransmit { .. } => ('R', "retransmit"),
+            EventKind::Duplicate { .. } => ('~', "dup"),
+            EventKind::Crash { .. } => ('#', "crash"),
+            EventKind::Recover { .. } => ('+', "recover"),
+            EventKind::Suite { .. } => ('@', "suite"),
         }
+    }
+
+    /// Whether this is a zero-duration marker rather than an interval of
+    /// busy time.
+    pub fn is_marker(&self) -> bool {
+        !matches!(
+            self,
+            EventKind::Send { .. }
+                | EventKind::Recv { .. }
+                | EventKind::Encrypt { .. }
+                | EventKind::Decrypt { .. }
+                | EventKind::Copy { .. }
+                | EventKind::Barrier
+        )
     }
 }
 
@@ -156,11 +217,7 @@ impl BusyBreakdown {
                 EventKind::Copy { .. } => b.copy_us += d,
                 EventKind::Barrier => b.barrier_us += d,
                 // Zero-duration markers: no busy time to attribute.
-                EventKind::Fault { .. }
-                | EventKind::Retry { .. }
-                | EventKind::Crash { .. }
-                | EventKind::Recover { .. }
-                | EventKind::Suite { .. } => {}
+                _ => debug_assert!(e.kind.is_marker()),
             }
         }
         b
@@ -182,44 +239,22 @@ pub fn render_gantt(traces: &[Trace], cols: usize) -> String {
     if horizon <= 0.0 {
         return String::from("(empty trace)\n");
     }
-    let glyph = |kind: &EventKind| match kind {
-        EventKind::Send { .. } => 'S',
-        EventKind::Recv { .. } => 'r',
-        EventKind::Encrypt { .. } => 'E',
-        EventKind::Decrypt { .. } => 'D',
-        EventKind::Copy { .. } => 'c',
-        EventKind::Barrier => '|',
-        EventKind::Fault { .. } => 'X',
-        EventKind::Retry { .. } => 'R',
-        EventKind::Crash { .. } => '#',
-        EventKind::Recover { .. } => '+',
-        EventKind::Suite { .. } => '@',
-    };
     let mut out = String::new();
     out.push_str(&format!(
         "virtual time 0 .. {horizon:.2} µs ({cols} cells; S=send r=recv E=encrypt \
-         D=decrypt c=copy |=barrier X=fault R=retry #=crash +=recover @=suite)\n"
+         D=decrypt c=copy |=barrier X=fault !=detect N=nack R=retransmit ~=dup \
+         #=crash +=recover @=suite)\n"
     ));
     for (rank, trace) in traces.iter().enumerate() {
         let mut row = vec!['.'; cols];
-        // Two passes: intervals first, then zero-duration markers
-        // (Fault/Retry), so a marker is never hidden under the interval that
-        // starts at the same instant (a faulted send begins exactly at the
-        // fault's timestamp).
-        let is_marker = |e: &Event| {
-            matches!(
-                e.kind,
-                EventKind::Fault { .. }
-                    | EventKind::Retry { .. }
-                    | EventKind::Crash { .. }
-                    | EventKind::Recover { .. }
-                    | EventKind::Suite { .. }
-            )
-        };
+        // Two passes: intervals first, then zero-duration markers, so a
+        // marker is never hidden under the interval that starts at the
+        // same instant (a faulted send begins exactly at the fault's
+        // timestamp).
         for e in trace
             .iter()
-            .filter(|e| !is_marker(e))
-            .chain(trace.iter().filter(|e| is_marker(e)))
+            .filter(|e| !e.kind.is_marker())
+            .chain(trace.iter().filter(|e| e.kind.is_marker()))
         {
             let a = (((e.start_us / horizon) * cols as f64).floor() as usize)
                 .min(cols.saturating_sub(1));
@@ -228,7 +263,7 @@ pub fn render_gantt(traces: &[Trace], cols: usize) -> String {
             // ceil(end) and would otherwise vanish from the chart.
             let b = ((((e.end_us / horizon) * cols as f64).ceil() as usize).min(cols)).max(a + 1);
             for cell in row.iter_mut().take(b).skip(a) {
-                *cell = glyph(&e.kind);
+                *cell = e.kind.legend().0;
             }
         }
         out.push_str(&format!("rank {rank:>4} "));
@@ -242,9 +277,6 @@ pub fn render_gantt(traces: &[Trace], cols: usize) -> String {
 /// `chrome://tracing` and Perfetto): one complete ("X") event per traced
 /// interval, one "thread" per rank. Timestamps are the virtual clocks in µs.
 pub fn to_chrome_trace(traces: &[Trace]) -> String {
-    fn esc(s: &str) -> String {
-        s.replace('\\', "\\\\").replace('"', "\\\"")
-    }
     let mut out = String::from("[");
     let mut first = true;
     for (rank, trace) in traces.iter().enumerate() {
@@ -254,12 +286,22 @@ pub fn to_chrome_trace(traces: &[Trace]) -> String {
             }
             first = false;
             let args = match e.kind {
-                EventKind::Send { dst, bytes, link } => {
-                    format!("{{\"dst\":{dst},\"bytes\":{bytes},\"link\":\"{link:?}\"}}")
-                }
-                EventKind::Recv { src, bytes } => {
-                    format!("{{\"src\":{src},\"bytes\":{bytes}}}")
-                }
+                EventKind::Send {
+                    dst,
+                    bytes,
+                    payload,
+                    link,
+                } => format!(
+                    "{{\"dst\":{dst},\"bytes\":{bytes},\"payload\":{payload},\"link\":\"{link:?}\"}}"
+                ),
+                EventKind::Recv {
+                    src,
+                    bytes,
+                    payload,
+                    link,
+                } => format!(
+                    "{{\"src\":{src},\"bytes\":{bytes},\"payload\":{payload},\"link\":\"{link:?}\"}}"
+                ),
                 EventKind::Encrypt { bytes }
                 | EventKind::Decrypt { bytes }
                 | EventKind::Copy { bytes } => format!("{{\"bytes\":{bytes}}}"),
@@ -267,9 +309,20 @@ pub fn to_chrome_trace(traces: &[Trace]) -> String {
                 EventKind::Fault { kind, dst } => {
                     format!("{{\"kind\":\"{}\",\"dst\":{dst}}}", kind.label())
                 }
-                EventKind::Retry { peer, tag, attempt } => {
+                EventKind::Detect { src, tag } | EventKind::Duplicate { src, tag } => {
+                    format!("{{\"src\":{src},\"tag\":{tag}}}")
+                }
+                EventKind::Nack { peer, tag, attempt } => {
                     format!("{{\"peer\":{peer},\"tag\":{tag},\"attempt\":{attempt}}}")
                 }
+                EventKind::Retransmit {
+                    peer,
+                    tag,
+                    attempt,
+                    bytes,
+                } => format!(
+                    "{{\"peer\":{peer},\"tag\":{tag},\"attempt\":{attempt},\"bytes\":{bytes}}}"
+                ),
                 EventKind::Crash { rank } => format!("{{\"rank\":{rank}}}"),
                 EventKind::Recover { survivors } => {
                     format!("{{\"survivors\":{survivors}}}")
@@ -279,7 +332,7 @@ pub fn to_chrome_trace(traces: &[Trace]) -> String {
             out.push_str(&format!(
                 "{{\"name\":\"{}\",\"ph\":\"X\",\"pid\":0,\"tid\":{rank},\
                  \"ts\":{:.3},\"dur\":{:.3},\"args\":{args}}}",
-                esc(e.kind.label()),
+                e.kind.label(),
                 e.start_us,
                 e.duration_us().max(0.0),
             ));
@@ -301,6 +354,15 @@ mod tests {
         }
     }
 
+    fn recv(src: Rank, bytes: usize) -> EventKind {
+        EventKind::Recv {
+            src,
+            bytes,
+            payload: bytes,
+            link: LinkClass::Inter,
+        }
+    }
+
     #[test]
     fn breakdown_sums_by_class() {
         let trace = vec![
@@ -311,10 +373,11 @@ mod tests {
                 EventKind::Send {
                     dst: 1,
                     bytes: 10,
+                    payload: 10,
                     link: LinkClass::Inter,
                 },
             ),
-            ev(5.0, 9.0, EventKind::Recv { src: 1, bytes: 10 }),
+            ev(5.0, 9.0, recv(1, 10)),
             ev(9.0, 10.0, EventKind::Decrypt { bytes: 10 }),
         ];
         let b = BusyBreakdown::of(&trace);
@@ -329,7 +392,7 @@ mod tests {
     fn gantt_renders_rows() {
         let traces = vec![
             vec![ev(0.0, 5.0, EventKind::Encrypt { bytes: 1 })],
-            vec![ev(5.0, 10.0, EventKind::Recv { src: 0, bytes: 1 })],
+            vec![ev(5.0, 10.0, recv(0, 1))],
         ];
         let s = render_gantt(&traces, 10);
         assert!(s.contains("rank    0"));
@@ -348,7 +411,7 @@ mod tests {
         // boundary between cells 4 and 5: floor(5/10*10) == ceil(5/10*10)
         // == 5, so the unclamped painter dropped the marker entirely.
         let traces = vec![vec![
-            ev(0.0, 10.0, EventKind::Recv { src: 1, bytes: 8 }),
+            ev(0.0, 10.0, recv(1, 8)),
             ev(
                 5.0,
                 5.0,
@@ -364,23 +427,27 @@ mod tests {
 
     #[test]
     fn gantt_marker_at_horizon_end_stays_in_bounds() {
-        // Zero-duration retry exactly at the horizon: must clamp into the
-        // last cell instead of painting past the row (or not at all).
+        // Zero-duration retransmit exactly at the horizon: must clamp into
+        // the last cell instead of painting past the row (or not at all).
         let traces = vec![vec![
             ev(0.0, 10.0, EventKind::Barrier),
             ev(
                 10.0,
                 10.0,
-                EventKind::Retry {
+                EventKind::Retransmit {
                     peer: 0,
                     tag: 1,
                     attempt: 1,
+                    bytes: 64,
                 },
             ),
         ]];
         let s = render_gantt(&traces, 10);
         let row = s.lines().nth(1).unwrap();
-        assert!(row.ends_with('R'), "retry marker not in last cell: {row:?}");
+        assert!(
+            row.ends_with('R'),
+            "retransmit marker not in last cell: {row:?}"
+        );
     }
 
     #[test]
@@ -402,6 +469,7 @@ mod tests {
                 EventKind::Send {
                     dst: 1,
                     bytes: 64,
+                    payload: 36,
                     link: LinkClass::Intra,
                 },
             ),
@@ -418,7 +486,7 @@ mod tests {
         // the two-pass painter (crash lands on the horizon boundary).
         let traces = vec![
             vec![
-                ev(0.0, 10.0, EventKind::Recv { src: 1, bytes: 8 }),
+                ev(0.0, 10.0, recv(1, 8)),
                 ev(6.0, 6.0, EventKind::Recover { survivors: 3 }),
             ],
             vec![
@@ -428,6 +496,7 @@ mod tests {
                     EventKind::Send {
                         dst: 0,
                         bytes: 8,
+                        payload: 8,
                         link: LinkClass::Inter,
                     },
                 ),
@@ -485,14 +554,15 @@ mod tests {
             "fault"
         );
         assert_eq!(
-            EventKind::Retry {
+            EventKind::Nack {
                 peer: 0,
                 tag: 7,
                 attempt: 1
             }
             .label(),
-            "retry"
+            "nack"
         );
+        assert_eq!(EventKind::Duplicate { src: 0, tag: 7 }.label(), "dup");
     }
 
     #[test]
@@ -506,20 +576,43 @@ mod tests {
                     dst: 2,
                 },
             ),
+            ev(1.5, 1.5, EventKind::Detect { src: 2, tag: 4 }),
             ev(
                 2.0,
                 2.0,
-                EventKind::Retry {
+                EventKind::Nack {
                     peer: 2,
                     tag: 4,
                     attempt: 1,
                 },
             ),
+            ev(
+                2.5,
+                2.5,
+                EventKind::Retransmit {
+                    peer: 2,
+                    tag: 4,
+                    attempt: 2,
+                    bytes: 92,
+                },
+            ),
+            ev(3.0, 3.0, EventKind::Duplicate { src: 2, tag: 4 }),
         ];
+        assert!(trace.iter().all(|e| e.kind.is_marker()));
         assert_eq!(BusyBreakdown::of(&trace).total_us(), 0.0);
+        let s = render_gantt(std::slice::from_ref(&trace), 30);
+        for glyph in ['X', '!', 'N', 'R', '~'] {
+            assert!(
+                s.lines().nth(1).unwrap().contains(glyph),
+                "{glyph} missing:\n{s}"
+            );
+        }
         let json = to_chrome_trace(&[trace]);
         assert!(json.contains("\"kind\":\"tamper\""));
         assert!(json.contains("\"attempt\":1"));
+        assert!(json.contains("\"attempt\":2,\"bytes\":92"));
+        assert!(json.contains("\"name\":\"detect\""));
+        assert!(json.contains("\"name\":\"dup\""));
     }
 }
 
@@ -541,6 +634,7 @@ mod chrome_tests {
                 kind: EventKind::Send {
                     dst: 0,
                     bytes: 92,
+                    payload: 64,
                     link: LinkClass::Inter,
                 },
             }],

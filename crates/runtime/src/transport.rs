@@ -4,7 +4,8 @@
 //! sequence numbers, checksum admission, the out-of-order buffer, the
 //! retransmit log, NACK / go-back-N replay, deduplication and fault
 //! application — and nothing else: it never reads a clock, parks, touches
-//! a mailbox, bumps a counter or writes a timeline. The glue in
+//! a mailbox, bumps a counter or writes a timeline; it names what happened
+//! as an [`EventKind`] and leaves the booking to the glue. The glue in
 //! [`crate::world`] feeds it **events** and executes the **actions** it
 //! leaves in [`Transport::out`]:
 //!
@@ -20,8 +21,7 @@
 //! |-----------------------------------------|-----------------------------------------|
 //! | deliver (into `pending`, popped by [`take_ready`](Transport::take_ready)) | the blocked `recv` |
 //! | [`Action::Send`] a data/control frame   | the scheduler's mailboxes               |
-//! | [`Action::Count`] a recovery counter    | the rank's metrics                      |
-//! | [`Action::Mark`] a fault/retry marker   | the rank's timeline                     |
+//! | [`Action::Note`] a fault/recovery event | the rank's metrics and timeline         |
 //!
 //! A world with no fault plan armed never frames, faults or holds back a
 //! frame, so its sends skip `dispatch` and go to the mailbox directly; its
@@ -36,6 +36,7 @@
 //! than sampled by seeded chaos runs.
 
 use crate::payload::{Data, Item, Parcel};
+use crate::trace::EventKind;
 use eag_netsim::{FaultKind, FaultPlan, Rank};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 
@@ -84,29 +85,11 @@ pub(crate) struct Message {
     pub(crate) wire: Wire,
 }
 
-/// The recovery counters the transport asks the glue to bump.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Counter {
-    FaultsInjected,
-    FaultsDetected,
-    NacksSent,
-    Retransmits,
-    RetransmitBytes,
-    DupFramesDropped,
-}
-
-/// A zero-duration timeline marker (tags are wire tags).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) enum Mark {
-    Fault { kind: FaultKind, dst: Rank },
-    Retry { peer: Rank, tag: u64, attempt: u32 },
-}
-
 /// What the glue must do on the transport's behalf.
 pub(crate) enum Action {
     Send(Rank, Message),
-    Count(Counter, u64),
-    Mark(Mark),
+    /// Book a fault or recovery event (tags are wire tags).
+    Note(EventKind),
 }
 
 /// Answer to a retry round elapsing on a blocked receive.
@@ -183,12 +166,8 @@ impl Transport {
             .and_then(VecDeque::pop_front)
     }
 
-    fn count(&mut self, counter: Counter, n: u64) {
-        self.out.push(Action::Count(counter, n));
-    }
-
-    fn mark(&mut self, mark: Mark) {
-        self.out.push(Action::Mark(mark));
+    fn note(&mut self, kind: EventKind) {
+        self.out.push(Action::Note(kind));
     }
 
     fn message(&self, arrive_us: f64, wire: Wire) -> Message {
@@ -214,8 +193,7 @@ impl Transport {
     /// sequence number this rank has not accepted yet.
     fn nack(&mut self, to: Rank, tag: u64, attempt: u32) {
         let seq = self.expected.get(&(to, tag)).copied().unwrap_or(0);
-        self.count(Counter::NacksSent, 1);
-        self.mark(Mark::Retry {
+        self.note(EventKind::Nack {
             peer: to,
             tag,
             attempt,
@@ -261,8 +239,7 @@ impl Transport {
         fault: Option<FaultKind>,
     ) {
         let Some(kind) = fault else { return };
-        self.count(Counter::FaultsInjected, 1);
-        self.mark(Mark::Fault { kind, dst });
+        self.note(EventKind::Fault { kind, dst });
         match kind {
             FaultKind::Tamper => {
                 corrupt_parcel(&mut frame.parcel);
@@ -346,14 +323,14 @@ impl Transport {
         let expected = *self.expected.entry(key).or_insert(0);
         let buffered = seq > expected && self.ooo.get(&key).is_some_and(|b| b.contains_key(&seq));
         if seq < expected || buffered {
-            self.count(Counter::DupFramesDropped, 1);
+            self.note(EventKind::Duplicate { src, tag });
             return;
         }
         // The transport checksum covers random corruption; the (expensive)
         // per-hop verification is only armed when the threat model
         // includes checksum-evading tamper.
         if parcel.checksum() != sum || (self.adversarial && !verify(&parcel)) {
-            self.count(Counter::FaultsDetected, 1);
+            self.note(EventKind::Detect { src, tag });
             self.nack(src, tag, 0);
             return;
         }
@@ -374,7 +351,7 @@ impl Transport {
             let first_of_gap = buf.is_empty();
             buf.insert(seq, (parcel, arrive_us));
             if first_of_gap {
-                self.count(Counter::FaultsDetected, 1);
+                self.note(EventKind::Detect { src, tag });
                 self.nack(src, tag, 0);
             }
         }
@@ -422,12 +399,11 @@ impl Transport {
             self.emit(from, 0.0, Wire::NackMiss { tag });
         }
         for (seq, attempt, parcel) in jobs {
-            self.count(Counter::Retransmits, 1);
-            self.count(Counter::RetransmitBytes, parcel.wire_len() as u64);
-            self.mark(Mark::Retry {
+            self.note(EventKind::Retransmit {
                 peer: from,
                 tag,
                 attempt,
+                bytes: parcel.wire_len(),
             });
             let fault = refault(seq, attempt)
                 .filter(|k| !matches!(k, FaultKind::Duplicate | FaultKind::Reorder));

@@ -6,6 +6,7 @@
 
 use super::*;
 use crate::payload::Chunk;
+use crate::Metrics;
 use eag_netsim::Tape;
 use proptest::prelude::*;
 
@@ -38,20 +39,15 @@ fn parcel(id: usize) -> Parcel {
 }
 
 /// The fake glue: drains `t.out`, moving frames into `wire` (the FIFO
-/// mailbox of the other endpoint) and tallying the counters.
-fn pump(t: &mut Transport, wire: &mut VecDeque<Message>, tally: &mut Vec<(Counter, u64)>) {
+/// mailbox of the other endpoint) and folding the events into a tally,
+/// the way the runtime folds them into a rank's metrics.
+fn pump(t: &mut Transport, wire: &mut VecDeque<Message>, tally: &mut Metrics) {
     for action in t.out.drain(..) {
         match action {
             Action::Send(_, msg) => wire.push_back(msg),
-            Action::Count(counter, n) => tally.push((counter, n)),
-            Action::Mark(_) => {}
+            Action::Note(kind) => tally.add(t.rank, &kind),
         }
     }
-}
-
-fn counted(tally: &[(Counter, u64)], which: Counter) -> u64 {
-    let hits = tally.iter().filter(|(c, _)| *c == which);
-    hits.map(|(_, n)| n).sum()
 }
 
 /// One run of the two-endpoint model: the sender transmits `tags.len()`
@@ -98,20 +94,20 @@ fn run_model(tags: &[u64], adversarial: bool, tape: &mut Tape) -> u32 {
             };
             let id = (frame.tag, frame.seq);
             let clean = parcels.contains(&frame.parcel);
-            let mut tally = Vec::new();
+            let mut tally = Metrics::default();
             receiver.on_frame(SENDER, frame, msg.arrive_us, &mut verify);
             pump(&mut receiver, &mut to_sender, &mut tally);
-            let nacks = counted(&tally, Counter::NacksSent);
+            let nacks = tally.nacks_sent;
             if held.contains(&id) {
                 // Satellite 1: a copy of a frame already held verified is
                 // a duplicate whatever its bytes look like — never a NACK.
                 assert_eq!(nacks, 0, "duplicate of {id:?} was NACKed");
-                assert_eq!(counted(&tally, Counter::DupFramesDropped), 1);
+                assert_eq!(tally.dup_frames_dropped, 1);
             } else if clean {
                 held.push(id);
             } else {
                 assert_eq!(nacks, 1, "corrupt frame {id:?} was not NACKed");
-                assert_eq!(counted(&tally, Counter::FaultsDetected), 1);
+                assert_eq!(tally.faults_detected, 1);
             }
             // The application receives in send order: exactly the sent
             // parcel, or nothing yet.
@@ -129,7 +125,7 @@ fn run_model(tags: &[u64], adversarial: bool, tape: &mut Tape) -> u32 {
         }
         let can_send = sent < tags.len();
         let can_hear = !to_sender.is_empty();
-        let mut tally = Vec::new();
+        let mut tally = Metrics::default();
         if can_send && (!can_hear || tape.pick(2) == 0) {
             if limbo_occupied && tape.pick(2) == 1 {
                 // The sender blocks in a receive of its own first.
@@ -165,8 +161,7 @@ fn run_model(tags: &[u64], adversarial: bool, tape: &mut Tape) -> u32 {
             pump(&mut receiver, &mut to_sender, &mut tally);
         }
         pump(&mut sender, &mut to_receiver, &mut tally);
-        let injected = counted(&tally, Counter::FaultsInjected);
-        assert!(injected <= counted(&tally, Counter::Retransmits).max(1));
+        assert!(tally.faults_injected <= tally.retransmits.max(1));
     }
     // Exactly once: nothing is left over on any stream.
     for &tag in tags {
@@ -277,7 +272,7 @@ fn stale_nack_after_the_ack_pruned_its_frames_replays_nothing() {
     let mut receiver = Transport::new(RECEIVER, &plan);
     let mut verify = |_: &Parcel| true;
     let (mut to_receiver, mut to_sender, mut tally) =
-        (VecDeque::new(), VecDeque::new(), Vec::new());
+        (VecDeque::new(), VecDeque::new(), Metrics::default());
     for id in 0..2 {
         let frame = sender.frame(RECEIVER, 4, parcel(id));
         receiver.on_frame(SENDER, frame, id as f64, &mut verify);
@@ -305,7 +300,7 @@ fn stale_nack_after_the_ack_pruned_its_frames_replays_nothing() {
     else {
         panic!("a finished sender answers NackMiss and replays nothing");
     };
-    assert_eq!(counted(&tally, Counter::Retransmits), 0);
+    assert_eq!(tally.retransmits, 0);
     assert_eq!(receiver.take_ready(SENDER, 4), None, "no redelivery");
 }
 
@@ -324,9 +319,9 @@ fn tampered_replay_of_a_buffered_frame_is_a_duplicate_not_a_fault() {
         let second = sender.frame(RECEIVER, 3, parcel(1));
         // Frame 1 overtakes frame 0: buffered, one NACK for the gap.
         receiver.on_frame(SENDER, second.clone(), 1.0, &mut verify);
-        let (mut wire, mut tally) = (VecDeque::new(), Vec::new());
+        let (mut wire, mut tally) = (VecDeque::new(), Metrics::default());
         pump(&mut receiver, &mut wire, &mut tally);
-        assert_eq!(counted(&tally, Counter::NacksSent), 1);
+        assert_eq!(tally.nacks_sent, 1);
         // Its replay arrives tampered.
         let mut replay = second;
         let mut arrive_us = 2.0;
@@ -339,7 +334,10 @@ fn tampered_replay_of_a_buffered_frame_is_a_duplicate_not_a_fault() {
         receiver.on_frame(SENDER, replay, arrive_us, &mut verify);
         assert!(matches!(
             &receiver.out[..],
-            [Action::Count(Counter::DupFramesDropped, 1)]
+            [Action::Note(EventKind::Duplicate {
+                src: SENDER,
+                tag: 3
+            })]
         ));
         receiver.out.clear();
         // The gap fills: both frames come out clean, in order, once, and

@@ -19,9 +19,11 @@
 //! out); liveness lives in the scheduler's departure records
 //! ([`crate::sched`]); everything the ranks of one world share lives in one
 //! borrowed `World`. What is left here executes the transport's actions
-//! against the scheduler, the virtual clock and the counters, prices each
-//! step with the cost model, and owns the wall-clock timers (`Instant`s)
-//! the transport never sees.
+//! against the scheduler and the virtual clock, books every occurrence
+//! once through `ProcCtx::note` (folded into the rank's [`Metrics`],
+//! retained on its [`Trace`] when tracing is on), prices each step with
+//! the cost model, and owns the wall-clock timers (`Instant`s) the
+//! transport never sees.
 //!
 //! # Reliable transport (chaos mode)
 //!
@@ -76,9 +78,7 @@ use crate::pool;
 use crate::sched::{Departure, RunGate, Scheduler};
 use crate::shared::{NodeShared, SlotKey};
 use crate::trace::{Event, EventKind, Trace};
-use crate::transport::{
-    corrupt_parcel, Action, Counter, Frame, Mark, Message, Round, Transport, Wire,
-};
+use crate::transport::{corrupt_parcel, Action, Frame, Message, Round, Transport, Wire};
 use eag_crypto::{Aead, CipherSuite, Key, NonceSource, WIRE_OVERHEAD};
 use eag_netsim::nic::NodeNic;
 use eag_netsim::{
@@ -440,16 +440,14 @@ pub struct ProcCtx<'w> {
 }
 
 impl<'w> ProcCtx<'w> {
+    /// A rank's context, its accounting window open at zero.
     fn new(world: &'w World<'w>, rank: Rank) -> Self {
         let spec = world.spec;
-        ProcCtx {
+        let mut ctx = ProcCtx {
             world,
             rank,
             clock_us: 0.0,
-            metrics: Metrics {
-                cipher_suite: spec.suite.id(),
-                ..Metrics::default()
-            },
+            metrics: Metrics::default(),
             inbox_scratch: Vec::new(),
             transport: Transport::new(rank, &spec.faults),
             // Fold the session id into the nonce seed so concurrent
@@ -461,21 +459,15 @@ impl<'w> ProcCtx<'w> {
             )),
             aad_scratch: Vec::new(),
             epoch: 0,
-            // A traced timeline opens with the suite marker so consumers
-            // can attribute enc/dec intervals.
-            trace: spec.trace.then(|| {
-                vec![Event {
-                    start_us: 0.0,
-                    end_us: 0.0,
-                    kind: EventKind::Suite { suite: spec.suite },
-                }]
-            }),
+            trace: spec.trace.then(Trace::new),
             phase: "collective",
             send_steps: 0,
             membership_epoch: 0,
             attempt_serial: 0,
             attempt_active: false,
-        }
+        };
+        ctx.reset_accounting();
+        ctx
     }
 
     /// This process's rank.
@@ -521,11 +513,21 @@ impl<'w> ProcCtx<'w> {
         m
     }
 
-    /// Resets clock and metrics (between repetitions inside one world).
+    /// Resets clock, metrics and trace together (between repetitions
+    /// inside one world), so the trace keeps covering exactly the window
+    /// its metrics cover. Also opens a fresh rank's window: a leased
+    /// thread still holds its previous world's probe counts.
     pub fn reset_accounting(&mut self) {
         self.clock_us = 0.0;
         self.metrics = Metrics::default();
         eag_rope::probe::reset();
+        if let Some(trace) = &mut self.trace {
+            trace.clear();
+        }
+        // A traced timeline opens with the suite marker so consumers can
+        // attribute enc/dec intervals.
+        let suite = self.world.spec.suite;
+        self.note(0.0, EventKind::Suite { suite });
     }
 
     /// Names the collective phase now in force; structured failures raised
@@ -612,8 +614,7 @@ impl<'w> ProcCtx<'w> {
     /// is intercepted by the runner, which records the death and keeps the
     /// world alive instead of poisoning it.
     fn die(&mut self, hard: bool) -> ! {
-        self.record_marker(EventKind::Crash { rank: self.rank });
-        self.world.wiretap.note_crash(self.rank);
+        self.note(self.clock_us, EventKind::Crash { rank: self.rank });
         panic_any(RankCrash { hard })
     }
 
@@ -674,20 +675,18 @@ impl<'w> ProcCtx<'w> {
         world.shared[self.node()].crash_abort(blamed);
     }
 
-    /// Records a completed shrink-and-recover on this rank: a `Recover`
-    /// trace marker plus the `recoveries` metrics counter. Called by the
-    /// recovery driver (`Collective::recover` in `eag-core`) after the
-    /// degraded re-run completes.
+    /// Records a completed shrink-and-recover on this rank (a `Recover`
+    /// event). Called by the recovery driver (`Collective::recover` in
+    /// `eag-core`) after the degraded re-run completes.
     pub fn note_recovery(&mut self, survivors: usize) {
-        self.metrics.recoveries += 1;
-        self.record_marker(EventKind::Recover { survivors });
+        self.note(self.clock_us, EventKind::Recover { survivors });
     }
 
     /// Labels this rank's metrics with the collective operation being run
-    /// (ids assigned by the collective layer in `eag-core`). Max-merged like
-    /// `cipher_suite`, so the label survives aggregation.
+    /// (ids assigned by the collective layer in `eag-core`). Max-merged, so
+    /// the label survives aggregation.
     pub fn note_operation(&mut self, id: u64) {
-        self.metrics.operation = self.metrics.operation.max(id);
+        self.metrics.label_operation(id);
     }
 
     /// Books a crash this rank's failure detector observed — through a
@@ -695,13 +694,16 @@ impl<'w> ProcCtx<'w> {
     /// same-node sibling died while we were blocked on its deposit or
     /// barrier) — and returns it as the recoverable typed cause.
     fn note_crash(&mut self, dead: Rank) -> FailureCause {
-        self.metrics.crashes_detected += 1;
-        self.record_marker(EventKind::Crash { rank: dead });
+        self.note(self.clock_us, EventKind::Crash { rank: dead });
         FailureCause::Crash { rank: dead }
     }
 
+    /// Books one occurrence that started at `start_us` and ends now: folds
+    /// it into the rank's metrics and, when tracing, retains it on the
+    /// timeline. Markers pass `start_us == clock_us`.
     #[inline]
-    fn record(&mut self, start_us: f64, kind: EventKind) {
+    fn note(&mut self, start_us: f64, kind: EventKind) {
+        self.metrics.add(self.rank, &kind);
         if let Some(trace) = &mut self.trace {
             trace.push(Event {
                 start_us,
@@ -709,13 +711,6 @@ impl<'w> ProcCtx<'w> {
                 kind,
             });
         }
-    }
-
-    /// Records a zero-duration marker event (faults, retries).
-    #[inline]
-    fn record_marker(&mut self, kind: EventKind) {
-        let now = self.clock_us;
-        self.record(now, kind);
     }
 
     /// This rank's own m-byte input block.
@@ -791,7 +786,7 @@ impl<'w> ProcCtx<'w> {
             self.send_steps += 1;
         }
         let t0 = self.clock_us;
-        let bytes = parcel.wire_len();
+        let (bytes, payload) = (parcel.wire_len(), parcel.payload_len());
         let link = spec.topology.link(self.rank, dst);
         let (done_us, mut arrive_us) = match link {
             LinkClass::SelfLoop => (self.clock_us, self.clock_us),
@@ -811,12 +806,6 @@ impl<'w> ProcCtx<'w> {
             }
         };
         self.clock_us = done_us;
-        // A self-send is a local buffer hand-off, not communication: it
-        // must not inflate the Table II traffic columns.
-        if link != LinkClass::SelfLoop {
-            self.metrics.bytes_sent += bytes as u64;
-            self.metrics.payload_sent += parcel.payload_len() as u64;
-        }
         // Faults are only ever injected on inter-node links, and a
         // `(src, dst)` pair's link class never changes — so intra-node and
         // self streams skip the framing (sequence numbers, checksum,
@@ -834,7 +823,6 @@ impl<'w> ProcCtx<'w> {
         };
         let mut fault = None;
         if link == LinkClass::Inter {
-            self.metrics.inter_bytes_sent += bytes as u64;
             let frame_idx = world.inter_frames.fetch_add(1, Ordering::Relaxed);
             if spec.faults.corrupt_nth_inter_frame == Some(frame_idx) {
                 // Legacy unrecovered adversary: corrupt without arming any
@@ -857,7 +845,13 @@ impl<'w> ProcCtx<'w> {
                 .apply_fault(dst, &mut frame, &mut arrive_us, fault);
             world.capture(self.rank, dst, &frame.parcel);
         }
-        self.record(t0, EventKind::Send { dst, bytes, link });
+        let send = EventKind::Send {
+            dst,
+            bytes,
+            payload,
+            link,
+        };
+        self.note(t0, send);
         if world.chaos {
             self.transport.dispatch(dst, frame, arrive_us, fault);
             self.execute();
@@ -879,7 +873,7 @@ impl<'w> ProcCtx<'w> {
     }
 
     /// Executes the actions the transport left behind its last event
-    /// against the scheduler, the counters and the timeline.
+    /// against the scheduler and the event stream.
     fn execute(&mut self) {
         if self.transport.out.is_empty() {
             return;
@@ -888,25 +882,16 @@ impl<'w> ProcCtx<'w> {
         for action in out.drain(..) {
             match action {
                 Action::Send(dst, msg) => self.world.sched.send(dst, msg),
-                Action::Count(counter, n) => {
-                    let m = &mut self.metrics;
-                    *match counter {
-                        Counter::FaultsInjected => &mut m.faults_injected,
-                        Counter::FaultsDetected => &mut m.faults_detected,
-                        Counter::NacksSent => &mut m.nacks_sent,
-                        Counter::Retransmits => &mut m.retransmits,
-                        Counter::RetransmitBytes => &mut m.retransmit_bytes,
-                        Counter::DupFramesDropped => &mut m.dup_frames_dropped,
-                    } += n;
+                Action::Note(mut kind) => {
+                    if let EventKind::Detect { tag, .. }
+                    | EventKind::Nack { tag, .. }
+                    | EventKind::Retransmit { tag, .. }
+                    | EventKind::Duplicate { tag, .. } = &mut kind
+                    {
+                        *tag = logical_tag(*tag);
+                    }
+                    self.note(self.clock_us, kind);
                 }
-                Action::Mark(mark) => self.record_marker(match mark {
-                    Mark::Fault { kind, dst } => EventKind::Fault { kind, dst },
-                    Mark::Retry { peer, tag, attempt } => EventKind::Retry {
-                        peer,
-                        tag: logical_tag(tag),
-                        attempt,
-                    },
-                }),
             }
         }
         self.transport.out = out;
@@ -933,15 +918,13 @@ impl<'w> ProcCtx<'w> {
         let tag = self.wire_tag(tag);
         let (parcel, arrive_us) = self.wait_for(src, tag)?;
         self.clock_us = self.clock_us.max(arrive_us);
-        let bytes = parcel.wire_len();
-        // Receiving one's own self-send is a local hand-off, not a
-        // communication round (mirrors the send-side SelfLoop exclusion).
-        if src != self.rank {
-            self.metrics.comm_rounds += 1;
-            self.metrics.bytes_recv += bytes as u64;
-            self.metrics.payload_recv += parcel.payload_len() as u64;
-        }
-        self.record(t0, EventKind::Recv { src, bytes });
+        let recv = EventKind::Recv {
+            src,
+            bytes: parcel.wire_len(),
+            payload: parcel.payload_len(),
+            link: self.topology().link(src, self.rank),
+        };
+        self.note(t0, recv);
         Ok(parcel)
     }
 
@@ -1143,9 +1126,7 @@ impl<'w> ProcCtx<'w> {
         let t0 = self.clock_us;
         let plain_len = chunk.len();
         self.clock_us += self.model().crypto.enc_time(plain_len);
-        self.record(t0, EventKind::Encrypt { bytes: plain_len });
-        self.metrics.enc_rounds += 1;
-        self.metrics.enc_bytes += plain_len as u64;
+        self.note(t0, EventKind::Encrypt { bytes: plain_len });
         let Chunk {
             origins,
             block_len,
@@ -1188,14 +1169,8 @@ impl<'w> ProcCtx<'w> {
     pub fn decrypt(&mut self, sealed: Sealed) -> Chunk {
         let t0 = self.clock_us;
         self.clock_us += self.model().crypto.dec_time(sealed.plain_len);
-        self.record(
-            t0,
-            EventKind::Decrypt {
-                bytes: sealed.plain_len,
-            },
-        );
-        self.metrics.dec_rounds += 1;
-        self.metrics.dec_bytes += sealed.plain_len as u64;
+        let bytes = sealed.plain_len;
+        self.note(t0, EventKind::Decrypt { bytes });
         let Sealed {
             origins,
             block_len,
@@ -1240,9 +1215,7 @@ impl<'w> ProcCtx<'w> {
     fn charge(&mut self, bytes: usize, time_us: f64) {
         let t0 = self.clock_us;
         self.clock_us += time_us;
-        self.metrics.copies += 1;
-        self.metrics.copy_bytes += bytes as u64;
-        self.record(t0, EventKind::Copy { bytes });
+        self.note(t0, EventKind::Copy { bytes });
     }
 
     /// Runs a blocking call on this node's shared segment with the run
@@ -1318,7 +1291,7 @@ impl<'w> ProcCtx<'w> {
     pub fn node_barrier(&mut self) {
         let (t0, cost_us) = (self.clock_us, self.model().barrier_us);
         self.clock_us = self.on_segment(|seg| seg.barrier(t0, cost_us));
-        self.record(t0, EventKind::Barrier);
+        self.note(t0, EventKind::Barrier);
     }
 
     /// Cooperative scheduling point at an algorithm step boundary: if other
@@ -1449,9 +1422,6 @@ where
         .enumerate()
         .map(|(rank, slot)| -> pool::Body<'_> {
             Box::new(move || {
-                // A leased thread still holds its previous world's probe
-                // counts: open this rank's window at zero.
-                eag_rope::probe::reset();
                 let mut ctx = ProcCtx::new(world, rank);
                 // The state machine runs only while it holds a run
                 // permit; parks and blocking waits hand it back.

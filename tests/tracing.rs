@@ -2,8 +2,12 @@
 
 use eag_core::{Algorithm, Collective};
 use eag_netsim::{profile, Mapping, Topology};
-use eag_runtime::{run, BusyBreakdown, DataMode, EventKind, FaultPlan, WorldSpec};
+use eag_runtime::{
+    run, run_crashable, BusyBreakdown, Crash, DataMode, EventKind, FaultPlan, Metrics, RetryPolicy,
+    Trace, WorldSpec,
+};
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::time::Duration;
 
 const SEED: u64 = 0x7A;
 
@@ -92,6 +96,100 @@ fn gantt_renders_all_ranks() {
         assert!(chart.contains(&format!("rank {rank:>4}")));
     }
     assert!(chart.contains('E') || chart.contains('D'));
+}
+
+/// Folds each rank's trace with `Metrics::add` and asserts it reproduces
+/// that rank's metrics field for field — the rope copy probe and the
+/// operation label are not events, so both sides leave them out. Returns
+/// the sum of the folds, for checking what the run covered.
+fn fold_traces(traces: &[Trace], metrics: &[Metrics]) -> Metrics {
+    assert_eq!(traces.len(), metrics.len());
+    let mut folds = Vec::new();
+    for (rank, (trace, m)) in traces.iter().zip(metrics).enumerate() {
+        let mut folded = Metrics::default();
+        for e in trace {
+            folded.add(rank, &e.kind);
+        }
+        let mut want = *m;
+        (want.memcpy_bytes, want.buf_allocs, want.operation) = (0, 0, 0);
+        assert_eq!(
+            folded, want,
+            "rank {rank}: the trace does not fold to its metrics"
+        );
+        folds.push(folded);
+    }
+    Metrics::component_sum(&folds)
+}
+
+fn fast_retry() -> RetryPolicy {
+    RetryPolicy {
+        attempt_timeout: Duration::from_millis(10),
+        max_attempts: 10,
+        backoff: 1.5,
+    }
+}
+
+#[test]
+fn every_rank_trace_folds_to_its_metrics() {
+    // A plain-channel all-gather: sends, receives, seals and opens.
+    let plain = run(&traced_spec(8, 4), |ctx| {
+        Collective::Allgather(Algorithm::ORing)
+            .run(ctx, 256)
+            .verify(SEED);
+    });
+    let sum = fold_traces(&plain.traces, &plain.metrics);
+    assert!(sum.comm_rounds > 0 && sum.enc_rounds > 0 && sum.dec_rounds > 0);
+
+    // HS2: shared-memory copies and node barriers.
+    let hs2 = run(&traced_spec(8, 4), |ctx| {
+        Collective::Allgather(Algorithm::Hs2)
+            .run(ctx, 256)
+            .verify(SEED);
+    });
+    assert!(fold_traces(&hs2.traces, &hs2.metrics).copies > 0);
+
+    // An armed plan: injected faults, detections, NACKs, retransmits and
+    // dropped duplicates.
+    let mut armed = traced_spec(8, 4);
+    armed.faults = FaultPlan {
+        seed: SEED,
+        drop_permille: 100,
+        duplicate_permille: 100,
+        reorder_permille: 100,
+        tamper_permille: 100,
+        ..FaultPlan::default()
+    };
+    armed.retry = fast_retry();
+    let chaos = run(&armed, |ctx| {
+        Collective::Allgather(Algorithm::ORing)
+            .run(ctx, 256)
+            .verify(SEED);
+    });
+    let sum = fold_traces(&chaos.traces, &chaos.metrics);
+    assert!(
+        sum.faults_injected > 0
+            && sum.faults_detected > 0
+            && sum.nacks_sent > 0
+            && sum.retransmits > 0
+            && sum.dup_frames_dropped > 0,
+        "the armed run left a recovery path unexercised: {sum:?}"
+    );
+
+    // One crash, detected and recovered by `recover_collective`. The
+    // crashed rank's own marker is not a detection.
+    let mut crashing = traced_spec(6, 2);
+    crashing.faults = FaultPlan {
+        crashes: vec![Crash::before(3, 1)],
+        ..FaultPlan::default()
+    };
+    crashing.retry = fast_retry();
+    let crash = run_crashable(&crashing, |ctx| {
+        Collective::Allgather(Algorithm::ORing).recover(ctx, 48)
+    });
+    assert_eq!(crash.crashed, vec![3]);
+    assert_eq!(crash.metrics[3].crashes_detected, 0);
+    let sum = fold_traces(&crash.traces, &crash.metrics);
+    assert!(sum.crashes_detected > 0 && sum.recoveries > 0, "{sum:?}");
 }
 
 /// An on-path adversary corrupting any inter-node frame aborts every
