@@ -36,38 +36,49 @@ fn sweep(label: &str, plan: FaultPlan) -> (Vec<ChaosReport>, bool) {
 }
 
 /// Wall-clock cost of the reliability framing itself: runs every encrypted
-/// algorithm with framing armed at zero fault rates vs. fully disabled and
-/// reports the overhead on the best-of-`reps` totals. With the plan fully
-/// disabled the framing code is bypassed entirely (zero overhead); the
-/// armed-at-zero figure is the stricter bound, dominated by fixed per-run
-/// costs at small m and amortized away at larger blocks.
+/// algorithm with framing armed at zero fault rates vs. fully disabled.
+/// Each rep times one disabled and one armed pass back to back, alternating
+/// which goes first, so both sides of a ratio see the same host load; the
+/// line reports the median of the `reps` per-rep ratios and their range.
+/// With the plan fully disabled the framing code is bypassed entirely
+/// (zero overhead); the armed-at-zero figure is the stricter bound,
+/// dominated by fixed per-run costs at small m and amortized away at
+/// larger blocks.
 fn framing_overhead(reps: u32) {
     println!("### framing overhead (faults disabled)\n");
+    let armed_plan = FaultPlan {
+        armed: true,
+        ..FaultPlan::default()
+    };
     for m in [M, 16 * 1024] {
-        let time_all = |plan: FaultPlan| -> std::time::Duration {
-            (0..reps)
-                .map(|_| {
-                    let t0 = std::time::Instant::now();
-                    for &algo in Algorithm::encrypted_all() {
-                        let r = chaos_run(Collective::Allgather(algo), P, NODES, m, plan.clone());
-                        assert!(r.byte_identical, "{algo} diverged with no faults");
-                    }
-                    t0.elapsed()
-                })
-                .min()
-                .unwrap()
+        let time_all = |plan: &FaultPlan| -> f64 {
+            let t0 = std::time::Instant::now();
+            for &algo in Algorithm::encrypted_all() {
+                let r = chaos_run(Collective::Allgather(algo), P, NODES, m, plan.clone());
+                assert!(r.byte_identical, "{algo} diverged with no faults");
+            }
+            t0.elapsed().as_secs_f64()
         };
-        let disabled = time_all(FaultPlan::default());
-        let armed = time_all(FaultPlan {
-            armed: true,
-            ..FaultPlan::default()
-        });
-        let pct = 100.0 * (armed.as_secs_f64() / disabled.as_secs_f64() - 1.0);
+        let mut ratios: Vec<f64> = (0..reps)
+            .map(|rep| {
+                let (disabled, armed) = if rep % 2 == 0 {
+                    let d = time_all(&FaultPlan::default());
+                    (d, time_all(&armed_plan))
+                } else {
+                    let a = time_all(&armed_plan);
+                    (time_all(&FaultPlan::default()), a)
+                };
+                armed / disabled
+            })
+            .collect();
+        ratios.sort_by(f64::total_cmp);
+        let pct = |r: f64| 100.0 * (r - 1.0);
         println!(
-            "m = {m} B: armed-at-zero-rates {:.1} ms vs disabled {:.1} ms over {} encrypted algorithms: {pct:+.1}%",
-            armed.as_secs_f64() * 1e3,
-            disabled.as_secs_f64() * 1e3,
-            Algorithm::encrypted_all().len()
+            "m = {m} B: armed-at-zero-rates vs disabled over {} encrypted algorithms: {:+.1}% (median of {reps} paired reps; range {:+.1}% to {:+.1}%)",
+            Algorithm::encrypted_all().len(),
+            pct(ratios[ratios.len() / 2]),
+            pct(ratios[0]),
+            pct(ratios[ratios.len() - 1]),
         );
     }
     println!();

@@ -5,8 +5,9 @@
 //!
 //! - each MPI **process** is a rank state machine with a
 //!   [`world::ProcCtx`], driven by the event-driven [`sched`] scheduler
-//!   (a fixed pool of run permits; parked ranks wake on message arrival,
-//!   world events, or timer expiry);
+//!   (a fixed pool of run permits; a parked rank wakes only for what it
+//!   waits on — mail or an event about its peer, the last departure —,
+//!   for urgent mail, or on timer expiry);
 //! - **nodes** are groups of ranks; rank→node placement follows the
 //!   topology's block or cyclic mapping;
 //! - point-to-point messaging is tag-matched over per-rank mailboxes;

@@ -13,20 +13,24 @@
 //!   holds a permit; at most `width` ranks make progress at any instant, no
 //!   matter how large p is.
 //! - **Mailboxes.** Point-to-point traffic lands in a per-rank inbound
-//!   queue ([`Scheduler::send`]); the owner drains it in batches
+//!   queue ([`Scheduler::send_from`]); the owner drains it in batches
 //!   ([`Scheduler::drain_into`]).
 //! - **Parking.** A rank with nothing to do does not poll. It calls
-//!   [`Scheduler::park`], which returns its permit to the gate and blocks
-//!   until one of its wake sources fires: mail arrives, a *world event* is
-//!   raised, or its earliest timer (receive watchdog, retry round, suspect
-//!   deadline) expires. Waking re-acquires a permit before returning, so a
-//!   woken rank is again a running rank.
-//! - **World events.** State every rank may be parked on — a departure, an
-//!   attempt abort, a poisoning panic — is published through
-//!   [`Scheduler::world_event`], which bumps a generation counter and wakes
-//!   all parked ranks. Parkers snapshot the generation *before* re-checking
-//!   their conditions and pass it to `park`; an event that fires in the
-//!   race window makes the park return immediately instead of being lost.
+//!   [`Scheduler::park_on`] with a [`Watch`] naming what it waits on,
+//!   which returns its permit to the gate and blocks until that fires or
+//!   its earliest timer (receive watchdog, retry round, suspect deadline)
+//!   expires. Waking re-acquires a permit before returning, so a woken
+//!   rank is again a running rank.
+//! - **Targeted wakes.** Only news about the watch wakes a parked rank. A
+//!   receive watches one peer: mail from that peer wakes it, and so does
+//!   an event about that peer — its departure, or its attempt abort
+//!   ([`Scheduler::raise`]). A lingering rank watches the departures and
+//!   wakes on the last one. Urgent mail (a NACK someone waits on, a
+//!   poison) wakes any watch; other mail waits in the mailbox until the
+//!   owner's next drain. Parkers snapshot the event [generation]
+//!   *before* re-checking their conditions and pass it to `park_on`; an
+//!   event about the watch that fires in the race window makes the park
+//!   return at once instead of being lost.
 //! - **Departures.** Liveness is a scheduler fact, not a wall-clock guess:
 //!   the runner records how every rank left the world
 //!   ([`Scheduler::depart`]), including hard crashes — the simulation
@@ -37,9 +41,12 @@
 //!   so a rank that is merely descheduled (oversubscribed, busy in a long
 //!   compute step) can never be suspected: it has not departed.
 //!
-//! The scheduler is deliberately oblivious to what the messages mean;
+//! The scheduler is deliberately oblivious to what the messages mean: the
+//! sender passes its rank and whether the letter is urgent, and
 //! reliability framing, virtual clocks, and failure semantics stay in
 //! [`crate::world`].
+//!
+//! [generation]: Scheduler::generation
 
 use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
@@ -47,15 +54,50 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
-/// Why [`Scheduler::park`] returned.
+/// Why [`Scheduler::park_on`] returned.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Wake {
-    /// The rank's mailbox is non-empty.
+    /// Mail the watch hears is queued.
     Mail,
-    /// A world event was raised after the parker's generation snapshot.
+    /// An event the watch hears was raised after the parker's generation
+    /// snapshot.
     Event,
     /// The requested deadline passed.
     Deadline,
+}
+
+/// What a parked rank waits on: only news about it wakes the rank
+/// (urgent mail aside, which wakes any watch).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Watch {
+    /// One peer, as a receive does: mail from it, and events about it
+    /// (its departure, its attempt abort).
+    Peer(usize),
+    /// The departures, as a lingering rank does: the last one wakes it.
+    Departures,
+    /// Any mail and no event, as [`Scheduler::park`] does.
+    Mail,
+}
+
+impl Watch {
+    /// Whether a letter from `from` (`None`: urgent mail) wakes this watch.
+    fn hears_mail(self, from: Option<usize>) -> bool {
+        match (self, from) {
+            (_, None) | (Watch::Mail, _) => true,
+            (Watch::Peer(peer), Some(src)) => peer == src,
+            (Watch::Departures, Some(_)) => false,
+        }
+    }
+
+    /// Whether an event about `about` (`last`: the world's last departure)
+    /// wakes this watch.
+    fn hears_event(self, about: usize, last: bool) -> bool {
+        match self {
+            Watch::Peer(peer) => peer == about,
+            Watch::Departures => last,
+            Watch::Mail => false,
+        }
+    }
 }
 
 /// How a rank left the scheduler (recorded by the world runner).
@@ -163,11 +205,23 @@ impl RunGate {
 }
 
 struct RankSlot<M> {
-    mail: Mutex<VecDeque<M>>,
+    inbox: Mutex<Inbox<M>>,
     cv: Condvar,
     /// Monotone count of this rank's scheduler interactions (drains, parks,
     /// yields) — diagnostics for tests and tooling, not a liveness oracle.
     progress: AtomicU64,
+}
+
+struct Inbox<M> {
+    mail: VecDeque<Letter<M>>,
+    /// What the owner is parked on; `None` while it is not parked.
+    watch: Option<Watch>,
+}
+
+struct Letter<M> {
+    /// The sender of routine mail; `None` for urgent mail.
+    from: Option<usize>,
+    msg: M,
 }
 
 /// The event-driven rank scheduler. See the [module docs](self) for the
@@ -179,8 +233,11 @@ pub struct Scheduler<M> {
     /// the mailbox slots: those cache lines are written on every send and
     /// drain, these are read-mostly.
     departed: Vec<OnceLock<(Departure, Instant)>>,
-    /// World-event generation counter (see [`Scheduler::world_event`]).
+    /// Event generation counter, bumped by every event (see
+    /// [`Scheduler::generation`]).
     generation: AtomicU64,
+    /// Per rank, the generation of the latest event about it.
+    heard: Vec<AtomicU64>,
     /// Number of ranks with a departure record.
     departures: AtomicUsize,
     gate: Arc<RunGate>,
@@ -201,13 +258,17 @@ impl<M> Scheduler<M> {
         Scheduler {
             slots: (0..p)
                 .map(|_| RankSlot {
-                    mail: Mutex::new(VecDeque::new()),
+                    inbox: Mutex::new(Inbox {
+                        mail: VecDeque::new(),
+                        watch: None,
+                    }),
                     cv: Condvar::new(),
                     progress: AtomicU64::new(0),
                 })
                 .collect(),
             departed: (0..p).map(|_| OnceLock::new()).collect(),
             generation: AtomicU64::new(0),
+            heard: (0..p).map(|_| AtomicU64::new(0)).collect(),
             departures: AtomicUsize::new(0),
             gate,
         }
@@ -229,88 +290,136 @@ impl<M> Scheduler<M> {
         self.gate.release();
     }
 
-    /// Pushes `msg` into `dst`'s mailbox and wakes `dst` if it is parked.
+    /// Pushes `msg` into `dst`'s mailbox as urgent mail: it wakes `dst`
+    /// whatever it watches.
     pub fn send(&self, dst: usize, msg: M) {
+        self.deliver(dst, None, msg);
+    }
+
+    /// Pushes `msg` from `src` into `dst`'s mailbox. It wakes a parked
+    /// `dst` only if `urgent`, or if `dst` watches `src` (or any mail);
+    /// otherwise it waits for `dst`'s next drain.
+    pub fn send_from(&self, dst: usize, src: usize, urgent: bool, msg: M) {
+        self.deliver(dst, (!urgent).then_some(src), msg);
+    }
+
+    fn deliver(&self, dst: usize, from: Option<usize>, msg: M) {
         let slot = &self.slots[dst];
-        let mut mail = slot.mail.lock();
-        mail.push_back(msg);
-        slot.cv.notify_one();
+        let mut inbox = slot.inbox.lock();
+        inbox.mail.push_back(Letter { from, msg });
+        if inbox.watch.is_some_and(|w| w.hears_mail(from)) {
+            slot.cv.notify_one();
+        }
     }
 
     /// Moves everything queued for `rank` into `buf` (appending).
     pub fn drain_into(&self, rank: usize, buf: &mut Vec<M>) {
         let slot = &self.slots[rank];
         slot.progress.fetch_add(1, Ordering::Relaxed);
-        let mut mail = slot.mail.lock();
-        buf.extend(mail.drain(..));
+        let mut inbox = slot.inbox.lock();
+        buf.extend(inbox.mail.drain(..).map(|letter| letter.msg));
     }
 
-    /// Current world-event generation. A parker must snapshot this *before*
+    /// Current event generation. A parker must snapshot this *before*
     /// draining its mailbox and re-checking its wake conditions, then pass
-    /// the snapshot to [`Scheduler::park`]: any event raised after the
-    /// snapshot aborts the park instead of being lost in the race window.
+    /// the snapshot to [`Scheduler::park_on`]: an event about its watch
+    /// raised after the snapshot aborts the park instead of being lost.
     pub fn generation(&self) -> u64 {
         self.generation.load(Ordering::SeqCst)
     }
 
-    /// Publishes a state change every rank may be parked on (a departure,
-    /// an attempt abort, a poisoning panic): bumps the generation and wakes
-    /// all parked ranks so they re-examine the world.
-    pub fn world_event(&self) {
-        self.generation.fetch_add(1, Ordering::SeqCst);
+    /// Publishes an event about `rank` other than its departure (the world
+    /// raises one when `rank` abandons a collective attempt): wakes the
+    /// ranks parked on a watch of `rank`.
+    pub fn raise(&self, rank: usize) {
+        self.event(rank, false);
+    }
+
+    /// Bumps the generation, stamps it on the rank the event is about, and
+    /// wakes exactly the parked ranks whose watch hears it (`last`: the
+    /// event is the world's last departure).
+    fn event(&self, about: usize, last: bool) {
+        let gen = self.generation.fetch_add(1, Ordering::SeqCst) + 1;
+        self.heard[about].fetch_max(gen, Ordering::SeqCst);
         for slot in &self.slots {
-            // Taking the mailbox lock orders this notification after any
-            // parker that read the old generation but has not yet blocked:
-            // the parker holds the lock from its generation check until
-            // `wait` atomically enqueues it.
-            let _mail = slot.mail.lock();
-            slot.cv.notify_all();
+            // Taking the mailbox lock orders this check after any parker
+            // that read the old stamp but has not yet blocked: the parker
+            // holds the lock from its stamp check until `wait` atomically
+            // enqueues it.
+            let inbox = slot.inbox.lock();
+            if inbox.watch.is_some_and(|w| w.hears_event(about, last)) {
+                slot.cv.notify_one();
+            }
         }
     }
 
-    /// Parks `rank` until mail arrives, a world event postdates the `gen`
-    /// snapshot, or `deadline` passes (`None` = no timer). The caller must
-    /// hold a run permit; the permit is returned to the gate for the
-    /// duration of the block and re-acquired before `park` returns, so a
-    /// parked rank costs no worker.
+    /// Whether an event `watch` hears was raised after snapshot `gen`. The
+    /// last departure is one for good: a linger that parks after it (its
+    /// caller checks the count first) has nothing left to wait for.
+    fn event_since(&self, watch: Watch, gen: u64) -> bool {
+        match watch {
+            Watch::Peer(peer) => self.heard[peer].load(Ordering::SeqCst) > gen,
+            Watch::Departures => self.departures() == self.slots.len(),
+            Watch::Mail => false,
+        }
+    }
+
+    /// [`Scheduler::park_on`] with [`Watch::Mail`]: parks `rank` until
+    /// any mail arrives or `deadline` passes.
     pub fn park(&self, rank: usize, deadline: Option<Instant>, gen: u64) -> Wake {
+        self.park_on(rank, Watch::Mail, deadline, gen)
+    }
+
+    /// Parks `rank` until mail `watch` hears is queued, an event `watch`
+    /// hears postdates the `gen` snapshot, or `deadline` passes (`None` =
+    /// no timer). Mail `watch` does not hear stays queued for the next
+    /// drain. The caller must hold a run permit; the permit is returned to
+    /// the gate for the duration of the block and re-acquired before
+    /// `park_on` returns, so a parked rank costs no worker.
+    pub fn park_on(&self, rank: usize, watch: Watch, deadline: Option<Instant>, gen: u64) -> Wake {
         let slot = &self.slots[rank];
         slot.progress.fetch_add(1, Ordering::Relaxed);
+        // Only the owner drains, so while it is here its queue only grows:
+        // each check scans the letters that arrived since the last one.
+        let mut seen = 0;
+        let ready = |inbox: &Inbox<M>, seen: &mut usize| {
+            let heard = inbox.mail.range(*seen..).any(|l| watch.hears_mail(l.from));
+            *seen = inbox.mail.len();
+            if heard {
+                Some(Wake::Mail)
+            } else if self.event_since(watch, gen) {
+                Some(Wake::Event)
+            } else {
+                None
+            }
+        };
         // Fast path: already satisfied — keep the permit, skip the gate.
-        {
-            let mail = slot.mail.lock();
-            if !mail.is_empty() {
-                return Wake::Mail;
-            }
-            if self.generation.load(Ordering::SeqCst) != gen {
-                return Wake::Event;
-            }
+        if let Some(wake) = ready(&slot.inbox.lock(), &mut seen) {
+            return wake;
         }
-        if let Some(d) = deadline {
-            if Instant::now() >= d {
-                return Wake::Deadline;
-            }
+        if deadline.is_some_and(|d| Instant::now() >= d) {
+            return Wake::Deadline;
         }
         self.blocking(|| {
-            let mut mail = slot.mail.lock();
-            loop {
-                if !mail.is_empty() {
-                    return Wake::Mail;
-                }
-                if self.generation.load(Ordering::SeqCst) != gen {
-                    return Wake::Event;
+            let mut inbox = slot.inbox.lock();
+            inbox.watch = Some(watch);
+            let wake = loop {
+                if let Some(wake) = ready(&inbox, &mut seen) {
+                    break wake;
                 }
                 match deadline {
                     Some(d) => {
                         let now = Instant::now();
                         if now >= d {
-                            return Wake::Deadline;
+                            break Wake::Deadline;
                         }
-                        slot.cv.wait_for(&mut mail, d - now);
+                        slot.cv.wait_for(&mut inbox, d - now);
                     }
-                    None => slot.cv.wait(&mut mail),
+                    None => slot.cv.wait(&mut inbox),
                 }
-            }
+            };
+            inbox.watch = None;
+            wake
         })
     }
 
@@ -343,13 +452,14 @@ impl<M> Scheduler<M> {
     }
 
     /// Records how `rank` left the world (a rank leaves once; the first
-    /// record stands) and raises a world event so every parked rank
-    /// re-examines liveness — the record is published before the event.
+    /// record stands) and raises an event about it, so the ranks parked on
+    /// it re-examine its liveness — and, if it was the last to leave, the
+    /// lingering ranks stop. The record is published before the event.
     pub fn depart(&self, rank: usize, how: Departure) {
         if self.departed[rank].set((how, Instant::now())).is_ok() {
-            self.departures.fetch_add(1, Ordering::SeqCst);
+            let left = self.departures.fetch_add(1, Ordering::SeqCst) + 1;
+            self.event(rank, left == self.slots.len());
         }
-        self.world_event();
     }
 
     /// How `rank` left the world, if it has.
@@ -399,16 +509,153 @@ mod tests {
         s.exit();
     }
 
-    /// The lost-wakeup race, made deterministic: an event raised *between*
-    /// the generation snapshot and the park must abort the park.
+    /// The lost-wakeup race, made deterministic: an event about the
+    /// watched peer raised *between* the generation snapshot and the park
+    /// must abort the park; one about another rank must not.
     #[test]
     fn stale_generation_snapshot_aborts_the_park() {
-        let s: Scheduler<u32> = Scheduler::new(1, 4);
+        let s: Scheduler<u32> = Scheduler::new(3, 4);
         s.enter();
+        let soon = || Some(Instant::now() + Duration::from_millis(20));
         let gen = s.generation();
-        s.world_event();
-        assert_eq!(s.park(0, None, gen), Wake::Event);
+        s.depart(2, Departure::Finished);
+        assert_eq!(s.park_on(0, Watch::Peer(1), soon(), gen), Wake::Deadline);
+        s.raise(1);
+        assert_eq!(s.park_on(0, Watch::Peer(1), soon(), gen), Wake::Event);
+        let gen = s.generation();
+        s.depart(1, Departure::SoftCrash);
+        assert_eq!(s.park_on(0, Watch::Peer(1), soon(), gen), Wake::Event);
         s.exit();
+    }
+
+    /// Parks rank 0 of `s` (a one-permit gate) on `watch` in a thread,
+    /// runs `news` once the parker is inside `park_on` (so the news
+    /// postdates its generation snapshot) and has handed its permit back,
+    /// and returns why the park ended and how long it took.
+    fn park_through(
+        s: &Arc<Scheduler<u32>>,
+        gate: &RunGate,
+        watch: Watch,
+        limit: Duration,
+        news: impl FnOnce(&Scheduler<u32>),
+    ) -> (Wake, Duration) {
+        let entered = s.progress(0);
+        let parker = {
+            let s = Arc::clone(s);
+            thread::spawn(move || {
+                s.enter();
+                let t0 = Instant::now();
+                let wake = s.park_on(0, watch, Some(t0 + limit), s.generation());
+                let took = t0.elapsed();
+                s.exit();
+                (wake, took)
+            })
+        };
+        while s.progress(0) == entered || gate.free_permits() == 0 {
+            thread::yield_now();
+        }
+        news(s);
+        parker.join().unwrap()
+    }
+
+    fn one_permit(p: usize) -> (Arc<Scheduler<u32>>, Arc<RunGate>) {
+        let gate = Arc::new(RunGate::new(1));
+        (Arc::new(Scheduler::with_gate(p, Arc::clone(&gate))), gate)
+    }
+
+    /// A receive parked on peer 1 sleeps through routine mail from peer 2
+    /// and peer 2's departure, and runs out its deadline; the mail stays
+    /// queued for the next drain.
+    #[test]
+    fn news_about_another_peer_leaves_a_receive_parked() {
+        let (s, gate) = one_permit(3);
+        let limit = Duration::from_millis(20);
+        let (wake, took) = park_through(&s, &gate, Watch::Peer(1), limit, |s| {
+            s.send_from(0, 2, false, 5);
+            s.depart(2, Departure::Finished);
+        });
+        assert_eq!(wake, Wake::Deadline);
+        assert!(took >= limit);
+        let mut buf = Vec::new();
+        s.drain_into(0, &mut buf);
+        assert_eq!(buf, vec![5]);
+    }
+
+    /// Mail from the watched peer, urgent mail from anyone (a NACK, a
+    /// poison) and the watched peer's departure each end the park at once.
+    #[test]
+    fn watched_or_urgent_news_ends_a_receive_park() {
+        let long = Duration::from_secs(30);
+        type News = fn(&Scheduler<u32>);
+        let cases: [(&str, Wake, News); 5] = [
+            ("frame from peer 1", Wake::Mail, |s| {
+                s.send_from(0, 1, false, 1)
+            }),
+            ("NACK from peer 2", Wake::Mail, |s| {
+                s.send_from(0, 2, true, 2)
+            }),
+            ("poison from peer 3", Wake::Mail, |s| {
+                s.send_from(0, 3, true, 3)
+            }),
+            ("unlabelled mail", Wake::Mail, |s| s.send(0, 4)),
+            ("departure of peer 1", Wake::Event, |s| {
+                s.depart(1, Departure::HardCrash)
+            }),
+        ];
+        for (what, want, news) in cases {
+            let (s, gate) = one_permit(4);
+            let (wake, took) = park_through(&s, &gate, Watch::Peer(1), long, news);
+            assert_eq!(wake, want, "{what}");
+            assert!(took < long, "{what} did not wake the park");
+        }
+    }
+
+    /// A departure wakes the ranks watching the departed rank and no
+    /// other parked rank.
+    #[test]
+    fn departure_wakes_only_its_watchers() {
+        let gate = Arc::new(RunGate::new(2));
+        let s: Arc<Scheduler<u32>> = Arc::new(Scheduler::with_gate(3, Arc::clone(&gate)));
+        let gen = s.generation();
+        let park = |rank: usize, watch: Watch, limit: Duration| {
+            let s = Arc::clone(&s);
+            thread::spawn(move || {
+                s.enter();
+                let wake = s.park_on(rank, watch, Some(Instant::now() + limit), gen);
+                s.exit();
+                wake
+            })
+        };
+        let watcher = park(0, Watch::Peer(2), Duration::from_secs(30));
+        let bystander = park(1, Watch::Peer(0), Duration::from_millis(20));
+        while s.progress(0) == 0 || s.progress(1) == 0 || gate.free_permits() < 2 {
+            thread::yield_now();
+        }
+        s.depart(2, Departure::SoftCrash);
+        assert_eq!(watcher.join().unwrap(), Wake::Event);
+        assert_eq!(bystander.join().unwrap(), Wake::Deadline);
+        assert_eq!(s.departure(2), Some(Departure::SoftCrash));
+        assert_eq!(s.departure(0), None);
+    }
+
+    /// A lingering park sleeps through every departure but the last, and
+    /// through routine mail; the last departure ends it.
+    #[test]
+    fn lingering_park_returns_only_on_the_last_departure() {
+        let (s, gate) = one_permit(3);
+        s.depart(0, Departure::Finished);
+        let short = Duration::from_millis(20);
+        let (wake, _) = park_through(&s, &gate, Watch::Departures, short, |s| {
+            s.send_from(0, 1, false, 1);
+            s.depart(1, Departure::Finished);
+        });
+        assert_eq!(wake, Wake::Deadline);
+        let long = Duration::from_secs(30);
+        let (wake, took) = park_through(&s, &gate, Watch::Departures, long, |s| {
+            s.depart(2, Departure::HardCrash);
+        });
+        assert_eq!(wake, Wake::Event);
+        assert!(took < long);
     }
 
     #[test]
@@ -444,29 +691,6 @@ mod tests {
         thread::sleep(Duration::from_millis(20));
         s.send(1, 42u32);
         assert_eq!(handle.join().unwrap(), Wake::Mail);
-    }
-
-    #[test]
-    fn world_event_wakes_all_parked_ranks() {
-        let s: Arc<Scheduler<u32>> = Arc::new(Scheduler::new(3, 4));
-        let handles: Vec<_> = (0..3)
-            .map(|rank| {
-                let parker = Arc::clone(&s);
-                thread::spawn(move || {
-                    parker.enter();
-                    let wake = parker.park(rank, None, parker.generation());
-                    parker.exit();
-                    wake
-                })
-            })
-            .collect();
-        thread::sleep(Duration::from_millis(20));
-        s.depart(2, Departure::SoftCrash);
-        for h in handles {
-            assert_eq!(h.join().unwrap(), Wake::Event);
-        }
-        assert_eq!(s.departure(2), Some(Departure::SoftCrash));
-        assert_eq!(s.departure(0), None);
     }
 
     #[test]

@@ -7,8 +7,10 @@
 //! parked) OS thread leased from the process-wide rank pool (`pool.rs`),
 //! but whether it *runs* is a scheduler decision: at most
 //! [`WorldSpec::workers`] ranks execute concurrently, messages land in
-//! per-rank mailboxes, and a rank with nothing to do parks until mail, a
-//! world event (departure, abort, poison), or its earliest timer wakes it.
+//! per-rank mailboxes, and a rank with nothing to do parks on what it waits
+//! for until news of it (mail from the awaited peer, that peer's departure
+//! or abort), urgent mail (a NACK, a poison), or its earliest timer wakes
+//! it.
 //! No rank ever spins a poll loop, which is what lets real-mode
 //! worlds of p=256–1024 run on one machine.
 //!
@@ -75,7 +77,7 @@ use crate::error::{CollectiveError, FailureCause};
 use crate::metrics::Metrics;
 use crate::payload::{Chunk, Data, Item, Parcel, Sealed};
 use crate::pool;
-use crate::sched::{Departure, RunGate, Scheduler};
+use crate::sched::{Departure, RunGate, Scheduler, Watch};
 use crate::shared::{NodeShared, SlotKey};
 use crate::trace::{Event, EventKind, Trace};
 use crate::transport::{corrupt_parcel, Action, Frame, Message, Round, Transport, Wire};
@@ -362,6 +364,14 @@ impl<'s> World<'s> {
             aborted: (0..p).map(|_| AtomicU64::new(0)).collect(),
             abort_blame: (0..p).map(|_| AtomicUsize::new(0)).collect(),
         }
+    }
+
+    /// Mails `msg` to `dst`. A NACK (a peer waits on the answer) and a
+    /// poison wake `dst` whatever it is parked on; other mail wakes it only
+    /// if it is parked on the sender.
+    fn mail(&self, dst: Rank, msg: Message) {
+        let urgent = matches!(msg.wire, Wire::Nack { .. } | Wire::Poison);
+        self.sched.send_from(dst, msg.src, urgent, msg);
     }
 
     /// Records an inter-node frame in the wiretap, as it looks on the wire.
@@ -665,7 +675,7 @@ impl<'w> ProcCtx<'w> {
         world.aborted[self.rank].store(self.attempt_serial, Ordering::SeqCst);
         // Peers parked on a receive from this rank must re-examine the
         // abort serial now, not on their next timer.
-        world.sched.world_event();
+        world.sched.raise(self.rank);
         // Same-node siblings may be blocked in a barrier or on a shared
         // deposit this abandoned attempt will never serve. Fail our
         // node's segment over to the blamed crash so they cascade into
@@ -858,7 +868,7 @@ impl<'w> ProcCtx<'w> {
         } else {
             // Nothing can be faulted or held back: straight to the mailbox.
             let wire = Wire::Data(frame);
-            world.sched.send(
+            world.mail(
                 dst,
                 Message {
                     src: self.rank,
@@ -881,7 +891,7 @@ impl<'w> ProcCtx<'w> {
         let mut out = std::mem::take(&mut self.transport.out);
         for action in out.drain(..) {
             match action {
-                Action::Send(dst, msg) => self.world.sched.send(dst, msg),
+                Action::Send(dst, msg) => self.world.mail(dst, msg),
                 Action::Note(mut kind) => {
                     if let EventKind::Detect { tag, .. }
                     | EventKind::Nack { tag, .. }
@@ -954,11 +964,13 @@ impl<'w> ProcCtx<'w> {
     /// failure cause (with the logical tag restored).
     ///
     /// Fully event-driven: between checks the rank parks in the scheduler
-    /// (returning its run permit) until mail arrives, a world event fires,
-    /// or the earliest of its timers — watchdog, retry round, suspicion —
-    /// expires. There is no poll tick; every condition checked below has a
-    /// wake source (flag publishers raise world events, timers become park
-    /// deadlines).
+    /// (returning its run permit) on `src` until mail from `src` or urgent
+    /// mail arrives, an event about `src` fires, or the earliest of its
+    /// timers — watchdog, retry round, suspicion — expires. There is no
+    /// poll tick; every condition checked below has a wake source (the
+    /// departure and the abort of `src` raise events about it, timers
+    /// become park deadlines), and mail from other peers waits for the
+    /// next drain.
     fn wait_for(&mut self, src: Rank, tag: u64) -> Result<(Parcel, f64), FailureCause> {
         let world = self.world;
         let retry = world.spec.retry;
@@ -982,8 +994,8 @@ impl<'w> ProcCtx<'w> {
         };
         loop {
             // Snapshot the event generation *before* reading any world
-            // state: an event raised during the checks below aborts the
-            // park instead of being lost.
+            // state: an event about `src` raised during the checks below
+            // aborts the park instead of being lost.
             let gen = world.sched.generation();
             if let Some(got) = self.poll((src, tag), &mut peer_missed) {
                 return Ok(got);
@@ -1038,7 +1050,7 @@ impl<'w> ProcCtx<'w> {
                 .into_iter()
                 .flatten()
                 .min();
-            world.sched.park(self.rank, wake, gen);
+            world.sched.park_on(self.rank, Watch::Peer(src), wake, gen);
         }
     }
 
@@ -1079,10 +1091,11 @@ impl<'w> ProcCtx<'w> {
     /// Post-collective service loop (chaos mode): a finished rank keeps
     /// answering NACKs (and pruning its log on ACKs) until every rank has
     /// departed (finished or crashed), so a peer recovering a lost frame
-    /// never finds its sender gone. Parked between requests — each
-    /// departure raises a world event, so the loop blocks on the spec's
-    /// actual `recv_timeout` deadline (`None` = unbounded) instead of
-    /// spinning a short poll.
+    /// never finds its sender gone. Parked on the departures between
+    /// requests: a NACK or a poison wakes it, and so does the last
+    /// departure; ACKs wait for the next drain. So the loop blocks on the
+    /// spec's actual `recv_timeout` deadline (`None` = unbounded) instead
+    /// of spinning a short poll.
     fn linger(&mut self) {
         let world = self.world;
         let deadline = world.spec.recv_timeout.map(|limit| Instant::now() + limit);
@@ -1106,7 +1119,9 @@ impl<'w> ProcCtx<'w> {
             if deadline.is_some_and(|d| Instant::now() >= d) {
                 return;
             }
-            world.sched.park(self.rank, deadline, gen);
+            world
+                .sched
+                .park_on(self.rank, Watch::Departures, deadline, gen);
         }
     }
 
@@ -1429,9 +1444,9 @@ where
                 let out = match catch_unwind(AssertUnwindSafe(|| f(&mut ctx))) {
                     Ok(out) => {
                         ctx.flush_limbo();
-                        // The departure event wakes every parked rank:
-                        // receivers re-check the peer's record,
-                        // lingerers re-count departures.
+                        // The departure event wakes the ranks parked on
+                        // this one, which re-check its record; the last
+                        // departure also ends every linger.
                         world.sched.depart(rank, Departure::Finished);
                         if world.chaos {
                             // Stay to answer late NACKs until every
@@ -1470,7 +1485,7 @@ where
                                 seg.poison();
                             }
                             for dst in 0..p {
-                                world.sched.send(
+                                world.mail(
                                     dst,
                                     Message {
                                         src: rank,
