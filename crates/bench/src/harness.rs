@@ -98,9 +98,10 @@ impl SimConfig {
     /// Builds the world of this configuration under `faults`. The timers
     /// of the fault world follow from the plan:
     ///
-    /// * a plan that perturbs frames (any rate, `fault_nth_inter_frame` or
-    ///   `armed`) retries after 20 ms × 1.5, up to 10 attempts: lost frames
-    ///   are recovered by NACK and retransmission, which race these timers;
+    /// * a plan that frames its traffic (any rate, or `armed`; a listed
+    ///   fault arms nothing) retries after 20 ms × 1.5, up to 10 attempts:
+    ///   lost frames are recovered by NACK and retransmission, which race
+    ///   these timers;
     /// * a crash-only plan retries after 5 s × 2, up to 3 attempts: crash
     ///   detection reads departure records and never needs the timer, and
     ///   a timer firing would perturb the virtual clock nondeterministically;

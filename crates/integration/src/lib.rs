@@ -5,7 +5,9 @@
 //! The library itself hosts the **chaos harness**: [`chaos_run`] runs any
 //! [`Collective`] under a deterministic [`FaultPlan`] and checks that the
 //! recovered result is byte-identical to a fault-free run of the same
-//! collective. Crash recovery runs through
+//! collective. [`frame_ids`] lists the frames a fault can name, and
+//! [`first_unrecovered`] runs one collective under each of many listed
+//! fault placements. Crash recovery runs through
 //! [`eag_bench::harness::crash_schedule_run`], like the bench cells.
 //!
 //! The `chaos_sweep` and `crash_sweep` binaries (gated behind the `chaos`
@@ -18,8 +20,8 @@
 use eag_bench::harness::{CrashRunReport, DATA_SEED};
 use eag_bench::SimConfig;
 use eag_core::Collective;
-use eag_netsim::{FaultPlan, Mapping};
-use eag_runtime::{try_run, CollectiveError, Metrics};
+use eag_netsim::{FaultKind, FaultPlan, FrameId, Mapping};
+use eag_runtime::{try_run, CollectiveError, Metrics, RunReport};
 
 /// The outcome of one collective under fault injection, compared against a
 /// fault-free reference run.
@@ -47,6 +49,20 @@ pub struct ChaosReport {
     pub latency_us: f64,
 }
 
+impl ChaosReport {
+    /// One-phrase outcome: `byte-identical`, `failed: <cause>` or
+    /// `WRONG BYTES`.
+    pub fn verdict(&self) -> String {
+        if self.byte_identical {
+            "byte-identical".to_string()
+        } else if let Some(e) = &self.error {
+            format!("failed: {}", e.cause)
+        } else {
+            "WRONG BYTES".to_string()
+        }
+    }
+}
+
 /// The world chaos runs use: `p` ranks over `nodes` nodes, block mapping,
 /// real data at [`DATA_SEED`], the free-cost profile (chaos is about
 /// wall-clock recovery, not virtual-time pricing).
@@ -57,29 +73,48 @@ pub fn chaos_config(p: usize, nodes: usize) -> SimConfig {
     }
 }
 
-/// Runs the collective `c` under `plan` and compares every rank's
-/// delivered blocks byte-for-byte against a fault-free run of the same
-/// collective on the same inputs (each rank compares only the slots its
-/// role delivers).
-pub fn chaos_run(c: Collective, p: usize, nodes: usize, m: usize, plan: FaultPlan) -> ChaosReport {
-    let cfg = chaos_config(p, nodes);
-    let deliver = move |ctx: &mut eag_runtime::ProcCtx| {
+/// Every rank's delivered `(slot, bytes)` pairs.
+type Delivered = Vec<(usize, Vec<u8>)>;
+
+/// One run of `c` in [`chaos_config`]`(p, nodes)` under `plan`; each rank
+/// verifies its output and returns the slots its role delivers (sparse
+/// outputs are legal: gather delivers only at the root, scatter only the
+/// own slot).
+fn delivered(
+    c: Collective,
+    p: usize,
+    nodes: usize,
+    m: usize,
+    plan: FaultPlan,
+) -> Result<RunReport<Delivered>, CollectiveError> {
+    try_run(&chaos_config(p, nodes).world_spec(plan), move |ctx| {
         let out = c.run(ctx, m);
         c.verify(ctx.rank(), &out, DATA_SEED);
-        // Sparse outputs are legal (gather delivers only at the root,
-        // scatter only the own slot): collect whatever this role holds.
         (0..out.p())
             .filter_map(|r| out.get(r).map(|b| (r, b.data.to_vec())))
-            .collect::<Vec<_>>()
-    };
-    let clean = try_run(&cfg.world_spec(FaultPlan::default()), deliver)
-        .unwrap_or_else(|e| panic!("{c}: fault-free reference failed: {e}"));
-    match try_run(&cfg.world_spec(plan), deliver) {
+            .collect()
+    })
+}
+
+/// The fault-free reference run of `c`.
+fn clean_run(c: Collective, p: usize, nodes: usize, m: usize) -> Vec<Delivered> {
+    delivered(c, p, nodes, m, FaultPlan::default())
+        .unwrap_or_else(|e| panic!("{c}: fault-free reference failed: {e}"))
+        .outputs
+}
+
+/// Grades a faulted run against the fault-free `clean` outputs.
+fn grade(
+    c: Collective,
+    clean: &[Delivered],
+    faulted: Result<RunReport<Delivered>, CollectiveError>,
+) -> ChaosReport {
+    match faulted {
         Ok(report) => {
             let sum = Metrics::component_sum(&report.metrics);
             ChaosReport {
                 collective: c,
-                byte_identical: report.outputs == clean.outputs,
+                byte_identical: report.outputs == clean,
                 error: None,
                 faults_injected: sum.faults_injected,
                 faults_detected: sum.faults_detected,
@@ -101,6 +136,66 @@ pub fn chaos_run(c: Collective, p: usize, nodes: usize, m: usize, plan: FaultPla
             latency_us: 0.0,
         },
     }
+}
+
+/// Runs the collective `c` under `plan` and compares every rank's
+/// delivered blocks byte-for-byte against a fault-free run of the same
+/// collective on the same inputs (each rank compares only the slots its
+/// role delivers).
+pub fn chaos_run(c: Collective, p: usize, nodes: usize, m: usize, plan: FaultPlan) -> ChaosReport {
+    let clean = clean_run(c, p, nodes, m);
+    grade(c, &clean, delivered(c, p, nodes, m, plan))
+}
+
+/// The identity of every inter-node frame of an armed, fault-free run of
+/// `c` in [`chaos_config`]`(p, nodes)`, sorted: every frame a listed fault
+/// can name. Identities do not depend on thread order, so every run gives
+/// the same list.
+pub fn frame_ids(c: Collective, p: usize, nodes: usize, m: usize) -> Vec<FrameId> {
+    let armed = FaultPlan {
+        armed: true,
+        ..FaultPlan::default()
+    };
+    let report = delivered(c, p, nodes, m, armed)
+        .unwrap_or_else(|e| panic!("{c}: armed fault-free run failed: {e}"));
+    let frames = report.wiretap.frames();
+    let mut ids: Vec<FrameId> = frames
+        .iter()
+        .map(|f| FrameId {
+            src: f.src,
+            dst: f.dst,
+            tag: f.tag,
+            seq: f.seq,
+        })
+        .collect();
+    ids.sort_unstable();
+    ids
+}
+
+/// Runs `c` in an armed world once per placement (a list of faults on
+/// distinct frames) and returns the first placement that is not
+/// recovered — delivered bytes that differ from the fault-free run, or an
+/// injected fault count other than the placement's length — with its
+/// report. Stops there: an unrecovered placement can wait out the whole
+/// retry budget, so running on would only multiply that wait.
+pub fn first_unrecovered(
+    c: Collective,
+    p: usize,
+    nodes: usize,
+    m: usize,
+    placements: impl IntoIterator<Item = Vec<(FrameId, FaultKind)>>,
+) -> Option<(Vec<(FrameId, FaultKind)>, ChaosReport)> {
+    let clean = clean_run(c, p, nodes, m);
+    placements.into_iter().find_map(|listed| {
+        let plan = FaultPlan {
+            armed: true,
+            listed: listed.clone(),
+            ..FaultPlan::default()
+        };
+        let r = grade(c, &clean, delivered(c, p, nodes, m, plan));
+        let recovered = r.byte_identical && r.faults_injected == listed.len() as u64;
+        (!recovered).then_some((listed, r))
+    })
 }
 
 /// Renders crash-run reports as a per-variant summary table: how many
@@ -151,17 +246,10 @@ pub fn render_markdown_table(rows: &[ChaosReport]) -> String {
          |---|---|---:|---:|---:|---:|\n",
     );
     for r in rows {
-        let verdict = if r.byte_identical {
-            "byte-identical".to_string()
-        } else if let Some(e) = &r.error {
-            format!("failed: {}", e.cause)
-        } else {
-            "WRONG BYTES".to_string()
-        };
         out.push_str(&format!(
             "| {} | {} | {} | {} | {} | {} |\n",
             r.collective.variant_name(),
-            verdict,
+            r.verdict(),
             r.faults_injected,
             r.faults_detected,
             r.retries,

@@ -8,13 +8,13 @@
 //! fault is detected and recovered (sequence numbers, transport checksums,
 //! per-hop GCM verification, NACK + retransmit).
 //!
-//! Decisions are **stateless and seeded**: whether the frame with sequence
-//! number `seq` on the `(src, dst, tag)` stream (on transmission `attempt`)
-//! is faulted is a pure hash of `(seed, src, dst, tag, seq, attempt)`.
-//! Because each rank's send sequence is deterministic, the injected fault
-//! set is exactly reproducible run-to-run regardless of thread
-//! interleaving — a chaos run that fails in CI can be replayed locally from
-//! its seed alone.
+//! Decisions are **stateless**: a listed fault names its frame by
+//! [`FrameId`], and a seeded rate faults frame `seq` of the `(src, dst,
+//! tag)` stream on transmission `attempt` by a pure hash of `(seed, src,
+//! dst, tag, seq, attempt)`. Neither depends on when some thread sent the
+//! frame, so every injected fault set replays exactly run-to-run regardless
+//! of thread interleaving — a chaos run that fails in CI can be replayed
+//! locally from its plan alone.
 
 /// One kind of in-flight perturbation of a message.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -57,6 +57,19 @@ impl FaultKind {
             FaultKind::Tamper => "tamper",
         }
     }
+}
+
+/// An inter-node frame named by what it is, not by when it was sent.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct FrameId {
+    /// Sending rank.
+    pub src: usize,
+    /// Receiving rank.
+    pub dst: usize,
+    /// Wire tag: it carries the collective epoch, so it names one collective.
+    pub tag: u64,
+    /// Transport sequence number on the stream (0 on an unframed frame).
+    pub seq: u64,
 }
 
 /// A seeded, replayable rank-crash event.
@@ -143,14 +156,11 @@ impl Crash {
 /// A seeded plan of which inter-node frames to perturb, and how.
 ///
 /// Rates are per-mille (‰) per frame, evaluated independently per
-/// `(src, dst, tag, seq, attempt)`; at most one fault is injected per
-/// frame.
-/// `fault_nth_inter_frame` injects exactly one *recoverable* fault at the
-/// n-th inter-node frame (counted globally), which is what the
-/// single-fault recovery property tests use. `corrupt_nth_inter_frame` is
-/// the legacy **unrecovered** active-adversary injection: it corrupts the
-/// frame without arming any of the transport's recovery machinery, so GCM
-/// must abort the collective (the security tests rely on this).
+/// `(src, dst, tag, seq, attempt)`; `listed` names frames by [`FrameId`].
+/// At most one fault is injected per transmission. A listed fault arms
+/// nothing: `armed: true` plus a listed `Drop` is one recovered fault, and
+/// a listed `Tamper` in an unframed world is the **unrecovered** active
+/// adversary, which GCM must catch by aborting the collective.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
     /// Seed of the per-frame fault hash. Two runs with equal seeds (and
@@ -180,14 +190,10 @@ pub struct FaultPlan {
     /// overhead in isolation (the benches compare armed-at-zero-rate
     /// against fully disabled).
     pub armed: bool,
-    /// Inject exactly one recoverable fault at the n-th inter-node frame
-    /// (0-based global count). Retransmissions are not counted.
-    pub fault_nth_inter_frame: Option<(u64, FaultKind)>,
-    /// Legacy unrecovered adversary: flip one byte of the n-th inter-node
-    /// frame with **no** recovery framing armed. The encrypted collectives
-    /// must abort on it (GCM tag mismatch); unencrypted ones silently
-    /// deliver wrong bytes.
-    pub corrupt_nth_inter_frame: Option<u64>,
+    /// Faults on the first transmission of named frames (replays see only
+    /// the rates), taking precedence over the rates. Only the transport
+    /// routes a `Drop`, `Duplicate` or `Reorder`: list them when `enabled`.
+    pub listed: Vec<(FrameId, FaultKind)>,
     /// Kill rank threads mid-collective, possibly several and possibly
     /// inside the recovery machinery itself. Each entry arms
     /// independently; the schedule's length is the fault bound `f` the
@@ -207,8 +213,7 @@ impl Default for FaultPlan {
             adversarial_tamper: false,
             delay_us: 25.0,
             armed: false,
-            fault_nth_inter_frame: None,
-            corrupt_nth_inter_frame: None,
+            listed: Vec::new(),
             crashes: Vec::new(),
         }
     }
@@ -248,16 +253,16 @@ impl FaultPlan {
         plan
     }
 
-    /// Whether any *recoverable* chaos knob is armed — this is what turns
-    /// on the runtime's reliability framing (checksums, retransmit log,
-    /// NACK/retry, linger). The legacy `corrupt_nth_inter_frame` is
-    /// deliberately excluded: it models an adversary the transport must
-    /// *not* recover from.
+    /// Whether `armed`, a rate or a crash is set — this is what turns on
+    /// the runtime's reliability framing (checksums, retransmit log,
+    /// NACK/retry, linger). A listed fault arms nothing.
     pub fn enabled(&self) -> bool {
-        self.armed
-            || self.total_permille() > 0
-            || self.fault_nth_inter_frame.is_some()
-            || !self.crashes.is_empty()
+        self.armed || self.total_permille() > 0 || !self.crashes.is_empty()
+    }
+
+    /// The listed fault on the first transmission of frame `id`, if any.
+    pub fn listed_fault(&self, id: FrameId) -> Option<FaultKind> {
+        self.listed.iter().find(|(f, _)| *f == id).map(|&(_, k)| k)
     }
 
     /// The fault bound `f`: how many rank crashes this plan can fire. The
@@ -385,17 +390,24 @@ mod tests {
     }
 
     #[test]
-    fn legacy_corruption_does_not_arm_recovery() {
-        let plan = FaultPlan {
-            corrupt_nth_inter_frame: Some(0),
+    fn a_listed_fault_arms_nothing_armed_does() {
+        let id = FrameId {
+            src: 0,
+            dst: 1,
+            tag: 9,
+            seq: 2,
+        };
+        let mut plan = FaultPlan {
+            listed: vec![(id, FaultKind::Drop)],
             ..FaultPlan::default()
         };
         assert!(!plan.enabled());
-        let plan = FaultPlan {
-            fault_nth_inter_frame: Some((0, FaultKind::Drop)),
-            ..FaultPlan::default()
-        };
+        plan.armed = true;
         assert!(plan.enabled());
+        assert_eq!(plan.listed_fault(id), Some(FaultKind::Drop));
+        assert_eq!(plan.listed_fault(FrameId { seq: 3, ..id }), None);
+        // Listed faults leave the rate path alone.
+        assert_eq!(plan.decide(0, 1, 9, 2, 0), None);
     }
 
     #[test]

@@ -47,7 +47,7 @@ pub mod tape;
 pub mod topology;
 pub mod wiretap;
 
-pub use chaos::{Crash, FaultKind, FaultPlan};
+pub use chaos::{Crash, FaultKind, FaultPlan, FrameId};
 pub use model::{CostModel, CryptoCost, LinkClass, LinkCost};
 pub use profile::ClusterProfile;
 pub use tape::Tape;

@@ -27,6 +27,10 @@ pub struct FrameRecord {
     pub src: usize,
     /// Receiving rank.
     pub dst: usize,
+    /// Wire tag (the collective epoch included).
+    pub tag: u64,
+    /// Transport sequence number (0 on an unframed frame).
+    pub seq: u64,
     /// Payload classification at capture time.
     pub kind: FrameKind,
     /// Wire length in bytes.
@@ -102,6 +106,8 @@ mod tests {
         FrameRecord {
             src: 0,
             dst: 1,
+            tag: 9,
+            seq: 0,
             kind,
             len: bytes.len(),
             bytes: Rope::from(bytes),

@@ -23,10 +23,10 @@
 //! | [`Action::Send`] a data/control frame   | the scheduler's mailboxes               |
 //! | [`Action::Note`] a fault/recovery event | the rank's metrics and timeline         |
 //!
-//! A world with no fault plan armed never frames, faults or holds back a
-//! frame, so its sends skip `dispatch` and go to the mailbox directly; its
-//! arrivals still pass through [`on_frame`](Transport::on_frame), whose
-//! first check delivers them.
+//! A world with no fault plan armed never frames or holds back a frame (it
+//! may corrupt or delay a listed one), so `dispatch` mails its sends as
+//! they are; its arrivals still pass through
+//! [`on_frame`](Transport::on_frame), whose first check delivers them.
 //!
 //! The contract (DESIGN.md §4): every frame sent on a stream is delivered
 //! exactly once, in order and intact, or the receive fails with a typed
@@ -226,8 +226,8 @@ impl Transport {
         }
     }
 
-    /// The one fault applicator, shared by first transmissions and replays:
-    /// books the injection and perturbs the frame in place. `Drop`,
+    /// The one fault applicator, shared by first transmissions and replays,
+    /// framed or not: books the injection and perturbs the frame in place. `Drop`,
     /// `Duplicate` and `Reorder` change where the frame goes, not what it
     /// carries — [`dispatch`](Self::dispatch) routes them (replays are
     /// handed neither of the last two).
@@ -243,7 +243,7 @@ impl Transport {
         match kind {
             FaultKind::Tamper => {
                 corrupt_parcel(&mut frame.parcel);
-                if self.adversarial {
+                if self.adversarial && frame.checksum.is_some() {
                     // On-path adversary: fix up the transport checksum so
                     // only the per-hop verification can catch it.
                     frame.checksum = Some(frame.parcel.checksum());

@@ -80,12 +80,12 @@ use crate::pool;
 use crate::sched::{Departure, RunGate, Scheduler, Watch};
 use crate::shared::{NodeShared, SlotKey};
 use crate::trace::{Event, EventKind, Trace};
-use crate::transport::{corrupt_parcel, Action, Frame, Message, Round, Transport, Wire};
+use crate::transport::{Action, Frame, Message, Round, Transport, Wire};
 use eag_crypto::{Aead, CipherSuite, Key, NonceSource, WIRE_OVERHEAD};
 use eag_netsim::nic::NodeNic;
 use eag_netsim::{
-    ClusterProfile, CostModel, FaultPlan, FrameKind, FrameRecord, LinkClass, Rank, Topology,
-    Wiretap,
+    ClusterProfile, CostModel, FaultKind, FaultPlan, FrameId, FrameKind, FrameRecord, LinkClass,
+    Rank, Topology, Wiretap,
 };
 use std::panic::{catch_unwind, panic_any, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -305,9 +305,6 @@ struct World<'s> {
     nics: Vec<Arc<NodeNic>>,
     wiretap: Arc<Wiretap>,
     shared: Vec<Arc<NodeShared>>,
-    /// Global count of inter-node first transmissions (the n-th-frame
-    /// fault injections key off it).
-    inter_frames: AtomicU64,
     /// Per-rank abandonment serials: the attempt serial the rank most
     /// recently abandoned (0 = never; set by the rank itself via
     /// [`ProcCtx::abort_attempt`]). Receives are attempt-scoped: a peer
@@ -336,6 +333,11 @@ impl<'s> World<'s> {
             key_bytes[8..].copy_from_slice(&(!seed).to_le_bytes());
             Key::from_bytes(key_bytes)
         });
+        // Only the transport routes a listed Drop, Duplicate or Reorder.
+        for (id, kind) in spec.faults.listed.iter().filter(|_| !spec.faults.enabled()) {
+            let unrouted = matches!(kind, FaultKind::Tamper | FaultKind::Delay);
+            assert!(unrouted, "listed {kind:?} of {id:?} needs an armed plan");
+        }
         let nics = match &spec.shared_nics {
             Some(shared) => {
                 assert_eq!(
@@ -360,7 +362,6 @@ impl<'s> World<'s> {
             shared: (0..n_nodes)
                 .map(|node| Arc::new(NodeShared::new(spec.topology.ranks_on_node(node).len())))
                 .collect(),
-            inter_frames: AtomicU64::new(0),
             aborted: (0..p).map(|_| AtomicU64::new(0)).collect(),
             abort_blame: (0..p).map(|_| AtomicUsize::new(0)).collect(),
         }
@@ -375,7 +376,8 @@ impl<'s> World<'s> {
     }
 
     /// Records an inter-node frame in the wiretap, as it looks on the wire.
-    fn capture(&self, src: Rank, dst: Rank, parcel: &Parcel) {
+    fn capture(&self, src: Rank, dst: Rank, frame: &Frame) {
+        let parcel = &frame.parcel;
         let kind = if parcel.has_plain() {
             FrameKind::Plain
         } else if parcel.items.iter().all(|i| match i {
@@ -407,6 +409,8 @@ impl<'s> World<'s> {
         self.wiretap.capture(FrameRecord {
             src,
             dst,
+            tag: frame.tag,
+            seq: frame.seq,
             kind,
             len: parcel.wire_len(),
             bytes,
@@ -762,7 +766,8 @@ impl<'w> ProcCtx<'w> {
     /// transmission occupancy; the message arrives at
     /// `occupancy end + α(link)`. In chaos mode the frame additionally gets
     /// a stream sequence number, a transport checksum, and a retransmit-log
-    /// entry, and may be perturbed per the world's [`FaultPlan`].
+    /// entry. An inter-node frame may be perturbed per the world's
+    /// [`FaultPlan`]: by its rates in chaos mode, by its list in any mode.
     pub fn send(&mut self, dst: Rank, tag: u64, parcel: Parcel) {
         let world = self.world;
         let (spec, model) = (world.spec, &world.spec.profile.model);
@@ -833,27 +838,22 @@ impl<'w> ProcCtx<'w> {
         };
         let mut fault = None;
         if link == LinkClass::Inter {
-            let frame_idx = world.inter_frames.fetch_add(1, Ordering::Relaxed);
-            if spec.faults.corrupt_nth_inter_frame == Some(frame_idx) {
-                // Legacy unrecovered adversary: corrupt without arming any
-                // recovery (the checksum, if present, is left stale so GCM
-                // aborts the collective downstream).
-                corrupt_parcel(&mut frame.parcel);
-            }
             if world.chaos {
-                // Fault decisions hash the *logical* tag: a stream's fault
+                // Rate decisions hash the *logical* tag: a stream's fault
                 // pattern at a given seed is a property of the collective's
                 // structure, not of which epoch it runs in.
-                fault = match spec.faults.fault_nth_inter_frame {
-                    Some((n, kind)) if n == frame_idx => Some(kind),
-                    _ => spec
-                        .faults
-                        .decide(self.rank, dst, logical_tag(tag), frame.seq, 0),
-                };
+                fault = spec
+                    .faults
+                    .decide(self.rank, dst, logical_tag(tag), frame.seq, 0);
+            }
+            if !spec.faults.listed.is_empty() {
+                let (src, seq) = (self.rank, frame.seq);
+                let id = FrameId { src, dst, tag, seq };
+                fault = spec.faults.listed_fault(id).or(fault);
             }
             self.transport
                 .apply_fault(dst, &mut frame, &mut arrive_us, fault);
-            world.capture(self.rank, dst, &frame.parcel);
+            world.capture(self.rank, dst, &frame);
         }
         let send = EventKind::Send {
             dst,
@@ -862,21 +862,10 @@ impl<'w> ProcCtx<'w> {
             link,
         };
         self.note(t0, send);
-        if world.chaos {
-            self.transport.dispatch(dst, frame, arrive_us, fault);
-            self.execute();
-        } else {
-            // Nothing can be faulted or held back: straight to the mailbox.
-            let wire = Wire::Data(frame);
-            world.mail(
-                dst,
-                Message {
-                    src: self.rank,
-                    arrive_us,
-                    wire,
-                },
-            );
-        }
+        // An unframed world lists no routed fault, so `dispatch` sends its
+        // frame straight to the mailbox.
+        self.transport.dispatch(dst, frame, arrive_us, fault);
+        self.execute();
         if let Some(hard) = crash_after_send {
             self.die(hard);
         }

@@ -2,7 +2,8 @@
 //! transport (fault injection, NACK recovery, dedup, typed failures).
 
 use super::*;
-use eag_netsim::{profile, Crash, FaultKind, Mapping};
+use crate::transport::corrupt_parcel;
+use eag_netsim::{profile, Crash, FaultKind, FrameId, Mapping};
 
 fn spec(p: usize, nodes: usize) -> WorldSpec {
     WorldSpec::new(
@@ -411,15 +412,30 @@ fn charge_helpers_accumulate_copies() {
     assert_eq!(m.copy_bytes, 2000);
 }
 
+/// The first frame rank 0 sends to rank 1 on `tag` in epoch 0.
+fn first_frame(tag: u64) -> FrameId {
+    FrameId {
+        src: 0,
+        dst: 1,
+        tag,
+        seq: 0,
+    }
+}
+
+/// An unframed plan that tampers with `id`: the unrecovered adversary.
+fn tamper_unframed(id: FrameId) -> FaultPlan {
+    FaultPlan {
+        listed: vec![(id, FaultKind::Tamper)],
+        ..FaultPlan::default()
+    }
+}
+
 #[test]
 fn phantom_fault_injection_is_inert() {
-    // Legacy corruption only flips real bytes; a phantom run must complete.
+    // A listed tamper only flips real bytes; a phantom run must complete.
     let mut s = spec(2, 2);
     s.mode = DataMode::Phantom;
-    s.faults = FaultPlan {
-        corrupt_nth_inter_frame: Some(0),
-        ..FaultPlan::default()
-    };
+    s.faults = tamper_unframed(first_frame(1));
     let report = run(&s, |ctx| {
         if ctx.rank() == 0 {
             let sealed = ctx.encrypt(ctx.my_block(32));
@@ -491,11 +507,13 @@ fn nic_contention_serializes_when_enabled() {
 
 // ----- chaos transport --------------------------------------------------
 
-/// A 2-rank, 2-node spec with chaos armed via `fault_nth_inter_frame`.
+/// A 2-rank, 2-node armed spec listing one `kind` fault on rank 0's
+/// first frame of tag 1.
 fn chaos_world(kind: FaultKind) -> WorldSpec {
     let mut s = spec(2, 2);
     s.faults = FaultPlan {
-        fault_nth_inter_frame: Some((0, kind)),
+        armed: true,
+        listed: vec![(first_frame(1), kind)],
         ..FaultPlan::default()
     };
     s.retry = fast_retry();
@@ -669,29 +687,73 @@ fn exhausted_retries_fail_with_typed_timeout() {
     }
 }
 
+/// Rank 0 seals one block to rank 1 on tag 9; rank 1 opens it.
+fn sealed_exchange(s: &WorldSpec) -> Result<RunReport<()>, CollectiveError> {
+    try_run(s, |ctx| {
+        if ctx.rank() == 0 {
+            let sealed = ctx.encrypt(ctx.my_block(24));
+            ctx.send(1, 9, Parcel::one(Item::Sealed(sealed)));
+        } else {
+            let parcel = ctx.recv(0, 9);
+            let _ = ctx.decrypt(parcel.items[0].clone().into_sealed());
+        }
+    })
+}
+
 #[test]
 fn forged_ciphertext_fails_with_typed_auth_error() {
-    // The legacy unrecovered adversary corrupts a sealed frame without
-    // arming recovery: decrypt must raise a typed AuthFailure.
+    // The unrecovered adversary corrupts a sealed frame without arming
+    // recovery: decrypt must raise a typed AuthFailure.
     let mut s = spec(2, 2);
-    s.faults = FaultPlan {
-        corrupt_nth_inter_frame: Some(0),
-        ..FaultPlan::default()
-    };
+    s.faults = tamper_unframed(first_frame(9));
     let err = unwrap_err(
-        try_run(&s, |ctx| {
-            if ctx.rank() == 0 {
-                let sealed = ctx.encrypt(ctx.my_block(24));
-                ctx.send(1, 9, Parcel::one(Item::Sealed(sealed)));
-            } else {
-                let parcel = ctx.recv(0, 9);
-                let _ = ctx.decrypt(parcel.items[0].clone().into_sealed());
-            }
-        }),
+        sealed_exchange(&s),
         "forged ciphertext must abort the collective",
     );
     assert_eq!(err.rank, 1);
     assert!(matches!(err.cause, FailureCause::AuthFailure { .. }));
+}
+
+#[test]
+fn adversarial_tamper_leaves_an_unframed_frame_unframed() {
+    // Re-stamping the checksum of an unframed frame would make the receiver
+    // admit it as framed and wait on a replay no unframed sender can give;
+    // the tamper must instead reach decrypt and fail it.
+    let mut s = spec(2, 2);
+    s.faults = tamper_unframed(first_frame(9));
+    s.faults.adversarial_tamper = true;
+    s.recv_timeout = Some(Duration::from_secs(30));
+    let err = unwrap_err(sealed_exchange(&s), "tampered ciphertext was accepted");
+    assert_eq!(err.rank, 1);
+    assert!(
+        matches!(err.cause, FailureCause::AuthFailure { .. }),
+        "{err}"
+    );
+}
+
+#[test]
+fn listed_tamper_is_booked_as_a_fault_event() {
+    let mut s = spec(2, 2);
+    s.mode = DataMode::Phantom;
+    s.faults = tamper_unframed(first_frame(9));
+    let report = sealed_exchange(&s).expect("phantom bytes cannot be forged");
+    assert_eq!(report.metrics[0].faults_injected, 1);
+    assert_eq!(report.metrics[1].faults_injected, 0);
+    // Only the named frame is hit: another tag is left alone.
+    s.faults = tamper_unframed(first_frame(8));
+    let report = sealed_exchange(&s).expect("clean run");
+    assert_eq!(report.metrics[0].faults_injected, 0);
+}
+
+#[test]
+#[should_panic(expected = "needs an armed plan")]
+fn unframed_world_refuses_a_listed_drop() {
+    let mut s = spec(2, 2);
+    s.faults = FaultPlan {
+        listed: vec![(first_frame(9), FaultKind::Drop)],
+        ..FaultPlan::default()
+    };
+    let _ = sealed_exchange(&s);
 }
 
 #[test]

@@ -1,12 +1,13 @@
 //! Virtual-time trace recording and active-adversary fault injection.
 
+use eag_bench::harness::DATA_SEED;
 use eag_core::{Algorithm, Collective};
-use eag_netsim::{profile, Mapping, Topology};
+use eag_integration::{chaos_config, frame_ids};
+use eag_netsim::{profile, FaultKind, FrameId, Mapping, Topology};
 use eag_runtime::{
-    run, run_crashable, BusyBreakdown, Crash, DataMode, EventKind, FaultPlan, Metrics, RetryPolicy,
-    Trace, WorldSpec,
+    run, run_crashable, try_run, BusyBreakdown, Crash, DataMode, EventKind, FailureCause,
+    FaultPlan, Metrics, RetryPolicy, Trace, WorldSpec,
 };
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Duration;
 
 const SEED: u64 = 0x7A;
@@ -192,32 +193,36 @@ fn every_rank_trace_folds_to_its_metrics() {
     assert!(sum.crashes_detected > 0 && sum.recoveries > 0, "{sum:?}");
 }
 
-/// An on-path adversary corrupting any inter-node frame aborts every
-/// encrypted collective (GCM tag mismatch) — wrong data is never delivered.
+/// An unframed plan tampering with frame `id`: the unrecovered on-path
+/// adversary.
+fn tamper(id: FrameId) -> FaultPlan {
+    FaultPlan {
+        listed: vec![(id, FaultKind::Tamper)],
+        ..FaultPlan::default()
+    }
+}
+
+/// An on-path adversary tampering with any inter-node frame — every frame
+/// of every encrypted all-gather at p ∈ {4, 8}, one run each — aborts the
+/// collective with a typed `AuthFailure` (GCM tag mismatch): wrong data is
+/// never delivered.
 #[test]
-fn corrupting_any_early_frame_aborts_encrypted_collectives() {
+fn tampering_any_frame_aborts_encrypted_collectives() {
+    let mut runs = 0;
     for &algo in Algorithm::encrypted_all() {
-        for frame in [0u64, 1, 2] {
-            let mut spec = WorldSpec::new(
-                Topology::new(8, 4, Mapping::Block),
-                profile::free(),
-                DataMode::Real { seed: SEED },
-            );
-            spec.faults = FaultPlan {
-                corrupt_nth_inter_frame: Some(frame),
-                ..FaultPlan::default()
-            };
-            let result = catch_unwind(AssertUnwindSafe(|| {
-                run(&spec, move |ctx| {
-                    Collective::Allgather(algo).run(ctx, 128).verify(SEED);
-                })
-            }));
-            assert!(
-                result.is_err(),
-                "{algo}: corruption of inter-node frame {frame} went undetected"
-            );
+        for (p, nodes) in [(4, 2), (8, 4)] {
+            let c = Collective::Allgather(algo);
+            for id in frame_ids(c, p, nodes, 64) {
+                let spec = chaos_config(p, nodes).world_spec(tamper(id));
+                let result = try_run(&spec, |ctx| c.run(ctx, 64).verify(DATA_SEED));
+                match result.map(|_| ()).map_err(|e| e.cause) {
+                    Err(FailureCause::AuthFailure { .. }) => runs += 1,
+                    other => panic!("{algo} at p={p}: tamper of {id:?} gave {other:?}"),
+                }
+            }
         }
     }
+    assert!(runs > 0, "no frame was tampered with");
 }
 
 /// The same corruption against an *unencrypted* all-gather is silent: the
@@ -230,12 +235,10 @@ fn corruption_is_silent_without_encryption() {
         profile::free(),
         DataMode::Real { seed: SEED },
     );
-    spec.faults = FaultPlan {
-        corrupt_nth_inter_frame: Some(0),
-        ..FaultPlan::default()
-    };
+    let ring = Collective::Allgather(Algorithm::Ring);
+    spec.faults = tamper(frame_ids(ring, 8, 4, 128)[0]);
     let report = run(&spec, |ctx| {
-        let out = Collective::Allgather(Algorithm::Ring).run(ctx, 128);
+        let out = ring.run(ctx, 128);
         // Completes without any error...
         assert!(out.is_complete());
         // ...but at least one delivered block no longer matches its source.
