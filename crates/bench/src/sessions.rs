@@ -8,8 +8,8 @@
 //!
 //! 1. Run the session's collective **once**, standalone and
 //!    contention-free, on the virtual-time simulator — bit-deterministic
-//!    latency plus, from the wiretap, the per-node inter-node egress
-//!    demand.
+//!    latency plus, from the ranks' metrics, the per-node inter-node
+//!    egress demand.
 //! 2. Push `sessions` copies of that demand through shared owner-scoped
 //!    [`NodeNic`] ledgers (logical node `j` of session `k` lands on
 //!    physical NIC `(j + k) % physical_nodes`, all sessions starting at
@@ -124,10 +124,10 @@ pub fn run_session_case(case: &SessionCase) -> SessionEntry {
     let report = run_verified(&spec, Collective::Allgather(case.algo), case.msg_bytes);
     let standalone = report.latency_us;
 
-    // Per-logical-node inter-node egress, from the wiretap.
+    // Per-logical-node inter-node egress, from the ranks' metrics.
     let mut egress = vec![0u64; case.nodes];
-    for f in report.wiretap.frames() {
-        egress[spec.topology.node_of(f.src)] += f.len as u64;
+    for (rank, metrics) in report.metrics.iter().enumerate() {
+        egress[spec.topology.node_of(rank)] += metrics.inter_bytes_sent;
     }
 
     // Step 2: N sessions' demand through the shared owner-scoped ledgers.

@@ -19,7 +19,7 @@ use crate::output::GatherOutput;
 use crate::tags::PHASE_MAIN;
 use crate::unencrypted::{hierarchical, mvapich_walk, neighbor_exchange};
 use eag_netsim::Rank;
-use eag_runtime::{Item, ProcCtx};
+use eag_runtime::{Fallible, Item, ProcCtx};
 
 /// Every all-gather algorithm in this library.
 ///
@@ -228,7 +228,7 @@ pub(crate) fn allgather_over(
     algo: Algorithm,
     members: &[Rank],
     out: &mut GatherOutput,
-) {
+) -> Fallible {
     let mine = ctx.my_block(out.len_of(ctx.rank()));
     use Algorithm::*;
     match algo {
@@ -250,7 +250,8 @@ pub(crate) fn allgather_over(
             } else {
                 members
             };
-            out.place_items(walk.run(ctx, members, vec![Item::Plain(mine)], PHASE_MAIN));
+            out.place_items(walk.run(ctx, members, vec![Item::Plain(mine)], PHASE_MAIN)?);
+            Ok(())
         }
         Hierarchical => hierarchical(ctx, mine, out),
         CRingPlain => concurrent(ctx, mine, out, Walk::Ring, false),

@@ -18,7 +18,7 @@
 //! rank of every node.
 
 use eag_netsim::{LinkClass, Rank, Topology};
-use eag_runtime::{Item, Parcel, ProcCtx};
+use eag_runtime::{Fallible, Item, Parcel, ProcCtx};
 use std::ops::Range;
 
 /// Largest power of two `<= q`.
@@ -48,21 +48,28 @@ pub(crate) trait Holdings {
     fn len(&self) -> usize;
 
     /// The items at `range`, in the form they take across a `link` edge.
-    fn items_for(&mut self, ctx: &mut ProcCtx, range: Range<usize>, link: LinkClass) -> Vec<Item>;
+    fn items_for(
+        &mut self,
+        ctx: &mut ProcCtx,
+        range: Range<usize>,
+        link: LinkClass,
+    ) -> Fallible<Vec<Item>>;
 
     /// Takes in received items, appended after the held ones.
     fn absorb(&mut self, items: Vec<Item>);
 
     /// Everything, for a fold partner that sends the complete result back.
     /// A plain mover keeps nothing meanwhile: the result contains it all.
-    fn hand_off(&mut self, ctx: &mut ProcCtx, link: LinkClass) -> Vec<Item> {
+    fn hand_off(&mut self, ctx: &mut ProcCtx, link: LinkClass) -> Fallible<Vec<Item>> {
         let n = self.len();
         self.items_for(ctx, 0..n, link)
     }
 
     /// The walk sends the items at `range` no further (they were just
     /// forwarded for the last time, or arrived where they stay).
-    fn settle(&mut self, _ctx: &mut ProcCtx, _range: Range<usize>) {}
+    fn settle(&mut self, _ctx: &mut ProcCtx, _range: Range<usize>) -> Fallible {
+        Ok(())
+    }
 }
 
 /// The plain mover: items travel as they are, plaintext or sealed.
@@ -71,16 +78,21 @@ impl Holdings for Vec<Item> {
         Vec::len(self)
     }
 
-    fn items_for(&mut self, _: &mut ProcCtx, range: Range<usize>, _: LinkClass) -> Vec<Item> {
-        self[range].to_vec()
+    fn items_for(
+        &mut self,
+        _: &mut ProcCtx,
+        range: Range<usize>,
+        _: LinkClass,
+    ) -> Fallible<Vec<Item>> {
+        Ok(self[range].to_vec())
     }
 
     fn absorb(&mut self, items: Vec<Item>) {
         self.extend(items);
     }
 
-    fn hand_off(&mut self, _: &mut ProcCtx, _: LinkClass) -> Vec<Item> {
-        std::mem::take(self)
+    fn hand_off(&mut self, _: &mut ProcCtx, _: LinkClass) -> Fallible<Vec<Item>> {
+        Ok(std::mem::take(self))
     }
 }
 
@@ -105,7 +117,7 @@ impl Walk {
         members: &[Rank],
         held: H,
         tag_base: u64,
-    ) -> H {
+    ) -> Fallible<H> {
         match self {
             Walk::Ring => ring_allgather_items(ctx, members, held, tag_base),
             Walk::Rd => rd_allgather_items(ctx, members, held, tag_base),
@@ -133,7 +145,7 @@ fn ring_allgather_items<H: Holdings>(
     members: &[Rank],
     mut held: H,
     tag_base: u64,
-) -> H {
+) -> Fallible<H> {
     let q = members.len();
     let k = my_index(ctx, members);
     let succ = members[(k + 1) % q];
@@ -145,17 +157,17 @@ fn ring_allgather_items<H: Holdings>(
         // Round boundary: a natural scheduling point on a contended world.
         ctx.yield_now();
         let tag = tag_base + step as u64;
-        let items = held.items_for(ctx, cur.clone(), link);
+        let items = held.items_for(ctx, cur.clone(), link)?;
         ctx.send(succ, tag, Parcel { items });
-        held.settle(ctx, cur);
+        held.settle(ctx, cur)?;
         let start = held.len();
-        held.absorb(ctx.recv(pred, tag).items);
+        held.absorb(ctx.try_recv(pred, tag)?.items);
         cur = start..held.len();
         if link != LinkClass::Inter || step + 2 == q {
-            held.settle(ctx, cur.clone());
+            held.settle(ctx, cur.clone())?;
         }
     }
-    held
+    Ok(held)
 }
 
 /// Recursive-doubling all-gather over an arbitrary member count.
@@ -170,10 +182,10 @@ fn rd_allgather_items<H: Holdings>(
     members: &[Rank],
     mut held: H,
     tag_base: u64,
-) -> H {
+) -> Fallible<H> {
     let q = members.len();
     if q == 1 {
-        return held;
+        return Ok(held);
     }
     let k = my_index(ctx, members);
     let me = ctx.rank();
@@ -187,12 +199,12 @@ fn rd_allgather_items<H: Holdings>(
         if k % 2 == 1 {
             let partner = members[k - 1];
             let link = ctx.topology().link(me, partner);
-            let items = held.hand_off(ctx, link);
+            let items = held.hand_off(ctx, link)?;
             ctx.send(partner, tag_base, Parcel { items });
-            held.absorb(ctx.recv(partner, unfold_tag).items);
-            return held;
+            held.absorb(ctx.try_recv(partner, unfold_tag)?.items);
+            return Ok(held);
         }
-        held.absorb(ctx.recv(members[k + 1], tag_base).items);
+        held.absorb(ctx.try_recv(members[k + 1], tag_base)?.items);
     }
 
     // Active set: even members of the first 2r, then everyone from 2r on.
@@ -210,18 +222,18 @@ fn rd_allgather_items<H: Holdings>(
         let peer = active_member(active_index ^ (1usize << b));
         let tag = tag_base + 1 + b as u64;
         let link = ctx.topology().link(me, peer);
-        let items = held.items_for(ctx, 0..held.len(), link);
-        held.absorb(ctx.sendrecv(peer, peer, tag, Parcel { items }).items);
+        let items = held.items_for(ctx, 0..held.len(), link)?;
+        held.absorb(ctx.sendrecv(peer, peer, tag, Parcel { items })?.items);
     }
 
     // Unfold: give the folded member the complete result.
     if k < 2 * r {
         let partner = members[k + 1];
         let link = ctx.topology().link(me, partner);
-        let items = held.items_for(ctx, 0..held.len(), link);
+        let items = held.items_for(ctx, 0..held.len(), link)?;
         ctx.send(partner, unfold_tag, Parcel { items });
     }
-    held
+    Ok(held)
 }
 
 /// Bruck all-gather (`⌈lg q⌉` rounds for any `q`) of one item per member.
@@ -232,7 +244,7 @@ fn bruck_allgather_items<H: Holdings>(
     members: &[Rank],
     mut held: H,
     tag_base: u64,
-) -> H {
+) -> Fallible<H> {
     let q = members.len();
     let k = my_index(ctx, members);
     let me = ctx.rank();
@@ -245,16 +257,16 @@ fn bruck_allgather_items<H: Holdings>(
         let src = members[(k + step) % q];
         let tag = tag_base + round;
         let link = ctx.topology().link(me, dst);
-        let items = held.items_for(ctx, 0..cnt, link);
+        let items = held.items_for(ctx, 0..cnt, link)?;
         ctx.send(dst, tag, Parcel { items });
-        let received = ctx.recv(src, tag).items;
+        let received = ctx.try_recv(src, tag)?.items;
         debug_assert_eq!(received.len(), cnt);
         held.absorb(received);
         step *= 2;
         round += 1;
     }
     debug_assert_eq!(held.len(), q);
-    held
+    Ok(held)
 }
 
 /// Point-to-point gather to `members[0]`: every other member sends its items
@@ -265,23 +277,23 @@ pub(crate) fn gather_items_to_root<H: Holdings>(
     members: &[Rank],
     mut held: H,
     tag_base: u64,
-) -> Option<H> {
+) -> Fallible<Option<H>> {
     let root = members[0];
     let me = ctx.rank();
     if me == root {
         for (j, &m) in members.iter().enumerate().skip(1) {
             ctx.yield_now();
             let start = held.len();
-            held.absorb(ctx.recv(m, tag_base + j as u64).items);
-            held.settle(ctx, start..held.len());
+            held.absorb(ctx.try_recv(m, tag_base + j as u64)?.items);
+            held.settle(ctx, start..held.len())?;
         }
-        Some(held)
+        Ok(Some(held))
     } else {
         let j = my_index(ctx, members);
         let link = ctx.topology().link(me, root);
-        let items = held.items_for(ctx, 0..held.len(), link);
+        let items = held.items_for(ctx, 0..held.len(), link)?;
         ctx.send(root, tag_base + j as u64, Parcel { items });
-        None
+        Ok(None)
     }
 }
 
@@ -292,7 +304,7 @@ pub(crate) fn bcast_items_from_root<H: Holdings>(
     members: &[Rank],
     mut held: H,
     tag_base: u64,
-) -> H {
+) -> Fallible<H> {
     let q = members.len();
     let k = my_index(ctx, members);
     let me = ctx.rank();
@@ -302,7 +314,10 @@ pub(crate) fn bcast_items_from_root<H: Holdings>(
     let mut mask = 1usize;
     while mask < q {
         if k & mask != 0 {
-            held.absorb(ctx.recv(members[k - mask], tag_base + mask as u64).items);
+            held.absorb(
+                ctx.try_recv(members[k - mask], tag_base + mask as u64)?
+                    .items,
+            );
             break;
         }
         mask <<= 1;
@@ -314,12 +329,12 @@ pub(crate) fn bcast_items_from_root<H: Holdings>(
             ctx.yield_now();
             let dst = members[k + mask];
             let link = ctx.topology().link(me, dst);
-            let items = held.items_for(ctx, 0..held.len(), link);
+            let items = held.items_for(ctx, 0..held.len(), link)?;
             ctx.send(dst, tag_base + mask as u64, Parcel { items });
         }
         mask >>= 1;
     }
-    held
+    Ok(held)
 }
 
 #[cfg(test)]

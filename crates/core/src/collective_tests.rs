@@ -7,7 +7,7 @@ use super::*;
 use crate::recovery::recover_collective;
 use crate::{Algorithm, Collective, DegradedOutput, GatherOutput};
 use eag_netsim::{profile, Crash, FaultPlan, Mapping, Topology};
-use eag_runtime::{run, run_crashable, DataMode, RetryPolicy, WorldSpec};
+use eag_runtime::{run, run_crashable, DataMode, Fallible, RetryPolicy, WorldSpec};
 use std::time::Duration;
 
 fn spec(p: usize, nodes: usize) -> WorldSpec {
@@ -40,12 +40,12 @@ fn floor_pow2_and_ceil_log2() {
 
 fn check_mover(
     p: usize,
-    mover: impl Fn(&mut eag_runtime::ProcCtx, &[Rank], Vec<Item>) -> Vec<Item> + Sync,
+    mover: impl Fn(&mut eag_runtime::ProcCtx, &[Rank], Vec<Item>) -> Fallible<Vec<Item>> + Sync,
 ) {
     let members: Vec<Rank> = (0..p).collect();
     let report = run(&spec(p, 1), |ctx| {
         let mine = vec![Item::Plain(ctx.my_block(4))];
-        let all = mover(ctx, &members, mine);
+        let all = mover(ctx, &members, mine).unwrap();
         origins_of(&all)
     });
     for out in report.outputs {
@@ -79,7 +79,7 @@ fn rd_round_count_is_lg_p_for_powers_of_two() {
     let members: Vec<Rank> = (0..8).collect();
     let report = run(&spec(8, 1), |ctx| {
         let mine = vec![Item::Plain(ctx.my_block(4))];
-        rd_allgather_items(ctx, &members, mine, 100).len()
+        rd_allgather_items(ctx, &members, mine, 100).unwrap().len()
     });
     for m in &report.metrics {
         assert_eq!(m.comm_rounds, 3);
@@ -91,7 +91,7 @@ fn rd_round_count_bounded_for_general_q() {
     let members: Vec<Rank> = (0..6).collect();
     let report = run(&spec(6, 1), |ctx| {
         let mine = vec![Item::Plain(ctx.my_block(4))];
-        origins_of(&rd_allgather_items(ctx, &members, mine, 100))
+        origins_of(&rd_allgather_items(ctx, &members, mine, 100).unwrap())
     });
     for out in &report.outputs {
         assert_eq!(out, &(0..6).collect::<Vec<_>>());
@@ -106,11 +106,11 @@ fn gather_and_bcast_roundtrip() {
     let members: Vec<Rank> = (0..5).collect();
     let report = run(&spec(5, 1), |ctx| {
         let mine = vec![Item::Plain(ctx.my_block(4))];
-        let gathered = gather_items_to_root(ctx, &members, mine, 10);
+        let gathered = gather_items_to_root(ctx, &members, mine, 10).unwrap();
         if ctx.rank() == 0 {
             assert_eq!(origins_of(gathered.as_ref().unwrap()), vec![0, 1, 2, 3, 4]);
         }
-        let all = bcast_items_from_root(ctx, &members, gathered.unwrap_or_default(), 200);
+        let all = bcast_items_from_root(ctx, &members, gathered.unwrap_or_default(), 200).unwrap();
         origins_of(&all)
     });
     for out in report.outputs {
@@ -128,7 +128,7 @@ fn bcast_works_for_many_sizes() {
             } else {
                 Vec::new()
             };
-            let got = bcast_items_from_root(ctx, &members, items, 50);
+            let got = bcast_items_from_root(ctx, &members, items, 50).unwrap();
             origins_of(&got)
         });
         for out in report.outputs {
@@ -166,7 +166,7 @@ fn ring_respects_member_order() {
     let members: Vec<Rank> = vec![2, 0, 3, 1];
     let report = run(&spec(4, 1), |ctx| {
         let mine = vec![Item::Plain(ctx.my_block(4))];
-        origins_of(&ring_allgather_items(ctx, &members, mine, 7))
+        origins_of(&ring_allgather_items(ctx, &members, mine, 7).unwrap())
     });
     for out in report.outputs {
         assert_eq!(out, vec![0, 1, 2, 3]);
@@ -467,12 +467,13 @@ fn agreement_only(
                 if dying.contains(&me) {
                     ctx.send((me + 1) % p, 1, Parcel { items: Vec::new() });
                 } else if let Some(&first) = dying.first() {
-                    ctx.recv(first, 1);
+                    ctx.try_recv(first, 1)?;
                 }
-                empty(&[])
+                Ok(empty(&[]))
             },
-            |_, members| empty(members),
+            |_, members| Ok(empty(members)),
         )
+        .unwrap()
     });
     let sealed = report.metrics.iter().map(|m| m.enc_rounds).sum();
     (report, sealed)

@@ -29,7 +29,7 @@ use crate::collective::{ceil_log2, my_index};
 use crate::encrypted::Held;
 use crate::output::GatherOutput;
 use eag_netsim::Rank;
-use eag_runtime::{Item, Parcel, ProcCtx};
+use eag_runtime::{Fallible, Item, Parcel, ProcCtx};
 
 /// Pairwise-exchange encrypted all-to-all over `members`, uniform block
 /// length `m`. Each rank's output holds the `q` blocks addressed to it,
@@ -40,7 +40,7 @@ pub(crate) fn alltoall_pairwise(
     members: &[Rank],
     m: usize,
     tag_base: u64,
-) -> GatherOutput {
+) -> Fallible<GatherOutput> {
     let q = members.len();
     let i = my_index(ctx, members);
     let me = ctx.rank();
@@ -52,10 +52,10 @@ pub(crate) fn alltoall_pairwise(
         let src = members[(i + q - k) % q];
         let link = ctx.topology().link(me, dst);
         let item = Held::from(ctx.my_block_for(dst, m)).relay(ctx, link);
-        let mut parcel = ctx.sendrecv(dst, src, tag_base + k as u64, Parcel::one(item));
-        out.place(Held::from(parcel.items.remove(0)).into_plain(ctx));
+        let mut parcel = ctx.sendrecv(dst, src, tag_base + k as u64, Parcel::one(item))?;
+        out.place(Held::from(parcel.items.remove(0)).into_plain(ctx)?);
     }
-    out
+    Ok(out)
 }
 
 /// The member-index pairs `(si, di)` whose blocks arrive at index `i` in
@@ -88,7 +88,7 @@ pub(crate) fn alltoall_bruck(
     members: &[Rank],
     m: usize,
     tag_base: u64,
-) -> GatherOutput {
+) -> Fallible<GatherOutput> {
     let q = members.len();
     let i = my_index(ctx, members);
     let me = ctx.rank();
@@ -127,7 +127,7 @@ pub(crate) fn alltoall_bruck(
             ctx.send(dst, tag_base + u64::from(k), Parcel { items });
         }
         if !expected.is_empty() {
-            let parcel = ctx.recv(src, tag_base + u64::from(k));
+            let parcel = ctx.try_recv(src, tag_base + u64::from(k))?;
             assert_eq!(parcel.items.len(), expected.len(), "bruck manifest drift");
             for (key, item) in expected.into_iter().zip(parcel.items) {
                 held.insert(key, Held::from(item));
@@ -138,11 +138,11 @@ pub(crate) fn alltoall_bruck(
     let mut out = GatherOutput::new(vec![m; ctx.p()], members);
     for ((si, di), h) in held {
         debug_assert_eq!(di, i, "undelivered block after final round");
-        let c = h.into_plain(ctx);
+        let c = h.into_plain(ctx)?;
         debug_assert_eq!(c.origins, vec![members[si]]);
         out.place(c);
     }
-    out
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -163,7 +163,7 @@ mod tests {
         s
     }
 
-    type Kernel = fn(&mut ProcCtx, &[Rank], usize, u64) -> GatherOutput;
+    type Kernel = fn(&mut ProcCtx, &[Rank], usize, u64) -> Fallible<GatherOutput>;
 
     #[test]
     fn alltoall_correct_and_sealed() {
@@ -173,7 +173,7 @@ mod tests {
                     for m in [1usize, 24, 100] {
                         let report = run(&world(p, nodes, mapping), move |ctx| {
                             let members: Vec<Rank> = (0..p).collect();
-                            let out = f(ctx, &members, m, 400);
+                            let out = f(ctx, &members, m, 400).unwrap();
                             out.verify_pairwise(SEED, ctx.rank());
                             assert!((0..p).all(|r| out.get(r).is_some()));
                         });
@@ -196,7 +196,9 @@ mod tests {
         let (p, m) = (16usize, 32usize);
         let report = run(&world(p, 4, Mapping::Block), move |ctx| {
             let members: Vec<Rank> = (0..p).collect();
-            alltoall_pairwise(ctx, &members, m, 400).verify_pairwise(SEED, ctx.rank());
+            alltoall_pairwise(ctx, &members, m, 400)
+                .unwrap()
+                .verify_pairwise(SEED, ctx.rank());
         });
         let max = eag_runtime::Metrics::component_max(&report.metrics);
         assert_eq!(max.comm_rounds, (p - 1) as u64);
@@ -212,7 +214,9 @@ mod tests {
         for f in [alltoall_pairwise as Kernel, alltoall_bruck] {
             let report = run(&world(6, 1, Mapping::Block), move |ctx| {
                 let members: Vec<Rank> = (0..6).collect();
-                f(ctx, &members, 16, 400).verify_pairwise(SEED, ctx.rank());
+                f(ctx, &members, 16, 400)
+                    .unwrap()
+                    .verify_pairwise(SEED, ctx.rank());
             });
             let total: u64 = report
                 .metrics
@@ -230,7 +234,7 @@ mod tests {
             let members2 = members.clone();
             let report = run(&world(12, 3, Mapping::Block), move |ctx| {
                 if members2.contains(&ctx.rank()) {
-                    let out = f(ctx, &members2, 16, 400);
+                    let out = f(ctx, &members2, 16, 400).unwrap();
                     out.verify_pairwise(SEED, ctx.rank());
                     for &r in &members2 {
                         assert!(out.get(r).is_some());

@@ -21,7 +21,7 @@ use crate::collective::{bcast_items_from_root, my_index};
 use crate::encrypted::Held;
 use crate::output::GatherOutput;
 use eag_netsim::{LinkClass, Rank};
-use eag_runtime::{Chunk, Data, Parcel, ProcCtx};
+use eag_runtime::{Chunk, Data, Fallible, Parcel, ProcCtx};
 
 /// Segment count for the pipelined chain: a deterministic function of the
 /// block size so every rank (and the closed-form prediction) agrees without
@@ -78,17 +78,17 @@ pub(crate) fn bcast_binomial(
     members: &[Rank],
     m: usize,
     tag_base: u64,
-) -> GatherOutput {
+) -> Fallible<GatherOutput> {
     let root = members[0];
     let mine = if ctx.rank() == root {
         vec![Held::from(ctx.block_for(root, m))]
     } else {
         Vec::new()
     };
-    let mut held = bcast_items_from_root(ctx, members, mine, tag_base);
+    let mut held = bcast_items_from_root(ctx, members, mine, tag_base)?;
     let mut out = GatherOutput::new(vec![m; ctx.p()], &[root]);
-    out.place(held[0].open(ctx));
-    out
+    out.place(held[0].open(ctx)?);
+    Ok(out)
 }
 
 /// Sealed pipelined-chain broadcast: the root splits its block into
@@ -102,7 +102,7 @@ pub(crate) fn bcast_pipelined(
     members: &[Rank],
     m: usize,
     tag_base: u64,
-) -> GatherOutput {
+) -> Fallible<GatherOutput> {
     let q = members.len();
     let k = my_index(ctx, members);
     let root = members[0];
@@ -122,7 +122,7 @@ pub(crate) fn bcast_pipelined(
             }
         }
         out.place(full);
-        return out;
+        return Ok(out);
     }
 
     let pred = members[k - 1];
@@ -130,25 +130,25 @@ pub(crate) fn bcast_pipelined(
     for i in 0..segs.len() {
         ctx.yield_now();
         let tag = tag_base + i as u64;
-        let mut held = Held::from(ctx.recv(pred, tag).items.remove(0));
+        let mut held = Held::from(ctx.try_recv(pred, tag)?.items.remove(0));
         // A segment that stays in this node is opened on arrival; one that
         // leaves it sealed is forwarded as-is first and opened under the
         // wait for the next segment.
         if link != Some(LinkClass::Inter) {
-            held.settle(ctx);
+            held.settle(ctx)?;
         }
         if let (Some(succ), Some(link)) = (succ, link) {
-            let item = held.item_for(ctx, link);
+            let item = held.item_for(ctx, link)?;
             ctx.send(succ, tag, Parcel::one(item));
         }
-        collected.push(held.into_plain(ctx).data);
+        collected.push(held.into_plain(ctx)?.data);
     }
     out.place(Chunk {
         origins: vec![root],
         block_len: m,
         data: concat_data(collected, m),
     });
-    out
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -175,7 +175,7 @@ mod tests {
             for (p, nodes) in [(8, 2), (9, 3), (6, 6), (5, 1)] {
                 let members: Vec<Rank> = (0..p).collect();
                 let report = run(&world(p, nodes, mapping), move |ctx| {
-                    let out = bcast_binomial(ctx, &members, 24, 300);
+                    let out = bcast_binomial(ctx, &members, 24, 300).unwrap();
                     out.verify(SEED);
                 });
                 if nodes > 1 {
@@ -195,7 +195,7 @@ mod tests {
                 for m in [1usize, 3, 24, 1000] {
                     let members: Vec<Rank> = (0..p).collect();
                     let report = run(&world(p, nodes, mapping), move |ctx| {
-                        let out = bcast_pipelined(ctx, &members, m, 300);
+                        let out = bcast_pipelined(ctx, &members, m, 300).unwrap();
                         out.verify(SEED);
                     });
                     if nodes > 1 {
@@ -214,7 +214,7 @@ mod tests {
         let (p, m) = (16usize, 32usize);
         let report = run(&world(p, 4, Mapping::Block), move |ctx| {
             let members: Vec<Rank> = (0..p).collect();
-            bcast_binomial(ctx, &members, m, 300).verify(SEED);
+            bcast_binomial(ctx, &members, m, 300).unwrap().verify(SEED);
         });
         let max = eag_runtime::Metrics::component_max(&report.metrics);
         assert_eq!(max.comm_rounds, 1);
@@ -233,7 +233,7 @@ mod tests {
         let s = bcast_segments(m) as u64;
         let report = run(&world(p, 4, Mapping::Block), move |ctx| {
             let members: Vec<Rank> = (0..p).collect();
-            bcast_pipelined(ctx, &members, m, 300).verify(SEED);
+            bcast_pipelined(ctx, &members, m, 300).unwrap().verify(SEED);
         });
         let max = eag_runtime::Metrics::component_max(&report.metrics);
         assert_eq!(max.comm_rounds, s);
@@ -247,12 +247,12 @@ mod tests {
     #[test]
     fn single_node_broadcast_needs_no_crypto() {
         for f in [
-            bcast_binomial as fn(&mut ProcCtx, &[Rank], usize, u64) -> GatherOutput,
+            bcast_binomial as fn(&mut ProcCtx, &[Rank], usize, u64) -> Fallible<GatherOutput>,
             bcast_pipelined,
         ] {
             let report = run(&world(6, 1, Mapping::Block), move |ctx| {
                 let members: Vec<Rank> = (0..6).collect();
-                f(ctx, &members, 40, 300).verify(SEED);
+                f(ctx, &members, 40, 300).unwrap().verify(SEED);
             });
             let sum = eag_runtime::Metrics::component_sum(&report.metrics);
             assert_eq!(sum.enc_rounds, 0);
@@ -265,13 +265,13 @@ mod tests {
         // Survivor-shaped member list straddling nodes, root = members[0].
         let members: Vec<Rank> = vec![1, 2, 4, 7, 10];
         for f in [
-            bcast_binomial as fn(&mut ProcCtx, &[Rank], usize, u64) -> GatherOutput,
+            bcast_binomial as fn(&mut ProcCtx, &[Rank], usize, u64) -> Fallible<GatherOutput>,
             bcast_pipelined,
         ] {
             let members2 = members.clone();
             let report = run(&world(12, 3, Mapping::Block), move |ctx| {
                 if members2.contains(&ctx.rank()) {
-                    let out = f(ctx, &members2, 48, 300);
+                    let out = f(ctx, &members2, 48, 300).unwrap();
                     out.verify(SEED);
                     assert!(out.get(1).is_some());
                 }

@@ -21,7 +21,7 @@ use crate::collective::{node_group, Walk};
 use crate::encrypted::o_walk_over;
 use crate::output::GatherOutput;
 use crate::tags;
-use eag_runtime::{Chunk, Item, ProcCtx};
+use eag_runtime::{Chunk, Fallible, Item, ProcCtx};
 
 /// Runs the Concurrent algorithm over the whole world with `walk` as both
 /// the sub-gather and the local phase (Ring: C-Ring, RD: C-RD),
@@ -35,7 +35,7 @@ pub(crate) fn concurrent(
     out: &mut GatherOutput,
     walk: Walk,
     encrypted: bool,
-) {
+) -> Fallible {
     let topo = ctx.topology().clone();
     // Group members: the process with this rank's local index on every
     // node, ordered by node. This ordering is mapping-oblivious (the
@@ -44,10 +44,10 @@ pub(crate) fn concurrent(
 
     // Phase 1: concurrent sub-all-gathers (one per group).
     if encrypted {
-        o_walk_over(ctx, walk, &members, my_chunk, out, tags::PHASE_SUB);
+        o_walk_over(ctx, walk, &members, my_chunk, out, tags::PHASE_SUB)?;
     } else {
         let items = vec![Item::Plain(my_chunk)];
-        out.place_items(walk.run(ctx, &members, items, tags::PHASE_SUB));
+        out.place_items(walk.run(ctx, &members, items, tags::PHASE_SUB)?);
     }
 
     // Phase 2: node-local ordinary all-gather of each group's result.
@@ -62,8 +62,9 @@ pub(crate) fn concurrent(
         } else {
             blocks.into_iter().map(Item::Plain).collect()
         };
-        out.place_items(walk.run(ctx, &local, items, tags::PHASE_LOCAL));
+        out.place_items(walk.run(ctx, &local, items, tags::PHASE_LOCAL)?);
     }
+    Ok(())
 }
 
 #[cfg(test)]

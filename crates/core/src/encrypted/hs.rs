@@ -31,7 +31,7 @@ use crate::collective::{node_group, Walk};
 use crate::output::GatherOutput;
 use crate::tags;
 use eag_netsim::Mapping;
-use eag_runtime::{Chunk, Item, ProcCtx};
+use eag_runtime::{Chunk, Fallible, Item, ProcCtx};
 
 /// Which HS scheme to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -54,7 +54,7 @@ pub(crate) fn hs_over(
     my_chunk: Chunk,
     out: &mut GatherOutput,
     variant: HsVariant,
-) {
+) -> Fallible {
     let topo = ctx.topology().clone();
     let my_node = topo.node_of(ctx.rank());
     let ell = topo.procs_per_node();
@@ -82,22 +82,23 @@ pub(crate) fn hs_over(
     } else {
         ctx.shared_deposit(ctx.slot(tags::SLOT_GATHER, li), Item::Plain(my_chunk), ell);
     }
-    ctx.node_barrier();
+    ctx.node_barrier()?;
 
     // Step 2: leaders all-gather.
     if li == 0 {
         let contribution: Vec<Item> = if variant == HsVariant::Hs2 {
             (0..ell)
                 .map(|k| ctx.shared_fetch_free(ctx.slot(tags::SLOT_CIPHER_IN, k)))
-                .collect()
+                .collect::<Fallible<_>>()?
         } else {
             // One node buffer; only HS1 seals it.
             let blocks: Vec<Chunk> = (0..ell)
                 .map(|k| {
-                    ctx.shared_fetch_free(ctx.slot(tags::SLOT_GATHER, k))
-                        .into_plain()
+                    Ok(ctx
+                        .shared_fetch_free(ctx.slot(tags::SLOT_GATHER, k))?
+                        .into_plain())
                 })
-                .collect();
+                .collect::<Fallible<_>>()?;
             let node_chunk = Chunk::concat_owned(blocks);
             vec![match variant {
                 HsVariant::Hs1 => Item::Sealed(ctx.encrypt(node_chunk)),
@@ -105,7 +106,7 @@ pub(crate) fn hs_over(
             }]
         };
         let leaders = node_group(&topo, 0);
-        let gathered = Walk::Rd.run(ctx, &leaders, contribution, tags::PHASE_MAIN);
+        let gathered = Walk::Rd.run(ctx, &leaders, contribution, tags::PHASE_MAIN)?;
         // Deposit foreign items into the shared ciphertext (or plaintext)
         // buffer, indexed consecutively for the joint-decryption split.
         let mut idx = 0usize;
@@ -124,33 +125,33 @@ pub(crate) fn hs_over(
             "leader gathered an unexpected item count"
         );
     }
-    ctx.node_barrier();
+    ctx.node_barrier()?;
 
     // Step 3: joint decryption into the shared plaintext buffer.
     for j in (0..foreign_items).skip(li).step_by(ell) {
         // Each joint-decryption slice is a compute burst; give waiting
         // ranks a turn between slices on a contended world.
         ctx.yield_now();
-        let item = ctx.shared_fetch_free(ctx.slot(tags::SLOT_CIPHER_FOREIGN, j));
+        let item = ctx.shared_fetch_free(ctx.slot(tags::SLOT_CIPHER_FOREIGN, j))?;
         let plain = match item {
-            Item::Sealed(s) => ctx.decrypt(s),
+            Item::Sealed(s) => ctx.decrypt(s)?,
             Item::Plain(c) => c,
         };
         // Every process copies every decrypted block out in step 4.
         ctx.shared_deposit_free(ctx.slot(tags::SLOT_PLAIN_OUT, j), Item::Plain(plain), ell);
     }
-    ctx.node_barrier();
+    ctx.node_barrier()?;
 
     // Step 4: copy everything to the user buffer.
     for k in 0..ell {
         if k == li {
             continue; // own block already placed
         }
-        let item = ctx.shared_fetch_free(ctx.slot(tags::SLOT_GATHER, k));
+        let item = ctx.shared_fetch_free(ctx.slot(tags::SLOT_GATHER, k))?;
         out.place(item.into_plain());
     }
     for j in 0..foreign_items {
-        let item = ctx.shared_fetch_free(ctx.slot(tags::SLOT_PLAIN_OUT, j));
+        let item = ctx.shared_fetch_free(ctx.slot(tags::SLOT_PLAIN_OUT, j))?;
         out.place(item.into_plain());
     }
     // The rank-order rearrangement cost: one bulk copy under block mapping,
@@ -163,6 +164,7 @@ pub(crate) fn hs_over(
             }
         }
     }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -268,7 +270,7 @@ mod tests {
                         Collective::Allgather(algo).run(ctx, 16).verify(13);
                         // All ranks are past their last fetch here, so the
                         // observation below is race-free.
-                        ctx.node_barrier();
+                        ctx.node_barrier().unwrap();
                         ctx.shared_slots_len()
                     });
                     assert!(
@@ -289,7 +291,7 @@ mod tests {
                     .run(ctx, 16)
                     .verify(13);
             }
-            ctx.node_barrier();
+            ctx.node_barrier().unwrap();
             ctx.shared_slots_len()
         });
         assert!(report.outputs.iter().all(|&live| live == 0));

@@ -34,7 +34,7 @@ pub(crate) use rooted::{
 use crate::collective::{Holdings, Walk};
 use crate::output::GatherOutput;
 use eag_netsim::{LinkClass, Rank};
-use eag_runtime::{Chunk, Item, ProcCtx, Sealed};
+use eag_runtime::{Chunk, Fallible, Item, ProcCtx, Sealed};
 use std::ops::Range;
 
 /// One block as a rank holds it — plaintext, ciphertext, or both — and the
@@ -75,40 +75,41 @@ impl Held {
     /// the block too: the ciphertext between nodes (sealed here if it has
     /// none yet), the plaintext within one (opened here if it has none).
     /// Whatever is made is kept for later edges.
-    pub(crate) fn item_for(&mut self, ctx: &mut ProcCtx, link: LinkClass) -> Item {
+    pub(crate) fn item_for(&mut self, ctx: &mut ProcCtx, link: LinkClass) -> Fallible<Item> {
         if link != LinkClass::Inter {
-            return Item::Plain(self.open(ctx));
+            return Ok(Item::Plain(self.open(ctx)?));
         }
         if self.sealed.is_none() {
             let plain = self.plain.clone().expect("held block has neither form");
             self.sealed = Some(ctx.encrypt(plain));
         }
-        Item::Sealed(self.sealed.clone().expect("sealed above"))
+        Ok(Item::Sealed(self.sealed.clone().expect("sealed above")))
     }
 
     /// The plaintext, opened at most once; the ciphertext stays held.
-    pub(crate) fn open(&mut self, ctx: &mut ProcCtx) -> Chunk {
+    pub(crate) fn open(&mut self, ctx: &mut ProcCtx) -> Fallible<Chunk> {
         if self.plain.is_none() {
             let sealed = self.sealed.clone().expect("held block has neither form");
-            self.plain = Some(ctx.decrypt(sealed));
+            self.plain = Some(ctx.decrypt(sealed)?);
         }
-        self.plain.clone().expect("opened above")
+        Ok(self.plain.clone().expect("opened above"))
     }
 
     /// The block moves no further: it is opened if it is still sealed, and
     /// the ciphertext is let go.
-    pub(crate) fn settle(&mut self, ctx: &mut ProcCtx) {
+    pub(crate) fn settle(&mut self, ctx: &mut ProcCtx) -> Fallible {
         if let Some(sealed) = self.sealed.take() {
             if self.plain.is_none() {
-                self.plain = Some(ctx.decrypt(sealed));
+                self.plain = Some(ctx.decrypt(sealed)?);
             }
         }
+        Ok(())
     }
 
     /// The plaintext, for the rank that consumes the block.
-    pub(crate) fn into_plain(mut self, ctx: &mut ProcCtx) -> Chunk {
-        self.settle(ctx);
-        self.plain.expect("settled block holds its plaintext")
+    pub(crate) fn into_plain(mut self, ctx: &mut ProcCtx) -> Fallible<Chunk> {
+        self.settle(ctx)?;
+        Ok(self.plain.expect("settled block holds its plaintext"))
     }
 
     /// The block's form across a `link` edge, for a holder that does not
@@ -130,7 +131,12 @@ impl Holdings for Vec<Held> {
         Vec::len(self)
     }
 
-    fn items_for(&mut self, ctx: &mut ProcCtx, range: Range<usize>, link: LinkClass) -> Vec<Item> {
+    fn items_for(
+        &mut self,
+        ctx: &mut ProcCtx,
+        range: Range<usize>,
+        link: LinkClass,
+    ) -> Fallible<Vec<Item>> {
         self[range]
             .iter_mut()
             .map(|h| h.item_for(ctx, link))
@@ -141,18 +147,17 @@ impl Holdings for Vec<Held> {
         self.extend(items.into_iter().map(Held::from));
     }
 
-    fn settle(&mut self, ctx: &mut ProcCtx, range: Range<usize>) {
-        for h in &mut self[range] {
-            h.settle(ctx);
-        }
+    fn settle(&mut self, ctx: &mut ProcCtx, range: Range<usize>) -> Fallible {
+        self[range].iter_mut().try_for_each(|h| h.settle(ctx))
     }
 }
 
 /// Opens every held block and places it in `out`.
-pub(crate) fn place_held(ctx: &mut ProcCtx, held: Vec<Held>, out: &mut GatherOutput) {
+pub(crate) fn place_held(ctx: &mut ProcCtx, held: Vec<Held>, out: &mut GatherOutput) -> Fallible {
     for h in held {
-        out.place(h.into_plain(ctx));
+        out.place(h.into_plain(ctx)?);
     }
+    Ok(())
 }
 
 /// The opportunistic all-gather of `my_chunk` over `walk` among `members`
@@ -167,7 +172,7 @@ pub(crate) fn o_walk_over(
     my_chunk: Chunk,
     out: &mut GatherOutput,
     tag_base: u64,
-) {
+) -> Fallible {
     if walk == Walk::Rd {
         return o_rd_over(
             ctx,
@@ -178,8 +183,8 @@ pub(crate) fn o_walk_over(
             tag_base,
         );
     }
-    let held = walk.run(ctx, members, vec![Held::from(my_chunk)], tag_base);
-    place_held(ctx, held, out);
+    let held = walk.run(ctx, members, vec![Held::from(my_chunk)], tag_base)?;
+    place_held(ctx, held, out)
 }
 
 #[cfg(test)]
@@ -204,7 +209,7 @@ mod tests {
     /// returned metrics exclude).
     fn on_rank0<T: Send>(
         sealed: bool,
-        body: impl Fn(&mut ProcCtx, Held) -> T + Sync,
+        body: impl Fn(&mut ProcCtx, Held) -> Fallible<T> + Sync,
     ) -> (T, Metrics) {
         let report = run(&world(), |ctx| {
             (ctx.rank() == 0).then(|| {
@@ -216,7 +221,7 @@ mod tests {
                 } else {
                     Item::Plain(block)
                 };
-                body(ctx, Held::from(item))
+                body(ctx, Held::from(item)).unwrap()
             })
         });
         let out = report.outputs.into_iter().next().unwrap().unwrap();
@@ -232,7 +237,9 @@ mod tests {
         for sealed in [false, true] {
             for link in LINKS {
                 let (items, met) = on_rank0(sealed, move |ctx, mut h| {
-                    (0..3).map(|_| h.item_for(ctx, link)).collect::<Vec<_>>()
+                    (0..3)
+                        .map(|_| h.item_for(ctx, link))
+                        .collect::<Fallible<Vec<_>>>()
                 });
                 let inter = link == LinkClass::Inter;
                 for item in &items {
@@ -251,12 +258,12 @@ mod tests {
     fn a_block_crossing_every_link_class_is_sealed_and_opened_once() {
         for sealed in [false, true] {
             let ((first, second), met) = on_rank0(sealed, |ctx, mut h| {
-                let first = h.item_for(ctx, LinkClass::Inter);
+                let first = h.item_for(ctx, LinkClass::Inter)?;
                 for link in LINKS {
-                    h.item_for(ctx, link);
-                    h.open(ctx);
+                    h.item_for(ctx, link)?;
+                    h.open(ctx)?;
                 }
-                (first, h.item_for(ctx, LinkClass::Inter))
+                Ok((first, h.item_for(ctx, LinkClass::Inter)?))
             });
             // Every inter-node edge gets the same frame, nonce included.
             assert_eq!(first, second);
@@ -269,10 +276,10 @@ mod tests {
     fn settle_opens_once_and_drops_the_ciphertext() {
         for sealed in [false, true] {
             let ((item, plain), met) = on_rank0(sealed, |ctx, mut h| {
-                h.settle(ctx);
-                h.settle(ctx);
-                let plain = h.open(ctx);
-                (h.item_for(ctx, LinkClass::Intra), plain)
+                h.settle(ctx)?;
+                h.settle(ctx)?;
+                let plain = h.open(ctx)?;
+                Ok((h.item_for(ctx, LinkClass::Intra)?, plain))
             });
             assert_eq!(item, Item::Plain(plain));
             assert_eq!(met.enc_rounds, 0);
@@ -280,7 +287,7 @@ mod tests {
         }
         // A settled block that must leave the node again is sealed afresh.
         let (_, met) = on_rank0(true, |ctx, mut h| {
-            h.settle(ctx);
+            h.settle(ctx)?;
             h.item_for(ctx, LinkClass::Inter)
         });
         assert_eq!((met.enc_rounds, met.dec_rounds), (1, 1));
@@ -290,7 +297,7 @@ mod tests {
     fn relay_seals_plaintext_leaving_the_node_and_passes_ciphertext_on() {
         for sealed in [false, true] {
             for link in LINKS {
-                let (item, met) = on_rank0(sealed, move |ctx, h| h.relay(ctx, link));
+                let (item, met) = on_rank0(sealed, move |ctx, h| Ok(h.relay(ctx, link)));
                 let inter = link == LinkClass::Inter;
                 assert_eq!(
                     is_sealed(&item),
@@ -315,7 +322,7 @@ mod tests {
         }
         // Opened once for an intra edge, then consumed: no second open.
         let (_, met) = on_rank0(true, |ctx, mut h| {
-            h.item_for(ctx, LinkClass::Intra);
+            h.item_for(ctx, LinkClass::Intra)?;
             h.into_plain(ctx)
         });
         assert_eq!(met.dec_rounds, 1);

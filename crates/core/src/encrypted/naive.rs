@@ -11,7 +11,7 @@ use crate::output::GatherOutput;
 use crate::tags;
 use crate::unencrypted::mvapich_walk;
 use eag_netsim::Rank;
-use eag_runtime::{Chunk, Item, ProcCtx};
+use eag_runtime::{Chunk, Fallible, Item, ProcCtx};
 
 /// Runs the Naive algorithm among `members`: seal `my_chunk`, all-gather
 /// the ciphertexts over the modeled MVAPICH default's walk (selected on the
@@ -21,10 +21,10 @@ pub(crate) fn naive_over(
     members: &[Rank],
     my_chunk: Chunk,
     out: &mut GatherOutput,
-) {
+) -> Fallible {
     out.place(my_chunk.clone());
     let sealed = Item::Sealed(ctx.encrypt(my_chunk));
-    let items = mvapich_walk(members, out).run(ctx, members, vec![sealed], tags::PHASE_MAIN);
+    let items = mvapich_walk(members, out).run(ctx, members, vec![sealed], tags::PHASE_MAIN)?;
 
     // Decrypt every received ciphertext (own block is already in place).
     for item in items {
@@ -32,9 +32,9 @@ pub(crate) fn naive_over(
         if s.origins.iter().all(|&o| out.has(o)) {
             continue;
         }
-        let c = ctx.decrypt(s);
-        out.place(c);
+        out.place(ctx.decrypt(s)?);
     }
+    Ok(())
 }
 
 #[cfg(test)]

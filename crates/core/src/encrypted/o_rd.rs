@@ -21,7 +21,7 @@
 use crate::collective::{Holdings, Walk};
 use crate::output::GatherOutput;
 use eag_netsim::{LinkClass, Rank};
-use eag_runtime::{Chunk, Item, ProcCtx, Sealed};
+use eag_runtime::{Chunk, Fallible, Item, ProcCtx, Sealed};
 use std::ops::Range;
 
 /// Which opportunistic RD variant to run.
@@ -48,9 +48,9 @@ struct OrdState {
 impl OrdState {
     /// Decrypts every held ciphertext into the plaintext set (skipping
     /// ciphertexts whose origins are already known in plaintext).
-    fn absorb_sealed(&mut self, ctx: &mut ProcCtx) {
+    fn absorb_sealed(&mut self, ctx: &mut ProcCtx) -> Fallible {
         if self.sealed.is_empty() {
-            return;
+            return Ok(());
         }
         let known: std::collections::HashSet<Rank> = self
             .plain
@@ -61,10 +61,10 @@ impl OrdState {
             if s.origins.iter().all(|o| known.contains(o)) {
                 continue;
             }
-            let c = ctx.decrypt(s);
-            self.plain.push(c);
+            self.plain.push(ctx.decrypt(s)?);
         }
         self.cache = None;
+        Ok(())
     }
 }
 
@@ -74,17 +74,22 @@ impl Holdings for OrdState {
         self.plain.len() + self.sealed.len()
     }
 
-    fn items_for(&mut self, ctx: &mut ProcCtx, _: Range<usize>, link: LinkClass) -> Vec<Item> {
-        match link {
+    fn items_for(
+        &mut self,
+        ctx: &mut ProcCtx,
+        _: Range<usize>,
+        link: LinkClass,
+    ) -> Fallible<Vec<Item>> {
+        Ok(match link {
             LinkClass::Intra | LinkClass::SelfLoop => {
                 // Intra-node sends carry plaintext only; held ciphertexts
                 // must be opened first (the opportunistic rule).
-                self.absorb_sealed(ctx);
+                self.absorb_sealed(ctx)?;
                 vec![Item::Plain(Chunk::concat(&self.plain))]
             }
             LinkClass::Inter => match self.variant {
                 OrdVariant::MergeRecrypt => {
-                    self.absorb_sealed(ctx);
+                    self.absorb_sealed(ctx)?;
                     let merged = Chunk::concat(&self.plain);
                     vec![Item::Sealed(ctx.encrypt(merged))]
                 }
@@ -98,7 +103,7 @@ impl Holdings for OrdState {
                     items
                 }
             },
-        }
+        })
     }
 
     fn absorb(&mut self, items: Vec<Item>) {
@@ -124,19 +129,20 @@ pub(crate) fn o_rd_over(
     out: &mut GatherOutput,
     variant: OrdVariant,
     tag_base: u64,
-) {
+) -> Fallible {
     let state = OrdState {
         plain: vec![my_chunk],
         sealed: Vec::new(),
         cache: None,
         variant,
     };
-    let mut state = Walk::Rd.run(ctx, members, state, tag_base);
+    let mut state = Walk::Rd.run(ctx, members, state, tag_base)?;
     // Decrypt the remaining ciphertexts and place everything.
-    state.absorb_sealed(ctx);
+    state.absorb_sealed(ctx)?;
     for c in state.plain {
         out.place(c);
     }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -229,7 +235,8 @@ mod tests {
                 &mut out,
                 OrdVariant::ForwardSealed,
                 900,
-            );
+            )
+            .unwrap();
             out.verify(6);
         });
         for met in &report.metrics {

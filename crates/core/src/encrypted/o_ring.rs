@@ -70,7 +70,7 @@ mod tests {
             let members: Vec<Rank> = (0..4).collect();
             let mut out = GatherOutput::new(vec![8; 4], &members);
             let mine = ctx.my_block(8);
-            o_walk_over(ctx, Walk::Ring, &members, mine, &mut out, 500);
+            o_walk_over(ctx, Walk::Ring, &members, mine, &mut out, 500).unwrap();
             out.verify(5);
         });
         for m in &report.metrics {

@@ -31,7 +31,7 @@ use crate::collective::{gather_items_to_root, my_index, Walk};
 use crate::encrypted::{place_held, Held};
 use crate::output::GatherOutput;
 use eag_netsim::Rank;
-use eag_runtime::{Chunk, Data, Item, Parcel, ProcCtx};
+use eag_runtime::{Chunk, Data, Fallible, Item, Parcel, ProcCtx};
 
 /// Sealed length-exchange prologue for the irregular collectives: every
 /// member contributes its own block length and learns everyone's, indexed
@@ -43,23 +43,23 @@ pub(crate) fn exchange_lengths(
     members: &[Rank],
     my_len: usize,
     tag_base: u64,
-) -> Vec<usize> {
+) -> Fallible<Vec<usize>> {
     let me = ctx.rank();
     let chunk = Chunk::single(
         me,
         Data::Real((my_len as u64).to_le_bytes().to_vec().into()),
     );
     let sealed = Item::Sealed(ctx.encrypt(chunk));
-    let items = Walk::Bruck.run(ctx, members, vec![sealed], tag_base);
+    let items = Walk::Bruck.run(ctx, members, vec![sealed], tag_base)?;
     let mut lens = vec![0usize; ctx.p()];
     for item in items {
-        let c = ctx.decrypt(item.into_sealed());
+        let c = ctx.decrypt(item.into_sealed())?;
         let bytes = c.data.to_vec();
         let mut le = [0u8; 8];
         le.copy_from_slice(&bytes);
         lens[c.origins[0]] = u64::from_le_bytes(le) as usize;
     }
-    lens
+    Ok(lens)
 }
 
 /// Linear encrypted gather to `members[0]` — the shared linear gather walk
@@ -73,16 +73,16 @@ pub(crate) fn gather_linear(
     members: &[Rank],
     lens: &[usize],
     tag_base: u64,
-) -> GatherOutput {
+) -> Fallible<GatherOutput> {
     let mine = vec![Held::from(ctx.my_block(lens[ctx.rank()]))];
-    match gather_items_to_root(ctx, members, mine, tag_base) {
+    Ok(match gather_items_to_root(ctx, members, mine, tag_base)? {
         Some(held) => {
             let mut out = GatherOutput::new(lens.to_vec(), members);
-            place_held(ctx, held, &mut out);
+            place_held(ctx, held, &mut out)?;
             out
         }
         None => GatherOutput::new(lens.to_vec(), &[]),
-    }
+    })
 }
 
 /// Binomial-tree encrypted gather to `members[0]`: subtrees accumulate
@@ -95,7 +95,7 @@ pub(crate) fn gather_binomial(
     members: &[Rank],
     lens: &[usize],
     tag_base: u64,
-) -> GatherOutput {
+) -> Fallible<GatherOutput> {
     let q = members.len();
     let k = my_index(ctx, members);
     let me = ctx.rank();
@@ -108,12 +108,12 @@ pub(crate) fn gather_binomial(
             let link = ctx.topology().link(me, parent);
             let items: Vec<Item> = held.into_iter().map(|h| h.relay(ctx, link)).collect();
             ctx.send(parent, tag_base + mask as u64, Parcel { items });
-            return GatherOutput::new(lens.to_vec(), &[]);
+            return Ok(GatherOutput::new(lens.to_vec(), &[]));
         }
         if k + mask < q {
             ctx.yield_now();
             let child = members[k + mask];
-            let items = ctx.recv(child, tag_base + mask as u64).items;
+            let items = ctx.try_recv(child, tag_base + mask as u64)?.items;
             held.extend(items.into_iter().map(Held::from));
         }
         mask <<= 1;
@@ -121,8 +121,8 @@ pub(crate) fn gather_binomial(
 
     // Only the root reaches here.
     let mut out = GatherOutput::new(lens.to_vec(), members);
-    place_held(ctx, held, &mut out);
-    out
+    place_held(ctx, held, &mut out)?;
+    Ok(out)
 }
 
 /// Linear encrypted scatter from `members[0]`: the root synthesizes each
@@ -134,7 +134,7 @@ pub(crate) fn scatter_linear(
     members: &[Rank],
     lens: &[usize],
     tag_base: u64,
-) -> GatherOutput {
+) -> Fallible<GatherOutput> {
     let root = members[0];
     let me = ctx.rank();
     let mut out = GatherOutput::new(lens.to_vec(), &[me]);
@@ -148,10 +148,10 @@ pub(crate) fn scatter_linear(
         out.place(ctx.my_block(lens[me]));
     } else {
         let j = my_index(ctx, members);
-        let item = ctx.recv(root, tag_base + j as u64).items.remove(0);
-        out.place(Held::from(item).into_plain(ctx));
+        let item = ctx.try_recv(root, tag_base + j as u64)?.items.remove(0);
+        out.place(Held::from(item).into_plain(ctx)?);
     }
-    out
+    Ok(out)
 }
 
 /// Binomial-tree encrypted scatter from `members[0]`: the root sends each
@@ -165,7 +165,7 @@ pub(crate) fn scatter_binomial(
     members: &[Rank],
     lens: &[usize],
     tag_base: u64,
-) -> GatherOutput {
+) -> Fallible<GatherOutput> {
     let q = members.len();
     let k = my_index(ctx, members);
     let me = ctx.rank();
@@ -187,7 +187,7 @@ pub(crate) fn scatter_binomial(
         while mask < q {
             if k & mask != 0 {
                 let parent = members[k - mask];
-                let items = ctx.recv(parent, tag_base + mask as u64).items;
+                let items = ctx.try_recv(parent, tag_base + mask as u64)?.items;
                 held = items.into_iter().map(Held::from).collect();
                 break;
             }
@@ -212,8 +212,8 @@ pub(crate) fn scatter_binomial(
     }
 
     debug_assert_eq!(held.len(), 1, "subtree not fully scattered");
-    out.place(held.remove(0).into_plain(ctx));
-    out
+    out.place(held.remove(0).into_plain(ctx)?);
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -238,7 +238,7 @@ mod tests {
         vec![m; p]
     }
 
-    type Kernel = fn(&mut ProcCtx, &[Rank], &[usize], u64) -> GatherOutput;
+    type Kernel = fn(&mut ProcCtx, &[Rank], &[usize], u64) -> Fallible<GatherOutput>;
 
     #[test]
     fn gather_correct_and_sealed() {
@@ -248,7 +248,7 @@ mod tests {
                     let members: Vec<Rank> = (0..p).collect();
                     let lens = uniform(p, 24);
                     let report = run(&world(p, nodes, mapping), move |ctx| {
-                        let out = f(ctx, &members, &lens, 400);
+                        let out = f(ctx, &members, &lens, 400).unwrap();
                         out.verify(SEED);
                         if ctx.rank() == 0 {
                             assert!((0..p).all(|r| out.get(r).is_some()));
@@ -269,7 +269,7 @@ mod tests {
                     let lens = uniform(p, 24);
                     let report = run(&world(p, nodes, mapping), move |ctx| {
                         let me = ctx.rank();
-                        let out = f(ctx, &members, &lens, 400);
+                        let out = f(ctx, &members, &lens, 400).unwrap();
                         out.verify(SEED);
                         assert!(out.get(me).is_some());
                     });
@@ -294,9 +294,9 @@ mod tests {
                 let me = ctx.rank();
                 let members: Vec<Rank> = (0..p).collect();
                 let my_len = 8 + 16 * me;
-                let lens = exchange_lengths(ctx, &members, my_len, 900);
+                let lens = exchange_lengths(ctx, &members, my_len, 900).unwrap();
                 assert_eq!(lens, (0..p).map(|r| 8 + 16 * r).collect::<Vec<_>>());
-                let out = f(ctx, &members, &lens, 400);
+                let out = f(ctx, &members, &lens, 400).unwrap();
                 out.verify(SEED);
             });
             assert!(!report.wiretap.saw_plaintext_frame());
@@ -310,7 +310,9 @@ mod tests {
         let (p, m) = (16usize, 32usize);
         let report = run(&world(p, 4, Mapping::Block), move |ctx| {
             let members: Vec<Rank> = (0..p).collect();
-            gather_linear(ctx, &members, &vec![m; p], 400).verify(SEED);
+            gather_linear(ctx, &members, &vec![m; p], 400)
+                .unwrap()
+                .verify(SEED);
         });
         let max = eag_runtime::Metrics::component_max(&report.metrics);
         assert_eq!(max.comm_rounds, (p - 1) as u64);
@@ -328,7 +330,9 @@ mod tests {
         let (p, m) = (16usize, 32usize);
         let report = run(&world(p, 4, Mapping::Block), move |ctx| {
             let members: Vec<Rank> = (0..p).collect();
-            gather_binomial(ctx, &members, &vec![m; p], 400).verify(SEED);
+            gather_binomial(ctx, &members, &vec![m; p], 400)
+                .unwrap()
+                .verify(SEED);
         });
         let max = eag_runtime::Metrics::component_max(&report.metrics);
         assert_eq!(max.comm_rounds, 4);
@@ -347,7 +351,7 @@ mod tests {
         for f in [scatter_linear as Kernel, scatter_binomial] {
             let report = run(&world(p, 4, Mapping::Block), move |ctx| {
                 let members: Vec<Rank> = (0..p).collect();
-                f(ctx, &members, &vec![m; p], 400).verify(SEED);
+                f(ctx, &members, &vec![m; p], 400).unwrap().verify(SEED);
             });
             let max = eag_runtime::Metrics::component_max(&report.metrics);
             assert_eq!(max.comm_rounds, 1);
@@ -371,7 +375,7 @@ mod tests {
             let members2 = members.clone();
             let report = run(&world(12, 3, Mapping::Block), move |ctx| {
                 if members2.contains(&ctx.rank()) {
-                    let out = f(ctx, &members2, &[16; 12], 400);
+                    let out = f(ctx, &members2, &[16; 12], 400).unwrap();
                     out.verify(SEED);
                 }
             });

@@ -33,9 +33,9 @@ use crate::encrypted::{
 use crate::group::Group;
 use crate::output::{DegradedOutput, GatherOutput};
 use crate::recovery::recover_collective;
-use crate::tags;
+use crate::tags::{self, PHASE_GATHER, PHASE_SCATTER};
 use eag_netsim::Rank;
-use eag_runtime::ProcCtx;
+use eag_runtime::{Fallible, ProcCtx};
 
 /// A collective operation, in the MPI sense: what the data movement
 /// *means*, independent of the algorithm that realizes it.
@@ -372,10 +372,21 @@ impl Collective {
     /// others are *not* global knowledge there and travel through the
     /// sealed length-exchange prologue.
     ///
-    /// Structured failures raised inside (timeouts, dead peers,
-    /// authentication failures) carry the algorithm name (all-gathers) or
-    /// the operation name (everything else) as their phase.
+    /// A structured failure inside (timeout, dead peer, authentication
+    /// failure) carries the algorithm name (all-gathers) or the operation
+    /// name (everything else) as its phase; this shell raises it.
     pub fn run_with(&self, ctx: &mut ProcCtx, members: &[Rank], lens: &[usize]) -> GatherOutput {
+        self.try_run_with(ctx, members, lens)
+            .unwrap_or_else(|e| e.raise())
+    }
+
+    /// [`Collective::run_with`], its failure returned as a value.
+    pub(crate) fn try_run_with(
+        &self,
+        ctx: &mut ProcCtx,
+        members: &[Rank],
+        lens: &[usize],
+    ) -> Fallible<GatherOutput> {
         let p = ctx.p();
         let me = ctx.rank();
         assert_eq!(lens.len(), p, "need one length per rank");
@@ -389,16 +400,12 @@ impl Collective {
             Collective::Allgather(a) | Collective::Allgatherv(a) => a.name(),
             _ => self.operation().name(),
         });
-        let rooted = matches!(
+        let rooted = !matches!(
             self.operation(),
-            Operation::Broadcast
-                | Operation::Gather
-                | Operation::Gatherv
-                | Operation::Scatter
-                | Operation::Scatterv
+            Operation::Allgather | Operation::Allgatherv | Operation::Alltoall
         );
         if rooted && members.first() != Some(&0) {
-            return GatherOutput::new(lens.to_vec(), &[]);
+            return Ok(GatherOutput::new(lens.to_vec(), &[]));
         }
         let out = match self {
             Collective::Allgather(a) | Collective::Allgatherv(a) => {
@@ -417,62 +424,52 @@ impl Collective {
                     "{a} does not support variable block lengths"
                 );
                 let mut out = GatherOutput::new(lens.to_vec(), members);
-                allgather_over(ctx, *a, members, &mut out);
+                allgather_over(ctx, *a, members, &mut out)?;
                 out
             }
             Collective::Broadcast(BcastAlgo::Pipelined) => {
-                bcast_pipelined(ctx, members, lens[0], tags::PHASE_BCAST)
+                bcast_pipelined(ctx, members, lens[0], tags::PHASE_BCAST)?
             }
             Collective::Broadcast(BcastAlgo::Binomial) => {
-                bcast_binomial(ctx, members, lens[0], tags::PHASE_BCAST)
+                bcast_binomial(ctx, members, lens[0], tags::PHASE_BCAST)?
             }
-            Collective::Gather(RootedAlgo::Linear) => {
-                gather_linear(ctx, members, lens, tags::PHASE_GATHER)
-            }
-            Collective::Gather(RootedAlgo::Binomial) => {
-                gather_binomial(ctx, members, lens, tags::PHASE_GATHER)
-            }
-            Collective::Scatter(RootedAlgo::Linear) => {
-                scatter_linear(ctx, members, lens, tags::PHASE_SCATTER)
-            }
-            Collective::Scatter(RootedAlgo::Binomial) => {
-                scatter_binomial(ctx, members, lens, tags::PHASE_SCATTER)
-            }
-            Collective::Gatherv(r) | Collective::Scatterv(r) => {
-                // The irregular case: members learn each other's lengths
+            Collective::Gather(r)
+            | Collective::Gatherv(r)
+            | Collective::Scatter(r)
+            | Collective::Scatterv(r) => {
+                // The irregular cases: members learn each other's lengths
                 // through the sealed exchange prologue (re-run over the
                 // survivor group after a shrink).
-                let lens = exchange_lengths(ctx, members, lens[me], tags::PHASE_LEN_XCHG);
-                match (self, r) {
-                    (Collective::Gatherv(_), RootedAlgo::Linear) => {
-                        gather_linear(ctx, members, &lens, tags::PHASE_GATHER)
+                let lens = match self {
+                    Collective::Gatherv(_) | Collective::Scatterv(_) => {
+                        exchange_lengths(ctx, members, lens[me], tags::PHASE_LEN_XCHG)?
                     }
-                    (Collective::Gatherv(_), RootedAlgo::Binomial) => {
-                        gather_binomial(ctx, members, &lens, tags::PHASE_GATHER)
-                    }
-                    (_, RootedAlgo::Linear) => {
-                        scatter_linear(ctx, members, &lens, tags::PHASE_SCATTER)
-                    }
-                    (_, RootedAlgo::Binomial) => {
-                        scatter_binomial(ctx, members, &lens, tags::PHASE_SCATTER)
-                    }
-                }
+                    _ => lens.to_vec(),
+                };
+                let gather = matches!(self, Collective::Gather(_) | Collective::Gatherv(_));
+                let kernel = match (gather, r) {
+                    (true, RootedAlgo::Linear) => gather_linear,
+                    (true, RootedAlgo::Binomial) => gather_binomial,
+                    (false, RootedAlgo::Linear) => scatter_linear,
+                    (false, RootedAlgo::Binomial) => scatter_binomial,
+                };
+                let tag = if gather { PHASE_GATHER } else { PHASE_SCATTER };
+                kernel(ctx, members, &lens, tag)?
             }
             Collective::Alltoall(variant) => {
                 assert!(
                     lens.iter().all(|&l| l == lens[me]),
                     "all-to-all needs uniform block lengths"
                 );
-                match variant {
-                    AlltoallAlgo::Pairwise => {
-                        alltoall_pairwise(ctx, members, lens[me], tags::PHASE_A2A)
-                    }
-                    AlltoallAlgo::Bruck => alltoall_bruck(ctx, members, lens[me], tags::PHASE_A2A),
-                }
+                let kernel = match variant {
+                    AlltoallAlgo::Pairwise => alltoall_pairwise,
+                    AlltoallAlgo::Bruck => alltoall_bruck,
+                };
+                kernel(ctx, members, lens[me], tags::PHASE_A2A)?
             }
         };
         assert!(out.is_complete(), "{self} left the output incomplete");
-        out
+        Ok(out)
     }
 
     /// Runs the collective under the multi-crash recovery engine
@@ -481,6 +478,7 @@ impl Collective {
     /// per-rank lengths, so a degraded `v`-output is byte-identical to a
     /// from-scratch group run. An all-gather whose algorithm cannot run
     /// over a shrunk group re-runs as [`Algorithm::recovery_algorithm`].
+    /// A failure the engine cannot recover from is raised here.
     pub fn recover(&self, ctx: &mut ProcCtx, m: usize) -> DegradedOutput {
         let lens = self.nominal_lens(ctx.p(), m);
         let rerun = match *self {
@@ -490,14 +488,15 @@ impl Collective {
         };
         recover_collective(
             ctx,
-            |ctx| self.run_with(ctx, Group::world(ctx.p()).members(), &lens),
-            |ctx, members| rerun.run_with(ctx, members, &lens),
+            |ctx| self.try_run_with(ctx, Group::world(ctx.p()).members(), &lens),
+            |ctx, members| rerun.try_run_with(ctx, members, &lens),
         )
+        .unwrap_or_else(|e| e.raise())
     }
 
     /// Verifies `out` against the deterministic payload pattern for
     /// `seed`, from the point of view of rank `me`, **panicking on any
-    /// mismatch** (harnesses detect corruption with `catch_unwind`).
+    /// mismatch** (harnesses detect corruption by catching the unwind).
     /// All-to-all outputs hold pair-keyed blocks; everything else holds
     /// origin-keyed blocks.
     pub fn verify(&self, me: Rank, out: &GatherOutput, seed: u64) {

@@ -17,9 +17,8 @@ use crate::operation::Collective;
 use crate::output::{DegradedOutput, GatherOutput};
 use crate::tags;
 use eag_netsim::Rank;
-use eag_runtime::{Chunk, CollectiveError, Data, FailureCause, Item, Parcel, ProcCtx};
+use eag_runtime::{Chunk, Data, FailureCause, Fallible, Item, Parcel, ProcCtx};
 use std::collections::BTreeSet;
-use std::panic::{catch_unwind, panic_any, resume_unwind, AssertUnwindSafe};
 
 /// Logical tags each `tags::PHASE_*` base owns; a tag past it would land
 /// in the next phase.
@@ -70,22 +69,12 @@ fn send_set(ctx: &mut ProcCtx, dst: Rank, tag: u64, set: &BTreeSet<Rank>) {
     ctx.send(dst, tag, Parcel::one(Item::Sealed(sealed)));
 }
 
-/// Receives and opens a bitmap sent by [`send_set`]. `Err(rank)` is the
-/// failure detector's verdict that it will never arrive because `rank`
-/// crashed; any other failure is unrecoverable and unwinds.
-fn recv_set(ctx: &mut ProcCtx, src: Rank, tag: u64) -> Result<BTreeSet<Rank>, Rank> {
-    let parcel = match ctx.try_recv(src, tag) {
-        Ok(parcel) => parcel,
-        Err(FailureCause::Crash { rank }) => return Err(rank),
-        Err(cause) => panic_any(CollectiveError {
-            rank: ctx.rank(),
-            phase: "recovery-agreement",
-            cause,
-        }),
-    };
+/// Receives and opens a bitmap sent by [`send_set`].
+fn recv_set(ctx: &mut ProcCtx, src: Rank, tag: u64) -> Fallible<BTreeSet<Rank>> {
+    let parcel = ctx.try_recv(src, tag)?;
     let mut set = BTreeSet::new();
     for item in parcel.items {
-        if let Data::Real(bytes) = &ctx.decrypt(item.into_sealed()).data {
+        if let Data::Real(bytes) = &ctx.decrypt(item.into_sealed())?.data {
             for (r, &bit) in bytes.segments().flatten().enumerate() {
                 if bit != 0 {
                     set.insert(r);
@@ -98,31 +87,24 @@ fn recv_set(ctx: &mut ProcCtx, src: Rank, tag: u64) -> Result<BTreeSet<Rank>, Ra
 
 /// Runs one recoverable attempt of a collective: on a `Crash` failure the
 /// attempt is abandoned, blaming the detected crash (which cascades to
-/// peers), and `Err` names the crashed rank; any other failure re-raises
-/// for the poison protocol.
-fn run_attempt<F>(ctx: &mut ProcCtx, attempt: F) -> Result<GatherOutput, Rank>
+/// peers), and the inner `Err` names the crashed rank; any other failure
+/// is returned as it is.
+fn run_attempt<F>(ctx: &mut ProcCtx, attempt: F) -> Fallible<Result<GatherOutput, Rank>>
 where
-    F: FnOnce(&mut ProcCtx) -> GatherOutput,
+    F: FnOnce(&mut ProcCtx) -> Fallible<GatherOutput>,
 {
     ctx.begin_attempt();
-    match catch_unwind(AssertUnwindSafe(|| attempt(ctx))) {
+    match attempt(ctx) {
         Ok(out) => {
             ctx.complete_attempt();
-            Ok(out)
+            Ok(Ok(out))
         }
-        Err(payload) => match payload.downcast::<CollectiveError>() {
-            Ok(e) => match e.cause {
-                FailureCause::Crash { rank } => {
-                    ctx.abort_attempt(rank);
-                    Err(rank)
-                }
-                // Unrecoverable structured failure: re-raise for the
-                // poison protocol.
-                _ => resume_unwind(e),
-            },
-            // Not a structured failure (includes the runner's private
-            // crash payload when *this* rank is the one dying): re-raise.
-            Err(other) => resume_unwind(other),
+        Err(e) => match e.cause {
+            FailureCause::Crash { rank } => {
+                ctx.abort_attempt(rank);
+                Ok(Err(rank))
+            }
+            _ => Err(e),
         },
     }
 }
@@ -133,7 +115,9 @@ where
 ///
 /// `attempt` runs the optimistic whole-world collective; `rerun` runs it
 /// degraded over a survivor member list. Every rank must call this in
-/// lockstep, like the collective itself.
+/// lockstep, like the collective itself. A failure that is not a crash
+/// ends the recovery and is returned; an injected crash of this very rank
+/// unwinds through untouched, like a process dying.
 ///
 /// Protocol — a loop over *membership epochs*:
 ///
@@ -173,13 +157,17 @@ where
 /// intentionally not in the returned `failed` set — its victim contributed
 /// its block before dying, exactly like a rank crashing after a plain
 /// collective returns.
-pub fn recover_collective<A, R>(ctx: &mut ProcCtx, attempt: A, mut rerun: R) -> DegradedOutput
+pub fn recover_collective<A, R>(
+    ctx: &mut ProcCtx,
+    attempt: A,
+    mut rerun: R,
+) -> Fallible<DegradedOutput>
 where
-    A: FnOnce(&mut ProcCtx) -> GatherOutput,
-    R: FnMut(&mut ProcCtx, &[Rank]) -> GatherOutput,
+    A: FnOnce(&mut ProcCtx) -> Fallible<GatherOutput>,
+    R: FnMut(&mut ProcCtx, &[Rank]) -> Fallible<GatherOutput>,
 {
     ctx.enter_epoch(0);
-    let mut output = run_attempt(ctx, attempt);
+    let mut output = run_attempt(ctx, attempt)?;
     let f = ctx.fault_bound();
     let stride = agreement_stride(ctx.p(), f);
     let entry = output.as_ref().err().copied().into_iter().collect();
@@ -209,13 +197,16 @@ where
             Action::Await { from, tag } => {
                 match recv_set(ctx, from, agreement_tag(epoch, stride, tag)) {
                     Ok(members) => Event::Set { from, members },
-                    Err(dead) => Event::Dead(dead),
+                    Err(e) => match e.cause {
+                        FailureCause::Crash { rank } => Event::Dead(rank),
+                        _ => return Err(e),
+                    },
                 }
             }
             Action::Rerun { members } => {
                 // The group keeps global rank identities, so node placement
                 // (and the opportunistic encryption rule) stays correct.
-                output = run_attempt(ctx, |ctx| rerun(ctx, &members));
+                output = run_attempt(ctx, |ctx| rerun(ctx, &members))?;
                 match output {
                     Ok(_) => {
                         ctx.note_recovery(members.len());
@@ -225,11 +216,11 @@ where
                 }
             }
             Action::Return { failed, epochs } => {
-                return DegradedOutput {
+                return Ok(DegradedOutput {
                     failed,
                     epochs,
                     output: output.expect("the agreement returns only a completed output"),
-                };
+                });
             }
         };
         agreement.on(event);

@@ -15,7 +15,7 @@ use crate::collective::{bcast_items_from_root, gather_items_to_root, node_group,
 use crate::output::GatherOutput;
 use crate::tags;
 use eag_netsim::Rank;
-use eag_runtime::{Chunk, Item, Parcel, ProcCtx};
+use eag_runtime::{Chunk, Fallible, Item, Parcel, ProcCtx};
 
 /// Block size at which the modeled MVAPICH default switches from
 /// recursive doubling (Bruck for non-power-of-two member counts) to Ring.
@@ -42,33 +42,36 @@ pub(crate) fn mvapich_walk(members: &[Rank], out: &GatherOutput) -> Walk {
 
 /// The Hierarchical algorithm (Träff \[28\]): intra-node gather to a leader,
 /// inter-node all-gather among leaders (RD), intra-node broadcast.
-pub(crate) fn hierarchical(ctx: &mut ProcCtx, my_chunk: Chunk, out: &mut GatherOutput) {
+pub(crate) fn hierarchical(ctx: &mut ProcCtx, my_chunk: Chunk, out: &mut GatherOutput) -> Fallible {
     let topo = ctx.topology().clone();
     let local = topo.ranks_on_node(topo.node_of(ctx.rank()));
     let leaders = node_group(&topo, 0);
 
     // Step 1: gather node blocks to the leader.
     let gathered =
-        gather_items_to_root(ctx, &local, vec![Item::Plain(my_chunk)], tags::PHASE_GATHER);
+        gather_items_to_root(ctx, &local, vec![Item::Plain(my_chunk)], tags::PHASE_GATHER)?;
 
     // Step 2: leaders all-gather everything.
-    let leader_items = gathered.map(|items| Walk::Rd.run(ctx, &leaders, items, tags::PHASE_MAIN));
+    let leader_items = match gathered {
+        Some(items) => Walk::Rd.run(ctx, &leaders, items, tags::PHASE_MAIN)?,
+        None => Vec::new(),
+    };
 
     // Step 3: broadcast the full result within each node.
-    let all = bcast_items_from_root(
-        ctx,
-        &local,
-        leader_items.unwrap_or_default(),
-        tags::PHASE_BCAST,
-    );
+    let all = bcast_items_from_root(ctx, &local, leader_items, tags::PHASE_BCAST)?;
     out.place_items(all);
+    Ok(())
 }
 
 /// Neighbor Exchange all-gather (Chen & Yuan): `p/2` rounds for even `p`,
 /// alternating exchanges with the left/right ring neighbours, moving two
 /// blocks per round after the first. Only defined for even `p`; the
 /// all-gather kernel runs Ring instead when `p` is odd.
-pub(crate) fn neighbor_exchange(ctx: &mut ProcCtx, my_chunk: Chunk, out: &mut GatherOutput) {
+pub(crate) fn neighbor_exchange(
+    ctx: &mut ProcCtx,
+    my_chunk: Chunk,
+    out: &mut GatherOutput,
+) -> Fallible {
     let p = ctx.p();
     assert!(p.is_multiple_of(2), "Neighbor Exchange needs an even p");
     let me = ctx.rank();
@@ -80,16 +83,9 @@ pub(crate) fn neighbor_exchange(ctx: &mut ProcCtx, my_chunk: Chunk, out: &mut Ga
 
     // Round 1: pair exchange (even with right, odd with left).
     let partner = if even { right } else { left };
-    let first = ctx
-        .sendrecv(
-            partner,
-            partner,
-            tags::PHASE_MAIN,
-            Parcel::one(Item::Plain(my_chunk.clone())),
-        )
-        .items
-        .remove(0)
-        .into_plain();
+    let mine = Parcel::one(Item::Plain(my_chunk.clone()));
+    let mut got = ctx.sendrecv(partner, partner, tags::PHASE_MAIN, mine)?;
+    let first = got.items.remove(0).into_plain();
     out.place(first.clone());
 
     // Rounds 2..p/2: alternate sides, forwarding the pair acquired last.
@@ -101,22 +97,14 @@ pub(crate) fn neighbor_exchange(ctx: &mut ProcCtx, my_chunk: Chunk, out: &mut Ga
         } else {
             right
         };
-        let tag = tags::PHASE_MAIN + round as u64;
-        let received = ctx
-            .sendrecv(
-                partner,
-                partner,
-                tag,
-                Parcel {
-                    items: last_pair.clone(),
-                },
-            )
-            .items;
+        let (tag, items) = (tags::PHASE_MAIN + round as u64, last_pair.clone());
+        let received = ctx.sendrecv(partner, partner, tag, Parcel { items })?.items;
         for item in &received {
             out.place(item.clone().into_plain());
         }
         last_pair = received;
     }
+    Ok(())
 }
 
 #[cfg(test)]

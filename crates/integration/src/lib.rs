@@ -21,7 +21,7 @@ use eag_bench::harness::{CrashRunReport, DATA_SEED};
 use eag_bench::SimConfig;
 use eag_core::Collective;
 use eag_netsim::{FaultKind, FaultPlan, FrameId, Mapping};
-use eag_runtime::{try_run, CollectiveError, Metrics, RunReport};
+use eag_runtime::{try_run, CollectiveError, Metrics, RunReport, WorldSpec};
 
 /// The outcome of one collective under fault injection, compared against a
 /// fault-free reference run.
@@ -76,18 +76,15 @@ pub fn chaos_config(p: usize, nodes: usize) -> SimConfig {
 /// Every rank's delivered `(slot, bytes)` pairs.
 type Delivered = Vec<(usize, Vec<u8>)>;
 
-/// One run of `c` in [`chaos_config`]`(p, nodes)` under `plan`; each rank
-/// verifies its output and returns the slots its role delivers (sparse
-/// outputs are legal: gather delivers only at the root, scatter only the
-/// own slot).
+/// One run of `c` in `spec` (a [`chaos_config`] world); each rank verifies
+/// its output and returns the slots its role delivers (sparse outputs are
+/// legal: gather delivers only at the root, scatter only the own slot).
 fn delivered(
     c: Collective,
-    p: usize,
-    nodes: usize,
     m: usize,
-    plan: FaultPlan,
+    spec: &WorldSpec,
 ) -> Result<RunReport<Delivered>, CollectiveError> {
-    try_run(&chaos_config(p, nodes).world_spec(plan), move |ctx| {
+    try_run(spec, move |ctx| {
         let out = c.run(ctx, m);
         c.verify(ctx.rank(), &out, DATA_SEED);
         (0..out.p())
@@ -98,7 +95,8 @@ fn delivered(
 
 /// The fault-free reference run of `c`.
 fn clean_run(c: Collective, p: usize, nodes: usize, m: usize) -> Vec<Delivered> {
-    delivered(c, p, nodes, m, FaultPlan::default())
+    let spec = chaos_config(p, nodes).world_spec(FaultPlan::default());
+    delivered(c, m, &spec)
         .unwrap_or_else(|e| panic!("{c}: fault-free reference failed: {e}"))
         .outputs
 }
@@ -144,7 +142,8 @@ fn grade(
 /// role delivers).
 pub fn chaos_run(c: Collective, p: usize, nodes: usize, m: usize, plan: FaultPlan) -> ChaosReport {
     let clean = clean_run(c, p, nodes, m);
-    grade(c, &clean, delivered(c, p, nodes, m, plan))
+    let spec = chaos_config(p, nodes).world_spec(plan);
+    grade(c, &clean, delivered(c, m, &spec))
 }
 
 /// The identity of every inter-node frame of an armed, fault-free run of
@@ -156,8 +155,10 @@ pub fn frame_ids(c: Collective, p: usize, nodes: usize, m: usize) -> Vec<FrameId
         armed: true,
         ..FaultPlan::default()
     };
-    let report = delivered(c, p, nodes, m, armed)
-        .unwrap_or_else(|e| panic!("{c}: armed fault-free run failed: {e}"));
+    let mut spec = chaos_config(p, nodes).world_spec(armed);
+    spec.capture_wire = true;
+    let report =
+        delivered(c, m, &spec).unwrap_or_else(|e| panic!("{c}: armed fault-free run failed: {e}"));
     let frames = report.wiretap.frames();
     let mut ids: Vec<FrameId> = frames
         .iter()
@@ -192,7 +193,8 @@ pub fn first_unrecovered(
             listed: listed.clone(),
             ..FaultPlan::default()
         };
-        let r = grade(c, &clean, delivered(c, p, nodes, m, plan));
+        let spec = chaos_config(p, nodes).world_spec(plan);
+        let r = grade(c, &clean, delivered(c, m, &spec));
         let recovered = r.byte_identical && r.faults_injected == listed.len() as u64;
         (!recovered).then_some((listed, r))
     })

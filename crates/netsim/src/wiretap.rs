@@ -4,10 +4,13 @@
 //! traffic is visible (and tamperable), intra-node traffic is not. The
 //! [`Wiretap`] records every frame that crosses an inter-node link so tests
 //! can assert the security contract of every encrypted algorithm: *no
-//! plaintext byte sequence ever appears on the wire*.
+//! plaintext byte sequence ever appears on the wire*. A world records only
+//! when asked (`WorldSpec::capture_wire` in `eag-runtime`); the tap of a
+//! world that did not record refuses to be read, so an empty tap can never
+//! pass for a clean one.
 
 use eag_rope::Rope;
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 
 /// What kind of payload a recorded frame claimed to be.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -45,12 +48,31 @@ pub struct FrameRecord {
 #[derive(Debug, Default)]
 pub struct Wiretap {
     frames: Mutex<Vec<FrameRecord>>,
+    /// Set on the tap of a world that records nothing: reads panic.
+    off: bool,
 }
 
 impl Wiretap {
     /// An empty tap.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// The tap of a world that records nothing; reading it panics.
+    pub fn off() -> Self {
+        Wiretap {
+            off: true,
+            ..Self::default()
+        }
+    }
+
+    /// The captured frames, for a reader.
+    fn records(&self) -> MutexGuard<'_, Vec<FrameRecord>> {
+        assert!(
+            !self.off,
+            "this world recorded no wire traffic: set `WorldSpec::capture_wire` to read its tap"
+        );
+        self.frames.lock()
     }
 
     /// Records one frame.
@@ -60,25 +82,22 @@ impl Wiretap {
 
     /// Number of captured frames.
     pub fn frame_count(&self) -> usize {
-        self.frames.lock().len()
+        self.records().len()
     }
 
     /// Snapshot of all captured frames.
     pub fn frames(&self) -> Vec<FrameRecord> {
-        self.frames.lock().clone()
+        self.records().clone()
     }
 
     /// Total bytes observed on inter-node links.
     pub fn total_bytes(&self) -> usize {
-        self.frames.lock().iter().map(|f| f.len).sum()
+        self.records().iter().map(|f| f.len).sum()
     }
 
     /// True if any captured frame was classified as plaintext.
     pub fn saw_plaintext_frame(&self) -> bool {
-        self.frames
-            .lock()
-            .iter()
-            .any(|f| f.kind == FrameKind::Plain)
+        self.records().iter().any(|f| f.kind == FrameKind::Plain)
     }
 
     /// True if `needle` occurs as a contiguous byte substring of any captured
@@ -86,8 +105,7 @@ impl Wiretap {
     /// with high-entropy plaintext blocks: a hit means plaintext leaked onto
     /// the network.
     pub fn contains(&self, needle: &[u8]) -> bool {
-        self.frames
-            .lock()
+        self.records()
             .iter()
             .any(|f| f.bytes.contains_subslice(needle))
     }
@@ -138,6 +156,12 @@ mod tests {
         assert!(tap.contains(b"TOPSECRET"));
         assert!(!tap.contains(b"TOPSECRES"));
         assert!(!tap.contains(b""));
+    }
+
+    #[test]
+    #[should_panic(expected = "WorldSpec::capture_wire")]
+    fn a_tap_that_recorded_nothing_refuses_to_be_read() {
+        Wiretap::off().saw_plaintext_frame();
     }
 
     #[test]

@@ -2,10 +2,10 @@
 //!
 //! When a rank cannot make progress — a peer died, every retry of a receive
 //! timed out, or an encrypted frame failed authentication at its consumer —
-//! the runtime raises a [`CollectiveError`] instead of hanging or aborting
-//! with an opaque string. The error is carried as a panic payload through the
-//! world's poison protocol (so every rank unwinds) and surfaced intact by
-//! [`crate::world::try_run`], which downcasts it back out.
+//! the runtime returns a [`CollectiveError`] instead of hanging or aborting
+//! with an opaque string. It is carried as a value; raised only by the
+//! synchronous shells ([`CollectiveError::raise`]), it unwinds every rank
+//! through the poison protocol and [`crate::world::try_run`] surfaces it.
 
 use eag_netsim::Rank;
 use std::time::Duration;
@@ -108,6 +108,9 @@ impl std::fmt::Display for FailureCause {
     }
 }
 
+/// What a fallible primitive, walk or kernel returns.
+pub type Fallible<T = ()> = Result<T, CollectiveError>;
+
 /// A structured, rank-attributed collective failure.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CollectiveError {
@@ -131,6 +134,14 @@ impl std::fmt::Display for CollectiveError {
 }
 
 impl std::error::Error for CollectiveError {}
+
+impl CollectiveError {
+    /// Unwinds with this error as the panic payload: the one place a typed
+    /// failure becomes a panic, for the synchronous shells.
+    pub fn raise(self) -> ! {
+        std::panic::panic_any(self)
+    }
+}
 
 #[cfg(test)]
 mod tests {
@@ -193,10 +204,7 @@ mod tests {
                 detail: "tag mismatch".into(),
             },
         };
-        let payload = std::panic::catch_unwind(|| {
-            std::panic::panic_any(e.clone());
-        })
-        .unwrap_err();
+        let payload = std::panic::catch_unwind(|| e.clone().raise()).unwrap_err();
         let back = payload
             .downcast_ref::<CollectiveError>()
             .expect("payload downcasts");

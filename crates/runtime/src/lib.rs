@@ -27,11 +27,12 @@
 //! use eag_runtime::{run, DataMode, Item, Parcel, WorldSpec};
 //!
 //! // Two ranks on two nodes exchange one encrypted block.
-//! let spec = WorldSpec::new(
+//! let mut spec = WorldSpec::new(
 //!     Topology::new(2, 2, Mapping::Block),
 //!     profile::noleland(),
 //!     DataMode::Real { seed: 1 },
 //! );
+//! spec.capture_wire = true; // record the wire, to read the tap below
 //! let report = run(&spec, |ctx| {
 //!     if ctx.rank() == 0 {
 //!         let sealed = ctx.encrypt(ctx.my_block(64));
@@ -39,7 +40,8 @@
 //!         0
 //!     } else {
 //!         let parcel = ctx.recv(0, 7);
-//!         let chunk = ctx.decrypt(parcel.items[0].clone().into_sealed());
+//!         let sealed = parcel.items[0].clone().into_sealed();
+//!         let chunk = ctx.decrypt(sealed).unwrap_or_else(|e| e.raise());
 //!         chunk.data.rope().len()
 //!     }
 //! });
@@ -63,7 +65,7 @@ pub mod world;
 
 pub use eag_crypto::{Aead, CipherSuite};
 pub use eag_netsim::{Crash, FaultKind, FaultPlan};
-pub use error::{CollectiveError, FailureCause};
+pub use error::{CollectiveError, FailureCause, Fallible};
 pub use metrics::Metrics;
 pub use payload::{
     pattern_block, pattern_block_matches, pattern_block_pair, pattern_block_pair_matches, Chunk,

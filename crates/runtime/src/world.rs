@@ -38,7 +38,7 @@
 //! numbers), and recover by NACKing the sender, which replays the affected
 //! frames from its log. Ranks that finish while chaos is armed *linger* to
 //! service late NACKs until every rank has finished. Unrecoverable
-//! situations raise a structured [`CollectiveError`] instead of hanging: a
+//! situations return a structured [`CollectiveError`] instead of hanging: a
 //! receive that exhausts its retry budget or wall-clock watchdog fails with
 //! `Timeout`, a receive blocked on a rank that already exited fails with
 //! `DeadPeer`, and a GCM authentication failure at a consumer fails with
@@ -60,11 +60,10 @@
 //! survivors at once; hard crashes depart silently and are suspected only
 //! after a grace period — see [`WorldSpec::suspect_after`]), wakes any
 //! same-node sibling blocked on the shared segment, and keeps the world
-//! alive. A
-//! receive blocked on a dead peer resolves through the failure detector
-//! with a recoverable `Crash { rank }` cause instead of waiting out its
-//! deadline; [`ProcCtx::try_recv`] surfaces the cause as a value so
-//! survivor-agreement protocols can probe dead ranks without unwinding.
+//! alive. A receive blocked on a dead peer resolves through the failure
+//! detector with a recoverable `Crash { rank }` cause instead of waiting
+//! out its deadline, returned as a value like every failure: survivors
+//! probe dead ranks and abandon attempts without unwinding.
 //! Collective epochs are folded into every wire tag, so frames of an
 //! abandoned attempt can never alias the agreement rounds or the degraded
 //! re-runs that follow it, and abandonments are serial-scoped so a stale
@@ -73,7 +72,7 @@
 //! [`run_crashable`]/[`try_run_crashable`] to harvest per-rank outputs with
 //! the crashed ranks marked instead of panicking on the missing output.
 
-use crate::error::{CollectiveError, FailureCause};
+use crate::error::{CollectiveError, FailureCause, Fallible};
 use crate::metrics::Metrics;
 use crate::payload::{Chunk, Data, Item, Parcel, Sealed};
 use crate::pool;
@@ -110,7 +109,7 @@ pub enum DataMode {
 ///
 /// Each receive gets `max_attempts` rounds; a round that elapses without the
 /// expected frame arriving sends a NACK to the peer and starts the next
-/// round with its timeout scaled by `backoff`. Exhausting the budget raises
+/// round with its timeout scaled by `backoff`. Exhausting the budget returns
 /// a typed `Timeout` [`CollectiveError`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RetryPolicy {
@@ -148,8 +147,9 @@ pub struct WorldSpec {
     /// Serialize concurrent inter-node streams through each node's NIC.
     /// Disable for fully deterministic virtual times.
     pub nic_contention: bool,
-    /// Store the bytes of inter-node frames in the wiretap (real mode only;
-    /// needed by the security tests, costs memory).
+    /// Record inter-node frames, bytes included, in the wiretap (needed by
+    /// the security tests, costs memory). Off, the world records nothing
+    /// and reading its tap panics.
     pub capture_wire: bool,
     /// Record per-rank virtual-time event traces.
     pub trace: bool,
@@ -358,7 +358,11 @@ impl<'s> World<'s> {
             sched: Scheduler::with_gate(p, resolve_gate(spec)),
             aead: spec.suite.aead_for_key(&key),
             nics,
-            wiretap: Arc::new(Wiretap::new()),
+            wiretap: Arc::new(if spec.capture_wire {
+                Wiretap::new()
+            } else {
+                Wiretap::off()
+            }),
             shared: (0..n_nodes)
                 .map(|node| Arc::new(NodeShared::new(spec.topology.ranks_on_node(node).len())))
                 .collect(),
@@ -375,37 +379,33 @@ impl<'s> World<'s> {
         self.sched.send_from(dst, msg.src, urgent, msg);
     }
 
-    /// Records an inter-node frame in the wiretap, as it looks on the wire.
+    /// Records an inter-node frame in the wiretap, as it looks on the wire,
+    /// if the world records its wire at all.
     fn capture(&self, src: Rank, dst: Rank, frame: &Frame) {
+        if !self.spec.capture_wire {
+            return;
+        }
         let parcel = &frame.parcel;
+        let real = |i: &Item| matches!(i, Item::Sealed(s) if s.data.is_real());
         let kind = if parcel.has_plain() {
             FrameKind::Plain
-        } else if parcel.items.iter().all(|i| match i {
-            Item::Sealed(s) => s.data.is_real(),
-            Item::Plain(_) => false,
-        }) && !parcel.items.is_empty()
-        {
+        } else if !parcel.items.is_empty() && parcel.items.iter().all(real) {
             FrameKind::Cipher
         } else {
             FrameKind::Phantom
         };
-        let bytes = if self.spec.capture_wire {
-            // The tap records refcounted views of the payload ropes — an
-            // observer, not a copier.
-            let mut buf = eag_rope::Rope::new();
-            for item in &parcel.items {
-                let data = match item {
-                    Item::Plain(c) => &c.data,
-                    Item::Sealed(s) => &s.data,
-                };
-                if let Data::Real(b) = data {
-                    buf.append(b.clone());
-                }
+        // The tap records refcounted views of the payload ropes — an
+        // observer, not a copier.
+        let mut bytes = eag_rope::Rope::new();
+        for item in &parcel.items {
+            let data = match item {
+                Item::Plain(c) => &c.data,
+                Item::Sealed(s) => &s.data,
+            };
+            if let Data::Real(b) = data {
+                bytes.append(b.clone());
             }
-            buf
-        } else {
-            eag_rope::Rope::new()
-        };
+        }
         self.wiretap.capture(FrameRecord {
             src,
             dst,
@@ -544,21 +544,19 @@ impl<'w> ProcCtx<'w> {
         self.note(0.0, EventKind::Suite { suite });
     }
 
-    /// Names the collective phase now in force; structured failures raised
+    /// Names the collective phase now in force; structured failures met
     /// after this call carry the name (e.g. the algorithm being run).
     pub fn set_phase(&mut self, phase: &'static str) {
         self.phase = phase;
     }
 
-    /// Raises a structured, rank-attributed failure as a panic payload; the
-    /// poison protocol unwinds the remaining ranks and
-    /// [`try_run`] surfaces the error to the caller.
-    fn fail(&self, cause: FailureCause) -> ! {
-        panic_any(CollectiveError {
+    /// A structured failure of this rank, stamped with the phase in force.
+    fn fail(&self, cause: FailureCause) -> CollectiveError {
+        CollectiveError {
             rank: self.rank,
             phase: self.phase,
             cause,
-        })
+        }
     }
 
     /// Starts a new collective epoch. Every collective invocation must call
@@ -896,26 +894,22 @@ impl<'w> ProcCtx<'w> {
         self.transport.out = out;
     }
 
+    /// [`Self::try_recv`] for hand-written rank bodies: a failure is raised
+    /// ([`CollectiveError::raise`]), so the body fails loudly.
+    pub fn recv(&mut self, src: Rank, tag: u64) -> Parcel {
+        self.try_recv(src, tag).unwrap_or_else(|e| e.raise())
+    }
+
     /// Receives the parcel tagged `tag` from `src`, blocking until it
     /// arrives. Advances the clock to the arrival time and counts one
     /// communication round. Duplicated and retransmitted frames are
     /// deduplicated before they reach the metrics, so the Table II traffic
-    /// columns are fault-independent.
-    pub fn recv(&mut self, src: Rank, tag: u64) -> Parcel {
-        match self.try_recv(src, tag) {
-            Ok(parcel) => parcel,
-            Err(cause) => self.fail(cause),
-        }
-    }
-
-    /// Like [`Self::recv`], but returns the failure cause as a value
-    /// instead of unwinding the rank. This is what survivor-agreement
-    /// protocols use to probe possibly-dead peers: a probe of a crashed
-    /// rank yields `Err(Crash { .. })` and the caller carries on.
-    pub fn try_recv(&mut self, src: Rank, tag: u64) -> Result<Parcel, FailureCause> {
+    /// columns are fault-independent. A probe of a crashed rank returns a
+    /// `Crash` failure, which survivor-agreement protocols carry on from.
+    pub fn try_recv(&mut self, src: Rank, tag: u64) -> Fallible<Parcel> {
         let t0 = self.clock_us;
         let tag = self.wire_tag(tag);
-        let (parcel, arrive_us) = self.wait_for(src, tag)?;
+        let (parcel, arrive_us) = self.wait_for(src, tag).map_err(|c| self.fail(c))?;
         self.clock_us = self.clock_us.max(arrive_us);
         let recv = EventKind::Recv {
             src,
@@ -1116,9 +1110,9 @@ impl<'w> ProcCtx<'w> {
 
     /// Send to `dst` and receive from `src` with the same tag — the classic
     /// exchange step of ring and recursive-doubling algorithms.
-    pub fn sendrecv(&mut self, dst: Rank, src: Rank, tag: u64, parcel: Parcel) -> Parcel {
+    pub fn sendrecv(&mut self, dst: Rank, src: Rank, tag: u64, parcel: Parcel) -> Fallible<Parcel> {
         self.send(dst, tag, parcel);
-        self.recv(src, tag)
+        self.try_recv(src, tag)
     }
 
     // ----- crypto ----------------------------------------------------------
@@ -1167,10 +1161,10 @@ impl<'w> ProcCtx<'w> {
     }
 
     /// Decrypts a sealed chunk: one decryption operation of `plain_len`
-    /// bytes (`αd + βd·m`). Raises a typed `AuthFailure`
+    /// bytes (`αd + βd·m`). Returns a typed `AuthFailure`
     /// [`CollectiveError`] if authentication fails — an encrypted
     /// collective cannot proceed on forged data.
-    pub fn decrypt(&mut self, sealed: Sealed) -> Chunk {
+    pub fn decrypt(&mut self, sealed: Sealed) -> Fallible<Chunk> {
         let t0 = self.clock_us;
         self.clock_us += self.model().crypto.dec_time(sealed.plain_len);
         let bytes = sealed.plain_len;
@@ -1191,16 +1185,13 @@ impl<'w> ProcCtx<'w> {
                 // plaintext is re-frozen as a slice view — the `drain`
                 // memmove of the old path is gone.
                 let mut wire = rope.into_vec();
-                match eag_crypto::open_frame_in_place(
-                    &*self.world.aead,
-                    &self.aad_scratch,
-                    &mut wire,
-                ) {
-                    Ok(pt) => Data::Real(eag_rope::Rope::from(wire).slice(pt)),
-                    Err(e) => self.fail(FailureCause::AuthFailure {
-                        detail: format!("{e:?}: forged, corrupted, or relabeled ciphertext"),
-                    }),
-                }
+                let aead = &*self.world.aead;
+                let pt = eag_crypto::open_frame_in_place(aead, &self.aad_scratch, &mut wire)
+                    .map_err(|e| {
+                        let detail = format!("{e:?}: forged, corrupted, or relabeled ciphertext");
+                        self.fail(FailureCause::AuthFailure { detail })
+                    })?;
+                Data::Real(eag_rope::Rope::from(wire).slice(pt))
             }
             Data::Phantom(_) => Data::Phantom(plain_len),
         };
@@ -1210,7 +1201,7 @@ impl<'w> ProcCtx<'w> {
             data,
         };
         chunk.check();
-        chunk
+        Ok(chunk)
     }
 
     // ----- shared memory ----------------------------------------------------
@@ -1227,16 +1218,12 @@ impl<'w> ProcCtx<'w> {
     /// ℓ-1 waiting siblings must never exhaust the worker gate and starve
     /// the one rank that would release them. A same-node sibling's crash
     /// surfaces as the recoverable typed failure.
-    fn on_segment<R>(&mut self, call: impl FnOnce(&NodeShared) -> Result<R, Rank>) -> R {
-        let world = self.world;
-        let seg = &world.shared[self.node()];
-        match world.sched.blocking(|| call(seg)) {
-            Ok(got) => got,
-            Err(dead) => {
-                let cause = self.note_crash(dead);
-                self.fail(cause)
-            }
-        }
+    fn on_segment<R>(&mut self, call: impl FnOnce(&NodeShared) -> Result<R, Rank>) -> Fallible<R> {
+        let seg = &self.world.shared[self.node()];
+        self.world.sched.blocking(|| call(seg)).map_err(|dead| {
+            let cause = self.note_crash(dead);
+            self.fail(cause)
+        })
     }
 
     /// Deposits `item` into this node's shared segment, charging a memory
@@ -1266,10 +1253,10 @@ impl<'w> ProcCtx<'w> {
     /// consumer holds the only `Arc` and gets the item back without
     /// copying — on HS1's decrypt path that removes an ℓ·m-byte memcpy per
     /// ciphertext; earlier consumers clone.
-    pub fn shared_fetch_free(&mut self, key: SlotKey) -> Item {
-        let (item, ready_us) = self.on_segment(|seg| seg.fetch(key));
+    pub fn shared_fetch_free(&mut self, key: SlotKey) -> Fallible<Item> {
+        let (item, ready_us) = self.on_segment(|seg| seg.fetch(key))?;
         self.clock_us = self.clock_us.max(ready_us);
-        Arc::try_unwrap(item).unwrap_or_else(|arc| (*arc).clone())
+        Ok(Arc::try_unwrap(item).unwrap_or_else(|arc| (*arc).clone()))
     }
 
     /// Number of live slots in this node's shared segment — 0 between
@@ -1292,10 +1279,11 @@ impl<'w> ProcCtx<'w> {
 
     /// Node-local barrier synchronizing the virtual clocks of all processes
     /// on this node.
-    pub fn node_barrier(&mut self) {
+    pub fn node_barrier(&mut self) -> Fallible {
         let (t0, cost_us) = (self.clock_us, self.model().barrier_us);
-        self.clock_us = self.on_segment(|seg| seg.barrier(t0, cost_us));
+        self.clock_us = self.on_segment(|seg| seg.barrier(t0, cost_us))?;
         self.note(t0, EventKind::Barrier);
+        Ok(())
     }
 
     /// Cooperative scheduling point at an algorithm step boundary: if other
@@ -1520,11 +1508,8 @@ where
         // any panic the join loop would have re-thrown) is a typed failure,
         // not an opaque expect-panic.
         let (out, clock_us, metrics, trace) = slot.unwrap_or_else(|| {
-            panic_any(CollectiveError {
-                rank,
-                phase: "collect",
-                cause: FailureCause::SilentExit { rank },
-            })
+            let (cause, phase) = (FailureCause::SilentExit { rank }, "collect");
+            CollectiveError { rank, phase, cause }.raise()
         });
         if out.is_none() {
             report.crashed.push(rank);
@@ -1554,20 +1539,13 @@ where
     let report = run_crashable(spec, f);
     let survived = |(rank, out): (Rank, Option<T>)| {
         out.unwrap_or_else(|| {
-            panic_any(CollectiveError {
-                rank,
-                phase: "collect",
-                cause: FailureCause::Crash { rank },
-            })
+            let (cause, phase) = (FailureCause::Crash { rank }, "collect");
+            CollectiveError { rank, phase, cause }.raise()
         })
     };
+    let outputs = report.outputs.into_iter().enumerate().map(survived);
     RunReport {
-        outputs: report
-            .outputs
-            .into_iter()
-            .enumerate()
-            .map(survived)
-            .collect(),
+        outputs: outputs.collect(),
         latency_us: report.latency_us,
         clocks_us: report.clocks_us,
         metrics: report.metrics,

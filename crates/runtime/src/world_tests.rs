@@ -124,7 +124,7 @@ fn encrypt_decrypt_roundtrip_real_mode() {
         let expected = chunk.data.to_vec();
         let sealed = ctx.encrypt(chunk);
         assert_eq!(sealed.wire_len(), 128);
-        let back = ctx.decrypt(sealed);
+        let back = ctx.decrypt(sealed).unwrap();
         (expected, back.data.to_vec())
     });
     let (expected, got) = &report.outputs[0];
@@ -139,6 +139,7 @@ fn encrypt_decrypt_roundtrip_real_mode() {
 fn phantom_mode_tracks_lengths() {
     let mut s = spec(2, 2);
     s.mode = DataMode::Phantom;
+    s.capture_wire = true;
     let report = run(&s, |ctx| {
         if ctx.rank() == 0 {
             let sealed = ctx.encrypt(ctx.my_block(50));
@@ -147,7 +148,7 @@ fn phantom_mode_tracks_lengths() {
         } else {
             let parcel = ctx.recv(0, 7);
             let sealed = parcel.items[0].clone().into_sealed();
-            let chunk = ctx.decrypt(sealed);
+            let chunk = ctx.decrypt(sealed).unwrap();
             chunk.data.len()
         }
     });
@@ -179,7 +180,9 @@ fn inter_node_frames_are_captured() {
 
 #[test]
 fn intra_node_frames_are_not_captured() {
-    let report = run(&spec(2, 1), |ctx| {
+    let mut s = spec(2, 1);
+    s.capture_wire = true;
+    let report = run(&s, |ctx| {
         if ctx.rank() == 0 {
             let chunk = ctx.my_block(16);
             ctx.send(1, 3, Parcel::one(Item::Plain(chunk)));
@@ -196,7 +199,7 @@ fn sendrecv_pairs_exchange() {
         let peer = 1 - ctx.rank();
         let mine = ctx.my_block(8);
         let got = ctx.sendrecv(peer, peer, 5, Parcel::one(Item::Plain(mine)));
-        got.items[0].origins()[0]
+        got.unwrap().items[0].origins()[0]
     });
     assert_eq!(report.outputs, vec![1, 0]);
 }
@@ -208,11 +211,11 @@ fn shared_memory_deposit_fetch_and_barrier() {
             let item = Item::Plain(ctx.my_block(4));
             ctx.shared_deposit((1, 0), item, 2);
         }
-        ctx.node_barrier();
+        ctx.node_barrier().unwrap();
         // Fetch and copy out: the read itself is free, the copy is charged.
-        let got = ctx.shared_fetch_free((1, 0));
+        let got = ctx.shared_fetch_free((1, 0)).unwrap();
         ctx.charge_copy(got.wire_len());
-        ctx.node_barrier();
+        ctx.node_barrier().unwrap();
         (got.origins()[0], ctx.shared_slots_len())
     });
     // Both ranks got rank 0's block, and the slot self-removed after its
@@ -353,7 +356,7 @@ fn recv_watchdog_deadline_is_absolute_not_per_message() {
 fn reset_accounting_clears_clock_and_metrics() {
     let report = run(&spec(2, 1), |ctx| {
         let sealed = ctx.encrypt(ctx.my_block(100));
-        let _ = ctx.decrypt(sealed);
+        ctx.decrypt(sealed).unwrap();
         assert!(ctx.clock_us() > 0.0);
         assert!(ctx.metrics().enc_rounds > 0);
         ctx.reset_accounting();
@@ -442,7 +445,7 @@ fn phantom_fault_injection_is_inert() {
             ctx.send(1, 1, Parcel::one(Item::Sealed(sealed)));
         } else {
             let got = ctx.recv(0, 1);
-            let _ = ctx.decrypt(got.items[0].clone().into_sealed());
+            ctx.decrypt(got.items[0].clone().into_sealed()).unwrap();
         }
     });
     assert_eq!(report.outputs.len(), 2);
@@ -577,7 +580,7 @@ fn adversarial_tamper_is_caught_by_hop_verification() {
         } else {
             let parcel = ctx.recv(0, 1);
             let chunk = ctx.decrypt(parcel.items[0].clone().into_sealed());
-            chunk.data.to_vec()
+            chunk.unwrap().data.to_vec()
         }
     });
     assert_eq!(report.outputs[1], crate::payload::pattern_block(1, 0, 48));
@@ -695,7 +698,8 @@ fn sealed_exchange(s: &WorldSpec) -> Result<RunReport<()>, CollectiveError> {
             ctx.send(1, 9, Parcel::one(Item::Sealed(sealed)));
         } else {
             let parcel = ctx.recv(0, 9);
-            let _ = ctx.decrypt(parcel.items[0].clone().into_sealed());
+            let sealed = parcel.items[0].clone().into_sealed();
+            ctx.decrypt(sealed).unwrap_or_else(|e| e.raise());
         }
     })
 }
@@ -781,7 +785,7 @@ fn armed_framing_at_zero_rate_changes_results_nothing() {
             let mut got = Vec::new();
             let mut cur = Parcel::one(Item::Plain(ctx.my_block(16)));
             for _ in 0..p - 1 {
-                cur = ctx.sendrecv(next, prev, 3, cur);
+                cur = ctx.sendrecv(next, prev, 3, cur).unwrap();
                 got.push(cur.items[0].origins()[0]);
             }
             got
@@ -990,7 +994,7 @@ fn soft_crash_resolves_blocked_recv_without_waiting_out_the_deadline() {
     assert!(report.outputs[0].is_none());
     let got = report.outputs[1].clone().expect("survivor output");
     assert_eq!(
-        got.expect("closure ran on rank 1").unwrap_err(),
+        got.expect("closure ran on rank 1").unwrap_err().cause,
         FailureCause::Crash { rank: 0 }
     );
     assert_eq!(report.metrics[1].crashes_detected, 1);
@@ -1021,7 +1025,7 @@ fn crash_after_send_delivers_the_final_frame_first() {
     let (first, second) = report.outputs[1].clone().expect("survivor output");
     assert_eq!(first, Ok(16), "frame sent before the crash must arrive");
     assert_eq!(
-        second.unwrap_err(),
+        second.unwrap_err().cause,
         FailureCause::Crash { rank: 0 },
         "frame after the crash point must fail via the detector"
     );
@@ -1050,7 +1054,7 @@ fn hard_crash_is_suspected_after_silent_departure() {
     assert_eq!(report.crashed, vec![0]);
     let got = report.outputs[1].clone().expect("survivor output");
     assert_eq!(
-        got.expect("closure ran on rank 1").unwrap_err(),
+        got.expect("closure ran on rank 1").unwrap_err().cause,
         FailureCause::Crash { rank: 0 }
     );
 }
@@ -1082,7 +1086,7 @@ fn every_liveness_verdict_is_the_scheduler_departure_record() {
         // rank 0's `NackMiss` — so rank 0 was still lingering at p-1
         // departures.
         let probes = [1, 2, 0].map(|src| {
-            let verdict = ctx.try_recv(src, 7).unwrap_err();
+            let verdict = ctx.try_recv(src, 7).unwrap_err().cause;
             let sched = &ctx.world.sched;
             let silent_for = sched.hard_departed_at(src).map(|at| at.elapsed());
             (
@@ -1199,7 +1203,7 @@ fn single_worker_world_interleaves_cooperatively() {
                 round as u64,
                 Parcel::one(Item::Plain(ctx.my_block(8))),
             );
-            seen += parcel.payload_len();
+            seen += parcel.unwrap().payload_len();
         }
         seen
     });
@@ -1225,21 +1229,15 @@ fn same_node_crash_unblocks_shared_memory_waiters() {
                 None
             }
             // Same-node sibling blocked on rank 0's deposit. The fetch
-            // raises the typed failure; catch it the way the recovery
-            // engine does, so the world carries on.
+            // returns the typed failure, and the world carries on.
             1 => {
                 let key = ctx.slot(5, 0);
-                Some(
-                    typed(|| ctx.shared_fetch_free(key))
-                        .map(|_| ())
-                        .map_err(|e| {
-                            assert_eq!(e.rank, 1);
-                            e.cause
-                        }),
-                )
+                let got = ctx.shared_fetch_free(key).map(|_| ());
+                assert_eq!(got.as_ref().map_err(|e| e.rank), Err(1));
+                Some(got.map_err(|e| e.cause))
             }
             // Off-node ranks: blocked on the doomed rank's message.
-            _ => Some(ctx.try_recv(0, 9).map(|_| ())),
+            _ => Some(ctx.try_recv(0, 9).map(|_| ()).map_err(|e| e.cause)),
         }
     });
     assert_eq!(report.crashed, vec![0]);
@@ -1283,7 +1281,7 @@ fn aborted_attempt_resolves_peers_blocked_in_their_own_attempts() {
     let got = report.outputs[0].clone().expect("rank 0 output");
     // The abandonment carries its blame, so rank 0's cascaded failure is
     // attributed to the rank the aborter named.
-    assert_eq!(got.unwrap_err(), FailureCause::Crash { rank: 1 });
+    assert_eq!(got.unwrap_err().cause, FailureCause::Crash { rank: 1 });
     assert!(report.crashed.is_empty(), "no rank actually died");
 }
 

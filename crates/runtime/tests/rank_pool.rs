@@ -91,7 +91,7 @@ fn a_reused_thread_starts_its_rank_with_a_clean_copy_probe() {
             let sealed = ctx.encrypt(ctx.my_block(256));
             ctx.send((rank + 1) % p, 1, Parcel::one(Item::Sealed(sealed)));
             let got = ctx.recv((rank + p - 1) % p, 1);
-            ctx.decrypt(got.items[0].clone().into_sealed());
+            ctx.decrypt(got.items[0].clone().into_sealed()).unwrap();
         })
         .metrics
     };

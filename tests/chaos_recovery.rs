@@ -22,7 +22,7 @@ use eag_bench::SimConfig;
 use eag_core::{Algorithm, Collective};
 use eag_integration::{chaos_config, chaos_run, first_unrecovered, frame_ids};
 use eag_netsim::{Crash, FaultKind, FaultPlan, FrameId, Mapping};
-use eag_runtime::{try_run, FailureCause, ProcCtx};
+use eag_runtime::{try_run, try_run_crashable, FailureCause, ProcCtx};
 use proptest::prelude::*;
 use std::time::{Duration, Instant};
 
@@ -93,6 +93,34 @@ fn dead_peer_during_collective_fails_with_typed_error_and_phase() {
         FailureCause::DeadPeer { peer, .. } => assert_eq!(peer, 1),
         other => panic!("expected DeadPeer, got {other}"),
     }
+}
+
+/// The recovery engine recovers crashes only. In a world with no crash
+/// schedule, an unframed tamper of O-Ring's first frame into node 1 (rank
+/// 1 → rank 2, p = 4, N = 2) reaches one decryptor: rank 2 opens it to
+/// forward it within its node. `Collective::recover` must not take that
+/// forged frame for a crash: the run ends in a typed `AuthFailure` of rank
+/// 2 in the algorithm's phase, the same failure the plain run raises.
+#[test]
+fn recover_does_not_recover_a_forged_frame() {
+    let (c, p, nodes, m) = (Collective::Allgather(Algorithm::ORing), 4, 2, 64);
+    let id = frame_ids(c, p, nodes, m)
+        .into_iter()
+        .find(|id| (id.src, id.dst) == (1, 2))
+        .expect("O-Ring sends from rank 1 to rank 2");
+    let plan = FaultPlan {
+        listed: vec![(id, FaultKind::Tamper)],
+        ..FaultPlan::default()
+    };
+    let spec = chaos_config(p, nodes).world_spec(plan);
+    let err = try_run_crashable(&spec, |ctx| c.recover(ctx, m))
+        .err()
+        .expect("a forged frame must not be recovered");
+    let detail = "TagMismatch: forged, corrupted, or relabeled ciphertext".to_string();
+    assert_eq!(
+        (err.rank, err.phase, err.cause),
+        (2, "O-Ring", FailureCause::AuthFailure { detail })
+    );
 }
 
 /// Coordinator deaths inside the survivor agreement, for every encrypted

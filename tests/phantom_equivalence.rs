@@ -22,11 +22,12 @@ struct Shape {
 }
 
 fn shape(algo: Algorithm, p: usize, nodes: usize, m: usize, mode: DataMode) -> Shape {
-    let spec = WorldSpec::new(
+    let mut spec = WorldSpec::new(
         Topology::new(p, nodes, Mapping::Block),
         profile::free(),
         mode,
     );
+    spec.capture_wire = true;
     let report = run(&spec, move |ctx| {
         Collective::Allgather(algo)
             .run(ctx, m)
@@ -85,11 +86,12 @@ fn phantom_equivalence_real_mode_p256() {
 /// Observable shape of one collective run; sparse outputs (gather roots,
 /// scatter own-slots) contribute only the slots their role delivers.
 fn shape_collective(c: Collective, p: usize, nodes: usize, m: usize, mode: DataMode) -> Shape {
-    let spec = WorldSpec::new(
+    let mut spec = WorldSpec::new(
         Topology::new(p, nodes, Mapping::Block),
         profile::free(),
         mode,
     );
+    spec.capture_wire = true;
     let report = run(&spec, move |ctx| {
         let out = c.run(ctx, m);
         (0..out.p())

@@ -176,7 +176,8 @@ fn tampered_ciphertext_aborts_the_collective() {
                 ctx.send(1, 9, Parcel::one(Item::Sealed(sealed)));
             } else if rank == 1 {
                 let parcel = ctx.recv(0, 9);
-                let _ = ctx.decrypt(parcel.items[0].clone().into_sealed());
+                let sealed = parcel.items[0].clone().into_sealed();
+                ctx.decrypt(sealed).unwrap_or_else(|e| e.raise());
             }
         })
     }));
@@ -303,7 +304,8 @@ fn relabeled_ciphertext_is_rejected() {
                 }
                 1 => {
                     let parcel = ctx.recv(0, 9);
-                    let _ = ctx.decrypt(parcel.items[0].clone().into_sealed());
+                    let sealed = parcel.items[0].clone().into_sealed();
+                    ctx.decrypt(sealed).unwrap_or_else(|e| e.raise());
                 }
                 _ => {}
             }
