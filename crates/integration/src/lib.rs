@@ -6,8 +6,8 @@
 //! [`Collective`] under a deterministic [`FaultPlan`] and checks that the
 //! recovered result is byte-identical to a fault-free run of the same
 //! collective. [`frame_ids`] lists the frames a fault can name, and
-//! [`first_unrecovered`] runs one collective under each of many listed
-//! fault placements. Crash recovery runs through
+//! [`first_unrecovered`] runs one collective, or several back to back,
+//! under each of many listed fault placements. Crash recovery runs through
 //! [`eag_bench::harness::crash_schedule_run`], like the bench cells.
 //!
 //! The `chaos_sweep` and `crash_sweep` binaries (gated behind the `chaos`
@@ -27,7 +27,7 @@ use eag_runtime::{try_run, CollectiveError, Metrics, RunReport, WorldSpec};
 /// fault-free reference run.
 #[derive(Debug, Clone)]
 pub struct ChaosReport {
-    /// The collective exercised.
+    /// The collective exercised (the first, of several run back to back).
     pub collective: Collective,
     /// The collective completed and every rank's delivered bytes are
     /// identical to the fault-free reference.
@@ -76,28 +76,31 @@ pub fn chaos_config(p: usize, nodes: usize) -> SimConfig {
 /// Every rank's delivered `(slot, bytes)` pairs.
 type Delivered = Vec<(usize, Vec<u8>)>;
 
-/// One run of `c` in `spec` (a [`chaos_config`] world); each rank verifies
-/// its output and returns the slots its role delivers (sparse outputs are
-/// legal: gather delivers only at the root, scatter only the own slot).
+/// One run of the collectives `cs`, back to back, in `spec` (a
+/// [`chaos_config`] world); each rank verifies every output and returns
+/// the slots its role delivers, in order (sparse outputs are legal: gather
+/// delivers only at the root, scatter only the own slot).
 fn delivered(
-    c: Collective,
+    cs: &[Collective],
     m: usize,
     spec: &WorldSpec,
 ) -> Result<RunReport<Delivered>, CollectiveError> {
     try_run(spec, move |ctx| {
-        let out = c.run(ctx, m);
-        c.verify(ctx.rank(), &out, DATA_SEED);
-        (0..out.p())
-            .filter_map(|r| out.get(r).map(|b| (r, b.data.to_vec())))
-            .collect()
+        let mut got = Vec::new();
+        for &c in cs {
+            let out = c.run(ctx, m);
+            c.verify(ctx.rank(), &out, DATA_SEED);
+            got.extend((0..out.p()).filter_map(|r| out.get(r).map(|b| (r, b.data.to_vec()))));
+        }
+        got
     })
 }
 
-/// The fault-free reference run of `c`.
-fn clean_run(c: Collective, p: usize, nodes: usize, m: usize) -> Vec<Delivered> {
+/// The fault-free reference run of `cs`.
+fn clean_run(cs: &[Collective], p: usize, nodes: usize, m: usize) -> Vec<Delivered> {
     let spec = chaos_config(p, nodes).world_spec(FaultPlan::default());
-    delivered(c, m, &spec)
-        .unwrap_or_else(|e| panic!("{c}: fault-free reference failed: {e}"))
+    delivered(cs, m, &spec)
+        .unwrap_or_else(|e| panic!("{cs:?}: fault-free reference failed: {e}"))
         .outputs
 }
 
@@ -141,9 +144,9 @@ fn grade(
 /// collective on the same inputs (each rank compares only the slots its
 /// role delivers).
 pub fn chaos_run(c: Collective, p: usize, nodes: usize, m: usize, plan: FaultPlan) -> ChaosReport {
-    let clean = clean_run(c, p, nodes, m);
+    let clean = clean_run(&[c], p, nodes, m);
     let spec = chaos_config(p, nodes).world_spec(plan);
-    grade(c, &clean, delivered(c, m, &spec))
+    grade(c, &clean, delivered(&[c], m, &spec))
 }
 
 /// The identity of every inter-node frame of an armed, fault-free run of
@@ -157,8 +160,8 @@ pub fn frame_ids(c: Collective, p: usize, nodes: usize, m: usize) -> Vec<FrameId
     };
     let mut spec = chaos_config(p, nodes).world_spec(armed);
     spec.capture_wire = true;
-    let report =
-        delivered(c, m, &spec).unwrap_or_else(|e| panic!("{c}: armed fault-free run failed: {e}"));
+    let report = delivered(&[c], m, &spec)
+        .unwrap_or_else(|e| panic!("{c}: armed fault-free run failed: {e}"));
     let frames = report.wiretap.frames();
     let mut ids: Vec<FrameId> = frames
         .iter()
@@ -173,20 +176,23 @@ pub fn frame_ids(c: Collective, p: usize, nodes: usize, m: usize) -> Vec<FrameId
     ids
 }
 
-/// Runs `c` in an armed world once per placement (a list of faults on
-/// distinct frames) and returns the first placement that is not
-/// recovered — delivered bytes that differ from the fault-free run, or an
-/// injected fault count other than the placement's length — with its
-/// report. Stops there: an unrecovered placement can wait out the whole
-/// retry budget, so running on would only multiply that wait.
+/// Runs the collectives `cs`, back to back, in an armed world once per
+/// placement (a list of faults on distinct frames) and returns the first
+/// placement that is not recovered — delivered bytes that differ from the
+/// fault-free run, or an injected fault count other than the placement's
+/// length — with its report. Stops there: an unrecovered placement can
+/// wait out the whole retry budget, so running on would only multiply
+/// that wait. [`frame_ids`] of `cs[0]` names frames of the first
+/// collective of the sequence too: both run in the world's first
+/// collective epoch.
 pub fn first_unrecovered(
-    c: Collective,
+    cs: &[Collective],
     p: usize,
     nodes: usize,
     m: usize,
     placements: impl IntoIterator<Item = Vec<(FrameId, FaultKind)>>,
 ) -> Option<(Vec<(FrameId, FaultKind)>, ChaosReport)> {
-    let clean = clean_run(c, p, nodes, m);
+    let clean = clean_run(cs, p, nodes, m);
     placements.into_iter().find_map(|listed| {
         let plan = FaultPlan {
             armed: true,
@@ -194,7 +200,7 @@ pub fn first_unrecovered(
             ..FaultPlan::default()
         };
         let spec = chaos_config(p, nodes).world_spec(plan);
-        let r = grade(c, &clean, delivered(c, m, &spec));
+        let r = grade(cs[0], &clean, delivered(cs, m, &spec));
         let recovered = r.byte_identical && r.faults_injected == listed.len() as u64;
         (!recovered).then_some((listed, r))
     })

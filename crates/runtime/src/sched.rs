@@ -1,12 +1,9 @@
 //! The rank scheduler: per-rank mailboxes, event-driven parking, and a
 //! worker gate bounding how many rank state machines run at once.
 //!
-//! The world used to be thread-per-rank all the way down: every rank owned
-//! an OS thread that *ran* whenever it was not blocked in a channel
-//! `recv_timeout`, so p ranks meant p schedulable threads spinning poll
-//! loops against each other. This module inverts that. A rank's OS thread
-//! is demoted to a stack for its state machine; whether the machine may
-//! *run* is a scheduler decision:
+//! A rank's OS thread is only a stack for its state machine (DESIGN.md
+//! tells how the thread-per-rank world became this); whether the machine
+//! may *run* is a scheduler decision:
 //!
 //! - **Run permits.** A [`Scheduler`] holds a gate of `width` run permits
 //!   (the "worker pool"). A rank executes algorithm steps only while it
@@ -20,17 +17,19 @@
 //!   which returns its permit to the gate and blocks until that fires or
 //!   its earliest timer (receive watchdog, retry round, suspect deadline)
 //!   expires. Waking re-acquires a permit before returning, so a woken
-//!   rank is again a running rank.
+//!   rank is again a running rank. Every wait of a world's rank parks here,
+//!   shared-segment waits included.
 //! - **Targeted wakes.** Only news about the watch wakes a parked rank. A
 //!   receive watches one peer: mail from that peer wakes it, and so does
 //!   an event about that peer — its departure, or its attempt abort
-//!   ([`Scheduler::raise`]). A lingering rank watches the departures and
-//!   wakes on the last one. Urgent mail (a NACK someone waits on, a
-//!   poison) wakes any watch; other mail waits in the mailbox until the
-//!   owner's next drain. Parkers snapshot the event [generation]
-//!   *before* re-checking their conditions and pass it to `park_on`; an
-//!   event about the watch that fires in the race window makes the park
-//!   return at once instead of being lost.
+//!   ([`Scheduler::raise`]). A segment wait watches its node's
+//!   [segment events](Scheduler::segment_event). A lingering rank watches
+//!   the departures and wakes on the last one. Urgent mail (a NACK someone
+//!   waits on, a poison) wakes any watch; other mail waits in the mailbox
+//!   until the owner's next drain. Parkers snapshot the event
+//!   [generation] *before* re-checking their conditions and pass it to
+//!   `park_on`; an event about the watch that fires in the race window
+//!   makes the park return at once instead of being lost.
 //! - **Departures.** Liveness is a scheduler fact, not a wall-clock guess:
 //!   the runner records how every rank left the world
 //!   ([`Scheduler::depart`]), including hard crashes — the simulation
@@ -75,6 +74,9 @@ pub enum Watch {
     Peer(usize),
     /// The departures, as a lingering rank does: the last one wakes it.
     Departures,
+    /// A node's shared segment, as a fetch or a node barrier does: a
+    /// segment event about that node wakes it.
+    Segment(usize),
     /// Any mail and no event, as [`Scheduler::park`] does.
     Mail,
 }
@@ -85,7 +87,7 @@ impl Watch {
         match (self, from) {
             (_, None) | (Watch::Mail, _) => true,
             (Watch::Peer(peer), Some(src)) => peer == src,
-            (Watch::Departures, Some(_)) => false,
+            (Watch::Departures | Watch::Segment(_), Some(_)) => false,
         }
     }
 
@@ -95,7 +97,7 @@ impl Watch {
         match self {
             Watch::Peer(peer) => peer == about,
             Watch::Departures => last,
-            Watch::Mail => false,
+            Watch::Segment(_) | Watch::Mail => false,
         }
     }
 }
@@ -125,10 +127,9 @@ pub enum Departure {
 /// sessions on one host — are built with [`Scheduler::with_gate`] over one
 /// shared `Arc<RunGate>`, so the bound is per host, not per world. Ranks
 /// never touch the gate directly; they go through [`Scheduler::enter`] /
-/// [`Scheduler::exit`] / [`Scheduler::park`] / [`Scheduler::blocking`],
-/// which release the permit across every blocking region — a parked or
-/// blocked rank costs no permit, so sharing a gate cannot deadlock worlds
-/// against each other.
+/// [`Scheduler::exit`] / [`Scheduler::park_on`], which releases the permit
+/// for as long as the rank is parked — a parked rank costs no permit, so
+/// sharing a gate cannot deadlock worlds against each other.
 pub struct RunGate {
     state: Mutex<GateState>,
     cv: Condvar,
@@ -238,6 +239,9 @@ pub struct Scheduler<M> {
     generation: AtomicU64,
     /// Per rank, the generation of the latest event about it.
     heard: Vec<AtomicU64>,
+    /// Per node (a world has no more nodes than ranks), the generation of
+    /// the latest segment event about it.
+    segment_heard: Vec<AtomicU64>,
     /// Number of ranks with a departure record.
     departures: AtomicUsize,
     gate: Arc<RunGate>,
@@ -269,6 +273,7 @@ impl<M> Scheduler<M> {
             departed: (0..p).map(|_| OnceLock::new()).collect(),
             generation: AtomicU64::new(0),
             heard: (0..p).map(|_| AtomicU64::new(0)).collect(),
+            segment_heard: (0..p).map(|_| AtomicU64::new(0)).collect(),
             departures: AtomicUsize::new(0),
             gate,
         }
@@ -332,22 +337,35 @@ impl<M> Scheduler<M> {
     /// raises one when `rank` abandons a collective attempt): wakes the
     /// ranks parked on a watch of `rank`.
     pub fn raise(&self, rank: usize) {
-        self.event(rank, false);
+        let everyone = 0..self.slots.len();
+        self.event(&self.heard[rank], everyone, |w| w.hears_event(rank, false));
     }
 
-    /// Bumps the generation, stamps it on the rank the event is about, and
-    /// wakes exactly the parked ranks whose watch hears it (`last`: the
-    /// event is the world's last departure).
-    fn event(&self, about: usize, last: bool) {
+    /// Publishes news on node `node`'s shared segment (a deposit, a barrier
+    /// release, a crash abort): wakes its ranks `ranks` parked on it.
+    pub fn segment_event(&self, node: usize, ranks: impl IntoIterator<Item = usize>) {
+        let hears = |w| w == Watch::Segment(node);
+        self.event(&self.segment_heard[node], ranks, hears);
+    }
+
+    /// Bumps the generation, stamps it on `heard` (what the event is about)
+    /// and wakes exactly the ranks of `ranks` parked on a watch that `hears`.
+    fn event(
+        &self,
+        heard: &AtomicU64,
+        ranks: impl IntoIterator<Item = usize>,
+        hears: impl Fn(Watch) -> bool,
+    ) {
         let gen = self.generation.fetch_add(1, Ordering::SeqCst) + 1;
-        self.heard[about].fetch_max(gen, Ordering::SeqCst);
-        for slot in &self.slots {
+        heard.fetch_max(gen, Ordering::SeqCst);
+        for rank in ranks {
+            let slot = &self.slots[rank];
             // Taking the mailbox lock orders this check after any parker
             // that read the old stamp but has not yet blocked: the parker
             // holds the lock from its stamp check until `wait` atomically
             // enqueues it.
             let inbox = slot.inbox.lock();
-            if inbox.watch.is_some_and(|w| w.hears_event(about, last)) {
+            if inbox.watch.is_some_and(&hears) {
                 slot.cv.notify_one();
             }
         }
@@ -360,6 +378,7 @@ impl<M> Scheduler<M> {
         match watch {
             Watch::Peer(peer) => self.heard[peer].load(Ordering::SeqCst) > gen,
             Watch::Departures => self.departures() == self.slots.len(),
+            Watch::Segment(node) => self.segment_heard[node].load(Ordering::SeqCst) > gen,
             Watch::Mail => false,
         }
     }
@@ -400,43 +419,30 @@ impl<M> Scheduler<M> {
         if deadline.is_some_and(|d| Instant::now() >= d) {
             return Wake::Deadline;
         }
-        self.blocking(|| {
-            let mut inbox = slot.inbox.lock();
-            inbox.watch = Some(watch);
-            let wake = loop {
-                if let Some(wake) = ready(&inbox, &mut seen) {
-                    break wake;
-                }
-                match deadline {
-                    Some(d) => {
-                        let now = Instant::now();
-                        if now >= d {
-                            break Wake::Deadline;
-                        }
-                        slot.cv.wait_for(&mut inbox, d - now);
-                    }
-                    None => slot.cv.wait(&mut inbox),
-                }
-            };
-            inbox.watch = None;
-            wake
-        })
-    }
-
-    /// Runs `f` with the run permit returned to the gate, re-acquiring it
-    /// afterwards (on unwind too). For blocking operations outside the
-    /// scheduler's own parking — shared-memory fetches and barriers block
-    /// on their segment's condvar and must not hold a worker hostage.
-    pub fn blocking<R>(&self, f: impl FnOnce() -> R) -> R {
-        struct Reacquire<'a>(&'a RunGate);
-        impl Drop for Reacquire<'_> {
-            fn drop(&mut self) {
-                self.0.acquire();
-            }
-        }
+        // Hand the permit back for the block, so ℓ − 1 siblings parked on
+        // their node's segment cannot starve the one that releases them.
         self.gate.release();
-        let _reacquire = Reacquire(&self.gate);
-        f()
+        let mut inbox = slot.inbox.lock();
+        inbox.watch = Some(watch);
+        let wake = loop {
+            if let Some(wake) = ready(&inbox, &mut seen) {
+                break wake;
+            }
+            match deadline {
+                Some(d) => {
+                    let now = Instant::now();
+                    if now >= d {
+                        break Wake::Deadline;
+                    }
+                    slot.cv.wait_for(&mut inbox, d - now);
+                }
+                None => slot.cv.wait(&mut inbox),
+            }
+        };
+        inbox.watch = None;
+        drop(inbox);
+        self.gate.acquire();
+        wake
     }
 
     /// Cooperative yield: if other ranks are waiting for a run permit,
@@ -458,7 +464,8 @@ impl<M> Scheduler<M> {
     pub fn depart(&self, rank: usize, how: Departure) {
         if self.departed[rank].set((how, Instant::now())).is_ok() {
             let left = self.departures.fetch_add(1, Ordering::SeqCst) + 1;
-            self.event(rank, left == self.slots.len());
+            let (last, everyone) = (left == self.slots.len(), 0..self.slots.len());
+            self.event(&self.heard[rank], everyone, |w| w.hears_event(rank, last));
         }
     }
 
@@ -490,7 +497,7 @@ impl<M> Scheduler<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicBool, AtomicUsize};
+    use std::sync::atomic::AtomicUsize;
     use std::sync::Arc;
     use std::thread;
     use std::time::Duration;
@@ -511,7 +518,7 @@ mod tests {
 
     /// The lost-wakeup race, made deterministic: an event about the
     /// watched peer raised *between* the generation snapshot and the park
-    /// must abort the park; one about another rank must not.
+    /// must abort the park; one about another rank or node must not.
     #[test]
     fn stale_generation_snapshot_aborts_the_park() {
         let s: Scheduler<u32> = Scheduler::new(3, 4);
@@ -525,6 +532,12 @@ mod tests {
         let gen = s.generation();
         s.depart(1, Departure::SoftCrash);
         assert_eq!(s.park_on(0, Watch::Peer(1), soon(), gen), Wake::Event);
+        // The same for a segment park: the stamp is its node's.
+        let gen = s.generation();
+        s.segment_event(1, [0]);
+        assert_eq!(s.park_on(0, Watch::Segment(0), soon(), gen), Wake::Deadline);
+        s.segment_event(0, [0]);
+        assert_eq!(s.park_on(0, Watch::Segment(0), soon(), gen), Wake::Event);
         s.exit();
     }
 
@@ -608,6 +621,47 @@ mod tests {
             assert_eq!(wake, want, "{what}");
             assert!(took < long, "{what} did not wake the park");
         }
+    }
+
+    /// A segment park ends at once on a segment event about its node and
+    /// on urgent mail (a NACK to answer, a poison).
+    #[test]
+    fn segment_news_or_urgent_mail_ends_a_segment_park() {
+        let long = Duration::from_secs(30);
+        type News = fn(&Scheduler<u32>);
+        let cases: [(&str, Wake, News); 3] = [
+            ("deposit on node 0", Wake::Event, |s| {
+                s.segment_event(0, [0, 1])
+            }),
+            ("NACK from peer 2", Wake::Mail, |s| {
+                s.send_from(0, 2, true, 2)
+            }),
+            ("poison from peer 3", Wake::Mail, |s| {
+                s.send_from(0, 3, true, 3)
+            }),
+        ];
+        for (what, want, news) in cases {
+            let (s, gate) = one_permit(4);
+            let (wake, took) = park_through(&s, &gate, Watch::Segment(0), long, news);
+            assert_eq!(wake, want, "{what}");
+            assert!(took < long, "{what} did not wake the park");
+        }
+    }
+
+    /// A segment park sleeps through a segment event about another node
+    /// (even one that lists the parker), routine mail and a departure, and
+    /// runs out its deadline.
+    #[test]
+    fn news_about_another_node_leaves_a_segment_park_parked() {
+        let (s, gate) = one_permit(4);
+        let limit = Duration::from_millis(20);
+        let (wake, took) = park_through(&s, &gate, Watch::Segment(0), limit, |s| {
+            s.segment_event(1, [0, 2, 3]);
+            s.send_from(0, 1, false, 5);
+            s.depart(1, Departure::SoftCrash);
+        });
+        assert_eq!(wake, Wake::Deadline);
+        assert!(took >= limit);
     }
 
     /// A departure wakes the ranks watching the departed rank and no
@@ -777,45 +831,34 @@ mod tests {
         assert!(g1.width() >= 4);
     }
 
-    /// A rank inside `blocking` must not hold a worker hostage: with a
-    /// single permit, a second rank can only run if the first gave its
-    /// permit back for the duration of the blocking section.
+    /// ℓ − 1 siblings parked on their node's segment hold no permit: with
+    /// two permits and two segment parkers, the third sibling still runs,
+    /// and its segment event (say, the barrier release) wakes them both.
     #[test]
-    fn blocking_releases_the_run_permit() {
-        let s: Arc<Scheduler<u32>> = Arc::new(Scheduler::new(2, 1));
-        let a_inside = Arc::new(AtomicBool::new(false));
-        let b_done = Arc::new(AtomicBool::new(false));
-        let a = {
-            let s = Arc::clone(&s);
-            let a_inside = Arc::clone(&a_inside);
-            let b_done = Arc::clone(&b_done);
-            thread::spawn(move || {
-                s.enter();
-                s.blocking(|| {
-                    a_inside.store(true, Ordering::SeqCst);
-                    while !b_done.load(Ordering::SeqCst) {
-                        thread::sleep(Duration::from_millis(1));
-                    }
-                });
-                s.exit();
+    fn segment_parkers_leave_their_permits_to_the_releasing_sibling() {
+        let gate = Arc::new(RunGate::new(2));
+        let s: Arc<Scheduler<u32>> = Arc::new(Scheduler::with_gate(3, Arc::clone(&gate)));
+        let parkers: Vec<_> = (0..2)
+            .map(|rank| {
+                let s = Arc::clone(&s);
+                thread::spawn(move || {
+                    s.enter();
+                    let limit = Some(Instant::now() + Duration::from_secs(30));
+                    let wake = s.park_on(rank, Watch::Segment(0), limit, s.generation());
+                    s.exit();
+                    wake
+                })
             })
-        };
-        let b = {
-            let s = Arc::clone(&s);
-            let a_inside = Arc::clone(&a_inside);
-            let b_done = Arc::clone(&b_done);
-            thread::spawn(move || {
-                while !a_inside.load(Ordering::SeqCst) {
-                    thread::sleep(Duration::from_millis(1));
-                }
-                s.enter();
-                b_done.store(true, Ordering::SeqCst);
-                s.exit();
-            })
-        };
-        a.join().unwrap();
-        b.join().unwrap();
-        assert!(b_done.load(Ordering::SeqCst));
+            .collect();
+        while s.progress(0) == 0 || s.progress(1) == 0 || gate.free_permits() < 2 {
+            thread::yield_now();
+        }
+        s.enter(); // only acquirable while both siblings are parked
+        s.segment_event(0, [0, 1, 2]);
+        s.exit();
+        for parker in parkers {
+            assert_eq!(parker.join().unwrap(), Wake::Event);
+        }
     }
 
     /// A parked rank costs no worker: with one permit, a parked rank A must

@@ -13,16 +13,24 @@
 //! the slot self-removes when the last declared consumer has fetched it —
 //! so the map is empty again after every collective instead of growing by
 //! one generation of slots per `begin_collective` epoch.
+//!
+//! The segment never blocks a world's rank: the world polls it one wait
+//! step at a time and parks a waiting rank in its scheduler, where it keeps
+//! answering its mail. [`NodeShared::fetch`] and [`NodeShared::barrier`]
+//! block on the segment's condvar instead, for use without a world.
 
 use crate::payload::Item;
 use eag_netsim::Rank;
 use parking_lot::{Condvar, Mutex};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// A slot address inside a node's shared segment.
 pub type SlotKey = (u64, usize); // (phase tag, index)
+
+/// A wait step's answer: `Ok(None)` while the wait goes on, `Err(rank)`
+/// once a sibling process on the node crashed.
+pub(crate) type Answer<R> = Result<Option<R>, Rank>;
 
 struct DepositedItem {
     item: Arc<Item>,
@@ -32,30 +40,61 @@ struct DepositedItem {
     remaining: usize,
 }
 
+/// Everything behind the segment's one lock.
 #[derive(Default)]
-struct SlotMap {
+pub(crate) struct Segment {
     slots: HashMap<SlotKey, DepositedItem>,
-}
-
-struct BarrierState {
+    /// A claim found its slot empty since the last deposit.
+    missed: bool,
+    /// Barrier generations released so far.
     generation: u64,
     arrived: usize,
     max_clock_us: f64,
     release_clock_us: f64,
+    /// A sibling process that crashed mid-collective: every fetch and
+    /// barrier wait from then on fails with `Err(rank)`, so the survivors
+    /// recover instead of waiting for what will never come.
+    crashed: Option<Rank>,
+}
+
+impl Segment {
+    /// Takes one declared read of the item in `key`, if it is deposited:
+    /// a shared handle to the item (no deep copy) and the virtual time it
+    /// became visible. The last declared consumer removes the slot and
+    /// receives the map's own `Arc` — then sole ownership, so
+    /// `Arc::try_unwrap` gives the item back without any copy at all.
+    pub(crate) fn claim(&mut self, key: SlotKey) -> Answer<(Arc<Item>, f64)> {
+        self.crashed.map_or(Ok(()), Err)?;
+        let Some(d) = self.slots.get_mut(&key) else {
+            self.missed = true;
+            return Ok(None);
+        };
+        debug_assert!(d.remaining > 0);
+        d.remaining -= 1;
+        Ok(Some(if d.remaining == 0 {
+            let d = self.slots.remove(&key).expect("slot present");
+            (d.item, d.ready_us)
+        } else {
+            (Arc::clone(&d.item), d.ready_us)
+        }))
+    }
+
+    /// The release clock of barrier `generation` once it has released.
+    pub(crate) fn released(&self, generation: u64) -> Answer<f64> {
+        if self.generation != generation {
+            return Ok(Some(self.release_clock_us));
+        }
+        self.crashed.map_or(Ok(None), Err)
+    }
 }
 
 /// One node's shared-memory segment.
 pub struct NodeShared {
     participants: usize,
-    slots: Mutex<SlotMap>,
-    slots_cv: Condvar,
-    barrier: Mutex<BarrierState>,
-    barrier_cv: Condvar,
-    poisoned: std::sync::atomic::AtomicBool,
-    /// `rank + 1` of a sibling process that crashed mid-collective, or 0.
-    /// Unlike poison this is recoverable: blocked `fetch`/`barrier` calls
-    /// return `Err(rank)` so survivors can run the recovery protocol.
-    crashed: AtomicUsize,
+    state: Mutex<Segment>,
+    /// Wakes the blocking [`fetch`](Self::fetch) and
+    /// [`barrier`](Self::barrier) only.
+    cv: Condvar,
 }
 
 impl NodeShared {
@@ -63,64 +102,32 @@ impl NodeShared {
     pub fn new(participants: usize) -> Self {
         NodeShared {
             participants,
-            slots: Mutex::new(SlotMap::default()),
-            slots_cv: Condvar::new(),
-            barrier: Mutex::new(BarrierState {
-                generation: 0,
-                arrived: 0,
-                max_clock_us: 0.0,
-                release_clock_us: 0.0,
-            }),
-            barrier_cv: Condvar::new(),
-            poisoned: std::sync::atomic::AtomicBool::new(false),
-            crashed: AtomicUsize::new(0),
-        }
-    }
-
-    /// Marks the segment poisoned (a sibling process panicked) and wakes all
-    /// waiters so they can propagate the failure instead of deadlocking.
-    pub fn poison(&self) {
-        self.poisoned
-            .store(true, std::sync::atomic::Ordering::SeqCst);
-        self.slots_cv.notify_all();
-        self.barrier_cv.notify_all();
-    }
-
-    fn check_poison(&self) {
-        if self.poisoned.load(std::sync::atomic::Ordering::SeqCst) {
-            panic!("node shared segment poisoned: a sibling process panicked");
+            state: Mutex::default(),
+            cv: Condvar::new(),
         }
     }
 
     /// Marks a sibling process as crashed (the node's OS observes local
-    /// process death immediately, even for a hard crash) and wakes all
-    /// waiters so blocked `fetch`/`barrier` calls return `Err(rank)`.
+    /// process death immediately, even for a hard crash): its deposits may
+    /// never arrive, so every fetch and barrier wait from now on returns
+    /// `Err(rank)`. The first crash recorded stands.
     pub fn crash_abort(&self, rank: Rank) {
-        let _ = self
-            .crashed
-            .compare_exchange(0, rank + 1, Ordering::SeqCst, Ordering::SeqCst);
-        self.slots_cv.notify_all();
-        self.barrier_cv.notify_all();
-    }
-
-    fn check_crash(&self) -> Result<(), Rank> {
-        match self.crashed.load(Ordering::SeqCst) {
-            0 => Ok(()),
-            dead => Err(dead - 1),
-        }
+        self.state.lock().crashed.get_or_insert(rank);
+        self.cv.notify_all();
     }
 
     /// Deposits `item` into `key`, visible from virtual time `ready_us` and
     /// consumed by exactly `consumers` fetches (after the last one the slot
     /// is removed). A deposit nobody will fetch (`consumers == 0`) is
     /// skipped outright. Panics if the slot is already occupied (phase tags
-    /// must be unique).
-    pub fn deposit(&self, key: SlotKey, item: Item, ready_us: f64, consumers: usize) {
+    /// must be unique). Returns whether a claim found its slot empty since
+    /// the last deposit, so a fetch may be waiting.
+    pub fn deposit(&self, key: SlotKey, item: Item, ready_us: f64, consumers: usize) -> bool {
         if consumers == 0 {
-            return;
+            return false;
         }
-        let mut slots = self.slots.lock();
-        let prev = slots.slots.insert(
+        let mut st = self.state.lock();
+        let prev = st.slots.insert(
             key,
             DepositedItem {
                 item: Arc::new(item),
@@ -129,46 +136,24 @@ impl NodeShared {
             },
         );
         assert!(prev.is_none(), "shared-memory slot {key:?} deposited twice");
-        drop(slots);
-        self.slots_cv.notify_all();
-    }
-
-    /// Fetches the item in `key`, blocking until deposited. Returns a shared
-    /// handle to the item (no deep copy) and the virtual time it became
-    /// visible. The last declared consumer removes the slot and receives the
-    /// map's own `Arc` — then sole ownership, so `Arc::try_unwrap` gives the
-    /// item back without any copy at all. Returns `Err(rank)` if a sibling
-    /// process on this node crashed: its deposits may never arrive, so the
-    /// whole segment fails fast once [`crash_abort`](Self::crash_abort) ran.
-    pub fn fetch(&self, key: SlotKey) -> Result<(Arc<Item>, f64), Rank> {
-        let mut slots = self.slots.lock();
-        loop {
-            self.check_poison();
-            self.check_crash()?;
-            if let Some(d) = slots.slots.get_mut(&key) {
-                debug_assert!(d.remaining > 0);
-                d.remaining -= 1;
-                return if d.remaining == 0 {
-                    let d = slots.slots.remove(&key).expect("slot present");
-                    Ok((d.item, d.ready_us))
-                } else {
-                    Ok((Arc::clone(&d.item), d.ready_us))
-                };
-            }
-            self.slots_cv.wait(&mut slots);
+        let awaited = std::mem::take(&mut st.missed);
+        drop(st);
+        if awaited {
+            self.cv.notify_all();
         }
+        awaited
     }
 
-    /// Removes the item in `key` if present, regardless of outstanding
-    /// consumer count (cleanup between phases).
-    pub fn take(&self, key: SlotKey) -> Option<Arc<Item>> {
-        self.slots.lock().slots.remove(&key).map(|d| d.item)
+    /// Takes one declared read of the item in `key`, blocking until it is
+    /// deposited: see `Segment::claim`.
+    pub fn fetch(&self, key: SlotKey) -> Result<(Arc<Item>, f64), Rank> {
+        self.block(|st| st.claim(key))
     }
 
     /// Number of live (not yet fully consumed) slots — 0 after a correctly
     /// consumer-counted collective completes.
     pub fn len(&self) -> usize {
-        self.slots.lock().slots.len()
+        self.state.lock().slots.len()
     }
 
     /// Whether the slot map is empty.
@@ -176,32 +161,50 @@ impl NodeShared {
         self.len() == 0
     }
 
-    /// Node barrier: blocks until all participants arrive, and returns the
-    /// common release clock = max(arrival clocks) + `barrier_cost_us`.
+    /// Arrives at the node barrier with clock `my_clock_us`. Returns the
+    /// barrier generation to wait on (`Segment::released`), and whether
+    /// this arrival was the last one and released it: every participant's
+    /// release clock is then max(arrival clocks) + `barrier_cost_us`.
     /// Returns `Err(rank)` if a sibling process on this node crashed — the
-    /// barrier would never release, so waiters fail fast instead.
-    pub fn barrier(&self, my_clock_us: f64, barrier_cost_us: f64) -> Result<f64, Rank> {
-        let mut st = self.barrier.lock();
-        self.check_crash()?;
-        let gen = st.generation;
+    /// barrier would never release.
+    pub fn arrive(&self, my_clock_us: f64, barrier_cost_us: f64) -> Result<(u64, bool), Rank> {
+        let mut st = self.state.lock();
+        st.crashed.map_or(Ok(()), Err)?;
+        let generation = st.generation;
         st.max_clock_us = st.max_clock_us.max(my_clock_us);
         st.arrived += 1;
-        if st.arrived == self.participants {
+        let last = st.arrived == self.participants;
+        if last {
             st.release_clock_us = st.max_clock_us + barrier_cost_us;
             st.generation += 1;
             st.arrived = 0;
             st.max_clock_us = 0.0;
-            let release = st.release_clock_us;
             drop(st);
-            self.barrier_cv.notify_all();
-            Ok(release)
-        } else {
-            while st.generation == gen {
-                self.check_poison();
-                self.check_crash()?;
-                self.barrier_cv.wait(&mut st);
+            self.cv.notify_all();
+        }
+        Ok((generation, last))
+    }
+
+    /// Node barrier: [`arrive`](Self::arrive), then block until the
+    /// generation releases, and return the common release clock.
+    pub fn barrier(&self, my_clock_us: f64, barrier_cost_us: f64) -> Result<f64, Rank> {
+        let (generation, _) = self.arrive(my_clock_us, barrier_cost_us)?;
+        self.block(|st| st.released(generation))
+    }
+
+    /// Runs one step of a wait on the segment, without blocking.
+    pub(crate) fn poll<R>(&self, step: impl FnOnce(&mut Segment) -> Answer<R>) -> Answer<R> {
+        step(&mut self.state.lock())
+    }
+
+    /// Blocks on the condvar until `step` answers.
+    fn block<R>(&self, mut step: impl FnMut(&mut Segment) -> Answer<R>) -> Result<R, Rank> {
+        let mut st = self.state.lock();
+        loop {
+            if let Some(got) = step(&mut st)? {
+                return Ok(got);
             }
-            Ok(st.release_clock_us)
+            self.cv.wait(&mut st);
         }
     }
 }
@@ -240,15 +243,6 @@ mod tests {
         let sh = NodeShared::new(1);
         sh.deposit((1, 0), item(1), 0.0, 2);
         sh.deposit((1, 0), item(2), 0.0, 2);
-    }
-
-    #[test]
-    fn take_removes_slot() {
-        let sh = NodeShared::new(1);
-        sh.deposit((1, 0), item(1), 0.0, 5);
-        assert!(sh.take((1, 0)).is_some());
-        assert!(sh.take((1, 0)).is_none());
-        assert!(sh.is_empty());
     }
 
     #[test]

@@ -7,11 +7,11 @@
 //! parked) OS thread leased from the process-wide rank pool (`pool.rs`),
 //! but whether it *runs* is a scheduler decision: at most
 //! [`WorldSpec::workers`] ranks execute concurrently, messages land in
-//! per-rank mailboxes, and a rank with nothing to do parks on what it waits
-//! for until news of it (mail from the awaited peer, that peer's departure
-//! or abort), urgent mail (a NACK, a poison), or its earliest timer wakes
-//! it.
-//! No rank ever spins a poll loop, which is what lets real-mode
+//! per-rank mailboxes, and every wait of a rank — a receive, a shared
+//! segment fetch or barrier, the linger — runs through one loop
+//! (`ProcCtx::wait`) that admits its mail and parks on what it waits for
+//! until news of it, urgent mail (a NACK, a poison) or its earliest timer
+//! wakes it. No rank ever spins a poll loop, which is what lets real-mode
 //! worlds of p=256–1024 run on one machine.
 //!
 //! # Layers
@@ -29,55 +29,41 @@
 //!
 //! # Reliable transport (chaos mode)
 //!
-//! When the spec's [`FaultPlan`] is enabled, every point-to-point send is
-//! framed for recovery: frames carry a per-`(dst, tag)` stream sequence
-//! number and a transport checksum, senders keep a retransmit log of the
-//! frames the receiver has not acknowledged yet (cumulative ACKs prune
-//! it), and receivers detect loss (receive timeout), corruption (checksum
-//! or per-hop GCM verification), duplication and reordering (sequence
-//! numbers), and recover by NACKing the sender, which replays the affected
-//! frames from its log. Ranks that finish while chaos is armed *linger* to
-//! service late NACKs until every rank has finished. Unrecoverable
-//! situations return a structured [`CollectiveError`] instead of hanging: a
-//! receive that exhausts its retry budget or wall-clock watchdog fails with
-//! `Timeout`, a receive blocked on a rank that already exited fails with
-//! `DeadPeer`, and a GCM authentication failure at a consumer fails with
-//! `AuthFailure`.
-//!
-//! Recovery happens at the wall-clock level and is deliberately invisible to
-//! the virtual-time cost model: retransmissions do not advance clocks and
-//! their bytes are accounted separately (`Metrics::retransmit_bytes`), so
-//! the paper's Table II traffic columns stay fault-independent.
+//! When the spec's [`FaultPlan`] is enabled, every inter-node send is
+//! framed for recovery by the transport (sequence numbers, checksum,
+//! a retransmit log pruned by cumulative ACKs, NACK replay, dedup). Ranks
+//! answer NACKs from whatever wait they are in, and ranks that finish
+//! *linger* to answer late ones until every rank has finished.
+//! Unrecoverable situations return a structured [`CollectiveError`]
+//! instead of hanging: `Timeout` (retry budget or wall-clock watchdog
+//! spent), `DeadPeer` (the awaited rank exited) or `AuthFailure` (at a
+//! consumer). Recovery is invisible to the virtual-time cost model:
+//! retransmissions advance no clock and are booked apart
+//! (`Metrics::retransmit_bytes`), so the Table II traffic columns stay
+//! fault-independent.
 //!
 //! # Crash tolerance
 //!
-//! A [`FaultPlan`] may additionally carry a schedule of seeded
-//! [`eag_netsim::Crash`] events, each killing one rank's thread at a
-//! chosen send step of a chosen membership epoch — including steps inside
-//! the recovery machinery itself (agreement rounds, degraded re-runs).
-//! The world does not treat these as poisoning panics: the runner records
-//! each death as a scheduler *departure* (soft crashes are visible to
-//! survivors at once; hard crashes depart silently and are suspected only
-//! after a grace period — see [`WorldSpec::suspect_after`]), wakes any
-//! same-node sibling blocked on the shared segment, and keeps the world
-//! alive. A receive blocked on a dead peer resolves through the failure
-//! detector with a recoverable `Crash { rank }` cause instead of waiting
-//! out its deadline, returned as a value like every failure: survivors
-//! probe dead ranks and abandon attempts without unwinding.
-//! Collective epochs are folded into every wire tag, so frames of an
-//! abandoned attempt can never alias the agreement rounds or the degraded
-//! re-runs that follow it, and abandonments are serial-scoped so a stale
-//! abort from one membership epoch never bleeds into a later attempt
-//! (see `Collective::recover` in `eag-core`). Use
-//! [`run_crashable`]/[`try_run_crashable`] to harvest per-rank outputs with
-//! the crashed ranks marked instead of panicking on the missing output.
+//! A [`FaultPlan`] may also schedule seeded [`eag_netsim::Crash`] events,
+//! each killing one rank's thread at a chosen send step of a chosen
+//! membership epoch — recovery's own agreement rounds and re-runs
+//! included. The runner records each death as a scheduler *departure*
+//! (seen at once for a soft crash; suspected after
+//! [`WorldSpec::suspect_after`] for a silent hard one), fails the rank's
+//! node segment over to it, and keeps the world alive. A wait on a dead
+//! peer or segment returns the recoverable `Crash { rank }` cause as a
+//! value. Collective epochs are folded into every wire tag and
+//! abandonments are serial-scoped, so an abandoned attempt never aliases
+//! or bleeds into the agreement and re-runs after it (see
+//! `Collective::recover` in `eag-core`). [`run_crashable`] and
+//! [`try_run_crashable`] mark the crashed ranks' outputs.
 
 use crate::error::{CollectiveError, FailureCause, Fallible};
 use crate::metrics::Metrics;
 use crate::payload::{Chunk, Data, Item, Parcel, Sealed};
 use crate::pool;
 use crate::sched::{Departure, RunGate, Scheduler, Watch};
-use crate::shared::{NodeShared, SlotKey};
+use crate::shared::{Answer, NodeShared, Segment, SlotKey};
 use crate::trace::{Event, EventKind, Trace};
 use crate::transport::{Action, Frame, Message, Round, Transport, Wire};
 use eag_crypto::{Aead, CipherSuite, Key, NonceSource, WIRE_OVERHEAD};
@@ -86,6 +72,7 @@ use eag_netsim::{
     ClusterProfile, CostModel, FaultKind, FaultPlan, FrameId, FrameKind, FrameRecord, LinkClass,
     Rank, Topology, Wiretap,
 };
+use std::ops::ControlFlow::{self, Break, Continue};
 use std::panic::{catch_unwind, panic_any, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -251,6 +238,9 @@ struct RankCrash {
     hard: bool,
 }
 
+/// A wait step's answer to [`ProcCtx::wait`].
+type Flow<R> = ControlFlow<R, Option<Instant>>;
+
 /// Associated data binding a sealed chunk to its routing metadata. The
 /// origins list and block length travel *outside* the ciphertext (receivers
 /// need them to route and split), so an active adversary could otherwise
@@ -379,6 +369,13 @@ impl<'s> World<'s> {
         self.sched.send_from(dst, msg.src, urgent, msg);
     }
 
+    /// Wakes the segment waiters of `rank`'s node to re-check the segment.
+    fn segment_news(&self, rank: Rank) {
+        let topo = &self.spec.topology;
+        let siblings = (0..topo.procs_per_node()).map(|k| topo.peer_on_node(rank, k));
+        self.sched.segment_event(topo.node_of(rank), siblings);
+    }
+
     /// Records an inter-node frame in the wiretap, as it looks on the wire,
     /// if the world records its wire at all.
     fn capture(&self, src: Rank, dst: Rank, frame: &Frame) {
@@ -427,6 +424,10 @@ pub struct ProcCtx<'w> {
     metrics: Metrics,
     /// Reused drain buffer for mailbox batches (allocation-free receives).
     inbox_scratch: Vec<Message>,
+    /// The panicked rank whose poison this rank admitted.
+    poisoned: Option<Rank>,
+    /// Streams whose sender answered a NACK of this receive with `NackMiss`.
+    missed: Vec<(Rank, u64)>,
     /// This rank's end of the reliable transport.
     transport: Transport,
     nonces: NonceSource,
@@ -463,6 +464,8 @@ impl<'w> ProcCtx<'w> {
             clock_us: 0.0,
             metrics: Metrics::default(),
             inbox_scratch: Vec::new(),
+            poisoned: None,
+            missed: Vec::new(),
             transport: Transport::new(rank, &spec.faults),
             // Fold the session id into the nonce seed so concurrent
             // sessions sharing a data seed never share nonce streams (a
@@ -685,6 +688,7 @@ impl<'w> ProcCtx<'w> {
         // algorithms are unavailable post-crash, which the recovery
         // dispatcher respects by re-running over channels only.)
         world.shared[self.node()].crash_abort(blamed);
+        world.segment_news(self.rank);
     }
 
     /// Records a completed shrink-and-recover on this rank (a `Recover`
@@ -704,10 +708,10 @@ impl<'w> ProcCtx<'w> {
     /// Books a crash this rank's failure detector observed — through a
     /// departure record, an attempt abort, or the node-shared segment (a
     /// same-node sibling died while we were blocked on its deposit or
-    /// barrier) — and returns it as the recoverable typed cause.
-    fn note_crash(&mut self, dead: Rank) -> FailureCause {
+    /// barrier) — and returns it as the recoverable typed failure.
+    fn note_crash(&mut self, dead: Rank) -> CollectiveError {
         self.note(self.clock_us, EventKind::Crash { rank: dead });
-        FailureCause::Crash { rank: dead }
+        self.fail(FailureCause::Crash { rank: dead })
     }
 
     /// Books one occurrence that started at `start_us` and ends now: folds
@@ -906,10 +910,77 @@ impl<'w> ProcCtx<'w> {
     /// deduplicated before they reach the metrics, so the Table II traffic
     /// columns are fault-independent. A probe of a crashed rank returns a
     /// `Crash` failure, which survivor-agreement protocols carry on from.
+    /// Each condition it waits for wakes its watch on `src`: mail from
+    /// `src`, its departure or abort, or a timer (watchdog, retry round,
+    /// suspicion) as the park deadline.
     pub fn try_recv(&mut self, src: Rank, tag: u64) -> Fallible<Parcel> {
-        let t0 = self.clock_us;
-        let tag = self.wire_tag(tag);
-        let (parcel, arrive_us) = self.wait_for(src, tag).map_err(|c| self.fail(c))?;
+        let (t0, tag, world) = (self.clock_us, self.wire_tag(tag), self.world);
+        let retry = world.spec.retry;
+        self.transport.flush_limbo(); // frames held back by a Reorder
+        self.execute();
+        self.missed.clear();
+        let started = Instant::now();
+        // The watchdog limit is an absolute deadline for this receive, not
+        // a per-wake allowance: unrelated traffic draining through the
+        // mailbox must not keep pushing the timeout out indefinitely.
+        let watchdog = world.spec.recv_timeout.map(|limit| started + limit);
+        let mut attempt = 0;
+        let mut round_ends = world.chaos.then(|| started + retry.attempt_timeout);
+        let timeout = |attempts| FailureCause::Timeout {
+            src,
+            tag: logical_tag(tag),
+            waited: started.elapsed(),
+            attempts,
+        };
+        let (parcel, arrive_us) = self.wait(Watch::Peer(src), |ctx| {
+            if let Some(got) = ctx.transport.take_ready(src, tag) {
+                return Break(Ok(got));
+            }
+            let now = Instant::now();
+            if watchdog.is_some_and(|w| now >= w) {
+                return Break(Err(ctx.fail(timeout(attempt))));
+            }
+            if round_ends.is_some_and(|a| now >= a) {
+                attempt += 1;
+                // Ask the peer to replay the stream from where we are.
+                let round = ctx
+                    .transport
+                    .round_elapsed(src, tag, attempt, retry.max_attempts);
+                if round == Round::Exhausted {
+                    return Break(Err(ctx.fail(timeout(attempt))));
+                }
+                ctx.execute();
+                let backoff = retry.backoff.powi(attempt as i32);
+                round_ends = Some(now + retry.attempt_timeout.mul_f64(backoff));
+            }
+            let finished = world.sched.departure(src) == Some(Departure::Finished);
+            let dead = ctx.peer_dead(src);
+            if finished || dead.is_some() {
+                // Everything a rank sends is pushed into our mailbox before
+                // it departs, unwinds or publishes an attempt abort, so
+                // after this drain an absent frame is *permanently* absent.
+                ctx.drain();
+                if let Some(got) = ctx.transport.take_ready(src, tag) {
+                    return Break(Ok(got));
+                }
+                // A finished peer never sends again outside chaos mode; in
+                // it, a lingering one may still replay — unless it answered
+                // NackMiss, which proves it has nothing for this stream.
+                if finished && (!world.chaos || ctx.missed.contains(&(src, tag))) {
+                    let dead_peer = FailureCause::DeadPeer {
+                        peer: src,
+                        tag: logical_tag(tag),
+                    };
+                    return Break(Err(ctx.fail(dead_peer)));
+                }
+                // Failure detector: resolve now, not at the watchdog.
+                if let Some(dead) = dead {
+                    return Break(Err(ctx.note_crash(dead)));
+                }
+            }
+            let timers = [watchdog, round_ends, ctx.suspect_deadline(src)];
+            Continue(timers.into_iter().flatten().min())
+        })?;
         self.clock_us = self.clock_us.max(arrive_us);
         let recv = EventKind::Recv {
             src,
@@ -921,133 +992,56 @@ impl<'w> ProcCtx<'w> {
         Ok(parcel)
     }
 
-    /// Releases any frames held back by Reorder injections.
-    fn flush_limbo(&mut self) {
-        self.transport.flush_limbo();
-        self.execute();
+    /// The one wait of a rank: receives, shared-segment fetches and
+    /// barriers, and the linger all block here. `step` answers
+    /// `Break(outcome)` once the wait is over, else `Continue(deadline)`
+    /// (`None`: no timer). A wait over at once touches neither the mailbox
+    /// nor the gate. Otherwise the rank snapshots the event generation,
+    /// drains its mailbox through the one [`Self::admit`] — so it answers
+    /// NACKs whatever it waits on —, asks `step` again, and parks on
+    /// `watch` with its permit handed back; news `watch` hears after the
+    /// snapshot ends the park at once. Once poison is admitted, a wait that
+    /// would park raises instead (the linger's step ends on it).
+    fn wait<R>(&mut self, watch: Watch, mut step: impl FnMut(&mut Self) -> Flow<R>) -> R {
+        if let Break(r) = step(self) {
+            return r;
+        }
+        let sched = &self.world.sched;
+        loop {
+            let gen = sched.generation();
+            self.drain();
+            let deadline = match step(self) {
+                Break(r) => return r,
+                Continue(deadline) => deadline,
+            };
+            if let Some(src) = self.poisoned {
+                panic!("rank {src} panicked; propagating");
+            }
+            sched.park_on(self.rank, watch, deadline, gen);
+        }
     }
 
-    /// Drains this rank's mailbox, admits every message, and pops the next
-    /// accepted in-order frame of `want`, if one is there. `want` also
-    /// routes `NackMiss` into the caller's dead-peer detection.
-    fn poll(&mut self, want: (Rank, u64), peer_missed: &mut bool) -> Option<(Parcel, f64)> {
+    /// Drains this rank's mailbox and admits every message.
+    fn drain(&mut self) {
         let mut scratch = std::mem::take(&mut self.inbox_scratch);
         self.world.sched.drain_into(self.rank, &mut scratch);
         for msg in scratch.drain(..) {
-            self.admit(msg, want, peer_missed);
+            self.admit(msg);
         }
         self.inbox_scratch = scratch;
-        self.transport.take_ready(want.0, want.1)
     }
 
-    /// The blocking receive loop: admits mailbox traffic, issues NACK-based
-    /// recovery rounds (chaos mode), enforces the absolute wall-clock
-    /// watchdog, and detects dead and crashed peers. Takes a *wire* tag;
-    /// returns the accepted frame and its virtual arrival time, or the
-    /// failure cause (with the logical tag restored).
-    ///
-    /// Fully event-driven: between checks the rank parks in the scheduler
-    /// (returning its run permit) on `src` until mail from `src` or urgent
-    /// mail arrives, an event about `src` fires, or the earliest of its
-    /// timers — watchdog, retry round, suspicion — expires. There is no
-    /// poll tick; every condition checked below has a wake source (the
-    /// departure and the abort of `src` raise events about it, timers
-    /// become park deadlines), and mail from other peers waits for the
-    /// next drain.
-    fn wait_for(&mut self, src: Rank, tag: u64) -> Result<(Parcel, f64), FailureCause> {
-        let world = self.world;
-        let retry = world.spec.retry;
-        self.flush_limbo();
-        if let Some(got) = self.transport.take_ready(src, tag) {
-            return Ok(got);
-        }
-        let started = Instant::now();
-        // The watchdog limit is an absolute deadline for this receive, not
-        // a per-wake allowance: unrelated traffic draining through the
-        // mailbox must not keep pushing the timeout out indefinitely.
-        let watchdog = world.spec.recv_timeout.map(|limit| started + limit);
-        let mut attempt: u32 = 0;
-        let mut attempt_deadline = world.chaos.then(|| started + retry.attempt_timeout);
-        let mut peer_missed = false;
-        let timeout = |attempts| FailureCause::Timeout {
-            src,
-            tag: logical_tag(tag),
-            waited: started.elapsed(),
-            attempts,
-        };
-        loop {
-            // Snapshot the event generation *before* reading any world
-            // state: an event about `src` raised during the checks below
-            // aborts the park instead of being lost.
-            let gen = world.sched.generation();
-            if let Some(got) = self.poll((src, tag), &mut peer_missed) {
-                return Ok(got);
-            }
-            let now = Instant::now();
-            if watchdog.is_some_and(|w| now >= w) {
-                return Err(timeout(attempt));
-            }
-            if attempt_deadline.is_some_and(|a| now >= a) {
-                attempt += 1;
-                // Ask the peer to replay the stream from where we are.
-                let round = self
-                    .transport
-                    .round_elapsed(src, tag, attempt, retry.max_attempts);
-                if round == Round::Exhausted {
-                    return Err(timeout(attempt));
-                }
-                self.execute();
-                let backoff = retry.backoff.powi(attempt as i32);
-                attempt_deadline = Some(now + retry.attempt_timeout.mul_f64(backoff));
-            }
-            if world.sched.departure(src) == Some(Departure::Finished) {
-                // The peer exited; drain anything it left in our mailbox.
-                if let Some(got) = self.poll((src, tag), &mut peer_missed) {
-                    return Ok(got);
-                }
-                // Outside chaos mode a finished peer can never send again.
-                // Inside it, a lingering peer may still replay logged
-                // frames — unless it answered NackMiss, which is only ever
-                // emitted once the peer's log is complete (post-finish),
-                // proving it has nothing for this stream.
-                if !world.chaos || peer_missed {
-                    return Err(FailureCause::DeadPeer {
-                        peer: src,
-                        tag: logical_tag(tag),
-                    });
-                }
-            }
-            if let Some(dead) = self.peer_dead(src) {
-                // Failure detector: the peer will never send this frame.
-                // Everything a rank sends is pushed into our mailbox before
-                // its thread can unwind (and before it publishes an attempt
-                // abort), so after a drain an absent frame is *permanently*
-                // absent — resolve the receive now instead of waiting out
-                // the watchdog.
-                if let Some(got) = self.poll((src, tag), &mut peer_missed) {
-                    return Ok(got);
-                }
-                return Err(self.note_crash(dead));
-            }
-            let wake = [watchdog, attempt_deadline, self.suspect_deadline(src)]
-                .into_iter()
-                .flatten()
-                .min();
-            world.sched.park_on(self.rank, Watch::Peer(src), wake, gen);
-        }
-    }
-
-    /// Processes one channel message: control frames act immediately; data
-    /// frames go through the transport's admission. `want` is the
-    /// `(src, tag)` the caller is blocked on (used to route `NackMiss` into
-    /// its dead-peer detection).
-    fn admit(&mut self, msg: Message, want: (Rank, u64), peer_missed: &mut bool) {
+    /// Processes one channel message, whatever the rank waits on: control
+    /// frames act immediately, data frames go through the transport's
+    /// admission, and a `NackMiss` (for the receive's dead-peer detection)
+    /// and a poison (for [`Self::wait`]) are kept.
+    fn admit(&mut self, msg: Message) {
         let src = msg.src;
         match msg.wire {
-            Wire::Poison => panic!("rank {src} panicked; propagating"),
+            Wire::Poison => _ = self.poisoned.get_or_insert(src),
             Wire::Nack { tag, seq } => self.service_nack(src, tag, seq),
             Wire::Ack { tag, seq } => self.transport.on_ack(src, tag, seq),
-            Wire::NackMiss { tag } => *peer_missed |= (src, tag) == want,
+            Wire::NackMiss { tag } => self.missed.push((src, tag)),
             Wire::Data(frame) => {
                 let (aead, aad) = (&*self.world.aead, &mut self.aad_scratch);
                 let mut verify = |parcel: &Parcel| hop_verify(aead, aad, parcel);
@@ -1071,41 +1065,21 @@ impl<'w> ProcCtx<'w> {
         self.execute();
     }
 
-    /// Post-collective service loop (chaos mode): a finished rank keeps
+    /// Post-collective service (chaos mode): a finished rank keeps
     /// answering NACKs (and pruning its log on ACKs) until every rank has
-    /// departed (finished or crashed), so a peer recovering a lost frame
-    /// never finds its sender gone. Parked on the departures between
-    /// requests: a NACK or a poison wakes it, and so does the last
-    /// departure; ACKs wait for the next drain. So the loop blocks on the
-    /// spec's actual `recv_timeout` deadline (`None` = unbounded) instead
-    /// of spinning a short poll.
+    /// departed, so a peer recovering a lost frame never finds its sender
+    /// gone. Watches the departures; ends on the last one, on poison or at
+    /// the spec's `recv_timeout` (`None` = unbounded).
     fn linger(&mut self) {
         let world = self.world;
         let deadline = world.spec.recv_timeout.map(|limit| Instant::now() + limit);
-        loop {
-            let gen = world.sched.generation();
-            let mut scratch = std::mem::take(&mut self.inbox_scratch);
-            world.sched.drain_into(self.rank, &mut scratch);
-            let mut poisoned = false;
-            for msg in scratch.drain(..) {
-                match msg.wire {
-                    Wire::Poison => poisoned = true,
-                    Wire::Nack { tag, seq } => self.service_nack(msg.src, tag, seq),
-                    Wire::Ack { tag, seq } => self.transport.on_ack(msg.src, tag, seq),
-                    Wire::Data(_) | Wire::NackMiss { .. } => {}
-                }
+        self.wait(Watch::Departures, |ctx| {
+            let timed_out = deadline.is_some_and(|d| Instant::now() >= d);
+            if ctx.poisoned.is_some() || world.sched.departures() >= ctx.p() || timed_out {
+                return Break(());
             }
-            self.inbox_scratch = scratch;
-            if poisoned || world.sched.departures() >= self.p() {
-                return;
-            }
-            if deadline.is_some_and(|d| Instant::now() >= d) {
-                return;
-            }
-            world
-                .sched
-                .park_on(self.rank, Watch::Departures, deadline, gen);
-        }
+            Continue(deadline)
+        });
     }
 
     /// Send to `dst` and receive from `src` with the same tag — the classic
@@ -1213,17 +1187,16 @@ impl<'w> ProcCtx<'w> {
         self.note(t0, EventKind::Copy { bytes });
     }
 
-    /// Runs a blocking call on this node's shared segment with the run
-    /// permit handed back — the segment blocks on its own condvar, and
-    /// ℓ-1 waiting siblings must never exhaust the worker gate and starve
-    /// the one rank that would release them. A same-node sibling's crash
-    /// surfaces as the recoverable typed failure.
-    fn on_segment<R>(&mut self, call: impl FnOnce(&NodeShared) -> Result<R, Rank>) -> Fallible<R> {
-        let seg = &self.world.shared[self.node()];
-        self.world.sched.blocking(|| call(seg)).map_err(|dead| {
-            let cause = self.note_crash(dead);
-            self.fail(cause)
-        })
+    /// Waits on this node's shared segment ([`Watch::Segment`]) until
+    /// `ready` answers: a slot's item, a barrier's release clock. A
+    /// same-node sibling's crash surfaces as the recoverable typed failure.
+    fn on_segment<R>(&mut self, ready: impl Fn(&mut Segment) -> Answer<R>) -> Fallible<R> {
+        let node = self.node();
+        let seg = &*self.world.shared[node];
+        let got = self.wait(Watch::Segment(node), |_| {
+            seg.poll(&ready).transpose().map_or(Continue(None), Break)
+        });
+        got.map_err(|dead| self.note_crash(dead))
     }
 
     /// Deposits `item` into this node's shared segment, charging a memory
@@ -1243,7 +1216,10 @@ impl<'w> ProcCtx<'w> {
     /// into the shared buffer (e.g. decrypting into it). Consumer counting
     /// as in [`Self::shared_deposit`].
     pub fn shared_deposit_free(&mut self, key: SlotKey, item: Item, consumers: usize) {
-        self.world.shared[self.node()].deposit(key, item, self.clock_us, consumers);
+        // Only a fetch that found its slot empty parks on the segment.
+        if self.world.shared[self.node()].deposit(key, item, self.clock_us, consumers) {
+            self.world.segment_news(self.rank);
+        }
     }
 
     /// Fetches without charging a copy: models reading the shared buffer in
@@ -1254,7 +1230,7 @@ impl<'w> ProcCtx<'w> {
     /// copying — on HS1's decrypt path that removes an ℓ·m-byte memcpy per
     /// ciphertext; earlier consumers clone.
     pub fn shared_fetch_free(&mut self, key: SlotKey) -> Fallible<Item> {
-        let (item, ready_us) = self.on_segment(|seg| seg.fetch(key))?;
+        let (item, ready_us) = self.on_segment(|seg| seg.claim(key))?;
         self.clock_us = self.clock_us.max(ready_us);
         Ok(Arc::try_unwrap(item).unwrap_or_else(|arc| (*arc).clone()))
     }
@@ -1281,7 +1257,19 @@ impl<'w> ProcCtx<'w> {
     /// on this node.
     pub fn node_barrier(&mut self) -> Fallible {
         let (t0, cost_us) = (self.clock_us, self.model().barrier_us);
-        self.clock_us = self.on_segment(|seg| seg.barrier(t0, cost_us))?;
+        let arrival = self.world.shared[self.node()].arrive(t0, cost_us);
+        if let Ok((_, true)) = arrival {
+            // The last arrival released the barrier. It wakes the others
+            // with its permit handed back: kept, each of them queues for
+            // the gate (HS2 worlds on a width-2 gate ran 12–29 % slower).
+            self.world.sched.exit();
+            self.world.segment_news(self.rank);
+            self.world.sched.enter();
+        }
+        self.clock_us = self.on_segment(|seg| {
+            let (generation, _) = arrival?;
+            seg.released(generation)
+        })?;
         self.note(t0, EventKind::Barrier);
         Ok(())
     }
@@ -1416,11 +1404,12 @@ where
             Box::new(move || {
                 let mut ctx = ProcCtx::new(world, rank);
                 // The state machine runs only while it holds a run
-                // permit; parks and blocking waits hand it back.
+                // permit; every wait parks and hands it back.
                 world.sched.enter();
                 let out = match catch_unwind(AssertUnwindSafe(|| f(&mut ctx))) {
                     Ok(out) => {
-                        ctx.flush_limbo();
+                        ctx.transport.flush_limbo();
+                        ctx.execute();
                         // The departure event wakes the ranks parked on
                         // this one, which re-check its record; the last
                         // departure also ends every linger.
@@ -1442,6 +1431,7 @@ where
                             // node's OS: wake same-node shared-segment
                             // waiters.
                             world.shared[ctx.node()].crash_abort(rank);
+                            world.segment_news(rank);
                             // The departure record is all survivors
                             // get: a soft crash is seen at once, a hard
                             // one departs *silently* and is suspected
@@ -1457,10 +1447,8 @@ where
                             None
                         }
                         None => {
-                            // Wake everyone up before propagating.
-                            for seg in &world.shared {
-                                seg.poison();
-                            }
+                            // Poison is urgent mail: it wakes every rank,
+                            // whatever it waits on, before propagating.
                             for dst in 0..p {
                                 world.mail(
                                     dst,

@@ -1255,6 +1255,77 @@ fn same_node_crash_unblocks_shared_memory_waiters() {
     }
 }
 
+/// A fetch that finds its slot empty parks on the segment, and the
+/// deposit that fills the slot wakes it: the depositor raises a segment
+/// event because a claim missed.
+#[test]
+fn a_fetch_parked_before_its_deposit_wakes_on_it() {
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let mut s = spec(2, 1);
+        s.workers = Some(2);
+        let report = run(&s, |ctx| {
+            let key = ctx.slot(3, 0);
+            let t0 = Instant::now();
+            if ctx.rank() == 0 {
+                // Let the sibling reach its fetch and park first.
+                std::thread::sleep(Duration::from_millis(30));
+                ctx.shared_deposit(key, Item::Plain(ctx.my_block(4)), 1);
+                None
+            } else {
+                let got = ctx.shared_fetch_free(key).expect("no crash, no poison");
+                Some((got.origins()[0], t0.elapsed()))
+            }
+        });
+        let _ = tx.send(report.outputs[1]);
+    });
+    let got = rx
+        .recv_timeout(Duration::from_secs(30))
+        .expect("the deposit never woke the parked fetch");
+    let (origin, waited) = got.expect("rank 1 fetched");
+    assert_eq!(origin, 0);
+    assert!(
+        waited >= Duration::from_millis(20),
+        "the fetch did not wait"
+    );
+}
+
+/// A panic on one rank reaches its same-node siblings parked on the shared
+/// segment — in fetches of the deposit it never makes and in a node
+/// barrier it never reaches — as poison mail, the only poison there is:
+/// they unwind, and `try_run` returns the panicking rank's own failure
+/// within a bounded time instead of hanging.
+#[test]
+fn poison_unwinds_siblings_parked_on_the_shared_segment() {
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let result = try_run(&spec(4, 1), |ctx| {
+            let key = ctx.slot(7, 0);
+            match ctx.rank() {
+                0 => {
+                    let cause = FailureCause::AuthFailure {
+                        detail: "before its deposit".into(),
+                    };
+                    CollectiveError {
+                        rank: 0,
+                        phase: "hs",
+                        cause,
+                    }
+                    .raise()
+                }
+                1 | 2 => drop(ctx.shared_fetch_free(key)),
+                _ => drop(ctx.node_barrier()),
+            }
+        });
+        let _ = tx.send(result.map(|_| ()));
+    });
+    let got = rx
+        .recv_timeout(Duration::from_secs(30))
+        .expect("siblings parked on the segment never saw the poison");
+    let err = got.expect_err("rank 0 raised a typed failure");
+    assert_eq!((err.rank, err.phase), (0, "hs"));
+}
+
 #[test]
 fn aborted_attempt_resolves_peers_blocked_in_their_own_attempts() {
     // Rank 1 abandons its attempt (as if cascading from a crash elsewhere);

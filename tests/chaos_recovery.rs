@@ -207,7 +207,7 @@ fn any_single_fault_is_recovered() {
             let placements = ids
                 .into_iter()
                 .flat_map(|id| FaultKind::all().iter().map(move |&kind| vec![(id, kind)]));
-            if let Some((listed, r)) = first_unrecovered(c, p, nodes, 64, placements) {
+            if let Some((listed, r)) = first_unrecovered(&[c], p, nodes, 64, placements) {
                 panic!(
                     "{algo} at p={p}: single fault {listed:?} not recovered: {} \
                      ({} injected)",
@@ -219,14 +219,17 @@ fn any_single_fault_is_recovered() {
     }
 }
 
-/// ROADMAP 1(c), pinned as a single-fault repro: in an armed world that
-/// runs O-Ring and then HS2 at p = 8 over 2 nodes, dropping O-Ring's first
-/// frame from rank 3 to rank 4 is not recovered. The receive fails with a
-/// typed `Timeout` after 10 attempts (≈ 2.27 s), apparently because the
-/// sender has moved on into HS2's node barrier, where nothing services
-/// the NACK. Each algorithm alone recovers every single fault.
+/// A sender that has moved on into a shared-memory wait still answers
+/// NACKs: in an armed world that runs O-Ring and then HS2 at p = 8 over 2
+/// nodes, rank 3's O-Ring frame to rank 4 is dropped while rank 3 goes on
+/// into HS2's node barrier. That barrier used to block on the segment's own
+/// condvar, which never drained the mailbox, so rank 4's NACKs went
+/// unanswered and its receive failed with a typed `Timeout` after 10
+/// attempts (≈ 2.27 s). Every wait now parks through one loop that admits
+/// mail, and urgent mail wakes a segment wait, so rank 3 replays the frame
+/// from its barrier. `chaos_sweep_full` runs every ordered pair of
+/// encrypted all-gathers this way.
 #[test]
-#[ignore = "ROADMAP 1(c)"]
 fn armed_hs_after_a_collective_recovers_a_single_drop() {
     // Epoch 1 is O-Ring; 0x10_0000 is the logical tag of its first step.
     let drop = FrameId {

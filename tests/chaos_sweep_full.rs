@@ -1,7 +1,8 @@
 //! Full chaos sweep as a test: every encrypted algorithm × every fault kind
 //! × several seeds, plus the canonical mix, at p = 16 over 8 nodes; and the
 //! listed-fault enumerations too wide for the always-on suite — every
-//! single fault at p = 16, every pair at p = 4.
+//! single fault at p = 16, every pair at p = 4, and every drop in every
+//! ordered pair of collectives run back to back at p = 8.
 //!
 //! Heavyweight by design — gated behind the `chaos` cargo feature:
 //! `cargo test -p eag-integration --features chaos --test chaos_sweep_full`
@@ -65,7 +66,7 @@ fn assert_enumeration(
     for &algo in Algorithm::encrypted_all() {
         let c = Collective::Allgather(algo);
         let ids = frame_ids(c, p, nodes, 64);
-        if let Some((listed, r)) = first_unrecovered(c, p, nodes, 64, placements(&ids)) {
+        if let Some((listed, r)) = first_unrecovered(&[c], p, nodes, 64, placements(&ids)) {
             panic!(
                 "{algo} at p={p}: {listed:?} not recovered: {} ({} injected)",
                 r.verdict(),
@@ -100,4 +101,29 @@ fn every_pair_of_drops_and_tampers_at_p4_recovers() {
         }
         pairs
     });
+}
+
+/// Every ordered pair (A, B) of the encrypted all-gathers, run back to
+/// back in one armed world (p = 8 over 2 nodes, m = 64), recovers a drop
+/// of each of A's frames. The dropped frame's sender may have moved on
+/// into B by the time the NACK comes — into a shared-segment fetch or
+/// node barrier when B is HS1 or HS2 — and must answer it from there.
+#[test]
+fn every_drop_before_another_collective_recovers() {
+    let (p, nodes, m) = (8, 2, 64);
+    for &a in Algorithm::encrypted_all() {
+        let first = Collective::Allgather(a);
+        let ids = frame_ids(first, p, nodes, m);
+        for &b in Algorithm::encrypted_all() {
+            let pair = [first, Collective::Allgather(b)];
+            let drops = ids.iter().map(|&id| vec![(id, FaultKind::Drop)]);
+            if let Some((listed, r)) = first_unrecovered(&pair, p, nodes, m, drops) {
+                panic!(
+                    "{a} then {b}: drop of {:?} not recovered: {}",
+                    listed[0].0,
+                    r.verdict()
+                );
+            }
+        }
+    }
 }
