@@ -26,8 +26,9 @@ pub enum FaultKind {
     Delay,
     /// The frame arrives twice. Recovered by sequence-number deduplication.
     Duplicate,
-    /// The frame is delivered after a later send overtakes it. Recovered by
-    /// tag matching + sequence-number deduplication.
+    /// The frame is delivered after a later send overtakes it. Across
+    /// streams, tag matching absorbs it; within a stream, the receiver
+    /// NACKs the overtaking frame and go-back-N replay re-sends it in order.
     Reorder,
     /// One byte of the frame's payload is flipped on the wire. Recovered by
     /// transport checksum (random corruption) or per-hop GCM verification
@@ -284,9 +285,10 @@ impl FaultPlan {
     /// Decides whether frame `seq` of the `(src → dst, tag)` stream on
     /// transmission `attempt` (0 = original, 1+ = retransmits) is
     /// perturbed, and how. Pure function of the plan's seed and the
-    /// arguments; `tag` participates so that algorithms which open a fresh
-    /// tag per round (every frame at seq 0) still see independent per-frame
-    /// decisions.
+    /// arguments; `tag` participates because every collective opens a fresh
+    /// tag per step, so its streams carry one frame each (every frame at
+    /// seq 0) and still see independent per-frame decisions. `seq` tells
+    /// apart the frames of a stream reused frame after frame.
     pub fn decide(
         &self,
         src: usize,

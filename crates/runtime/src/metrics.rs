@@ -51,8 +51,9 @@ pub struct Metrics {
     pub buf_allocs: u64,
     /// Faults this rank injected into its outgoing frames (chaos runs).
     pub faults_injected: u64,
-    /// Corrupted or missing frames this rank detected on arrival (transport
-    /// checksum, per-hop GCM verification, or a sequence gap).
+    /// Corrupted or early frames this rank detected on arrival (transport
+    /// checksum, per-hop GCM verification, or a sequence number past the
+    /// next one its stream expects); each is NACKed.
     pub faults_detected: u64,
     /// NACKs this rank sent asking a peer to retransmit.
     pub nacks_sent: u64,

@@ -62,9 +62,9 @@ pub enum EventKind {
         /// Destination of the perturbed frame.
         dst: Rank,
     },
-    /// A corrupted or missing frame detected on arrival (transport
-    /// checksum, per-hop verification, or a sequence gap). Zero-duration
-    /// marker.
+    /// A corrupted or early frame detected on arrival (transport checksum,
+    /// per-hop verification, or a sequence number past the stream's next).
+    /// Zero-duration marker.
     Detect {
         /// The sender of the stream.
         src: Rank,

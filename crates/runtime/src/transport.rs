@@ -1,13 +1,12 @@
 //! The reliable transport of chaos mode, as a thread-free state machine.
 //!
 //! One [`Transport`] per rank owns the whole reliability protocol — stream
-//! sequence numbers, checksum admission, the out-of-order buffer, the
-//! retransmit log, NACK / go-back-N replay, deduplication and fault
-//! application — and nothing else: it never reads a clock, parks, touches
-//! a mailbox, bumps a counter or writes a timeline; it names what happened
-//! as an [`EventKind`] and leaves the booking to the glue. The glue in
-//! [`crate::world`] feeds it **events** and executes the **actions** it
-//! leaves in [`Transport::out`]:
+//! sequence numbers, checksum admission, the retransmit log, NACK /
+//! go-back-N replay, deduplication and fault application — and nothing
+//! else: it never reads a clock, parks, touches a mailbox, bumps a counter
+//! or writes a timeline; it names what happened as an [`EventKind`] and
+//! leaves the booking to the glue. The glue in [`crate::world`] feeds it
+//! **events** and executes the **actions** it leaves in [`Transport::out`]:
 //!
 //! | event (glue → transport)                | method                                  |
 //! |-----------------------------------------|-----------------------------------------|
@@ -19,7 +18,7 @@
 //!
 //! | action (transport → glue)               | executed against                        |
 //! |-----------------------------------------|-----------------------------------------|
-//! | deliver (into `pending`, popped by [`take_ready`](Transport::take_ready)) | the blocked `recv` |
+//! | deliver (into the stream's ready queue, popped by [`take_ready`](Transport::take_ready)) | the blocked `recv` |
 //! | [`Action::Send`] a data/control frame   | the scheduler's mailboxes               |
 //! | [`Action::Note`] a fault/recovery event | the rank's metrics and timeline         |
 //!
@@ -27,6 +26,11 @@
 //! may corrupt or delay a listed one), so `dispatch` mails its sends as
 //! they are; its arrivals still pass through
 //! [`on_frame`](Transport::on_frame), whose first check delivers them.
+//!
+//! Streams are in order: the receiver delivers only the next frame of a
+//! stream and NACKs a later one, which go-back-N replay re-sends. Every
+//! stream a collective sends carries one frame (wire tags name the epoch
+//! and step); a ping-pong reuses one stream frame after frame.
 //!
 //! The contract (DESIGN.md §4): every frame sent on a stream is delivered
 //! exactly once, in order and intact, or the receive fails with a typed
@@ -38,7 +42,7 @@
 use crate::payload::{Data, Item, Parcel};
 use crate::trace::EventKind;
 use eag_netsim::{FaultKind, FaultPlan, Rank};
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 
 /// An application frame. `seq` numbers the `(src, tag)` stream and
 /// `checksum` is the transport-level integrity check; unframed frames
@@ -62,8 +66,8 @@ pub(crate) enum Wire {
         tag: u64,
         seq: u64,
     },
-    /// "I have accepted every frame on `tag` below `seq`" — cumulative;
-    /// the sender prunes its retransmit log up to `seq`.
+    /// "I have delivered frame `seq` of `tag`" — one per delivered frame;
+    /// the sender drops exactly that frame from its retransmit log.
     Ack {
         tag: u64,
         seq: u64,
@@ -113,6 +117,27 @@ struct SentRecord {
 /// A `(peer, wire tag)` stream.
 type Stream = (Rank, u64);
 
+/// The receiving end of one stream.
+#[derive(Default)]
+struct Incoming {
+    /// The sequence number of the next frame to deliver.
+    expected: u64,
+    /// Delivered frames awaiting a matching `recv`, with their virtual
+    /// arrival times. An emptied queue holds no allocation: the record
+    /// lives as long as the world, and most streams carry one frame.
+    ready: VecDeque<(Parcel, f64)>,
+}
+
+/// The sending end of one stream.
+#[derive(Default)]
+struct Outgoing {
+    /// The sequence number of the next first transmission.
+    next_seq: u64,
+    /// Retransmit log, in sequence order: exactly the frames the peer has
+    /// not acknowledged yet. An emptied log holds no allocation.
+    log: Vec<SentRecord>,
+}
+
 /// One rank's end of every stream it sends or receives on.
 pub(crate) struct Transport {
     rank: Rank,
@@ -121,20 +146,8 @@ pub(crate) struct Transport {
     adversarial: bool,
     /// The plan's `delay_us`.
     delay_us: f64,
-    /// Accepted, in-order frames awaiting a matching `recv`, with their
-    /// virtual arrival times.
-    pending: HashMap<Stream, VecDeque<(Parcel, f64)>>,
-    /// Next sequence number per outgoing stream.
-    next_seq: HashMap<Stream, u64>,
-    /// Next expected sequence number per incoming stream.
-    expected: HashMap<Stream, u64>,
-    /// Verified out-of-order frames buffered until the gap before them
-    /// fills.
-    ooo: HashMap<Stream, BTreeMap<u64, (Parcel, f64)>>,
-    /// Retransmit log per outgoing stream, in sequence order: exactly the
-    /// frames the peer has not acknowledged yet (an emptied stream's entry
-    /// is removed).
-    sent_log: HashMap<Stream, VecDeque<SentRecord>>,
+    incoming: HashMap<Stream, Incoming>,
+    outgoing: HashMap<Stream, Outgoing>,
     /// Frames held back by an injected `Reorder`; released after the next
     /// first transmission (or when the rank blocks or finishes).
     reorder_limbo: Vec<(Rank, Message)>,
@@ -149,11 +162,8 @@ impl Transport {
             rank,
             adversarial: plan.adversarial_tamper,
             delay_us: plan.delay_us,
-            pending: HashMap::new(),
-            next_seq: HashMap::new(),
-            expected: HashMap::new(),
-            ooo: HashMap::new(),
-            sent_log: HashMap::new(),
+            incoming: HashMap::new(),
+            outgoing: HashMap::new(),
             reorder_limbo: Vec::new(),
             out: Vec::new(),
         }
@@ -161,9 +171,12 @@ impl Transport {
 
     /// Pops the next delivered frame of `(src, tag)`, if any.
     pub(crate) fn take_ready(&mut self, src: Rank, tag: u64) -> Option<(Parcel, f64)> {
-        self.pending
-            .get_mut(&(src, tag))
-            .and_then(VecDeque::pop_front)
+        let ready = &mut self.incoming.get_mut(&(src, tag))?.ready;
+        let got = ready.pop_front()?;
+        if ready.is_empty() {
+            *ready = VecDeque::new();
+        }
+        Some(got)
     }
 
     fn note(&mut self, kind: EventKind) {
@@ -186,13 +199,13 @@ impl Transport {
     /// The number of frames logged for replay, over every stream.
     #[cfg(test)]
     pub(crate) fn logged(&self) -> usize {
-        self.sent_log.values().map(VecDeque::len).sum()
+        self.outgoing.values().map(|s| s.log.len()).sum()
     }
 
     /// The one NACK constructor: asks `to` to replay `tag` from the first
-    /// sequence number this rank has not accepted yet.
+    /// sequence number this rank has not delivered yet.
     fn nack(&mut self, to: Rank, tag: u64, attempt: u32) {
-        let seq = self.expected.get(&(to, tag)).copied().unwrap_or(0);
+        let seq = self.incoming.get(&(to, tag)).map_or(0, |s| s.expected);
         self.note(EventKind::Nack {
             peer: to,
             tag,
@@ -207,17 +220,14 @@ impl Transport {
     /// number, a checksum and a log entry — both taken *before* any fault
     /// touches the frame, so retransmissions replay the clean bytes.
     pub(crate) fn frame(&mut self, dst: Rank, tag: u64, parcel: Parcel) -> Frame {
-        let next = self.next_seq.entry((dst, tag)).or_insert(0);
-        let seq = *next;
-        *next += 1;
-        self.sent_log
-            .entry((dst, tag))
-            .or_default()
-            .push_back(SentRecord {
-                seq,
-                attempts: 0,
-                parcel: parcel.clone(),
-            });
+        let stream = self.outgoing.entry((dst, tag)).or_default();
+        let seq = stream.next_seq;
+        stream.next_seq += 1;
+        stream.log.push(SentRecord {
+            seq,
+            attempts: 0,
+            parcel: parcel.clone(),
+        });
         Frame {
             tag,
             seq,
@@ -292,15 +302,14 @@ impl Transport {
     // ----- frame arrived ----------------------------------------------------
 
     /// Admits a data frame from `src`. In order of the checks: unframed →
-    /// delivered as is; already accepted or already buffered → dropped as
-    /// a duplicate (before any integrity work: go-back-N re-delivers
-    /// buffered frames by design, and a corrupted copy of a frame held
-    /// verified must not trigger another replay); integrity failure →
-    /// NACK; next in sequence → delivered, followed by the consecutive
-    /// buffered frames, and one cumulative ACK sent for the advance; a
-    /// gap → buffered, NACKed once per gap. `verify` is the per-hop
-    /// authenticator check, consulted only under an adversarial-tamper
-    /// plan. Nothing is buffered or delivered unverified.
+    /// delivered as is; already delivered → dropped as a duplicate (before
+    /// any integrity work: go-back-N re-sends delivered frames by design,
+    /// and a corrupted copy of one must not trigger another replay); not
+    /// the next in sequence, or an integrity failure → NACKed, so the
+    /// replay re-sends it in order; otherwise delivered, and one ACK naming
+    /// it sent. `verify` is the per-hop authenticator check, consulted only
+    /// under an adversarial-tamper plan. Nothing is delivered unverified
+    /// or out of order.
     pub(crate) fn on_frame(
         &mut self,
         src: Rank,
@@ -314,47 +323,29 @@ impl Transport {
             checksum,
             parcel,
         } = frame;
-        let key = (src, tag);
+        let stream = self.incoming.entry((src, tag)).or_default();
         let Some(sum) = checksum else {
-            let ready = self.pending.entry(key).or_default();
-            ready.push_back((parcel, arrive_us));
+            stream.ready.push_back((parcel, arrive_us));
             return;
         };
-        let expected = *self.expected.entry(key).or_insert(0);
-        let buffered = seq > expected && self.ooo.get(&key).is_some_and(|b| b.contains_key(&seq));
-        if seq < expected || buffered {
+        if seq < stream.expected {
             self.note(EventKind::Duplicate { src, tag });
             return;
         }
         // The transport checksum covers random corruption; the (expensive)
         // per-hop verification is only armed when the threat model
         // includes checksum-evading tamper.
-        if parcel.checksum() != sum || (self.adversarial && !verify(&parcel)) {
+        if seq > stream.expected
+            || parcel.checksum() != sum
+            || (self.adversarial && !verify(&parcel))
+        {
             self.note(EventKind::Detect { src, tag });
             self.nack(src, tag, 0);
             return;
         }
-        if seq == expected {
-            let ready = self.pending.entry(key).or_default();
-            ready.push_back((parcel, arrive_us));
-            let mut next = seq + 1;
-            if let Some(buf) = self.ooo.get_mut(&key) {
-                while let Some(entry) = buf.remove(&next) {
-                    ready.push_back(entry);
-                    next += 1;
-                }
-            }
-            self.expected.insert(key, next);
-            self.emit(src, 0.0, Wire::Ack { tag, seq: next });
-        } else {
-            let buf = self.ooo.entry(key).or_default();
-            let first_of_gap = buf.is_empty();
-            buf.insert(seq, (parcel, arrive_us));
-            if first_of_gap {
-                self.note(EventKind::Detect { src, tag });
-                self.nack(src, tag, 0);
-            }
-        }
+        stream.expected += 1;
+        stream.ready.push_back((parcel, arrive_us));
+        self.emit(src, 0.0, Wire::Ack { tag, seq });
     }
 
     // ----- NACK arrived -----------------------------------------------------
@@ -372,10 +363,10 @@ impl Transport {
     /// `NackMiss` only once this rank has `finished`: a `NackMiss` is a
     /// proof that the frames will *never* exist, which holds only once
     /// every frame is sent. Pruning keeps the proof sound: a pruned frame
-    /// lies below an ACK, the receiver's expected sequence number only
-    /// grows, and mailboxes are FIFO per destination — so every ACK
-    /// handled before this NACK was sent before it, and pruned only
-    /// frames below `from_seq`. Mid-run the NACK may simply be early — the
+    /// was delivered, so it lies below the receiver's expected sequence
+    /// number, which only grows; and mailboxes are FIFO per destination —
+    /// so every ACK handled before this NACK was sent before it, and named
+    /// a frame below `from_seq`. Mid-run the NACK may simply be early — the
     /// receiver's retry timer can race a send that has not happened yet —
     /// so the transport stays silent and the receiver's backoff re-asks.
     pub(crate) fn on_nack(
@@ -388,9 +379,9 @@ impl Transport {
         refault: &mut dyn FnMut(u64, u32) -> Option<FaultKind>,
     ) {
         let mut jobs = Vec::new();
-        if let Some(log) = self.sent_log.get_mut(&(from, tag)) {
-            let start = log.partition_point(|rec| rec.seq < from_seq);
-            for rec in log.range_mut(start..) {
+        if let Some(stream) = self.outgoing.get_mut(&(from, tag)) {
+            let start = stream.log.partition_point(|rec| rec.seq < from_seq);
+            for rec in &mut stream.log[start..] {
                 rec.attempts += 1;
                 jobs.push((rec.seq, rec.attempts, rec.parcel.clone()));
             }
@@ -423,19 +414,18 @@ impl Transport {
 
     // ----- ACK arrived ------------------------------------------------------
 
-    /// `from` has accepted every frame of `tag` below `seq`: drops them
-    /// from the retransmit log. ACKs are cumulative, so a stale one prunes
-    /// nothing.
+    /// `from` has delivered frame `seq` of `tag`: drops exactly that frame
+    /// from the retransmit log. An ACK naming a frame that is not logged —
+    /// never sent, or already acknowledged — drops nothing.
     pub(crate) fn on_ack(&mut self, from: Rank, tag: u64, seq: u64) {
-        let key = (from, tag);
-        let Some(log) = self.sent_log.get_mut(&key) else {
+        let Some(stream) = self.outgoing.get_mut(&(from, tag)) else {
             return;
         };
-        while log.front().is_some_and(|rec| rec.seq < seq) {
-            log.pop_front();
-        }
-        if log.is_empty() {
-            self.sent_log.remove(&key);
+        if let Ok(at) = stream.log.binary_search_by_key(&seq, |rec| rec.seq) {
+            stream.log.remove(at);
+            if stream.log.is_empty() {
+                stream.log = Vec::new();
+            }
         }
     }
 

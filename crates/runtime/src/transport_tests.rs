@@ -50,80 +50,141 @@ fn pump(t: &mut Transport, wire: &mut VecDeque<Message>, tally: &mut Metrics) {
     }
 }
 
-/// One run of the two-endpoint model: the sender transmits `tags.len()`
-/// frames (frame `i` on stream `tags[i]`), then finishes and lingers; the
-/// receiver's application receives them in send order. Every fault of
-/// every first transmission and of every frame's first replay comes off
-/// the tape (later replays run clean), as does the sender-side order of
-/// {send the next frame, block, handle the next NACK}.
+/// Wire tags of distinct streams, in distinct collective epochs.
+const TAGS: [u64; 3] = [7, 9 | (3 << 40), 11 | (4 << 40)];
+
+/// The traffic of one model run, as the system sends it.
+#[derive(Clone, Copy, Debug)]
+enum Shape {
+    /// One frame on each of `n` streams — every collective's traffic. The
+    /// receiver takes them in an order the tape picks, not in send order.
+    Streams(usize),
+    /// `n` frames on one reused stream, each sent once the receiver took
+    /// the one before: a ping-pong on one tag.
+    PingPong(usize),
+}
+
+impl Shape {
+    /// The wire tag of each frame, in send order.
+    fn tags(self) -> Vec<u64> {
+        match self {
+            Shape::Streams(n) => TAGS[..n].to_vec(),
+            Shape::PingPong(n) => vec![TAGS[0]; n],
+        }
+    }
+}
+
+/// One run of the two-endpoint model: the sender transmits the frames of
+/// `shape`, then finishes and lingers; the receiver's application takes
+/// them. Every fault of every first transmission and of every frame's
+/// first replay comes off the tape (later replays run clean), as do the
+/// receiver's order across streams and the sender-side order of {send the
+/// next frame, block, handle the next NACK}. A ping-pong sender is
+/// blocked in its own receive between pings, so nothing overtakes a ping.
 ///
 /// The mailboxes are FIFO and each endpoint only ever appends to the
 /// other's, so a step of one endpoint commutes with any step of the other
-/// that is enabled at the same time: the receiver may therefore consume
+/// that is enabled at the same time: the receiver may therefore admit
 /// eagerly, and enumerating the *sender's* order covers every delivery
-/// order the network allows. A retry round elapses whenever nothing else
-/// can move and the receiver is still short.
+/// order the network allows. A retry round of the receive the application
+/// waits on elapses whenever nothing else can move.
 ///
 /// The receiver's ACKs are handled as soon as they reach the head of the
-/// sender's mailbox. That loses no schedule: an ACK prunes only frames
-/// below the receiver's expected sequence number, so it commutes with the
-/// sender's own sends, and it stays FIFO with the NACKs around it, so
-/// every NACK sees the log it would see had the sender handled the ACK at
-/// any later drain. Every run ends with the sender's log empty: each
-/// delivered frame is acknowledged and pruned.
+/// sender's mailbox. That loses no schedule: an ACK names a delivered
+/// frame, below the receiver's expected sequence number, so it commutes
+/// with the sender's own sends, and it stays FIFO with the NACKs around
+/// it, so every NACK sees the log it would see had the sender handled the
+/// ACK at any later drain.
 ///
-/// Returns how many retry rounds the run needed.
-fn run_model(tags: &[u64], adversarial: bool, tape: &mut Tape) -> u32 {
+/// Checks at every arrival that a frame already delivered is a duplicate
+/// (never NACKed), that the next frame of its stream arriving intact is
+/// delivered with one ACK naming it, and that anything else is NACKed from
+/// the stream's next frame; at the end, that each frame was taken exactly
+/// once, in order per stream and intact, and that the sender's log is
+/// empty and, like every drained ready queue, unallocated. Returns how
+/// many retry rounds the run needed.
+fn run_model(shape: Shape, adversarial: bool, tape: &mut Tape) -> u32 {
     let plan = plan(adversarial);
     let mut sender = Transport::new(SENDER, &plan);
     let mut receiver = Transport::new(RECEIVER, &plan);
     let mut to_receiver: VecDeque<Message> = VecDeque::new();
     let mut to_sender: VecDeque<Message> = VecDeque::new();
-    let parcels: Vec<Parcel> = (0..tags.len()).map(parcel).collect();
+    let tags = shape.tags();
+    let n = tags.len();
+    let parcels: Vec<Parcel> = (0..n).map(parcel).collect();
     // The stand-in for the per-hop authenticator: a parcel verifies iff
     // it is one of the clean originals.
     let mut verify = |p: &Parcel| parcels.contains(p);
-    // Frames the receiver holds verified (buffered or delivered).
-    let mut held: Vec<(u64, u64)> = Vec::new();
-    let (mut sent, mut received, mut rounds) = (0, 0, 0u32);
+    // Frames the receiver's transport delivered, and those the
+    // application took.
+    let (mut delivered, mut taken) = (vec![false; n], vec![false; n]);
+    // The frame the application waits on.
+    let mut waiting: Option<usize> = None;
+    let (mut sent, mut rounds) = (0, 0u32);
     let mut limbo_occupied = false;
     loop {
         while let Some(msg) = to_receiver.pop_front() {
             let Wire::Data(frame) = msg.wire else {
                 panic!("the sender emits only data frames while the receiver is short");
             };
-            let id = (frame.tag, frame.seq);
-            let clean = parcels.contains(&frame.parcel);
+            let (tag, seq) = (frame.tag, frame.seq);
+            let on_stream = |i: &usize| tags[*i] == tag;
+            let i = (0..n).filter(on_stream).nth(seq as usize).unwrap();
+            let next = (0..n).filter(on_stream).filter(|&j| delivered[j]).count() as u64;
+            let intact = frame.parcel == parcels[i];
             let mut tally = Metrics::default();
             receiver.on_frame(SENDER, frame, msg.arrive_us, &mut verify);
+            let before = to_sender.len();
             pump(&mut receiver, &mut to_sender, &mut tally);
-            let nacks = tally.nacks_sent;
-            if held.contains(&id) {
-                // Satellite 1: a copy of a frame already held verified is
-                // a duplicate whatever its bytes look like — never a NACK.
-                assert_eq!(nacks, 0, "duplicate of {id:?} was NACKed");
+            let answer: Vec<&Wire> = to_sender.range(before..).map(|m| &m.wire).collect();
+            if delivered[i] {
+                // A copy of a frame already delivered is a duplicate
+                // whatever its bytes look like — never a NACK.
+                assert!(answer.is_empty(), "duplicate of {i} was answered");
                 assert_eq!(tally.dup_frames_dropped, 1);
-            } else if clean {
-                held.push(id);
+            } else if intact && seq == next {
+                assert!(
+                    matches!(answer[..], [&Wire::Ack { tag: t, seq: s }] if (t, s) == (tag, seq)),
+                    "delivery of {i} was not acknowledged by name"
+                );
+                delivered[i] = true;
             } else {
-                assert_eq!(nacks, 1, "corrupt frame {id:?} was not NACKed");
+                assert!(
+                    matches!(answer[..], [&Wire::Nack { tag: t, seq: s }] if (t, s) == (tag, next)),
+                    "frame {i} (seq {seq}, stream at {next}) was not NACKed"
+                );
                 assert_eq!(tally.faults_detected, 1);
             }
-            // The application receives in send order: exactly the sent
-            // parcel, or nothing yet.
-            while received < tags.len() {
-                let Some((got, _)) = receiver.take_ready(SENDER, tags[received]) else {
-                    break;
-                };
-                assert_eq!(got, parcels[received], "frame {received} corrupted");
-                received += 1;
-            }
+        }
+        // The application takes what it waits on, then picks its next
+        // receive: the tape orders the streams; a stream's own frames
+        // come in send order.
+        loop {
+            let i = match waiting {
+                Some(i) => i,
+                None => {
+                    let rest: Vec<usize> = (0..n).filter(|&j| !taken[j]).collect();
+                    let i = match (shape, rest.len()) {
+                        (_, 0) => break,
+                        (Shape::Streams(_), k) if k > 1 => rest[tape.pick(k)],
+                        _ => rest[0],
+                    };
+                    *waiting.insert(i)
+                }
+            };
+            let Some((got, _)) = receiver.take_ready(SENDER, tags[i]) else {
+                break;
+            };
+            assert_eq!(got, parcels[i], "frame {i} corrupted or out of order");
+            taken[i] = true;
+            waiting = None;
         }
         while let Some(&Wire::Ack { tag, seq }) = to_sender.front().map(|m| &m.wire) {
             to_sender.pop_front();
             sender.on_ack(RECEIVER, tag, seq);
         }
-        let can_send = sent < tags.len();
+        let gated = matches!(shape, Shape::PingPong(_)) && sent > 0 && !taken[sent - 1];
+        let can_send = sent < n && !gated;
         let can_hear = !to_sender.is_empty();
         let mut tally = Metrics::default();
         if can_send && (!can_hear || tape.pick(2) == 0) {
@@ -138,52 +199,57 @@ fn run_model(tags: &[u64], adversarial: bool, tape: &mut Tape) -> u32 {
             sender.dispatch(RECEIVER, frame, arrive_us, fault);
             limbo_occupied = fault == Some(FaultKind::Reorder);
             sent += 1;
-            if sent == tags.len() {
-                // Finished: the limbo drains and the rank lingers.
+            if sent == n || matches!(shape, Shape::PingPong(_)) {
+                // Finished, or waiting for the pong: the limbo drains.
                 sender.flush_limbo();
+                limbo_occupied = false;
             }
         } else if can_hear {
             let Some(Wire::Nack { tag, seq }) = to_sender.pop_front().map(|m| m.wire) else {
                 panic!("the receiver emits only NACKs and ACKs");
             };
-            let finished = sent == tags.len();
+            let finished = sent == n;
             let mut refault = |_seq, attempt| match attempt {
                 1 => FAULTS[tape.pick(FAULTS.len())],
                 _ => None,
             };
             sender.on_nack(RECEIVER, tag, seq, finished, 99.0, &mut refault);
-        } else if received == tags.len() {
-            break;
-        } else {
+        } else if let Some(i) = waiting {
             rounds += 1;
-            let round = receiver.round_elapsed(SENDER, tags[received], rounds, u32::MAX);
+            let round = receiver.round_elapsed(SENDER, tags[i], rounds, u32::MAX);
             assert_eq!(round, Round::Nack);
             pump(&mut receiver, &mut to_sender, &mut tally);
+        } else {
+            break;
         }
         pump(&mut sender, &mut to_receiver, &mut tally);
         assert!(tally.faults_injected <= tally.retransmits.max(1));
     }
-    // Exactly once: nothing is left over on any stream.
-    for &tag in tags {
+    // Exactly once: every frame was taken, and nothing is left over.
+    assert!(taken.iter().all(|&t| t), "a frame was never received");
+    for &tag in &tags {
         assert!(receiver.take_ready(SENDER, tag).is_none(), "extra delivery");
     }
-    // Bounded: every delivered frame was acknowledged and pruned.
+    // Bounded: every delivered frame was acknowledged and pruned, and no
+    // drained log or queue keeps its buffer for the life of the world.
     assert_eq!(
         sender.logged(),
         0,
         "the retransmit log kept acknowledged frames"
     );
+    assert!(sender.outgoing.values().all(|s| s.log.capacity() == 0));
+    assert!(receiver.incoming.values().all(|s| s.ready.capacity() == 0));
     rounds
 }
 
-/// Explores every tape of `run_model` over `tags`; returns the number of
+/// Explores every tape of `run_model` over `shape`; returns the number of
 /// runs and the most retry rounds any of them needed.
-fn explore(tags: &[u64], adversarial: bool) -> (u64, u32) {
+fn explore(shape: Shape, adversarial: bool) -> (u64, u32) {
     let mut tape = Tape::default();
     let (mut runs, mut worst) = (0u64, 0u32);
     loop {
         runs += 1;
-        worst = worst.max(run_model(tags, adversarial, &mut tape));
+        worst = worst.max(run_model(shape, adversarial, &mut tape));
         if !tape.advance() {
             return (runs, worst);
         }
@@ -191,37 +257,36 @@ fn explore(tags: &[u64], adversarial: bool) -> (u64, u32) {
 }
 
 /// The "delivered exactly once, in order, intact" contract, explored
-/// rather than sampled: every fault assignment to the frames and to each
-/// frame's first replay, every schedule, streams of up to three frames
-/// over up to two tags, with and without the checksum-fixing adversary.
-/// Each run must also *finish* once replays run clean: a frame's second
-/// replay is never faulted, so two retry rounds per stream bound the
-/// recovery.
+/// rather than sampled over the traffic the system sends: every fault
+/// assignment to the frames and to each frame's first replay, every
+/// schedule and every receive order across streams, for up to three
+/// one-frame streams and a ping-pong of up to four frames on one stream,
+/// with and without the checksum-fixing adversary. Each run must also
+/// *finish* once replays run clean: a frame's second replay is never
+/// faulted, so two retry rounds per frame bound the recovery — per stream
+/// for one-frame streams, per ping on the reused one.
 #[test]
 fn every_fault_assignment_and_schedule_delivers_exactly_once_in_order() {
-    const A: u64 = 7;
-    const B: u64 = 9 | (3 << 40); // another tag, in another collective epoch
-    let shapes: &[&[u64]] = if cfg!(miri) {
-        &[&[A], &[A, A]]
+    let shapes: &[Shape] = if cfg!(miri) {
+        &[Shape::Streams(1), Shape::PingPong(2)]
     } else {
         &[
-            &[A],
-            &[A, A],
-            &[A, B],
-            &[A, A, A],
-            &[A, A, B],
-            &[A, B, A],
-            &[A, B, B],
+            Shape::Streams(1),
+            Shape::Streams(2),
+            Shape::Streams(3),
+            Shape::PingPong(2),
+            Shape::PingPong(3),
+            Shape::PingPong(4),
         ]
     };
     let mut total = 0;
-    for tags in shapes {
+    for &shape in shapes {
         for adversarial in [false, true] {
-            let (runs, worst) = explore(tags, adversarial);
-            let streams = if tags.contains(&B) { 2 } else { 1 };
+            let (runs, worst) = explore(shape, adversarial);
+            let frames = shape.tags().len() as u32;
             assert!(
-                worst <= 2 * streams,
-                "{tags:?}: a run needed {worst} retry rounds"
+                worst <= 2 * frames,
+                "{shape:?}: a run needed {worst} retry rounds"
             );
             total += runs;
         }
@@ -304,26 +369,30 @@ fn stale_nack_after_the_ack_pruned_its_frames_replays_nothing() {
     assert_eq!(receiver.take_ready(SENDER, 4), None, "no redelivery");
 }
 
-/// Satellite-1 regression: go-back-N re-delivers frames the receiver
-/// already buffered, and each replay is independently re-faultable. A
-/// tampered replay of a frame held *verified* used to fail the integrity
-/// check first and trigger another full-suffix replay; it is a duplicate.
+/// A replay of a frame already delivered is re-faultable like any other,
+/// and may arrive tampered: it is a duplicate whatever its bytes look
+/// like — never a NACK, which would only trigger another replay.
 #[test]
-fn tampered_replay_of_a_buffered_frame_is_a_duplicate_not_a_fault() {
+fn tampered_replay_of_a_delivered_frame_is_a_duplicate_not_a_fault() {
     for adversarial in [false, true] {
         let plan = plan(adversarial);
         let mut sender = Transport::new(SENDER, &plan);
         let mut receiver = Transport::new(RECEIVER, &plan);
-        let mut verify = |p: &Parcel| *p == parcel(0) || *p == parcel(1);
-        let first = sender.frame(RECEIVER, 3, parcel(0));
-        let second = sender.frame(RECEIVER, 3, parcel(1));
-        // Frame 1 overtakes frame 0: buffered, one NACK for the gap.
-        receiver.on_frame(SENDER, second.clone(), 1.0, &mut verify);
-        let (mut wire, mut tally) = (VecDeque::new(), Metrics::default());
-        pump(&mut receiver, &mut wire, &mut tally);
-        assert_eq!(tally.nacks_sent, 1);
-        // Its replay arrives tampered.
-        let mut replay = second;
+        let mut verify = |p: &Parcel| *p == parcel(0);
+        let frame = sender.frame(RECEIVER, 3, parcel(0));
+        receiver.on_frame(SENDER, frame.clone(), 1.0, &mut verify);
+        assert!(matches!(
+            &receiver.out[..],
+            [Action::Send(
+                SENDER,
+                Message {
+                    wire: Wire::Ack { tag: 3, seq: 0 },
+                    ..
+                }
+            )]
+        ));
+        receiver.out.clear();
+        let mut replay = frame;
         let mut arrive_us = 2.0;
         sender.apply_fault(
             RECEIVER,
@@ -339,24 +408,84 @@ fn tampered_replay_of_a_buffered_frame_is_a_duplicate_not_a_fault() {
                 tag: 3
             })]
         ));
-        receiver.out.clear();
-        // The gap fills: both frames come out clean, in order, once, and
-        // one cumulative ACK covers them both.
-        receiver.on_frame(SENDER, first, 3.0, &mut verify);
-        assert!(matches!(
-            &receiver.out[..],
-            [Action::Send(
-                SENDER,
-                Message {
-                    wire: Wire::Ack { tag: 3, seq: 2 },
-                    ..
-                }
-            )]
-        ));
-        assert_eq!(receiver.take_ready(SENDER, 3), Some((parcel(0), 3.0)));
-        assert_eq!(receiver.take_ready(SENDER, 3), Some((parcel(1), 1.0)));
+        assert_eq!(receiver.take_ready(SENDER, 3), Some((parcel(0), 1.0)));
         assert_eq!(receiver.take_ready(SENDER, 3), None);
     }
+}
+
+/// A frame that overtakes an earlier one of its stream is not buffered:
+/// it is NACKed from the missing frame, like a corrupt one, and the
+/// go-back-N replay re-delivers both in order, each once.
+#[test]
+fn an_early_frame_is_nacked_and_replayed_in_order() {
+    let plan = plan(false);
+    let mut sender = Transport::new(SENDER, &plan);
+    let mut receiver = Transport::new(RECEIVER, &plan);
+    let mut verify = |_: &Parcel| true;
+    let (mut to_sender, mut to_receiver) = (VecDeque::new(), VecDeque::new());
+    let mut tally = Metrics::default();
+    let first = sender.frame(RECEIVER, 5, parcel(0));
+    let second = sender.frame(RECEIVER, 5, parcel(1));
+    receiver.on_frame(SENDER, second, 1.0, &mut verify);
+    pump(&mut receiver, &mut to_sender, &mut tally);
+    assert_eq!(tally.faults_detected, 1);
+    assert!(matches!(
+        to_sender.make_contiguous(),
+        [Message {
+            wire: Wire::Nack { tag: 5, seq: 0 },
+            ..
+        }]
+    ));
+    assert_eq!(receiver.take_ready(SENDER, 5), None, "nothing is buffered");
+    receiver.on_frame(SENDER, first, 0.0, &mut verify);
+    let mut clean = |_, _| None;
+    sender.on_nack(RECEIVER, 5, 0, false, 2.0, &mut clean);
+    pump(&mut sender, &mut to_receiver, &mut tally);
+    assert_eq!(tally.retransmits, 2, "go-back-N replays both frames");
+    for msg in to_receiver.drain(..) {
+        let Wire::Data(frame) = msg.wire else {
+            panic!("a replay is a data frame");
+        };
+        receiver.on_frame(SENDER, frame, msg.arrive_us, &mut verify);
+    }
+    pump(&mut receiver, &mut to_sender, &mut tally);
+    assert_eq!(tally.dup_frames_dropped, 1, "frame 0 came twice");
+    assert_eq!(receiver.take_ready(SENDER, 5), Some((parcel(0), 0.0)));
+    assert_eq!(receiver.take_ready(SENDER, 5), Some((parcel(1), 2.0)));
+    assert_eq!(receiver.take_ready(SENDER, 5), None);
+}
+
+/// An ACK prunes only the frame it names. Two frames of one stream are
+/// lost; an ACK naming frame 2, which was never sent, and one naming
+/// `u64::MAX` arrive; the receiver's NACK must still replay both frames —
+/// a cumulative reading of either ACK would prune them, and the finished
+/// sender would answer `NackMiss`, turning the loss into a typed failure.
+#[test]
+fn a_bogus_ack_prunes_nothing() {
+    let mut sender = Transport::new(SENDER, &plan(false));
+    for id in 0..2 {
+        sender.frame(RECEIVER, 6, parcel(id));
+    }
+    sender.on_ack(RECEIVER, 6, 2);
+    sender.on_ack(RECEIVER, 6, u64::MAX);
+    assert_eq!(sender.logged(), 2);
+    let mut clean = |_, _| None;
+    sender.on_nack(RECEIVER, 6, 0, true, 0.0, &mut clean);
+    let replayed: Vec<u64> = sender
+        .out
+        .iter()
+        .filter_map(|action| match action {
+            Action::Send(
+                RECEIVER,
+                Message {
+                    wire: Wire::Data(frame),
+                    ..
+                },
+            ) => Some(frame.seq),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(replayed, [0, 1], "the NACK did not replay both lost frames");
 }
 
 /// A frame as a hostile or broken wire might present it: any header, over

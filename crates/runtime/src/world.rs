@@ -30,10 +30,10 @@
 //! # Reliable transport (chaos mode)
 //!
 //! When the spec's [`FaultPlan`] is enabled, every inter-node send is
-//! framed for recovery by the transport (sequence numbers, checksum,
-//! a retransmit log pruned by cumulative ACKs, NACK replay, dedup). Ranks
-//! answer NACKs from whatever wait they are in, and ranks that finish
-//! *linger* to answer late ones until every rank has finished.
+//! framed for recovery by the transport (in-order sequence numbers,
+//! checksum, a retransmit log pruned by per-frame ACKs, NACK replay,
+//! dedup). Ranks answer NACKs from whatever wait they are in, and ranks
+//! that finish *linger* to answer late ones until every rank has finished.
 //! Unrecoverable situations return a structured [`CollectiveError`]
 //! instead of hanging: `Timeout` (retry budget or wall-clock watchdog
 //! spent), `DeadPeer` (the awaited rank exited) or `AuthFailure` (at a

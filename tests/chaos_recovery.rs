@@ -7,6 +7,9 @@
 //! * Every *single* injected fault — each fault kind on each inter-node
 //!   frame, named by its identity — is recovered by every encrypted
 //!   algorithm at p ∈ {4, 8}.
+//! * Every inter-node stream a shipped collective sends carries one frame,
+//!   fault-free and across a crash recovery: the traffic the transport's
+//!   in-order admission is fitted to.
 //! * A receive from a rank that exited early fails fast with a typed
 //!   `DeadPeer` error carrying the algorithm name as its phase, instead of
 //!   hanging.
@@ -22,7 +25,7 @@ use eag_bench::SimConfig;
 use eag_core::{Algorithm, Collective};
 use eag_integration::{chaos_config, chaos_run, first_unrecovered, frame_ids};
 use eag_netsim::{Crash, FaultKind, FaultPlan, FrameId, Mapping};
-use eag_runtime::{try_run, try_run_crashable, FailureCause, ProcCtx};
+use eag_runtime::{try_run, try_run_crashable, FailureCause, Metrics, ProcCtx};
 use proptest::prelude::*;
 use std::time::{Duration, Instant};
 
@@ -216,6 +219,83 @@ fn any_single_fault_is_recovered() {
                 );
             }
         }
+    }
+}
+
+/// Every shipped collective: each all-gather algorithm, each
+/// varying-capable one as all-gather-v, and every other operation.
+fn shipped() -> Vec<Collective> {
+    let all = Algorithm::all();
+    let mut cs: Vec<Collective> = all.iter().map(|&a| Collective::Allgather(a)).collect();
+    cs.extend(
+        all.iter()
+            .filter(|a| a.supports_varying())
+            .map(|&a| Collective::Allgatherv(a)),
+    );
+    cs.extend(Collective::new_operations_all());
+    cs
+}
+
+/// Every inter-node stream a collective sends carries one frame: wire
+/// tags name the collective epoch and step, and recovery and agreement
+/// rounds take fresh ones. The transport's in-order admission is fitted
+/// to that traffic (DESIGN.md §4), so a kernel that reuses a tag shows
+/// here as a frame with `seq > 0` — in an armed fault-free run of every
+/// shipped collective at three shapes, and in one crash-recovery run per
+/// operation (a sender of its last-listed frame dies before its first
+/// send, so agreement and the shrunk re-run are on the wire too).
+#[test]
+fn every_stream_a_collective_sends_carries_one_frame() {
+    let m = 64;
+    for c in shipped() {
+        for (p, nodes) in [(8, 4), (12, 3), (16, 4)] {
+            let reused: Vec<FrameId> = frame_ids(c, p, nodes, m)
+                .into_iter()
+                .filter(|id| id.seq > 0)
+                .collect();
+            assert!(
+                reused.is_empty(),
+                "{c} at p={p}, N={nodes} reuses a stream: {reused:?}"
+            );
+        }
+    }
+    eag_runtime::quiet_expected_panics();
+    let (p, nodes) = (8, 4);
+    let mut per_operation = vec![
+        Collective::Allgather(Algorithm::ORing),
+        Collective::Allgatherv(Algorithm::ORing),
+    ];
+    for c in Collective::new_operations_all() {
+        if per_operation.iter().all(|d| d.operation() != c.operation()) {
+            per_operation.push(c);
+        }
+    }
+    for c in per_operation {
+        let victim = frame_ids(c, p, nodes, m)
+            .last()
+            .expect("an inter-node frame")
+            .src;
+        let plan = FaultPlan {
+            crashes: vec![Crash::before(victim, 0)],
+            ..FaultPlan::default()
+        };
+        let mut spec = chaos_config(p, nodes).world_spec(plan);
+        spec.capture_wire = true;
+        let report = try_run_crashable(&spec, |ctx| c.recover(ctx, m))
+            .unwrap_or_else(|e| panic!("{c}: crash of rank {victim} not recovered: {e}"));
+        assert_eq!(report.crashed, [victim], "{c}: the crash did not fire");
+        assert!(Metrics::component_sum(&report.metrics).recoveries > 0);
+        let reused: Vec<(usize, usize, u64, u64)> = report
+            .wiretap
+            .frames()
+            .iter()
+            .filter(|f| f.seq > 0)
+            .map(|f| (f.src, f.dst, f.tag, f.seq))
+            .collect();
+        assert!(
+            reused.is_empty(),
+            "{c} recovery reuses a stream: {reused:?}"
+        );
     }
 }
 

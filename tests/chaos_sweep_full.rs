@@ -1,8 +1,9 @@
 //! Full chaos sweep as a test: every encrypted algorithm × every fault kind
 //! × several seeds, plus the canonical mix, at p = 16 over 8 nodes; and the
 //! listed-fault enumerations too wide for the always-on suite — every
-//! single fault at p = 16, every pair at p = 4, and every drop in every
-//! ordered pair of collectives run back to back at p = 8.
+//! single fault at p = 16, every pair at p = 4, every single fault of the
+//! other collectives at p ∈ {4, 8}, and every drop in every ordered pair
+//! of collectives run back to back at p = 8.
 //!
 //! Heavyweight by design — gated behind the `chaos` cargo feature:
 //! `cargo test -p eag-integration --features chaos --test chaos_sweep_full`
@@ -55,20 +56,20 @@ fn adversarial_tamper_recovers_across_seeds() {
     }
 }
 
-/// Runs every encrypted all-gather at `(p, nodes)` under each placement
+/// Runs each collective of `cs` at `(p, nodes)` under each placement
 /// `placements` builds from its frame list, stopping at the first one not
 /// recovered byte-identically with one injected fault per listed frame.
 fn assert_enumeration(
+    cs: &[Collective],
     p: usize,
     nodes: usize,
     placements: impl Fn(&[FrameId]) -> Vec<Vec<(FrameId, FaultKind)>>,
 ) {
-    for &algo in Algorithm::encrypted_all() {
-        let c = Collective::Allgather(algo);
+    for &c in cs {
         let ids = frame_ids(c, p, nodes, 64);
         if let Some((listed, r)) = first_unrecovered(&[c], p, nodes, 64, placements(&ids)) {
             panic!(
-                "{algo} at p={p}: {listed:?} not recovered: {} ({} injected)",
+                "{c} at p={p}: {listed:?} not recovered: {} ({} injected)",
                 r.verdict(),
                 r.faults_injected
             );
@@ -76,19 +77,29 @@ fn assert_enumeration(
     }
 }
 
+fn encrypted_allgathers() -> Vec<Collective> {
+    Algorithm::encrypted_all()
+        .iter()
+        .map(|&a| Collective::Allgather(a))
+        .collect()
+}
+
+/// Every fault kind on each frame, one at a time.
+fn single_faults(ids: &[FrameId]) -> Vec<Vec<(FrameId, FaultKind)>> {
+    ids.iter()
+        .flat_map(|&id| FaultKind::all().iter().map(move |&kind| vec![(id, kind)]))
+        .collect()
+}
+
 #[test]
 fn every_single_fault_at_p16_recovers() {
-    assert_enumeration(16, 8, |ids| {
-        ids.iter()
-            .flat_map(|&id| FaultKind::all().iter().map(move |&kind| vec![(id, kind)]))
-            .collect()
-    });
+    assert_enumeration(&encrypted_allgathers(), 16, 8, single_faults);
 }
 
 #[test]
 fn every_pair_of_drops_and_tampers_at_p4_recovers() {
     const KINDS: [FaultKind; 2] = [FaultKind::Drop, FaultKind::Tamper];
-    assert_enumeration(4, 2, |ids| {
+    assert_enumeration(&encrypted_allgathers(), 4, 2, |ids| {
         let mut pairs = Vec::new();
         for (i, &a) in ids.iter().enumerate() {
             for &b in &ids[i + 1..] {
@@ -101,6 +112,24 @@ fn every_pair_of_drops_and_tampers_at_p4_recovers() {
         }
         pairs
     });
+}
+
+/// The always-on single-fault enumeration (`chaos_recovery.rs`) covers the
+/// encrypted all-gathers; this one covers every other collective at the
+/// same shapes: both variants of bcast, gather, gatherv, scatter, scatterv
+/// and all-to-all, and every varying-capable algorithm as all-gather-v.
+#[test]
+fn every_single_fault_of_the_other_collectives_recovers() {
+    let mut cs = Collective::new_operations_all();
+    cs.extend(
+        Algorithm::all()
+            .iter()
+            .filter(|a| a.supports_varying())
+            .map(|&a| Collective::Allgatherv(a)),
+    );
+    for (p, nodes) in [(4, 2), (8, 4)] {
+        assert_enumeration(&cs, p, nodes, single_faults);
+    }
 }
 
 /// Every ordered pair (A, B) of the encrypted all-gathers, run back to
